@@ -59,6 +59,7 @@ from .stepped_wedge import (
     SWWeights,
     optimal_weights,
     sw_covariance_estimate,
+    sw_invert_ci,
     sw_log_contrast,
     sw_null_covariance,
     sw_oracle_covariance,
@@ -109,6 +110,7 @@ __all__ = [
     "simulate_parallel",
     "simulate_stepped_wedge",
     "sw_covariance_estimate",
+    "sw_invert_ci",
     "sw_log_contrast",
     "sw_null_covariance",
     "sw_oracle_covariance",

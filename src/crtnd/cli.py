@@ -42,16 +42,19 @@ from .inference import (
 )
 from .scenarios import default_parallel_scenario, default_sw_scenario
 from .simulation import evaluate, replicate_ascertainment_sweep
-from .stepped_wedge import sw_log_contrast, sw_permutation_test
+from .stepped_wedge import sw_invert_ci, sw_log_contrast, sw_permutation_test
 
 DEFAULT_ESTIMATORS = ("odds_ratio", "tpf", "log_contrast", "covariate_adjusted")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=0.05,
-                   help="two-sided level (default 0.05)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for any Monte Carlo randomness (default 0)")
+def _add_common(p: argparse.ArgumentParser, scenario: bool = False) -> None:
+    # simulation commands take alpha and seed from the scenario unless given
+    own = "the scenario's"
+    p.add_argument("--alpha", type=float, default=None if scenario else 0.05,
+                   help=f"two-sided level (default {own if scenario else 0.05})")
+    p.add_argument("--seed", type=int, default=None if scenario else 0,
+                   help="seed for any Monte Carlo randomness "
+                   f"(default {own if scenario else 0})")
     p.add_argument("--mode", choices=["auto", "exact", "monte-carlo"],
                    default="auto", help="permutation mode (default auto)")
     p.add_argument("--n-draws", type=int, default=2000,
@@ -82,8 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--estimators",
-        default=",".join(DEFAULT_ESTIMATORS),
-        help="comma-separated subset of " + ",".join(DEFAULT_ESTIMATORS),
+        default=None,
+        help="comma-separated subset of " + ",".join(DEFAULT_ESTIMATORS)
+        + " (default: all; covariate_adjusted only if the file has covariates)",
     )
     _add_common(p)
 
@@ -123,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--perm-draws", type=int, default=999)
         p.add_argument("--raw-estimates", type=Path, default=None,
                        help="also write per-replicate log estimates to this CSV")
-        _add_common(p)
+        _add_common(p, scenario=True)
 
     p = sub.add_parser("sweep", help="repeat the study over ascertainment draws")
     p.add_argument("--scenario", default="default")
@@ -131,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-replicates", type=int, default=None)
     p.add_argument("--n-configs", type=int, default=100)
     p.add_argument("--estimators", default=None)
-    _add_common(p)
+    _add_common(p, scenario=True)
 
     return parser
 
@@ -185,14 +189,22 @@ def _cmd_analyze(args) -> int:
     kind, data = parse_dataset(args.input)
     if kind != "parallel":
         raise DataError("analyze expects a parallel-arm dataset; use analyze-sw")
+    requested = args.estimators is not None
+    if not requested:
+        args.estimators = ",".join(DEFAULT_ESTIMATORS)  # echo what runs
     names = [s.strip() for s in args.estimators.split(",") if s.strip()]
     unknown = set(names) - set(DEFAULT_ESTIMATORS)
     if unknown:
         raise DataError(f"unknown estimators: {sorted(unknown)}")
+    if "covariate_adjusted" in names and not data[0].covariates:
+        if requested:
+            raise DataError(
+                "covariate_adjusted needs covariate columns x1..xp in the input"
+            )
+        names.remove("covariate_adjusted")
     correction = args.continuity_correction
     mode = args.mode.replace("-", "_")
     reports = []
-    p = len(data[0].covariates)
     for name in names:
         if name == "odds_ratio":
             rep = odds_ratio_estimate(
@@ -213,8 +225,6 @@ def _cmd_analyze(args) -> int:
                 alpha=args.alpha, correction=correction,
             )
         else:
-            if p == 0:
-                continue  # no covariates in the file
             rep = normal_test(
                 data, NullSpec("relative_risk", 1.0), "covariate_adjusted",
                 alpha=args.alpha, correction=correction,
@@ -279,7 +289,11 @@ def _cmd_analyze_sw(args) -> int:
         rep.p_value, _ = _two_sided_p(rep.log_estimate, rep.se_log,
                                       abs(rep.log_estimate))
     if args.ci_method == "invert-permutation":
-        lo, hi = _invert_sw_ci(panel, weights, args)
+        lo, hi = sw_invert_ci(
+            panel, weights, alpha=args.alpha, mode=mode, n_draws=args.n_draws,
+            seed=args.seed, correction=args.continuity_correction,
+            convention=args.sigma_convention,
+        )
         rep.ci_low, rep.ci_high, rep.ci_method = lo, hi, "test_inversion"
     elif args.ci_method == "invert-normal":
         # inverting the z-test reproduces the closed-form Normal CI
@@ -297,49 +311,6 @@ def _cmd_analyze_sw(args) -> int:
             },
         )
     return 0
-
-
-def _invert_sw_ci(panel, weights, args):
-    """Bisection inversion of the stepped-wedge permutation test."""
-    import math
-
-    import numpy as np
-
-    base = sw_log_contrast(panel, weights, alpha=args.alpha,
-                           convention=args.sigma_convention,
-                           correction=args.continuity_correction)
-    mode = args.mode.replace("-", "_")
-    center = base.log_estimate
-    half = 10.0 * max(base.se_log or 0.1, 1e-6)
-
-    def pfun(theta):
-        return sw_permutation_test(
-            panel, math.exp(theta), weights, mode=mode,
-            n_draws=args.n_draws, seed=args.seed,
-            correction=args.continuity_correction,
-            convention=args.sigma_convention,
-        ).p_two_sided
-
-    grid = np.linspace(center - half, center + half, 81)
-    pvals = np.array([pfun(t) for t in grid])
-    accepted = pvals > args.alpha
-    if not accepted.any():
-        raise CrtndError("no lambda value in the scan has p > alpha")
-    idx = np.nonzero(accepted)[0]
-    lo_idx, hi_idx = int(idx[0]), int(idx[-1])
-    from .inference import _bisect_boundary
-
-    lo = (
-        _bisect_boundary(pfun, args.alpha, grid[lo_idx - 1], grid[lo_idx], 1e-4)
-        if lo_idx > 0
-        else grid[0]
-    )
-    hi = (
-        _bisect_boundary(pfun, args.alpha, grid[hi_idx + 1], grid[hi_idx], 1e-4)
-        if hi_idx < len(grid) - 1
-        else grid[-1]
-    )
-    return math.exp(lo), math.exp(hi)
 
 
 def _cmd_dose_response(args) -> int:
@@ -382,11 +353,13 @@ def _load_scenario_arg(args, default_factory):
         overrides["scenario_id"] = f"{scenario.scenario_id}-lam{args.lam:g}"
     if args.n_replicates is not None:
         overrides["n_replicates"] = args.n_replicates
-    if args.seed:
+    if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.alpha != 0.05:
+    if args.alpha is not None:
         overrides["alpha"] = args.alpha
-    return replace(scenario, **overrides) if overrides else scenario
+    scenario = replace(scenario, **overrides) if overrides else scenario
+    args.seed, args.alpha = scenario.seed, scenario.alpha  # echo what runs
+    return scenario
 
 
 def _cmd_simulate(args, sw: bool) -> int:
@@ -479,7 +452,7 @@ def _config_echo(args) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not 0 < args.alpha < 0.5:
+    if args.alpha is not None and not 0 < args.alpha < 0.5:
         _emit_error(DataError(f"alpha must lie in (0, 0.5), got {args.alpha}"))
         return 2
     try:

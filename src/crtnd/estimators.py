@@ -24,10 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import (
     ClusterRecord,
@@ -149,7 +149,8 @@ def split_arms(records: Sequence[ClusterRecord]):
 
 @lru_cache(maxsize=64)
 def _z_quantile(alpha: float) -> float:
-    return float(norm.ppf(1.0 - alpha / 2.0))
+    """Two-sided Normal critical value z_{1-alpha/2}."""
+    return NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
 def normal_ci(log_estimate: float, se: float, alpha: float) -> tuple[float, float]:

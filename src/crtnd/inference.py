@@ -13,20 +13,19 @@ estimate for the dose coefficient.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import (
     ClusterRecord,
     ENUMERATION_CAP,
     ParallelScheme,
     derive_rng,
-    enumerate_assignments,
     log_contrasts,
     sample_assignments,
 )
@@ -35,6 +34,7 @@ from .errors import (
     MissingDose,
     NoNonRejectedPoint,
     StatisticUndefined,
+    SupportTooLarge,
 )
 from .estimators import (
     EstimateReport,
@@ -47,6 +47,7 @@ from .estimators import (
     tpf_expected,
     tpf_statistic,
     _ols_slopes,
+    _z_quantile,
 )
 
 __all__ = [
@@ -216,14 +217,26 @@ def _tail_counts(draws: np.ndarray, observed: float) -> tuple[int, int, int]:
 def _enumerated_blocks(
     scheme: ParallelScheme, cap: int, block: int = 65536
 ) -> Iterator[np.ndarray]:
-    buf: list[np.ndarray] = []
-    for a in enumerate_assignments(scheme, cap=cap):
-        buf.append(a)
-        if len(buf) == block:
-            yield np.array(buf, dtype=np.int8)
-            buf = []
-    if buf:
-        yield np.array(buf, dtype=np.int8)
+    """The support of ``scheme`` as int8 0/1 row blocks.
+
+    Rows come in the lexicographic order of :func:`enumerate_assignments`
+    and are written straight from ``itertools.combinations``; raises
+    :class:`SupportTooLarge` above ``cap`` before yielding anything.
+    """
+    total = scheme.total_assignments
+    if total > cap:
+        raise SupportTooLarge(total, cap)
+    combos = itertools.combinations(range(scheme.m), scheme.m1)
+    for start in range(0, total, block):
+        n = min(block, total - start)
+        treated = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, n)),
+            dtype=np.intp,
+            count=n * scheme.m1,
+        ).reshape(n, scheme.m1)
+        rows = np.zeros((n, scheme.m), dtype=np.int8)
+        np.put_along_axis(rows, treated, 1, axis=1)
+        yield rows
 
 
 def _build_statistic(
@@ -307,10 +320,39 @@ def permutation_test(
     if mode == "auto":
         mode = "exact" if total <= auto_exact_limit else "monte_carlo"
     if mode == "exact":
-        two = left = right = 0
-        for block in _enumerated_blocks(scheme, cap):
-            t, l, r = _tail_counts(evaluate(block), observed)
-            two, left, right = two + t, left + l, right + r
+        blocks = _enumerated_blocks(scheme, cap)
+    elif mode == "monte_carlo":
+        rows = sample_assignments(scheme, n_draws, derive_rng(seed, 0xBE))
+        blocks = [rows.astype(np.int8)]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _permutation_result(
+        evaluate, observed, blocks,
+        mode=mode, total=total, n_draws=n_draws, seed=seed, statistic=statistic,
+    )
+
+
+def _permutation_result(
+    evaluate: Callable[[np.ndarray], np.ndarray],
+    observed: float,
+    blocks: Iterable[np.ndarray],
+    *,
+    mode: str,
+    total: int,
+    n_draws: int,
+    seed: int,
+    statistic: str,
+) -> PermutationResult:
+    """Tail p-values of ``evaluate`` over blocks of assignment rows.
+
+    Exact mode divides the counts by the support size ``total``; Monte
+    Carlo mode applies the add-one rule over ``n_draws`` draws.
+    """
+    two = left = right = 0
+    for rows in blocks:
+        t, l, r = _tail_counts(evaluate(rows), observed)
+        two, left, right = two + t, left + l, right + r
+    if mode == "exact":
         return PermutationResult(
             observed_stat=observed,
             null_draws=total,
@@ -320,10 +362,6 @@ def permutation_test(
             mode="exact",
             statistic=statistic,
         )
-    if mode != "monte_carlo":
-        raise ValueError(f"unknown mode {mode!r}")
-    rows = sample_assignments(scheme, n_draws, derive_rng(seed, 0xBE))
-    two, left, right = _tail_counts(evaluate(rows.astype(np.int8)), observed)
     return PermutationResult(
         observed_stat=observed,
         null_draws=n_draws,
@@ -484,7 +522,7 @@ def _dose_normal_report(
         )
     ratio = beta0 + est / dd
     se_ratio = se / abs(dd)
-    zq = norm.ppf(1.0 - alpha / 2.0)
+    zq = _z_quantile(alpha)
     return EstimateReport(
         method="dose_response",
         log_estimate=ratio,
@@ -561,15 +599,13 @@ def _pvalue_function(
     m, m1 = len(records), len(treated)
     scheme = ParallelScheme(m=m, m1=m1)
     total = scheme.total_assignments
-    use_exact = mode == "exact" or (mode == "auto" and total <= 100_000)
-    if use_exact:
-        rows = np.concatenate(list(_enumerated_blocks(scheme, ENUMERATION_CAP)))
+    if mode == "exact" or (mode == "auto" and total <= 100_000):
+        blocks = _enumerated_blocks(scheme, ENUMERATION_CAP)
         denom = total
         add_one = 0
     else:
-        rows = sample_assignments(scheme, n_draws, derive_rng(seed, 0xC1)).astype(
-            np.int8
-        )
+        rows = sample_assignments(scheme, n_draws, derive_rng(seed, 0xC1))
+        blocks = [rows.astype(np.int8)]
         denom = 1 + n_draws
         add_one = 1
 
@@ -581,14 +617,15 @@ def _pvalue_function(
                 [r.y_count / (r.y_count + r.z_count) for r in records], dtype=float
             )
             t_obs, r_obs = tpf_statistic(records)
-            draws = _diff_means_rows(fractions, rows, m1)
+            evaluate = lambda rows: _diff_means_rows(fractions, rows, m1)
             observed_dev = lambda theta: t_obs - tpf_expected(math.exp(theta), r_obs)
         else:
             y = np.array([r.y_count for r in records])
             z = np.array([r.z_count for r in records])
             log_or = odds_ratio_log(records)
-            draws = odds_ratio_permutation_draws(y, z, rows)
+            evaluate = lambda rows: odds_ratio_permutation_draws(y, z, rows)
             observed_dev = lambda theta: log_or - theta
+        draws = np.concatenate([evaluate(rows) for rows in blocks])
 
         def pfun(theta: float) -> float:
             two, _, _ = _tail_counts(draws, observed_dev(theta))
@@ -596,29 +633,34 @@ def _pvalue_function(
 
         return pfun, kind
 
-    arms_bool = np.array([r.arm for r in records], dtype=bool)
+    # Under the null theta the imputed control log-contrasts are
+    # lvals - theta * shift, and every statistic here is linear in them,
+    # so each assignment's statistic splits as D - theta * A: one pass
+    # over the assignments gives the whole p-value curve.
+    arms = np.array([r.arm for r in records], dtype=bool)
     lvals = log_contrasts(records, correction)
-    x = np.array([r.covariates for r in records], dtype=float)
-    doses = _dose_vector(records) if kind == "dose_response" else None
-    use_adjusted = method == "covariate_adjusted" or (
+    shift = arms.astype(float) if kind == "relative_risk" else _dose_vector(records)
+    if method == "covariate_adjusted" or (
         kind == "dose_response" and adjustment == "covariates"
-    )
-    if use_adjusted and x.shape[1] == 0:
-        raise StatisticUndefined("the covariate-adjusted statistic requires covariates")
-    observed_row = arms_bool.astype(np.int8)[None, :]
+    ):
+        x = np.array([r.covariates for r in records], dtype=float)
+        if x.shape[1] == 0:
+            raise StatisticUndefined(
+                "the covariate-adjusted statistic requires covariates"
+            )
+        evaluate = lambda values, rows: _adjusted_diff_rows(values, x, rows, m1)
+        observe = lambda values: float(evaluate(values, arms[None, :])[0])
+    else:
+        evaluate = lambda values, rows: _diff_means_rows(values, rows, m1)
+        # as the point estimate computes it, so p is 1 there
+        observe = lambda values: float(values[arms].mean() - values[~arms].mean())
+    d_obs, a_obs = observe(lvals), observe(shift)
+    parts = [(evaluate(lvals, rows), evaluate(shift, rows)) for rows in blocks]
+    d_draws = np.concatenate([d for d, _ in parts])
+    a_draws = np.concatenate([a for _, a in parts])
 
     def pfun(theta: float) -> float:
-        if kind == "relative_risk":
-            l0 = lvals - arms_bool * theta
-        else:
-            l0 = lvals - theta * doses
-        if use_adjusted:
-            draws = _adjusted_diff_rows(l0, x, rows, m1)
-            obs = float(_adjusted_diff_rows(l0, x, observed_row, m1)[0])
-        else:
-            draws = _diff_means_rows(l0, rows, m1)
-            obs = float(l0[arms_bool].mean() - l0[~arms_bool].mean())
-        two, _, _ = _tail_counts(draws, obs)
+        two, _, _ = _tail_counts(d_draws - theta * a_draws, d_obs - theta * a_obs)
         return (add_one + two) / denom
 
     return pfun, kind

@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import (
     ClusterRecord,
@@ -52,6 +51,7 @@ from .estimators import (
     odds_ratio_log,
     odds_ratio_permutation_draws,
     tpf_estimate,
+    _z_quantile,
 )
 from .inference import _diff_means_rows, _tail_counts, _two_sided_p
 from .stepped_wedge import (
@@ -480,15 +480,6 @@ def _tally_normal(t: _Tally, report, lam_true: float, alpha: float) -> None:
     _tally_from_values(t, report.log_estimate, report.se_log, lam_true, alpha)
 
 
-_ZQ_CACHE: dict[float, float] = {}
-
-
-def _zq(alpha: float) -> float:
-    if alpha not in _ZQ_CACHE:
-        _ZQ_CACHE[alpha] = float(norm.ppf(1 - alpha / 2))
-    return _ZQ_CACHE[alpha]
-
-
 def _tally_from_values(t, log_est, se, lam_true, alpha):
     t.estimates.append(log_est)
     if se is None:
@@ -497,7 +488,7 @@ def _tally_from_values(t, log_est, se, lam_true, alpha):
     p, _ = _two_sided_p(log_est, se, abs(log_est))
     t.reject_normal += p <= alpha
     t.n_normal += 1
-    zq = _zq(alpha)
+    zq = _z_quantile(alpha)
     lo, hi = log_est - zq * se, log_est + zq * se
     t.covered += lo <= math.log(lam_true) <= hi
     t.n_cover += 1

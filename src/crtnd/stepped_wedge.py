@@ -25,10 +25,11 @@ group, so each group's sample covariance estimates the same S entry.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,9 +41,14 @@ from .core import (
     enumerate_assignments,
     sample_assignments,
 )
-from .errors import ArmTooSmall, GroupTooSmall, SingularCovariance
+from .errors import ArmTooSmall, CrtndError, GroupTooSmall, SingularCovariance
 from .estimators import EstimateReport, normal_ci
-from .inference import PermutationResult, _tail_counts
+from .inference import (
+    PermutationResult,
+    _bisect_boundary,
+    _permutation_result,
+    _tail_counts,
+)
 
 __all__ = [
     "SWWeights",
@@ -53,6 +59,7 @@ __all__ = [
     "sw_null_covariance",
     "optimal_weights",
     "sw_permutation_test",
+    "sw_invert_ci",
 ]
 
 
@@ -138,6 +145,12 @@ def _warn_dropped(dropped: tuple[int, ...]) -> None:
             "and are excluded from the analysis",
             RuntimeWarning,
         )
+
+
+def _treated_matrix(panel: Panel) -> np.ndarray:
+    """(m, T) boolean matrix: cell (i, t) is under intervention."""
+    tgrid = np.arange(1, panel.n_periods + 1)
+    return tgrid[None, :] >= np.asarray(panel.start_periods)[:, None]
 
 
 def _period_differences(
@@ -262,10 +275,7 @@ def sw_null_covariance(
     periods, m_t, dropped = _panel_design(panel)
     _warn_dropped(dropped)
     lmat = panel.log_contrast_matrix(correction)
-    start = np.asarray(panel.start_periods)
-    tgrid = np.arange(1, panel.n_periods + 1)
-    treated = tgrid[None, :] >= start[:, None]
-    l0 = lmat - math.log(lam0) * treated
+    l0 = lmat - math.log(lam0) * _treated_matrix(panel)
     k = len(periods)
     cols = l0[:, [t - 1 for t in periods]]
     s_full = np.cov(cols, rowvar=False, ddof=1).reshape(k, k)
@@ -418,6 +428,85 @@ def sw_log_contrast(
     )
 
 
+def _period_diff_rows(
+    values: np.ndarray,
+    start_rows: np.ndarray,
+    periods: Sequence[int],
+    m_t: dict[int, int],
+) -> np.ndarray:
+    """(rows, periods) treated-minus-control means of ``values[:, t-1]``.
+
+    Row r treats cluster i at period t when ``start_rows[r, i] <= t``.
+    """
+    m = values.shape[0]
+    out = np.empty((start_rows.shape[0], len(periods)))
+    for k, t in enumerate(periods):
+        col = values[:, t - 1]
+        n1 = m_t[t]
+        sums = (start_rows <= t) @ col
+        out[:, k] = sums / n1 - (col.sum() - sums) / (m - n1)
+    return out
+
+
+def _start_blocks(
+    panel: Panel,
+    mode: str,
+    n_draws: int,
+    seed: int,
+    cap: int,
+    auto_exact_limit: int,
+) -> tuple[str, int, Iterable[np.ndarray]]:
+    """(mode, support size, blocks of start vectors) to re-randomize over.
+
+    Start labels beyond the observed window (never treated in-window)
+    are one more exchangeable category in the randomization.
+    """
+    label_max = max(max(panel.start_periods), panel.n_periods)
+    q = tuple(
+        sum(1 for a in panel.start_periods if a == t)
+        for t in range(1, label_max + 1)
+    )
+    scheme = SteppedWedgeScheme(m=panel.m, q=q)
+    total = scheme.total_assignments
+    if mode == "auto":
+        mode = "exact" if total <= auto_exact_limit else "monte_carlo"
+    if mode == "exact":
+        return mode, total, _blocks(enumerate_assignments(scheme, cap=cap))
+    if mode != "monte_carlo":
+        raise ValueError(f"unknown mode {mode!r}")
+    return mode, total, [sample_assignments(scheme, n_draws, derive_rng(seed, 0x5E))]
+
+
+def _blocks(rows: Iterator[np.ndarray], size: int = 65536) -> Iterator[np.ndarray]:
+    while block := list(itertools.islice(rows, size)):
+        yield np.array(block)
+
+
+def _null_weights(
+    panel: Panel,
+    lam0: float,
+    weights,
+    periods: tuple[int, ...],
+    convention: str,
+    correction: bool,
+) -> np.ndarray:
+    """Weights held fixed over the re-randomizations of a test of lam0.
+
+    "optimal" weights are computed exactly from the null-imputed
+    covariance, falling back to equal weights when it is singular.
+    """
+    if weights != "optimal":
+        wts, _ = _resolve_weights(weights, periods, None)
+        return np.asarray(wts.w)
+    cov = sw_null_covariance(panel, lam0, convention=convention, correction=correction)
+    try:
+        wts = optimal_weights(cov, kind="optimal_oracle")
+    except SingularCovariance:
+        warnings.warn("null covariance is singular; using equal weights", RuntimeWarning)
+        wts = equal_weights(periods)
+    return np.asarray(wts.w)
+
+
 def sw_permutation_test(
     panel: Panel,
     lam0: float,
@@ -443,85 +532,114 @@ def sw_permutation_test(
         raise ValueError(f"lam0 must be > 0, got {lam0}")
     periods, m_t, dropped = _panel_design(panel)
     _warn_dropped(dropped)
-    m = panel.m
     lmat = panel.log_contrast_matrix(correction)
     start = np.asarray(panel.start_periods)
-    tgrid = np.arange(1, panel.n_periods + 1)
-    treated = tgrid[None, :] >= start[:, None]
-    l0 = lmat - math.log(lam0) * treated
-
-    if weights == "optimal":
-        cov = sw_null_covariance(panel, lam0, convention=convention,
-                                 correction=correction)
-        try:
-            wts = optimal_weights(cov, kind="optimal_oracle")
-        except SingularCovariance:
-            warnings.warn(
-                "null covariance is singular; using equal weights",
-                RuntimeWarning,
-            )
-            wts = equal_weights(periods)
-    else:
-        wts, _ = _resolve_weights(weights, periods, None)
-    w = np.asarray(wts.w)
-
-    # Start labels beyond the observed window (never treated in-window)
-    # are one more exchangeable category in the randomization.
-    label_max = max(max(panel.start_periods), panel.n_periods)
-    q = tuple(
-        sum(1 for a in panel.start_periods if a == t)
-        for t in range(1, label_max + 1)
-    )
-    scheme = SteppedWedgeScheme(m=m, q=q)
+    l0 = lmat - math.log(lam0) * _treated_matrix(panel)
+    w = _null_weights(panel, lam0, weights, periods, convention, correction)
 
     def evaluate(start_rows: np.ndarray) -> np.ndarray:
-        # weighted sum over periods of diff-in-means of l0[:, t-1]
-        out = np.zeros(start_rows.shape[0])
-        for k, t in enumerate(periods):
-            mask = start_rows <= t
-            col = l0[:, t - 1]
-            n1 = m_t[t]
-            sums = mask @ col
-            out += w[k] * (sums / n1 - (col.sum() - sums) / (m - n1))
-        return out
+        return _period_diff_rows(l0, start_rows, periods, m_t) @ w
 
     observed = float(evaluate(start[None, :])[0])
-    total = scheme.total_assignments
-    if mode == "auto":
-        mode = "exact" if total <= auto_exact_limit else "monte_carlo"
-    if mode == "exact":
-        two = left = right = 0
-        buf: list[np.ndarray] = []
-        for a in enumerate_assignments(scheme, cap=cap):
-            buf.append(a)
-            if len(buf) == 65536:
-                t_, l_, r_ = _tail_counts(evaluate(np.array(buf)), observed)
-                two, left, right = two + t_, left + l_, right + r_
-                buf = []
-        if buf:
-            t_, l_, r_ = _tail_counts(evaluate(np.array(buf)), observed)
-            two, left, right = two + t_, left + l_, right + r_
-        return PermutationResult(
-            observed_stat=observed,
-            null_draws=total,
-            p_two_sided=two / total,
-            p_left=left / total,
-            p_right=right / total,
-            mode="exact",
-            statistic="sw_log_contrast",
-        )
-    if mode != "monte_carlo":
-        raise ValueError(f"unknown mode {mode!r}")
-    rows = sample_assignments(scheme, n_draws, derive_rng(seed, 0x5E))
-    two, left, right = _tail_counts(evaluate(rows), observed)
-    return PermutationResult(
-        observed_stat=observed,
-        null_draws=n_draws,
-        p_two_sided=(1 + two) / (1 + n_draws),
-        p_left=(1 + left) / (1 + n_draws),
-        p_right=(1 + right) / (1 + n_draws),
-        mode="monte_carlo",
-        n_draws=n_draws,
-        seed=seed,
+    mode, total, blocks = _start_blocks(
+        panel, mode, n_draws, seed, cap, auto_exact_limit
+    )
+    return _permutation_result(
+        evaluate, observed, blocks,
+        mode=mode, total=total, n_draws=n_draws, seed=seed,
         statistic="sw_log_contrast",
     )
+
+
+def _sw_pvalue_function(
+    panel: Panel,
+    weights,
+    *,
+    mode: str,
+    n_draws: int,
+    seed: int,
+    correction: bool,
+    convention: str,
+) -> Callable[[float], float]:
+    """theta -> two-sided p of :func:`sw_permutation_test` at lam0 = e^theta.
+
+    Under the null the imputed control log-contrasts are
+    ``L - theta * treated``, so each re-randomized per-period difference
+    splits as ``D - theta * A``.  D and A come from one pass over the
+    support (or one set of draws from the test's own stream); each
+    p(theta) then only applies the weights and counts.
+    """
+    periods, m_t, _ = _panel_design(panel)
+    lmat = panel.log_contrast_matrix(correction)
+    treated = _treated_matrix(panel).astype(float)
+    observed = np.asarray(panel.start_periods)[None, :]
+    d_obs = _period_diff_rows(lmat, observed, periods, m_t)[0]
+    a_obs = _period_diff_rows(treated, observed, periods, m_t)[0]
+    mode, total, blocks = _start_blocks(
+        panel, mode, n_draws, seed, ENUMERATION_CAP, 100_000
+    )
+    parts = [
+        (_period_diff_rows(lmat, rows, periods, m_t),
+         _period_diff_rows(treated, rows, periods, m_t))
+        for rows in blocks
+    ]
+    d_rows = np.concatenate([d for d, _ in parts])
+    a_rows = np.concatenate([a for _, a in parts])
+    denom, add_one = (total, 0) if mode == "exact" else (1 + n_draws, 1)
+
+    def pfun(theta: float) -> float:
+        w = _null_weights(panel, math.exp(theta), weights, periods,
+                          convention, correction)
+        observed_stat = float((d_obs - theta * a_obs) @ w)
+        two, _, _ = _tail_counts((d_rows - theta * a_rows) @ w, observed_stat)
+        return (add_one + two) / denom
+
+    return pfun
+
+
+def sw_invert_ci(
+    panel: Panel,
+    weights="equal",
+    *,
+    alpha: float = 0.05,
+    mode: str = "auto",
+    n_draws: int = 9999,
+    seed: int = 0,
+    correction: bool = False,
+    convention: str = "canonical",
+) -> tuple[float, float]:
+    """lam-scale CI from inverting :func:`sw_permutation_test`.
+
+    Scans 81 values of log(lam0) over the estimate +- 10 SE and bisects
+    each boundary of {p > alpha} to 1e-4.  The p-values are those of
+    :func:`sw_permutation_test` with the same options and its default
+    enumeration limits, but the re-randomized statistic is evaluated
+    once per assignment for the whole scan, not once per scanned value.
+    """
+    base = sw_log_contrast(panel, weights, alpha=alpha, convention=convention,
+                           correction=correction)
+    center = base.log_estimate
+    half = 10.0 * max(base.se_log or 0.1, 1e-6)
+    pfun = _sw_pvalue_function(
+        panel, weights, mode=mode, n_draws=n_draws, seed=seed,
+        correction=correction, convention=convention,
+    )
+
+    grid = np.linspace(center - half, center + half, 81)
+    pvals = np.array([pfun(t) for t in grid])
+    accepted = pvals > alpha
+    if not accepted.any():
+        raise CrtndError("no lambda value in the scan has p > alpha")
+    idx = np.nonzero(accepted)[0]
+    lo_idx, hi_idx = int(idx[0]), int(idx[-1])
+    lo = (
+        _bisect_boundary(pfun, alpha, grid[lo_idx - 1], grid[lo_idx], 1e-4)
+        if lo_idx > 0
+        else grid[0]
+    )
+    hi = (
+        _bisect_boundary(pfun, alpha, grid[hi_idx + 1], grid[hi_idx], 1e-4)
+        if hi_idx < len(grid) - 1
+        else grid[-1]
+    )
+    return math.exp(lo), math.exp(hi)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -306,6 +307,51 @@ class TestCli:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 3
+
+    def test_analyze_covariate_adjusted_needs_covariates(self, tmp_path, capsys):
+        text = "\n".join(
+            ",".join(line.split(",")[:4]) for line in PARALLEL_CSV.splitlines()
+        ) + "\n"
+        data = write(tmp_path, "nocov.csv", text)
+        code = main(["analyze", "--input", str(data), "--estimators",
+                     "log_contrast,covariate_adjusted", "--n-draws", "50"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "DataError"
+
+    def test_analyze_default_estimators_skip_covariate_adjusted(self, tmp_path):
+        text = "\n".join(
+            ",".join(line.split(",")[:4]) for line in PARALLEL_CSV.splitlines()
+        ) + "\n"
+        data = write(tmp_path, "nocov.csv", text)
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--input", str(data), "--n-draws", "50",
+                     "--out", str(out)]) == 0
+        methods = [r["method"] for r in json.loads(out.read_text())["results"]]
+        assert methods == ["odds_ratio", "tpf", "log_contrast"]
+
+    def test_simulate_seed_zero_is_used(self, tmp_path):
+        tables = {}
+        for seed in ("0", "1"):
+            out = tmp_path / f"s{seed}.csv"
+            assert main(["simulate", "--n-replicates", "20", "--perm-draws", "19",
+                         "--estimators", "log_contrast", "--seed", seed,
+                         "--out", str(out)]) == 0
+            tables[seed] = out.read_text()
+            sidecar = json.loads(out.with_suffix(".json").read_text())
+            assert sidecar["scenario"]["seed"] == int(seed)
+        assert tables["0"] != tables["1"]
+
+    def test_simulate_alpha_005_overrides_scenario(self, tmp_path):
+        scen_path = tmp_path / "a10.json"
+        scenario = default_parallel_scenario(n_replicates=20)
+        save_scenario(replace(scenario, alpha=0.1), scen_path)
+        out = tmp_path / "m.csv"
+        assert main(["simulate", "--scenario", str(scen_path), "--alpha", "0.05",
+                     "--estimators", "log_contrast", "--no-permutation-por",
+                     "--out", str(out)]) == 0
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        assert sidecar["scenario"]["alpha"] == 0.05
+        assert sidecar["config"]["alpha"] == 0.05
 
     def test_alpha_validated(self, tmp_path):
         data = write(tmp_path, "d.csv", PARALLEL_CSV)

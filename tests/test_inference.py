@@ -6,6 +6,7 @@ import pytest
 from crtnd import (
     NullSpec,
     ParallelScheme,
+    derive_rng,
     dose_response_estimate,
     enumerate_assignments,
     impute_null_outcomes,
@@ -14,12 +15,14 @@ from crtnd import (
     normal_test,
     permutation_test,
     realize,
+    sample_assignments,
 )
 from crtnd.errors import (
     ConstantDose,
     MissingDose,
     NoNonRejectedPoint,
     StatisticUndefined,
+    SupportTooLarge,
 )
 from crtnd.inference import dose_response_pvalue
 
@@ -365,3 +368,89 @@ class TestDoseResponse:
         rep = dose_response_estimate(recs, adjustment="none", test="permutation",
                                      mode="exact", ci_search="grid")
         assert rep.ci_low < rep.log_estimate < rep.ci_high
+
+
+# m = 8, m1 = m0 = 4.  Log-contrasts, covariates and doses repeat, and
+# clusters c02 (treated) and c04 (control) agree in all three, so the
+# permutation distributions hold exact ties at every null.
+TIED_L = [0.4, 0.4, 0.1, -0.2, 0.1, 0.1, -0.3, -0.3]
+TIED_ARMS = [1, 1, 1, 1, 0, 0, 0, 0]
+TIED_X = [[1.0], [1.0], [2.0], [0.5], [2.0], [1.5], [0.5], [3.0]]
+TIED_DOSES = [0.8, 0.8, 0.9, 0.7, 0.9, 0.1, 0.0, 0.2]
+
+
+def tied_records():
+    return make_records(TIED_L, TIED_ARMS, covariates=TIED_X, doses=TIED_DOSES)
+
+
+class TestSplitPValueFunction:
+    """p(theta) from D - theta * A against re-evaluation at each theta."""
+
+    CASES = [
+        ("log_contrast", "none", "difference_in_means"),
+        ("covariate_adjusted", "none", "covariate_adjusted"),
+        ("dose_response", "none", "difference_in_means"),
+        ("dose_response", "covariates", "difference_in_means"),
+    ]
+
+    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+    @pytest.mark.parametrize("method,adjustment,statistic", CASES)
+    def test_matches_direct_reevaluation(self, method, adjustment, statistic, mode):
+        from crtnd.inference import (
+            _build_statistic,
+            _default_bounds,
+            _pvalue_function,
+            _tail_counts,
+        )
+
+        recs = tied_records()
+        n_draws, seed = 300, 11
+        pfun, kind = _pvalue_function(
+            recs, method, "permutation", adjustment=adjustment, mode=mode,
+            n_draws=n_draws, seed=seed, correction=False,
+        )
+        center, half = _default_bounds(recs, method, kind, False, adjustment)
+        rows = sample_assignments(ParallelScheme(8, 4), n_draws, derive_rng(seed, 0xC1))
+        pvals = []
+        for theta in np.linspace(center - 0.6 * half, center + 0.6 * half, 50) + 1e-3:
+            value = math.exp(theta) if kind == "relative_risk" else theta
+            null = NullSpec(kind, value, adjustment)
+            if mode == "exact":
+                direct = permutation_test(recs, null, statistic, mode="exact").p_two_sided
+            else:
+                evaluate, observed = _build_statistic(recs, null, statistic, False)
+                two, _, _ = _tail_counts(evaluate(rows.astype(np.int8)), observed)
+                direct = (1 + two) / (1 + n_draws)
+            assert pfun(theta) == direct
+            pvals.append(direct)
+        assert min(pvals) < 0.2 < max(pvals)  # the curve is actually traversed
+
+    def test_p_is_one_at_the_point_estimate(self):
+        # the observed statistic is computed as the estimate is, so it is
+        # exactly zero there and every assignment ties or exceeds it
+        from crtnd.inference import _pvalue_function
+
+        recs = tied_records()
+        pfun, _ = _pvalue_function(
+            recs, "log_contrast", "permutation", adjustment="none", mode="exact",
+            n_draws=0, seed=0, correction=False,
+        )
+        assert pfun(log_contrast_estimate(recs).log_estimate) == 1.0
+
+
+class TestEnumeratedBlocks:
+    def test_rows_and_order_match_enumerate_assignments(self):
+        from crtnd.inference import _enumerated_blocks
+
+        scheme = ParallelScheme(8, 3)
+        blocks = list(_enumerated_blocks(scheme, cap=56, block=10))
+        assert [b.shape for b in blocks] == [(10, 8)] * 5 + [(6, 8)]
+        assert all(b.dtype == np.int8 for b in blocks)
+        expected = np.array(list(enumerate_assignments(scheme)))
+        np.testing.assert_array_equal(np.concatenate(blocks), expected)
+
+    def test_support_above_cap_raises(self):
+        from crtnd.inference import _enumerated_blocks
+
+        with pytest.raises(SupportTooLarge):
+            next(_enumerated_blocks(ParallelScheme(10, 5), cap=251))

@@ -15,6 +15,7 @@ from crtnd import (
     realize,
     sample_assignments,
     sw_covariance_estimate,
+    sw_invert_ci,
     sw_log_contrast,
     sw_null_covariance,
     sw_oracle_covariance,
@@ -319,3 +320,49 @@ class TestNullCovarianceAndPermutation:
         a = sw_permutation_test(panel, 1.0, mode="monte_carlo", n_draws=300, seed=4)
         b = sw_permutation_test(panel, 1.0, mode="monte_carlo", n_draws=300, seed=4)
         assert a.p_two_sided == b.p_two_sided
+
+
+def tied_panel():
+    """8 clusters over 4 periods; clusters 0 and 3 (different starts)
+    share all counts and clusters 1 and 5 repeat counts across periods,
+    so the re-randomized statistic has exact ties."""
+    rng = np.random.default_rng(23)
+    y = rng.integers(10, 60, size=(8, 4)).astype(float)
+    z = rng.integers(30, 90, size=(8, 4)).astype(float)
+    y[3], z[3] = y[0], z[0]
+    y[1, :] = y[1, 0]
+    z[5, :] = z[5, 0]
+    return Panel(
+        cluster_ids=tuple(f"c{i}" for i in range(8)),
+        start_periods=(1, 1, 2, 2, 3, 3, 4, 4),
+        y=y,
+        z=z,
+    )
+
+
+class TestSWInvertCI:
+    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+    @pytest.mark.parametrize("weights", ["equal", "optimal"])
+    def test_split_pvalues_match_sw_permutation_test(self, weights, mode):
+        from crtnd.stepped_wedge import _sw_pvalue_function
+
+        panel = tied_panel()
+        options = dict(mode=mode, n_draws=250, seed=9, correction=False,
+                       convention="canonical")
+        pfun = _sw_pvalue_function(panel, weights, **options)
+        est = sw_log_contrast(panel, weights)
+        pvals = []
+        for theta in np.linspace(est.log_estimate - 1.5, est.log_estimate + 1.5, 50) + 1e-3:
+            direct = sw_permutation_test(panel, math.exp(theta), weights, **options)
+            assert pfun(theta) == direct.p_two_sided
+            pvals.append(direct.p_two_sided)
+        assert min(pvals) < 0.2 < max(pvals)  # the curve is actually traversed
+
+    def test_ci_endpoints_at_the_alpha_boundary(self):
+        panel = tied_panel()
+        lo, hi = sw_invert_ci(panel, "equal", alpha=0.1, mode="exact")
+        assert lo < math.exp(sw_log_contrast(panel).log_estimate) < hi
+        for lam, inside in ((lo, True), (hi, True),
+                            (lo * math.exp(-2e-4), False), (hi * math.exp(2e-4), False)):
+            p = sw_permutation_test(panel, lam, "equal", mode="exact").p_two_sided
+            assert (p > 0.1) == inside
