@@ -55,12 +55,14 @@ def _add_common(p: argparse.ArgumentParser, scenario: bool = False) -> None:
     p.add_argument("--seed", type=int, default=None if scenario else 0,
                    help="seed for any Monte Carlo randomness "
                    f"(default {own if scenario else 0})")
-    p.add_argument("--mode", choices=["auto", "exact", "monte-carlo"],
-                   default="auto", help="permutation mode (default auto)")
-    p.add_argument("--n-draws", type=int, default=2000,
-                   help="Monte Carlo permutation draws (default 2000)")
-    p.add_argument("--continuity-correction", action="store_true",
-                   help="add 0.5 to all counts before taking logs")
+    if not scenario:
+        # the analysis of one dataset only; simulations fix their own
+        p.add_argument("--mode", choices=["auto", "exact", "monte-carlo"],
+                       default="auto", help="permutation mode (default auto)")
+        p.add_argument("--n-draws", type=int, default=2000,
+                       help="Monte Carlo permutation draws (default 2000)")
+        p.add_argument("--continuity-correction", action="store_true",
+                       help="add 0.5 to all counts before taking logs")
     p.add_argument("--out", type=Path, default=None,
                    help="output path (JSON report or metrics CSV)")
 
@@ -399,6 +401,7 @@ def _cmd_simulate(args, sw: bool) -> int:
                 "scenario": scenario_to_dict(scenario),
                 "config": _config_echo(args),
                 "results": [row.to_dict() for row in rows],
+                "dropped_replicates": {row.estimator: row.dropped for row in rows},
             },
         )
     return 0

@@ -397,8 +397,15 @@ def sample_assignments(
 ) -> np.ndarray:
     """Draw n assignments as an (n, m) matrix (uniform, independent rows)."""
     if isinstance(scheme, ParallelScheme):
-        # argsort of uniforms gives a uniform random permutation per row
-        order = np.argsort(rng.random((n, scheme.m)), axis=1)
+        # the m1 smallest uniforms of a row are treated: the first m1
+        # positions of a uniform random permutation (their argsort)
+        u = rng.random((n, scheme.m))
+        kth = np.partition(u, scheme.m1 - 1, axis=1)[:, scheme.m1 - 1 : scheme.m1]
+        out = (u <= kth).astype(np.int64)
+        if np.count_nonzero(out) == n * scheme.m1:
+            return out
+        # a tie at some row's threshold: let the sort order decide
+        order = np.argsort(u, axis=1)
         out = np.zeros((n, scheme.m), dtype=np.int64)
         np.put_along_axis(out, order[:, : scheme.m1], 1, axis=1)
         return out

@@ -166,11 +166,22 @@ def normal_ci(log_estimate: float, se: float, alpha: float) -> tuple[float, floa
 
 def odds_ratio_log(records: Sequence[ClusterRecord]) -> float:
     """log of the pooled-count odds ratio; raises ZeroArmTotal on zero sums."""
+    y = np.array([r.y_count for r in records])
+    z = np.array([r.z_count for r in records])
+    arms = np.array([r.arm == 1 for r in records])
+    return _odds_ratio_log_arrays(y, z, arms)
+
+
+def _odds_ratio_log_arrays(y: np.ndarray, z: np.ndarray, arms: np.ndarray) -> float:
+    """:func:`odds_ratio_log` on count vectors and a boolean treated mask.
+
+    Arm totals are summed left to right in cluster order.
+    """
     sums = {
-        "treated test-positive": sum(r.y_count for r in records if r.arm == 1),
-        "control test-positive": sum(r.y_count for r in records if r.arm == 0),
-        "treated test-negative": sum(r.z_count for r in records if r.arm == 1),
-        "control test-negative": sum(r.z_count for r in records if r.arm == 0),
+        "treated test-positive": sum(y[arms].tolist()),
+        "control test-positive": sum(y[~arms].tolist()),
+        "treated test-negative": sum(z[arms].tolist()),
+        "control test-negative": sum(z[~arms].tolist()),
     }
     for name, value in sums.items():
         if value <= 0:
@@ -196,13 +207,17 @@ def odds_ratio_permutation_draws(
     return vals
 
 
+# supports up to this size give the odds-ratio SE by full enumeration
+_OR_ENUMERATION_LIMIT = 20000
+
+
 def odds_ratio_estimate(
     records: Sequence[ClusterRecord],
     *,
     alpha: float = 0.05,
     se_draws: int = 2000,
     seed: int = 0,
-    enumeration_limit: int = 20000,
+    enumeration_limit: int = _OR_ENUMERATION_LIMIT,
 ) -> EstimateReport:
     """Pooled odds-ratio estimate with a re-randomization standard error.
 
@@ -216,15 +231,10 @@ def odds_ratio_estimate(
     y = np.array([r.y_count for r in records])
     z = np.array([r.z_count for r in records])
     scheme = ParallelScheme(m=len(records), m1=len(treated))
-    if scheme.total_assignments <= enumeration_limit:
-        arm_matrix = np.array(list(enumerate_assignments(scheme)))
-        se_source = "permutation-exact"
-    else:
-        arm_matrix = sample_assignments(scheme, se_draws, derive_rng(seed, 0x0D))
-        se_source = f"permutation-mc({se_draws})"
-    draws = odds_ratio_permutation_draws(y, z, arm_matrix)
-    draws = draws[np.isfinite(draws)]
-    se = float(np.std(draws, ddof=1)) if draws.size >= 2 else None
+    arm_matrix, se_source = _odds_ratio_se_rows(
+        scheme, se_draws, seed, enumeration_limit
+    )
+    se = _permutation_se(odds_ratio_permutation_draws(y, z, arm_matrix))
     ci_low = ci_high = None
     if se is not None:
         ci_low, ci_high = normal_ci(log_or, se, alpha)
@@ -240,6 +250,28 @@ def odds_ratio_estimate(
     )
 
 
+def _odds_ratio_se_rows(
+    scheme: ParallelScheme,
+    se_draws: int,
+    seed: int,
+    enumeration_limit: int = _OR_ENUMERATION_LIMIT,
+) -> tuple[np.ndarray, str]:
+    """(arm relabelings, source label) behind the odds-ratio SE.
+
+    They depend on the design and the seed only, not on the counts.
+    """
+    if scheme.total_assignments <= enumeration_limit:
+        return np.array(list(enumerate_assignments(scheme))), "permutation-exact"
+    rows = sample_assignments(scheme, se_draws, derive_rng(seed, 0x0D))
+    return rows, f"permutation-mc({se_draws})"
+
+
+def _permutation_se(draws: np.ndarray) -> float | None:
+    """Standard deviation of the finite re-randomized values (None below 2)."""
+    draws = draws[np.isfinite(draws)]
+    return float(np.std(draws, ddof=1)) if draws.size >= 2 else None
+
+
 # --------------------------------------------------------------------- #
 # Test-positive fraction
 # --------------------------------------------------------------------- #
@@ -251,18 +283,32 @@ def tpf_statistic(records: Sequence[ClusterRecord]) -> tuple[float, float]:
     Returns ``(T, r)`` with ``T`` the treated-minus-control mean of
     ``y / (y + z)`` and ``r`` the pooled negative:positive count ratio.
     """
-    treated, control = split_arms(records)
+    split_arms(records)
     for r in records:
         if r.y_count + r.z_count <= 0:
             raise EmptyCluster(r.cluster_id)
-    total_y = sum(r.y_count for r in records)
-    total_z = sum(r.z_count for r in records)
+    return _tpf_statistic_arrays(
+        np.array([r.y_count for r in records]),
+        np.array([r.z_count for r in records]),
+        np.array([r.arm == 1 for r in records]),
+    )
+
+
+def _tpf_statistic_arrays(
+    y: np.ndarray, z: np.ndarray, arms: np.ndarray
+) -> tuple[float, float]:
+    """:func:`tpf_statistic` on counts with nonzero y + z and a treated mask.
+
+    Sums run left to right in cluster order, as Python's ``sum`` does.
+    """
+    ys, zs = y.tolist(), z.tolist()
+    total_y, total_z = sum(ys), sum(zs)
     if total_y <= 0:
         raise ZeroPositiveTotal("pooled test-positive count is zero")
-    frac = lambda rec: rec.y_count / (rec.y_count + rec.z_count)
-    t_val = sum(frac(r) for r in treated) / len(treated) - sum(
-        frac(r) for r in control
-    ) / len(control)
+    frac = [yi / (yi + zi) for yi, zi in zip(ys, zs)]
+    treated = [f for f, a in zip(frac, arms.tolist()) if a]
+    control = [f for f, a in zip(frac, arms.tolist()) if not a]
+    t_val = sum(treated) / len(treated) - sum(control) / len(control)
     return float(t_val), float(total_z / total_y)
 
 
@@ -273,16 +319,6 @@ def tpf_expected(lam: float, r: float) -> float:
     in lam with range ``(-2/(2+r), 2/(2+r))``.
     """
     return 2.0 * r * (lam * lam - 1.0) / (((2.0 + r) * lam + r) * (r * lam + 2.0 + r))
-
-
-@lru_cache(maxsize=512)
-def _assert_monotone(r: float) -> None:
-    lams = np.logspace(-3, 3, 41)
-    vals = np.array([tpf_expected(lam, r) for lam in lams])
-    if not np.all(np.diff(vals) > 0):
-        raise AmbiguousRoot(
-            f"expected-fraction map is not monotone in lam for r={r}"
-        )
 
 
 def tpf_solve(t_stat: float, r: float) -> float:
@@ -302,7 +338,6 @@ def tpf_solve(t_stat: float, r: float) -> float:
     bound = 2.0 / (2.0 + r)
     if abs(t_stat) >= bound:
         raise NoAdmissibleRoot(t_stat, r, bound)
-    _assert_monotone(r)
     a = r * (t_stat * (2.0 + r) - 2.0)
     b = t_stat * ((2.0 + r) ** 2 + r * r)
     c = r * (t_stat * (2.0 + r) + 2.0)
@@ -383,18 +418,11 @@ def log_contrast_estimate(
     variances (denominator n_a - 1).  Each arm needs at least two
     clusters.
     """
-    treated, control = split_arms(records)
-    if len(treated) < 2 or len(control) < 2:
-        raise ArmTooSmall(
-            f"variance estimation needs >= 2 clusters per arm "
-            f"(treated={len(treated)}, control={len(control)})"
-        )
+    split_arms(records)
     lvals, arms = _arm_arrays(records, correction)
-    l1, l0 = lvals[arms], lvals[~arms]
-    est = float(l1.mean() - l0.mean())
-    var = float(np.var(l1, ddof=1) / l1.size + np.var(l0, ddof=1) / l0.size)
-    se = math.sqrt(var)
+    est, se = _log_contrast_arrays(lvals, arms)
     ci_low, ci_high = normal_ci(est, se, alpha)
+    m1 = int(arms.sum())
     return EstimateReport(
         method="log_contrast",
         log_estimate=est,
@@ -403,8 +431,21 @@ def log_contrast_estimate(
         ci_high=ci_high,
         ci_method="normal",
         alpha=alpha,
-        diagnostics={"m1": l1.size, "m0": l0.size},
+        diagnostics={"m1": m1, "m0": arms.size - m1},
     )
+
+
+def _log_contrast_arrays(lvals: np.ndarray, arms: np.ndarray) -> tuple[float, float]:
+    """(estimate, SE) of :func:`log_contrast_estimate` from a treated mask."""
+    l1, l0 = lvals[arms], lvals[~arms]
+    if l1.size < 2 or l0.size < 2:
+        raise ArmTooSmall(
+            f"variance estimation needs >= 2 clusters per arm "
+            f"(treated={l1.size}, control={l0.size})"
+        )
+    est = float(l1.mean() - l0.mean())
+    var = float(np.var(l1, ddof=1) / l1.size + np.var(l0, ddof=1) / l0.size)
+    return est, math.sqrt(var)
 
 
 # --------------------------------------------------------------------- #
@@ -449,12 +490,39 @@ def covariate_adjusted_estimate(
     weights, and the SE uses the per-arm unbiased residual variances
     (denominator n_a - p - 1).
     """
-    treated, control = split_arms(records)
-    p = len(records[0].covariates)
-    if p == 0:
+    split_arms(records)
+    if not records[0].covariates:
         raise ValueError("covariate adjustment requires at least one covariate")
     lvals, arms = _arm_arrays(records, correction)
     x = np.array([r.covariates for r in records], dtype=float)
+    est, se, fit, diff_x = _covariate_adjusted_arrays(lvals, arms, x, beta)
+    ci_low, ci_high = normal_ci(est, se, alpha)
+    report = EstimateReport(
+        method="covariate_adjusted",
+        log_estimate=est,
+        se_log=se,
+        ci_low=ci_low,
+        ci_high=ci_high,
+        ci_method="normal",
+        alpha=alpha,
+        diagnostics={
+            "beta": fit.beta_hat.tolist(),
+            "beta_source": "supplied" if beta is not None else "estimated",
+            "covariate_mean_difference": diff_x.tolist(),
+        },
+    )
+    return report, fit
+
+
+def _covariate_adjusted_arrays(
+    lvals: np.ndarray,
+    arms: np.ndarray,
+    x: np.ndarray,
+    beta: Sequence[float] | None = None,
+) -> tuple[float, float, CovariateFit, np.ndarray]:
+    """(estimate, SE, fit, covariate mean difference) of
+    :func:`covariate_adjusted_estimate` from an (m, p) covariate matrix."""
+    p = x.shape[1]
     l1, l0 = lvals[arms], lvals[~arms]
     x1, x0 = x[arms], x[~arms]
     m1, m0 = l1.size, l0.size
@@ -481,7 +549,6 @@ def covariate_adjusted_estimate(
             resid_var_treated=v1,
             resid_var_control=v0,
         )
-        beta_source = "supplied"
     else:
         if m1 < p + 2 or m0 < p + 2:
             raise ArmTooSmall(
@@ -498,23 +565,7 @@ def covariate_adjusted_estimate(
             resid_var_treated=v1,
             resid_var_control=v0,
         )
-        beta_source = "estimated"
 
     est = float(l1.mean() - l0.mean() - beta_vec @ diff_x)
     se = math.sqrt(v1 / m1 + v0 / m0)
-    ci_low, ci_high = normal_ci(est, se, alpha)
-    report = EstimateReport(
-        method="covariate_adjusted",
-        log_estimate=est,
-        se_log=se,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        ci_method="normal",
-        alpha=alpha,
-        diagnostics={
-            "beta": beta_vec.tolist(),
-            "beta_source": beta_source,
-            "covariate_mean_difference": diff_x.tolist(),
-        },
-    )
-    return report, fit
+    return est, se, fit, diff_x

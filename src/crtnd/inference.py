@@ -208,10 +208,18 @@ def _adjusted_diff_rows_loop(values, x, arm_matrix, m1):
 def _tail_counts(draws: np.ndarray, observed: float) -> tuple[int, int, int]:
     slack = _TIE_RTOL * abs(observed)
     bad = ~np.isfinite(draws)
-    two = int(np.sum((np.abs(draws) >= abs(observed) - slack) | bad))
+    two = _two_sided_count(draws, observed)
     left = int(np.sum((draws <= observed + slack) | bad))
     right = int(np.sum((draws >= observed - slack) | bad))
     return two, left, right
+
+
+def _two_sided_count(draws: np.ndarray, observed: float) -> int:
+    """#{|T*| >= |T_obs|} with the tie slack; non-finite draws count."""
+    slack = _TIE_RTOL * abs(observed)
+    return int(np.count_nonzero(
+        (np.abs(draws) >= abs(observed) - slack) | ~np.isfinite(draws)
+    ))
 
 
 def _enumerated_blocks(
@@ -725,6 +733,30 @@ def invert_ci(
         seed=seed,
         correction=correction,
     )
+    return _invert_ci(
+        pfun, kind, records, method,
+        alpha=alpha, test=test, search=search, bounds=bounds,
+        grid_points=grid_points, tol=tol, adjustment=adjustment,
+        correction=correction,
+    )
+
+
+def _invert_ci(
+    pfun: Callable[[float], float],
+    kind: str,
+    records: Sequence[ClusterRecord],
+    method: str,
+    *,
+    alpha: float,
+    test: str,
+    search: str = "bisection",
+    bounds: tuple[float, float] | None = None,
+    grid_points: int = 2001,
+    tol: float = 1e-6,
+    adjustment: str,
+    correction: bool,
+) -> tuple[float, float, dict]:
+    """:func:`invert_ci` with the p-value function already built."""
     diagnostics: dict = {"method": method, "test": test, "alpha": alpha}
 
     if bounds is not None:
@@ -864,25 +896,17 @@ def dose_response_estimate(
             },
         )
 
-    if test == "normal":
-        arrs = _dose_arrays(records, adjustment, correction)
-
-        def pfun(b0: float) -> float:
-            est, se, scale = _dose_stat_arrays(*arrs, b0)
-            p, _ = _two_sided_p(est, se, scale)
-            return p
-
-    else:
-        pfun, _ = _pvalue_function(
-            records,
-            "dose_response",
-            "permutation",
-            adjustment=adjustment,
-            mode=mode,
-            n_draws=n_draws,
-            seed=seed,
-            correction=correction,
-        )
+    # one p-value function serves the peak search and the CI
+    pfun, _ = _pvalue_function(
+        records,
+        "dose_response",
+        test,
+        adjustment=adjustment,
+        mode=mode,
+        n_draws=n_draws,
+        seed=seed,
+        correction=correction,
+    )
 
     center, half = _default_bounds(
         records, "dose_response", "dose_response", correction, adjustment
@@ -902,16 +926,15 @@ def dose_response_estimate(
         beta_hat = float(grid[best])
     p_max = pfun(beta_hat)
 
-    ci_low, ci_high, inv_diag = invert_ci(
+    ci_low, ci_high, inv_diag = _invert_ci(
+        pfun,
+        "dose_response",
         records,
         "dose_response",
         alpha=alpha,
         test=test,
         search=ci_search,
         adjustment=adjustment,
-        mode=mode,
-        n_draws=n_draws,
-        seed=seed,
         correction=correction,
     )
     est_w, se_w, _ = _dose_working_stat(records, beta_hat, adjustment, correction)

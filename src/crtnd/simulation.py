@@ -21,7 +21,8 @@ runs and execution orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -45,22 +46,28 @@ from .errors import (
     SingularCovariance,
 )
 from .estimators import (
-    covariate_adjusted_estimate,
-    log_contrast_estimate,
-    odds_ratio_estimate,
-    odds_ratio_log,
-    odds_ratio_permutation_draws,
-    tpf_estimate,
+    _covariate_adjusted_arrays,
+    _log_contrast_arrays,
+    _odds_ratio_log_arrays,
+    _odds_ratio_se_rows,
+    _permutation_se,
+    _tpf_statistic_arrays,
     _z_quantile,
+    odds_ratio_permutation_draws,
+    tpf_solve,
 )
-from .inference import _diff_means_rows, _tail_counts, _two_sided_p
+from .inference import _diff_means_rows, _two_sided_count, _two_sided_p
 from .stepped_wedge import (
+    _design,
+    _null_sigma,
+    _null_weights,
+    _period_diff_rows,
+    _period_differences,
+    _plugin_sigma,
+    _scale_matrix,
+    _warn_dropped,
     equal_weights,
     optimal_weights,
-    sw_covariance_estimate,
-    sw_log_contrast,
-    sw_null_covariance,
-    sw_permutation_test,
 )
 
 __all__ = [
@@ -132,8 +139,12 @@ class SimScenario:
             raise ValueError("baselines must be strictly positive")
         if self.covariates is not None and len(self.covariates) != m:
             raise ValueError(f"covariates must have length m={m}")
-        if self.covariate_coupling and self.covariates is None:
-            raise ValueError("covariate_coupling requires covariates")
+        if self.covariate_coupling:
+            if self.covariates is None:
+                raise ValueError("covariate_coupling requires covariates")
+            x = np.asarray(self.covariates, dtype=float)
+            if not np.all(np.isfinite(x)) or np.any(x <= 0):
+                raise ValueError("coupled covariates must be finite and > 0")
         if self.ascertainment_values is not None:
             c = np.asarray(self.ascertainment_values, dtype=float)
             expected = (m, self.design.n_periods) if self.is_stepped_wedge else (m,)
@@ -141,8 +152,8 @@ class SimScenario:
                 raise ValueError(
                     f"ascertainment_values must have shape {expected}, got {c.shape}"
                 )
-            if np.any(c <= 0):
-                raise ValueError("ascertainment values must be > 0")
+            if not np.all(np.isfinite(c)) or np.any(c <= 0):
+                raise ValueError("ascertainment values must be finite and > 0")
 
     @property
     def is_stepped_wedge(self) -> bool:
@@ -155,7 +166,9 @@ class MetricsRow:
 
     bias, se, and ase are on the log scale; por_* are rejection
     frequencies of the no-effect null at the scenario alpha; cp is the
-    coverage of the nominal Normal confidence interval.
+    coverage of the nominal Normal confidence interval.  ``dropped``
+    counts the replicates missing from ``n_effective`` by reason:
+    "degenerate" or the class name of the error that removed them.
     """
 
     scenario_id: str
@@ -169,6 +182,7 @@ class MetricsRow:
     por_normal: float | None
     por_perm: float | None
     cp: float | None
+    dropped: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -196,6 +210,8 @@ def _draw_counts(
 ) -> tuple[np.ndarray, bool]:
     """Multinomial draw; zero cells are re-drawn per cluster up to 100 times."""
     counts = rng.multinomial(n, probs).astype(float)
+    if counts.all():
+        return counts, False
     attempts = 0
     while np.any(counts == 0) and attempts < 100:
         for idx in np.nonzero(counts == 0)[0]:
@@ -221,6 +237,119 @@ def study_ascertainment(scenario: SimScenario) -> np.ndarray:
     return _ascertainment(scenario, derive_rng(scenario.seed, 0))
 
 
+def _study_level(scenario: SimScenario) -> np.ndarray | None:
+    if scenario.draw_policy == "once_per_study":
+        return study_ascertainment(scenario)
+    return None
+
+
+def _check_degenerate_limit(scenario: SimScenario, degenerate: int, rep: int) -> None:
+    if degenerate > max(1, scenario.n_replicates // 100):
+        raise DegenerateReplicateLimit(
+            f"{degenerate} degenerate replicates out of {rep + 1}"
+        )
+
+
+def _parallel_draws(
+    scenario: SimScenario,
+) -> Iterator[tuple[int, np.ndarray | None, np.ndarray | None, np.ndarray | None]]:
+    """Replicates of a parallel scenario as ``(rep, arms, y, z)`` arrays.
+
+    ``arms`` is the realized 0/1 arm vector and ``y``, ``z`` the observed
+    counts: treated clusters take ``lam * c * y0`` and ``c * z0``, as
+    :class:`PotentialTable` defines them.  A degenerate replicate (a
+    count stuck at zero after redraws) yields ``(rep, None, None, None)``;
+    more than 1 percent of them raise :class:`DegenerateReplicateLimit`.
+    """
+    if scenario.is_stepped_wedge:
+        raise ValueError("scenario has a stepped-wedge design")
+    scheme: ParallelScheme = scenario.design
+    by = np.asarray(scenario.baseline_y, dtype=float)
+    bz = np.asarray(scenario.baseline_z, dtype=float)
+    ny, nz = int(round(by.sum())), int(round(bz.sum()))
+    py, pz = by / by.sum(), bz / bz.sum()
+    if scenario.covariate_coupling:
+        two_x = 2.0 * np.asarray(scenario.covariates, dtype=float)
+    c_study = _study_level(scenario)
+    degenerate = 0
+    for rep in range(scenario.n_replicates):
+        rng = derive_rng(scenario.seed, 1, rep)
+        c = c_study if c_study is not None else _ascertainment(scenario, rng)
+        y0, bad_y = _draw_counts(rng, ny, py)
+        z0, bad_z = _draw_counts(rng, nz, pz)
+        if bad_y or bad_z:
+            degenerate += 1
+            _check_degenerate_limit(scenario, degenerate, rep)
+            yield rep, None, None, None
+            continue
+        if scenario.covariate_coupling:
+            y0 = y0 * two_x
+            z0 = z0 / two_x
+        arms = sample_assignment(scheme, rng)
+        treated = arms == 1
+        yield (
+            rep,
+            arms,
+            np.where(treated, scenario.lam * c * y0, y0),
+            np.where(treated, c * z0, z0),
+        )
+
+
+def _wedge_draws(
+    scenario: SimScenario,
+) -> Iterator[tuple[int, np.ndarray | None, np.ndarray | None, np.ndarray | None]]:
+    """Replicates of a stepped-wedge scenario as ``(rep, start, y, z)`` arrays.
+
+    Per period, control counts come from multinomials over the period's
+    baseline proportions; test-negative totals are the study total
+    scaled by the period's share of test-positives.  Ascertainment is a
+    full (m, T) draw, independent across cells.  Cell (i, t) is treated
+    from ``start[i]`` on and then takes ``lam * c * y0`` and ``c * z0``,
+    as :class:`PeriodPotentialTable` defines them.  Degenerate
+    replicates yield ``(rep, None, None, None)``.
+    """
+    if not scenario.is_stepped_wedge:
+        raise ValueError("scenario has a parallel design")
+    scheme: SteppedWedgeScheme = scenario.design
+    by = np.asarray(scenario.baseline_y, dtype=float)  # (m, T)
+    bz = np.asarray(scenario.baseline_z, dtype=float)  # (m,)
+    n_t_y = by.sum(axis=0)
+    # test-negative totals follow the period share of test-positives
+    n_t_z = np.maximum(1, np.round(bz.sum() * n_t_y / n_t_y[-1])).astype(int)
+    pz = bz / bz.sum()
+    cells = [
+        (int(round(n_t_y[t])), by[:, t] / n_t_y[t], int(n_t_z[t]))
+        for t in range(scheme.n_periods)
+    ]
+    tgrid = np.arange(1, scheme.n_periods + 1)
+    c_study = _study_level(scenario)
+    degenerate = 0
+    for rep in range(scenario.n_replicates):
+        rng = derive_rng(scenario.seed, 1, rep)
+        c = c_study if c_study is not None else _ascertainment(scenario, rng)
+        y0 = np.empty_like(by)
+        z0 = np.empty_like(by)
+        bad = False
+        for t, (ny, py, nz) in enumerate(cells):
+            yt, bad_y = _draw_counts(rng, ny, py)
+            zt, bad_z = _draw_counts(rng, nz, pz)
+            y0[:, t], z0[:, t] = yt, zt
+            bad = bad or bad_y or bad_z
+        if bad:
+            degenerate += 1
+            _check_degenerate_limit(scenario, degenerate, rep)
+            yield rep, None, None, None
+            continue
+        start = sample_assignment(scheme, rng)
+        treated = tgrid[None, :] >= start[:, None]
+        yield (
+            rep,
+            start,
+            np.where(treated, scenario.lam * c * y0, y0),
+            np.where(treated, c * z0, z0),
+        )
+
+
 def simulate_parallel(
     scenario: SimScenario,
 ) -> Iterator[tuple[int, list[ClusterRecord] | None]]:
@@ -230,49 +359,15 @@ def simulate_parallel(
     stuck at zero after redraws) yield ``None`` and raise
     :class:`DegenerateReplicateLimit` if they exceed 1 percent overall.
     """
-    if scenario.is_stepped_wedge:
-        raise ValueError("scenario has a stepped-wedge design")
-    scheme: ParallelScheme = scenario.design
-    by = np.asarray(scenario.baseline_y, dtype=float)
-    bz = np.asarray(scenario.baseline_z, dtype=float)
-    ny, nz = int(round(by.sum())), int(round(bz.sum()))
-    py, pz = by / by.sum(), bz / bz.sum()
-    x = (
-        np.asarray(scenario.covariates, dtype=float)
-        if scenario.covariates is not None
-        else None
-    )
-    c_study = (
-        _ascertainment(scenario, derive_rng(scenario.seed, 0))
-        if scenario.draw_policy == "once_per_study"
-        else None
-    )
-    degenerate = 0
-    for rep in range(scenario.n_replicates):
-        rng = derive_rng(scenario.seed, 1, rep)
-        c = c_study if c_study is not None else _ascertainment(scenario, rng)
-        y0, bad_y = _draw_counts(rng, ny, py)
-        z0, bad_z = _draw_counts(rng, nz, pz)
-        if bad_y or bad_z:
-            degenerate += 1
-            if degenerate > max(1, scenario.n_replicates // 100):
-                raise DegenerateReplicateLimit(
-                    f"{degenerate} degenerate replicates out of {rep + 1}"
-                )
+    x = scenario.covariates
+    for rep, arms, y, z in _parallel_draws(scenario):
+        if arms is None:
             yield rep, None
             continue
-        if scenario.covariate_coupling:
-            y0 = y0 * (2.0 * x)
-            z0 = z0 / (2.0 * x)
-        table = PotentialTable(
-            lam=scenario.lam,
-            y0=y0,
-            z0=z0,
-            c=c,
-            covariates=x if x is not None else None,
+        observed = PotentialTable(
+            lam=1.0, y0=y, z0=z, c=np.ones_like(y), covariates=x
         )
-        assignment = sample_assignment(scheme, rng)
-        yield rep, realize(table, assignment)
+        yield rep, realize(observed, arms)
 
 
 def simulate_stepped_wedge(
@@ -280,49 +375,15 @@ def simulate_stepped_wedge(
 ) -> Iterator[tuple[int, Panel | None]]:
     """Stream of simulated stepped-wedge panels, one per replicate.
 
-    Per period, control counts come from multinomials over the period's
-    baseline proportions; test-negative totals are the study total
-    scaled by the period's share of test-positives.  Ascertainment is a
-    full (m, T) draw, independent across cells.
+    The panels of :func:`_wedge_draws`; degenerate replicates yield
+    ``None``.
     """
-    if not scenario.is_stepped_wedge:
-        raise ValueError("scenario has a parallel design")
-    scheme: SteppedWedgeScheme = scenario.design
-    by = np.asarray(scenario.baseline_y, dtype=float)  # (m, T)
-    bz = np.asarray(scenario.baseline_z, dtype=float)  # (m,)
-    n_t_y = by.sum(axis=0)
-    nz_total = bz.sum()
-    # test-negative totals follow the period share of test-positives
-    n_t_z = np.maximum(1, np.round(nz_total * n_t_y / n_t_y[-1])).astype(int)
-    pz = bz / bz.sum()
-    c_study = (
-        _ascertainment(scenario, derive_rng(scenario.seed, 0))
-        if scenario.draw_policy == "once_per_study"
-        else None
-    )
-    degenerate = 0
-    for rep in range(scenario.n_replicates):
-        rng = derive_rng(scenario.seed, 1, rep)
-        c = c_study if c_study is not None else _ascertainment(scenario, rng)
-        y0 = np.empty_like(by)
-        z0 = np.empty_like(by)
-        bad = False
-        for t in range(scheme.n_periods):
-            yt, bad_y = _draw_counts(rng, int(round(n_t_y[t])), by[:, t] / n_t_y[t])
-            zt, bad_z = _draw_counts(rng, int(n_t_z[t]), pz)
-            y0[:, t], z0[:, t] = yt, zt
-            bad = bad or bad_y or bad_z
-        if bad:
-            degenerate += 1
-            if degenerate > max(1, scenario.n_replicates // 100):
-                raise DegenerateReplicateLimit(
-                    f"{degenerate} degenerate replicates out of {rep + 1}"
-                )
+    for rep, start, y, z in _wedge_draws(scenario):
+        if start is None:
             yield rep, None
             continue
-        table = PeriodPotentialTable(lam=scenario.lam, y0=y0, z0=z0, c=c)
-        assignment = sample_assignment(scheme, rng)
-        yield rep, realize(table, assignment)
+        observed = PeriodPotentialTable(lam=1.0, y0=y, z0=z, c=np.ones_like(y))
+        yield rep, realize(observed, start)
 
 
 # --------------------------------------------------------------------- #
@@ -340,6 +401,12 @@ class _Tally:
         self.n_normal = 0
         self.reject_perm = 0
         self.n_perm = 0
+        self.dropped: Counter[str] = Counter()
+
+    def add_perm(self, count: int, n_draws: int, alpha: float) -> None:
+        """Tally one Monte Carlo permutation test with ``count`` tail draws."""
+        self.reject_perm += _mc_reject(count, n_draws, alpha)
+        self.n_perm += 1
 
     def row(self, scenario: SimScenario, name: str) -> MetricsRow:
         est = np.asarray(self.estimates)
@@ -359,6 +426,7 @@ class _Tally:
             ),
             por_perm=self.reject_perm / self.n_perm if self.n_perm else None,
             cp=self.covered / self.n_cover if self.n_cover else None,
+            dropped=dict(sorted(self.dropped.items())),
         )
 
 
@@ -378,10 +446,14 @@ def evaluate(
 
     Replicates where an estimator fails (for example the fraction
     statistic falling outside its attainable range) are excluded from
-    that estimator's estimates and counted through ``n_effective``.
-    ``permutation_por`` adds a Monte Carlo randomization-test rejection
-    rate of the no-effect null (``perm_draws`` relabelings per
+    that estimator's estimates and counted through ``n_effective``; each
+    row's ``dropped`` counts them by reason ("degenerate" or the error
+    class).  ``permutation_por`` adds a Monte Carlo randomization-test
+    rejection rate of the no-effect null (``perm_draws`` relabelings per
     replicate, shared across estimators).
+
+    Replicates run on arrays, one at a time: records and panels are
+    never built, and what the design fixes is computed once per run.
     """
     if scenario.is_stepped_wedge:
         out = _evaluate_sw(scenario, estimators, permutation_por, perm_draws)
@@ -405,79 +477,70 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws):
     lam_true = scenario.lam
     tallies = {name: _Tally() for name in names}
     raw: dict[str, list] = {name: [] for name in names}
+    if "covariate_adjusted" in tallies:
+        x = np.asarray(scenario.covariates, dtype=float)
+        x = x[:, None] if x.ndim == 1 else x
+    or_rows = None
+    if "odds_ratio" in tallies and not permutation_por:
+        # the SE's relabelings come from a fixed-seed stream: draw them once
+        or_rows, _ = _odds_ratio_se_rows(scheme, perm_draws, scenario.seed)
 
-    for rep, records in simulate_parallel(scenario):
-        if records is None:
+    for rep, arms, y, z in _parallel_draws(scenario):
+        if arms is None:
+            for t in tallies.values():
+                t.dropped["degenerate"] += 1
             continue
+        treated = arms.astype(bool)
         rows = None
         if permutation_por:
             rng_p = derive_rng(scenario.seed, 3, rep)
-            rows = sample_assignments(scheme, perm_draws, rng_p).astype(np.int8)
+            # float rows: the same products as 0/1 integer rows, no casts
+            rows = sample_assignments(scheme, perm_draws, rng_p).astype(float)
+        if "log_contrast" in tallies or "covariate_adjusted" in tallies:
+            lvals = np.array(
+                [math.log(yi) - math.log(zi) for yi, zi in zip(y.tolist(), z.tolist())]
+            )
 
         if "log_contrast" in tallies:
             t = tallies["log_contrast"]
-            rep_est = log_contrast_estimate(records, alpha=alpha)
-            _tally_normal(t, rep_est, lam_true, alpha)
-            raw["log_contrast"].append(rep_est.log_estimate)
+            est, se = _log_contrast_arrays(lvals, treated)
+            _tally_from_values(t, est, se, lam_true, alpha)
+            raw["log_contrast"].append(est)
             if rows is not None:
-                lvals = np.array(
-                    [math.log(r.y_count) - math.log(r.z_count) for r in records]
-                )
                 draws = _diff_means_rows(lvals, rows, scheme.m1)
-                obs = rep_est.log_estimate  # null lam0=1: deviation is the estimate
-                two, _, _ = _tail_counts(draws, obs)
-                t.reject_perm += _mc_reject(two, perm_draws, alpha)
-                t.n_perm += 1
+                # null lam0=1: deviation is the estimate
+                t.add_perm(_two_sided_count(draws, est), perm_draws, alpha)
         if "covariate_adjusted" in tallies:
-            t = tallies["covariate_adjusted"]
-            rep_est, _ = covariate_adjusted_estimate(records, alpha=alpha)
-            _tally_normal(t, rep_est, lam_true, alpha)
-            raw["covariate_adjusted"].append(rep_est.log_estimate)
+            est, se, _, _ = _covariate_adjusted_arrays(lvals, treated, x)
+            _tally_from_values(tallies["covariate_adjusted"], est, se, lam_true, alpha)
+            raw["covariate_adjusted"].append(est)
         if "odds_ratio" in tallies:
             t = tallies["odds_ratio"]
+            log_or = _odds_ratio_log_arrays(y, z, treated)
+            # the relabelings of the permutation column give the SE too
+            draws = odds_ratio_permutation_draws(
+                y, z, rows if rows is not None else or_rows
+            )
+            _tally_from_values(t, log_or, _permutation_se(draws), lam_true, alpha)
+            raw["odds_ratio"].append(log_or)
             if rows is not None:
-                # reuse the shared relabelings for the dispersion SE
-                y = np.array([r.y_count for r in records])
-                z = np.array([r.z_count for r in records])
-                log_or = odds_ratio_log(records)
-                draws = odds_ratio_permutation_draws(y, z, rows)
-                finite = draws[np.isfinite(draws)]
-                se = float(np.std(finite, ddof=1))
-                _tally_from_values(t, log_or, se, lam_true, alpha)
-                raw["odds_ratio"].append(log_or)
-                two, _, _ = _tail_counts(draws, log_or)
-                t.reject_perm += _mc_reject(two, perm_draws, alpha)
-                t.n_perm += 1
-            else:
-                rep_est = odds_ratio_estimate(
-                    records, alpha=alpha, se_draws=perm_draws, seed=scenario.seed
-                )
-                _tally_normal(t, rep_est, lam_true, alpha)
-                raw["odds_ratio"].append(rep_est.log_estimate)
+                t.add_perm(_two_sided_count(draws, log_or), perm_draws, alpha)
         if "tpf" in tallies:
             t = tallies["tpf"]
             try:
-                rep_est = tpf_estimate(records, alpha=alpha)
-                t.estimates.append(rep_est.log_estimate)
-                raw["tpf"].append(rep_est.log_estimate)
-            except NoAdmissibleRoot:
+                est = math.log(tpf_solve(*_tpf_statistic_arrays(y, z, treated)))
+                t.estimates.append(est)
+                raw["tpf"].append(est)
+            except NoAdmissibleRoot as exc:
                 raw["tpf"].append(float("nan"))
+                t.dropped[type(exc).__name__] += 1
             if rows is not None:
-                fr = np.array(
-                    [r.y_count / (r.y_count + r.z_count) for r in records]
-                )
-                arms = np.array([r.arm for r in records], dtype=bool)
-                t_obs = float(fr[arms].mean() - fr[~arms].mean())
+                fr = y / (y + z)
+                t_obs = float(fr[treated].mean() - fr[~treated].mean())
                 draws = _diff_means_rows(fr, rows, scheme.m1)
-                two, _, _ = _tail_counts(draws, t_obs)
-                t.reject_perm += _mc_reject(two, perm_draws, alpha)
-                t.n_perm += 1
+                t.add_perm(_two_sided_count(draws, t_obs), perm_draws, alpha)
 
     return [tallies[name].row(scenario, name) for name in names], raw
-
-
-def _tally_normal(t: _Tally, report, lam_true: float, alpha: float) -> None:
-    _tally_from_values(t, report.log_estimate, report.se_log, lam_true, alpha)
 
 
 def _tally_from_values(t, log_est, se, lam_true, alpha):
@@ -494,6 +557,14 @@ def _tally_from_values(t, log_est, se, lam_true, alpha):
     t.n_cover += 1
 
 
+def _tally_weighted(t, w, diffs, sigma, lam_true, alpha) -> float:
+    """Tally the weighted stepped-wedge estimate ``w . diffs``; return it."""
+    est = float(w @ diffs)
+    se = math.sqrt(max(float(w @ sigma @ w), 0.0))
+    _tally_from_values(t, est, se, lam_true, alpha)
+    return est
+
+
 def _evaluate_sw(scenario, estimators, permutation_por, perm_draws):
     names = tuple(estimators) if estimators is not None else SW_ESTIMATORS
     unknown = set(names) - set(SW_ESTIMATORS)
@@ -501,43 +572,67 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws):
         raise ValueError(f"unknown stepped-wedge estimators: {sorted(unknown)}")
     alpha = scenario.alpha
     lam_true = scenario.lam
+    log_lam = math.log(lam_true)
     tallies = {name: _Tally() for name in names}
     raw: dict[str, list] = {name: [] for name in names}
 
-    for rep, panel in simulate_stepped_wedge(scenario):
-        if panel is None:
+    # every replicate's starts permute the scheme's multiset, so the
+    # analysis periods, m_t, the Sigma scale and equal weights are fixed
+    scheme: SteppedWedgeScheme = scenario.design
+    tgrid = np.arange(1, scheme.n_periods + 1)
+    periods, m_t, dropped = _design(np.repeat(tgrid, scheme.q), scheme.n_periods)
+    _warn_dropped(dropped)
+    scale = _scale_matrix(scheme.m, m_t, periods, "canonical")
+    w_equal = np.asarray(equal_weights(periods).w)
+
+    for rep, start, y, z in _wedge_draws(scenario):
+        if start is None:
+            for t in tallies.values():
+                t.dropped["degenerate"] += 1
             continue
+        lmat = np.log(y) - np.log(z)
         try:
-            cov_hat = sw_covariance_estimate(panel)
-        except CrtndError:
+            sigma_hat, _ = _plugin_sigma(lmat, start, periods, m_t, scale)
+        except CrtndError as exc:
+            for t in tallies.values():
+                t.dropped[type(exc).__name__] += 1
             continue
+        diffs = _period_differences(lmat, start, periods, m_t)
         if "sw_equal" in tallies:
-            report = sw_log_contrast(panel, "equal", covariance=cov_hat, alpha=alpha)
-            _tally_normal(tallies["sw_equal"], report, lam_true, alpha)
-            raw["sw_equal"].append(report.log_estimate)
+            est = _tally_weighted(
+                tallies["sw_equal"], w_equal, diffs, sigma_hat, lam_true, alpha
+            )
+            raw["sw_equal"].append(est)
         if "sw_optimal" in tallies:
             # weights from the exactly computable truth-imputed covariance
-            cov_true = sw_null_covariance(panel, lam_true)
+            treated = tgrid[None, :] >= start[:, None]
+            sigma_true, _ = _null_sigma(lmat - log_lam * treated, periods, scale)
             try:
-                wts = optimal_weights(cov_true, kind="optimal_oracle")
-            except SingularCovariance:
-                wts = equal_weights(cov_true.periods)
-            report = sw_log_contrast(panel, wts, covariance=cov_hat, alpha=alpha)
-            _tally_normal(tallies["sw_optimal"], report, lam_true, alpha)
-            raw["sw_optimal"].append(report.log_estimate)
-        if permutation_por:
-            for name in names:
-                weights = "equal" if name == "sw_equal" else "optimal"
-                result = sw_permutation_test(
-                    panel,
-                    1.0,
-                    weights,
-                    mode="monte_carlo",
-                    n_draws=perm_draws,
-                    seed=int(derive_rng(scenario.seed, 3, rep).integers(2**31)),
+                wts = optimal_weights(
+                    sigma_true, periods=periods, kind="optimal_oracle"
                 )
-                tallies[name].reject_perm += result.p_two_sided <= alpha
-                tallies[name].n_perm += 1
+                w_opt = np.asarray(wts.w)
+            except SingularCovariance:
+                w_opt = w_equal
+            est = _tally_weighted(
+                tallies["sw_optimal"], w_opt, diffs, sigma_hat, lam_true, alpha
+            )
+            raw["sw_optimal"].append(est)
+        if permutation_por:
+            # one set of re-randomized starts per replicate, shared by
+            # both weightings; at lam0 = 1 the imputed L(0) is lmat itself
+            seed = int(derive_rng(scenario.seed, 3, rep).integers(2**31))
+            start_rows = sample_assignments(scheme, perm_draws, derive_rng(seed, 0x5E))
+            d_rows = _period_diff_rows(lmat, start_rows, periods, m_t)
+            d_obs = _period_diff_rows(lmat, start[None, :], periods, m_t)
+            for name in names:
+                w = (
+                    w_equal
+                    if name == "sw_equal"
+                    else _null_weights(lmat, "optimal", periods, scale)
+                )
+                two = _two_sided_count(d_rows @ w, float((d_obs @ w)[0]))
+                tallies[name].add_perm(two, perm_draws, alpha)
 
     return [tallies[name].row(scenario, name) for name in names], raw
 

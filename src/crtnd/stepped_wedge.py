@@ -41,7 +41,12 @@ from .core import (
     enumerate_assignments,
     sample_assignments,
 )
-from .errors import ArmTooSmall, CrtndError, GroupTooSmall, SingularCovariance
+from .errors import (
+    ArmTooSmall,
+    GroupTooSmall,
+    NoNonRejectedPoint,
+    SingularCovariance,
+)
 from .estimators import EstimateReport, normal_ci
 from .inference import (
     PermutationResult,
@@ -109,33 +114,54 @@ class SWCovariance:
         object.__setattr__(self, "sigma", sig)
 
 
-def _scale(m: int, m_t: dict[int, int], t1: int, t2: int, convention: str) -> float:
-    lo, hi = min(t1, t2), max(t1, t2)
-    if convention == "canonical":
-        return m / (m_t[hi] * (m - m_t[lo]))
+def _scale_matrix(
+    m: int, m_t: dict[int, int], periods: Sequence[int], convention: str
+) -> np.ndarray:
+    """(k, k) factors that turn S entries into Sigma entries.
+
+    Each factor is one exact integer product and one division.  The
+    "printed" denominator ``m_{t2-1}`` cannot vanish: for analysis
+    periods t1 < t2 it is at least ``m_{t1} >= 1``.
+    """
+    t = np.asarray(periods)
+    lo, hi = np.minimum.outer(t, t), np.maximum.outer(t, t)
     if convention == "printed":
-        if t1 == t2:
-            return m / (m_t[t1] * (m - m_t[t1]))
-        denom = m_t.get(hi - 1, 0)
-        if denom == 0:
-            raise SingularCovariance(
-                f"printed scaling needs m_{hi - 1} > 0 for entry ({t1},{t2})"
-            )
-        return m / (denom * (m - m_t[lo]))
-    raise ValueError(f"unknown convention {convention!r}")
+        hi = np.where(lo == hi, hi, hi - 1)
+    elif convention != "canonical":
+        raise ValueError(f"unknown convention {convention!r}")
+    counts = np.array([m_t.get(s, 0) for s in range(int(t.max()) + 1)])
+    return m / (counts[hi] * (m - counts[lo]))
+
+
+def _cov(x: np.ndarray) -> np.ndarray:
+    """``np.cov(x, ddof=1)`` for a float (variables, observations) array.
+
+    The same steps as numpy's (centre in place, ``dot`` with the
+    transpose, scale by ``1/(n-1)``), so the same bits, without its
+    argument handling.  ``x`` is overwritten.
+    """
+    x -= x.mean(axis=1)[:, None]
+    c = np.dot(x, x.T.conj())
+    c *= np.true_divide(1, x.shape[1] - 1)
+    return c
+
+
+def _design(starts: Sequence[int], n_periods: int):
+    """(analysis periods, m_t map, dropped periods) of a start vector.
+
+    Every permutation of ``starts`` has the same design, so a caller
+    that re-randomizes a fixed multiset of starts computes it once.
+    """
+    m = len(starts)
+    m_t = {t: sum(1 for a in starts if a <= t) for t in range(1, n_periods + 1)}
+    periods = tuple(t for t in range(1, n_periods) if 1 <= m_t[t] <= m - 1)
+    dropped = tuple(t for t in range(1, n_periods) if t not in periods)
+    return periods, m_t, dropped
 
 
 def _panel_design(panel: Panel):
     """(analysis periods, m_t map, dropped periods) from realized starts."""
-    m = panel.m
-    n_periods = panel.n_periods
-    m_t = {
-        t: sum(1 for a in panel.start_periods if a <= t)
-        for t in range(1, n_periods + 1)
-    }
-    periods = tuple(t for t in range(1, n_periods) if 1 <= m_t[t] <= m - 1)
-    dropped = tuple(t for t in range(1, n_periods) if t not in periods)
-    return periods, m_t, dropped
+    return _design(panel.start_periods, panel.n_periods)
 
 
 def _warn_dropped(dropped: tuple[int, ...]) -> None:
@@ -156,12 +182,67 @@ def _treated_matrix(panel: Panel) -> np.ndarray:
 def _period_differences(
     lmat: np.ndarray, start: np.ndarray, periods: Sequence[int], m_t: dict[int, int]
 ) -> np.ndarray:
-    m = lmat.shape[0]
     out = np.empty(len(periods))
     for k, t in enumerate(periods):
         treated = start <= t
         out[k] = lmat[treated, t - 1].mean() - lmat[~treated, t - 1].mean()
     return out
+
+
+def _plugin_sigma(
+    lmat: np.ndarray,
+    start: np.ndarray,
+    periods: Sequence[int],
+    m_t: dict[int, int],
+    scale: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Sigma, S entries) of :func:`sw_covariance_estimate` from arrays."""
+    m, k = lmat.shape[0], len(periods)
+    sigma = np.zeros((k, k))
+    s_values = np.full((k, k), np.nan)
+
+    for i, t in enumerate(periods):
+        treated = start <= t
+        n1, n0 = m_t[t], m - m_t[t]
+        if n1 < 2 or n0 < 2:
+            raise ArmTooSmall(
+                f"period {t}: variance estimation needs >= 2 clusters per arm "
+                f"(treated={n1}, control={n0})"
+            )
+        v1 = float(np.var(lmat[treated, t - 1], ddof=1))
+        v0 = float(np.var(lmat[~treated, t - 1], ddof=1))
+        sigma[i, i] = v1 / n1 + v0 / n0
+
+    by_period = lmat.T.copy()
+    for i, t1 in enumerate(periods):
+        for j in range(i + 1, k):
+            t2 = periods[j]
+            # group sizes follow from m_t; the first largest group is used
+            sizes = (m_t[t1], m_t[t2] - m_t[t1], m - m_t[t2])
+            g = sizes.index(max(sizes))
+            if sizes[g] < 2:
+                name = ("treated_by_t1", "switchers", "untreated_at_t2")[g]
+                raise GroupTooSmall(t1, t2, name, sizes[g])
+            if g == 0:
+                mask = start <= t1
+            elif g == 1:
+                mask = (start > t1) & (start <= t2)
+            else:
+                mask = start > t2
+            pair = by_period[t1 - 1 : t2 : t2 - t1][:, mask]
+            s_hat = float(_cov(pair)[0, 1])
+            s_values[i, j] = s_values[j, i] = s_hat
+            sigma[i, j] = sigma[j, i] = scale[i, j] * s_hat
+    return sigma, s_values
+
+
+def _null_sigma(
+    l0: np.ndarray, periods: Sequence[int], scale: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Sigma, S) from complete control log-contrasts ``l0`` (m x T)."""
+    cols = l0[:, [t - 1 for t in periods]]
+    s_full = _cov(cols.T)
+    return scale * s_full, s_full
 
 
 def sw_covariance_estimate(
@@ -180,45 +261,13 @@ def sw_covariance_estimate(
     """
     periods, m_t, dropped = _panel_design(panel)
     _warn_dropped(dropped)
-    m = panel.m
-    lmat = panel.log_contrast_matrix(correction)
-    start = np.asarray(panel.start_periods)
-    k = len(periods)
-    sigma = np.zeros((k, k))
-    s_values = np.full((k, k), np.nan)
-
-    for i, t in enumerate(periods):
-        treated = start <= t
-        n1, n0 = int(treated.sum()), int((~treated).sum())
-        if n1 < 2 or n0 < 2:
-            raise ArmTooSmall(
-                f"period {t}: variance estimation needs >= 2 clusters per arm "
-                f"(treated={n1}, control={n0})"
-            )
-        v1 = float(np.var(lmat[treated, t - 1], ddof=1))
-        v0 = float(np.var(lmat[~treated, t - 1], ddof=1))
-        sigma[i, i] = v1 / n1 + v0 / n0
-
-    for i, t1 in enumerate(periods):
-        for j, t2 in enumerate(periods):
-            if t2 <= t1:
-                continue
-            groups = (
-                ("treated_by_t1", start <= t1),
-                ("switchers", (start > t1) & (start <= t2)),
-                ("untreated_at_t2", start > t2),
-            )
-            sizes = [int(mask.sum()) for _, mask in groups]
-            name, mask = groups[int(np.argmax(sizes))]
-            if mask.sum() < 2:
-                raise GroupTooSmall(t1, t2, name, int(mask.sum()))
-            a = lmat[mask, t1 - 1]
-            b = lmat[mask, t2 - 1]
-            s_hat = float(np.cov(a, b, ddof=1)[0, 1])
-            s_values[i, j] = s_values[j, i] = s_hat
-            entry = _scale(m, m_t, t1, t2, convention) * s_hat
-            sigma[i, j] = sigma[j, i] = entry
-
+    sigma, s_values = _plugin_sigma(
+        panel.log_contrast_matrix(correction),
+        np.asarray(panel.start_periods),
+        periods,
+        m_t,
+        _scale_matrix(panel.m, m_t, periods, convention),
+    )
     return SWCovariance(
         sigma=sigma,
         s_values=s_values,
@@ -243,13 +292,9 @@ def sw_oracle_covariance(
         )
     periods = scheme.analysis_periods
     m_t = {t: scheme.m_t(t) for t in range(1, scheme.n_periods + 1)}
-    k = len(periods)
-    cols = l0[:, [t - 1 for t in periods]]
-    s_full = np.cov(cols, rowvar=False, ddof=1).reshape(k, k)
-    sigma = np.empty((k, k))
-    for i, t1 in enumerate(periods):
-        for j, t2 in enumerate(periods):
-            sigma[i, j] = _scale(scheme.m, m_t, t1, t2, convention) * s_full[i, j]
+    sigma, s_full = _null_sigma(
+        l0, periods, _scale_matrix(scheme.m, m_t, periods, convention)
+    )
     return SWCovariance(
         sigma=sigma,
         s_values=s_full,
@@ -276,13 +321,9 @@ def sw_null_covariance(
     _warn_dropped(dropped)
     lmat = panel.log_contrast_matrix(correction)
     l0 = lmat - math.log(lam0) * _treated_matrix(panel)
-    k = len(periods)
-    cols = l0[:, [t - 1 for t in periods]]
-    s_full = np.cov(cols, rowvar=False, ddof=1).reshape(k, k)
-    sigma = np.empty((k, k))
-    for i, t1 in enumerate(periods):
-        for j, t2 in enumerate(periods):
-            sigma[i, j] = _scale(panel.m, m_t, t1, t2, convention) * s_full[i, j]
+    sigma, s_full = _null_sigma(
+        l0, periods, _scale_matrix(panel.m, m_t, periods, convention)
+    )
     return SWCovariance(
         sigma=sigma,
         s_values=s_full,
@@ -483,24 +524,20 @@ def _blocks(rows: Iterator[np.ndarray], size: int = 65536) -> Iterator[np.ndarra
 
 
 def _null_weights(
-    panel: Panel,
-    lam0: float,
-    weights,
-    periods: tuple[int, ...],
-    convention: str,
-    correction: bool,
+    l0: np.ndarray, weights, periods: tuple[int, ...], scale: np.ndarray
 ) -> np.ndarray:
     """Weights held fixed over the re-randomizations of a test of lam0.
 
-    "optimal" weights are computed exactly from the null-imputed
-    covariance, falling back to equal weights when it is singular.
+    ``l0`` holds the control log-contrasts imputed under the null.
+    "optimal" weights are computed exactly from their covariance,
+    falling back to equal weights when it is singular.
     """
     if weights != "optimal":
         wts, _ = _resolve_weights(weights, periods, None)
         return np.asarray(wts.w)
-    cov = sw_null_covariance(panel, lam0, convention=convention, correction=correction)
+    sigma, _ = _null_sigma(l0, periods, scale)
     try:
-        wts = optimal_weights(cov, kind="optimal_oracle")
+        wts = optimal_weights(sigma, periods=periods, kind="optimal_oracle")
     except SingularCovariance:
         warnings.warn("null covariance is singular; using equal weights", RuntimeWarning)
         wts = equal_weights(periods)
@@ -535,7 +572,8 @@ def sw_permutation_test(
     lmat = panel.log_contrast_matrix(correction)
     start = np.asarray(panel.start_periods)
     l0 = lmat - math.log(lam0) * _treated_matrix(panel)
-    w = _null_weights(panel, lam0, weights, periods, convention, correction)
+    scale = _scale_matrix(panel.m, m_t, periods, convention)
+    w = _null_weights(l0, weights, periods, scale)
 
     def evaluate(start_rows: np.ndarray) -> np.ndarray:
         return _period_diff_rows(l0, start_rows, periods, m_t) @ w
@@ -570,6 +608,7 @@ def _sw_pvalue_function(
     p(theta) then only applies the weights and counts.
     """
     periods, m_t, _ = _panel_design(panel)
+    scale = _scale_matrix(panel.m, m_t, periods, convention)
     lmat = panel.log_contrast_matrix(correction)
     treated = _treated_matrix(panel).astype(float)
     observed = np.asarray(panel.start_periods)[None, :]
@@ -588,8 +627,8 @@ def _sw_pvalue_function(
     denom, add_one = (total, 0) if mode == "exact" else (1 + n_draws, 1)
 
     def pfun(theta: float) -> float:
-        w = _null_weights(panel, math.exp(theta), weights, periods,
-                          convention, correction)
+        l0 = lmat - math.log(math.exp(theta)) * treated
+        w = _null_weights(l0, weights, periods, scale)
         observed_stat = float((d_obs - theta * a_obs) @ w)
         two, _, _ = _tail_counts((d_rows - theta * a_rows) @ w, observed_stat)
         return (add_one + two) / denom
@@ -611,7 +650,10 @@ def sw_invert_ci(
     """lam-scale CI from inverting :func:`sw_permutation_test`.
 
     Scans 81 values of log(lam0) over the estimate +- 10 SE and bisects
-    each boundary of {p > alpha} to 1e-4.  The p-values are those of
+    each boundary of {p > alpha} to 1e-4.  While p > alpha at an edge of
+    the scan, the half-width doubles, up to 50 SE; if an edge is still
+    not rejected there, :class:`NoNonRejectedPoint` is raised, as
+    :func:`~crtnd.inference.invert_ci` does.  The p-values are those of
     :func:`sw_permutation_test` with the same options and its default
     enumeration limits, but the re-randomized statistic is evaluated
     once per assignment for the whole scan, not once per scanned value.
@@ -624,22 +666,22 @@ def sw_invert_ci(
         panel, weights, mode=mode, n_draws=n_draws, seed=seed,
         correction=correction, convention=convention,
     )
+    max_half = 5.0 * half
+    while pfun(center - half) > alpha or pfun(center + half) > alpha:
+        if half >= max_half - 1e-15:
+            raise NoNonRejectedPoint(
+                "confidence endpoint not bracketed within 50 SE of the estimate"
+            )
+        half = min(2.0 * half, max_half)
 
+    # both scan edges are rejected, so each boundary has a bracket
     grid = np.linspace(center - half, center + half, 81)
     pvals = np.array([pfun(t) for t in grid])
     accepted = pvals > alpha
     if not accepted.any():
-        raise CrtndError("no lambda value in the scan has p > alpha")
+        raise NoNonRejectedPoint("no lambda value in the scan has p > alpha")
     idx = np.nonzero(accepted)[0]
     lo_idx, hi_idx = int(idx[0]), int(idx[-1])
-    lo = (
-        _bisect_boundary(pfun, alpha, grid[lo_idx - 1], grid[lo_idx], 1e-4)
-        if lo_idx > 0
-        else grid[0]
-    )
-    hi = (
-        _bisect_boundary(pfun, alpha, grid[hi_idx + 1], grid[hi_idx], 1e-4)
-        if hi_idx < len(grid) - 1
-        else grid[-1]
-    )
+    lo = _bisect_boundary(pfun, alpha, grid[lo_idx - 1], grid[lo_idx], 1e-4)
+    hi = _bisect_boundary(pfun, alpha, grid[hi_idx + 1], grid[hi_idx], 1e-4)
     return math.exp(lo), math.exp(hi)

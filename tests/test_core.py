@@ -17,6 +17,7 @@ from crtnd import (
     log_contrast,
     realize,
     sample_assignment,
+    sample_assignments,
 )
 from crtnd.errors import DimensionMismatch, IncompletePanel, SupportTooLarge, ZeroCount
 
@@ -141,6 +142,46 @@ class TestSampling:
             support[tuple(sample_assignment(scheme, rng))] += 1
         stat, p = chisquare(list(support.values()))
         assert p > 0.001
+
+
+def argsort_rows(u, m1):
+    """Reference construction: the m1 smallest uniforms of a row by argsort."""
+    order = np.argsort(u, axis=1)
+    out = np.zeros(u.shape, dtype=np.int64)
+    np.put_along_axis(out, order[:, :m1], 1, axis=1)
+    return out
+
+
+class TestSampleAssignments:
+    @pytest.mark.parametrize("m, m1", [(24, 12), (24, 1), (7, 6), (9, 4)])
+    def test_matches_argsort_construction(self, m, m1):
+        scheme = ParallelScheme(m, m1)
+        for seed in range(100):
+            rows = sample_assignments(scheme, 199, derive_rng(seed, 3))
+            u = derive_rng(seed, 3).random((199, m))
+            expected = argsort_rows(u, m1)
+            assert rows.dtype == expected.dtype
+            assert np.array_equal(rows, expected)
+
+    def test_tie_at_the_threshold_follows_the_sort_order(self):
+        class TiedUniforms:
+            """A generator stub whose uniforms tie at the m1-th smallest."""
+
+            def __init__(self, u):
+                self.u = u
+
+            def random(self, shape):
+                assert shape == self.u.shape
+                return self.u.copy()
+
+        u = np.array(
+            [[0.5, 0.1, 0.5, 0.9, 0.5, 0.2],  # 0.5 three times, m1 = 3
+             [0.3, 0.3, 0.3, 0.3, 0.3, 0.3],
+             [0.6, 0.5, 0.4, 0.3, 0.2, 0.1]]
+        )
+        rows = sample_assignments(ParallelScheme(6, 3), 3, TiedUniforms(u))
+        assert np.array_equal(rows, argsort_rows(u, 3))
+        assert np.all(rows.sum(axis=1) == 3)
 
 
 class TestPotentialTables:

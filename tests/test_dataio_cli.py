@@ -368,6 +368,46 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConstantDose"
 
+    @pytest.mark.parametrize(
+        "flag", [["--mode", "exact"], ["--n-draws", "50"], ["--continuity-correction"]]
+    )
+    @pytest.mark.parametrize("command", ["simulate", "simulate-sw", "sweep"])
+    def test_simulations_reject_analysis_options(self, command, flag, capsys):
+        # simulations fix their own permutation settings; an option they
+        # would ignore is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n-replicates", "2"] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_analyze_accepts_analysis_options(self, tmp_path):
+        data = write(tmp_path, "d.csv", PARALLEL_CSV)
+        assert main(["analyze", "--input", str(data), "--mode", "monte-carlo",
+                     "--n-draws", "50", "--continuity-correction"]) == 0
+
+    def test_simulate_sidecar_counts_dropped_replicates(self, tmp_path):
+        for command, estimators in (("simulate", "tpf,log_contrast"),
+                                    ("simulate-sw", "sw_equal")):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--n-replicates", "10", "--no-permutation-por",
+                         "--estimators", estimators, "--out", str(out)]) == 0
+            sidecar = json.loads(out.with_suffix(".json").read_text())
+            dropped = sidecar["dropped_replicates"]
+            assert sorted(dropped) == sorted(estimators.split(","))
+            for row in sidecar["results"]:
+                lost = row["n_replicates"] - row["n_effective"]
+                assert sum(dropped[row["estimator"]].values()) == lost
+
+    def test_analyze_sw_ci_not_bracketed_exit_3(self, tmp_path, capsys):
+        # 90 start vectors: every attainable p exceeds 0.01, so no lambda
+        # is rejected and the scan edge is no CI endpoint
+        panel_csv = make_sw_csv(tmp_path)
+        code = main(["analyze-sw", "--input", str(panel_csv), "--alpha", "0.01",
+                     "--mode", "exact", "--ci-method", "invert-permutation"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NoNonRejectedPoint"
+
     def test_entry_point_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "crtnd.cli", "--version"],

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crtnd import (
     ClusterRecord,
@@ -158,6 +160,20 @@ class TestTpfSolve:
             for r in np.geomspace(0.1, 50, 25):
                 t = tpf_expected(lam, r)
                 assert tpf_solve(t, r) == pytest.approx(lam, rel=1e-8)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        log_r=st.floats(math.log(1e-3), math.log(1e3)),
+        log_lam=st.floats(math.log(1e-3), math.log(1e3)),
+        log_step=st.floats(1e-4, 5.0),
+    )
+    def test_expected_fraction_strictly_increasing(self, log_r, log_lam, log_step):
+        # the numerator of d/dlam is 2r[((2+r)^2+r^2)(lam^2+1) + 4r(2+r)lam] > 0,
+        # so tpf_solve needs no monotonicity check before taking its root
+        r, lam = math.exp(log_r), math.exp(log_lam)
+        bigger = math.exp(log_lam + log_step)
+        assume(bigger > lam)
+        assert tpf_expected(lam, r) < tpf_expected(bigger, r)
 
     def test_out_of_range_raises(self):
         with pytest.raises(NoAdmissibleRoot):

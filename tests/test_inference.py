@@ -369,6 +369,33 @@ class TestDoseResponse:
                                      mode="exact", ci_search="grid")
         assert rep.ci_low < rep.log_estimate < rep.ci_high
 
+    @pytest.mark.parametrize("test", ["normal", "permutation"])
+    @pytest.mark.parametrize("adjustment", ["none", "covariates"])
+    def test_one_pvalue_function_per_estimate(self, monkeypatch, test, adjustment):
+        import crtnd.inference as inference
+
+        rng = np.random.default_rng(16)
+        arms = np.array([1] * 8 + [0] * 8)
+        doses = np.where(arms == 1, 0.8, 0.1) + rng.uniform(-0.1, 0.1, 16)
+        x = rng.uniform(0.5, 2.0, (16, 1))
+        lvals = 0.5 - 1.5 * doses + 0.3 * x[:, 0] + rng.normal(0, 0.3, 16)
+        recs = make_records(lvals, arms, covariates=x, doses=doses)
+        options = dict(adjustment=adjustment, test=test, mode="monte_carlo",
+                       n_draws=300, seed=4)
+        expected_ci = invert_ci(recs, "dose_response", **options)[:2]
+        built = []
+        original = inference._pvalue_function
+
+        def counting(*args, **kwargs):
+            built.append(args[1:3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "_pvalue_function", counting)
+        rep = dose_response_estimate(recs, **options)
+        assert built == [("dose_response", test)]
+        # the shared function gives the CI a fresh one gives
+        assert (rep.ci_low, rep.ci_high) == expected_ci
+
 
 # m = 8, m1 = m0 = 4.  Log-contrasts, covariates and doses repeat, and
 # clusters c02 (treated) and c04 (control) agree in all three, so the

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from crtnd.scenarios import (
     default_parallel_scenario,
     default_sw_scenario,
 )
-from crtnd.simulation import study_ascertainment
+from crtnd.simulation import PARALLEL_ESTIMATORS, SW_ESTIMATORS, study_ascertainment
 
 
 def small_parallel(lam=1.0, n=50, seed=3, **over):
@@ -339,3 +340,255 @@ class TestSweep:
     def test_sweep_rejects_sw(self):
         with pytest.raises(ValueError):
             replicate_ascertainment_sweep(default_sw_scenario(n_replicates=2), 1)
+
+
+# --------------------------------------------------------------------- #
+# The array loop of evaluate against the public record path
+# --------------------------------------------------------------------- #
+
+
+def reference_evaluate(scenario, names, permutation_por, perm_draws):
+    """evaluate() rebuilt from records or panels and the public estimators."""
+    from crtnd import (
+        covariate_adjusted_estimate,
+        log_contrast_estimate,
+        odds_ratio_estimate,
+        optimal_weights,
+        sample_assignments,
+        sw_covariance_estimate,
+        sw_log_contrast,
+        sw_null_covariance,
+        sw_permutation_test,
+        tpf_estimate,
+    )
+    from crtnd.core import derive_rng
+    from crtnd.errors import CrtndError, NoAdmissibleRoot, SingularCovariance
+    from crtnd.estimators import odds_ratio_log, odds_ratio_permutation_draws
+    from crtnd.inference import _diff_means_rows, _tail_counts
+    from crtnd.simulation import _mc_reject, _Tally, _tally_from_values
+    from crtnd.stepped_wedge import equal_weights
+
+    alpha, lam = scenario.alpha, scenario.lam
+    tallies = {name: _Tally() for name in names}
+    raw = {name: [] for name in names}
+
+    def tally(name, report):
+        _tally_from_values(tallies[name], report.log_estimate, report.se_log,
+                           lam, alpha)
+        raw[name].append(report.log_estimate)
+
+    def reject(name, draws, observed):
+        two, _, _ = _tail_counts(draws, observed)
+        tallies[name].reject_perm += _mc_reject(two, perm_draws, alpha)
+        tallies[name].n_perm += 1
+
+    def drop(reason):
+        for t in tallies.values():
+            t.dropped[reason] += 1
+
+    if not scenario.is_stepped_wedge:
+        scheme = scenario.design
+        for rep, records in simulate_parallel(scenario):
+            if records is None:
+                drop("degenerate")
+                continue
+            y = np.array([r.y_count for r in records])
+            z = np.array([r.z_count for r in records])
+            arms = np.array([r.arm for r in records], dtype=bool)
+            rows = None
+            if permutation_por:
+                rows = sample_assignments(
+                    scheme, perm_draws, derive_rng(scenario.seed, 3, rep)
+                ).astype(np.int8)
+            if "log_contrast" in names:
+                report = log_contrast_estimate(records, alpha=alpha)
+                tally("log_contrast", report)
+                if rows is not None:
+                    lvals = np.array([math.log(r.y_count) - math.log(r.z_count)
+                                      for r in records])
+                    reject("log_contrast",
+                           _diff_means_rows(lvals, rows, scheme.m1),
+                           report.log_estimate)
+            if "covariate_adjusted" in names:
+                tally("covariate_adjusted",
+                      covariate_adjusted_estimate(records, alpha=alpha)[0])
+            if "odds_ratio" in names:
+                if rows is not None:
+                    log_or = odds_ratio_log(records)
+                    draws = odds_ratio_permutation_draws(y, z, rows)
+                    se = float(np.std(draws[np.isfinite(draws)], ddof=1))
+                    _tally_from_values(tallies["odds_ratio"], log_or, se, lam, alpha)
+                    raw["odds_ratio"].append(log_or)
+                    reject("odds_ratio", draws, log_or)
+                else:
+                    tally("odds_ratio", odds_ratio_estimate(
+                        records, alpha=alpha, se_draws=perm_draws, seed=scenario.seed))
+            if "tpf" in names:
+                try:
+                    est = tpf_estimate(records, alpha=alpha).log_estimate
+                    tallies["tpf"].estimates.append(est)
+                    raw["tpf"].append(est)
+                except NoAdmissibleRoot:
+                    raw["tpf"].append(float("nan"))
+                    tallies["tpf"].dropped["NoAdmissibleRoot"] += 1
+                if rows is not None:
+                    fr = np.array([r.y_count / (r.y_count + r.z_count)
+                                   for r in records])
+                    reject("tpf", _diff_means_rows(fr, rows, scheme.m1),
+                           float(fr[arms].mean() - fr[~arms].mean()))
+    else:
+        for rep, panel in simulate_stepped_wedge(scenario):
+            if panel is None:
+                drop("degenerate")
+                continue
+            try:
+                cov_hat = sw_covariance_estimate(panel)
+            except CrtndError as exc:
+                drop(type(exc).__name__)
+                continue
+            if "sw_equal" in names:
+                tally("sw_equal", sw_log_contrast(
+                    panel, "equal", covariance=cov_hat, alpha=alpha))
+            if "sw_optimal" in names:
+                cov_true = sw_null_covariance(panel, lam)
+                try:
+                    wts = optimal_weights(cov_true, kind="optimal_oracle")
+                except SingularCovariance:
+                    wts = equal_weights(cov_true.periods)
+                tally("sw_optimal", sw_log_contrast(
+                    panel, wts, covariance=cov_hat, alpha=alpha))
+            if permutation_por:
+                for name in names:
+                    result = sw_permutation_test(
+                        panel, 1.0, "equal" if name == "sw_equal" else "optimal",
+                        mode="monte_carlo", n_draws=perm_draws,
+                        seed=int(derive_rng(scenario.seed, 3, rep).integers(2**31)),
+                    )
+                    tallies[name].reject_perm += result.p_two_sided <= alpha
+                    tallies[name].n_perm += 1
+    return [tallies[name].row(scenario, name) for name in names], raw
+
+
+def small_sw(lam=0.6, n=8, seed=4, **over):
+    return replace(default_sw_scenario(lam, n_replicates=n, seed=seed), **over)
+
+
+EQUIVALENCE_CASES = {
+    "parallel-coupled": (small_parallel(lam=0.6, n=30, seed=41), None),
+    "parallel-uncoupled-per-replicate": (
+        small_parallel(lam=0.4, n=30, seed=42, covariate_coupling=False,
+                       draw_policy="per_replicate"),
+        None,
+    ),
+    "parallel-subset": (small_parallel(lam=1.0, n=30, seed=43), ("tpf", "odds_ratio")),
+    "parallel-small-design": (
+        small_parallel(lam=0.3, n=40, seed=44, design=ParallelScheme(24, 5)),
+        None,
+    ),
+    # three clusters almost all test-positive, three almost all negative:
+    # the fraction statistic often leaves its attainable range, and the
+    # odds-ratio SE enumerates the 20 arm splits
+    "parallel-split-fractions": (
+        SimScenario(
+            scenario_id="split",
+            design=ParallelScheme(6, 3),
+            baseline_y=(99, 99, 99, 1, 1, 1),
+            baseline_z=(1, 1, 1, 99, 99, 99),
+            n_replicates=60,
+            seed=45,
+        ),
+        ("tpf", "log_contrast", "odds_ratio"),
+    ),
+    "sw": (small_sw(), None),
+    "sw-per-replicate-optimal": (
+        small_sw(lam=1.3, seed=5, draw_policy="per_replicate"), ("sw_optimal",)
+    ),
+}
+
+
+class TestArrayLoopEquivalence:
+    @pytest.mark.parametrize("permutation_por", [True, False])
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_bit_identical_to_the_record_path(self, case, permutation_por):
+        scenario, names = EQUIVALENCE_CASES[case]
+        default = SW_ESTIMATORS if scenario.is_stepped_wedge else PARALLEL_ESTIMATORS
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows, raw = evaluate(scenario, names, permutation_por=permutation_por,
+                                 perm_draws=99, keep_estimates=True)
+            ref_rows, ref_raw = reference_evaluate(
+                scenario, names or default, permutation_por, 99
+            )
+        # repr distinguishes every float bit pattern and makes NaN equal
+        assert repr(rows) == repr(ref_rows)
+        assert repr(raw) == repr(ref_raw)
+
+    def test_dropped_counts_match_n_effective(self):
+        # m_1 = 1 at the first analysis period: every replicate's plug-in
+        # covariance fails its per-arm check
+        scen = SimScenario(
+            scenario_id="thin-wedge",
+            design=SteppedWedgeScheme(m=6, q=(0, 1, 2, 3)),
+            baseline_y=tuple(tuple([30] * 4) for _ in range(6)),
+            baseline_z=tuple([90] * 6),
+            lam=0.7,
+            n_replicates=12,
+            seed=6,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = evaluate(scen, permutation_por=True, perm_draws=19)
+        for row in rows:
+            assert row.n_effective == 0
+            assert row.dropped == {"ArmTooSmall": 12}
+            assert sum(row.dropped.values()) == row.n_replicates - row.n_effective
+
+    def test_tpf_failures_are_counted_by_reason(self):
+        scen, names = EQUIVALENCE_CASES["parallel-split-fractions"]
+        rows = {r.estimator: r for r in evaluate(scen, names, permutation_por=False)}
+        tpf = rows["tpf"]
+        assert tpf.dropped.get("NoAdmissibleRoot", 0) > 0
+        assert sum(tpf.dropped.values()) == tpf.n_replicates - tpf.n_effective
+        assert rows["log_contrast"].dropped == {}
+
+
+class TestDrawsMatchPotentialTables:
+    """Replicate data equal the realization of the replicate's potential table."""
+
+    def test_parallel(self):
+        from crtnd import PotentialTable, derive_rng, realize, sample_assignment
+        from crtnd.simulation import _ascertainment, _draw_counts
+
+        scen = small_parallel(lam=0.6, n=15, seed=46, draw_policy="per_replicate")
+        by, bz = np.asarray(BASELINE_Y, float), np.asarray(BASELINE_Z, float)
+        x = np.asarray(POPULATION, float)
+        for rep, records in simulate_parallel(scen):
+            rng = derive_rng(scen.seed, 1, rep)
+            c = _ascertainment(scen, rng)
+            y0, _ = _draw_counts(rng, int(round(by.sum())), by / by.sum())
+            z0, _ = _draw_counts(rng, int(round(bz.sum())), bz / bz.sum())
+            table = PotentialTable(lam=0.6, y0=y0 * (2.0 * x), z0=z0 / (2.0 * x),
+                                   c=c, covariates=x)
+            assert records == realize(table, sample_assignment(scen.design, rng))
+
+    def test_stepped_wedge(self):
+        from crtnd import PeriodPotentialTable, derive_rng, realize, sample_assignment
+        from crtnd.simulation import _draw_counts
+
+        scen = default_sw_scenario(0.6, n_replicates=6, seed=47)
+        by = np.asarray(scen.baseline_y, float)
+        bz = np.asarray(scen.baseline_z, float)
+        n_t = by.sum(axis=0)
+        n_z = np.maximum(1, np.round(bz.sum() * n_t / n_t[-1])).astype(int)
+        c = study_ascertainment(scen)
+        for rep, panel in simulate_stepped_wedge(scen):
+            rng = derive_rng(scen.seed, 1, rep)
+            y0, z0 = np.empty_like(by), np.empty_like(by)
+            for t in range(by.shape[1]):
+                y0[:, t], _ = _draw_counts(rng, int(round(n_t[t])), by[:, t] / n_t[t])
+                z0[:, t], _ = _draw_counts(rng, int(n_z[t]), bz / bz.sum())
+            table = PeriodPotentialTable(lam=0.6, y0=y0, z0=z0, c=c)
+            expected = realize(table, sample_assignment(scen.design, rng))
+            assert panel.start_periods == expected.start_periods
+            assert np.array_equal(panel.y, expected.y)
+            assert np.array_equal(panel.z, expected.z)

@@ -22,7 +22,13 @@ from crtnd import (
     sw_permutation_test,
 )
 from crtnd.core import ClusterRecord
-from crtnd.errors import ArmTooSmall, GroupTooSmall, SingularCovariance
+from crtnd.dataio import parse_dataset
+from crtnd.errors import (
+    ArmTooSmall,
+    GroupTooSmall,
+    NoNonRejectedPoint,
+    SingularCovariance,
+)
 from crtnd.stepped_wedge import SWWeights, _panel_design, _period_differences
 
 
@@ -366,3 +372,77 @@ class TestSWInvertCI:
                             (lo * math.exp(-2e-4), False), (hi * math.exp(2e-4), False)):
             p = sw_permutation_test(panel, lam, "equal", mode="exact").p_two_sided
             assert (p > 0.1) == inside
+
+    def test_unrejected_scan_edge_raises(self):
+        # six clusters starting (1,1,2,2,3,3) in a 2-period window: 90
+        # start vectors, so every exact p is at least 1/90 > 0.01
+        rng = np.random.default_rng(0)
+        panel = Panel(
+            cluster_ids=tuple(f"c{i}" for i in range(6)),
+            start_periods=(1, 1, 2, 2, 3, 3),
+            y=rng.integers(20, 60, size=(6, 2)).astype(float),
+            z=rng.integers(40, 90, size=(6, 2)).astype(float),
+        )
+        with pytest.raises(NoNonRejectedPoint):
+            sw_invert_ci(panel, "equal", alpha=0.01, mode="exact")
+
+    @pytest.mark.parametrize(
+        "weights, expected",
+        [
+            ("equal", (0.5848311029772111, 0.9458567455214856)),
+            ("optimal", (0.5366705409286581, 0.9745220625917914)),
+        ],
+    )
+    def test_endpoints_on_a_benchmark_wedge(self, tmp_path, weights, expected):
+        # a benchmark exact-inference wedge (8 clusters, starts a shuffle
+        # of 2,2,3,3,4,4,5,5; counts rounded to 4 decimals): its 10-SE
+        # scan edges are rejected, so no widening happens and the
+        # endpoints are those of the unwidened scan
+        path = tmp_path / "wedge.csv"
+        path.write_text(BENCHMARK_WEDGE_CSV)
+        _, panel = parse_dataset(path)
+        assert sw_invert_ci(panel, weights, alpha=0.05, mode="exact") == expected
+
+
+BENCHMARK_WEDGE_CSV = """cluster_id,period,start_period,y_count,z_count
+w1,1,3,21.0000,48.0000
+w1,2,3,17.0000,52.0000
+w1,3,3,5.0903,25.9228
+w1,4,3,31.3447,137.9955
+w1,5,3,1.0088,3.2098
+w2,1,4,32.0000,120.0000
+w2,2,4,30.0000,133.0000
+w2,3,4,23.0000,152.0000
+w2,4,4,9.3687,59.3823
+w2,5,4,0.5887,3.5597
+w3,1,2,80.0000,300.0000
+w3,2,2,32.0301,132.9735
+w3,3,2,5.4956,34.9043
+w3,4,2,100.3280,499.1689
+w3,5,2,51.3219,242.8449
+w4,1,4,78.0000,278.0000
+w4,2,4,59.0000,179.0000
+w4,3,4,41.0000,147.0000
+w4,4,4,51.5738,290.7063
+w4,5,4,19.7457,157.5665
+w5,1,3,51.0000,138.0000
+w5,2,3,57.0000,154.0000
+w5,3,3,0.4221,1.7269
+w5,4,3,35.4939,205.3574
+w5,5,3,25.3037,116.4337
+w6,1,2,51.0000,262.0000
+w6,2,2,1.8889,8.9050
+w6,3,2,5.3037,21.2148
+w6,4,2,1.7775,12.7657
+w6,5,2,4.9155,29.8210
+w7,1,5,50.0000,156.0000
+w7,2,5,29.0000,108.0000
+w7,3,5,16.0000,56.0000
+w7,4,5,79.0000,204.0000
+w7,5,5,8.1320,30.8455
+w8,1,5,46.0000,154.0000
+w8,2,5,27.0000,85.0000
+w8,3,5,20.0000,90.0000
+w8,4,5,42.0000,192.0000
+w8,5,5,1.2211,6.8517
+"""
