@@ -240,14 +240,18 @@ def _cmd_analyze(args) -> int:
         if rep.p_value is None:
             rep.p_value = perm.p_two_sided
             rep.diagnostics["p_source"] = "permutation"
-        if name in ("log_contrast", "covariate_adjusted") and args.ci_method != "normal":
-            test = "normal" if args.ci_method == "invert-normal" else "permutation"
+        inverts = name in ("log_contrast", "covariate_adjusted")
+        if inverts and args.ci_method == "invert-permutation":
             lo, hi, diag = invert_ci(
-                data, name, alpha=args.alpha, test=test, mode=mode,
+                data, name, alpha=args.alpha, test="permutation", mode=mode,
                 n_draws=args.n_draws, seed=args.seed, correction=correction,
             )
             rep.ci_low, rep.ci_high, rep.ci_method = lo, hi, "test_inversion"
             rep.diagnostics["ci_inversion"] = diag
+        elif inverts and args.ci_method == "invert-normal":
+            # the z-test's SE does not depend on lam0: inverting it gives
+            # exactly the Normal CI, which the report keeps
+            rep.diagnostics["ci_note"] = "invert-normal coincides with the Normal CI"
         reports.append(rep)
     _print_reports(reports)
     if args.out:

@@ -116,20 +116,6 @@ class IncompletePanel(CrtndError):
         super().__init__(detail)
 
 
-class GroupTooSmall(CrtndError):
-    """The group chosen by the covariance three-case rule is too small."""
-
-    def __init__(self, t1: int, t2: int, group: str, size: int):
-        self.t1 = t1
-        self.t2 = t2
-        self.group = group
-        self.size = size
-        super().__init__(
-            f"covariance entry ({t1},{t2}): chosen group {group!r} has "
-            f"{size} cluster(s); at least 2 are required"
-        )
-
-
 class SingularCovariance(CrtndError):
     """A covariance matrix is singular or too ill-conditioned to invert."""
 

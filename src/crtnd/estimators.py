@@ -453,8 +453,8 @@ def _log_contrast_arrays(lvals: np.ndarray, arms: np.ndarray) -> tuple[float, fl
 # --------------------------------------------------------------------- #
 
 
-def _ols_slopes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Slopes of y on x (with intercept) and the unbiased residual variance.
+def _ols_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slopes of y on x (with intercept) and the residuals.
 
     The covariates are centered before solving, which leaves slopes and
     residuals unchanged in exact arithmetic but makes the computation
@@ -468,9 +468,7 @@ def _ols_slopes(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
         raise RankDeficientCovariates(
             f"covariate design matrix has rank {rank} < {p + 1} within one arm"
         )
-    resid = y - design @ coef
-    dof = n - p - 1
-    return coef[1:], float(resid @ resid / dof)
+    return coef[1:], y - design @ coef
 
 
 def covariate_adjusted_estimate(
@@ -555,8 +553,10 @@ def _covariate_adjusted_arrays(
                 f"per-arm least squares needs >= p+2 = {p + 2} clusters per arm "
                 f"(treated={m1}, control={m0})"
             )
-        b1, v1 = _ols_slopes(x1, l1)
-        b0, v0 = _ols_slopes(x0, l0)
+        b1, r1 = _ols_fit(x1, l1)
+        b0, r0 = _ols_fit(x0, l0)
+        # unbiased residual variances
+        v1, v0 = float(r1 @ r1 / (m1 - p - 1)), float(r0 @ r0 / (m0 - p - 1))
         beta_vec = (m1 / m) * b1 + (m0 / m) * b0
         fit = CovariateFit(
             beta_hat=beta_vec,

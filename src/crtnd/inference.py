@@ -6,9 +6,10 @@ data and do not depend on the assignment.  For a relative-risk null
 ``lam = lam0`` they are ``L - arm * log(lam0)``; for a linear
 dose-response null ``beta = beta0`` they are ``L - beta0 * dose``.
 Re-randomizing arm labels against these fixed values reproduces the
-exact null distribution of any statistic, which yields exact tests,
-test-inversion confidence intervals, and a p-value-maximizing point
-estimate for the dose coefficient.
+exact null distribution of any statistic, which yields exact tests
+and test-inversion confidence intervals.  The dose coefficient's
+estimate is the ratio at which its working statistic vanishes, so
+p = 1 there.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .estimators import (
     tpf_estimate,
     tpf_expected,
     tpf_statistic,
-    _ols_slopes,
+    _ols_fit,
     _z_quantile,
 )
 
@@ -198,8 +199,8 @@ def _adjusted_diff_rows_loop(values, x, arm_matrix, m1):
         arms = arm_matrix[k].astype(bool)
         w1, w0 = values[arms], values[~arms]
         x1, x0 = x[arms], x[~arms]
-        b1, _ = _ols_slopes(x1, w1)
-        b0, _ = _ols_slopes(x0, w0)
+        b1, _ = _ols_fit(x1, w1)
+        b0, _ = _ols_fit(x0, w0)
         beta = (w1.size * b1 + w0.size * b0) / m
         out[k] = w1.mean() - w0.mean() - beta @ (x1.mean(axis=0) - x0.mean(axis=0))
     return out
@@ -440,7 +441,42 @@ def normal_test(
     )
 
 
-def _dose_arrays(records: Sequence[ClusterRecord], adjustment: str, correction: bool):
+@dataclass(frozen=True)
+class _DoseStat:
+    """Working statistic of the dose null beta = beta0: ``num - beta0 * den``.
+
+    ``num`` and ``den`` are the arm differences of L and of dose, both
+    covariate-adjusted with per-arm least-squares slopes when covariates
+    are used.  Residuals are linear in the response, so the squared SE
+    of the working outcome ``L - beta0 * dose`` is the quadratic
+    ``a - 2 b beta0 + c beta0^2`` with ``var = (a, b, c)``.
+    """
+
+    num: float
+    den: float
+    var: tuple[float, float, float]
+    dose_gap: float  # unadjusted arm difference of dose
+    lvals: np.ndarray
+    doses: np.ndarray
+
+    def at(self, beta0: float) -> tuple[float, float, float]:
+        """(working difference, SE, scale) at beta0."""
+        a, b, c = self.var
+        se = math.sqrt(max(a - 2.0 * b * beta0 + c * beta0 * beta0, 0.0))
+        scale = float(np.mean(np.abs(self.lvals - beta0 * self.doses)))
+        return self.num - beta0 * self.den, se, scale
+
+
+def _dose_stat(
+    records: Sequence[ClusterRecord], adjustment: str, correction: bool
+) -> _DoseStat:
+    """The working statistic of dose nulls on ``records``.
+
+    Residual products are summed as ``np.var`` sums them (no covariates)
+    or as :func:`covariate_adjusted_estimate` does (covariates), so
+    ``sqrt(a)``, the SE at beta0 = 0, keeps the bits the permutation
+    CI's scan bounds use.
+    """
     lvals = log_contrasts(records, correction)
     doses = _dose_vector(records)
     arms = np.array([r.arm for r in records], dtype=bool)
@@ -449,43 +485,68 @@ def _dose_arrays(records: Sequence[ClusterRecord], adjustment: str, correction: 
         if adjustment == "covariates"
         else None
     )
-    return lvals, doses, arms, x
+    num, resid_l, k = _arm_difference(lvals, arms, x)
+    den, resid_d, _ = _arm_difference(doses, arms, x)
+    dot = (lambda u, v: np.sum(u * v)) if x is None else (lambda u, v: u @ v)
+    var = [0.0, 0.0, 0.0]
+    for rl, rd in zip(resid_l, resid_d):
+        n = rl.size
+        for i, (u, v) in enumerate(((rl, rl), (rl, rd), (rd, rd))):
+            var[i] += float(dot(u, v) / (n - k)) / n
+    return _DoseStat(
+        num=num,
+        den=den,
+        var=tuple(var),
+        dose_gap=float(doses[arms].mean() - doses[~arms].mean()),
+        lvals=lvals,
+        doses=doses,
+    )
 
 
-def _dose_stat_arrays(
-    lvals: np.ndarray,
-    doses: np.ndarray,
-    arms: np.ndarray,
-    x: np.ndarray | None,
-    beta0: float,
-) -> tuple[float, float, float]:
-    """(arm difference, SE, scale) of the working outcome L - beta0 * dose."""
-    w = lvals - beta0 * doses
-    w1, w0 = w[arms], w[~arms]
-    if x is not None:
-        x1, x0 = x[arms], x[~arms]
-        b1, v1 = _ols_slopes(x1, w1)
-        b0, v0 = _ols_slopes(x0, w0)
-        beta = (w1.size * b1 + w0.size * b0) / w.shape[0]
-        est = float(w1.mean() - w0.mean() - beta @ (x1.mean(axis=0) - x0.mean(axis=0)))
-    else:
-        est = float(w1.mean() - w0.mean())
-        v1 = float(np.var(w1, ddof=1))
-        v0 = float(np.var(w0, ddof=1))
-    se = math.sqrt(v1 / w1.size + v0 / w0.size)
-    scale = float(np.mean(np.abs(w)))
-    return est, se, scale
+def _arm_difference(values: np.ndarray, arms: np.ndarray, x: np.ndarray | None):
+    """(arm difference, per-arm residuals, parameters fitted per arm).
+
+    Without covariates the residuals are deviations from the arm mean;
+    with them, from each arm's least-squares fit, and the difference
+    subtracts the pooled slopes times the covariate mean difference.
+    """
+    groups = (arms, ~arms)
+    if x is None:
+        resid = [values[g] - values[g].mean() for g in groups]
+        return float(values[arms].mean() - values[~arms].mean()), resid, 1
+    (b1, r1), (b0, r0) = (_ols_fit(x[g], values[g]) for g in groups)
+    beta = (r1.size * b1 + r0.size * b0) / values.shape[0]
+    diff = values[arms].mean() - values[~arms].mean() - beta @ (
+        x[arms].mean(axis=0) - x[~arms].mean(axis=0)
+    )
+    return float(diff), [r1, r0], 1 + x.shape[1]
 
 
-def _dose_working_stat(
-    records: Sequence[ClusterRecord],
-    beta0: float,
-    adjustment: str,
-    correction: bool,
-) -> tuple[float, float, float]:
-    """(arm difference, SE, scale) of the working outcome L - beta0 * dose."""
-    lvals, doses, arms, x = _dose_arrays(records, adjustment, correction)
-    return _dose_stat_arrays(lvals, doses, arms, x, beta0)
+def _fieller_ci(stat: _DoseStat, alpha: float) -> tuple[float, float]:
+    """{beta0 : Normal p > alpha}, the Fieller interval of ``num / den``.
+
+    p > alpha exactly where ``(num - beta0 den)^2 < z^2 se(beta0)^2``:
+    between the roots of ``(A^2 - z^2 c) beta^2 - 2 (D A - z^2 b) beta
+    + (D^2 - z^2 a)`` with D = num and A = den.  When ``A^2 <= z^2 c``
+    the accepted set is unbounded and :class:`NoNonRejectedPoint` is
+    raised.
+    """
+    z2 = _z_quantile(alpha) ** 2
+    a, b, c = stat.var
+    qa = stat.den * stat.den - z2 * c
+    qb = stat.num * stat.den - z2 * b
+    qc = stat.num * stat.num - z2 * a
+    if qa <= 0.0:
+        raise NoNonRejectedPoint(
+            "the Normal confidence set of the dose coefficient is unbounded: "
+            "the doses separate the arms too weakly"
+        )
+    disc = qb * qb - qa * qc
+    if disc <= 0.0:
+        raise NoNonRejectedPoint(f"no dose coefficient has p > {alpha}")
+    q = qb + math.copysign(math.sqrt(disc), qb)  # no cancellation
+    lo, hi = sorted((q / qa, qc / q))
+    return lo, hi
 
 
 def dose_response_pvalue(
@@ -496,18 +557,16 @@ def dose_response_pvalue(
     correction: bool = False,
 ) -> float:
     """Normal-approximation p-value for the sharp null beta = beta0."""
-    est, se, scale = _dose_working_stat(records, beta0, adjustment, correction)
-    p, _ = _two_sided_p(est, se, scale)
+    p, _ = _two_sided_p(*_dose_stat(records, adjustment, correction).at(beta0))
     return p
 
 
 def _dose_normal_report(
     records, beta0, adjustment, *, alpha, correction
 ) -> EstimateReport:
-    est, se, scale = _dose_working_stat(records, beta0, adjustment, correction)
-    doses = _dose_vector(records)
-    arms = np.array([r.arm for r in records], dtype=bool)
-    dd = float(doses[arms].mean() - doses[~arms].mean())
+    stat = _dose_stat(records, adjustment, correction)
+    est, se, scale = stat.at(beta0)
+    dd = stat.dose_gap
     p, flags = _two_sided_p(est, se, scale)
     diagnostics = {
         "null_beta": beta0,
@@ -553,7 +612,6 @@ def _dose_normal_report(
 def _pvalue_function(
     records: Sequence[ClusterRecord],
     method: str,
-    test: str,
     *,
     adjustment: str,
     mode: str,
@@ -561,12 +619,11 @@ def _pvalue_function(
     seed: int,
     correction: bool,
 ) -> tuple[Callable[[float], float], str]:
-    """p(theta0) on the search scale: log(lam0), or beta0 directly.
+    """Permutation p(theta0) on the search scale: log(lam0), or beta0.
 
-    Permutation-based functions share one set of re-randomized
-    assignments across all theta0 (common random numbers), so the
-    p-value curve is deterministic given the seed and free of
-    resampling jitter.
+    All theta0 share one set of re-randomized assignments (common random
+    numbers), so the p-value curve is deterministic given the seed and
+    free of resampling jitter.
     """
     if method in ("log_contrast", "covariate_adjusted", "tpf", "odds_ratio"):
         kind = "relative_risk"
@@ -574,34 +631,6 @@ def _pvalue_function(
         kind = "dose_response"
     else:
         raise ValueError(f"unknown method {method!r}")
-
-    if test == "normal":
-        if method in ("log_contrast", "covariate_adjusted"):
-            if method == "log_contrast":
-                report = log_contrast_estimate(records, correction=correction)
-            else:
-                report, _ = covariate_adjusted_estimate(records, correction=correction)
-
-            def pfun(theta: float) -> float:
-                p, _ = _two_sided_p(
-                    report.log_estimate - theta, report.se_log, abs(theta)
-                )
-                return p
-
-        elif method == "dose_response":
-            lvals, doses, arms, x = _dose_arrays(records, adjustment, correction)
-
-            def pfun(theta: float) -> float:
-                est, se, scale = _dose_stat_arrays(lvals, doses, arms, x, theta)
-                p, _ = _two_sided_p(est, se, scale)
-                return p
-
-        else:
-            raise ValueError(f"method {method!r} has no Normal test")
-        return pfun, kind
-
-    if test != "permutation":
-        raise ValueError(f"unknown test {test!r}")
 
     treated, _ = split_arms(records)
     m, m1 = len(records), len(treated)
@@ -662,7 +691,12 @@ def _pvalue_function(
         evaluate = lambda values, rows: _diff_means_rows(values, rows, m1)
         # as the point estimate computes it, so p is 1 there
         observe = lambda values: float(values[arms].mean() - values[~arms].mean())
-    d_obs, a_obs = observe(lvals), observe(shift)
+    if kind == "dose_response":
+        # as the point estimate D / A computes them, so p is 1 there
+        stat = _dose_stat(records, adjustment, correction)
+        d_obs, a_obs = stat.num, stat.den
+    else:
+        d_obs, a_obs = observe(lvals), observe(shift)
     parts = [(evaluate(lvals, rows), evaluate(shift, rows)) for rows in blocks]
     d_draws = np.concatenate([d for d, _ in parts])
     a_draws = np.concatenate([a for _, a in parts])
@@ -677,13 +711,11 @@ def _pvalue_function(
 def _default_bounds(records, method, kind, correction, adjustment):
     """(center, half_width) on the search scale from a crude estimate and SE."""
     if kind == "dose_response":
-        est, se, _ = _dose_working_stat(records, 0.0, adjustment, correction)
-        doses = _dose_vector(records)
-        arms = np.array([r.arm for r in records], dtype=bool)
-        dd = float(doses[arms].mean() - doses[~arms].mean())
+        stat = _dose_stat(records, adjustment, correction)
+        dd = stat.dose_gap
         if abs(dd) < 1e-12:
             raise ConstantDose("doses do not separate the arms")
-        return est / dd, 10.0 * max(se / abs(dd), 1e-6)
+        return stat.num / dd, 10.0 * max(math.sqrt(stat.var[0]) / abs(dd), 1e-6)
     base = log_contrast_estimate(records, correction=correction)
     if method == "covariate_adjusted":
         report, _ = covariate_adjusted_estimate(records, correction=correction)
@@ -699,10 +731,6 @@ def invert_ci(
     *,
     alpha: float = 0.05,
     test: str = "normal",
-    search: str = "bisection",
-    bounds: tuple[float, float] | None = None,
-    grid_points: int = 2001,
-    tol: float = 1e-6,
     adjustment: str = "none",
     mode: str = "auto",
     n_draws: int = 2000,
@@ -711,119 +739,95 @@ def invert_ci(
 ) -> tuple[float, float, dict]:
     """Confidence interval as the set of nulls not rejected at level alpha.
 
-    Searches on log(lam0) for relative-risk methods (the returned
-    endpoints are exponentiated to the lam scale) and on beta0 for
-    dose-response.  ``search="grid"`` reports the outermost non-rejected
-    points of an evenly spaced grid; ``search="bisection"`` refines each
-    endpoint to ``tol`` after a grid pre-scan that also checks that the
-    p-value curve is unimodal (if it is not, the grid envelope is
-    returned with a warning).
-
-    With user-supplied ``bounds`` (on the search scale) no widening is
-    attempted; default bounds are estimate +- 10 SE, widened adaptively
-    to +- 50 SE while an endpoint remains non-rejected.
+    Endpoints are on the lam scale for relative-risk methods and on the
+    beta scale for dose-response.  Inverting the Normal test needs no
+    search: its SE does not depend on lam0, so for ``log_contrast`` and
+    ``covariate_adjusted`` the result is the Wald interval of
+    :func:`~crtnd.estimators.normal_ci`, and for ``dose_response`` it
+    is Fieller's interval (:class:`NoNonRejectedPoint` when that set is
+    unbounded).  Inverting the permutation test scans 401 values of
+    log(lam0) or beta0 over the estimate +- 10 SE, widening up to 50 SE
+    while an edge is not rejected, and bisects each outer boundary of
+    {p > alpha} to 1e-6 (see :func:`_invert_scan`).
     """
+    if test == "normal":
+        diagnostics = {"method": method, "test": test, "alpha": alpha}
+        if method == "dose_response":
+            stat = _dose_stat(records, adjustment, correction)
+            return (*_fieller_ci(stat, alpha), diagnostics)
+        report = normal_test(
+            records, NullSpec("relative_risk", 1.0), method,
+            alpha=alpha, correction=correction,
+        )
+        return report.ci_low, report.ci_high, diagnostics
+    if test != "permutation":
+        raise ValueError(f"unknown test {test!r}")
     pfun, kind = _pvalue_function(
         records,
         method,
-        test,
         adjustment=adjustment,
         mode=mode,
         n_draws=n_draws,
         seed=seed,
         correction=correction,
     )
-    return _invert_ci(
-        pfun, kind, records, method,
-        alpha=alpha, test=test, search=search, bounds=bounds,
-        grid_points=grid_points, tol=tol, adjustment=adjustment,
-        correction=correction,
+    center, half = _default_bounds(records, method, kind, correction, adjustment)
+    theta_lo, theta_hi, scan = _invert_scan(
+        pfun, center, half, alpha, n_scan=401, tol=1e-6
     )
-
-
-def _invert_ci(
-    pfun: Callable[[float], float],
-    kind: str,
-    records: Sequence[ClusterRecord],
-    method: str,
-    *,
-    alpha: float,
-    test: str,
-    search: str = "bisection",
-    bounds: tuple[float, float] | None = None,
-    grid_points: int = 2001,
-    tol: float = 1e-6,
-    adjustment: str,
-    correction: bool,
-) -> tuple[float, float, dict]:
-    """:func:`invert_ci` with the p-value function already built."""
-    diagnostics: dict = {"method": method, "test": test, "alpha": alpha}
-
-    if bounds is not None:
-        lo, hi = float(bounds[0]), float(bounds[1])
-        widen_allowed = False
-    else:
-        center, half = _default_bounds(records, method, kind, correction, adjustment)
-        max_half = 5.0 * half  # 10 SE widened up to 50 SE
-        while (pfun(center - half) > alpha or pfun(center + half) > alpha):
-            if half >= max_half - 1e-15:
-                raise NoNonRejectedPoint(
-                    "confidence endpoint not bracketed within 50 SE of the estimate"
-                )
-            half = min(2.0 * half, max_half)
-        lo, hi = center - half, center + half
-        widen_allowed = True
-
-    theta_lo, theta_hi = _invert_pfun(
-        pfun, lo, hi, alpha,
-        search=search,
-        grid_points=grid_points,
-        tol=tol,
-        widen_allowed=widen_allowed,
-        diagnostics=diagnostics,
-    )
+    diagnostics = {"method": method, "test": test, "alpha": alpha, **scan}
     if kind == "relative_risk":
         return math.exp(theta_lo), math.exp(theta_hi), diagnostics
     return theta_lo, theta_hi, diagnostics
 
 
-def _invert_pfun(
-    pfun, lo, hi, alpha, *, search, grid_points, tol, widen_allowed, diagnostics
-) -> tuple[float, float]:
-    """Endpoints of {theta in [lo, hi] : pfun(theta) > alpha}."""
-    n_scan = grid_points if search == "grid" else max(201, min(grid_points, 401))
-    grid = np.linspace(lo, hi, n_scan)
+def _invert_scan(
+    pfun: Callable[[float], float],
+    center: float,
+    half: float,
+    alpha: float,
+    *,
+    n_scan: int,
+    tol: float,
+) -> tuple[float, float, dict]:
+    """Outer endpoints of {theta : pfun(theta) > alpha}, and scan diagnostics.
+
+    While p > alpha at an edge of ``center +- half`` the half-width
+    doubles, up to five times its start; an edge still not rejected
+    there raises :class:`NoNonRejectedPoint`.  ``n_scan`` evenly spaced
+    values then locate the outermost accepted points, and each outer
+    boundary is bisected to ``tol``.  When the accepted scan points are
+    not contiguous a warning is issued and ``non_unimodal`` is set.
+    """
+    max_half = 5.0 * half
+    while pfun(center - half) > alpha or pfun(center + half) > alpha:
+        if half >= max_half - 1e-15:
+            raise NoNonRejectedPoint(
+                "confidence endpoint not bracketed within 50 SE of the estimate"
+            )
+        half = min(2.0 * half, max_half)
+
+    # both scan edges are rejected, so each outer boundary has a bracket
+    grid = np.linspace(center - half, center + half, n_scan)
     pvals = np.array([pfun(t) for t in grid])
     accepted = pvals > alpha
     if not accepted.any():
         raise NoNonRejectedPoint(
-            f"no parameter value in [{lo:.6g}, {hi:.6g}] has p > {alpha}"
+            f"no parameter value in [{grid[0]:.6g}, {grid[-1]:.6g}] has p > {alpha}"
         )
     idx = np.nonzero(accepted)[0]
-    left_idx, right_idx = int(idx[0]), int(idx[-1])
-    contiguous = bool(np.all(accepted[left_idx : right_idx + 1]))
-    diagnostics["grid_points"] = n_scan
-    diagnostics["p_max"] = float(pvals.max())
-
-    if not widen_allowed and (left_idx == 0 or right_idx == n_scan - 1):
-        raise NoNonRejectedPoint(
-            "confidence region reaches the supplied bounds; widen them"
+    left, right = int(idx[0]), int(idx[-1])
+    diagnostics = {"grid_points": n_scan, "p_max": float(pvals.max())}
+    if not accepted[left : right + 1].all():
+        warnings.warn(
+            "p-value curve is not unimodal on the scan grid; reporting the "
+            "outermost boundaries of the non-rejected points",
+            RuntimeWarning,
         )
-
-    if search == "grid" or not contiguous:
-        if not contiguous:
-            warnings.warn(
-                "p-value curve is not unimodal on the scan grid; reporting "
-                "the grid envelope of non-rejected points",
-                RuntimeWarning,
-            )
-            diagnostics["non_unimodal"] = True
-        return float(grid[left_idx]), float(grid[right_idx])
-    if search == "bisection":
-        theta_lo = _bisect_boundary(pfun, alpha, grid[left_idx - 1], grid[left_idx], tol)
-        theta_hi = _bisect_boundary(pfun, alpha, grid[right_idx + 1], grid[right_idx], tol)
-        return theta_lo, theta_hi
-    raise ValueError(f"unknown search {search!r}")
+        diagnostics["non_unimodal"] = True
+    lo = _bisect_boundary(pfun, alpha, grid[left - 1], grid[left], tol)
+    hi = _bisect_boundary(pfun, alpha, grid[right + 1], grid[right], tol)
+    return lo, hi, diagnostics
 
 
 def _bisect_boundary(pfun, alpha, rejected, accepted, tol):
@@ -849,16 +853,20 @@ def dose_response_estimate(
     adjustment: str = "auto",
     alpha: float = 0.05,
     test: str = "normal",
-    ci_search: str = "bisection",
     mode: str = "auto",
     n_draws: int = 2000,
     seed: int = 0,
     correction: bool = False,
 ) -> EstimateReport:
-    """Dose coefficient estimated at the location of the maximized p-value.
+    """Dose coefficient: the instrumental-variable ratio D / A.
 
-    A deterministic grid scan brackets the p-value peak and
-    golden-section search refines it; the CI comes from test inversion.
+    The working statistic of the null beta = beta0 is ``D - beta0 * A``,
+    the (optionally covariate-adjusted) arm difference of
+    ``L - beta0 * dose``; both tests compute their observed statistic
+    from the same D and A.  It vanishes at D / A, so the p-value is 1
+    there under either test, and the report's ``p_value`` is 1.  The CI
+    inverts the chosen test with :func:`invert_ci`: Fieller's closed
+    form for ``"normal"``, a scan and bisection for ``"permutation"``.
     Interpretation is limited to the observed dose range, which is
     recorded in the diagnostics.
     """
@@ -871,8 +879,7 @@ def dose_response_estimate(
     lvals = log_contrasts(records, correction)
 
     # An exact linear relation L = a + b * dose makes the working outcome
-    # degenerate at beta0 = b; detect it directly instead of hunting a
-    # measure-zero p-value spike.
+    # degenerate at beta0 = b; report it directly.
     design = np.column_stack([np.ones(len(records)), doses])
     coef, _, _, _ = np.linalg.lstsq(design, lvals, rcond=None)
     resid = lvals - design @ coef
@@ -896,83 +903,28 @@ def dose_response_estimate(
             },
         )
 
-    # one p-value function serves the peak search and the CI
-    pfun, _ = _pvalue_function(
-        records,
-        "dose_response",
-        test,
-        adjustment=adjustment,
-        mode=mode,
-        n_draws=n_draws,
-        seed=seed,
-        correction=correction,
+    ci_low, ci_high, inv_diag = invert_ci(
+        records, "dose_response", alpha=alpha, test=test, adjustment=adjustment,
+        mode=mode, n_draws=n_draws, seed=seed, correction=correction,
     )
-
-    center, half = _default_bounds(
-        records, "dose_response", "dose_response", correction, adjustment
-    )
-    grid = np.linspace(center - half, center + half, 201)
-    best = 0
-    for _ in range(4):
-        grid = np.linspace(center - half, center + half, 201)
-        pvals = np.array([pfun(b) for b in grid])
-        best = int(np.argmax(pvals))
-        if 0 < best < len(grid) - 1:
-            break
-        half *= 2.0  # peak at the scan boundary: widen and rescan
-    if 0 < best < len(grid) - 1:
-        beta_hat = _golden_max(pfun, grid[best - 1], grid[best + 1])
-    else:
-        beta_hat = float(grid[best])
-    p_max = pfun(beta_hat)
-
-    ci_low, ci_high, inv_diag = _invert_ci(
-        pfun,
-        "dose_response",
-        records,
-        "dose_response",
-        alpha=alpha,
-        test=test,
-        search=ci_search,
-        adjustment=adjustment,
-        correction=correction,
-    )
-    est_w, se_w, _ = _dose_working_stat(records, beta_hat, adjustment, correction)
-    arms = np.array([r.arm for r in records], dtype=bool)
-    dd = float(doses[arms].mean() - doses[~arms].mean())
+    stat = _dose_stat(records, adjustment, correction)
+    beta_hat = stat.num / stat.den
+    dd = stat.dose_gap
     return EstimateReport(
         method="dose_response",
-        log_estimate=float(beta_hat),
-        se_log=se_w / abs(dd) if abs(dd) > 1e-12 else None,
+        log_estimate=beta_hat,
+        se_log=stat.at(beta_hat)[1] / abs(dd) if abs(dd) > 1e-12 else None,
         ci_low=ci_low,
         ci_high=ci_high,
         ci_method="test_inversion",
         alpha=alpha,
-        p_value=float(p_max),
+        p_value=1.0,
         scale="beta",
         diagnostics={
             "adjustment": adjustment,
             "test": test,
             "dose_range": [float(doses.min()), float(doses.max())],
-            "p_max": float(p_max),
             **inv_diag,
+            "p_max": 1.0,
         },
     )
-
-
-def _golden_max(pfun, lo, hi, tol: float = 1e-9):
-    """Golden-section maximization of pfun on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = pfun(x1), pfun(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = pfun(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = pfun(x1)
-    return 0.5 * (lo + hi)

@@ -40,7 +40,6 @@ from .core import (
     sample_assignments,
 )
 from .errors import (
-    CrtndError,
     DegenerateReplicateLimit,
     NoAdmissibleRoot,
     SingularCovariance,
@@ -58,6 +57,7 @@ from .estimators import (
 )
 from .inference import _diff_means_rows, _two_sided_count, _two_sided_p
 from .stepped_wedge import (
+    _check_arms,
     _design,
     _null_sigma,
     _null_weights,
@@ -450,7 +450,9 @@ def evaluate(
     row's ``dropped`` counts them by reason ("degenerate" or the error
     class).  ``permutation_por`` adds a Monte Carlo randomization-test
     rejection rate of the no-effect null (``perm_draws`` relabelings per
-    replicate, shared across estimators).
+    replicate, shared across estimators).  A stepped-wedge design that
+    leaves fewer than 2 clusters on one side of an analysis period
+    raises :class:`ArmTooSmall` before any replicate is drawn.
 
     Replicates run on arrays, one at a time: records and panels are
     never built, and what the design fixes is computed once per run.
@@ -582,6 +584,7 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws):
     tgrid = np.arange(1, scheme.n_periods + 1)
     periods, m_t, dropped = _design(np.repeat(tgrid, scheme.q), scheme.n_periods)
     _warn_dropped(dropped)
+    _check_arms(scheme.m, m_t, periods)
     scale = _scale_matrix(scheme.m, m_t, periods, "canonical")
     w_equal = np.asarray(equal_weights(periods).w)
 
@@ -591,12 +594,7 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws):
                 t.dropped["degenerate"] += 1
             continue
         lmat = np.log(y) - np.log(z)
-        try:
-            sigma_hat, _ = _plugin_sigma(lmat, start, periods, m_t, scale)
-        except CrtndError as exc:
-            for t in tallies.values():
-                t.dropped[type(exc).__name__] += 1
-            continue
+        sigma_hat, _ = _plugin_sigma(lmat, start, periods, m_t, scale)
         diffs = _period_differences(lmat, start, periods, m_t)
         if "sw_equal" in tallies:
             est = _tally_weighted(

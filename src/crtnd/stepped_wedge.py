@@ -41,16 +41,11 @@ from .core import (
     enumerate_assignments,
     sample_assignments,
 )
-from .errors import (
-    ArmTooSmall,
-    GroupTooSmall,
-    NoNonRejectedPoint,
-    SingularCovariance,
-)
+from .errors import ArmTooSmall, SingularCovariance
 from .estimators import EstimateReport, normal_ci
 from .inference import (
     PermutationResult,
-    _bisect_boundary,
+    _invert_scan,
     _permutation_result,
     _tail_counts,
 )
@@ -189,6 +184,24 @@ def _period_differences(
     return out
 
 
+def _check_arms(m: int, m_t: dict[int, int], periods: Sequence[int]) -> None:
+    """Raise :class:`ArmTooSmall` unless each analysis period has >= 2
+    clusters on each side, the precondition of :func:`_plugin_sigma`.
+
+    It depends on the design only, so a caller that re-randomizes one
+    multiset of starts checks it once.  Once it holds, m >= 4, and the
+    three groups of a period pair, which partition the m clusters, have
+    a largest member of at least 2 clusters.
+    """
+    for t in periods:
+        n1, n0 = m_t[t], m - m_t[t]
+        if n1 < 2 or n0 < 2:
+            raise ArmTooSmall(
+                f"period {t}: variance estimation needs >= 2 clusters per arm "
+                f"(treated={n1}, control={n0})"
+            )
+
+
 def _plugin_sigma(
     lmat: np.ndarray,
     start: np.ndarray,
@@ -196,7 +209,10 @@ def _plugin_sigma(
     m_t: dict[int, int],
     scale: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(Sigma, S entries) of :func:`sw_covariance_estimate` from arrays."""
+    """(Sigma, S entries) of :func:`sw_covariance_estimate` from arrays.
+
+    The design must have passed :func:`_check_arms`.
+    """
     m, k = lmat.shape[0], len(periods)
     sigma = np.zeros((k, k))
     s_values = np.full((k, k), np.nan)
@@ -204,11 +220,6 @@ def _plugin_sigma(
     for i, t in enumerate(periods):
         treated = start <= t
         n1, n0 = m_t[t], m - m_t[t]
-        if n1 < 2 or n0 < 2:
-            raise ArmTooSmall(
-                f"period {t}: variance estimation needs >= 2 clusters per arm "
-                f"(treated={n1}, control={n0})"
-            )
         v1 = float(np.var(lmat[treated, t - 1], ddof=1))
         v0 = float(np.var(lmat[~treated, t - 1], ddof=1))
         sigma[i, i] = v1 / n1 + v0 / n0
@@ -220,9 +231,6 @@ def _plugin_sigma(
             # group sizes follow from m_t; the first largest group is used
             sizes = (m_t[t1], m_t[t2] - m_t[t1], m - m_t[t2])
             g = sizes.index(max(sizes))
-            if sizes[g] < 2:
-                name = ("treated_by_t1", "switchers", "untreated_at_t2")[g]
-                raise GroupTooSmall(t1, t2, name, sizes[g])
             if g == 0:
                 mask = start <= t1
             elif g == 1:
@@ -261,6 +269,7 @@ def sw_covariance_estimate(
     """
     periods, m_t, dropped = _panel_design(panel)
     _warn_dropped(dropped)
+    _check_arms(panel.m, m_t, periods)
     sigma, s_values = _plugin_sigma(
         panel.log_contrast_matrix(correction),
         np.asarray(panel.start_periods),
@@ -649,11 +658,11 @@ def sw_invert_ci(
 ) -> tuple[float, float]:
     """lam-scale CI from inverting :func:`sw_permutation_test`.
 
-    Scans 81 values of log(lam0) over the estimate +- 10 SE and bisects
-    each boundary of {p > alpha} to 1e-4.  While p > alpha at an edge of
-    the scan, the half-width doubles, up to 50 SE; if an edge is still
-    not rejected there, :class:`NoNonRejectedPoint` is raised, as
-    :func:`~crtnd.inference.invert_ci` does.  The p-values are those of
+    Scans 81 values of log(lam0) over the estimate +- 10 SE, widening up
+    to 50 SE while an edge is not rejected, and bisects each outer
+    boundary of {p > alpha} to 1e-4, with the routine of
+    :func:`~crtnd.inference.invert_ci` (:class:`NoNonRejectedPoint` when
+    an edge is still not rejected at 50 SE).  The p-values are those of
     :func:`sw_permutation_test` with the same options and its default
     enumeration limits, but the re-randomized statistic is evaluated
     once per assignment for the whole scan, not once per scanned value.
@@ -666,22 +675,5 @@ def sw_invert_ci(
         panel, weights, mode=mode, n_draws=n_draws, seed=seed,
         correction=correction, convention=convention,
     )
-    max_half = 5.0 * half
-    while pfun(center - half) > alpha or pfun(center + half) > alpha:
-        if half >= max_half - 1e-15:
-            raise NoNonRejectedPoint(
-                "confidence endpoint not bracketed within 50 SE of the estimate"
-            )
-        half = min(2.0 * half, max_half)
-
-    # both scan edges are rejected, so each boundary has a bracket
-    grid = np.linspace(center - half, center + half, 81)
-    pvals = np.array([pfun(t) for t in grid])
-    accepted = pvals > alpha
-    if not accepted.any():
-        raise NoNonRejectedPoint("no lambda value in the scan has p > alpha")
-    idx = np.nonzero(accepted)[0]
-    lo_idx, hi_idx = int(idx[0]), int(idx[-1])
-    lo = _bisect_boundary(pfun, alpha, grid[lo_idx - 1], grid[lo_idx], 1e-4)
-    hi = _bisect_boundary(pfun, alpha, grid[hi_idx + 1], grid[hi_idx], 1e-4)
+    lo, hi, _ = _invert_scan(pfun, center, half, alpha, n_scan=81, tol=1e-4)
     return math.exp(lo), math.exp(hi)

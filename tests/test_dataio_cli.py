@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crtnd import default_parallel_scenario, default_sw_scenario
+from crtnd import SteppedWedgeScheme, default_parallel_scenario, default_sw_scenario
 from crtnd.cli import main
 from crtnd.dataio import (
     emit_dataset,
@@ -397,6 +397,55 @@ class TestCli:
             for row in sidecar["results"]:
                 lost = row["n_replicates"] - row["n_effective"]
                 assert sum(dropped[row["estimator"]].values()) == lost
+
+    def test_dose_response_weak_instrument_exit_3(self, tmp_path, capsys):
+        # both arms take the same doses: the Normal (Fieller) confidence
+        # set of the dose coefficient is unbounded
+        rng = np.random.default_rng(4)
+        rows = ["cluster_id,arm,y_count,z_count,dose"]
+        for i in range(12):
+            arm = 1 if i < 6 else 0
+            y, z = rng.integers(25, 75), rng.integers(60, 140)
+            rows.append(f"c{i:02d},{arm},{y},{z},{(i % 6) / 5:.1f}")
+        data = write(tmp_path, "weak.csv", "\n".join(rows) + "\n")
+        code = main(["dose-response", "--input", str(data), "--adjustment", "none"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NoNonRejectedPoint"
+
+    def test_analyze_invert_normal_is_the_normal_ci(self, tmp_path):
+        data = write(tmp_path, "d.csv", PARALLEL_CSV)
+        reports = {}
+        for method in ("normal", "invert-normal"):
+            out = tmp_path / f"{method}.json"
+            assert main(["analyze", "--input", str(data), "--ci-method", method,
+                         "--n-draws", "50", "--out", str(out)]) == 0
+            reports[method] = {
+                r["method"]: r for r in json.loads(out.read_text())["results"]
+            }
+        for name in ("log_contrast", "covariate_adjusted"):
+            normal, inverted = reports["normal"][name], reports["invert-normal"][name]
+            assert (inverted["ci_low"], inverted["ci_high"]) == (
+                normal["ci_low"], normal["ci_high"]
+            )
+            assert inverted["ci_method"] == "normal"
+            assert inverted["diagnostics"]["ci_note"] == (
+                "invert-normal coincides with the Normal CI"
+            )
+
+    def test_simulate_sw_thin_wedge_exit_3(self, tmp_path, capsys):
+        # one cluster under intervention at the first analysis period
+        scenario = replace(
+            default_sw_scenario(), design=SteppedWedgeScheme(m=6, q=(0, 1, 2, 3)),
+            baseline_y=tuple(tuple([30] * 4) for _ in range(6)),
+            baseline_z=tuple([90] * 6),
+        )
+        path = tmp_path / "thin.json"
+        save_scenario(scenario, path)
+        code = main(["simulate-sw", "--scenario", str(path), "--n-replicates", "3"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ArmTooSmall"
 
     def test_analyze_sw_ci_not_bracketed_exit_3(self, tmp_path, capsys):
         # 90 start vectors: every attainable p exceeds 0.01, so no lambda

@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from crtnd import (
     NullSpec,
     ParallelScheme,
+    covariate_adjusted_estimate,
     derive_rng,
     dose_response_estimate,
     enumerate_assignments,
     impute_null_outcomes,
     invert_ci,
     log_contrast_estimate,
+    log_contrasts,
     normal_test,
     permutation_test,
     realize,
@@ -24,6 +28,7 @@ from crtnd.errors import (
     StatisticUndefined,
     SupportTooLarge,
 )
+from crtnd.estimators import normal_ci
 from crtnd.inference import dose_response_pvalue
 
 from conftest import make_records
@@ -222,30 +227,18 @@ class TestInvertCi:
         rng = np.random.default_rng(9)
         recs = make_records(rng.normal(0.2, 0.4, 10), [1] * 5 + [0] * 5)
         base = log_contrast_estimate(recs)
-        lo, hi, _ = invert_ci(recs, "log_contrast", test="normal",
-                              search="bisection", tol=1e-8)
-        assert lo == pytest.approx(base.ci_low, rel=1e-6)
-        assert hi == pytest.approx(base.ci_high, rel=1e-6)
-
-    def test_grid_inversion_within_one_step(self):
-        rng = np.random.default_rng(10)
-        recs = make_records(rng.normal(0.0, 0.3, 8), [1] * 4 + [0] * 4)
-        base = log_contrast_estimate(recs)
-        lo, hi, diag = invert_ci(recs, "log_contrast", test="normal", search="grid",
-                                 grid_points=2001)
-        step = (math.log(hi) - math.log(lo)) / 2000 * 10  # generous slack
-        assert math.log(lo) == pytest.approx(math.log(base.ci_low), abs=step)
-        assert math.log(hi) == pytest.approx(math.log(base.ci_high), abs=step)
+        lo, hi, diag = invert_ci(recs, "log_contrast", test="normal")
+        assert (lo, hi) == (base.ci_low, base.ci_high)
+        assert diag == {"method": "log_contrast", "test": "normal", "alpha": 0.05}
 
     def test_permutation_inversion_matches_brute_force(self):
         # m=4 toy: the attainable exact p-values are multiples of 1/6, so
-        # test at a level above the floor of 2/6 and compare the grid
-        # envelope to a dense manual scan
+        # test at a level above the floor of 2/6 and compare the bisected
+        # endpoints to a dense manual scan
         recs = make_records([0.9, 0.8, 0.1, 0.0], [1, 1, 0, 0])
         alpha = 0.34
         lo, hi, _ = invert_ci(
-            recs, "log_contrast", test="permutation", mode="exact",
-            search="grid", grid_points=4001, alpha=alpha,
+            recs, "log_contrast", test="permutation", mode="exact", alpha=alpha,
         )
         thetas = np.linspace(math.log(lo) - 0.5, math.log(hi) + 0.5, 2000)
         kept = []
@@ -259,37 +252,26 @@ class TestInvertCi:
         assert math.log(hi) == pytest.approx(max(kept), abs=2e-3)
 
     def test_no_non_rejected_point(self):
+        # 20 arm splits, each with its mirror image: every exact p is at
+        # least 2/20 > 0.05, so no scan edge is ever rejected
         recs = make_records([0.9, 0.8, 0.1, 0.0, 0.85, 0.05], [1, 1, 0, 0, 1, 0])
         with pytest.raises(NoNonRejectedPoint):
-            invert_ci(recs, "log_contrast", test="normal",
-                      bounds=(5.0, 6.0), alpha=0.05)
+            invert_ci(recs, "log_contrast", test="permutation", mode="exact",
+                      alpha=0.05)
 
-    def test_non_unimodal_curve_falls_back_to_envelope(self):
-        # two acceptance islands: the envelope spans both, with a warning
-        from crtnd.inference import _invert_pfun
+    def test_non_unimodal_curve_bisects_outer_boundaries(self):
+        # two acceptance islands: the outer boundaries span both, with a
+        # warning and the flag
+        from crtnd.inference import _invert_scan
 
         def pfun(theta):
             return 0.5 if abs(theta - 1.0) < 0.1 or abs(theta + 1.0) < 0.1 else 0.01
 
-        diag = {}
         with pytest.warns(RuntimeWarning, match="not unimodal"):
-            lo, hi = _invert_pfun(
-                pfun, -2.0, 2.0, 0.05, search="bisection", grid_points=401,
-                tol=1e-6, widen_allowed=True, diagnostics=diag,
-            )
+            lo, hi, diag = _invert_scan(pfun, 0.0, 2.0, 0.05, n_scan=401, tol=1e-6)
         assert diag["non_unimodal"] is True
-        assert lo == pytest.approx(-1.1, abs=0.02)
-        assert hi == pytest.approx(1.1, abs=0.02)
-
-    def test_user_bounds_too_narrow(self):
-        rng = np.random.default_rng(12)
-        recs = make_records(rng.normal(0.0, 0.5, 10), [1] * 5 + [0] * 5)
-        base = log_contrast_estimate(recs)
-        with pytest.raises(NoNonRejectedPoint):
-            invert_ci(
-                recs, "log_contrast", test="normal",
-                bounds=(base.log_estimate - 0.01, base.log_estimate + 0.01),
-            )
+        assert lo == pytest.approx(-1.1, abs=2e-6)
+        assert hi == pytest.approx(1.1, abs=2e-6)
 
 
 class TestDoseResponse:
@@ -303,10 +285,10 @@ class TestDoseResponse:
         dr = dose_response_estimate(recs, adjustment="none")
         lc = log_contrast_estimate(recs)
         assert dr.log_estimate == pytest.approx(lc.log_estimate, abs=1e-9)
-        # inversion refined to a tight tolerance reproduces the closed-form
-        # CI on the log scale
+        # with doses equal to arms the Fieller interval is the log-scale
+        # Wald interval of the log-contrast estimator
         lo, hi, _ = invert_ci(recs, "dose_response", test="normal",
-                              adjustment="none", tol=1e-10)
+                              adjustment="none")
         assert lo == pytest.approx(math.log(lc.ci_low), abs=1e-9)
         assert hi == pytest.approx(math.log(lc.ci_high), abs=1e-9)
         p_lc = normal_test(recs, NullSpec("relative_risk", lam)).p_value
@@ -366,8 +348,16 @@ class TestDoseResponse:
         lvals = 0.5 - 1.5 * doses + rng.normal(0, 0.3, 8)
         recs = make_records(lvals, arms, doses=doses)
         rep = dose_response_estimate(recs, adjustment="none", test="permutation",
-                                     mode="exact", ci_search="grid")
+                                     mode="exact")
         assert rep.ci_low < rep.log_estimate < rep.ci_high
+        # the estimate is D / A, where the observed statistic vanishes
+        arms = arms.astype(bool)
+        lv = log_contrasts(recs)
+        ratio = (lv[arms].mean() - lv[~arms].mean()) / (
+            doses[arms].mean() - doses[~arms].mean()
+        )
+        assert rep.log_estimate == pytest.approx(ratio, rel=1e-12)
+        assert rep.p_value == 1.0
 
     @pytest.mark.parametrize("test", ["normal", "permutation"])
     @pytest.mark.parametrize("adjustment", ["none", "covariates"])
@@ -387,14 +377,149 @@ class TestDoseResponse:
         original = inference._pvalue_function
 
         def counting(*args, **kwargs):
-            built.append(args[1:3])
+            built.append(args[1])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(inference, "_pvalue_function", counting)
         rep = dose_response_estimate(recs, **options)
-        assert built == [("dose_response", test)]
+        # the Normal CI is closed-form: no p-value function at all
+        assert built == ([] if test == "normal" else ["dose_response"])
         # the shared function gives the CI a fresh one gives
         assert (rep.ci_low, rep.ci_high) == expected_ci
+
+
+def trial_records(seed, m, m1, *, covariates):
+    """m clusters, m1 treated, doses uniform on [0, 0.5] plus 0.5 if
+    treated; L falls by 1.2 per unit dose and rises by 0.7 per unit x."""
+    rng = np.random.default_rng(seed)
+    arms = np.zeros(m, dtype=int)
+    arms[rng.choice(m, m1, replace=False)] = 1
+    doses = rng.uniform(0.0, 0.5, m) + 0.5 * arms
+    x = rng.uniform(0.0, 2.0, (m, 1))
+    lvals = 0.3 + 0.7 * x[:, 0] - 1.2 * doses + rng.normal(0.0, 0.3, m)
+    return make_records(lvals, arms, covariates=x if covariates else None, doses=doses)
+
+
+@st.composite
+def trials(draw):
+    """(records, adjustment): 8-24 clusters, at least 4 in each arm."""
+    m = draw(st.integers(8, 24))
+    m1 = draw(st.integers(4, m - 4))
+    covariates = draw(st.booleans())
+    recs = trial_records(draw(st.integers(0, 2**32 - 1)), m, m1, covariates=covariates)
+    return recs, "covariates" if covariates else "none"
+
+
+def adjusted_difference(values, recs, adjustment):
+    """Arm difference of ``values``, less pooled per-arm least-squares
+    slopes times the covariate mean difference under adjustment."""
+    arms = np.array([r.arm for r in recs], dtype=bool)
+    diff = values[arms].mean() - values[~arms].mean()
+    if adjustment == "none":
+        return diff
+    x = np.array([r.covariates for r in recs])
+    slopes = 0.0
+    for mask in (arms, ~arms):
+        xc = x[mask] - x[mask].mean(axis=0)
+        vc = values[mask] - values[mask].mean()
+        slopes = slopes + mask.sum() / len(recs) * np.linalg.solve(xc.T @ xc, xc.T @ vc)
+    return diff - slopes @ (x[arms].mean(axis=0) - x[~arms].mean(axis=0))
+
+
+def bounded(recs, adjustment):
+    """False, after checking the claim, where the Normal dose CI raises
+    because the accepted set is unbounded; True otherwise."""
+    try:
+        invert_ci(recs, "dose_response", test="normal", adjustment=adjustment)
+    except NoNonRejectedPoint:
+        far = [dose_response_pvalue(recs, b, adjustment=adjustment) for b in (-1e8, 1e8)]
+        assert min(far) > 0.05
+        return False
+    return True
+
+
+class TestClosedFormInversion:
+    """Normal-test inversion in closed form: Fieller and Wald intervals."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(trials())
+    def test_fieller_endpoints_are_the_alpha_crossings(self, trial):
+        recs, adjustment = trial
+        assume(bounded(recs, adjustment))
+        lo, hi, _ = invert_ci(recs, "dose_response", test="normal",
+                              adjustment=adjustment)
+        for end, outward in ((lo, -1.0), (hi, 1.0)):
+            step = 1e-9 * max(1.0, abs(end))
+            inside = dose_response_pvalue(recs, end - outward * step,
+                                          adjustment=adjustment)
+            outside = dose_response_pvalue(recs, end + outward * step,
+                                           adjustment=adjustment)
+            assert inside > 0.05 >= outside
+
+    @settings(max_examples=60, deadline=None)
+    @given(trials())
+    def test_estimate_is_the_ratio_with_p_one(self, trial):
+        recs, adjustment = trial
+        assume(bounded(recs, adjustment))
+        rep = dose_response_estimate(recs, adjustment=adjustment)
+        doses = np.array([r.dose for r in recs])
+        ratio = adjusted_difference(log_contrasts(recs), recs, adjustment) / (
+            adjusted_difference(doses, recs, adjustment)
+        )
+        assert rep.log_estimate == pytest.approx(ratio, rel=1e-10, abs=1e-12)
+        assert rep.p_value == rep.diagnostics["p_max"] == 1.0
+        p_at_hat = dose_response_pvalue(recs, rep.log_estimate, adjustment=adjustment)
+        assert p_at_hat == pytest.approx(1.0, abs=1e-12)
+        assert rep.ci_low < rep.log_estimate < rep.ci_high
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(4, 12), st.integers(0, 2**32 - 1))
+    def test_weak_instrument_raises(self, half, seed):
+        # both arms take the same multiset of doses: A = 0 <= z^2 c, so
+        # every large |beta0| is accepted and the Normal set is unbounded
+        rng = np.random.default_rng(seed)
+        doses = rng.uniform(0.0, 1.0, half)
+        recs = make_records(
+            rng.normal(0.0, 0.3, 2 * half), [1] * half + [0] * half,
+            doses=np.concatenate([doses, rng.permutation(doses)]),
+        )
+        with pytest.raises(NoNonRejectedPoint):
+            dose_response_estimate(recs, adjustment="none")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        trials(),
+        st.sampled_from(["log_contrast", "covariate_adjusted"]),
+        st.sampled_from([0.01, 0.05, 0.2]),
+    )
+    def test_invert_normal_is_the_wald_interval(self, trial, method, alpha):
+        recs, _ = trial
+        if method == "covariate_adjusted" and not recs[0].covariates:
+            return
+        lo, hi, _ = invert_ci(recs, method, test="normal", alpha=alpha)
+        if method == "log_contrast":
+            base = log_contrast_estimate(recs)
+        else:
+            base, _ = covariate_adjusted_estimate(recs)
+        assert (lo, hi) == normal_ci(base.log_estimate, base.se_log, alpha)
+
+    # (seed, m, covariates, (estimate, ci_low, ci_high)) from the earlier
+    # golden-section search and 1e-6 bisection of the Normal p-value
+    SEARCHED = [
+        (31, 12, False, (-0.460283611657093, -2.1081548915958903, 0.7486663090937663)),
+        (32, 16, True, (-1.3667368396233246, -1.9068449677666717, -0.7598486665816813)),
+        (33, 20, False, (-0.6022426363166149, -1.3506224452739195, 0.35298348865452245)),
+        (34, 24, True, (-1.147394168155558, -1.5611081996256346, -0.7304049965560784)),
+    ]
+
+    @pytest.mark.parametrize("seed,m,covariates,searched", SEARCHED)
+    def test_within_the_search_tolerances(self, seed, m, covariates, searched):
+        recs = trial_records(seed, m, m // 2, covariates=covariates)
+        rep = dose_response_estimate(recs)
+        estimate, ci_low, ci_high = searched
+        assert rep.log_estimate == pytest.approx(estimate, abs=1e-9)
+        assert rep.ci_low == pytest.approx(ci_low, abs=1e-6)
+        assert rep.ci_high == pytest.approx(ci_high, abs=1e-6)
 
 
 # m = 8, m1 = m0 = 4.  Log-contrasts, covariates and doses repeat, and
@@ -433,7 +558,7 @@ class TestSplitPValueFunction:
         recs = tied_records()
         n_draws, seed = 300, 11
         pfun, kind = _pvalue_function(
-            recs, method, "permutation", adjustment=adjustment, mode=mode,
+            recs, method, adjustment=adjustment, mode=mode,
             n_draws=n_draws, seed=seed, correction=False,
         )
         center, half = _default_bounds(recs, method, kind, False, adjustment)
@@ -459,7 +584,7 @@ class TestSplitPValueFunction:
 
         recs = tied_records()
         pfun, _ = _pvalue_function(
-            recs, "log_contrast", "permutation", adjustment="none", mode="exact",
+            recs, "log_contrast", adjustment="none", mode="exact",
             n_draws=0, seed=0, correction=False,
         )
         assert pfun(log_contrast_estimate(recs).log_estimate) == 1.0

@@ -14,6 +14,7 @@ from crtnd import (
     simulate_parallel,
     simulate_stepped_wedge,
 )
+from crtnd.errors import ArmTooSmall
 from crtnd.scenarios import (
     BASELINE_Y,
     BASELINE_Z,
@@ -523,9 +524,15 @@ class TestArrayLoopEquivalence:
         assert repr(rows) == repr(ref_rows)
         assert repr(raw) == repr(ref_raw)
 
-    def test_dropped_counts_match_n_effective(self):
-        # m_1 = 1 at the first analysis period: every replicate's plug-in
-        # covariance fails its per-arm check
+    def test_thin_wedge_raises_before_the_loop(self, monkeypatch):
+        # m_1 = 1 at the first analysis period: the design fails the
+        # per-arm check, so no replicate is drawn
+        import crtnd.simulation as simulation
+
+        def no_draws(scenario):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(simulation, "_wedge_draws", no_draws)
         scen = SimScenario(
             scenario_id="thin-wedge",
             design=SteppedWedgeScheme(m=6, q=(0, 1, 2, 3)),
@@ -537,11 +544,8 @@ class TestArrayLoopEquivalence:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rows = evaluate(scen, permutation_por=True, perm_draws=19)
-        for row in rows:
-            assert row.n_effective == 0
-            assert row.dropped == {"ArmTooSmall": 12}
-            assert sum(row.dropped.values()) == row.n_replicates - row.n_effective
+            with pytest.raises(ArmTooSmall, match="treated=1"):
+                evaluate(scen, permutation_por=True, perm_draws=19)
 
     def test_tpf_failures_are_counted_by_reason(self):
         scen, names = EQUIVALENCE_CASES["parallel-split-fractions"]
