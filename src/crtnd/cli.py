@@ -187,6 +187,12 @@ _PERM_STATISTIC = {
 }
 
 
+def _permutation_entry(perm) -> dict:
+    """How the report's permutation p-value was obtained."""
+    keys = ("mode", "mode_reason", "support_size", "null_draws", "mc_se")
+    return {key: getattr(perm, key) for key in keys}
+
+
 def _cmd_analyze(args) -> int:
     kind, data = parse_dataset(args.input)
     if kind != "parallel":
@@ -237,6 +243,7 @@ def _cmd_analyze(args) -> int:
             correction=correction,
         )
         rep.diagnostics["permutation_p_null1"] = perm.p_two_sided
+        rep.diagnostics["permutation"] = _permutation_entry(perm)
         if rep.p_value is None:
             rep.p_value = perm.p_two_sided
             rep.diagnostics["p_source"] = "permutation"
@@ -291,6 +298,7 @@ def _cmd_analyze_sw(args) -> int:
         convention=args.sigma_convention,
     )
     rep.diagnostics["permutation_p_null1"] = perm.p_two_sided
+    rep.diagnostics["permutation"] = _permutation_entry(perm)
     if rep.p_value is None and rep.se_log is not None:
         rep.p_value, _ = _two_sided_p(rep.log_estimate, rep.se_log,
                                       abs(rep.log_estimate))

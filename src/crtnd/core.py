@@ -35,6 +35,10 @@ from .errors import (
 )
 
 ENUMERATION_CAP = 10_000_000
+# "auto" permutation mode enumerates supports up to this size
+AUTO_EXACT_LIMIT = 100_000
+# assignment rows are handed out in blocks of about this many bytes
+_BLOCK_BYTES = 4 << 20
 
 
 # --------------------------------------------------------------------- #
@@ -330,55 +334,6 @@ class SteppedWedgeScheme:
 AssignmentScheme = ParallelScheme | SteppedWedgeScheme
 
 
-def enumerate_assignments(
-    scheme: AssignmentScheme, cap: int = ENUMERATION_CAP
-) -> Iterator[np.ndarray]:
-    """Yield every assignment in the scheme's support exactly once.
-
-    Order is deterministic: lexicographic over the assignment vector,
-    whose positions follow the dataset's canonical (sorted cluster_id)
-    order.  Parallel assignments are 0/1 arm vectors; stepped-wedge
-    assignments are start-period vectors.
-
-    Raises :class:`SupportTooLarge` when the support exceeds ``cap``.
-    """
-    total = scheme.total_assignments
-    if total > cap:
-        raise SupportTooLarge(total, cap)
-    if isinstance(scheme, ParallelScheme):
-        return _enumerate_parallel(scheme)
-    return _enumerate_multiset(scheme)
-
-
-def _enumerate_parallel(scheme: ParallelScheme) -> Iterator[np.ndarray]:
-    import itertools
-
-    for treated in itertools.combinations(range(scheme.m), scheme.m1):
-        a = np.zeros(scheme.m, dtype=np.int64)
-        a[list(treated)] = 1
-        yield a
-
-
-def _enumerate_multiset(scheme: SteppedWedgeScheme) -> Iterator[np.ndarray]:
-    # Distinct permutations of the multiset {t repeated q_t times},
-    # generated in lexicographic order by recursive prefix extension.
-    counts = list(scheme.q)
-
-    def rec(prefix: list[int]) -> Iterator[np.ndarray]:
-        if len(prefix) == scheme.m:
-            yield np.array(prefix, dtype=np.int64)
-            return
-        for t in range(len(counts)):
-            if counts[t] > 0:
-                counts[t] -= 1
-                prefix.append(t + 1)
-                yield from rec(prefix)
-                prefix.pop()
-                counts[t] += 1
-
-    return rec([])
-
-
 def sample_assignment(
     scheme: AssignmentScheme, rng: np.random.Generator
 ) -> np.ndarray:
@@ -423,6 +378,141 @@ def derive_rng(seed: int, *stream: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(stream))
     return np.random.default_rng(ss)
+
+
+# --------------------------------------------------------------------- #
+# Randomization engine
+# --------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class Randomization:
+    """The assignments a permutation test re-randomizes over, and its p.
+
+    A tail count becomes ``p(count) = (add_one + count) / denom``: exact
+    p-values divide by the support size, Monte Carlo p-values over
+    ``n_rows`` draws apply the add-one rule, so they are never 0.
+    """
+
+    scheme: AssignmentScheme
+    mode: str
+    reason: str
+    support_size: int
+    n_rows: int
+    add_one: int
+    stream: tuple[int, ...]
+
+    @property
+    def denom(self) -> int:
+        return self.n_rows + self.add_one
+
+    def p(self, count: int) -> float:
+        return (self.add_one + count) / self.denom
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The rows in blocks of a few MB: parallel rows float64 0/1, wedge
+        rows int64 start periods.  Exact rows come in the order of
+        :func:`enumerate_assignments`; drawn rows are those of one
+        ``sample_assignments(scheme, n_rows, derive_rng(*stream))`` call."""
+        scheme, size = self.scheme, _block_rows(self.scheme.m)
+        if self.mode == "exact":
+            yield from _support_blocks(scheme, size)
+            return
+        # sample_assignments draws (rows, m) uniforms: blocks drawn in turn
+        # from one generator are the rows of one call
+        rng = derive_rng(*self.stream)
+        for first in range(0, self.n_rows, size):
+            rows = sample_assignments(scheme, min(size, self.n_rows - first), rng)
+            yield rows.astype(float) if isinstance(scheme, ParallelScheme) else rows
+
+    def rows(self) -> np.ndarray:
+        """All rows in one array, for a caller that reuses them."""
+        return np.concatenate(list(self.blocks()))
+
+
+def randomize(
+    scheme: AssignmentScheme,
+    mode: str,
+    n_draws: int,
+    stream: tuple[int, ...],
+    exact_limit: int = AUTO_EXACT_LIMIT,
+) -> Randomization:
+    """How to re-randomize ``scheme``: "exact", "monte_carlo" (``n_draws``
+    draws from ``derive_rng(*stream)``) or "auto", exact up to
+    ``exact_limit`` assignments.  Exact mode raises
+    :class:`SupportTooLarge` above :data:`ENUMERATION_CAP`."""
+    total = scheme.total_assignments
+    if mode == "auto":
+        mode = "exact" if total <= exact_limit else "monte_carlo"
+        sign = "<=" if mode == "exact" else ">"
+        reason = f"auto: support {total} {sign} {exact_limit}"
+    elif mode in ("exact", "monte_carlo"):
+        reason = f"{mode} requested"
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "monte_carlo":
+        return Randomization(scheme, mode, reason, total, n_draws, 1, stream)
+    if total > ENUMERATION_CAP:
+        raise SupportTooLarge(total, ENUMERATION_CAP)
+    return Randomization(scheme, mode, reason, total, total, 0, stream)
+
+
+def enumerate_assignments(
+    scheme: AssignmentScheme, cap: int = ENUMERATION_CAP
+) -> Iterator[np.ndarray]:
+    """Yield every assignment in the scheme's support exactly once.
+
+    Assignments are int64 0/1 arm vectors or start-period vectors, in
+    lexicographic order with "treated" the first label: arm vectors
+    descend (``itertools.combinations`` order of the treated sets), start
+    vectors ascend.  Raises :class:`SupportTooLarge` above ``cap``.
+    """
+    total = scheme.total_assignments
+    if total > cap:
+        raise SupportTooLarge(total, cap)
+    blocks = _support_blocks(scheme, _block_rows(scheme.m))
+    return (row for block in blocks for row in block.astype(np.int64))
+
+
+def _block_rows(m: int) -> int:
+    return max(1, _BLOCK_BYTES // (8 * m))
+
+
+def _support_blocks(scheme: AssignmentScheme, size: int) -> Iterator[np.ndarray]:
+    # The support is the distinct orderings of a multiset of labels: a
+    # parallel scheme's m1 "treated" (label 0) and m - m1 "control"
+    # (label 1), a stepped wedge's q[t-1] copies of start period t
+    # (label t - 1).  A prefix with more than `size` completions is
+    # split by its next label, in label order, so no block is larger.
+    parallel = isinstance(scheme, ParallelScheme)
+    q = (scheme.m1, scheme.m - scheme.m1) if parallel else scheme.q
+    todo = [((), np.array(q), scheme.total_assignments)]  # the next is last
+    while todo:
+        prefix, left, count = todo.pop()
+        if count <= size:
+            labels = _orderings(prefix, left)
+            yield (labels == 0).astype(float) if parallel else labels + 1
+            continue
+        for label in np.nonzero(left)[0][::-1]:
+            rest = left.copy()
+            rest[label] -= 1
+            share = count * int(left[label]) // int(left.sum())  # exact
+            todo.append((prefix + (int(label),), rest, share))
+
+
+def _orderings(prefix: tuple[int, ...], left: np.ndarray) -> np.ndarray:
+    """Rows ``prefix + s`` for the distinct orderings s of ``left[l]``
+    copies of each label l, in lexicographic order: built position by
+    position, each row continuing with every label it has left, in label
+    order (``np.nonzero`` is row-major)."""
+    cols = [np.array([label]) for label in prefix]
+    left = left[None, :]
+    for _ in range(int(left.sum())):
+        parent, label = np.nonzero(left)
+        left = left[parent]
+        left[np.arange(parent.size), label] -= 1
+        cols = [col[parent] for col in cols] + [label]
+    return np.column_stack(cols)
 
 
 # --------------------------------------------------------------------- #

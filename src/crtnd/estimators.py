@@ -32,10 +32,9 @@ import numpy as np
 from .core import (
     ClusterRecord,
     ParallelScheme,
-    derive_rng,
-    enumerate_assignments,
+    Randomization,
     log_contrasts,
-    sample_assignments,
+    randomize,
     validate_records,
 )
 from .errors import (
@@ -217,27 +216,26 @@ def odds_ratio_estimate(
     alpha: float = 0.05,
     se_draws: int = 2000,
     seed: int = 0,
-    enumeration_limit: int = _OR_ENUMERATION_LIMIT,
 ) -> EstimateReport:
     """Pooled odds-ratio estimate with a re-randomization standard error.
 
     The SE is the standard deviation of the log odds ratio over arm
-    relabelings with per-cluster counts held fixed: full enumeration
-    when the support has at most ``enumeration_limit`` elements, else
-    ``se_draws`` Monte Carlo relabelings from ``seed``.
+    relabelings with per-cluster counts held fixed: full enumeration up
+    to 20,000 relabelings, else ``se_draws`` drawn from stream
+    ``(seed, 0x0D)``.
     """
     treated, control = split_arms(records)
     log_or = odds_ratio_log(records)
     y = np.array([r.y_count for r in records])
     z = np.array([r.z_count for r in records])
-    scheme = ParallelScheme(m=len(records), m1=len(treated))
-    arm_matrix, se_source = _odds_ratio_se_rows(
-        scheme, se_draws, seed, enumeration_limit
+    rz = _odds_ratio_relabelings(
+        ParallelScheme(m=len(records), m1=len(treated)), se_draws, seed
     )
-    se = _permutation_se(odds_ratio_permutation_draws(y, z, arm_matrix))
+    se = _permutation_se(odds_ratio_permutation_draws(y, z, rz.rows()))
     ci_low = ci_high = None
     if se is not None:
         ci_low, ci_high = normal_ci(log_or, se, alpha)
+    exact = rz.mode == "exact"
     return EstimateReport(
         method="odds_ratio",
         log_estimate=log_or,
@@ -246,24 +244,17 @@ def odds_ratio_estimate(
         ci_high=ci_high,
         ci_method="normal",
         alpha=alpha,
-        diagnostics={"se_source": se_source},
+        diagnostics={
+            "se_source": "permutation-exact" if exact else f"permutation-mc({se_draws})"
+        },
     )
 
 
-def _odds_ratio_se_rows(
-    scheme: ParallelScheme,
-    se_draws: int,
-    seed: int,
-    enumeration_limit: int = _OR_ENUMERATION_LIMIT,
-) -> tuple[np.ndarray, str]:
-    """(arm relabelings, source label) behind the odds-ratio SE.
-
-    They depend on the design and the seed only, not on the counts.
-    """
-    if scheme.total_assignments <= enumeration_limit:
-        return np.array(list(enumerate_assignments(scheme))), "permutation-exact"
-    rows = sample_assignments(scheme, se_draws, derive_rng(seed, 0x0D))
-    return rows, f"permutation-mc({se_draws})"
+def _odds_ratio_relabelings(
+    scheme: ParallelScheme, se_draws: int, seed: int
+) -> Randomization:
+    """The SE's arm relabelings: from the design and the seed, not the counts."""
+    return randomize(scheme, "auto", se_draws, (seed, 0x0D), _OR_ENUMERATION_LIMIT)
 
 
 def _permutation_se(draws: np.ndarray) -> float | None:

@@ -10,32 +10,33 @@ exact null distribution of any statistic, which yields exact tests
 and test-inversion confidence intervals.  The dose coefficient's
 estimate is the ratio at which its working statistic vanishes, so
 p = 1 there.
+
+Arm labels and p-value arithmetic come from :func:`crtnd.core.randomize`
+(``auto``: exact up to 100,000 assignments), drawn from stream
+``(seed, 0xBE)`` for tests and ``(seed, 0xC1)`` for test inversion.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import (
     ClusterRecord,
-    ENUMERATION_CAP,
     ParallelScheme,
-    derive_rng,
+    Randomization,
     log_contrasts,
-    sample_assignments,
+    randomize,
 )
 from .errors import (
     ConstantDose,
     MissingDose,
     NoNonRejectedPoint,
     StatisticUndefined,
-    SupportTooLarge,
 )
 from .estimators import (
     EstimateReport,
@@ -98,6 +99,9 @@ class PermutationResult:
     n_draws: int | None = None
     seed: int | None = None
     statistic: str = ""
+    support_size: int | None = None  # assignments in the design's support
+    mode_reason: str = ""  # why ``mode`` was used
+    mc_se: float | None = None  # sqrt(p (1 - p) / n_draws) of p_two_sided; 0 if exact
 
     def to_dict(self) -> dict:
         return {
@@ -110,6 +114,9 @@ class PermutationResult:
             "n_draws": self.n_draws,
             "seed": self.seed,
             "statistic": self.statistic,
+            "support_size": self.support_size,
+            "mode_reason": self.mode_reason,
+            "mc_se": self.mc_se,
         }
 
 
@@ -223,31 +230,6 @@ def _two_sided_count(draws: np.ndarray, observed: float) -> int:
     ))
 
 
-def _enumerated_blocks(
-    scheme: ParallelScheme, cap: int, block: int = 65536
-) -> Iterator[np.ndarray]:
-    """The support of ``scheme`` as int8 0/1 row blocks.
-
-    Rows come in the lexicographic order of :func:`enumerate_assignments`
-    and are written straight from ``itertools.combinations``; raises
-    :class:`SupportTooLarge` above ``cap`` before yielding anything.
-    """
-    total = scheme.total_assignments
-    if total > cap:
-        raise SupportTooLarge(total, cap)
-    combos = itertools.combinations(range(scheme.m), scheme.m1)
-    for start in range(0, total, block):
-        n = min(block, total - start)
-        treated = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, n)),
-            dtype=np.intp,
-            count=n * scheme.m1,
-        ).reshape(n, scheme.m1)
-        rows = np.zeros((n, scheme.m), dtype=np.int8)
-        np.put_along_axis(rows, treated, 1, axis=1)
-        yield rows
-
-
 def _build_statistic(
     records: Sequence[ClusterRecord],
     null: NullSpec,
@@ -256,7 +238,7 @@ def _build_statistic(
 ) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
     """(row evaluator, observed deviation) for one statistic and null."""
     m1 = sum(r.arm for r in records)
-    observed_arms = np.array([r.arm for r in records], dtype=np.int8)
+    observed_arms = np.array([r.arm for r in records], dtype=float)
 
     if statistic in ("difference_in_means", "log_contrast", "covariate_adjusted"):
         l0 = impute_null_outcomes(records, null, correction=correction)
@@ -302,8 +284,6 @@ def permutation_test(
     mode: str = "auto",
     n_draws: int = 9999,
     seed: int = 0,
-    cap: int = ENUMERATION_CAP,
-    auto_exact_limit: int = 100_000,
     correction: bool = False,
 ) -> PermutationResult:
     """Randomization test of a sharp null.
@@ -324,63 +304,40 @@ def permutation_test(
     treated, _ = split_arms(records)
     scheme = ParallelScheme(m=len(records), m1=len(treated))
     evaluate, observed = _build_statistic(records, null, statistic, correction)
-
-    total = scheme.total_assignments
-    if mode == "auto":
-        mode = "exact" if total <= auto_exact_limit else "monte_carlo"
-    if mode == "exact":
-        blocks = _enumerated_blocks(scheme, cap)
-    elif mode == "monte_carlo":
-        rows = sample_assignments(scheme, n_draws, derive_rng(seed, 0xBE))
-        blocks = [rows.astype(np.int8)]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     return _permutation_result(
-        evaluate, observed, blocks,
-        mode=mode, total=total, n_draws=n_draws, seed=seed, statistic=statistic,
+        evaluate, observed, randomize(scheme, mode, n_draws, (seed, 0xBE)),
+        seed=seed, statistic=statistic,
     )
 
 
 def _permutation_result(
     evaluate: Callable[[np.ndarray], np.ndarray],
     observed: float,
-    blocks: Iterable[np.ndarray],
+    rz: Randomization,
     *,
-    mode: str,
-    total: int,
-    n_draws: int,
     seed: int,
     statistic: str,
 ) -> PermutationResult:
-    """Tail p-values of ``evaluate`` over blocks of assignment rows.
-
-    Exact mode divides the counts by the support size ``total``; Monte
-    Carlo mode applies the add-one rule over ``n_draws`` draws.
-    """
+    """Tail p-values of ``evaluate`` over the rows of ``rz``."""
     two = left = right = 0
-    for rows in blocks:
+    for rows in rz.blocks():
         t, l, r = _tail_counts(evaluate(rows), observed)
         two, left, right = two + t, left + l, right + r
-    if mode == "exact":
-        return PermutationResult(
-            observed_stat=observed,
-            null_draws=total,
-            p_two_sided=two / total,
-            p_left=left / total,
-            p_right=right / total,
-            mode="exact",
-            statistic=statistic,
-        )
+    p = rz.p(two)
+    drawn = rz.mode == "monte_carlo"
     return PermutationResult(
         observed_stat=observed,
-        null_draws=n_draws,
-        p_two_sided=(1 + two) / (1 + n_draws),
-        p_left=(1 + left) / (1 + n_draws),
-        p_right=(1 + right) / (1 + n_draws),
-        mode="monte_carlo",
-        n_draws=n_draws,
-        seed=seed,
+        null_draws=rz.n_rows,
+        p_two_sided=p,
+        p_left=rz.p(left),
+        p_right=rz.p(right),
+        mode=rz.mode,
+        n_draws=rz.n_rows if drawn else None,
+        seed=seed if drawn else None,
         statistic=statistic,
+        support_size=rz.support_size,
+        mode_reason=rz.reason,
+        mc_se=math.sqrt(p * (1.0 - p) / rz.n_rows) if drawn and rz.n_rows else 0.0,
     )
 
 
@@ -455,7 +412,7 @@ class _DoseStat:
     num: float
     den: float
     var: tuple[float, float, float]
-    dose_gap: float  # unadjusted arm difference of dose
+    dose_gap: float  # unadjusted arm difference of dose: the scan centre
     lvals: np.ndarray
     doses: np.ndarray
 
@@ -566,16 +523,15 @@ def _dose_normal_report(
 ) -> EstimateReport:
     stat = _dose_stat(records, adjustment, correction)
     est, se, scale = stat.at(beta0)
-    dd = stat.dose_gap
     p, flags = _two_sided_p(est, se, scale)
     diagnostics = {
         "null_beta": beta0,
         "adjustment": adjustment,
         "working_difference": est,
-        "dose_arm_difference": dd,
+        "dose_arm_difference": stat.den,
     }
     diagnostics.update(flags)
-    if abs(dd) < 1e-12:
+    if abs(stat.den) < 1e-12:
         # instrument has no arm separation; no ratio estimate exists
         return EstimateReport(
             method="dose_response",
@@ -587,8 +543,9 @@ def _dose_normal_report(
             scale="beta",
             diagnostics=diagnostics,
         )
-    ratio = beta0 + est / dd
-    se_ratio = se / abs(dd)
+    # the working difference's slope in beta0 is -den
+    ratio = stat.num / stat.den
+    se_ratio = se / abs(stat.den)
     zq = _z_quantile(alpha)
     return EstimateReport(
         method="dose_response",
@@ -633,18 +590,8 @@ def _pvalue_function(
         raise ValueError(f"unknown method {method!r}")
 
     treated, _ = split_arms(records)
-    m, m1 = len(records), len(treated)
-    scheme = ParallelScheme(m=m, m1=m1)
-    total = scheme.total_assignments
-    if mode == "exact" or (mode == "auto" and total <= 100_000):
-        blocks = _enumerated_blocks(scheme, ENUMERATION_CAP)
-        denom = total
-        add_one = 0
-    else:
-        rows = sample_assignments(scheme, n_draws, derive_rng(seed, 0xC1))
-        blocks = [rows.astype(np.int8)]
-        denom = 1 + n_draws
-        add_one = 1
+    m1 = len(treated)
+    rz = randomize(ParallelScheme(m=len(records), m1=m1), mode, n_draws, (seed, 0xC1))
 
     if method in ("tpf", "odds_ratio"):
         # counts held fixed: the permutation draws do not move with
@@ -662,11 +609,11 @@ def _pvalue_function(
             log_or = odds_ratio_log(records)
             evaluate = lambda rows: odds_ratio_permutation_draws(y, z, rows)
             observed_dev = lambda theta: log_or - theta
-        draws = np.concatenate([evaluate(rows) for rows in blocks])
+        draws = np.concatenate([evaluate(rows) for rows in rz.blocks()])
 
         def pfun(theta: float) -> float:
             two, _, _ = _tail_counts(draws, observed_dev(theta))
-            return (add_one + two) / denom
+            return rz.p(two)
 
         return pfun, kind
 
@@ -697,13 +644,13 @@ def _pvalue_function(
         d_obs, a_obs = stat.num, stat.den
     else:
         d_obs, a_obs = observe(lvals), observe(shift)
-    parts = [(evaluate(lvals, rows), evaluate(shift, rows)) for rows in blocks]
+    parts = [(evaluate(lvals, rows), evaluate(shift, rows)) for rows in rz.blocks()]
     d_draws = np.concatenate([d for d, _ in parts])
     a_draws = np.concatenate([a for _, a in parts])
 
     def pfun(theta: float) -> float:
         two, _, _ = _tail_counts(d_draws - theta * a_draws, d_obs - theta * a_obs)
-        return (add_one + two) / denom
+        return rz.p(two)
 
     return pfun, kind
 
@@ -909,11 +856,10 @@ def dose_response_estimate(
     )
     stat = _dose_stat(records, adjustment, correction)
     beta_hat = stat.num / stat.den
-    dd = stat.dose_gap
     return EstimateReport(
         method="dose_response",
         log_estimate=beta_hat,
-        se_log=stat.at(beta_hat)[1] / abs(dd) if abs(dd) > 1e-12 else None,
+        se_log=stat.at(beta_hat)[1] / abs(stat.den) if abs(stat.den) > 1e-12 else None,
         ci_low=ci_low,
         ci_high=ci_high,
         ci_method="test_inversion",

@@ -35,9 +35,9 @@ from .core import (
     PotentialTable,
     SteppedWedgeScheme,
     derive_rng,
+    randomize,
     realize,
     sample_assignment,
-    sample_assignments,
 )
 from .errors import (
     DegenerateReplicateLimit,
@@ -48,7 +48,7 @@ from .estimators import (
     _covariate_adjusted_arrays,
     _log_contrast_arrays,
     _odds_ratio_log_arrays,
-    _odds_ratio_se_rows,
+    _odds_ratio_relabelings,
     _permutation_se,
     _tpf_statistic_arrays,
     _z_quantile,
@@ -403,9 +403,9 @@ class _Tally:
         self.n_perm = 0
         self.dropped: Counter[str] = Counter()
 
-    def add_perm(self, count: int, n_draws: int, alpha: float) -> None:
-        """Tally one Monte Carlo permutation test with ``count`` tail draws."""
-        self.reject_perm += _mc_reject(count, n_draws, alpha)
+    def add_perm(self, p: float, alpha: float) -> None:
+        """Tally one permutation test with two-sided p-value ``p``."""
+        self.reject_perm += p <= alpha
         self.n_perm += 1
 
     def row(self, scenario: SimScenario, name: str) -> MetricsRow:
@@ -428,10 +428,6 @@ class _Tally:
             cp=self.covered / self.n_cover if self.n_cover else None,
             dropped=dict(sorted(self.dropped.items())),
         )
-
-
-def _mc_reject(count: int, n_draws: int, alpha: float) -> bool:
-    return (1 + count) / (1 + n_draws) <= alpha
 
 
 def evaluate(
@@ -485,7 +481,7 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws):
     or_rows = None
     if "odds_ratio" in tallies and not permutation_por:
         # the SE's relabelings come from a fixed-seed stream: draw them once
-        or_rows, _ = _odds_ratio_se_rows(scheme, perm_draws, scenario.seed)
+        or_rows = _odds_ratio_relabelings(scheme, perm_draws, scenario.seed).rows()
 
     for rep, arms, y, z in _parallel_draws(scenario):
         if arms is None:
@@ -495,9 +491,8 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws):
         treated = arms.astype(bool)
         rows = None
         if permutation_por:
-            rng_p = derive_rng(scenario.seed, 3, rep)
-            # float rows: the same products as 0/1 integer rows, no casts
-            rows = sample_assignments(scheme, perm_draws, rng_p).astype(float)
+            rz = randomize(scheme, "monte_carlo", perm_draws, (scenario.seed, 3, rep))
+            rows = rz.rows()
         if "log_contrast" in tallies or "covariate_adjusted" in tallies:
             lvals = np.array(
                 [math.log(yi) - math.log(zi) for yi, zi in zip(y.tolist(), z.tolist())]
@@ -511,7 +506,7 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws):
             if rows is not None:
                 draws = _diff_means_rows(lvals, rows, scheme.m1)
                 # null lam0=1: deviation is the estimate
-                t.add_perm(_two_sided_count(draws, est), perm_draws, alpha)
+                t.add_perm(rz.p(_two_sided_count(draws, est)), alpha)
         if "covariate_adjusted" in tallies:
             est, se, _, _ = _covariate_adjusted_arrays(lvals, treated, x)
             _tally_from_values(tallies["covariate_adjusted"], est, se, lam_true, alpha)
@@ -526,7 +521,7 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws):
             _tally_from_values(t, log_or, _permutation_se(draws), lam_true, alpha)
             raw["odds_ratio"].append(log_or)
             if rows is not None:
-                t.add_perm(_two_sided_count(draws, log_or), perm_draws, alpha)
+                t.add_perm(rz.p(_two_sided_count(draws, log_or)), alpha)
         if "tpf" in tallies:
             t = tallies["tpf"]
             try:
@@ -540,7 +535,7 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws):
                 fr = y / (y + z)
                 t_obs = float(fr[treated].mean() - fr[~treated].mean())
                 draws = _diff_means_rows(fr, rows, scheme.m1)
-                t.add_perm(_two_sided_count(draws, t_obs), perm_draws, alpha)
+                t.add_perm(rz.p(_two_sided_count(draws, t_obs)), alpha)
 
     return [tallies[name].row(scenario, name) for name in names], raw
 
@@ -620,8 +615,8 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws):
             # one set of re-randomized starts per replicate, shared by
             # both weightings; at lam0 = 1 the imputed L(0) is lmat itself
             seed = int(derive_rng(scenario.seed, 3, rep).integers(2**31))
-            start_rows = sample_assignments(scheme, perm_draws, derive_rng(seed, 0x5E))
-            d_rows = _period_diff_rows(lmat, start_rows, periods, m_t)
+            rz = randomize(scheme, "monte_carlo", perm_draws, (seed, 0x5E))
+            d_rows = _period_diff_rows(lmat, rz.rows(), periods, m_t)
             d_obs = _period_diff_rows(lmat, start[None, :], periods, m_t)
             for name in names:
                 w = (
@@ -630,7 +625,7 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws):
                     else _null_weights(lmat, "optimal", periods, scale)
                 )
                 two = _two_sided_count(d_rows @ w, float((d_obs @ w)[0]))
-                tallies[name].add_perm(two, perm_draws, alpha)
+                tallies[name].add_perm(rz.p(two), alpha)
 
     return [tallies[name].row(scenario, name) for name in names], raw
 

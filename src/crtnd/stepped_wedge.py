@@ -21,26 +21,22 @@ log-contrasts within whichever of three groups sharing one treatment
 pattern over (t1, t2) is largest: treated by t1, switching between t1
 and t2, or untreated at t2.  Constant treatment shifts cancel within a
 group, so each group's sample covariance estimates the same S entry.
+
+Permutation tests re-randomize the start-period vector over its
+distinct orderings, as :func:`crtnd.core.randomize` enumerates them
+(``auto``: up to 100,000) or draws them from stream ``(seed, 0x5E)``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    ENUMERATION_CAP,
-    Panel,
-    SteppedWedgeScheme,
-    derive_rng,
-    enumerate_assignments,
-    sample_assignments,
-)
+from .core import Panel, SteppedWedgeScheme, randomize
 from .errors import ArmTooSmall, SingularCovariance
 from .estimators import EstimateReport, normal_ci
 from .inference import (
@@ -498,15 +494,8 @@ def _period_diff_rows(
     return out
 
 
-def _start_blocks(
-    panel: Panel,
-    mode: str,
-    n_draws: int,
-    seed: int,
-    cap: int,
-    auto_exact_limit: int,
-) -> tuple[str, int, Iterable[np.ndarray]]:
-    """(mode, support size, blocks of start vectors) to re-randomize over.
+def _start_scheme(panel: Panel) -> SteppedWedgeScheme:
+    """The randomization of the panel's start vector.
 
     Start labels beyond the observed window (never treated in-window)
     are one more exchangeable category in the randomization.
@@ -516,20 +505,7 @@ def _start_blocks(
         sum(1 for a in panel.start_periods if a == t)
         for t in range(1, label_max + 1)
     )
-    scheme = SteppedWedgeScheme(m=panel.m, q=q)
-    total = scheme.total_assignments
-    if mode == "auto":
-        mode = "exact" if total <= auto_exact_limit else "monte_carlo"
-    if mode == "exact":
-        return mode, total, _blocks(enumerate_assignments(scheme, cap=cap))
-    if mode != "monte_carlo":
-        raise ValueError(f"unknown mode {mode!r}")
-    return mode, total, [sample_assignments(scheme, n_draws, derive_rng(seed, 0x5E))]
-
-
-def _blocks(rows: Iterator[np.ndarray], size: int = 65536) -> Iterator[np.ndarray]:
-    while block := list(itertools.islice(rows, size)):
-        yield np.array(block)
+    return SteppedWedgeScheme(m=panel.m, q=q)
 
 
 def _null_weights(
@@ -561,8 +537,6 @@ def sw_permutation_test(
     mode: str = "auto",
     n_draws: int = 9999,
     seed: int = 0,
-    cap: int = ENUMERATION_CAP,
-    auto_exact_limit: int = 100_000,
     correction: bool = False,
     convention: str = "canonical",
 ) -> PermutationResult:
@@ -588,13 +562,9 @@ def sw_permutation_test(
         return _period_diff_rows(l0, start_rows, periods, m_t) @ w
 
     observed = float(evaluate(start[None, :])[0])
-    mode, total, blocks = _start_blocks(
-        panel, mode, n_draws, seed, cap, auto_exact_limit
-    )
+    rz = randomize(_start_scheme(panel), mode, n_draws, (seed, 0x5E))
     return _permutation_result(
-        evaluate, observed, blocks,
-        mode=mode, total=total, n_draws=n_draws, seed=seed,
-        statistic="sw_log_contrast",
+        evaluate, observed, rz, seed=seed, statistic="sw_log_contrast"
     )
 
 
@@ -623,24 +593,21 @@ def _sw_pvalue_function(
     observed = np.asarray(panel.start_periods)[None, :]
     d_obs = _period_diff_rows(lmat, observed, periods, m_t)[0]
     a_obs = _period_diff_rows(treated, observed, periods, m_t)[0]
-    mode, total, blocks = _start_blocks(
-        panel, mode, n_draws, seed, ENUMERATION_CAP, 100_000
-    )
+    rz = randomize(_start_scheme(panel), mode, n_draws, (seed, 0x5E))
     parts = [
         (_period_diff_rows(lmat, rows, periods, m_t),
          _period_diff_rows(treated, rows, periods, m_t))
-        for rows in blocks
+        for rows in rz.blocks()
     ]
     d_rows = np.concatenate([d for d, _ in parts])
     a_rows = np.concatenate([a for _, a in parts])
-    denom, add_one = (total, 0) if mode == "exact" else (1 + n_draws, 1)
 
     def pfun(theta: float) -> float:
         l0 = lmat - math.log(math.exp(theta)) * treated
         w = _null_weights(l0, weights, periods, scale)
         observed_stat = float((d_obs - theta * a_obs) @ w)
         two, _, _ = _tail_counts((d_rows - theta * a_rows) @ w, observed_stat)
-        return (add_one + two) / denom
+        return rz.p(two)
 
     return pfun
 
@@ -663,8 +630,8 @@ def sw_invert_ci(
     boundary of {p > alpha} to 1e-4, with the routine of
     :func:`~crtnd.inference.invert_ci` (:class:`NoNonRejectedPoint` when
     an edge is still not rejected at 50 SE).  The p-values are those of
-    :func:`sw_permutation_test` with the same options and its default
-    enumeration limits, but the re-randomized statistic is evaluated
+    :func:`sw_permutation_test` with the same options, but the
+    re-randomized statistic is evaluated
     once per assignment for the whole scan, not once per scanned value.
     """
     base = sw_log_contrast(panel, weights, alpha=alpha, convention=convention,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ from crtnd import (
     sample_assignment,
     sample_assignments,
 )
+from crtnd import core
+from crtnd.core import randomize
 from crtnd.errors import DimensionMismatch, IncompletePanel, SupportTooLarge, ZeroCount
 
 
@@ -98,14 +101,224 @@ class TestEnumeration:
             assert sorted(a) == [1, 2, 2, 3]
 
     def test_order_is_lexicographic_and_stable(self):
+        # treated first: arm vectors descend
         out = [tuple(a) for a in enumerate_assignments(ParallelScheme(4, 2))]
-        assert out == sorted(out, reverse=True) or out == sorted(out)
+        assert out == sorted(out, reverse=True)
         again = [tuple(a) for a in enumerate_assignments(ParallelScheme(4, 2))]
         assert out == again
 
     def test_cap_enforced(self):
         with pytest.raises(SupportTooLarge):
             list(enumerate_assignments(ParallelScheme(40, 20), cap=1000))
+
+
+def combinations_oracle(m, m1):
+    """0/1 arm vectors in itertools.combinations order of the treated sets."""
+    rows = []
+    for treated in itertools.combinations(range(m), m1):
+        a = [0] * m
+        for i in treated:
+            a[i] = 1
+        rows.append(tuple(a))
+    return rows
+
+
+def permutations_oracle(base):
+    return sorted(set(itertools.permutations(base)))
+
+
+WEDGE_QS = [
+    (2, 2, 2, 2),
+    (0, 2, 2, 2, 2),  # a label no cluster takes
+    (1, 1, 2, 2, 3),
+    (3, 0, 1, 2),
+    (2, 3),
+    (2, 2, 2, 2, 0),  # the last label empty
+    (2, 2, 2),  # where a product of per-label combinations is out of order
+]
+
+
+class TestRandomizationEngine:
+    @pytest.mark.parametrize("m, m1", [(5, 2), (8, 3), (8, 4), (7, 1), (7, 6)])
+    def test_parallel_rows_in_combinations_order(self, m, m1):
+        rz = randomize(ParallelScheme(m, m1), "exact", 0, (0,))
+        rows = rz.rows()
+        assert rows.dtype == np.float64
+        assert [tuple(int(v) for v in r) for r in rows] == combinations_oracle(m, m1)
+
+    @pytest.mark.parametrize("q", WEDGE_QS)
+    def test_wedge_rows_in_lexicographic_order(self, q):
+        scheme = SteppedWedgeScheme(sum(q), q)
+        base = [t + 1 for t, count in enumerate(q) for _ in range(count)]
+        rows = randomize(scheme, "exact", 0, (0,)).rows()
+        assert rows.dtype == np.int64
+        assert [tuple(int(v) for v in r) for r in rows] == permutations_oracle(base)
+
+    def test_start_label_beyond_the_observed_window(self):
+        from crtnd.stepped_wedge import _start_scheme
+
+        # two clusters start at period 3 of a 2-period panel: never treated
+        panel = Panel(
+            cluster_ids=("a", "b", "c", "d"),
+            start_periods=(3, 1, 3, 2),
+            y=np.ones((4, 2)),
+            z=np.ones((4, 2)),
+        )
+        rows = randomize(_start_scheme(panel), "exact", 0, (0,)).rows()
+        assert [tuple(int(v) for v in r) for r in rows] == permutations_oracle(
+            (1, 2, 3, 3)
+        )
+
+    @pytest.mark.parametrize(
+        "scheme", [ParallelScheme(8, 3), SteppedWedgeScheme(6, (1, 2, 0, 3))]
+    )
+    @pytest.mark.parametrize("rows_per_block", [1, 7, 10, 59, 60, 1000])
+    def test_block_boundaries(self, monkeypatch, scheme, rows_per_block):
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * scheme.m * rows_per_block)
+        rz = randomize(scheme, "exact", 0, (0,))
+        blocks = list(rz.blocks())
+        assert all(0 < b.shape[0] <= rows_per_block for b in blocks)
+        whole = randomize(scheme, "exact", 0, (0,))
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 4 << 20)
+        np.testing.assert_array_equal(np.concatenate(blocks), whole.rows())
+        assert sum(b.shape[0] for b in blocks) == scheme.total_assignments
+
+    def test_monte_carlo_blocks_continue_one_stream(self, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * 24 * 100)
+        scheme = ParallelScheme(24, 12)
+        rz = randomize(scheme, "monte_carlo", 1234, (5, 0xBE))
+        blocks = list(rz.blocks())
+        assert [b.shape[0] for b in blocks] == [100] * 12 + [34]
+        expected = sample_assignments(scheme, 1234, derive_rng(5, 0xBE))
+        np.testing.assert_array_equal(np.concatenate(blocks), expected)
+        np.testing.assert_array_equal(rz.rows(), expected)  # the same again
+
+    def test_support_too_large_raises_before_any_block(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(core, "_support_blocks", lambda *a: built.append(a))
+        with pytest.raises(SupportTooLarge):
+            randomize(ParallelScheme(40, 20), "exact", 0, (0,))
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "mode, limit, expected_mode, reason",
+        [
+            ("auto", 100_000, "exact", "auto: support 12870 <= 100000"),
+            ("auto", 12869, "monte_carlo", "auto: support 12870 > 12869"),
+            ("exact", 100_000, "exact", "exact requested"),
+            ("monte_carlo", 100_000, "monte_carlo", "monte_carlo requested"),
+        ],
+    )
+    def test_mode_reason_and_p_arithmetic(self, mode, limit, expected_mode, reason):
+        rz = randomize(ParallelScheme(16, 8), mode, 99, (1,), limit)
+        assert (rz.mode, rz.reason, rz.support_size) == (expected_mode, reason, 12870)
+        if expected_mode == "exact":
+            assert (rz.n_rows, rz.add_one, rz.denom) == (12870, 0, 12870)
+            assert rz.p(10) == 10 / 12870
+        else:
+            assert (rz.n_rows, rz.add_one, rz.denom) == (99, 1, 100)
+            assert rz.p(10) == 11 / 100
+
+    def test_auto_threshold_is_the_module_constant(self):
+        assert core.AUTO_EXACT_LIMIT == 100_000
+        assert randomize(ParallelScheme(18, 9), "auto", 5, (1,)).mode == "exact"
+        assert randomize(ParallelScheme(20, 10), "auto", 5, (1,)).mode == "monte_carlo"
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError):
+            randomize(ParallelScheme(4, 2), "bootstrap", 5, (1,))
+
+
+class TestStreams:
+    """Each caller draws its Monte Carlo rows from its own fixed stream,
+    and the engine's rows are those of one ``sample_assignments`` call."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        from crtnd import estimators, inference, simulation, stepped_wedge
+
+        made = []
+
+        def spy(*args, **kwargs):
+            made.append(randomize(*args, **kwargs))
+            return made[-1]
+
+        for module in (estimators, inference, simulation, stepped_wedge):
+            monkeypatch.setattr(module, "randomize", spy)
+        return made
+
+    @staticmethod
+    def check(rz, stream):
+        assert rz.mode == "monte_carlo"
+        assert rz.stream == stream
+        expected = sample_assignments(rz.scheme, rz.n_rows, derive_rng(*stream))
+        np.testing.assert_array_equal(rz.rows(), expected)
+
+    @staticmethod
+    def records(m=18, m1=9):
+        rng = np.random.default_rng(3)
+        return [
+            ClusterRecord(f"c{i:02d}", int(i < m1), float(rng.integers(20, 80)),
+                          float(rng.integers(60, 160)))
+            for i in range(m)
+        ]
+
+    @staticmethod
+    def panel():
+        rng = np.random.default_rng(4)
+        return Panel(
+            cluster_ids=tuple(f"c{i}" for i in range(8)),
+            start_periods=(1, 1, 2, 2, 3, 3, 4, 4),
+            y=rng.integers(20, 60, size=(8, 4)).astype(float),
+            z=rng.integers(40, 90, size=(8, 4)).astype(float),
+        )
+
+    def test_analysis_streams(self, made):
+        from crtnd import odds_ratio_estimate, permutation_test, sw_permutation_test
+        from crtnd.inference import NullSpec, _pvalue_function
+        from crtnd.stepped_wedge import _sw_pvalue_function
+
+        recs = self.records()
+        permutation_test(recs, NullSpec("relative_risk", 1.0), mode="monte_carlo",
+                         n_draws=60, seed=7)
+        _pvalue_function(recs, "log_contrast", adjustment="none",
+                         mode="monte_carlo", n_draws=60, seed=7, correction=False)
+        sw_permutation_test(self.panel(), 1.0, mode="monte_carlo", n_draws=60, seed=7)
+        _sw_pvalue_function(self.panel(), "equal", mode="monte_carlo", n_draws=60,
+                            seed=7, correction=False, convention="canonical")
+        # C(18, 9) = 48620 relabelings: above the SE's enumeration limit
+        report = odds_ratio_estimate(recs, se_draws=60, seed=7)
+        assert report.diagnostics["se_source"] == "permutation-mc(60)"
+        streams = [(7, 0xBE), (7, 0xC1), (7, 0x5E), (7, 0x5E), (7, 0x0D)]
+        assert len(made) == len(streams)
+        for rz, stream in zip(made, streams):
+            self.check(rz, stream)
+
+    def test_simulation_streams(self, made):
+        from crtnd import SimScenario, evaluate
+
+        scenario = SimScenario(
+            scenario_id="streams", design=ParallelScheme(24, 12),
+            baseline_y=tuple(range(30, 54)), baseline_z=tuple(range(80, 104)),
+            n_replicates=2, seed=9,
+        )
+        evaluate(scenario, ("log_contrast",), perm_draws=40)
+        for rep, rz in enumerate(made):
+            self.check(rz, (9, 3, rep))
+
+        made.clear()
+        q = (2, 2, 2, 2)
+        wedge = SimScenario(
+            scenario_id="wedge-streams", design=SteppedWedgeScheme(8, q),
+            baseline_y=tuple(tuple(40.0 + i + t for t in range(4)) for i in range(8)),
+            baseline_z=tuple(100.0 + i for i in range(8)),
+            n_replicates=2, seed=9,
+        )
+        evaluate(wedge, ("sw_equal",), perm_draws=40)
+        assert len(made) == 2
+        for rep, rz in enumerate(made):
+            nested = int(derive_rng(9, 3, rep).integers(2**31))
+            self.check(rz, (nested, 0x5E))
 
 
 class TestSampling:

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -174,6 +175,29 @@ class TestCli:
         methods = [r["method"] for r in payload["results"]]
         assert methods == ["odds_ratio", "tpf", "log_contrast", "covariate_adjusted"]
         assert payload["config"]["seed"] == 3
+
+    def test_reports_say_how_the_permutation_p_was_obtained(self, tmp_path):
+        data = write(tmp_path, "d.csv", PARALLEL_CSV)
+        out = tmp_path / "r.json"
+        entries = []
+        for mode in ("auto", "monte-carlo"):
+            assert main(["analyze", "--input", str(data), "--out", str(out),
+                         "--estimators", "log_contrast", "--mode", mode,
+                         "--n-draws", "400", "--seed", "2"]) == 0
+            diagnostics = json.loads(out.read_text())["results"][0]["diagnostics"]
+            entries.append((diagnostics["permutation_p_null1"],
+                            diagnostics["permutation"]))
+        (p_exact, exact), (p_mc, mc) = entries
+        assert exact == {"mode": "exact", "mode_reason": "auto: support 20 <= 100000",
+                         "support_size": 20, "null_draws": 20, "mc_se": 0.0}
+        assert mc["mode"] == "monte_carlo"
+        assert mc["mode_reason"] == "monte_carlo requested"
+        assert (mc["support_size"], mc["null_draws"]) == (20, 400)
+        assert mc["mc_se"] == pytest.approx(math.sqrt(p_mc * (1 - p_mc) / 400))
+        panel_csv = make_sw_csv(tmp_path)
+        assert main(["analyze-sw", "--input", str(panel_csv), "--out", str(out)]) == 0
+        entry = json.loads(out.read_text())["results"][0]["diagnostics"]["permutation"]
+        assert entry["mode_reason"] == "auto: support 90 <= 100000"
 
     def test_analyze_symmetric_null_dataset(self, tmp_path, capsys):
         rows = ["cluster_id,arm,y_count,z_count"]

@@ -295,6 +295,26 @@ class TestDoseResponse:
         p_dr = dose_response_pvalue(recs, math.log(lam))
         assert p_dr == pytest.approx(p_lc, abs=1e-9)
 
+    @pytest.mark.parametrize("covariates", [False, True])
+    @pytest.mark.parametrize("beta0", [0.0, -0.8])
+    def test_ratio_divides_by_the_adjusted_dose_difference(self, covariates, beta0):
+        from crtnd.inference import _dose_stat
+
+        recs = trial_records(5, 16, 8, covariates=covariates)
+        adjustment = "covariates" if covariates else "none"
+        stat = _dose_stat(recs, adjustment, False)
+        doses = np.array([r.dose for r in recs])
+        assert stat.den == pytest.approx(
+            adjusted_difference(doses, recs, adjustment), rel=1e-12
+        )
+        rep = normal_test(recs, NullSpec("dose_response", beta0, adjustment),
+                          "dose_response")
+        assert rep.log_estimate == stat.num / stat.den
+        assert rep.se_log == stat.at(beta0)[1] / abs(stat.den)
+        assert rep.diagnostics["dose_arm_difference"] == stat.den
+        est = dose_response_estimate(recs, adjustment=adjustment)
+        assert est.se_log == stat.at(stat.num / stat.den)[1] / abs(stat.den)
+
     def test_exact_linear_model(self):
         doses = np.linspace(0.1, 0.9, 10)
         lvals = 2.0 - 3.0 * doses
@@ -591,18 +611,21 @@ class TestSplitPValueFunction:
 
 
 class TestEnumeratedBlocks:
-    def test_rows_and_order_match_enumerate_assignments(self):
-        from crtnd.inference import _enumerated_blocks
+    def test_rows_and_order_match_enumerate_assignments(self, monkeypatch):
+        from crtnd import core
 
         scheme = ParallelScheme(8, 3)
-        blocks = list(_enumerated_blocks(scheme, cap=56, block=10))
-        assert [b.shape for b in blocks] == [(10, 8)] * 5 + [(6, 8)]
-        assert all(b.dtype == np.int8 for b in blocks)
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * 8 * 10)
+        blocks = list(core.randomize(scheme, "exact", 0, (0,)).blocks())
+        assert len(blocks) > 1
+        assert all(b.shape[0] <= 10 and b.shape[1] == 8 for b in blocks)
+        assert all(b.dtype == np.float64 for b in blocks)
         expected = np.array(list(enumerate_assignments(scheme)))
         np.testing.assert_array_equal(np.concatenate(blocks), expected)
 
-    def test_support_above_cap_raises(self):
-        from crtnd.inference import _enumerated_blocks
+    def test_support_above_cap_raises(self, monkeypatch):
+        from crtnd import core
 
+        monkeypatch.setattr(core, "ENUMERATION_CAP", 251)
         with pytest.raises(SupportTooLarge):
-            next(_enumerated_blocks(ParallelScheme(10, 5), cap=251))
+            core.randomize(ParallelScheme(10, 5), "exact", 0, (0,))

@@ -366,7 +366,7 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
     from crtnd.errors import CrtndError, NoAdmissibleRoot, SingularCovariance
     from crtnd.estimators import odds_ratio_log, odds_ratio_permutation_draws
     from crtnd.inference import _diff_means_rows, _tail_counts
-    from crtnd.simulation import _mc_reject, _Tally, _tally_from_values
+    from crtnd.simulation import _Tally, _tally_from_values
     from crtnd.stepped_wedge import equal_weights
 
     alpha, lam = scenario.alpha, scenario.lam
@@ -380,7 +380,7 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
 
     def reject(name, draws, observed):
         two, _, _ = _tail_counts(draws, observed)
-        tallies[name].reject_perm += _mc_reject(two, perm_draws, alpha)
+        tallies[name].reject_perm += (1 + two) / (1 + perm_draws) <= alpha
         tallies[name].n_perm += 1
 
     def drop(reason):
