@@ -18,9 +18,9 @@ from .core import (
     PeriodPotentialTable,
     PotentialTable,
     SteppedWedgeScheme,
+    Trial,
     derive_rng,
     enumerate_assignments,
-    log_contrast,
     log_contrasts,
     realize,
     sample_assignment,
@@ -87,6 +87,7 @@ __all__ = [
     "SWWeights",
     "SimScenario",
     "SteppedWedgeScheme",
+    "Trial",
     "covariate_adjusted_estimate",
     "default_parallel_scenario",
     "default_sw_scenario",
@@ -96,7 +97,6 @@ __all__ = [
     "evaluate",
     "impute_null_outcomes",
     "invert_ci",
-    "log_contrast",
     "log_contrast_estimate",
     "log_contrasts",
     "normal_test",

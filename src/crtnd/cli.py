@@ -194,7 +194,7 @@ def _permutation_entry(perm) -> dict:
 
 
 def _cmd_analyze(args) -> int:
-    kind, data = parse_dataset(args.input)
+    kind, trial = parse_dataset(args.input)
     if kind != "parallel":
         raise DataError("analyze expects a parallel-arm dataset; use analyze-sw")
     requested = args.estimators is not None
@@ -204,7 +204,7 @@ def _cmd_analyze(args) -> int:
     unknown = set(names) - set(DEFAULT_ESTIMATORS)
     if unknown:
         raise DataError(f"unknown estimators: {sorted(unknown)}")
-    if "covariate_adjusted" in names and not data[0].covariates:
+    if "covariate_adjusted" in names and trial.x.shape[1] == 0:
         if requested:
             raise DataError(
                 "covariate_adjusted needs covariate columns x1..xp in the input"
@@ -216,12 +216,12 @@ def _cmd_analyze(args) -> int:
     for name in names:
         if name == "odds_ratio":
             rep = odds_ratio_estimate(
-                data, alpha=args.alpha, se_draws=args.n_draws, seed=args.seed
+                trial, alpha=args.alpha, se_draws=args.n_draws, seed=args.seed
             )
         elif name == "tpf":
-            rep = tpf_estimate(data, alpha=args.alpha)
+            rep = tpf_estimate(trial, alpha=args.alpha)
             lo, hi, _ = invert_ci(
-                data, "tpf", alpha=args.alpha, test="permutation",
+                trial, "tpf", alpha=args.alpha, test="permutation",
                 mode=mode, n_draws=args.n_draws, seed=args.seed,
                 correction=correction,
             )
@@ -229,16 +229,16 @@ def _cmd_analyze(args) -> int:
             rep.ci_method = "test_inversion"
         elif name == "log_contrast":
             rep = normal_test(
-                data, NullSpec("relative_risk", 1.0), "log_contrast",
+                trial, NullSpec("relative_risk", 1.0), "log_contrast",
                 alpha=args.alpha, correction=correction,
             )
         else:
             rep = normal_test(
-                data, NullSpec("relative_risk", 1.0), "covariate_adjusted",
+                trial, NullSpec("relative_risk", 1.0), "covariate_adjusted",
                 alpha=args.alpha, correction=correction,
             )
         perm = permutation_test(
-            data, NullSpec("relative_risk", 1.0), _PERM_STATISTIC[name],
+            trial, NullSpec("relative_risk", 1.0), _PERM_STATISTIC[name],
             mode=mode, n_draws=args.n_draws, seed=args.seed,
             correction=correction,
         )
@@ -250,7 +250,7 @@ def _cmd_analyze(args) -> int:
         inverts = name in ("log_contrast", "covariate_adjusted")
         if inverts and args.ci_method == "invert-permutation":
             lo, hi, diag = invert_ci(
-                data, name, alpha=args.alpha, test="permutation", mode=mode,
+                trial, name, alpha=args.alpha, test="permutation", mode=mode,
                 n_draws=args.n_draws, seed=args.seed, correction=correction,
             )
             rep.ci_low, rep.ci_high, rep.ci_method = lo, hi, "test_inversion"
@@ -303,12 +303,13 @@ def _cmd_analyze_sw(args) -> int:
         rep.p_value, _ = _two_sided_p(rep.log_estimate, rep.se_log,
                                       abs(rep.log_estimate))
     if args.ci_method == "invert-permutation":
-        lo, hi = sw_invert_ci(
+        lo, hi, diag = sw_invert_ci(
             panel, weights, alpha=args.alpha, mode=mode, n_draws=args.n_draws,
             seed=args.seed, correction=args.continuity_correction,
             convention=args.sigma_convention,
         )
         rep.ci_low, rep.ci_high, rep.ci_method = lo, hi, "test_inversion"
+        rep.diagnostics["ci_inversion"] = diag
     elif args.ci_method == "invert-normal":
         # inverting the z-test reproduces the closed-form Normal CI
         rep.diagnostics["ci_note"] = "invert-normal coincides with the Normal CI"
@@ -328,11 +329,11 @@ def _cmd_analyze_sw(args) -> int:
 
 
 def _cmd_dose_response(args) -> int:
-    kind, data = parse_dataset(args.input)
+    kind, trial = parse_dataset(args.input)
     if kind != "parallel":
         raise DataError("dose-response expects a parallel-arm dataset")
     rep = dose_response_estimate(
-        data,
+        trial,
         adjustment=args.adjustment,
         alpha=args.alpha,
         test=args.test,
@@ -451,9 +452,18 @@ def _cmd_sweep(args) -> int:
                 "scenario": scenario_to_dict(scenario),
                 "config": _config_echo(args),
                 "n_configs": args.n_configs,
+                "dropped_replicates": _dropped_by_config(rows),
             },
         )
     return 0
+
+
+def _dropped_by_config(rows) -> dict:
+    """Each configuration's drop counts, by estimator and then reason."""
+    dropped: dict[str, dict] = {}
+    for row in rows:
+        dropped.setdefault(row.scenario_id, {})[row.estimator] = row.dropped
+    return dropped
 
 
 def _config_echo(args) -> dict:

@@ -14,9 +14,15 @@ on both counts::
     y(1) = lam * c * y(0)        z(1) = c * z(0)
 
 so the log-contrast ``L = log(y) - log(z)`` shifts by exactly
-``log(lam)`` under treatment, for any ``c``.  All types here are frozen
-and all operations are pure, so values can be shared freely across
-threads.
+``log(lam)`` under treatment, for any ``c``.
+
+The package computes on arrays: a parallel-arm dataset is a
+:class:`Trial` and a stepped-wedge dataset a :class:`Panel`.  The
+record types :class:`ClusterRecord` and :class:`ClusterPeriodRecord`
+exist for the I/O boundary only, and ``Trial.from_records`` /
+``Panel.from_records`` convert hand-built records once.  All types here
+are frozen and all operations are pure, so values can be shared freely
+across threads.
 """
 
 from __future__ import annotations
@@ -28,8 +34,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    ArmTooSmall,
     DimensionMismatch,
     IncompletePanel,
+    MissingDose,
     SupportTooLarge,
     ZeroCount,
 )
@@ -105,52 +113,153 @@ class ClusterPeriodRecord:
                 )
 
 
-def log_contrast(record: ClusterRecord, correction: bool = False) -> float:
-    """log(y) - log(z) for one cluster.
+# --------------------------------------------------------------------- #
+# Parallel-arm trial
+# --------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True, eq=False)
+class Trial:
+    """A parallel-arm dataset as arrays, one entry per cluster.
+
+    ``arm`` is True for treated clusters; ``y`` and ``z`` hold the
+    test-positive and test-negative counts, ``x`` the (m, p) covariates
+    (p may be 0) and ``dose`` each cluster's dose, NaN where a cluster
+    has none, or ``None`` when the dataset has no dose at all.  The
+    arrays are read-only copies.  Construction checks what every
+    analysis assumes: unique ids, finite nonnegative counts, doses in
+    [0, 1], and two nonempty arms (:class:`ArmTooSmall` otherwise).
+    """
+
+    cluster_ids: tuple[str, ...]
+    arm: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    x: np.ndarray | None = None
+    dose: np.ndarray | None = None
+
+    def __post_init__(self):
+        ids = tuple(self.cluster_ids)
+        m = len(ids)
+        if m == 0:
+            raise ValueError("empty dataset")
+        if len(set(ids)) != m:
+            dup = next(c for i, c in enumerate(ids) if c in ids[:i])
+            raise ValueError(f"duplicate cluster_id {dup!r}")
+        arm = np.array(self.arm)
+        if arm.shape != (m,) or (
+            arm.dtype != bool and not np.all((arm == 0) | (arm == 1))
+        ):
+            raise ValueError(f"arm must be {m} values in (0, 1)")
+        y = np.array(self.y, dtype=float)
+        z = np.array(self.z, dtype=float)
+        for name, v in (("y_count", y), ("z_count", z)):
+            if v.shape != (m,):
+                raise DimensionMismatch(f"{name} must have {m} entries")
+            if not 0 <= v.min() <= v.max() < math.inf:  # NaN fails too
+                i = int(np.argmax(~np.isfinite(v) | (v < 0)))
+                raise ValueError(
+                    f"cluster {ids[i]!r}: {name} must be a finite "
+                    f"nonnegative real, got {float(v[i])!r}"
+                )
+        x = np.empty((m, 0)) if self.x is None else np.array(self.x, dtype=float)
+        if x.ndim != 2 or x.shape[0] != m:
+            raise DimensionMismatch(f"covariates must be an ({m}, p) matrix")
+        fields = {"cluster_ids": ids, "arm": arm.astype(bool), "y": y, "z": z, "x": x}
+        if self.dose is not None:
+            dose = np.array(self.dose, dtype=float)
+            if dose.shape != (m,):
+                raise DimensionMismatch(f"dose must have {m} entries")
+            bad = (dose < 0) | (dose > 1)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(
+                    f"cluster {ids[i]!r}: dose must lie in [0, 1], "
+                    f"got {float(dose[i])!r}"
+                )
+            fields["dose"] = dose
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        m1 = int(np.count_nonzero(self.arm))
+        if m1 == 0 or m1 == m:
+            raise ArmTooSmall(
+                f"both arms must be nonempty (treated={m1}, control={m - m1})"
+            )
+
+    @staticmethod
+    def from_records(records: Sequence[ClusterRecord]) -> "Trial":
+        """The trial of hand-built records, in record order."""
+        if not records:
+            raise ValueError("empty dataset")
+        p = len(records[0].covariates)
+        for r in records:
+            if len(r.covariates) != p:
+                raise ValueError(
+                    f"cluster {r.cluster_id!r} has {len(r.covariates)} covariates, "
+                    f"expected {p}"
+                )
+        doses = [math.nan if r.dose is None else r.dose for r in records]
+        return Trial(
+            cluster_ids=tuple(r.cluster_id for r in records),
+            arm=[r.arm for r in records],
+            y=[r.y_count for r in records],
+            z=[r.z_count for r in records],
+            x=[r.covariates for r in records],
+            dose=None if all(r.dose is None for r in records) else doses,
+        )
+
+    @property
+    def m(self) -> int:
+        return len(self.cluster_ids)
+
+    @property
+    def scheme(self) -> "ParallelScheme":
+        """The design the arms were drawn from: ``m1`` treated of ``m``."""
+        return ParallelScheme(m=self.m, m1=int(np.count_nonzero(self.arm)))
+
+    def require_dose(self) -> np.ndarray:
+        """The dose vector; :class:`MissingDose` names a cluster without one."""
+        if self.dose is None:
+            raise MissingDose(self.cluster_ids[0])
+        missing = np.isnan(self.dose)
+        if missing.any():
+            raise MissingDose(self.cluster_ids[int(np.argmax(missing))])
+        return self.dose
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trial):
+            return NotImplemented
+        same_dose = (
+            self.dose is other.dose
+            if self.dose is None or other.dose is None
+            else np.array_equal(self.dose, other.dose, equal_nan=True)
+        )
+        return same_dose and self.cluster_ids == other.cluster_ids and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("arm", "y", "z", "x")
+        )
+
+    __hash__ = None
+
+
+def log_contrasts(trial: Trial, correction: bool = False) -> np.ndarray:
+    """Per-cluster ``log(y) - log(z)``, each term in :func:`math.log`.
 
     With ``correction`` enabled, 0.5 is added to both counts; otherwise a
-    zero count raises :class:`ZeroCount`.  The correction changes the
-    estimand slightly, so it is opt-in.
+    zero count raises :class:`ZeroCount` for the first cluster with one.
+    The correction changes the estimand slightly, so it is opt-in.
     """
-    return _log_contrast_value(
-        record.y_count, record.z_count, record.cluster_id, correction
-    )
-
-
-def _log_contrast_value(
-    y: float, z: float, cluster_id: str, correction: bool
-) -> float:
+    pairs = zip(trial.y.tolist(), trial.z.tolist())
     if correction:
-        return math.log(y + 0.5) - math.log(z + 0.5)
-    if y <= 0:
-        raise ZeroCount(cluster_id, "test-positive")
-    if z <= 0:
-        raise ZeroCount(cluster_id, "test-negative")
-    return math.log(y) - math.log(z)
-
-
-def log_contrasts(
-    records: Sequence[ClusterRecord], correction: bool = False
-) -> np.ndarray:
-    """Vector of log-contrasts in record order."""
-    return np.array([log_contrast(r, correction) for r in records], dtype=float)
-
-
-def validate_records(records: Sequence[ClusterRecord]) -> None:
-    """Check dataset-level invariants: unique ids, common covariate dimension."""
-    if not records:
-        raise ValueError("empty dataset")
-    seen: set[str] = set()
-    p = len(records[0].covariates)
-    for r in records:
-        if r.cluster_id in seen:
-            raise ValueError(f"duplicate cluster_id {r.cluster_id!r}")
-        seen.add(r.cluster_id)
-        if len(r.covariates) != p:
-            raise ValueError(
-                f"cluster {r.cluster_id!r} has {len(r.covariates)} covariates, "
-                f"expected {p}"
-            )
+        return np.array([math.log(y + 0.5) - math.log(z + 0.5) for y, z in pairs])
+    try:
+        return np.array([math.log(y) - math.log(z) for y, z in pairs])
+    except ValueError:  # log(0): counts are nonnegative
+        i = int(np.argmax((trial.y == 0) | (trial.z == 0)))
+        which = "test-positive" if trial.y[i] == 0 else "test-negative"
+        raise ZeroCount(trial.cluster_ids[i], which) from None
 
 
 # --------------------------------------------------------------------- #
@@ -236,21 +345,6 @@ class Panel:
                 i, t = np.argwhere(arr <= 0)[0]
                 raise ZeroCount(f"{self.cluster_ids[int(i)]}@{int(t) + 1}", which)
         return np.log(self.y) - np.log(self.z)
-
-    def to_records(self) -> list[ClusterPeriodRecord]:
-        recs = []
-        for i, cid in enumerate(self.cluster_ids):
-            for t in range(self.n_periods):
-                recs.append(
-                    ClusterPeriodRecord(
-                        cluster_id=cid,
-                        period=t + 1,
-                        start_period=self.start_periods[i],
-                        y_count=float(self.y[i, t]),
-                        z_count=float(self.z[i, t]),
-                    )
-                )
-        return recs
 
 
 # --------------------------------------------------------------------- #
@@ -655,7 +749,7 @@ class PeriodPotentialTable:
 
 def realize(
     table: PotentialTable | PeriodPotentialTable, assignment: Sequence[int]
-) -> list[ClusterRecord] | Panel:
+) -> Trial | Panel:
     """Observed data under one assignment (pure function).
 
     Parallel: arm a selects ``(y(a), z(a))`` per cluster.  Stepped
@@ -669,27 +763,15 @@ def realize(
     if isinstance(table, PotentialTable):
         if not np.all((a == 0) | (a == 1)):
             raise ValueError("parallel assignments must be 0/1 vectors")
-        y = np.where(a == 1, table.y1, table.y0)
-        z = np.where(a == 1, table.z1, table.z0)
-        records = []
-        for i, cid in enumerate(table.cluster_ids):
-            records.append(
-                ClusterRecord(
-                    cluster_id=cid,
-                    arm=int(a[i]),
-                    y_count=float(y[i]),
-                    z_count=float(z[i]),
-                    covariates=(
-                        tuple(table.covariates[i])
-                        if table.covariates is not None
-                        else ()
-                    ),
-                    dose=(
-                        float(table.doses[i]) if table.doses is not None else None
-                    ),
-                )
-            )
-        return records
+        treated = a == 1
+        return Trial(
+            cluster_ids=table.cluster_ids,
+            arm=treated,
+            y=np.where(treated, table.y1, table.y0),
+            z=np.where(treated, table.z1, table.z0),
+            x=table.covariates,
+            dose=table.doses,
+        )
     if np.any(a < 1) or np.any(a > table.n_periods):
         raise ValueError("start periods must lie in 1..T")
     periods = np.arange(1, table.n_periods + 1)

@@ -6,9 +6,12 @@ numbered covariate columns ``x1..xp`` and an optional ``dose`` column;
 the stepped-wedge schema is
 ``cluster_id, period, start_period, y_count, z_count``.  Parsing is
 strict: unknown columns, duplicate keys, negative counts, and malformed
-cells are rejected with the offending line number.  Records are
-returned in canonical (sorted cluster_id) order, so
-``parse(emit(data)) == data``.
+or non-finite cells are rejected with the offending line number.  This
+module is the I/O boundary of the array types: a parallel file becomes
+one :class:`~crtnd.core.Trial` (a missing dose cell is NaN, a file
+without a dose column has dose ``None``), a stepped-wedge file one
+:class:`~crtnd.core.Panel`, both in canonical (sorted cluster_id)
+order, so ``parse(emit(data)) == data``.
 
 Scenario files are JSON mirrors of :class:`SimScenario`; reports are
 JSON with a ``schema_version`` so downstream tools can join on
@@ -19,16 +22,17 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from pathlib import Path
 from typing import Sequence
 
 from .core import (
     ClusterPeriodRecord,
-    ClusterRecord,
     Panel,
     ParallelScheme,
     SteppedWedgeScheme,
+    Trial,
 )
 from .errors import ParseError, SchemaError
 from .simulation import MetricsRow, SimScenario
@@ -46,6 +50,8 @@ def _float_cell(raw: str, line: int, column: str, *, minimum=None, maximum=None)
         raise ParseError(line, column, f"not a number: {raw!r}") from None
     if value != value:  # NaN
         raise ParseError(line, column, "NaN is not allowed")
+    if not math.isfinite(value):
+        raise ParseError(line, column, f"not a finite number: {raw!r}")
     if minimum is not None and value < minimum:
         raise ParseError(line, column, f"must be >= {minimum}, got {raw!r}")
     if maximum is not None and value > maximum:
@@ -64,7 +70,7 @@ def _int_cell(raw: str, line: int, column: str, *, minimum=None):
 
 
 def parse_dataset(path: str | Path):
-    """Read a dataset file; returns ("parallel", records) or ("sw", panel)."""
+    """Read a dataset file; returns ("parallel", trial) or ("sw", panel)."""
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -103,11 +109,11 @@ def _covariate_columns(header: list[str]) -> list[str]:
     return extras
 
 
-def _parse_parallel(header, rows) -> list[ClusterRecord]:
+def _parse_parallel(header, rows) -> Trial:
     xcols = _covariate_columns(header)
     col = {name: header.index(name) for name in header}
     has_dose = "dose" in header
-    records = []
+    records = []  # (cluster_id, arm, y, z, covariates, dose) per row
     seen: dict[str, int] = {}
     for row, line in rows:
         if len(row) != len(header):
@@ -132,25 +138,17 @@ def _parse_parallel(header, rows) -> list[ClusterRecord]:
             if raw == "":
                 raise ParseError(line, name, "missing covariate value")
             covs.append(_float_cell(raw, line, name))
-        dose = None
+        dose = math.nan
         if has_dose:
             raw = row[col["dose"]]
             if raw != "":
                 dose = _float_cell(raw, line, "dose", minimum=0.0, maximum=1.0)
-        records.append(
-            ClusterRecord(
-                cluster_id=cid,
-                arm=arm,
-                y_count=y,
-                z_count=z,
-                covariates=tuple(covs),
-                dose=dose,
-            )
-        )
+        records.append((cid, arm, y, z, covs, dose))
     if not records:
         raise SchemaError("no data rows")
-    records.sort(key=lambda r: r.cluster_id)
-    return records
+    records.sort(key=lambda r: r[0])
+    ids, arm, y, z, x, dose = zip(*records)
+    return Trial(ids, arm, y, z, x, dose if has_dose else None)
 
 
 def _parse_sw(header, rows) -> Panel:
@@ -196,41 +194,34 @@ def _format_number(value: float) -> str:
     return repr(value)
 
 
-def emit_dataset(data: Sequence[ClusterRecord] | Panel, path: str | Path) -> None:
+def emit_dataset(data: Trial | Panel, path: str | Path) -> None:
     """Write a dataset in canonical order; round-trips through parse_dataset."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         if isinstance(data, Panel):
             writer.writerow(_SW_REQUIRED)
-            for rec in data.to_records():
-                writer.writerow(
-                    [
-                        rec.cluster_id,
-                        rec.period,
-                        rec.start_period,
-                        _format_number(rec.y_count),
-                        _format_number(rec.z_count),
-                    ]
-                )
+            for i, cid in enumerate(data.cluster_ids):
+                for t in range(data.n_periods):
+                    y, z = _format_number(data.y[i, t]), _format_number(data.z[i, t])
+                    writer.writerow([cid, t + 1, data.start_periods[i], y, z])
             return
-        records = sorted(data, key=lambda r: r.cluster_id)
-        p = len(records[0].covariates)
-        has_dose = any(r.dose is not None for r in records)
-        header = list(_PARALLEL_REQUIRED) + [f"x{i + 1}" for i in range(p)]
+        has_dose = data.dose is not None
+        header = _PARALLEL_REQUIRED + [f"x{i + 1}" for i in range(data.x.shape[1])]
         if has_dose:
             header.append("dose")
         writer.writerow(header)
-        for rec in records:
+        for i in sorted(range(data.m), key=data.cluster_ids.__getitem__):
             row = [
-                rec.cluster_id,
-                rec.arm,
-                _format_number(rec.y_count),
-                _format_number(rec.z_count),
+                data.cluster_ids[i],
+                int(data.arm[i]),
+                _format_number(data.y[i]),
+                _format_number(data.z[i]),
             ]
-            row.extend(_format_number(v) for v in rec.covariates)
+            row.extend(_format_number(v) for v in data.x[i])
             if has_dose:
-                row.append("" if rec.dose is None else _format_number(rec.dose))
+                dose = data.dose[i]
+                row.append("" if math.isnan(dose) else _format_number(dose))
             writer.writerow(row)
 
 

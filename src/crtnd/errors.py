@@ -90,7 +90,7 @@ class RankDeficientCovariates(CrtndError):
 
 
 class MissingDose(CrtndError):
-    """A dose-response method was invoked on records without doses."""
+    """A dose-response method was invoked on clusters without doses."""
 
     def __init__(self, cluster_id: str):
         self.cluster_id = cluster_id

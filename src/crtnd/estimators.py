@@ -30,12 +30,11 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    ClusterRecord,
     ParallelScheme,
     Randomization,
+    Trial,
     log_contrasts,
     randomize,
-    validate_records,
 )
 from .errors import (
     AmbiguousRoot,
@@ -133,19 +132,6 @@ class CovariateFit:
 # --------------------------------------------------------------------- #
 
 
-def split_arms(records: Sequence[ClusterRecord]):
-    """(treated, control) sublists; both must be nonempty."""
-    validate_records(records)
-    treated = [r for r in records if r.arm == 1]
-    control = [r for r in records if r.arm == 0]
-    if not treated or not control:
-        raise ArmTooSmall(
-            f"both arms must be nonempty (treated={len(treated)}, "
-            f"control={len(control)})"
-        )
-    return treated, control
-
-
 @lru_cache(maxsize=64)
 def _z_quantile(alpha: float) -> float:
     """Two-sided Normal critical value z_{1-alpha/2}."""
@@ -163,19 +149,12 @@ def normal_ci(log_estimate: float, se: float, alpha: float) -> tuple[float, floa
 # --------------------------------------------------------------------- #
 
 
-def odds_ratio_log(records: Sequence[ClusterRecord]) -> float:
-    """log of the pooled-count odds ratio; raises ZeroArmTotal on zero sums."""
-    y = np.array([r.y_count for r in records])
-    z = np.array([r.z_count for r in records])
-    arms = np.array([r.arm == 1 for r in records])
-    return _odds_ratio_log_arrays(y, z, arms)
-
-
-def _odds_ratio_log_arrays(y: np.ndarray, z: np.ndarray, arms: np.ndarray) -> float:
-    """:func:`odds_ratio_log` on count vectors and a boolean treated mask.
+def odds_ratio_log(trial: Trial) -> float:
+    """log of the pooled-count odds ratio; raises ZeroArmTotal on zero sums.
 
     Arm totals are summed left to right in cluster order.
     """
+    y, z, arms = trial.y, trial.z, trial.arm
     sums = {
         "treated test-positive": sum(y[arms].tolist()),
         "control test-positive": sum(y[~arms].tolist()),
@@ -211,7 +190,7 @@ _OR_ENUMERATION_LIMIT = 20000
 
 
 def odds_ratio_estimate(
-    records: Sequence[ClusterRecord],
+    trial: Trial,
     *,
     alpha: float = 0.05,
     se_draws: int = 2000,
@@ -224,14 +203,9 @@ def odds_ratio_estimate(
     to 20,000 relabelings, else ``se_draws`` drawn from stream
     ``(seed, 0x0D)``.
     """
-    treated, control = split_arms(records)
-    log_or = odds_ratio_log(records)
-    y = np.array([r.y_count for r in records])
-    z = np.array([r.z_count for r in records])
-    rz = _odds_ratio_relabelings(
-        ParallelScheme(m=len(records), m1=len(treated)), se_draws, seed
-    )
-    se = _permutation_se(odds_ratio_permutation_draws(y, z, rz.rows()))
+    log_or = odds_ratio_log(trial)
+    rz = _odds_ratio_relabelings(trial.scheme, se_draws, seed)
+    se = _permutation_se(odds_ratio_permutation_draws(trial.y, trial.z, rz.rows()))
     ci_low = ci_high = None
     if se is not None:
         ci_low, ci_high = normal_ci(log_or, se, alpha)
@@ -268,37 +242,23 @@ def _permutation_se(draws: np.ndarray) -> float | None:
 # --------------------------------------------------------------------- #
 
 
-def tpf_statistic(records: Sequence[ClusterRecord]) -> tuple[float, float]:
+def tpf_statistic(trial: Trial) -> tuple[float, float]:
     """Arm-mean difference of test-positive fractions and pooled ratio r.
 
     Returns ``(T, r)`` with ``T`` the treated-minus-control mean of
     ``y / (y + z)`` and ``r`` the pooled negative:positive count ratio.
-    """
-    split_arms(records)
-    for r in records:
-        if r.y_count + r.z_count <= 0:
-            raise EmptyCluster(r.cluster_id)
-    return _tpf_statistic_arrays(
-        np.array([r.y_count for r in records]),
-        np.array([r.z_count for r in records]),
-        np.array([r.arm == 1 for r in records]),
-    )
-
-
-def _tpf_statistic_arrays(
-    y: np.ndarray, z: np.ndarray, arms: np.ndarray
-) -> tuple[float, float]:
-    """:func:`tpf_statistic` on counts with nonzero y + z and a treated mask.
-
     Sums run left to right in cluster order, as Python's ``sum`` does.
     """
-    ys, zs = y.tolist(), z.tolist()
+    empty = trial.y + trial.z <= 0
+    if empty.any():
+        raise EmptyCluster(trial.cluster_ids[int(np.argmax(empty))])
+    ys, zs, arms = trial.y.tolist(), trial.z.tolist(), trial.arm.tolist()
     total_y, total_z = sum(ys), sum(zs)
     if total_y <= 0:
         raise ZeroPositiveTotal("pooled test-positive count is zero")
     frac = [yi / (yi + zi) for yi, zi in zip(ys, zs)]
-    treated = [f for f, a in zip(frac, arms.tolist()) if a]
-    control = [f for f, a in zip(frac, arms.tolist()) if not a]
+    treated = [f for f, a in zip(frac, arms) if a]
+    control = [f for f, a in zip(frac, arms) if not a]
     t_val = sum(treated) / len(treated) - sum(control) / len(control)
     return float(t_val), float(total_z / total_y)
 
@@ -354,9 +314,7 @@ def tpf_solve(t_stat: float, r: float) -> float:
     return lam
 
 
-def tpf_estimate(
-    records: Sequence[ClusterRecord], *, alpha: float = 0.05
-) -> EstimateReport:
+def tpf_estimate(trial: Trial, *, alpha: float = 0.05) -> EstimateReport:
     """Point estimate via the fraction statistic; no analytic SE is attached.
 
     A standard error for this estimator is not conveniently computable,
@@ -365,10 +323,9 @@ def tpf_estimate(
     allocation, where the expected-fraction approximation is derived
     assuming equal arms.
     """
-    t_stat, r = tpf_statistic(records)
+    t_stat, r = tpf_statistic(trial)
     lam = tpf_solve(t_stat, r)
-    m = len(records)
-    m1 = sum(rec.arm for rec in records)
+    m, m1 = trial.m, int(np.count_nonzero(trial.arm))
     diagnostics = {"t_statistic": t_stat, "r": r}
     if m != 2 * m1:
         diagnostics["unequal_allocation_warning"] = (
@@ -390,14 +347,8 @@ def tpf_estimate(
 # --------------------------------------------------------------------- #
 
 
-def _arm_arrays(records, correction):
-    arms = np.array([r.arm for r in records], dtype=bool)
-    lvals = log_contrasts(records, correction)
-    return lvals, arms
-
-
 def log_contrast_estimate(
-    records: Sequence[ClusterRecord],
+    trial: Trial,
     *,
     alpha: float = 0.05,
     correction: bool = False,
@@ -409,11 +360,16 @@ def log_contrast_estimate(
     variances (denominator n_a - 1).  Each arm needs at least two
     clusters.
     """
-    split_arms(records)
-    lvals, arms = _arm_arrays(records, correction)
-    est, se = _log_contrast_arrays(lvals, arms)
+    lvals, arms = log_contrasts(trial, correction), trial.arm
+    l1, l0 = lvals[arms], lvals[~arms]
+    if l1.size < 2 or l0.size < 2:
+        raise ArmTooSmall(
+            f"variance estimation needs >= 2 clusters per arm "
+            f"(treated={l1.size}, control={l0.size})"
+        )
+    est = float(l1.mean() - l0.mean())
+    se = math.sqrt(float(np.var(l1, ddof=1) / l1.size + np.var(l0, ddof=1) / l0.size))
     ci_low, ci_high = normal_ci(est, se, alpha)
-    m1 = int(arms.sum())
     return EstimateReport(
         method="log_contrast",
         log_estimate=est,
@@ -422,21 +378,8 @@ def log_contrast_estimate(
         ci_high=ci_high,
         ci_method="normal",
         alpha=alpha,
-        diagnostics={"m1": m1, "m0": arms.size - m1},
+        diagnostics={"m1": l1.size, "m0": l0.size},
     )
-
-
-def _log_contrast_arrays(lvals: np.ndarray, arms: np.ndarray) -> tuple[float, float]:
-    """(estimate, SE) of :func:`log_contrast_estimate` from a treated mask."""
-    l1, l0 = lvals[arms], lvals[~arms]
-    if l1.size < 2 or l0.size < 2:
-        raise ArmTooSmall(
-            f"variance estimation needs >= 2 clusters per arm "
-            f"(treated={l1.size}, control={l0.size})"
-        )
-    est = float(l1.mean() - l0.mean())
-    var = float(np.var(l1, ddof=1) / l1.size + np.var(l0, ddof=1) / l0.size)
-    return est, math.sqrt(var)
 
 
 # --------------------------------------------------------------------- #
@@ -463,7 +406,7 @@ def _ols_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def covariate_adjusted_estimate(
-    records: Sequence[ClusterRecord],
+    trial: Trial,
     beta: Sequence[float] | None = None,
     *,
     alpha: float = 0.05,
@@ -479,39 +422,11 @@ def covariate_adjusted_estimate(
     weights, and the SE uses the per-arm unbiased residual variances
     (denominator n_a - p - 1).
     """
-    split_arms(records)
-    if not records[0].covariates:
-        raise ValueError("covariate adjustment requires at least one covariate")
-    lvals, arms = _arm_arrays(records, correction)
-    x = np.array([r.covariates for r in records], dtype=float)
-    est, se, fit, diff_x = _covariate_adjusted_arrays(lvals, arms, x, beta)
-    ci_low, ci_high = normal_ci(est, se, alpha)
-    report = EstimateReport(
-        method="covariate_adjusted",
-        log_estimate=est,
-        se_log=se,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        ci_method="normal",
-        alpha=alpha,
-        diagnostics={
-            "beta": fit.beta_hat.tolist(),
-            "beta_source": "supplied" if beta is not None else "estimated",
-            "covariate_mean_difference": diff_x.tolist(),
-        },
-    )
-    return report, fit
-
-
-def _covariate_adjusted_arrays(
-    lvals: np.ndarray,
-    arms: np.ndarray,
-    x: np.ndarray,
-    beta: Sequence[float] | None = None,
-) -> tuple[float, float, CovariateFit, np.ndarray]:
-    """(estimate, SE, fit, covariate mean difference) of
-    :func:`covariate_adjusted_estimate` from an (m, p) covariate matrix."""
+    x, arms = trial.x, trial.arm
     p = x.shape[1]
+    if p == 0:
+        raise ValueError("covariate adjustment requires at least one covariate")
+    lvals = log_contrasts(trial, correction)
     l1, l0 = lvals[arms], lvals[~arms]
     x1, x0 = x[arms], x[~arms]
     m1, m0 = l1.size, l0.size
@@ -559,4 +474,19 @@ def _covariate_adjusted_arrays(
 
     est = float(l1.mean() - l0.mean() - beta_vec @ diff_x)
     se = math.sqrt(v1 / m1 + v0 / m0)
-    return est, se, fit, diff_x
+    ci_low, ci_high = normal_ci(est, se, alpha)
+    report = EstimateReport(
+        method="covariate_adjusted",
+        log_estimate=est,
+        se_log=se,
+        ci_low=ci_low,
+        ci_high=ci_high,
+        ci_method="normal",
+        alpha=alpha,
+        diagnostics={
+            "beta": fit.beta_hat.tolist(),
+            "beta_source": "supplied" if beta is not None else "estimated",
+            "covariate_mean_difference": diff_x.tolist(),
+        },
+    )
+    return report, fit

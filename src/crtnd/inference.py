@@ -21,30 +21,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .core import (
-    ClusterRecord,
-    ParallelScheme,
-    Randomization,
-    log_contrasts,
-    randomize,
-)
-from .errors import (
-    ConstantDose,
-    MissingDose,
-    NoNonRejectedPoint,
-    StatisticUndefined,
-)
+from .core import Randomization, Trial, log_contrasts, randomize
+from .errors import ConstantDose, NoNonRejectedPoint, StatisticUndefined
 from .estimators import (
     EstimateReport,
     covariate_adjusted_estimate,
     log_contrast_estimate,
     odds_ratio_log,
     odds_ratio_permutation_draws,
-    split_arms,
     tpf_estimate,
     tpf_expected,
     tpf_statistic,
@@ -121,7 +109,7 @@ class PermutationResult:
 
 
 def impute_null_outcomes(
-    records: Sequence[ClusterRecord],
+    trial: Trial,
     null: NullSpec,
     *,
     correction: bool = False,
@@ -129,22 +117,13 @@ def impute_null_outcomes(
     """Control log-contrasts implied by a sharp null (assignment-invariant).
 
     relative_risk: ``L - arm * log(lam0)``.  dose_response:
-    ``L - beta0 * dose`` (raises :class:`MissingDose` on records without
-    a dose).
+    ``L - beta0 * dose`` (raises :class:`MissingDose` when a cluster
+    has no dose).
     """
-    lvals = log_contrasts(records, correction)
+    lvals = log_contrasts(trial, correction)
     if null.kind == "relative_risk":
-        arms = np.array([r.arm for r in records], dtype=float)
-        return lvals - arms * math.log(null.value)
-    doses = _dose_vector(records)
-    return lvals - null.value * doses
-
-
-def _dose_vector(records: Sequence[ClusterRecord]) -> np.ndarray:
-    for r in records:
-        if r.dose is None:
-            raise MissingDose(r.cluster_id)
-    return np.array([r.dose for r in records], dtype=float)
+        return lvals - trial.arm * math.log(null.value)
+    return lvals - null.value * trial.require_dose()
 
 
 # --------------------------------------------------------------------- #
@@ -231,22 +210,21 @@ def _two_sided_count(draws: np.ndarray, observed: float) -> int:
 
 
 def _build_statistic(
-    records: Sequence[ClusterRecord],
+    trial: Trial,
     null: NullSpec,
     statistic: str,
     correction: bool,
 ) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
     """(row evaluator, observed deviation) for one statistic and null."""
-    m1 = sum(r.arm for r in records)
-    observed_arms = np.array([r.arm for r in records], dtype=float)
+    m1 = trial.scheme.m1
 
     if statistic in ("difference_in_means", "log_contrast", "covariate_adjusted"):
-        l0 = impute_null_outcomes(records, null, correction=correction)
+        l0 = impute_null_outcomes(trial, null, correction=correction)
         use_adjusted = statistic == "covariate_adjusted" or (
             null.kind == "dose_response" and null.adjustment == "covariates"
         )
         if use_adjusted:
-            x = np.array([r.covariates for r in records], dtype=float)
+            x = trial.x
             if x.shape[1] == 0:
                 raise StatisticUndefined(
                     "the covariate-adjusted statistic requires covariates"
@@ -254,7 +232,7 @@ def _build_statistic(
             evaluate = lambda rows: _adjusted_diff_rows(l0, x, rows, m1)
         else:
             evaluate = lambda rows: _diff_means_rows(l0, rows, m1)
-        observed = float(evaluate(observed_arms[None, :])[0])
+        observed = float(evaluate(trial.arm[None, :].astype(float))[0])
         return evaluate, observed
 
     if null.kind != "relative_risk":
@@ -262,22 +240,19 @@ def _build_statistic(
             f"the {statistic} statistic tests relative-risk nulls only"
         )
     if statistic == "tpf":
-        fractions = np.array(
-            [r.y_count / (r.y_count + r.z_count) for r in records], dtype=float
-        )
-        t_obs, r_obs = tpf_statistic(records)
+        t_obs, r_obs = tpf_statistic(trial)
+        fractions = trial.y / (trial.y + trial.z)
         observed = t_obs - tpf_expected(null.value, r_obs)
         return (lambda rows: _diff_means_rows(fractions, rows, m1)), observed
     if statistic == "odds_ratio":
-        y = np.array([r.y_count for r in records])
-        z = np.array([r.z_count for r in records])
-        observed = odds_ratio_log(records) - math.log(null.value)
-        return (lambda rows: odds_ratio_permutation_draws(y, z, rows)), observed
+        observed = odds_ratio_log(trial) - math.log(null.value)
+        draws = lambda rows: odds_ratio_permutation_draws(trial.y, trial.z, rows)
+        return draws, observed
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
 def permutation_test(
-    records: Sequence[ClusterRecord],
+    trial: Trial,
     null: NullSpec,
     statistic: str = "difference_in_means",
     *,
@@ -301,11 +276,9 @@ def permutation_test(
     for relative-risk nulls only, the count-based ``tpf`` and
     ``odds_ratio`` statistics with per-cluster counts held fixed.
     """
-    treated, _ = split_arms(records)
-    scheme = ParallelScheme(m=len(records), m1=len(treated))
-    evaluate, observed = _build_statistic(records, null, statistic, correction)
+    evaluate, observed = _build_statistic(trial, null, statistic, correction)
     return _permutation_result(
-        evaluate, observed, randomize(scheme, mode, n_draws, (seed, 0xBE)),
+        evaluate, observed, randomize(trial.scheme, mode, n_draws, (seed, 0xBE)),
         seed=seed, statistic=statistic,
     )
 
@@ -358,7 +331,7 @@ def _two_sided_p(deviation: float, se: float, scale: float) -> tuple[float, dict
 
 
 def normal_test(
-    records: Sequence[ClusterRecord],
+    trial: Trial,
     null: NullSpec,
     method: str = "log_contrast",
     *,
@@ -376,10 +349,10 @@ def normal_test(
     """
     if null.kind == "relative_risk":
         if method == "log_contrast":
-            report = log_contrast_estimate(records, alpha=alpha, correction=correction)
+            report = log_contrast_estimate(trial, alpha=alpha, correction=correction)
         elif method == "covariate_adjusted":
             report, _ = covariate_adjusted_estimate(
-                records, alpha=alpha, correction=correction
+                trial, alpha=alpha, correction=correction
             )
         else:
             raise ValueError(
@@ -394,7 +367,7 @@ def normal_test(
     if method != "dose_response":
         raise ValueError(f"method {method!r} does not support dose-response nulls")
     return _dose_normal_report(
-        records, null.value, null.adjustment, alpha=alpha, correction=correction
+        trial, null.value, null.adjustment, alpha=alpha, correction=correction
     )
 
 
@@ -424,24 +397,17 @@ class _DoseStat:
         return self.num - beta0 * self.den, se, scale
 
 
-def _dose_stat(
-    records: Sequence[ClusterRecord], adjustment: str, correction: bool
-) -> _DoseStat:
-    """The working statistic of dose nulls on ``records``.
+def _dose_stat(trial: Trial, adjustment: str, correction: bool) -> _DoseStat:
+    """The working statistic of dose nulls on ``trial``.
 
     Residual products are summed as ``np.var`` sums them (no covariates)
     or as :func:`covariate_adjusted_estimate` does (covariates), so
     ``sqrt(a)``, the SE at beta0 = 0, keeps the bits the permutation
     CI's scan bounds use.
     """
-    lvals = log_contrasts(records, correction)
-    doses = _dose_vector(records)
-    arms = np.array([r.arm for r in records], dtype=bool)
-    x = (
-        np.array([r.covariates for r in records], dtype=float)
-        if adjustment == "covariates"
-        else None
-    )
+    lvals, doses = log_contrasts(trial, correction), trial.require_dose()
+    arms = trial.arm
+    x = trial.x if adjustment == "covariates" else None
     num, resid_l, k = _arm_difference(lvals, arms, x)
     den, resid_d, _ = _arm_difference(doses, arms, x)
     dot = (lambda u, v: np.sum(u * v)) if x is None else (lambda u, v: u @ v)
@@ -507,21 +473,21 @@ def _fieller_ci(stat: _DoseStat, alpha: float) -> tuple[float, float]:
 
 
 def dose_response_pvalue(
-    records: Sequence[ClusterRecord],
+    trial: Trial,
     beta0: float,
     *,
     adjustment: str = "none",
     correction: bool = False,
 ) -> float:
     """Normal-approximation p-value for the sharp null beta = beta0."""
-    p, _ = _two_sided_p(*_dose_stat(records, adjustment, correction).at(beta0))
+    p, _ = _two_sided_p(*_dose_stat(trial, adjustment, correction).at(beta0))
     return p
 
 
 def _dose_normal_report(
-    records, beta0, adjustment, *, alpha, correction
+    trial, beta0, adjustment, *, alpha, correction
 ) -> EstimateReport:
-    stat = _dose_stat(records, adjustment, correction)
+    stat = _dose_stat(trial, adjustment, correction)
     est, se, scale = stat.at(beta0)
     p, flags = _two_sided_p(est, se, scale)
     diagnostics = {
@@ -567,7 +533,7 @@ def _dose_normal_report(
 
 
 def _pvalue_function(
-    records: Sequence[ClusterRecord],
+    trial: Trial,
     method: str,
     *,
     adjustment: str,
@@ -589,25 +555,21 @@ def _pvalue_function(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    treated, _ = split_arms(records)
-    m1 = len(treated)
-    rz = randomize(ParallelScheme(m=len(records), m1=m1), mode, n_draws, (seed, 0xC1))
+    scheme = trial.scheme
+    m1 = scheme.m1
+    rz = randomize(scheme, mode, n_draws, (seed, 0xC1))
 
     if method in ("tpf", "odds_ratio"):
         # counts held fixed: the permutation draws do not move with
         # theta, only the null-implied center of the observed statistic
         if method == "tpf":
-            fractions = np.array(
-                [r.y_count / (r.y_count + r.z_count) for r in records], dtype=float
-            )
-            t_obs, r_obs = tpf_statistic(records)
+            t_obs, r_obs = tpf_statistic(trial)
+            fractions = trial.y / (trial.y + trial.z)
             evaluate = lambda rows: _diff_means_rows(fractions, rows, m1)
             observed_dev = lambda theta: t_obs - tpf_expected(math.exp(theta), r_obs)
         else:
-            y = np.array([r.y_count for r in records])
-            z = np.array([r.z_count for r in records])
-            log_or = odds_ratio_log(records)
-            evaluate = lambda rows: odds_ratio_permutation_draws(y, z, rows)
+            log_or = odds_ratio_log(trial)
+            evaluate = lambda rows: odds_ratio_permutation_draws(trial.y, trial.z, rows)
             observed_dev = lambda theta: log_or - theta
         draws = np.concatenate([evaluate(rows) for rows in rz.blocks()])
 
@@ -621,13 +583,13 @@ def _pvalue_function(
     # lvals - theta * shift, and every statistic here is linear in them,
     # so each assignment's statistic splits as D - theta * A: one pass
     # over the assignments gives the whole p-value curve.
-    arms = np.array([r.arm for r in records], dtype=bool)
-    lvals = log_contrasts(records, correction)
-    shift = arms.astype(float) if kind == "relative_risk" else _dose_vector(records)
+    arms = trial.arm
+    lvals = log_contrasts(trial, correction)
+    shift = arms.astype(float) if kind == "relative_risk" else trial.require_dose()
     if method == "covariate_adjusted" or (
         kind == "dose_response" and adjustment == "covariates"
     ):
-        x = np.array([r.covariates for r in records], dtype=float)
+        x = trial.x
         if x.shape[1] == 0:
             raise StatisticUndefined(
                 "the covariate-adjusted statistic requires covariates"
@@ -640,7 +602,7 @@ def _pvalue_function(
         observe = lambda values: float(values[arms].mean() - values[~arms].mean())
     if kind == "dose_response":
         # as the point estimate D / A computes them, so p is 1 there
-        stat = _dose_stat(records, adjustment, correction)
+        stat = _dose_stat(trial, adjustment, correction)
         d_obs, a_obs = stat.num, stat.den
     else:
         d_obs, a_obs = observe(lvals), observe(shift)
@@ -655,25 +617,25 @@ def _pvalue_function(
     return pfun, kind
 
 
-def _default_bounds(records, method, kind, correction, adjustment):
+def _default_bounds(trial, method, kind, correction, adjustment):
     """(center, half_width) on the search scale from a crude estimate and SE."""
     if kind == "dose_response":
-        stat = _dose_stat(records, adjustment, correction)
+        stat = _dose_stat(trial, adjustment, correction)
         dd = stat.dose_gap
         if abs(dd) < 1e-12:
             raise ConstantDose("doses do not separate the arms")
         return stat.num / dd, 10.0 * max(math.sqrt(stat.var[0]) / abs(dd), 1e-6)
-    base = log_contrast_estimate(records, correction=correction)
     if method == "covariate_adjusted":
-        report, _ = covariate_adjusted_estimate(records, correction=correction)
+        report, _ = covariate_adjusted_estimate(trial, correction=correction)
         return report.log_estimate, 10.0 * max(report.se_log, 1e-6)
+    base = log_contrast_estimate(trial, correction=correction)
     if method == "tpf":
-        return tpf_estimate(records).log_estimate, 10.0 * max(base.se_log, 1e-6)
+        return tpf_estimate(trial).log_estimate, 10.0 * max(base.se_log, 1e-6)
     return base.log_estimate, 10.0 * max(base.se_log, 1e-6)
 
 
 def invert_ci(
-    records: Sequence[ClusterRecord],
+    trial: Trial,
     method: str = "log_contrast",
     *,
     alpha: float = 0.05,
@@ -700,17 +662,17 @@ def invert_ci(
     if test == "normal":
         diagnostics = {"method": method, "test": test, "alpha": alpha}
         if method == "dose_response":
-            stat = _dose_stat(records, adjustment, correction)
+            stat = _dose_stat(trial, adjustment, correction)
             return (*_fieller_ci(stat, alpha), diagnostics)
         report = normal_test(
-            records, NullSpec("relative_risk", 1.0), method,
+            trial, NullSpec("relative_risk", 1.0), method,
             alpha=alpha, correction=correction,
         )
         return report.ci_low, report.ci_high, diagnostics
     if test != "permutation":
         raise ValueError(f"unknown test {test!r}")
     pfun, kind = _pvalue_function(
-        records,
+        trial,
         method,
         adjustment=adjustment,
         mode=mode,
@@ -718,7 +680,7 @@ def invert_ci(
         seed=seed,
         correction=correction,
     )
-    center, half = _default_bounds(records, method, kind, correction, adjustment)
+    center, half = _default_bounds(trial, method, kind, correction, adjustment)
     theta_lo, theta_hi, scan = _invert_scan(
         pfun, center, half, alpha, n_scan=401, tol=1e-6
     )
@@ -795,7 +757,7 @@ def _bisect_boundary(pfun, alpha, rejected, accepted, tol):
 
 
 def dose_response_estimate(
-    records: Sequence[ClusterRecord],
+    trial: Trial,
     *,
     adjustment: str = "auto",
     alpha: float = 0.05,
@@ -817,17 +779,16 @@ def dose_response_estimate(
     Interpretation is limited to the observed dose range, which is
     recorded in the diagnostics.
     """
-    doses = _dose_vector(records)
+    doses = trial.require_dose()
     if float(doses.max() - doses.min()) <= 0.0:
         raise ConstantDose("all clusters share one dose value")
     if adjustment == "auto":
-        adjustment = "covariates" if len(records[0].covariates) > 0 else "none"
-    split_arms(records)
-    lvals = log_contrasts(records, correction)
+        adjustment = "covariates" if trial.x.shape[1] > 0 else "none"
+    lvals = log_contrasts(trial, correction)
 
     # An exact linear relation L = a + b * dose makes the working outcome
     # degenerate at beta0 = b; report it directly.
-    design = np.column_stack([np.ones(len(records)), doses])
+    design = np.column_stack([np.ones(trial.m), doses])
     coef, _, _, _ = np.linalg.lstsq(design, lvals, rcond=None)
     resid = lvals - design @ coef
     scale = float(np.sum((lvals - lvals.mean()) ** 2))
@@ -851,10 +812,10 @@ def dose_response_estimate(
         )
 
     ci_low, ci_high, inv_diag = invert_ci(
-        records, "dose_response", alpha=alpha, test=test, adjustment=adjustment,
+        trial, "dose_response", alpha=alpha, test=test, adjustment=adjustment,
         mode=mode, n_draws=n_draws, seed=seed, correction=correction,
     )
-    stat = _dose_stat(records, adjustment, correction)
+    stat = _dose_stat(trial, adjustment, correction)
     beta_hat = stat.num / stat.den
     return EstimateReport(
         method="dose_response",

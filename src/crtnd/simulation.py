@@ -28,13 +28,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
-    ClusterRecord,
     Panel,
     ParallelScheme,
     PeriodPotentialTable,
-    PotentialTable,
     SteppedWedgeScheme,
+    Trial,
     derive_rng,
+    log_contrasts,
     randomize,
     realize,
     sample_assignment,
@@ -45,15 +45,15 @@ from .errors import (
     SingularCovariance,
 )
 from .estimators import (
-    _covariate_adjusted_arrays,
-    _log_contrast_arrays,
-    _odds_ratio_log_arrays,
     _odds_ratio_relabelings,
     _permutation_se,
-    _tpf_statistic_arrays,
     _z_quantile,
+    covariate_adjusted_estimate,
+    log_contrast_estimate,
+    odds_ratio_log,
     odds_ratio_permutation_draws,
     tpf_solve,
+    tpf_statistic,
 )
 from .inference import _diff_means_rows, _two_sided_count, _two_sided_p
 from .stepped_wedge import (
@@ -250,16 +250,14 @@ def _check_degenerate_limit(scenario: SimScenario, degenerate: int, rep: int) ->
         )
 
 
-def _parallel_draws(
-    scenario: SimScenario,
-) -> Iterator[tuple[int, np.ndarray | None, np.ndarray | None, np.ndarray | None]]:
-    """Replicates of a parallel scenario as ``(rep, arms, y, z)`` arrays.
+def simulate_parallel(scenario: SimScenario) -> Iterator[tuple[int, Trial | None]]:
+    """Stream of simulated parallel-arm trials, one per replicate.
 
-    ``arms`` is the realized 0/1 arm vector and ``y``, ``z`` the observed
-    counts: treated clusters take ``lam * c * y0`` and ``c * z0``, as
-    :class:`PotentialTable` defines them.  A degenerate replicate (a
-    count stuck at zero after redraws) yields ``(rep, None, None, None)``;
-    more than 1 percent of them raise :class:`DegenerateReplicateLimit`.
+    Yields ``(index, trial)``: treated clusters take ``lam * c * y0`` and
+    ``c * z0``, as :class:`PotentialTable` defines them, and clusters are
+    named ``c01, c02, ...``.  A degenerate replicate (a count stuck at
+    zero after redraws) yields ``None``; more than 1 percent of them
+    raise :class:`DegenerateReplicateLimit`.
     """
     if scenario.is_stepped_wedge:
         raise ValueError("scenario has a stepped-wedge design")
@@ -268,6 +266,10 @@ def _parallel_draws(
     bz = np.asarray(scenario.baseline_z, dtype=float)
     ny, nz = int(round(by.sum())), int(round(bz.sum()))
     py, pz = by / by.sum(), bz / bz.sum()
+    ids = tuple(f"c{i + 1:02d}" for i in range(scheme.m))
+    x = scenario.covariates
+    if x is not None:
+        x = np.asarray(x, dtype=float).reshape(scheme.m, -1)
     if scenario.covariate_coupling:
         two_x = 2.0 * np.asarray(scenario.covariates, dtype=float)
     c_study = _study_level(scenario)
@@ -280,19 +282,14 @@ def _parallel_draws(
         if bad_y or bad_z:
             degenerate += 1
             _check_degenerate_limit(scenario, degenerate, rep)
-            yield rep, None, None, None
+            yield rep, None
             continue
         if scenario.covariate_coupling:
             y0 = y0 * two_x
             z0 = z0 / two_x
-        arms = sample_assignment(scheme, rng)
-        treated = arms == 1
-        yield (
-            rep,
-            arms,
-            np.where(treated, scenario.lam * c * y0, y0),
-            np.where(treated, c * z0, z0),
-        )
+        treated = sample_assignment(scheme, rng) == 1
+        y = np.where(treated, scenario.lam * c * y0, y0)
+        yield rep, Trial(ids, treated, y, np.where(treated, c * z0, z0), x)
 
 
 def _wedge_draws(
@@ -348,26 +345,6 @@ def _wedge_draws(
             np.where(treated, scenario.lam * c * y0, y0),
             np.where(treated, c * z0, z0),
         )
-
-
-def simulate_parallel(
-    scenario: SimScenario,
-) -> Iterator[tuple[int, list[ClusterRecord] | None]]:
-    """Stream of simulated parallel-arm datasets, one per replicate.
-
-    Yields ``(index, records)``; degenerate replicates (a cluster count
-    stuck at zero after redraws) yield ``None`` and raise
-    :class:`DegenerateReplicateLimit` if they exceed 1 percent overall.
-    """
-    x = scenario.covariates
-    for rep, arms, y, z in _parallel_draws(scenario):
-        if arms is None:
-            yield rep, None
-            continue
-        observed = PotentialTable(
-            lam=1.0, y0=y, z0=z, c=np.ones_like(y), covariates=x
-        )
-        yield rep, realize(observed, arms)
 
 
 def simulate_stepped_wedge(
@@ -450,8 +427,9 @@ def evaluate(
     leaves fewer than 2 clusters on one side of an analysis period
     raises :class:`ArmTooSmall` before any replicate is drawn.
 
-    Replicates run on arrays, one at a time: records and panels are
-    never built, and what the design fixes is computed once per run.
+    Replicates run one at a time, parallel ones as :class:`Trial` arrays
+    through the public estimators, stepped-wedge ones on bare arrays;
+    what the design fixes is computed once per run.
     """
     if scenario.is_stepped_wedge:
         out = _evaluate_sw(scenario, estimators, permutation_por, perm_draws)
@@ -475,45 +453,42 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws):
     lam_true = scenario.lam
     tallies = {name: _Tally() for name in names}
     raw: dict[str, list] = {name: [] for name in names}
-    if "covariate_adjusted" in tallies:
-        x = np.asarray(scenario.covariates, dtype=float)
-        x = x[:, None] if x.ndim == 1 else x
     or_rows = None
     if "odds_ratio" in tallies and not permutation_por:
         # the SE's relabelings come from a fixed-seed stream: draw them once
         or_rows = _odds_ratio_relabelings(scheme, perm_draws, scenario.seed).rows()
 
-    for rep, arms, y, z in _parallel_draws(scenario):
-        if arms is None:
+    for rep, trial in simulate_parallel(scenario):
+        if trial is None:
             for t in tallies.values():
                 t.dropped["degenerate"] += 1
             continue
-        treated = arms.astype(bool)
+        treated, y, z = trial.arm, trial.y, trial.z
         rows = None
         if permutation_por:
             rz = randomize(scheme, "monte_carlo", perm_draws, (scenario.seed, 3, rep))
             rows = rz.rows()
-        if "log_contrast" in tallies or "covariate_adjusted" in tallies:
-            lvals = np.array(
-                [math.log(yi) - math.log(zi) for yi, zi in zip(y.tolist(), z.tolist())]
-            )
 
         if "log_contrast" in tallies:
             t = tallies["log_contrast"]
-            est, se = _log_contrast_arrays(lvals, treated)
-            _tally_from_values(t, est, se, lam_true, alpha)
+            report = log_contrast_estimate(trial)
+            est = report.log_estimate
+            _tally_from_values(t, est, report.se_log, lam_true, alpha)
             raw["log_contrast"].append(est)
             if rows is not None:
-                draws = _diff_means_rows(lvals, rows, scheme.m1)
+                draws = _diff_means_rows(log_contrasts(trial), rows, scheme.m1)
                 # null lam0=1: deviation is the estimate
                 t.add_perm(rz.p(_two_sided_count(draws, est)), alpha)
         if "covariate_adjusted" in tallies:
-            est, se, _, _ = _covariate_adjusted_arrays(lvals, treated, x)
-            _tally_from_values(tallies["covariate_adjusted"], est, se, lam_true, alpha)
+            report, _ = covariate_adjusted_estimate(trial)
+            est = report.log_estimate
+            _tally_from_values(
+                tallies["covariate_adjusted"], est, report.se_log, lam_true, alpha
+            )
             raw["covariate_adjusted"].append(est)
         if "odds_ratio" in tallies:
             t = tallies["odds_ratio"]
-            log_or = _odds_ratio_log_arrays(y, z, treated)
+            log_or = odds_ratio_log(trial)
             # the relabelings of the permutation column give the SE too
             draws = odds_ratio_permutation_draws(
                 y, z, rows if rows is not None else or_rows
@@ -525,7 +500,7 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws):
         if "tpf" in tallies:
             t = tallies["tpf"]
             try:
-                est = math.log(tpf_solve(*_tpf_statistic_arrays(y, z, treated)))
+                est = math.log(tpf_solve(*tpf_statistic(trial)))
                 t.estimates.append(est)
                 raw["tpf"].append(est)
             except NoAdmissibleRoot as exc:

@@ -622,8 +622,9 @@ def sw_invert_ci(
     seed: int = 0,
     correction: bool = False,
     convention: str = "canonical",
-) -> tuple[float, float]:
-    """lam-scale CI from inverting :func:`sw_permutation_test`.
+) -> tuple[float, float, dict]:
+    """lam-scale CI from inverting :func:`sw_permutation_test`, and the
+    scan diagnostics of :func:`~crtnd.inference.invert_ci`.
 
     Scans 81 values of log(lam0) over the estimate +- 10 SE, widening up
     to 50 SE while an edge is not rejected, and bisects each outer
@@ -642,5 +643,6 @@ def sw_invert_ci(
         panel, weights, mode=mode, n_draws=n_draws, seed=seed,
         correction=correction, convention=convention,
     )
-    lo, hi, _ = _invert_scan(pfun, center, half, alpha, n_scan=81, tol=1e-4)
-    return math.exp(lo), math.exp(hi)
+    lo, hi, scan = _invert_scan(pfun, center, half, alpha, n_scan=81, tol=1e-4)
+    diagnostics = {"method": "sw_log_contrast", "test": "permutation", "alpha": alpha}
+    return math.exp(lo), math.exp(hi), {**diagnostics, **scan}

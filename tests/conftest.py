@@ -1,13 +1,22 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crtnd import ClusterRecord, PotentialTable
+from crtnd import ClusterRecord, PotentialTable, Trial
+
+# child interpreters (``python -m crtnd.cli``) import the package under
+# test, as pytest's own ``pythonpath = ["src"]`` setting does in process
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")])
+)
 
 
 def make_records(lvals, arms, *, z=100.0, covariates=None, doses=None):
-    """Clusters whose log-contrasts equal ``lvals`` exactly (z fixed)."""
+    """A trial whose log-contrasts equal ``lvals`` exactly (z fixed)."""
     records = []
     for i, (l, a) in enumerate(zip(lvals, arms)):
         records.append(
@@ -20,7 +29,7 @@ def make_records(lvals, arms, *, z=100.0, covariates=None, doses=None):
                 dose=None if doses is None else float(doses[i]),
             )
         )
-    return records
+    return Trial.from_records(records)
 
 
 @pytest.fixture

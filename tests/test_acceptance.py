@@ -20,6 +20,7 @@ from crtnd import (
     PeriodPotentialTable,
     PotentialTable,
     SteppedWedgeScheme,
+    Trial,
     covariate_adjusted_estimate,
     default_parallel_scenario,
     default_sw_scenario,
@@ -292,13 +293,13 @@ def test_c09_dose_response_reduction_and_recovery():
     l0 = rng.normal(0.3, 0.4, 12)
     lam = 0.6
     lvals = l0 + arms * math.log(lam)
-    recs = [
+    recs = Trial.from_records([
         ClusterRecord(
             f"c{i:02d}", int(arms[i]), 100 * math.exp(lvals[i]), 100.0,
             dose=float(arms[i]),
         )
         for i in range(12)
-    ]
+    ])
     dr = dose_response_estimate(recs, adjustment="none")
     lc = log_contrast_estimate(recs)
     reduction_err = abs(dr.log_estimate - lc.log_estimate)
@@ -316,13 +317,13 @@ def test_c09_dose_response_reduction_and_recovery():
             a == 1, rrng.uniform(0.66, 0.75, m), rrng.uniform(0.22, 0.44, m)
         )
         lv = rrng.normal(0.5, 0.35, m) + beta_true * doses
-        data = [
+        data = Trial.from_records([
             ClusterRecord(
                 f"c{i:02d}", int(a[i]), 1000.0 * math.exp(lv[i]), 1000.0,
                 dose=float(doses[i]),
             )
             for i in range(m)
-        ]
+        ])
         est = dose_response_estimate(data, adjustment="none")
         biases.append(est.log_estimate - beta_true)
         covered += est.ci_low <= beta_true <= est.ci_high

@@ -13,9 +13,10 @@ from crtnd import (
     PeriodPotentialTable,
     PotentialTable,
     SteppedWedgeScheme,
+    Trial,
     derive_rng,
     enumerate_assignments,
-    log_contrast,
+    log_contrasts,
     realize,
     sample_assignment,
     sample_assignments,
@@ -23,6 +24,12 @@ from crtnd import (
 from crtnd import core
 from crtnd.core import randomize
 from crtnd.errors import DimensionMismatch, IncompletePanel, SupportTooLarge, ZeroCount
+
+
+def log_contrast(record, correction=False):
+    """``record``'s log-contrast, from a trial with one other cluster."""
+    other = ClusterRecord(record.cluster_id + "-other", 1 - record.arm, 1.0, 1.0)
+    return log_contrasts(Trial.from_records([record, other]), correction)[0]
 
 
 class TestLogContrast:
@@ -257,11 +264,11 @@ class TestStreams:
     @staticmethod
     def records(m=18, m1=9):
         rng = np.random.default_rng(3)
-        return [
+        return Trial.from_records([
             ClusterRecord(f"c{i:02d}", int(i < m1), float(rng.integers(20, 80)),
                           float(rng.integers(60, 160)))
             for i in range(m)
-        ]
+        ])
 
     @staticmethod
     def panel():
@@ -423,20 +430,18 @@ class TestPotentialTables:
             )
 
     def test_realize_selects_by_arm(self):
-        t = PotentialTable(lam=0.5, y0=[10.0], z0=[20.0], c=[0.8], cluster_ids=("a",))
-        treated = realize(t, [1])[0]
-        control = realize(t, [0])[0]
-        assert treated.y_count == pytest.approx(4.0, abs=0)
-        assert treated.z_count == pytest.approx(16.0, abs=0)
-        assert control.y_count == 10.0
+        t = PotentialTable(lam=0.5, y0=[10.0, 10.0], z0=[20.0, 20.0], c=[0.8, 0.8],
+                           cluster_ids=("a", "b"))
+        trial = realize(t, [1, 0])
+        assert trial.y[0] == pytest.approx(4.0, abs=0)
+        assert trial.z[0] == pytest.approx(16.0, abs=0)
+        assert trial.y[1] == 10.0
 
     def test_realize_null_homogeneous_invariant(self):
         t = PotentialTable(lam=1.0, y0=[10.0, 20], z0=[20.0, 30], c=[1.0, 1.0])
         a = realize(t, [0, 1])
         b = realize(t, [1, 0])
-        assert [(r.y_count, r.z_count) for r in a] == [
-            (r.y_count, r.z_count) for r in b
-        ]
+        assert (a.y.tolist(), a.z.tolist()) == (b.y.tolist(), b.z.tolist())
 
     def test_realize_pure(self):
         t = PotentialTable(lam=0.7, y0=[10.0, 20], z0=[20.0, 30], c=[0.5, 1.5])
@@ -515,9 +520,9 @@ class TestEnumerationMeanOracle:
             )
             ests = []
             for a in enumerate_assignments(ParallelScheme(4, 2)):
-                recs = realize(t, a)
+                trial = realize(t, a)
                 lvals = np.array(
-                    [math.log(r.y_count) - math.log(r.z_count) for r in recs]
+                    [math.log(y) - math.log(z) for y, z in zip(trial.y, trial.z)]
                 )
                 arms = a.astype(bool)
                 ests.append(lvals[arms].mean() - lvals[~arms].mean())

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -7,7 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crtnd import SteppedWedgeScheme, default_parallel_scenario, default_sw_scenario
+from crtnd import (
+    Panel,
+    SteppedWedgeScheme,
+    default_parallel_scenario,
+    default_sw_scenario,
+)
 from crtnd.cli import main
 from crtnd.dataio import (
     emit_dataset,
@@ -55,10 +61,10 @@ class TestParseParallel:
     def test_well_formed(self, tmp_path):
         kind, recs = parse_dataset(write(tmp_path, "d.csv", PARALLEL_CSV))
         assert kind == "parallel"
-        assert len(recs) == 6
-        assert recs[0].cluster_id == "c01"
-        assert recs[0].covariates == (1.2,)
-        assert recs[0].dose == 0.7
+        assert recs.m == 6
+        assert recs.cluster_ids[0] == "c01"
+        assert tuple(recs.x[0]) == (1.2,)
+        assert recs.dose[0] == 0.7
 
     def test_duplicate_cluster(self, tmp_path):
         bad = PARALLEL_CSV + "c01,0,10,10,1.0,0.5\n"
@@ -107,7 +113,8 @@ class TestParseParallel:
         emit_dataset(recs, path)
         kind, parsed = parse_dataset(path)
         assert kind == "parallel"
-        assert parsed == sorted(recs, key=lambda r: r.cluster_id)
+        assert recs.cluster_ids == tuple(sorted(recs.cluster_ids))
+        assert parsed == recs
 
 
 class TestParseSw:
@@ -140,6 +147,16 @@ class TestParseSw:
         assert again.start_periods == panel.start_periods
         assert np.array_equal(again.y, panel.y)
         assert np.array_equal(again.z, panel.z)
+
+
+    def test_sw_round_trip_keeps_counts(self, tmp_path):
+        y = np.array([[1 / 3, 2.0**53 + 2], [5e-324, 1e16 + 2], [0.1, 7.0]])
+        panel = Panel(("a", "b", "c"), (1, 2, 3), y, y[::-1] + 1.0)
+        out = tmp_path / "rt.csv"
+        emit_dataset(panel, out)
+        _, again = parse_dataset(out)
+        assert again.start_periods == panel.start_periods
+        assert np.array_equal(again.y, panel.y) and np.array_equal(again.z, panel.z)
 
 
 class TestScenarioFiles:
@@ -480,6 +497,64 @@ class TestCli:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "NoNonRejectedPoint"
+
+    @pytest.mark.parametrize(
+        "old, new, line, column",
+        [
+            ("c02,1,55,", "c02,1,inf,", 3, "y_count"),
+            ("c04,0,60,150", "c04,0,60,1e400", 5, "z_count"),
+            ("c05,0,45,160,1.0", "c05,0,45,160,-inf", 6, "x1"),
+            ("c06,0,50,130,1.3,0.4", "c06,0,50,130,1.3,Infinity", 7, "dose"),
+        ],
+    )
+    def test_non_finite_cell_is_a_parse_error(self, tmp_path, capsys, old, new,
+                                              line, column):
+        assert old in PARALLEL_CSV
+        data = write(tmp_path, "d.csv", PARALLEL_CSV.replace(old, new))
+        assert main(["analyze", "--input", str(data), "--n-draws", "50"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith(
+            f"line {line}, column {column!r}: not a finite"
+        )
+
+    def test_non_finite_wedge_count_is_a_parse_error(self, tmp_path, capsys):
+        text = make_sw_csv(tmp_path).read_text().splitlines()
+        cells = text[3].split(",")
+        text[3] = ",".join(cells[:3] + ["1e999", cells[4]])
+        data = write(tmp_path, "sw.csv", "\n".join(text) + "\n")
+        assert main(["analyze-sw", "--input", str(data), "--n-draws", "50"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith("line 4, column 'y_count': not a finite")
+
+    def test_analyze_sw_reports_the_inversion_scan(self, tmp_path):
+        from test_stepped_wedge import BENCHMARK_WEDGE_CSV
+
+        out = tmp_path / "sw.json"
+        data = write(tmp_path, "wedge.csv", BENCHMARK_WEDGE_CSV)
+        assert main(["analyze-sw", "--input", str(data), "--mode", "exact",
+                     "--ci-method", "invert-permutation", "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["results"][0]
+        scan = result["diagnostics"]["ci_inversion"]
+        assert result["ci_method"] == "test_inversion"
+        assert scan["method"] == "sw_log_contrast" and scan["test"] == "permutation"
+        assert scan["alpha"] == 0.05 and scan["grid_points"] == 81
+        assert 0.05 < scan["p_max"] <= 1.0
+
+    def test_sweep_sidecar_counts_dropped_replicates(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--n-configs", "2", "--n-replicates", "10",
+                     "--estimators", "tpf,log_contrast", "--out", str(out)]) == 0
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        dropped = sidecar["dropped_replicates"]
+        assert sorted(dropped) == ["default-parallel-lam1/config000",
+                                   "default-parallel-lam1/config001"]
+        rows = list(csv.DictReader(out.open()))
+        assert len(rows) == 4
+        for row in rows:
+            lost = int(row["n_replicates"]) - int(row["n_effective"])
+            assert sum(dropped[row["scenario_id"]][row["estimator"]].values()) == lost
 
     def test_entry_point_installed(self):
         proc = subprocess.run(

@@ -9,6 +9,7 @@ from crtnd import (
     ClusterRecord,
     ParallelScheme,
     PotentialTable,
+    Trial,
     covariate_adjusted_estimate,
     enumerate_assignments,
     log_contrast_estimate,
@@ -42,34 +43,34 @@ def enumeration_estimates(table, m1, estimator):
 
 class TestOddsRatio:
     def test_symmetric_arms(self):
-        recs = [
+        recs = Trial.from_records([
             ClusterRecord("a", 1, 10, 20),
             ClusterRecord("b", 0, 10, 20),
-        ]
+        ])
         assert odds_ratio_log(recs) == pytest.approx(0.0, abs=1e-15)
 
     def test_direct_substitution(self):
-        recs = [
+        recs = Trial.from_records([
             ClusterRecord("a", 1, 5, 20),
             ClusterRecord("b", 0, 10, 20),
-        ]
+        ])
         assert math.exp(odds_ratio_log(recs)) == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_arm_total(self):
-        recs = [
+        recs = Trial.from_records([
             ClusterRecord("a", 1, 0, 20),
             ClusterRecord("b", 0, 10, 20),
-        ]
+        ])
         with pytest.raises(ZeroArmTotal) as exc:
             odds_ratio_log(recs)
         assert "treated test-positive" in str(exc.value)
 
     def test_report_has_permutation_se(self):
         rng = np.random.default_rng(0)
-        recs = [
+        recs = Trial.from_records([
             ClusterRecord(f"c{i}", i % 2, rng.uniform(5, 50), rng.uniform(5, 50))
             for i in range(8)
-        ]
+        ])
         rep = odds_ratio_estimate(recs)
         assert rep.se_log is not None and rep.se_log > 0
         assert rep.diagnostics["se_source"] == "permutation-exact"
@@ -97,46 +98,46 @@ class TestOddsRatio:
 
 class TestTpfStatistic:
     def test_equal_fractions_give_zero(self):
-        recs = [
+        recs = Trial.from_records([
             ClusterRecord("a", 1, 10, 30),
             ClusterRecord("b", 0, 20, 60),
-        ]
+        ])
         t, r = tpf_statistic(recs)
         assert t == pytest.approx(0.0, abs=1e-15)
         assert r == pytest.approx(3.0, abs=1e-12)
 
     def test_arithmetic(self):
         fracs = {"a": 0.5, "b": 0.3, "c": 0.2, "d": 0.4}
-        recs = [
+        recs = Trial.from_records([
             ClusterRecord("a", 1, 50, 50),
             ClusterRecord("b", 1, 30, 70),
             ClusterRecord("c", 0, 20, 80),
             ClusterRecord("d", 0, 40, 60),
-        ]
+        ])
         t, r = tpf_statistic(recs)
         assert t == pytest.approx(0.1, abs=1e-12)
 
     def test_pooled_ratio(self):
-        recs = [
+        recs = Trial.from_records([
             ClusterRecord("a", 1, 60, 180),
             ClusterRecord("b", 0, 40, 120),
-        ]
+        ])
         _, r = tpf_statistic(recs)
         assert r == pytest.approx(3.0, abs=1e-12)
 
     def test_empty_cluster(self):
-        recs = [
+        recs = Trial.from_records([
             ClusterRecord("a", 1, 0, 0),
             ClusterRecord("b", 0, 10, 10),
-        ]
+        ])
         with pytest.raises(EmptyCluster):
             tpf_statistic(recs)
 
     def test_zero_positive_total(self):
-        recs = [
+        recs = Trial.from_records([
             ClusterRecord("a", 1, 0, 30),
             ClusterRecord("b", 0, 0, 40),
-        ]
+        ])
         with pytest.raises(ZeroPositiveTotal):
             tpf_statistic(recs)
 
@@ -185,11 +186,11 @@ class TestTpfSolve:
         assert tpf_solve(-0.1, 3.0) < 1.0 < tpf_solve(0.1, 3.0)
 
     def test_estimate_flags_unequal_allocation(self):
-        recs = [
+        recs = Trial.from_records([
             ClusterRecord("a", 1, 30, 70),
             ClusterRecord("b", 0, 20, 80),
             ClusterRecord("c", 0, 25, 75),
-        ]
+        ])
         rep = tpf_estimate(recs)
         assert "unequal_allocation_warning" in rep.diagnostics
 

@@ -38,13 +38,13 @@ class TestImputeNull:
     def test_lam0_one_is_identity(self):
         recs = make_records([0.3, -0.1, 0.2, 0.0], [1, 1, 0, 0])
         l0 = impute_null_outcomes(recs, NullSpec("relative_risk", 1.0))
-        lvals = [math.log(r.y_count) - math.log(r.z_count) for r in recs]
+        lvals = [math.log(y) - math.log(z) for y, z in zip(recs.y, recs.z)]
         np.testing.assert_allclose(l0, lvals, atol=1e-14)
 
     def test_beta0_zero_is_identity(self):
         recs = make_records([0.3, -0.1], [1, 0], doses=[0.7, 0.3])
         l0 = impute_null_outcomes(recs, NullSpec("dose_response", 0.0))
-        lvals = [math.log(r.y_count) - math.log(r.z_count) for r in recs]
+        lvals = [math.log(y) - math.log(z) for y, z in zip(recs.y, recs.z)]
         np.testing.assert_allclose(l0, lvals, atol=1e-14)
 
     def test_round_trip_recovers_table_l0(self, oracle_table_m6):
@@ -303,7 +303,7 @@ class TestDoseResponse:
         recs = trial_records(5, 16, 8, covariates=covariates)
         adjustment = "covariates" if covariates else "none"
         stat = _dose_stat(recs, adjustment, False)
-        doses = np.array([r.dose for r in recs])
+        doses = recs.dose
         assert stat.den == pytest.approx(
             adjusted_difference(doses, recs, adjustment), rel=1e-12
         )
@@ -433,16 +433,16 @@ def trials(draw):
 def adjusted_difference(values, recs, adjustment):
     """Arm difference of ``values``, less pooled per-arm least-squares
     slopes times the covariate mean difference under adjustment."""
-    arms = np.array([r.arm for r in recs], dtype=bool)
+    arms = recs.arm
     diff = values[arms].mean() - values[~arms].mean()
     if adjustment == "none":
         return diff
-    x = np.array([r.covariates for r in recs])
+    x = recs.x
     slopes = 0.0
     for mask in (arms, ~arms):
         xc = x[mask] - x[mask].mean(axis=0)
         vc = values[mask] - values[mask].mean()
-        slopes = slopes + mask.sum() / len(recs) * np.linalg.solve(xc.T @ xc, xc.T @ vc)
+        slopes = slopes + mask.sum() / recs.m * np.linalg.solve(xc.T @ xc, xc.T @ vc)
     return diff - slopes @ (x[arms].mean(axis=0) - x[~arms].mean(axis=0))
 
 
@@ -482,7 +482,7 @@ class TestClosedFormInversion:
         recs, adjustment = trial
         assume(bounded(recs, adjustment))
         rep = dose_response_estimate(recs, adjustment=adjustment)
-        doses = np.array([r.dose for r in recs])
+        doses = recs.dose
         ratio = adjusted_difference(log_contrasts(recs), recs, adjustment) / (
             adjusted_difference(doses, recs, adjustment)
         )
@@ -514,7 +514,7 @@ class TestClosedFormInversion:
     )
     def test_invert_normal_is_the_wald_interval(self, trial, method, alpha):
         recs, _ = trial
-        if method == "covariate_adjusted" and not recs[0].covariates:
+        if method == "covariate_adjusted" and recs.x.shape[1] == 0:
             return
         lo, hi, _ = invert_ci(recs, method, test="normal", alpha=alpha)
         if method == "log_contrast":

@@ -89,7 +89,7 @@ class TestParallelDgp:
             ascertainment_values=tuple([1.0] * 24),
         )
         _, recs = next(simulate_parallel(scen))
-        y = {r.cluster_id: r.y_count for r in recs}
+        y = dict(zip(recs.cluster_ids, recs.y))
         # realized counts do not depend on arm when lam = c = 1: compare
         # against a re-realization with flipped arms via a fresh draw
         scen2 = small_parallel(
@@ -99,7 +99,7 @@ class TestParallelDgp:
             seed=scen.seed,
         )
         _, recs2 = next(simulate_parallel(scen2))
-        assert y == {r.cluster_id: r.y_count for r in recs2}
+        assert y == dict(zip(recs2.cluster_ids, recs2.y))
 
     def test_multinomial_moments(self):
         # equal baselines: mean cluster count n/24, sd per multinomial
@@ -116,7 +116,7 @@ class TestParallelDgp:
         )
         counts = []
         for _, recs in simulate_parallel(scen):
-            counts.extend(r.y_count for r in recs if r.arm == 0)
+            counts.extend(recs.y[~recs.arm])
         counts = np.asarray(counts)
         expected_sd = math.sqrt(n_y * (1 / 24) * (23 / 24))
         assert counts.mean() == pytest.approx(100.0, abs=0.5)
@@ -135,11 +135,12 @@ class TestParallelDgp:
         )
         _, c_recs = next(simulate_parallel(base))
         _, u_recs = next(simulate_parallel(uncoupled))
-        x = dict(zip((r.cluster_id for r in u_recs), POPULATION))
-        for rc, ru in zip(c_recs, u_recs):
-            f = 2 * x[ru.cluster_id]
-            assert rc.y_count == pytest.approx(ru.y_count * f, rel=1e-12)
-            assert rc.z_count == pytest.approx(ru.z_count / f, rel=1e-12)
+        assert c_recs.cluster_ids == u_recs.cluster_ids
+        x = dict(zip(u_recs.cluster_ids, POPULATION))
+        for i, cid in enumerate(u_recs.cluster_ids):
+            f = 2 * x[cid]
+            assert c_recs.y[i] == pytest.approx(u_recs.y[i] * f, rel=1e-12)
+            assert c_recs.z[i] == pytest.approx(u_recs.z[i] / f, rel=1e-12)
 
     def test_ascertainment_study_level_fixed(self):
         scen = small_parallel(n=3)
@@ -393,9 +394,7 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
             if records is None:
                 drop("degenerate")
                 continue
-            y = np.array([r.y_count for r in records])
-            z = np.array([r.z_count for r in records])
-            arms = np.array([r.arm for r in records], dtype=bool)
+            y, z, arms = records.y, records.z, records.arm
             rows = None
             if permutation_por:
                 rows = sample_assignments(
@@ -405,8 +404,8 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
                 report = log_contrast_estimate(records, alpha=alpha)
                 tally("log_contrast", report)
                 if rows is not None:
-                    lvals = np.array([math.log(r.y_count) - math.log(r.z_count)
-                                      for r in records])
+                    lvals = np.array([math.log(yi) - math.log(zi)
+                                      for yi, zi in zip(y, z)])
                     reject("log_contrast",
                            _diff_means_rows(lvals, rows, scheme.m1),
                            report.log_estimate)
@@ -433,8 +432,7 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
                     raw["tpf"].append(float("nan"))
                     tallies["tpf"].dropped["NoAdmissibleRoot"] += 1
                 if rows is not None:
-                    fr = np.array([r.y_count / (r.y_count + r.z_count)
-                                   for r in records])
+                    fr = np.array([yi / (yi + zi) for yi, zi in zip(y, z)])
                     reject("tpf", _diff_means_rows(fr, rows, scheme.m1),
                            float(fr[arms].mean() - fr[~arms].mean()))
     else:

@@ -21,7 +21,7 @@ from crtnd import (
     sw_oracle_covariance,
     sw_permutation_test,
 )
-from crtnd.core import ClusterRecord
+from crtnd.core import ClusterRecord, Trial
 from crtnd.dataio import parse_dataset
 from crtnd.errors import ArmTooSmall, NoNonRejectedPoint, SingularCovariance
 from crtnd.stepped_wedge import SWWeights, _panel_design, _period_differences
@@ -70,10 +70,10 @@ class TestEstimator:
         starts = (1, 1, 1, 2, 2, 2)
         panel = Panel(cluster_ids=tuple("abcdef"), start_periods=starts, y=y, z=z)
         rep = sw_log_contrast(panel, "equal")
-        records = [
+        records = Trial.from_records([
             ClusterRecord(cid, 1 if s == 1 else 0, y[i, 0], z[i, 0])
             for i, (cid, s) in enumerate(zip("abcdef", starts))
-        ]
+        ])
         par = log_contrast_estimate(records)
         assert rep.log_estimate == pytest.approx(par.log_estimate, abs=1e-12)
         assert rep.se_log == pytest.approx(par.se_log, abs=1e-12)
@@ -191,10 +191,10 @@ class TestCovarianceEstimate:
         starts = (1, 1, 1, 2, 2, 2)
         panel = Panel(cluster_ids=tuple("abcdef"), start_periods=starts, y=y, z=z)
         cov = sw_covariance_estimate(panel)
-        records = [
+        records = Trial.from_records([
             ClusterRecord(cid, 1 if s == 1 else 0, y[i, 0], z[i, 0])
             for i, (cid, s) in enumerate(zip("abcdef", starts))
-        ]
+        ])
         par = log_contrast_estimate(records)
         assert cov.sigma.shape == (1, 1)
         assert cov.sigma[0, 0] == pytest.approx(par.se_log**2, abs=1e-12)
@@ -361,8 +361,9 @@ class TestSWInvertCI:
 
     def test_ci_endpoints_at_the_alpha_boundary(self):
         panel = tied_panel()
-        lo, hi = sw_invert_ci(panel, "equal", alpha=0.1, mode="exact")
+        lo, hi, diag = sw_invert_ci(panel, "equal", alpha=0.1, mode="exact")
         assert lo < math.exp(sw_log_contrast(panel).log_estimate) < hi
+        assert diag["grid_points"] == 81 and diag["p_max"] > 0.1
         for lam, inside in ((lo, True), (hi, True),
                             (lo * math.exp(-2e-4), False), (hi * math.exp(2e-4), False)):
             p = sw_permutation_test(panel, lam, "equal", mode="exact").p_two_sided
@@ -396,7 +397,13 @@ class TestSWInvertCI:
         path = tmp_path / "wedge.csv"
         path.write_text(BENCHMARK_WEDGE_CSV)
         _, panel = parse_dataset(path)
-        assert sw_invert_ci(panel, weights, alpha=0.05, mode="exact") == expected
+        lo, hi, diag = sw_invert_ci(panel, weights, alpha=0.05, mode="exact")
+        assert (lo, hi) == expected
+        assert {k: diag[k] for k in ("method", "test", "alpha", "grid_points")} == {
+            "method": "sw_log_contrast", "test": "permutation", "alpha": 0.05,
+            "grid_points": 81,
+        }
+        assert 0.05 < diag["p_max"] <= 1.0 and "non_unimodal" not in diag
 
 
 BENCHMARK_WEDGE_CSV = """cluster_id,period,start_period,y_count,z_count
