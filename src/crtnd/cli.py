@@ -390,12 +390,14 @@ def _cmd_simulate(args, sw: bool) -> int:
         if args.estimators
         else None
     )
+    timings: dict[str, float] = {}
     out = evaluate(
         scenario,
         estimators,
         permutation_por=not args.no_permutation_por,
         perm_draws=args.perm_draws,
         keep_estimates=args.raw_estimates is not None,
+        timings=timings,
     )
     if args.raw_estimates is not None:
         rows, raw = out
@@ -415,6 +417,7 @@ def _cmd_simulate(args, sw: bool) -> int:
                 "config": _config_echo(args),
                 "results": [row.to_dict() for row in rows],
                 "dropped_replicates": {row.estimator: row.dropped for row in rows},
+                "timings_s": timings,
             },
         )
     return 0
@@ -480,6 +483,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.alpha is not None and not 0 < args.alpha < 0.5:
         _emit_error(DataError(f"alpha must lie in (0, 0.5), got {args.alpha}"))
         return 2
+    for option in ("n_draws", "perm_draws"):
+        value = getattr(args, option, None)
+        if value is not None and value < 1:
+            flag = "--" + option.replace("_", "-")
+            _emit_error(DataError(f"{flag} must be at least 1, got {value}"))
+            return 2
     try:
         if args.command == "analyze":
             return _cmd_analyze(args)

@@ -47,6 +47,8 @@ ENUMERATION_CAP = 10_000_000
 AUTO_EXACT_LIMIT = 100_000
 # assignment rows are handed out in blocks of about this many bytes
 _BLOCK_BYTES = 4 << 20
+# and drawn in pieces of about this many uniforms
+_DRAW_PIECE = 4096
 
 
 # --------------------------------------------------------------------- #
@@ -251,15 +253,21 @@ def log_contrasts(trial: Trial, correction: bool = False) -> np.ndarray:
     zero count raises :class:`ZeroCount` for the first cluster with one.
     The correction changes the estimand slightly, so it is opt-in.
     """
-    pairs = zip(trial.y.tolist(), trial.z.tolist())
     if correction:
-        return np.array([math.log(y + 0.5) - math.log(z + 0.5) for y, z in pairs])
+        return _log_ratio(trial.y + 0.5, trial.z + 0.5)
     try:
-        return np.array([math.log(y) - math.log(z) for y, z in pairs])
+        return _log_ratio(trial.y, trial.z)
     except ValueError:  # log(0): counts are nonnegative
         i = int(np.argmax((trial.y == 0) | (trial.z == 0)))
         which = "test-positive" if trial.y[i] == 0 else "test-negative"
         raise ZeroCount(trial.cluster_ids[i], which) from None
+
+
+def _log_ratio(y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``log(y) - log(z)`` elementwise, any shape, each term in
+    :func:`math.log`; ValueError on a zero."""
+    pairs = zip(y.ravel().tolist(), z.ravel().tolist())
+    return np.array([math.log(a) - math.log(b) for a, b in pairs]).reshape(y.shape)
 
 
 # --------------------------------------------------------------------- #
@@ -442,25 +450,36 @@ def sample_assignment(
 
 
 def sample_assignments(
-    scheme: AssignmentScheme, n: int, rng: np.random.Generator
+    scheme: AssignmentScheme, n: int, rng: np.random.Generator, dtype=np.int64
 ) -> np.ndarray:
-    """Draw n assignments as an (n, m) matrix (uniform, independent rows)."""
-    if isinstance(scheme, ParallelScheme):
+    """Draw n assignments as an (n, m) matrix of ``dtype`` (uniform,
+    independent rows).
+
+    Rows are drawn in pieces of about :data:`_DRAW_PIECE` uniforms, whose
+    temporaries stay small; pieces drawn in turn from one generator are
+    the rows of one draw.
+    """
+    out = np.empty((n, scheme.m), dtype=dtype)
+    step = max(1, _DRAW_PIECE // scheme.m)
+    if isinstance(scheme, SteppedWedgeScheme):
+        base = np.repeat(np.arange(1, scheme.n_periods + 1), scheme.q)
+    for first in range(0, n, step):
+        piece = out[first : first + step]
+        u = rng.random(piece.shape)
+        if isinstance(scheme, SteppedWedgeScheme):
+            piece[...] = base[np.argsort(u, axis=1)]
+            continue
         # the m1 smallest uniforms of a row are treated: the first m1
         # positions of a uniform random permutation (their argsort)
-        u = rng.random((n, scheme.m))
         kth = np.partition(u, scheme.m1 - 1, axis=1)[:, scheme.m1 - 1 : scheme.m1]
-        out = (u <= kth).astype(np.int64)
-        if np.count_nonzero(out) == n * scheme.m1:
-            return out
+        treated = u <= kth
+        if np.count_nonzero(treated) == treated.shape[0] * scheme.m1:
+            piece[...] = treated
+            continue
         # a tie at some row's threshold: let the sort order decide
-        order = np.argsort(u, axis=1)
-        out = np.zeros((n, scheme.m), dtype=np.int64)
-        np.put_along_axis(out, order[:, : scheme.m1], 1, axis=1)
-        return out
-    base = np.repeat(np.arange(1, scheme.n_periods + 1), scheme.q)
-    order = np.argsort(rng.random((n, scheme.m)), axis=1)
-    return base[order].astype(np.int64)
+        piece[...] = 0
+        np.put_along_axis(piece, np.argsort(u, axis=1)[:, : scheme.m1], 1, axis=1)
+    return out
 
 
 def derive_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -515,13 +534,14 @@ class Randomization:
         # sample_assignments draws (rows, m) uniforms: blocks drawn in turn
         # from one generator are the rows of one call
         rng = derive_rng(*self.stream)
+        dtype = float if isinstance(scheme, ParallelScheme) else np.int64
         for first in range(0, self.n_rows, size):
-            rows = sample_assignments(scheme, min(size, self.n_rows - first), rng)
-            yield rows.astype(float) if isinstance(scheme, ParallelScheme) else rows
+            yield sample_assignments(scheme, min(size, self.n_rows - first), rng, dtype)
 
     def rows(self) -> np.ndarray:
         """All rows in one array, for a caller that reuses them."""
-        return np.concatenate(list(self.blocks()))
+        blocks = list(self.blocks())
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def randomize(
@@ -534,7 +554,8 @@ def randomize(
     """How to re-randomize ``scheme``: "exact", "monte_carlo" (``n_draws``
     draws from ``derive_rng(*stream)``) or "auto", exact up to
     ``exact_limit`` assignments.  Exact mode raises
-    :class:`SupportTooLarge` above :data:`ENUMERATION_CAP`."""
+    :class:`SupportTooLarge` above :data:`ENUMERATION_CAP`; Monte Carlo
+    mode raises ValueError below one draw."""
     total = scheme.total_assignments
     if mode == "auto":
         mode = "exact" if total <= exact_limit else "monte_carlo"
@@ -545,6 +566,8 @@ def randomize(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "monte_carlo":
+        if n_draws < 1:
+            raise ValueError(f"Monte Carlo mode needs n_draws >= 1, got {n_draws}")
         return Randomization(scheme, mode, reason, total, n_draws, 1, stream)
     if total > ENUMERATION_CAP:
         raise SupportTooLarge(total, ENUMERATION_CAP)

@@ -144,6 +144,26 @@ def normal_ci(log_estimate: float, se: float, alpha: float) -> tuple[float, floa
     return math.exp(log_estimate - zq * se), math.exp(log_estimate + zq * se)
 
 
+# Every estimator's arithmetic runs on stacks: row b of a (B, m) array
+# holds one dataset's per-cluster values and row b of ``arms`` its
+# treated clusters, each row with the same number treated.  A public
+# estimator passes a one-row stack; the simulation passes a chunk of
+# replicates.  Reductions run along the contiguous last axis, so every
+# row gets the bits its 1-D computation would.
+
+
+def _arm_split(values: np.ndarray, arms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, m1) treated and (B, m0) control entries of each row, in
+    cluster order."""
+    n = values.shape[0]
+    return values[arms].reshape(n, -1), values[~arms].reshape(n, -1)
+
+
+def _seq_sum(values: np.ndarray) -> np.ndarray:
+    """Row sums added left to right, as Python's ``sum`` adds a list."""
+    return np.cumsum(values, axis=1)[:, -1]
+
+
 # --------------------------------------------------------------------- #
 # Odds ratio
 # --------------------------------------------------------------------- #
@@ -154,35 +174,46 @@ def odds_ratio_log(trial: Trial) -> float:
 
     Arm totals are summed left to right in cluster order.
     """
-    y, z, arms = trial.y, trial.z, trial.arm
-    sums = {
-        "treated test-positive": sum(y[arms].tolist()),
-        "control test-positive": sum(y[~arms].tolist()),
-        "treated test-negative": sum(z[arms].tolist()),
-        "control test-negative": sum(z[~arms].tolist()),
-    }
-    for name, value in sums.items():
+    totals = [float(v[0]) for v in _arm_totals(trial.y[None], trial.z[None],
+                                              trial.arm[None])]
+    names = ("treated test-positive", "control test-positive",
+             "treated test-negative", "control test-negative")
+    for name, value in zip(names, totals):
         if value <= 0:
             raise ZeroArmTotal(name)
-    return (
-        math.log(sums["treated test-positive"])
-        - math.log(sums["control test-positive"])
-        + math.log(sums["control test-negative"])
-        - math.log(sums["treated test-negative"])
-    )
+    return _log_odds_ratio(*totals)
+
+
+def _arm_totals(y: np.ndarray, z: np.ndarray, arms: np.ndarray):
+    """Per-row arm totals (treated y, control y, treated z, control z)."""
+    return tuple(_seq_sum(part) for v in (y, z) for part in _arm_split(v, arms))
+
+
+def _log_odds_ratio(ty: float, cy: float, tz: float, cz: float) -> float:
+    """The log odds ratio of one row's arm totals, in :func:`math.log`."""
+    return math.log(ty) - math.log(cy) + math.log(cz) - math.log(tz)
 
 
 def odds_ratio_permutation_draws(
     y: np.ndarray, z: np.ndarray, arm_matrix: np.ndarray
 ) -> np.ndarray:
     """log odds ratio for each 0/1 row of ``arm_matrix``, counts held fixed."""
-    ty = arm_matrix @ y
-    tz = arm_matrix @ z
-    cy = y.sum() - ty
-    cz = z.sum() - tz
+    return _odds_ratio_draws(arm_matrix @ y, arm_matrix @ z, y.sum(), z.sum())
+
+
+def _odds_ratio_draws(ty, tz, y_total, z_total) -> np.ndarray:
+    """log odds ratios from treated sums ``ty``, ``tz`` and the totals;
+    non-finite where an arm total vanishes.  ``ty`` and ``tz`` are
+    overwritten: the result is ``ty``."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.log(ty) - np.log(cy) + np.log(cz) - np.log(tz)
-    return vals
+        # log(ty) - log(cy) + log(cz) - log(tz), left to right, in place
+        control = np.log(y_total - ty)
+        np.log(ty, out=ty)
+        ty -= control
+        control = np.log(z_total - tz)
+        ty += control
+        ty -= np.log(tz, out=tz)
+    return ty
 
 
 # supports up to this size give the odds-ratio SE by full enumeration
@@ -237,6 +268,14 @@ def _permutation_se(draws: np.ndarray) -> float | None:
     return float(np.std(draws, ddof=1)) if draws.size >= 2 else None
 
 
+def _permutation_ses(draws: np.ndarray) -> list[float | None]:
+    """:func:`_permutation_se` of each row of a (B, n) stack."""
+    finite = np.isfinite(draws).all(axis=1)
+    if draws.shape[1] < 2 or not finite.all():
+        return [_permutation_se(row) for row in draws]
+    return np.std(draws, axis=1, ddof=1).tolist()
+
+
 # --------------------------------------------------------------------- #
 # Test-positive fraction
 # --------------------------------------------------------------------- #
@@ -252,15 +291,17 @@ def tpf_statistic(trial: Trial) -> tuple[float, float]:
     empty = trial.y + trial.z <= 0
     if empty.any():
         raise EmptyCluster(trial.cluster_ids[int(np.argmax(empty))])
-    ys, zs, arms = trial.y.tolist(), trial.z.tolist(), trial.arm.tolist()
-    total_y, total_z = sum(ys), sum(zs)
-    if total_y <= 0:
+    if not trial.y.any():
         raise ZeroPositiveTotal("pooled test-positive count is zero")
-    frac = [yi / (yi + zi) for yi, zi in zip(ys, zs)]
-    treated = [f for f, a in zip(frac, arms) if a]
-    control = [f for f, a in zip(frac, arms) if not a]
-    t_val = sum(treated) / len(treated) - sum(control) / len(control)
-    return float(t_val), float(total_z / total_y)
+    t_val, r = _tpf_rows(trial.y[None], trial.z[None], trial.arm[None])
+    return float(t_val[0]), float(r[0])
+
+
+def _tpf_rows(y: np.ndarray, z: np.ndarray, arms: np.ndarray):
+    """(T, r) of :func:`tpf_statistic` for each row of (B, m) stacks."""
+    f1, f0 = _arm_split(y / (y + z), arms)
+    t_val = _seq_sum(f1) / f1.shape[1] - _seq_sum(f0) / f0.shape[1]
+    return t_val, _seq_sum(z) / _seq_sum(y)
 
 
 def tpf_expected(lam: float, r: float) -> float:
@@ -360,15 +401,10 @@ def log_contrast_estimate(
     variances (denominator n_a - 1).  Each arm needs at least two
     clusters.
     """
-    lvals, arms = log_contrasts(trial, correction), trial.arm
-    l1, l0 = lvals[arms], lvals[~arms]
-    if l1.size < 2 or l0.size < 2:
-        raise ArmTooSmall(
-            f"variance estimation needs >= 2 clusters per arm "
-            f"(treated={l1.size}, control={l0.size})"
-        )
-    est = float(l1.mean() - l0.mean())
-    se = math.sqrt(float(np.var(l1, ddof=1) / l1.size + np.var(l0, ddof=1) / l0.size))
+    lvals, m1 = log_contrasts(trial, correction), int(np.count_nonzero(trial.arm))
+    _check_variance_arms(m1, trial.m - m1)
+    l1, l0 = _arm_split(lvals[None], trial.arm[None])
+    est, se = (float(v[0]) for v in _log_contrast_rows(l1, l0))
     ci_low, ci_high = normal_ci(est, se, alpha)
     return EstimateReport(
         method="log_contrast",
@@ -378,8 +414,24 @@ def log_contrast_estimate(
         ci_high=ci_high,
         ci_method="normal",
         alpha=alpha,
-        diagnostics={"m1": l1.size, "m0": l0.size},
+        diagnostics={"m1": m1, "m0": trial.m - m1},
     )
+
+
+def _check_variance_arms(m1: int, m0: int) -> None:
+    if m1 < 2 or m0 < 2:
+        raise ArmTooSmall(
+            f"variance estimation needs >= 2 clusters per arm "
+            f"(treated={m1}, control={m0})"
+        )
+
+
+def _log_contrast_rows(l1: np.ndarray, l0: np.ndarray):
+    """(estimates, SEs) of the log-contrast estimator from (B, m1) treated
+    and (B, m0) control log-contrasts."""
+    est = l1.mean(axis=1) - l0.mean(axis=1)
+    var = np.var(l1, axis=1, ddof=1) / l1.shape[1] + np.var(l0, axis=1, ddof=1) / l0.shape[1]
+    return est, np.sqrt(var)
 
 
 # --------------------------------------------------------------------- #
@@ -394,15 +446,8 @@ def _ols_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     residuals unchanged in exact arithmetic but makes the computation
     invariant to covariate translation at machine precision.
     """
-    n, p = x.shape
-    xc = x - x.mean(axis=0)
-    design = np.column_stack([np.ones(n), xc])
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < p + 1:
-        raise RankDeficientCovariates(
-            f"covariate design matrix has rank {rank} < {p + 1} within one arm"
-        )
-    return coef[1:], y - design @ coef
+    slopes, resid = _ols_rows(x[None], y[None])
+    return slopes[0], resid[0]
 
 
 def covariate_adjusted_estimate(
@@ -430,18 +475,13 @@ def covariate_adjusted_estimate(
     l1, l0 = lvals[arms], lvals[~arms]
     x1, x0 = x[arms], x[~arms]
     m1, m0 = l1.size, l0.size
-    m = m1 + m0
     diff_x = x1.mean(axis=0) - x0.mean(axis=0)
 
     if beta is not None:
         beta_vec = np.asarray(beta, dtype=float)
         if beta_vec.shape != (p,):
             raise ValueError(f"beta must have shape ({p},), got {beta_vec.shape}")
-        if m1 < 2 or m0 < 2:
-            raise ArmTooSmall(
-                f"variance estimation needs >= 2 clusters per arm "
-                f"(treated={m1}, control={m0})"
-            )
+        _check_variance_arms(m1, m0)
         g1 = l1 - x1 @ beta_vec
         g0 = l0 - x0 @ beta_vec
         v1 = float(np.var(g1, ddof=1))
@@ -454,16 +494,11 @@ def covariate_adjusted_estimate(
             resid_var_control=v0,
         )
     else:
-        if m1 < p + 2 or m0 < p + 2:
-            raise ArmTooSmall(
-                f"per-arm least squares needs >= p+2 = {p + 2} clusters per arm "
-                f"(treated={m1}, control={m0})"
-            )
-        b1, r1 = _ols_fit(x1, l1)
-        b0, r0 = _ols_fit(x0, l0)
-        # unbiased residual variances
-        v1, v0 = float(r1 @ r1 / (m1 - p - 1)), float(r0 @ r0 / (m0 - p - 1))
-        beta_vec = (m1 / m) * b1 + (m0 / m) * b0
+        _check_ols_arms(m1, m0, p)
+        beta_vec, b1, b0, v1, v0 = (
+            v[0] for v in _pooled_ols(l1[None], l0[None], x1[None], x0[None])
+        )
+        v1, v0 = float(v1), float(v0)
         fit = CovariateFit(
             beta_hat=beta_vec,
             beta_treated=b1,
@@ -490,3 +525,53 @@ def covariate_adjusted_estimate(
         },
     )
     return report, fit
+
+
+def _check_ols_arms(m1: int, m0: int, p: int) -> None:
+    if m1 < p + 2 or m0 < p + 2:
+        raise ArmTooSmall(
+            f"per-arm least squares needs >= p+2 = {p + 2} clusters per arm "
+            f"(treated={m1}, control={m0})"
+        )
+
+
+def _pooled_ols(l1, l0, x1, x0):
+    """Per-arm least squares of L on X, slopes pooled with arm-share
+    weights, for stacks: (B, m_a) log-contrasts and (B, m_a, p)
+    covariates per arm.  Returns the pooled slopes, each arm's slopes
+    and the unbiased per-arm residual variances, one row per replicate.
+    """
+    m1, m0, p = l1.shape[1], l0.shape[1], x1.shape[2]
+    b1, r1 = _ols_rows(x1, l1)
+    b0, r0 = _ols_rows(x0, l0)
+    m = m1 + m0
+    return (
+        (m1 / m) * b1 + (m0 / m) * b0,
+        b1,
+        b0,
+        _row_dot(r1, r1) / (m1 - p - 1),
+        _row_dot(r0, r0) / (m0 - p - 1),
+    )
+
+
+def _ols_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_ols_fit` of each replicate of stacks x (B, n, p), y (B, n):
+    (B, p) slopes and (B, n) residuals, one least-squares solve each."""
+    b, n, p = x.shape
+    design = np.empty((b, n, p + 1))
+    design[:, :, 0] = 1.0
+    design[:, :, 1:] = x - x.mean(axis=1)[:, None, :]
+    coef = np.empty((b, p + 1))
+    for i in range(b):
+        coef[i], _, rank, _ = np.linalg.lstsq(design[i], y[i], rcond=None)
+        if rank < p + 1:
+            raise RankDeficientCovariates(
+                f"covariate design matrix has rank {rank} < {p + 1} within one arm"
+            )
+    return coef[:, 1:], y - np.matmul(design, coef[:, :, None])[:, :, 0]
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for each row i of two (B, n) stacks, as the 1-D
+    product computes it."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]

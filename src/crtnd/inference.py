@@ -133,10 +133,18 @@ def impute_null_outcomes(
 
 def _diff_means_rows(values: np.ndarray, arm_matrix: np.ndarray, m1: int) -> np.ndarray:
     """Treated-minus-control mean of ``values`` for each 0/1 row."""
-    m = values.shape[0]
-    treated_sums = arm_matrix @ values
-    total = values.sum()
-    return treated_sums / m1 - (total - treated_sums) / (m - m1)
+    return _diff_means(arm_matrix @ values, values.sum(), values.shape[0], m1)
+
+
+def _diff_means(treated_sums: np.ndarray, total, m, m1) -> np.ndarray:
+    """Treated-minus-control means from the treated sums and the total:
+    ``treated_sums / m1 - (total - treated_sums) / (m - m1)``, computed
+    in place of ``treated_sums``."""
+    rest = total - treated_sums
+    rest /= m - m1
+    treated_sums /= m1
+    treated_sums -= rest
+    return treated_sums
 
 
 def _adjusted_diff_rows(
@@ -201,8 +209,15 @@ def _tail_counts(draws: np.ndarray, observed: float) -> tuple[int, int, int]:
     return two, left, right
 
 
-def _two_sided_count(draws: np.ndarray, observed: float) -> int:
-    """#{|T*| >= |T_obs|} with the tie slack; non-finite draws count."""
+def _two_sided_count(draws: np.ndarray, observed):
+    """#{|T*| >= |T_obs|} with the tie slack; non-finite draws count.
+
+    A (B, n) stack of draws with B observed values gives B counts.
+    """
+    if np.ndim(observed):
+        level = np.abs(observed)[:, None]
+        hits = (np.abs(draws) >= level - _TIE_RTOL * level) | ~np.isfinite(draws)
+        return np.count_nonzero(hits, axis=1)
     slack = _TIE_RTOL * abs(observed)
     return int(np.count_nonzero(
         (np.abs(draws) >= abs(observed) - slack) | ~np.isfinite(draws)
@@ -397,15 +412,20 @@ class _DoseStat:
         return self.num - beta0 * self.den, se, scale
 
 
-def _dose_stat(trial: Trial, adjustment: str, correction: bool) -> _DoseStat:
-    """The working statistic of dose nulls on ``trial``.
+def _dose_stat(
+    trial: Trial, adjustment: str, correction: bool, lvals: np.ndarray | None = None
+) -> _DoseStat:
+    """The working statistic of dose nulls on ``trial``; ``lvals`` are its
+    log-contrasts when the caller has them.
 
     Residual products are summed as ``np.var`` sums them (no covariates)
     or as :func:`covariate_adjusted_estimate` does (covariates), so
     ``sqrt(a)``, the SE at beta0 = 0, keeps the bits the permutation
     CI's scan bounds use.
     """
-    lvals, doses = log_contrasts(trial, correction), trial.require_dose()
+    if lvals is None:
+        lvals = log_contrasts(trial, correction)
+    doses = trial.require_dose()
     arms = trial.arm
     x = trial.x if adjustment == "covariates" else None
     num, resid_l, k = _arm_difference(lvals, arms, x)
@@ -541,8 +561,10 @@ def _pvalue_function(
     n_draws: int,
     seed: int,
     correction: bool,
+    stat: _DoseStat | None = None,
 ) -> tuple[Callable[[float], float], str]:
-    """Permutation p(theta0) on the search scale: log(lam0), or beta0.
+    """Permutation p(theta0) on the search scale: log(lam0), or beta0
+    (whose working statistic ``stat`` is built when not given).
 
     All theta0 share one set of re-randomized assignments (common random
     numbers), so the p-value curve is deterministic given the seed and
@@ -584,8 +606,11 @@ def _pvalue_function(
     # so each assignment's statistic splits as D - theta * A: one pass
     # over the assignments gives the whole p-value curve.
     arms = trial.arm
-    lvals = log_contrasts(trial, correction)
-    shift = arms.astype(float) if kind == "relative_risk" else trial.require_dose()
+    if kind == "dose_response":
+        stat = stat or _dose_stat(trial, adjustment, correction)
+        lvals, shift = stat.lvals, stat.doses
+    else:
+        lvals, shift = log_contrasts(trial, correction), arms.astype(float)
     if method == "covariate_adjusted" or (
         kind == "dose_response" and adjustment == "covariates"
     ):
@@ -602,7 +627,6 @@ def _pvalue_function(
         observe = lambda values: float(values[arms].mean() - values[~arms].mean())
     if kind == "dose_response":
         # as the point estimate D / A computes them, so p is 1 there
-        stat = _dose_stat(trial, adjustment, correction)
         d_obs, a_obs = stat.num, stat.den
     else:
         d_obs, a_obs = observe(lvals), observe(shift)
@@ -617,10 +641,10 @@ def _pvalue_function(
     return pfun, kind
 
 
-def _default_bounds(trial, method, kind, correction, adjustment):
+def _default_bounds(trial, method, kind, correction, adjustment, stat=None):
     """(center, half_width) on the search scale from a crude estimate and SE."""
     if kind == "dose_response":
-        stat = _dose_stat(trial, adjustment, correction)
+        stat = stat or _dose_stat(trial, adjustment, correction)
         dd = stat.dose_gap
         if abs(dd) < 1e-12:
             raise ConstantDose("doses do not separate the arms")
@@ -659,10 +683,22 @@ def invert_ci(
     while an edge is not rejected, and bisects each outer boundary of
     {p > alpha} to 1e-6 (see :func:`_invert_scan`).
     """
+    stat = None
+    if method == "dose_response" and test in ("normal", "permutation"):
+        stat = _dose_stat(trial, adjustment, correction)
+    return _invert_ci(
+        trial, method, stat, alpha=alpha, test=test, adjustment=adjustment,
+        mode=mode, n_draws=n_draws, seed=seed, correction=correction,
+    )
+
+
+def _invert_ci(
+    trial, method, stat, *, alpha, test, adjustment, mode, n_draws, seed, correction
+):
+    """:func:`invert_ci`, with the dose working statistic ``stat`` built."""
     if test == "normal":
         diagnostics = {"method": method, "test": test, "alpha": alpha}
         if method == "dose_response":
-            stat = _dose_stat(trial, adjustment, correction)
             return (*_fieller_ci(stat, alpha), diagnostics)
         report = normal_test(
             trial, NullSpec("relative_risk", 1.0), method,
@@ -679,8 +715,9 @@ def invert_ci(
         n_draws=n_draws,
         seed=seed,
         correction=correction,
+        stat=stat,
     )
-    center, half = _default_bounds(trial, method, kind, correction, adjustment)
+    center, half = _default_bounds(trial, method, kind, correction, adjustment, stat)
     theta_lo, theta_hi, scan = _invert_scan(
         pfun, center, half, alpha, n_scan=401, tol=1e-6
     )
@@ -811,11 +848,11 @@ def dose_response_estimate(
             },
         )
 
-    ci_low, ci_high, inv_diag = invert_ci(
-        trial, "dose_response", alpha=alpha, test=test, adjustment=adjustment,
+    stat = _dose_stat(trial, adjustment, correction, lvals)
+    ci_low, ci_high, inv_diag = _invert_ci(
+        trial, "dose_response", stat, alpha=alpha, test=test, adjustment=adjustment,
         mode=mode, n_draws=n_draws, seed=seed, correction=correction,
     )
-    stat = _dose_stat(trial, adjustment, correction)
     beta_hat = stat.num / stat.den
     return EstimateReport(
         method="dose_response",

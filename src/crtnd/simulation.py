@@ -16,58 +16,67 @@ latent characteristic of the clusters); a per-replicate policy is
 available for sensitivity runs.  Every replicate's randomness comes
 from a counter-derived stream, so outputs are byte-identical across
 runs and execution orders.
+
+:func:`evaluate` generates replicates one by one from their own streams
+and evaluates them in chunks of :data:`_CHUNK`: each estimator, its SE
+and the permutation column's tail counts run as a few array passes over
+the chunk's (replicates, clusters) and (replicates, draws) stacks.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .core import (
+    _BLOCK_BYTES,
     Panel,
     ParallelScheme,
     PeriodPotentialTable,
     SteppedWedgeScheme,
     Trial,
+    _log_ratio,
     derive_rng,
-    log_contrasts,
     randomize,
     realize,
     sample_assignment,
 )
-from .errors import (
-    DegenerateReplicateLimit,
-    NoAdmissibleRoot,
-    SingularCovariance,
-)
+from .errors import DegenerateReplicateLimit, NoAdmissibleRoot
 from .estimators import (
+    _arm_split,
+    _arm_totals,
+    _check_ols_arms,
+    _check_variance_arms,
+    _log_contrast_rows,
+    _log_odds_ratio,
+    _odds_ratio_draws,
     _odds_ratio_relabelings,
-    _permutation_se,
+    _permutation_ses,
+    _pooled_ols,
+    _row_dot,
+    _tpf_rows,
     _z_quantile,
-    covariate_adjusted_estimate,
-    log_contrast_estimate,
-    odds_ratio_log,
-    odds_ratio_permutation_draws,
     tpf_solve,
-    tpf_statistic,
 )
-from .inference import _diff_means_rows, _two_sided_count, _two_sided_p
+from .inference import _diff_means, _two_sided_count, _two_sided_p
 from .stepped_wedge import (
     _check_arms,
     _design,
     _null_sigma,
     _null_weights,
+    _optimal_rows,
     _period_diff_rows,
     _period_differences,
     _plugin_sigma,
     _scale_matrix,
     _warn_dropped,
     equal_weights,
-    optimal_weights,
 )
 
 __all__ = [
@@ -83,6 +92,10 @@ __all__ = [
 
 PARALLEL_ESTIMATORS = ("odds_ratio", "tpf", "log_contrast", "covariate_adjusted")
 SW_ESTIMATORS = ("sw_equal", "sw_optimal")
+
+# Replicates evaluated together: a (_CHUNK, 999) stack of permutation
+# draws is 1/32 of the block budget, 128 kB.
+_CHUNK = _BLOCK_BYTES // (32 * 8 * 1024)
 
 
 @dataclass(frozen=True)
@@ -250,14 +263,34 @@ def _check_degenerate_limit(scenario: SimScenario, degenerate: int, rep: int) ->
         )
 
 
+def _covariates(scenario: SimScenario) -> np.ndarray | None:
+    x = scenario.covariates
+    return None if x is None else np.asarray(x, dtype=float).reshape(scenario.design.m, -1)
+
+
 def simulate_parallel(scenario: SimScenario) -> Iterator[tuple[int, Trial | None]]:
     """Stream of simulated parallel-arm trials, one per replicate.
 
-    Yields ``(index, trial)``: treated clusters take ``lam * c * y0`` and
-    ``c * z0``, as :class:`PotentialTable` defines them, and clusters are
-    named ``c01, c02, ...``.  A degenerate replicate (a count stuck at
-    zero after redraws) yields ``None``; more than 1 percent of them
-    raise :class:`DegenerateReplicateLimit`.
+    Yields ``(index, trial)``: the trials of :func:`_parallel_draws`,
+    with clusters named ``c01, c02, ...``; a degenerate replicate yields
+    ``None``.
+    """
+    ids = tuple(f"c{i + 1:02d}" for i in range(scenario.design.m))
+    x = _covariates(scenario)
+    for rep, treated, y, z in _parallel_draws(scenario):
+        yield rep, None if treated is None else Trial(ids, treated, y, z, x)
+
+
+def _parallel_draws(
+    scenario: SimScenario,
+) -> Iterator[tuple[int, np.ndarray | None, np.ndarray | None, np.ndarray | None]]:
+    """Replicates of a parallel scenario as ``(rep, treated, y, z)`` arrays.
+
+    Treated clusters take ``lam * c * y0`` and ``c * z0``, as
+    :class:`PotentialTable` defines them.  A degenerate replicate (a
+    count stuck at zero after redraws) yields ``(rep, None, None,
+    None)``; more than 1 percent of them raise
+    :class:`DegenerateReplicateLimit`.
     """
     if scenario.is_stepped_wedge:
         raise ValueError("scenario has a stepped-wedge design")
@@ -266,10 +299,6 @@ def simulate_parallel(scenario: SimScenario) -> Iterator[tuple[int, Trial | None
     bz = np.asarray(scenario.baseline_z, dtype=float)
     ny, nz = int(round(by.sum())), int(round(bz.sum()))
     py, pz = by / by.sum(), bz / bz.sum()
-    ids = tuple(f"c{i + 1:02d}" for i in range(scheme.m))
-    x = scenario.covariates
-    if x is not None:
-        x = np.asarray(x, dtype=float).reshape(scheme.m, -1)
     if scenario.covariate_coupling:
         two_x = 2.0 * np.asarray(scenario.covariates, dtype=float)
     c_study = _study_level(scenario)
@@ -282,14 +311,14 @@ def simulate_parallel(scenario: SimScenario) -> Iterator[tuple[int, Trial | None
         if bad_y or bad_z:
             degenerate += 1
             _check_degenerate_limit(scenario, degenerate, rep)
-            yield rep, None
+            yield rep, None, None, None
             continue
         if scenario.covariate_coupling:
             y0 = y0 * two_x
             z0 = z0 / two_x
         treated = sample_assignment(scheme, rng) == 1
         y = np.where(treated, scenario.lam * c * y0, y0)
-        yield rep, Trial(ids, treated, y, np.where(treated, c * z0, z0), x)
+        yield rep, treated, y, np.where(treated, c * z0, z0)
 
 
 def _wedge_draws(
@@ -380,10 +409,15 @@ class _Tally:
         self.n_perm = 0
         self.dropped: Counter[str] = Counter()
 
-    def add_perm(self, p: float, alpha: float) -> None:
-        """Tally one permutation test with two-sided p-value ``p``."""
-        self.reject_perm += p <= alpha
-        self.n_perm += 1
+    def add_normal(self, estimates, ses, lam_true: float, alpha: float) -> None:
+        """Tally estimates with their SEs (None where there is none)."""
+        for est, se in zip(estimates, ses):
+            _tally_from_values(self, est, se, lam_true, alpha)
+
+    def add_perm(self, p, alpha: float) -> None:
+        """Tally permutation tests with two-sided p-values ``p`` (an array)."""
+        self.reject_perm += int(np.count_nonzero(p <= alpha))
+        self.n_perm += np.size(p)
 
     def row(self, scenario: SimScenario, name: str) -> MetricsRow:
         est = np.asarray(self.estimates)
@@ -407,6 +441,34 @@ class _Tally:
         )
 
 
+class _Stages:
+    """Wall seconds of each stage of a run, summed over its chunks."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self._last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        """Charge the time since the previous lap to ``stage``."""
+        now = time.perf_counter()
+        self.seconds[stage] = self.seconds.get(stage, 0.0) + now - self._last
+        self._last = now
+
+
+def _chunks(draws: Iterator[tuple], tallies: dict[str, _Tally]) -> Iterator[tuple]:
+    """The draws ``(rep, *arrays)`` in chunks of :data:`_CHUNK`: the
+    replicate indices and each array stacked over the chunk's
+    nondegenerate replicates.  Degenerate ones (arrays None) are counted
+    in every tally."""
+    while chunk := list(islice(draws, _CHUNK)):
+        kept = [d for d in chunk if d[1] is not None]
+        if len(kept) < len(chunk):
+            for t in tallies.values():
+                t.dropped["degenerate"] += len(chunk) - len(kept)
+        if kept:
+            yield [d[0] for d in kept], *(np.stack(a) for a in list(zip(*kept))[1:])
+
+
 def evaluate(
     scenario: SimScenario,
     estimators: Sequence[str] | None = None,
@@ -414,6 +476,7 @@ def evaluate(
     permutation_por: bool = True,
     perm_draws: int = 999,
     keep_estimates: bool = False,
+    timings: dict | None = None,
 ) -> list[MetricsRow] | tuple[list[MetricsRow], dict]:
     """Run all replicates, apply each estimator, and aggregate metrics.
 
@@ -423,25 +486,31 @@ def evaluate(
     row's ``dropped`` counts them by reason ("degenerate" or the error
     class).  ``permutation_por`` adds a Monte Carlo randomization-test
     rejection rate of the no-effect null (``perm_draws`` relabelings per
-    replicate, shared across estimators).  A stepped-wedge design that
-    leaves fewer than 2 clusters on one side of an analysis period
-    raises :class:`ArmTooSmall` before any replicate is drawn.
+    replicate, shared across estimators).  What fails on the design
+    fails before any replicate is drawn: a stepped wedge that leaves
+    fewer than 2 clusters on one side of an analysis period, or arms
+    too small for an estimator's variance, raise :class:`ArmTooSmall`.
 
-    Replicates run one at a time, parallel ones as :class:`Trial` arrays
-    through the public estimators, stepped-wedge ones on bare arrays;
-    what the design fixes is computed once per run.
+    Replicates are generated one at a time and evaluated in chunks of
+    :data:`_CHUNK`, on arrays; what the design fixes is computed once
+    per run.  Given a dict, ``timings`` receives the wall seconds of
+    each stage summed over the chunks: "generation", the shared
+    "log_contrasts" (parallel) or "plugin_covariance" (stepped wedge),
+    each estimator, and "permutation" (the permutation column).
     """
-    if scenario.is_stepped_wedge:
-        out = _evaluate_sw(scenario, estimators, permutation_por, perm_draws)
-    else:
-        out = _evaluate_parallel(scenario, estimators, permutation_por, perm_draws)
-    rows, raw = out
+    if perm_draws < 1:
+        raise ValueError(f"perm_draws must be >= 1, got {perm_draws}")
+    stages = _Stages()
+    run = _evaluate_sw if scenario.is_stepped_wedge else _evaluate_parallel
+    rows, raw = run(scenario, estimators, permutation_por, perm_draws, stages)
+    if timings is not None:
+        timings.update(stages.seconds)
     if keep_estimates:
         return rows, raw
     return rows
 
 
-def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws):
+def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages):
     names = tuple(estimators) if estimators is not None else PARALLEL_ESTIMATORS
     unknown = set(names) - set(PARALLEL_ESTIMATORS)
     if unknown:
@@ -449,68 +518,105 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws):
     if "covariate_adjusted" in names and scenario.covariates is None:
         raise ValueError("covariate_adjusted requires scenario covariates")
     scheme: ParallelScheme = scenario.design
+    m, m1 = scheme.m, scheme.m1
+    m0 = m - m1
+    x = _covariates(scenario)
+    if "log_contrast" in names:
+        _check_variance_arms(m1, m0)
+    if "covariate_adjusted" in names:
+        _check_ols_arms(m1, m0, x.shape[1])
     alpha = scenario.alpha
     lam_true = scenario.lam
     tallies = {name: _Tally() for name in names}
     raw: dict[str, list] = {name: [] for name in names}
+    # the vectors each replicate's relabelings multiply: the permutation
+    # statistics' values, and the counts of the odds ratio's SE
+    relabeled = [n for n in ("log_contrast", "tpf") if permutation_por and n in names]
+    if "odds_ratio" in names:
+        relabeled += ["y", "z"]
     or_rows = None
-    if "odds_ratio" in tallies and not permutation_por:
+    if "odds_ratio" in names and not permutation_por:
         # the SE's relabelings come from a fixed-seed stream: draw them once
         or_rows = _odds_ratio_relabelings(scheme, perm_draws, scenario.seed).rows()
+        stages.lap("odds_ratio")
 
-    for rep, trial in simulate_parallel(scenario):
-        if trial is None:
-            for t in tallies.values():
-                t.dropped["degenerate"] += 1
-            continue
-        treated, y, z = trial.arm, trial.y, trial.z
-        rows = None
-        if permutation_por:
-            rz = randomize(scheme, "monte_carlo", perm_draws, (scenario.seed, 3, rep))
-            rows = rz.rows()
+    for reps, arms, y, z in _chunks(_parallel_draws(scenario), tallies):
+        stages.lap("generation")
+        values = {"y": y, "z": z}
+        if "log_contrast" in names or "covariate_adjusted" in names:
+            values["log_contrast"] = _log_ratio(y, z)
+            l1, l0 = _arm_split(values["log_contrast"], arms)
+            stages.lap("log_contrasts")
+        if "tpf" in names:
+            values["tpf"] = y / (y + z)
 
-        if "log_contrast" in tallies:
-            t = tallies["log_contrast"]
-            report = log_contrast_estimate(trial)
-            est = report.log_estimate
-            _tally_from_values(t, est, report.se_log, lam_true, alpha)
-            raw["log_contrast"].append(est)
-            if rows is not None:
-                draws = _diff_means_rows(log_contrasts(trial), rows, scheme.m1)
-                # null lam0=1: deviation is the estimate
-                t.add_perm(rz.p(_two_sided_count(draws, est)), alpha)
-        if "covariate_adjusted" in tallies:
-            report, _ = covariate_adjusted_estimate(trial)
-            est = report.log_estimate
-            _tally_from_values(
-                tallies["covariate_adjusted"], est, report.se_log, lam_true, alpha
-            )
-            raw["covariate_adjusted"].append(est)
-        if "odds_ratio" in tallies:
-            t = tallies["odds_ratio"]
-            log_or = odds_ratio_log(trial)
+        # rows @ v for each replicate's relabelings and each vector v,
+        # the products of the 1-D statistics, stacked (replicates, rows)
+        sums = {}
+        if relabeled:
+            n_rows = perm_draws if permutation_por else or_rows.shape[0]
+            sums = {key: np.empty((len(reps), n_rows)) for key in relabeled}
+            for b, rep in enumerate(reps):
+                rows = or_rows
+                if permutation_por:
+                    rz = randomize(scheme, "monte_carlo", perm_draws, (scenario.seed, 3, rep))
+                    rows = rz.rows()
+                for key in relabeled:
+                    sums[key][b] = rows @ values[key][b]
+            stages.lap("permutation" if permutation_por else "odds_ratio")
+
+        # the permutation tests of lam0 = 1, whose deviations are the
+        # observed statistics, follow each estimator
+        if "log_contrast" in names:
+            est, se = _log_contrast_rows(l1, l0)
+            tallies["log_contrast"].add_normal(est.tolist(), se.tolist(), lam_true, alpha)
+            raw["log_contrast"] += est.tolist()
+            stages.lap("log_contrast")
+            if permutation_por:
+                draws = _diff_means(sums.pop("log_contrast"),
+                                    values["log_contrast"].sum(axis=1)[:, None], m, m1)
+                tallies["log_contrast"].add_perm(rz.p(_two_sided_count(draws, est)), alpha)
+                stages.lap("permutation")
+        if "covariate_adjusted" in names:
+            clusters = np.broadcast_to(np.arange(m), arms.shape)
+            x1, x0 = (x[c] for c in _arm_split(clusters, arms))
+            beta, _, _, v1, v0 = _pooled_ols(l1, l0, x1, x0)
+            diff_x = x1.mean(axis=1) - x0.mean(axis=1)
+            est = l1.mean(axis=1) - l0.mean(axis=1) - _row_dot(beta, diff_x)
+            se = np.sqrt(v1 / m1 + v0 / m0)
+            tallies["covariate_adjusted"].add_normal(est.tolist(), se.tolist(), lam_true, alpha)
+            raw["covariate_adjusted"] += est.tolist()
+            stages.lap("covariate_adjusted")
+        if "odds_ratio" in names:
+            totals = zip(*(v.tolist() for v in _arm_totals(y, z, arms)))
+            log_or = [_log_odds_ratio(*row) for row in totals]
             # the relabelings of the permutation column give the SE too
-            draws = odds_ratio_permutation_draws(
-                y, z, rows if rows is not None else or_rows
-            )
-            _tally_from_values(t, log_or, _permutation_se(draws), lam_true, alpha)
-            raw["odds_ratio"].append(log_or)
-            if rows is not None:
-                t.add_perm(rz.p(_two_sided_count(draws, log_or)), alpha)
-        if "tpf" in tallies:
+            draws = _odds_ratio_draws(sums.pop("y"), sums.pop("z"),
+                                      y.sum(axis=1)[:, None], z.sum(axis=1)[:, None])
+            tallies["odds_ratio"].add_normal(log_or, _permutation_ses(draws), lam_true, alpha)
+            raw["odds_ratio"] += log_or
+            stages.lap("odds_ratio")
+            if permutation_por:
+                count = _two_sided_count(draws, np.array(log_or))
+                tallies["odds_ratio"].add_perm(rz.p(count), alpha)
+                stages.lap("permutation")
+        if "tpf" in names:
             t = tallies["tpf"]
-            try:
-                est = math.log(tpf_solve(*tpf_statistic(trial)))
-                t.estimates.append(est)
-                raw["tpf"].append(est)
-            except NoAdmissibleRoot as exc:
-                raw["tpf"].append(float("nan"))
-                t.dropped[type(exc).__name__] += 1
-            if rows is not None:
-                fr = y / (y + z)
-                t_obs = float(fr[treated].mean() - fr[~treated].mean())
-                draws = _diff_means_rows(fr, rows, scheme.m1)
-                t.add_perm(rz.p(_two_sided_count(draws, t_obs)), alpha)
+            for t_stat, r in zip(*(v.tolist() for v in _tpf_rows(y, z, arms))):
+                try:
+                    est = math.log(tpf_solve(t_stat, r))
+                    t.estimates.append(est)
+                    raw["tpf"].append(est)
+                except NoAdmissibleRoot as exc:
+                    raw["tpf"].append(float("nan"))
+                    t.dropped[type(exc).__name__] += 1
+            stages.lap("tpf")
+            if permutation_por:
+                f1, f0 = _arm_split(values["tpf"], arms)
+                draws = _diff_means(sums.pop("tpf"), values["tpf"].sum(axis=1)[:, None], m, m1)
+                count = _two_sided_count(draws, f1.mean(axis=1) - f0.mean(axis=1))
+                t.add_perm(rz.p(count), alpha)
+                stages.lap("permutation")
 
     return [tallies[name].row(scenario, name) for name in names], raw
 
@@ -537,7 +643,7 @@ def _tally_weighted(t, w, diffs, sigma, lam_true, alpha) -> float:
     return est
 
 
-def _evaluate_sw(scenario, estimators, permutation_por, perm_draws):
+def _evaluate_sw(scenario, estimators, permutation_por, perm_draws, stages):
     names = tuple(estimators) if estimators is not None else SW_ESTIMATORS
     unknown = set(names) - set(SW_ESTIMATORS)
     if unknown:
@@ -558,49 +664,49 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws):
     scale = _scale_matrix(scheme.m, m_t, periods, "canonical")
     w_equal = np.asarray(equal_weights(periods).w)
 
-    for rep, start, y, z in _wedge_draws(scenario):
-        if start is None:
-            for t in tallies.values():
-                t.dropped["degenerate"] += 1
-            continue
+    for reps, start, y, z in _chunks(_wedge_draws(scenario), tallies):
+        stages.lap("generation")
         lmat = np.log(y) - np.log(z)
-        sigma_hat, _ = _plugin_sigma(lmat, start, periods, m_t, scale)
         diffs = _period_differences(lmat, start, periods, m_t)
+        sigma_hat, _ = _plugin_sigma(lmat, start, periods, m_t, scale)
+        stages.lap("plugin_covariance")
         if "sw_equal" in tallies:
-            est = _tally_weighted(
-                tallies["sw_equal"], w_equal, diffs, sigma_hat, lam_true, alpha
-            )
-            raw["sw_equal"].append(est)
+            raw["sw_equal"] += [
+                _tally_weighted(tallies["sw_equal"], w_equal, d, sigma, lam_true, alpha)
+                for d, sigma in zip(diffs, sigma_hat)
+            ]
+            stages.lap("sw_equal")
         if "sw_optimal" in tallies:
             # weights from the exactly computable truth-imputed covariance
-            treated = tgrid[None, :] >= start[:, None]
-            sigma_true, _ = _null_sigma(lmat - log_lam * treated, periods, scale)
-            try:
-                wts = optimal_weights(
-                    sigma_true, periods=periods, kind="optimal_oracle"
-                )
-                w_opt = np.asarray(wts.w)
-            except SingularCovariance:
-                w_opt = w_equal
-            est = _tally_weighted(
-                tallies["sw_optimal"], w_opt, diffs, sigma_hat, lam_true, alpha
-            )
-            raw["sw_optimal"].append(est)
+            l0 = lmat - log_lam * (tgrid[None, None, :] >= start[:, :, None])
+            sigmas = np.stack([_null_sigma(l, periods, scale)[0] for l in l0])
+            w_opt, ok, _ = _optimal_rows(sigmas)
+            w_opt[~ok] = w_equal
+            raw["sw_optimal"] += [
+                _tally_weighted(tallies["sw_optimal"], w, d, sigma, lam_true, alpha)
+                for w, d, sigma in zip(w_opt, diffs, sigma_hat)
+            ]
+            stages.lap("sw_optimal")
         if permutation_por:
             # one set of re-randomized starts per replicate, shared by
             # both weightings; at lam0 = 1 the imputed L(0) is lmat itself
-            seed = int(derive_rng(scenario.seed, 3, rep).integers(2**31))
-            rz = randomize(scheme, "monte_carlo", perm_draws, (seed, 0x5E))
-            d_rows = _period_diff_rows(lmat, rz.rows(), periods, m_t)
-            d_obs = _period_diff_rows(lmat, start[None, :], periods, m_t)
+            weights = {name: np.broadcast_to(w_equal, diffs.shape) for name in names}
+            if "sw_optimal" in names:
+                weights["sw_optimal"] = _null_weights(lmat, "optimal", periods, scale)
+            draws = {name: np.empty((len(reps), perm_draws)) for name in names}
+            observed = {name: np.empty(len(reps)) for name in names}
+            for b, rep in enumerate(reps):
+                seed = int(derive_rng(scenario.seed, 3, rep).integers(2**31))
+                rz = randomize(scheme, "monte_carlo", perm_draws, (seed, 0x5E))
+                (d_rows,) = _period_diff_rows(rz.rows(), periods, m_t, lmat[b])
+                (d_obs,) = _period_diff_rows(start[b][None, :], periods, m_t, lmat[b])
+                for name in names:
+                    draws[name][b] = d_rows @ weights[name][b]
+                    observed[name][b] = (d_obs @ weights[name][b])[0]
             for name in names:
-                w = (
-                    w_equal
-                    if name == "sw_equal"
-                    else _null_weights(lmat, "optimal", periods, scale)
-                )
-                two = _two_sided_count(d_rows @ w, float((d_obs @ w)[0]))
-                tallies[name].add_perm(rz.p(two), alpha)
+                count = _two_sided_count(draws[name], observed[name])
+                tallies[name].add_perm(rz.p(count), alpha)
+            stages.lap("permutation")
 
     return [tallies[name].row(scenario, name) for name in names], raw
 

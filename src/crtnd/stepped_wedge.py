@@ -38,9 +38,10 @@ import numpy as np
 
 from .core import Panel, SteppedWedgeScheme, randomize
 from .errors import ArmTooSmall, SingularCovariance
-from .estimators import EstimateReport, normal_ci
+from .estimators import EstimateReport, _row_dot, normal_ci
 from .inference import (
     PermutationResult,
+    _diff_means,
     _invert_scan,
     _permutation_result,
     _tail_counts,
@@ -170,13 +171,32 @@ def _treated_matrix(panel: Panel) -> np.ndarray:
     return tgrid[None, :] >= np.asarray(panel.start_periods)[:, None]
 
 
+# The plug-in estimates run on stacks: ``lmat`` (B, m, T) and ``start``
+# (B, m) hold B replicates of one design, so m_t and the analysis periods
+# are shared; one (m, T) panel and its (m,) starts is a stack of one.
+# Reductions run along the contiguous last axis, so every replicate gets
+# the bits its own computation would.
+
+
+def _period_groups(lmat: np.ndarray, start: np.ndarray, periods: Sequence[int]):
+    """Per analysis period t: the (B, m_t) treated and (B, m - m_t)
+    control log-contrasts at t, in cluster order."""
+    n = lmat.shape[0]
+    for t in periods:
+        col, treated = lmat[:, :, t - 1], start <= t
+        yield col[treated].reshape(n, -1), col[~treated].reshape(n, -1)
+
+
 def _period_differences(
     lmat: np.ndarray, start: np.ndarray, periods: Sequence[int], m_t: dict[int, int]
 ) -> np.ndarray:
-    out = np.empty(len(periods))
-    for k, t in enumerate(periods):
-        treated = start <= t
-        out[k] = lmat[treated, t - 1].mean() - lmat[~treated, t - 1].mean()
+    """Treated-minus-control mean log-contrast per analysis period: (k,)
+    for one panel, (B, k) for a stack."""
+    if lmat.ndim == 2:
+        return _period_differences(lmat[None], start[None], periods, m_t)[0]
+    out = np.empty((lmat.shape[0], len(periods)))
+    for k, (g1, g0) in enumerate(_period_groups(lmat, start, periods)):
+        out[:, k] = g1.mean(axis=1) - g0.mean(axis=1)
     return out
 
 
@@ -205,38 +225,47 @@ def _plugin_sigma(
     m_t: dict[int, int],
     scale: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(Sigma, S entries) of :func:`sw_covariance_estimate` from arrays.
+    """(Sigma, S entries) of :func:`sw_covariance_estimate` from arrays:
+    (k, k) for one panel, (B, k, k) for a stack.
 
-    The design must have passed :func:`_check_arms`.
+    The design must have passed :func:`_check_arms`.  Each S entry is
+    ``_cov`` of its pair of periods within one group: the products of
+    the stack's (2, group) blocks are one batched ``x @ x.T``, whose
+    entries are those of ``np.dot`` on each block.
     """
-    m, k = lmat.shape[0], len(periods)
-    sigma = np.zeros((k, k))
-    s_values = np.full((k, k), np.nan)
+    if lmat.ndim == 2:
+        sigma, s_values = _plugin_sigma(lmat[None], start[None], periods, m_t, scale)
+        return sigma[0], s_values[0]
+    n, m, _ = lmat.shape
+    k = len(periods)
+    sigma = np.zeros((n, k, k))
+    s_values = np.full((n, k, k), np.nan)
 
-    for i, t in enumerate(periods):
-        treated = start <= t
-        n1, n0 = m_t[t], m - m_t[t]
-        v1 = float(np.var(lmat[treated, t - 1], ddof=1))
-        v0 = float(np.var(lmat[~treated, t - 1], ddof=1))
-        sigma[i, i] = v1 / n1 + v0 / n0
+    for i, (t, (g1, g0)) in enumerate(zip(periods, _period_groups(lmat, start, periods))):
+        v1 = np.var(g1, axis=1, ddof=1)
+        v0 = np.var(g0, axis=1, ddof=1)
+        sigma[:, i, i] = v1 / m_t[t] + v0 / (m - m_t[t])
 
-    by_period = lmat.T.copy()
-    for i, t1 in enumerate(periods):
-        for j in range(i + 1, k):
-            t2 = periods[j]
-            # group sizes follow from m_t; the first largest group is used
-            sizes = (m_t[t1], m_t[t2] - m_t[t1], m - m_t[t2])
-            g = sizes.index(max(sizes))
-            if g == 0:
-                mask = start <= t1
-            elif g == 1:
-                mask = (start > t1) & (start <= t2)
-            else:
-                mask = start > t2
-            pair = by_period[t1 - 1 : t2 : t2 - t1][:, mask]
-            s_hat = float(_cov(pair)[0, 1])
-            s_values[i, j] = s_values[j, i] = s_hat
-            sigma[i, j] = sigma[j, i] = scale[i, j] * s_hat
+    by_period = lmat.transpose(0, 2, 1)
+    groups = {}  # (lo, hi] of start periods -> the group's centered rows
+    upper = np.triu_indices(k, 1)
+    s_hat = np.empty((n, len(upper[0])))
+    for p, (i, j) in enumerate(zip(*upper)):
+        t1, t2 = periods[i], periods[j]
+        # group sizes follow from m_t; the first largest group is used
+        sizes = (m_t[t1], m_t[t2] - m_t[t1], m - m_t[t2])
+        key = ((0, t1), (t1, t2), (t2, math.inf))[sizes.index(max(sizes))]
+        if key not in groups:
+            members = np.nonzero((start > key[0]) & (start <= key[1]))[1]
+            rows = np.take_along_axis(by_period, members.reshape(n, 1, -1), axis=2)
+            rows -= rows.mean(axis=2)[:, :, None]  # _cov's centring, every period
+            groups[key] = rows
+        pair = groups[key][:, [t1 - 1, t2 - 1]]
+        products = np.matmul(pair, pair.transpose(0, 2, 1))[:, 0, 1]
+        s_hat[:, p] = products * np.true_divide(1, pair.shape[2] - 1)
+    lower = upper[::-1]
+    s_values[:, upper[0], upper[1]] = s_values[:, lower[0], lower[1]] = s_hat
+    sigma[:, upper[0], upper[1]] = sigma[:, lower[0], lower[1]] = scale[upper] * s_hat
     return sigma, s_values
 
 
@@ -361,15 +390,27 @@ def optimal_weights(
             periods = tuple(range(1, mat.shape[0] + 1))
     if mat.shape[0] == 0:
         raise ValueError("empty covariance matrix")
-    cond = np.linalg.cond(mat)
-    if not np.isfinite(cond) or cond > cond_threshold:
+    w, ok, cond = _optimal_rows(mat[None], cond_threshold)
+    if not ok[0]:
         raise SingularCovariance(
-            f"covariance condition number {cond:.3g} exceeds {cond_threshold:.3g}"
+            f"covariance condition number {cond[0]:.3g} exceeds {cond_threshold:.3g}"
         )
-    ones = np.ones(mat.shape[0])
-    x = np.linalg.solve(mat, ones)
-    w = x / (ones @ x)
-    return SWWeights(w=tuple(float(v) for v in w), kind=kind, periods=tuple(periods))
+    return SWWeights(w=tuple(float(v) for v in w[0]), kind=kind, periods=tuple(periods))
+
+
+def _optimal_rows(sigmas: np.ndarray, cond_threshold: float = 1e10):
+    """:func:`optimal_weights` of each matrix of a (B, k, k) stack: the
+    (B, k) weights, which matrices have them (condition number finite
+    and at most ``cond_threshold``; the others' rows are NaN), and the
+    condition numbers."""
+    cond = np.linalg.cond(sigmas)
+    ok = np.isfinite(cond) & (cond <= cond_threshold)
+    w = np.full(sigmas.shape[:2], np.nan)
+    if ok.any():
+        ones = np.ones(sigmas.shape[1])
+        x = np.linalg.solve(sigmas[ok], ones[:, None])[:, :, 0]
+        w[ok] = x / _row_dot(x, np.broadcast_to(ones, x.shape))[:, None]
+    return w, ok, cond
 
 
 def equal_weights(periods: Sequence[int]) -> SWWeights:
@@ -475,23 +516,29 @@ def sw_log_contrast(
 
 
 def _period_diff_rows(
-    values: np.ndarray,
     start_rows: np.ndarray,
     periods: Sequence[int],
     m_t: dict[int, int],
-) -> np.ndarray:
-    """(rows, periods) treated-minus-control means of ``values[:, t-1]``.
+    *values: np.ndarray,
+) -> list[np.ndarray]:
+    """(rows, periods) treated-minus-control means of ``v[:, t-1]``, one
+    array for each (m, T) matrix v of ``values``.
 
-    Row r treats cluster i at period t when ``start_rows[r, i] <= t``.
+    Row r treats cluster i at period t when ``start_rows[r, i] <= t``;
+    each period's float 0/1 mask is built once for all the matrices.
     """
-    m = values.shape[0]
-    out = np.empty((start_rows.shape[0], len(periods)))
+    sums = [np.empty((start_rows.shape[0], len(periods))) for _ in values]
+    mask = np.empty(start_rows.shape)
     for k, t in enumerate(periods):
-        col = values[:, t - 1]
-        n1 = m_t[t]
-        sums = (start_rows <= t) @ col
-        out[:, k] = sums / n1 - (col.sum() - sums) / (m - n1)
-    return out
+        np.less_equal(start_rows, t, out=mask, casting="unsafe")
+        for s, v in zip(sums, values):
+            s[:, k] = mask @ v[:, t - 1]
+    cols = [t - 1 for t in periods]
+    n1 = np.array([m_t[t] for t in periods])
+    return [
+        _diff_means(s, v.T[cols].sum(axis=1), v.shape[0], n1)
+        for s, v in zip(sums, values)
+    ]
 
 
 def _start_scheme(panel: Panel) -> SteppedWedgeScheme:
@@ -513,20 +560,21 @@ def _null_weights(
 ) -> np.ndarray:
     """Weights held fixed over the re-randomizations of a test of lam0.
 
-    ``l0`` holds the control log-contrasts imputed under the null.
-    "optimal" weights are computed exactly from their covariance,
-    falling back to equal weights when it is singular.
+    ``l0`` holds the control log-contrasts imputed under the null, of
+    one (m, T) panel or of each panel of a (B, m, T) stack.  "optimal"
+    weights are computed exactly from their covariance, falling back to
+    equal weights when it is singular; a stack gets one row each.
     """
     if weights != "optimal":
         wts, _ = _resolve_weights(weights, periods, None)
         return np.asarray(wts.w)
-    sigma, _ = _null_sigma(l0, periods, scale)
-    try:
-        wts = optimal_weights(sigma, periods=periods, kind="optimal_oracle")
-    except SingularCovariance:
+    if l0.ndim == 2:
+        return _null_weights(l0[None], weights, periods, scale)[0]
+    w, ok, _ = _optimal_rows(np.stack([_null_sigma(l, periods, scale)[0] for l in l0]))
+    if not ok.all():
         warnings.warn("null covariance is singular; using equal weights", RuntimeWarning)
-        wts = equal_weights(periods)
-    return np.asarray(wts.w)
+        w[~ok] = equal_weights(periods).w
+    return w
 
 
 def sw_permutation_test(
@@ -559,7 +607,7 @@ def sw_permutation_test(
     w = _null_weights(l0, weights, periods, scale)
 
     def evaluate(start_rows: np.ndarray) -> np.ndarray:
-        return _period_diff_rows(l0, start_rows, periods, m_t) @ w
+        return _period_diff_rows(start_rows, periods, m_t, l0)[0] @ w
 
     observed = float(evaluate(start[None, :])[0])
     rz = randomize(_start_scheme(panel), mode, n_draws, (seed, 0x5E))
@@ -591,14 +639,9 @@ def _sw_pvalue_function(
     lmat = panel.log_contrast_matrix(correction)
     treated = _treated_matrix(panel).astype(float)
     observed = np.asarray(panel.start_periods)[None, :]
-    d_obs = _period_diff_rows(lmat, observed, periods, m_t)[0]
-    a_obs = _period_diff_rows(treated, observed, periods, m_t)[0]
+    d_obs, a_obs = (r[0] for r in _period_diff_rows(observed, periods, m_t, lmat, treated))
     rz = randomize(_start_scheme(panel), mode, n_draws, (seed, 0x5E))
-    parts = [
-        (_period_diff_rows(lmat, rows, periods, m_t),
-         _period_diff_rows(treated, rows, periods, m_t))
-        for rows in rz.blocks()
-    ]
+    parts = [_period_diff_rows(rows, periods, m_t, lmat, treated) for rows in rz.blocks()]
     d_rows = np.concatenate([d for d, _ in parts])
     a_rows = np.concatenate([a for _, a in parts])
 

@@ -235,6 +235,13 @@ class TestRandomizationEngine:
         with pytest.raises(ValueError):
             randomize(ParallelScheme(4, 2), "bootstrap", 5, (1,))
 
+    @pytest.mark.parametrize("n_draws", [0, -4])
+    def test_monte_carlo_needs_a_draw(self, n_draws):
+        with pytest.raises(ValueError, match="n_draws >= 1"):
+            randomize(ParallelScheme(24, 12), "monte_carlo", n_draws, (1,))
+        # an exact support draws nothing, so the count is not read
+        assert randomize(ParallelScheme(6, 3), "auto", n_draws, (1,)).n_rows == 20
+
 
 class TestStreams:
     """Each caller draws its Monte Carlo rows from its own fixed stream,

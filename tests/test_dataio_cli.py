@@ -563,3 +563,52 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "crtnd" in proc.stdout
+
+
+class TestDrawCounts:
+    """Draw counts below one are usage errors, named before any work."""
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["analyze", "analyze-sw", "dose-response"])
+    def test_analysis_n_draws(self, tmp_path, capsys, command, value):
+        data = (make_sw_csv(tmp_path) if command == "analyze-sw"
+                else write(tmp_path, "d.csv", PARALLEL_CSV))
+        code = main([command, "--input", str(data), "--mode", "monte-carlo",
+                     "--n-draws", value])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "DataError",
+                       "message": f"--n-draws must be at least 1, got {value}"}
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["simulate", "simulate-sw"])
+    def test_simulation_perm_draws(self, tmp_path, capsys, command, value):
+        code = main([command, "--n-replicates", "2", "--perm-draws", value,
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "DataError",
+                       "message": f"--perm-draws must be at least 1, got {value}"}
+        assert not (tmp_path / "m.csv").exists()
+
+
+class TestSimulationTimings:
+    @pytest.mark.parametrize("command, estimators, shared", [
+        ("simulate", "odds_ratio,tpf,log_contrast,covariate_adjusted", "log_contrasts"),
+        ("simulate-sw", "sw_equal,sw_optimal", "plugin_covariance"),
+    ])
+    def test_sidecar_has_stage_timings(self, tmp_path, command, estimators, shared):
+        out = tmp_path / "m.csv"
+        assert main([command, "--n-replicates", "20", "--perm-draws", "19",
+                     "--estimators", estimators, "--out", str(out)]) == 0
+        timings = json.loads(out.with_suffix(".json").read_text())["timings_s"]
+        expected = ["generation", shared, *estimators.split(","), "permutation"]
+        assert sorted(timings) == sorted(expected)
+        assert all(v >= 0.0 for v in timings.values())
+
+    def test_no_permutation_column_no_permutation_stage(self, tmp_path):
+        out = tmp_path / "m.csv"
+        assert main(["simulate", "--n-replicates", "20", "--no-permutation-por",
+                     "--estimators", "log_contrast", "--out", str(out)]) == 0
+        timings = json.loads(out.with_suffix(".json").read_text())["timings_s"]
+        assert sorted(timings) == ["generation", "log_contrast", "log_contrasts"]

@@ -23,7 +23,13 @@ from crtnd.scenarios import (
     default_parallel_scenario,
     default_sw_scenario,
 )
-from crtnd.simulation import PARALLEL_ESTIMATORS, SW_ESTIMATORS, study_ascertainment
+from crtnd.errors import DegenerateReplicateLimit
+from crtnd.simulation import (
+    _CHUNK,
+    PARALLEL_ESTIMATORS,
+    SW_ESTIMATORS,
+    study_ascertainment,
+)
 
 
 def small_parallel(lam=1.0, n=50, seed=3, **over):
@@ -505,6 +511,44 @@ EQUIVALENCE_CASES = {
 }
 
 
+def sparse_parallel(n, seed, tiny=0.0345):
+    """Cluster 6's test-positive baseline is ``tiny``: its count often
+    stays zero through every redraw, so some replicates are degenerate."""
+    by = list(BASELINE_Y)
+    by[5] = tiny
+    return small_parallel(lam=0.6, n=n, seed=seed, baseline_y=tuple(by),
+                          scenario_id="sparse-par")
+
+
+def sparse_sw(n, seed, tiny=0.035):
+    """Cluster 5's period-2 test-positive baseline is ``tiny``."""
+    scenario = small_sw(lam=0.6, n=n, seed=seed)
+    by = [list(row) for row in scenario.baseline_y]
+    by[4][1] = tiny
+    return replace(scenario, scenario_id="sparse-sw",
+                   baseline_y=tuple(tuple(row) for row in by))
+
+
+# evaluate works through replicates in chunks of _CHUNK: runs that end
+# one short of, at and one past a chunk, and two chunks and one, with
+# one degenerate replicate inside a chunk (replicate 10 of the parallel
+# run, 24 of the wedge)
+EQUIVALENCE_CASES.update({
+    "chunk-short": (small_parallel(lam=0.6, n=_CHUNK - 1, seed=48), None),
+    "chunk-full": (small_parallel(lam=0.8, n=_CHUNK, seed=49), None),
+    "chunk-over": (small_parallel(lam=1.0, n=_CHUNK + 1, seed=50), ("odds_ratio",)),
+    "chunks-degenerate": (sparse_parallel(2 * _CHUNK + 1, 18), None),
+    "sw-chunk-over": (small_sw(n=_CHUNK + 1, seed=51), None),
+    "sw-chunks-degenerate": (sparse_sw(2 * _CHUNK + 1, 7), None),
+    # two covariates: the stacked per-arm least squares with p > 1
+    "chunk-over-two-covariates": (
+        small_parallel(lam=0.7, n=_CHUNK + 1, seed=52, covariate_coupling=False,
+                       covariates=tuple((x, (i % 5) / 4.0) for i, x in enumerate(POPULATION))),
+        ("covariate_adjusted", "log_contrast"),
+    ),
+})
+
+
 class TestArrayLoopEquivalence:
     @pytest.mark.parametrize("permutation_por", [True, False])
     @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
@@ -544,6 +588,34 @@ class TestArrayLoopEquivalence:
             warnings.simplefilter("ignore")
             with pytest.raises(ArmTooSmall, match="treated=1"):
                 evaluate(scen, permutation_por=True, perm_draws=19)
+
+    @pytest.mark.parametrize("case, rep", [("chunks-degenerate", 10),
+                                           ("sw-chunks-degenerate", 24)])
+    def test_one_degenerate_replicate_inside_a_chunk(self, case, rep):
+        scenario, _ = EQUIVALENCE_CASES[case]
+        draws = simulate_stepped_wedge if scenario.is_stepped_wedge else simulate_parallel
+        assert [r for r, data in draws(scenario) if data is None] == [rep]
+        assert 0 < rep % _CHUNK < _CHUNK - 1
+
+    @pytest.mark.parametrize("permutation_por", [True, False])
+    @pytest.mark.parametrize("make, n, message", [
+        (sparse_parallel, 40, "2 degenerate replicates out of 7"),
+        (sparse_parallel, 250, "3 degenerate replicates out of 10"),
+        (sparse_sw, 40, "2 degenerate replicates out of 7"),
+        (sparse_sw, 250, "3 degenerate replicates out of 8"),
+    ])
+    def test_degenerate_limit_fires_where_the_draws_do(self, make, n, message,
+                                                        permutation_por):
+        # the limit is one degenerate replicate per hundred (at least one);
+        # the messages are those of the replicate-by-replicate loop
+        scenario = make(n, 3, tiny=0.01)
+        draws = simulate_stepped_wedge if scenario.is_stepped_wedge else simulate_parallel
+        with pytest.raises(DegenerateReplicateLimit, match=f"^{message}$"):
+            list(draws(scenario))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(DegenerateReplicateLimit, match=f"^{message}$"):
+                evaluate(scenario, permutation_por=permutation_por, perm_draws=19)
 
     def test_tpf_failures_are_counted_by_reason(self):
         scen, names = EQUIVALENCE_CASES["parallel-split-fractions"]
@@ -594,3 +666,33 @@ class TestDrawsMatchPotentialTables:
             assert panel.start_periods == expected.start_periods
             assert np.array_equal(panel.y, expected.y)
             assert np.array_equal(panel.z, expected.z)
+
+
+class TestBoundedMemory:
+    """A run holds one chunk of replicates at a time, never its relabelings."""
+
+    # what grows with the replicates is the tallies: a few floats each
+    SLACK = 512 * 1024
+
+    @staticmethod
+    def peak(scenario, names):
+        import tracemalloc
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            evaluate(replace(scenario, n_replicates=2), names, perm_draws=99)
+            tracemalloc.start()
+            try:
+                evaluate(scenario, names, perm_draws=99)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    @pytest.mark.parametrize("make, names, n", [
+        (default_parallel_scenario, ("log_contrast",), 200),
+        (default_sw_scenario, ("sw_equal",), 50),
+    ])
+    def test_peak_does_not_grow_with_replicates(self, make, names, n):
+        small = self.peak(make(0.6, n_replicates=n, seed=3), names)
+        large = self.peak(make(0.6, n_replicates=10 * n, seed=3), names)
+        assert large - small < self.SLACK
