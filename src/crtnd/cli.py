@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -45,6 +46,7 @@ from .simulation import evaluate, replicate_ascertainment_sweep
 from .stepped_wedge import sw_invert_ci, sw_log_contrast, sw_permutation_test
 
 DEFAULT_ESTIMATORS = ("odds_ratio", "tpf", "log_contrast", "covariate_adjusted")
+_DOSE_DRAW_DEFAULTS = {"mode": "auto", "n_draws": 2000, "seed": 0}  # --test permutation
 
 
 def _add_common(p: argparse.ArgumentParser, scenario: bool = False) -> None:
@@ -67,6 +69,7 @@ def _add_common(p: argparse.ArgumentParser, scenario: bool = False) -> None:
                    help="output path (JSON report or metrics CSV)")
 
 
+@cache  # one per process: main() may run many times in one interpreter
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crtnd",
@@ -114,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.add_argument("--test", choices=["normal", "permutation"], default="normal")
     _add_common(p)
+    p.set_defaults(**{option: None for option in _DOSE_DRAW_DEFAULTS})  # None: not given
 
     for name, default_label in (("simulate", "default"), ("simulate-sw", "default-sw")):
         p = sub.add_parser(name, help="run a simulation scenario and write metrics")
@@ -193,6 +197,17 @@ def _permutation_entry(perm) -> dict:
     return {key: getattr(perm, key) for key in keys}
 
 
+def _write_report(args, reports) -> int:
+    """Print an analysis command's table and, with --out, its JSON report."""
+    _print_reports(reports)
+    if args.out:
+        write_json_report(args.out, {
+            "command": args.command, "version": __version__, "input": str(args.input),
+            "config": _config_echo(args), "results": [rep.to_dict() for rep in reports],
+        })
+    return 0
+
+
 def _cmd_analyze(args) -> int:
     kind, trial = parse_dataset(args.input)
     if kind != "parallel":
@@ -220,21 +235,16 @@ def _cmd_analyze(args) -> int:
             )
         elif name == "tpf":
             rep = tpf_estimate(trial, alpha=args.alpha)
-            lo, hi, _ = invert_ci(
+            lo, hi, diag = invert_ci(
                 trial, "tpf", alpha=args.alpha, test="permutation",
                 mode=mode, n_draws=args.n_draws, seed=args.seed,
                 correction=correction,
             )
-            rep.ci_low, rep.ci_high = lo, hi
-            rep.ci_method = "test_inversion"
-        elif name == "log_contrast":
-            rep = normal_test(
-                trial, NullSpec("relative_risk", 1.0), "log_contrast",
-                alpha=args.alpha, correction=correction,
-            )
+            rep.ci_low, rep.ci_high, rep.ci_method = lo, hi, "test_inversion"
+            rep.diagnostics["ci_inversion"] = diag
         else:
             rep = normal_test(
-                trial, NullSpec("relative_risk", 1.0), "covariate_adjusted",
+                trial, NullSpec("relative_risk", 1.0), name,
                 alpha=args.alpha, correction=correction,
             )
         perm = permutation_test(
@@ -260,19 +270,7 @@ def _cmd_analyze(args) -> int:
             # exactly the Normal CI, which the report keeps
             rep.diagnostics["ci_note"] = "invert-normal coincides with the Normal CI"
         reports.append(rep)
-    _print_reports(reports)
-    if args.out:
-        write_json_report(
-            args.out,
-            {
-                "command": "analyze",
-                "version": __version__,
-                "input": str(args.input),
-                "config": _config_echo(args),
-                "results": [rep.to_dict() for rep in reports],
-            },
-        )
-    return 0
+    return _write_report(args, reports)
 
 
 def _cmd_analyze_sw(args) -> int:
@@ -313,48 +311,27 @@ def _cmd_analyze_sw(args) -> int:
     elif args.ci_method == "invert-normal":
         # inverting the z-test reproduces the closed-form Normal CI
         rep.diagnostics["ci_note"] = "invert-normal coincides with the Normal CI"
-    _print_reports([rep])
-    if args.out:
-        write_json_report(
-            args.out,
-            {
-                "command": "analyze-sw",
-                "version": __version__,
-                "input": str(args.input),
-                "config": _config_echo(args),
-                "results": [rep.to_dict()],
-            },
-        )
-    return 0
+    return _write_report(args, [rep])
 
 
 def _cmd_dose_response(args) -> int:
     kind, trial = parse_dataset(args.input)
     if kind != "parallel":
         raise DataError("dose-response expects a parallel-arm dataset")
+    given = [option for option in _DOSE_DRAW_DEFAULTS if getattr(args, option) is not None]
+    if args.test == "normal" and given:  # the Normal test draws nothing
+        raise DataError(f"--{given[0].replace('_', '-')} applies to --test permutation only")
+    draws = {}
+    if args.test == "permutation":
+        draws = {option: default if getattr(args, option) is None else getattr(args, option)
+                 for option, default in _DOSE_DRAW_DEFAULTS.items()}
+        vars(args).update(draws)  # echo what runs
+        draws["mode"] = draws["mode"].replace("-", "_")
     rep = dose_response_estimate(
-        trial,
-        adjustment=args.adjustment,
-        alpha=args.alpha,
-        test=args.test,
-        mode=args.mode.replace("-", "_"),
-        n_draws=args.n_draws,
-        seed=args.seed,
-        correction=args.continuity_correction,
+        trial, adjustment=args.adjustment, alpha=args.alpha, test=args.test,
+        correction=args.continuity_correction, **draws,
     )
-    _print_reports([rep])
-    if args.out:
-        write_json_report(
-            args.out,
-            {
-                "command": "dose-response",
-                "version": __version__,
-                "input": str(args.input),
-                "config": _config_echo(args),
-                "results": [rep.to_dict()],
-            },
-        )
-    return 0
+    return _write_report(args, [rep])
 
 
 def _load_scenario_arg(args, default_factory):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -92,20 +92,7 @@ class PermutationResult:
     mc_se: float | None = None  # sqrt(p (1 - p) / n_draws) of p_two_sided; 0 if exact
 
     def to_dict(self) -> dict:
-        return {
-            "observed_stat": self.observed_stat,
-            "null_draws": self.null_draws,
-            "p_two_sided": self.p_two_sided,
-            "p_left": self.p_left,
-            "p_right": self.p_right,
-            "mode": self.mode,
-            "n_draws": self.n_draws,
-            "seed": self.seed,
-            "statistic": self.statistic,
-            "support_size": self.support_size,
-            "mode_reason": self.mode_reason,
-            "mc_se": self.mc_se,
-        }
+        return asdict(self)
 
 
 def impute_null_outcomes(
@@ -400,7 +387,6 @@ class _DoseStat:
     num: float
     den: float
     var: tuple[float, float, float]
-    dose_gap: float  # unadjusted arm difference of dose: the scan centre
     lvals: np.ndarray
     doses: np.ndarray
 
@@ -419,9 +405,7 @@ def _dose_stat(
     log-contrasts when the caller has them.
 
     Residual products are summed as ``np.var`` sums them (no covariates)
-    or as :func:`covariate_adjusted_estimate` does (covariates), so
-    ``sqrt(a)``, the SE at beta0 = 0, keeps the bits the permutation
-    CI's scan bounds use.
+    or as :func:`covariate_adjusted_estimate` does (covariates).
     """
     if lvals is None:
         lvals = log_contrasts(trial, correction)
@@ -440,7 +424,6 @@ def _dose_stat(
         num=num,
         den=den,
         var=tuple(var),
-        dose_gap=float(doses[arms].mean() - doses[~arms].mean()),
         lvals=lvals,
         doses=doses,
     )
@@ -568,7 +551,8 @@ def _pvalue_function(
 
     All theta0 share one set of re-randomized assignments (common random
     numbers), so the p-value curve is deterministic given the seed and
-    free of resampling jitter.
+    free of resampling jitter.  For the statistics linear in theta0 it
+    is the whole exact curve, a :class:`_PCurve`.
     """
     if method in ("log_contrast", "covariate_adjusted", "tpf", "odds_ratio"):
         kind = "relative_risk"
@@ -577,22 +561,18 @@ def _pvalue_function(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    scheme = trial.scheme
-    m1 = scheme.m1
-    rz = randomize(scheme, mode, n_draws, (seed, 0xC1))
+    m1 = trial.scheme.m1
+    rz = randomize(trial.scheme, mode, n_draws, (seed, 0xC1))
 
     if method in ("tpf", "odds_ratio"):
         # counts held fixed: the permutation draws do not move with
         # theta, only the null-implied center of the observed statistic
+        evaluate, at_one = _build_statistic(trial, NullSpec("relative_risk", 1.0), method, correction)
         if method == "tpf":
             t_obs, r_obs = tpf_statistic(trial)
-            fractions = trial.y / (trial.y + trial.z)
-            evaluate = lambda rows: _diff_means_rows(fractions, rows, m1)
             observed_dev = lambda theta: t_obs - tpf_expected(math.exp(theta), r_obs)
-        else:
-            log_or = odds_ratio_log(trial)
-            evaluate = lambda rows: odds_ratio_permutation_draws(trial.y, trial.z, rows)
-            observed_dev = lambda theta: log_or - theta
+        else:  # the log odds ratio less log(lam0)
+            observed_dev = lambda theta: at_one - theta
         draws = np.concatenate([evaluate(rows) for rows in rz.blocks()])
 
         def pfun(theta: float) -> float:
@@ -611,51 +591,93 @@ def _pvalue_function(
         lvals, shift = stat.lvals, stat.doses
     else:
         lvals, shift = log_contrasts(trial, correction), arms.astype(float)
-    if method == "covariate_adjusted" or (
-        kind == "dose_response" and adjustment == "covariates"
-    ):
-        x = trial.x
-        if x.shape[1] == 0:
-            raise StatisticUndefined(
-                "the covariate-adjusted statistic requires covariates"
-            )
-        evaluate = lambda values, rows: _adjusted_diff_rows(values, x, rows, m1)
+    if method == "covariate_adjusted" or (kind, adjustment) == ("dose_response", "covariates"):
+        if trial.x.shape[1] == 0:
+            raise StatisticUndefined("the covariate-adjusted statistic requires covariates")
+        evaluate = lambda values, rows: _adjusted_diff_rows(values, trial.x, rows, m1)
         observe = lambda values: float(evaluate(values, arms[None, :])[0])
     else:
         evaluate = lambda values, rows: _diff_means_rows(values, rows, m1)
         # as the point estimate computes it, so p is 1 there
         observe = lambda values: float(values[arms].mean() - values[~arms].mean())
-    if kind == "dose_response":
-        # as the point estimate D / A computes them, so p is 1 there
-        d_obs, a_obs = stat.num, stat.den
-    else:
-        d_obs, a_obs = observe(lvals), observe(shift)
+    # the dose statistic as the point estimate D / A computes it
+    d_obs, a_obs = (stat.num, stat.den) if stat else (observe(lvals), observe(shift))
     parts = [(evaluate(lvals, rows), evaluate(shift, rows)) for rows in rz.blocks()]
-    d_draws = np.concatenate([d for d, _ in parts])
-    a_draws = np.concatenate([a for _, a in parts])
-
-    def pfun(theta: float) -> float:
-        two, _, _ = _tail_counts(d_draws - theta * a_draws, d_obs - theta * a_obs)
-        return rz.p(two)
-
-    return pfun, kind
+    d_draws, a_draws = (np.concatenate(x) for x in zip(*parts))
+    del parts
+    return _sweep(d_draws, a_draws, d_obs, a_obs, rz), kind
 
 
-def _default_bounds(trial, method, kind, correction, adjustment, stat=None):
-    """(center, half_width) on the search scale from a crude estimate and SE."""
-    if kind == "dose_response":
-        stat = stat or _dose_stat(trial, adjustment, correction)
-        dd = stat.dose_gap
-        if abs(dd) < 1e-12:
-            raise ConstantDose("doses do not separate the arms")
-        return stat.num / dd, 10.0 * max(math.sqrt(stat.var[0]) / abs(dd), 1e-6)
-    if method == "covariate_adjusted":
-        report, _ = covariate_adjusted_estimate(trial, correction=correction)
-        return report.log_estimate, 10.0 * max(report.se_log, 1e-6)
-    base = log_contrast_estimate(trial, correction=correction)
-    if method == "tpf":
-        return tpf_estimate(trial).log_estimate, 10.0 * max(base.se_log, 1e-6)
-    return base.log_estimate, 10.0 * max(base.se_log, 1e-6)
+@dataclass(frozen=True)
+class _PCurve:
+    """Exact p(theta) of a statistic ``D - theta * A``: ``p[2 j + 1]`` at
+    breakpoint ``points[j]``, ``p[2 j]`` just below it, ``p[-1]`` above all."""
+
+    points: np.ndarray
+    p: np.ndarray
+
+    def __call__(self, theta: float) -> float:
+        j = int(np.searchsorted(self.points, theta))
+        return float(self.p[2 * j + (j < self.points.size and self.points[j] == theta)])
+
+    def interval(self, alpha: float) -> tuple[float, float, dict]:
+        """Outermost points of the closed set {theta : p(theta) > alpha},
+        and its diagnostics; :class:`NoNonRejectedPoint` when the set is
+        unbounded or empty."""
+        accepted = self.p > alpha
+        if accepted[0] or accepted[-1]:
+            raise NoNonRejectedPoint(f"the set of null values with p > {alpha} is unbounded")
+        idx = np.flatnonzero(accepted)
+        if idx.size == 0:
+            raise NoNonRejectedPoint(f"no parameter value has p > {alpha}")
+        lo, hi = idx[0], idx[-1]
+        diagnostics = {"grid_points": self.points.size, "p_max": float(self.p.max()),
+                       "non_interval": not accepted[lo : hi + 1].all()}
+        return float(self.points[lo // 2]), float(self.points[hi // 2]), diagnostics
+
+
+def _sweep(d, a, d_obs, a_obs, rz: Randomization) -> _PCurve:
+    """The curve of p(theta) = p(#{|D_k - theta A_k| >= |D_o - theta A_o|}).
+
+    Assignment k is in the tail where ``(u - theta s)(v - theta w) >= 0``
+    (``u, s = D_k - D_o, A_k - A_o``; ``v, w = D_k + D_o, A_k + A_o``):
+    between the roots u/s and v/w where s w < 0, outside them otherwise;
+    one sort of all roots gives the count steps.  Ties are in the tail:
+    at a root, at roots within ``_TIE_RTOL`` of each other (merged), and
+    at every theta where a factor vanishes to rounding (the observed
+    assignment and, under equal allocation, its complement).  A slope
+    that vanishes alone puts its root at +-inf; non-finite draws count.
+    """
+    finite = np.isfinite(d) & np.isfinite(a)
+    d, a = d[finite], a[finite]
+    tol_d = _TIE_RTOL * max(abs(d_obs), np.abs(d).max(initial=0.0))
+    tol_a = _TIE_RTOL * max(abs(a_obs), np.abs(a).max(initial=0.0))
+    u, s, v, w = d - d_obs, a - a_obs, d + d_obs, a + a_obs
+    flat_s, flat_w = np.abs(s) <= tol_a, np.abs(w) <= tol_a
+    tie = (flat_s & (np.abs(u) <= tol_d)) | (flat_w & (np.abs(v) <= tol_d))
+    u, s, v, w = u[~tie], s[~tie], v[~tie], w[~tie]
+    # a flat slope is +0.0: its root u / s is +-inf by the sign of u, and
+    # it counts as positive in the sign test
+    s[flat_s[~tie]], w[flat_w[~tie]] = 0.0, 0.0
+    big = np.finfo(float).max / 4  # +-inf, finite for the sort and its gaps
+    with np.errstate(divide="ignore"):
+        lo, hi = np.clip(u / s, -big, big), np.clip(v / w, -big, big)
+    outside = (s >= 0) == (w >= 0)
+    del u, s, v, w
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    points, at = np.unique(np.r_[lo, hi, -big, big], return_inverse=True)
+    scale = tol_d / tol_a if tol_a > 0.0 else 0.0
+    new = np.diff(points) > _TIE_RTOL * (np.abs(points[1:]) + scale)
+    points, at = points[np.r_[True, new]], np.r_[0, np.cumsum(new)][at]
+    # count index 2 j + 1 is points[j], 2 j the stretch just below it
+    at_lo, at_hi = np.split(2 * at[:-2] + 1, 2)
+    gap = outside & (at_lo < at_hi)
+    n = 2 * points.size + 1
+    steps = np.bincount(np.r_[at_lo[~outside], at_hi[gap]], minlength=n)
+    steps -= np.bincount(np.r_[at_hi[~outside], at_lo[gap]] + 1, minlength=n)
+    counts = np.cumsum(steps, out=steps)[2:-2]  # not at or beyond +-big
+    counts += np.count_nonzero(~finite) + np.count_nonzero(tie) + np.count_nonzero(outside)
+    return _PCurve(points[1:-1], rz.p(counts))
 
 
 def invert_ci(
@@ -678,16 +700,16 @@ def invert_ci(
     ``covariate_adjusted`` the result is the Wald interval of
     :func:`~crtnd.estimators.normal_ci`, and for ``dose_response`` it
     is Fieller's interval (:class:`NoNonRejectedPoint` when that set is
-    unbounded).  Inverting the permutation test scans 401 values of
-    log(lam0) or beta0 over the estimate +- 10 SE, widening up to 50 SE
-    while an edge is not rejected, and bisects each outer boundary of
-    {p > alpha} to 1e-6 (see :func:`_invert_scan`).
+    unbounded).  Inverting the permutation test is exact for
+    ``log_contrast``, ``covariate_adjusted`` and ``dose_response``: the
+    endpoints are the outermost breakpoints of the p-value curve with
+    p > alpha (:func:`_sweep`), ``grid_points`` counts the breakpoints,
+    ``p_max`` is the curve's maximum and ``non_interval`` flags gaps.
+    For ``tpf`` 401 values of log(lam0) over the estimate +- 10 SE are
+    scanned and each outer boundary bisected to 1e-6 (:func:`_invert_scan`).
     """
-    stat = None
-    if method == "dose_response" and test in ("normal", "permutation"):
-        stat = _dose_stat(trial, adjustment, correction)
     return _invert_ci(
-        trial, method, stat, alpha=alpha, test=test, adjustment=adjustment,
+        trial, method, None, alpha=alpha, test=test, adjustment=adjustment,
         mode=mode, n_draws=n_draws, seed=seed, correction=correction,
     )
 
@@ -695,10 +717,11 @@ def invert_ci(
 def _invert_ci(
     trial, method, stat, *, alpha, test, adjustment, mode, n_draws, seed, correction
 ):
-    """:func:`invert_ci`, with the dose working statistic ``stat`` built."""
+    """:func:`invert_ci`, with the dose working statistic ``stat`` if built."""
     if test == "normal":
         diagnostics = {"method": method, "test": test, "alpha": alpha}
         if method == "dose_response":
+            stat = stat or _dose_stat(trial, adjustment, correction)
             return (*_fieller_ci(stat, alpha), diagnostics)
         report = normal_test(
             trial, NullSpec("relative_risk", 1.0), method,
@@ -708,19 +731,17 @@ def _invert_ci(
     if test != "permutation":
         raise ValueError(f"unknown test {test!r}")
     pfun, kind = _pvalue_function(
-        trial,
-        method,
-        adjustment=adjustment,
-        mode=mode,
-        n_draws=n_draws,
-        seed=seed,
-        correction=correction,
-        stat=stat,
+        trial, method, adjustment=adjustment, mode=mode, n_draws=n_draws,
+        seed=seed, correction=correction, stat=stat,
     )
-    center, half = _default_bounds(trial, method, kind, correction, adjustment, stat)
-    theta_lo, theta_hi, scan = _invert_scan(
-        pfun, center, half, alpha, n_scan=401, tol=1e-6
-    )
+    if isinstance(pfun, _PCurve):
+        theta_lo, theta_hi, scan = pfun.interval(alpha)
+    else:  # scan the TPF estimate +- 10 log-contrast SEs
+        base = log_contrast_estimate(trial, correction=correction)
+        center = tpf_estimate(trial).log_estimate if method == "tpf" else base.log_estimate
+        theta_lo, theta_hi, scan = _invert_scan(
+            pfun, center, 10.0 * max(base.se_log, 1e-6), alpha, n_scan=401, tol=1e-6
+        )
     diagnostics = {"method": method, "test": test, "alpha": alpha, **scan}
     if kind == "relative_risk":
         return math.exp(theta_lo), math.exp(theta_hi), diagnostics
@@ -812,7 +833,8 @@ def dose_response_estimate(
     from the same D and A.  It vanishes at D / A, so the p-value is 1
     there under either test, and the report's ``p_value`` is 1.  The CI
     inverts the chosen test with :func:`invert_ci`: Fieller's closed
-    form for ``"normal"``, a scan and bisection for ``"permutation"``.
+    form for ``"normal"`` (which ignores ``mode``, ``n_draws`` and
+    ``seed``), the exact breakpoint sweep for ``"permutation"``.
     Interpretation is limited to the observed dose range, which is
     recorded in the diagnostics.
     """

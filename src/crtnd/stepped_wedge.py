@@ -667,13 +667,13 @@ def sw_invert_ci(
     convention: str = "canonical",
 ) -> tuple[float, float, dict]:
     """lam-scale CI from inverting :func:`sw_permutation_test`, and the
-    scan diagnostics of :func:`~crtnd.inference.invert_ci`.
+    scan diagnostics of the TPF CI of :func:`~crtnd.inference.invert_ci`.
 
     Scans 81 values of log(lam0) over the estimate +- 10 SE, widening up
     to 50 SE while an edge is not rejected, and bisects each outer
-    boundary of {p > alpha} to 1e-4, with the routine of
-    :func:`~crtnd.inference.invert_ci` (:class:`NoNonRejectedPoint` when
-    an edge is still not rejected at 50 SE).  The p-values are those of
+    boundary of {p > alpha} to 1e-4, with the routine of the TPF CI
+    (:class:`NoNonRejectedPoint` when an edge is still not rejected at
+    50 SE).  The p-values are those of
     :func:`sw_permutation_test` with the same options, but the
     re-randomized statistic is evaluated
     once per assignment for the whole scan, not once per scanned value.

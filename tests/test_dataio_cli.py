@@ -612,3 +612,57 @@ class TestSimulationTimings:
                      "--estimators", "log_contrast", "--out", str(out)]) == 0
         timings = json.loads(out.with_suffix(".json").read_text())["timings_s"]
         assert sorted(timings) == ["generation", "log_contrast", "log_contrasts"]
+
+
+class TestInversionReports:
+    def test_analyze_writes_every_inversion(self, tmp_path):
+        # 20 arm splits: at alpha 0.25 every permutation CI is bounded
+        data = write(tmp_path, "d.csv", PARALLEL_CSV)
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--input", str(data), "--ci-method",
+                     "invert-permutation", "--mode", "exact", "--alpha", "0.25",
+                     "--out", str(out)]) == 0
+        results = {r["method"]: r for r in json.loads(out.read_text())["results"]}
+        assert "ci_inversion" not in results["odds_ratio"]["diagnostics"]
+        for name, keys in (("tpf", {"non_unimodal"}), ("log_contrast", {"non_interval"}),
+                           ("covariate_adjusted", {"non_interval"})):
+            res = results[name]
+            inv = res["diagnostics"]["ci_inversion"]
+            assert res["ci_method"] == "test_inversion"
+            assert {"method": name, "test": "permutation", "alpha": 0.25}.items() <= inv.items()
+            assert set(inv) - {"method", "test", "alpha", "grid_points", "p_max"} <= keys
+            assert 0.25 < inv["p_max"] <= 1.0
+        assert results["tpf"]["diagnostics"]["ci_inversion"]["grid_points"] == 401
+        for name in ("log_contrast", "covariate_adjusted"):
+            inv = results[name]["diagnostics"]["ci_inversion"]
+            assert inv["p_max"] == 1.0 and inv["non_interval"] is False
+
+
+class TestDoseResponseOptions:
+    """The Normal dose-response test draws nothing, so it takes no draw
+    options; the permutation test takes them with their defaults."""
+
+    @pytest.mark.parametrize("flag", [["--mode", "exact"], ["--n-draws", "50"],
+                                      ["--seed", "3"]])
+    def test_normal_rejects_draw_options(self, tmp_path, capsys, flag):
+        data = write(tmp_path, "d.csv", PARALLEL_CSV)
+        out = tmp_path / "dose.json"
+        assert main(["dose-response", "--input", str(data), "--out", str(out)] + flag) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "DataError",
+                       "message": f"{flag[0]} applies to --test permutation only"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, echo", [
+        ([], (None, None, None)),
+        (["--test", "permutation"], ("auto", 2000, 0)),
+        (["--test", "permutation", "--mode", "exact", "--n-draws", "50", "--seed", "3"],
+         ("exact", 50, 3)),
+    ])
+    def test_config_echoes_what_runs(self, tmp_path, extra, echo):
+        data = write(tmp_path, "d.csv", PARALLEL_CSV)
+        out = tmp_path / "dose.json"
+        assert main(["dose-response", "--input", str(data), "--alpha", "0.25",
+                     "--out", str(out)] + extra) == 0
+        config = json.loads(out.read_text())["config"]
+        assert (config["mode"], config["n_draws"], config["seed"]) == echo

@@ -568,12 +568,7 @@ class TestSplitPValueFunction:
     @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
     @pytest.mark.parametrize("method,adjustment,statistic", CASES)
     def test_matches_direct_reevaluation(self, method, adjustment, statistic, mode):
-        from crtnd.inference import (
-            _build_statistic,
-            _default_bounds,
-            _pvalue_function,
-            _tail_counts,
-        )
+        from crtnd.inference import _build_statistic, _pvalue_function, _tail_counts
 
         recs = tied_records()
         n_draws, seed = 300, 11
@@ -581,10 +576,13 @@ class TestSplitPValueFunction:
             recs, method, adjustment=adjustment, mode=mode,
             n_draws=n_draws, seed=seed, correction=False,
         )
-        center, half = _default_bounds(recs, method, kind, False, adjustment)
+        # the grid spans three widths of the Normal CI, centred on it
+        lo, hi, _ = invert_ci(recs, method, test="normal", adjustment=adjustment)
+        if kind == "relative_risk":
+            lo, hi = math.log(lo), math.log(hi)
         rows = sample_assignments(ParallelScheme(8, 4), n_draws, derive_rng(seed, 0xC1))
         pvals = []
-        for theta in np.linspace(center - 0.6 * half, center + 0.6 * half, 50) + 1e-3:
+        for theta in np.linspace(2 * lo - hi, 2 * hi - lo, 50) + 1e-3:
             value = math.exp(theta) if kind == "relative_risk" else theta
             null = NullSpec(kind, value, adjustment)
             if mode == "exact":
@@ -608,6 +606,133 @@ class TestSplitPValueFunction:
             n_draws=0, seed=0, correction=False,
         )
         assert pfun(log_contrast_estimate(recs).log_estimate) == 1.0
+        assert pfun.p.max() == 1.0
+
+
+def arm_difference(values, arms, x):
+    """Treated-minus-control difference of ``values`` under the boolean
+    ``arms``, less pooled per-arm least-squares slopes times the covariate
+    mean difference when ``x`` is given."""
+    diff = values[arms].mean() - values[~arms].mean()
+    if x is None:
+        return diff
+    slopes = 0.0
+    for mask in (arms, ~arms):
+        design = np.column_stack([np.ones(mask.sum()), x[mask]])
+        coef, *_ = np.linalg.lstsq(design, values[mask], rcond=None)
+        slopes = slopes + mask.sum() / arms.size * coef[1:]
+    return diff - slopes @ (x[arms].mean(axis=0) - x[~arms].mean(axis=0))
+
+
+def ties_records(m, m1, seed):
+    """m clusters, the first m1 treated; log-contrasts, covariates and
+    doses rounded to one decimal, so the statistics hold exact ties."""
+    rng = np.random.default_rng(seed)
+    arms = np.arange(m) < m1
+    lvals = np.round(rng.normal(0.0, 0.4, m), 1)
+    x = np.round(rng.uniform(0.0, 3.0, (m, 1)), 1)
+    doses = np.round(np.where(arms, rng.uniform(0.5, 1.0, m), rng.uniform(0.0, 0.4, m)), 1)
+    return make_records(lvals, arms.astype(int), covariates=x, doses=doses)
+
+
+class TestSweptInterval:
+    """Permutation CIs of the linear statistics against brute force: every
+    assignment's D and A by its own least squares, p(theta) counted
+    directly at every root of every assignment and between them."""
+
+    CASES = [
+        ("log_contrast", "none"),
+        ("covariate_adjusted", "none"),
+        ("dose_response", "none"),
+        ("dose_response", "covariates"),
+    ]
+    DESIGNS = {
+        "tied m=8, 4 treated": tied_records,
+        "m=10, 3 treated": lambda: ties_records(10, 3, 7),
+        "m=12, 6 treated": lambda: ties_records(12, 6, 3),
+    }
+
+    @staticmethod
+    def brute_force(recs, method, adjustment):
+        """theta -> exact p, and every root of every assignment."""
+        lvals = log_contrasts(recs)
+        shift = recs.dose if method == "dose_response" else recs.arm.astype(float)
+        x = recs.x if "covariate" in method + adjustment else None
+        rows = [a.astype(bool) for a in enumerate_assignments(recs.scheme)]
+        d = np.array([arm_difference(lvals, r, x) for r in rows])
+        a = np.array([arm_difference(shift, r, x) for r in rows])
+        d_obs, a_obs = arm_difference(lvals, recs.arm, x), arm_difference(shift, recs.arm, x)
+
+        def p(theta):
+            level = abs(d_obs - theta * a_obs)
+            return np.mean(np.abs(d - theta * a) >= level - 1e-9 * (1.0 + level))
+
+        roots = []
+        for num, den in ((d - d_obs, a - a_obs), (d + d_obs, a + a_obs)):
+            keep = np.abs(den) > 1e-9
+            roots.append(num[keep] / den[keep])
+        roots = np.unique(np.concatenate(roots))
+        # roots that tie in exact arithmetic differ by rounding: keep one
+        return p, roots[np.r_[True, np.diff(roots) > 1e-9 * (1.0 + np.abs(roots[1:]))]]
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.2])
+    @pytest.mark.parametrize("design", list(DESIGNS))
+    @pytest.mark.parametrize("method,adjustment", CASES)
+    def test_endpoints_and_curve(self, method, adjustment, design, alpha):
+        from crtnd.inference import _pvalue_function
+
+        recs = self.DESIGNS[design]()
+        p, roots = self.brute_force(recs, method, adjustment)
+        pfun, kind = _pvalue_function(recs, method, adjustment=adjustment,
+                                      mode="exact", n_draws=0, seed=0, correction=False)
+        # the curve is constant between roots: equal to brute force there
+        mids = np.concatenate([[roots[0] - 1.0], (roots[:-1] + roots[1:]) / 2,
+                               [roots[-1] + 1.0]])
+        assert [pfun(t) for t in mids] == [p(t) for t in mids]
+        # the accepted set: outermost roots with p > alpha, if bounded
+        options = dict(test="permutation", mode="exact", adjustment=adjustment,
+                       alpha=alpha)
+        if max(p(mids[0]), p(mids[-1])) > alpha:
+            with pytest.raises(NoNonRejectedPoint, match="unbounded"):
+                invert_ci(recs, method, **options)
+            return
+        kept = roots[[p(t) > alpha for t in roots]]
+        lo, hi, diag = invert_ci(recs, method, **options)
+        if kind == "relative_risk":
+            lo, hi = math.log(lo), math.log(hi)
+        assert lo == pytest.approx(kept[0], abs=1e-9)
+        assert hi == pytest.approx(kept[-1], abs=1e-9)
+        inside = np.sort(np.concatenate([roots, mids]))
+        inside = inside[(inside >= kept[0]) & (inside <= kept[-1])]
+        assert diag["non_interval"] == (min(p(t) for t in inside) <= alpha)
+        assert diag["p_max"] == 1.0
+        assert diag["grid_points"] == pfun.points.size
+
+    def test_unbounded_set_raises(self):
+        # every exact p is at least 2/20 > 0.05 (test_no_non_rejected_point):
+        # the curve is above alpha far out on both sides
+        from crtnd.inference import _pvalue_function
+
+        recs = make_records([0.9, 0.8, 0.1, 0.0, 0.85, 0.05], [1, 1, 0, 0, 1, 0])
+        pfun, _ = _pvalue_function(recs, "log_contrast", adjustment="none",
+                                   mode="exact", n_draws=0, seed=0, correction=False)
+        assert pfun(-1e9) > 0.05 and pfun(1e9) > 0.05
+        with pytest.raises(NoNonRejectedPoint, match="unbounded"):
+            pfun.interval(0.05)
+
+    def test_gaps_are_flagged(self):
+        from crtnd.inference import _PCurve
+
+        # p at points 0..3 and on the stretches around them; 1.5 is rejected
+        curve = _PCurve(np.arange(4.0), np.array([0, 4, 4, 4, 0, 6, 0, 3, 0]) / 20)
+        assert (curve(1.0), curve(1.5), curve(3.0), curve(7.0)) == (0.2, 0.0, 0.15, 0.0)
+        lo, hi, diag = curve.interval(0.1)
+        assert (lo, hi) == (0.0, 3.0) and diag["non_interval"] is True
+        assert diag["p_max"] == 0.3 and diag["grid_points"] == 4
+        lo, hi, diag = curve.interval(0.25)
+        assert (lo, hi) == (2.0, 2.0) and diag["non_interval"] is False
+        with pytest.raises(NoNonRejectedPoint, match="no parameter value"):
+            curve.interval(0.3)
 
 
 class TestEnumeratedBlocks:
