@@ -74,10 +74,6 @@ class NoAdmissibleRoot(CrtndError):
         )
 
 
-class AmbiguousRoot(CrtndError):
-    """Two positive roots survived root selection (internal error)."""
-
-
 class ArmTooSmall(CrtndError):
     """An arm (or a per-period arm) has too few clusters for the method."""
 

@@ -37,7 +37,6 @@ from .core import (
     randomize,
 )
 from .errors import (
-    AmbiguousRoot,
     ArmTooSmall,
     EmptyCluster,
     NoAdmissibleRoot,
@@ -333,26 +332,14 @@ def tpf_solve(t_stat: float, r: float) -> float:
     a = r * (t_stat * (2.0 + r) - 2.0)
     b = t_stat * ((2.0 + r) ** 2 + r * r)
     c = r * (t_stat * (2.0 + r) + 2.0)
-    # a < 0 < c inside the attainable range, so the roots have opposite
-    # signs; the stable formula avoids cancellation in the small root.
-    disc = b * b - 4.0 * a * c
-    if disc <= 0:
+    # Inside the range a < 0 < c, so the roots have opposite signs; b has
+    # T's sign and q the other one, so the positive root is q / a for
+    # T > 0 and c / q for T < 0 (the stable formula: no cancellation in
+    # the small root).  Rounding can break a < 0 < c just inside +-bound.
+    if not a < 0.0 < c:
         raise NoAdmissibleRoot(t_stat, r, bound)
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b)) if b != 0 else math.sqrt(
-        -a * c
-    )
-    roots = [q / a, c / q] if q != 0 else [0.0, 0.0]
-    positive = [x for x in roots if x > 0]
-    if len(positive) != 1:
-        raise AmbiguousRoot(
-            f"root selection failed for T={t_stat}, r={r}: roots {roots}"
-        )
-    lam = positive[0]
-    if (lam < 1.0) != (t_stat < 0.0):
-        raise AmbiguousRoot(
-            f"selected root {lam} is inconsistent with the sign of T={t_stat}"
-        )
-    return lam
+    q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+    return q / a if t_stat > 0.0 else c / q
 
 
 def tpf_estimate(trial: Trial, *, alpha: float = 0.05) -> EstimateReport:

@@ -1,15 +1,20 @@
 """Randomization tests, Normal tests, test inversion, and dose-response.
 
-The permutation engine exploits one fact: under a sharp null the
-per-cluster control log-contrasts are recoverable from the observed
-data and do not depend on the assignment.  For a relative-risk null
-``lam = lam0`` they are ``L - arm * log(lam0)``; for a linear
-dose-response null ``beta = beta0`` they are ``L - beta0 * dose``.
-Re-randomizing arm labels against these fixed values reproduces the
-exact null distribution of any statistic, which yields exact tests
-and test-inversion confidence intervals.  The dose coefficient's
-estimate is the ratio at which its working statistic vanishes, so
-p = 1 there.
+Under a sharp null theta the per-cluster control log-contrasts are
+recoverable from the observed data and do not depend on the assignment:
+``L - theta * shift``, with theta = log(lam0) and the arm as the shift
+for a relative-risk null, and theta = beta0 and the dose for a linear
+dose-response null.  The log-contrast statistics are arm differences,
+linear in these values, so a re-randomized assignment contributes
+``D - theta * A``: the arm differences of L and of the shift.  One
+provider, :func:`_statistic`, computes these rows and the observed pair;
+:func:`permutation_test` counts them at one null and :func:`invert_ci`
+sweeps them over every null, so in exact mode the CI is the set of
+nulls the test does not reject, away from the curve's breakpoints.  The
+TPF and odds-ratio statistics hold the counts fixed: their draws do not
+move with theta, only the observed deviation does.  The dose
+coefficient's estimate is the ratio at which its working statistic
+vanishes, so p = 1 there.
 
 Arm labels and p-value arithmetic come from :func:`crtnd.core.randomize`
 (``auto``: exact up to 100,000 assignments), drawn from stream
@@ -135,9 +140,10 @@ def _diff_means(treated_sums: np.ndarray, total, m, m1) -> np.ndarray:
 
 
 def _adjusted_diff_rows(
-    values: np.ndarray, x: np.ndarray, arm_matrix: np.ndarray, m1: int
-) -> np.ndarray:
-    """Covariate-adjusted treated-minus-control difference per 0/1 row.
+    x: np.ndarray, arm_matrix: np.ndarray, m1: int, *values: np.ndarray
+) -> list[np.ndarray]:
+    """Covariate-adjusted treated-minus-control difference per 0/1 row,
+    one array for each vector of ``values``.
 
     Re-estimates the pooled per-arm least-squares slopes for every
     assignment, mirroring the full estimation procedure.  Solved as
@@ -145,13 +151,15 @@ def _adjusted_diff_rows(
     some re-randomized arm design is singular.
     """
     try:
-        return _adjusted_diff_rows_batched(values, x, arm_matrix, m1)
+        return _adjusted_diff_rows_batched(x, arm_matrix, m1, *values)
     except np.linalg.LinAlgError:
-        return _adjusted_diff_rows_loop(values, x, arm_matrix, m1)
+        return [_adjusted_diff_rows_loop(v, x, arm_matrix, m1) for v in values]
 
 
-def _adjusted_diff_rows_batched(values, x, arm_matrix, m1):
-    m = values.shape[0]
+def _adjusted_diff_rows_batched(x, arm_matrix, m1, *values):
+    """The arm masks and per-arm normal matrices are built once for all
+    of ``values``; each vector gets its own solve."""
+    m = x.shape[0]
     m0 = m - m1
     x = x - x.mean(axis=0)  # translation-invariant, better conditioned
     g = np.column_stack([np.ones(m), x])  # per-cluster design row (1, x_i)
@@ -159,18 +167,18 @@ def _adjusted_diff_rows_batched(values, x, arm_matrix, m1):
     gg = (g[:, :, None] * g[:, None, :]).reshape(m, q * q)
     mask1 = arm_matrix.astype(float)
     mask0 = 1.0 - mask1
-
-    def arm_coefs(mask):
-        normal = (mask @ gg).reshape(-1, q, q)
-        rhs = (mask * values) @ g
-        return np.linalg.solve(normal, rhs[:, :, None])[:, :, 0]
-
-    b1 = arm_coefs(mask1)
-    b0 = arm_coefs(mask0)
-    slopes = (m1 * b1[:, 1:] + m0 * b0[:, 1:]) / m
-    w_diff = (mask1 @ values) / m1 - (mask0 @ values) / m0
+    normals = [(mask, (mask @ gg).reshape(-1, q, q)) for mask in (mask1, mask0)]
     x_diff = (mask1 @ x) / m1 - (mask0 @ x) / m0
-    return w_diff - np.einsum("rp,rp->r", slopes, x_diff)
+    out = []
+    for v in values:
+        b1, b0 = (
+            np.linalg.solve(normal, ((mask * v) @ g)[:, :, None])[:, :, 0]
+            for mask, normal in normals
+        )
+        slopes = (m1 * b1[:, 1:] + m0 * b0[:, 1:]) / m
+        w_diff = (mask1 @ v) / m1 - (mask0 @ v) / m0
+        out.append(w_diff - np.einsum("rp,rp->r", slopes, x_diff))
+    return out
 
 
 def _adjusted_diff_rows_loop(values, x, arm_matrix, m1):
@@ -211,46 +219,105 @@ def _two_sided_count(draws: np.ndarray, observed):
     ))
 
 
-def _build_statistic(
-    trial: Trial,
-    null: NullSpec,
-    statistic: str,
-    correction: bool,
-) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """(row evaluator, observed deviation) for one statistic and null."""
+@dataclass(frozen=True)
+class _Statistic:
+    """A permutation statistic at every sharp null theta (log(lam0) or
+    beta0), read by the test of one null and by its inversion.
+
+    ``rows`` maps a block of assignments to their parts: ``(D, A)`` for a
+    linear statistic, whose observed value is the pair ``(D_o, A_o)``
+    and whose value at theta is ``D - theta * A`` (per period and then
+    weighted by ``weights(theta)`` on the wedge); or draws that do not
+    move with theta, with ``observed`` the function theta -> deviation.
+    """
+
+    rows: Callable[[np.ndarray], tuple | np.ndarray]
+    observed: tuple | Callable[[float], float]
+    weights: Callable[[float], np.ndarray] | None = None
+
+    @property
+    def linear(self) -> bool:
+        return not callable(self.observed)
+
+    def at(self, theta: float):
+        """(parts -> deviations, observed deviation) at the null theta."""
+        if not self.linear:
+            return (lambda draws: draws), self.observed(theta)
+        d_obs, a_obs = self.observed
+        if self.weights is None:
+            return (lambda parts: parts[0] - theta * parts[1]), d_obs - theta * a_obs
+        w = self.weights(theta)
+        observed = float((d_obs - theta * a_obs) @ w)
+        return (lambda parts: (parts[0] - theta * parts[1]) @ w), observed
+
+    def pvalues(self, rz: Randomization):
+        """p(theta) from one pass over the assignments of ``rz``: the exact
+        curve of an unweighted linear statistic (:func:`_sweep`), else a
+        function that counts the tail at each theta (for the scan)."""
+        blocks = [self.rows(rows) for rows in rz.blocks()]
+        parts = np.concatenate(blocks) if not self.linear else tuple(
+            map(np.concatenate, zip(*blocks))
+        )
+        del blocks
+        if self.linear and self.weights is None:
+            return _sweep(*parts, *self.observed, rz)
+
+        def pfun(theta: float) -> float:
+            deviate, observed = self.at(theta)
+            two, _, _ = _tail_counts(deviate(parts), observed)
+            return rz.p(two)
+
+        return pfun
+
+
+def _statistic(trial: Trial, statistic: str, kind: str, adjustment: str,
+               correction: bool, stat: _DoseStat | None = None) -> _Statistic:
+    """The statistic of a ``kind`` null (``adjustment`` applies to dose
+    nulls); ``stat`` is the dose working statistic if built.
+
+    Under the null theta the control log-contrasts are ``L - theta *
+    shift``, the shift being the arm (relative risk) or the dose, so D
+    and A are the (covariate-adjusted) arm differences of L and of the
+    shift.  The observed pair is computed as the point estimate is, so
+    p is 1 there: by arm means, by the row evaluator on the observed
+    arms, or as the dose statistic's ``num`` and ``den``.
+    """
     m1 = trial.scheme.m1
-
-    if statistic in ("difference_in_means", "log_contrast", "covariate_adjusted"):
-        l0 = impute_null_outcomes(trial, null, correction=correction)
-        use_adjusted = statistic == "covariate_adjusted" or (
-            null.kind == "dose_response" and null.adjustment == "covariates"
-        )
-        if use_adjusted:
-            x = trial.x
-            if x.shape[1] == 0:
-                raise StatisticUndefined(
-                    "the covariate-adjusted statistic requires covariates"
-                )
-            evaluate = lambda rows: _adjusted_diff_rows(l0, x, rows, m1)
-        else:
-            evaluate = lambda rows: _diff_means_rows(l0, rows, m1)
-        observed = float(evaluate(trial.arm[None, :].astype(float))[0])
-        return evaluate, observed
-
-    if null.kind != "relative_risk":
-        raise StatisticUndefined(
-            f"the {statistic} statistic tests relative-risk nulls only"
-        )
-    if statistic == "tpf":
-        t_obs, r_obs = tpf_statistic(trial)
-        fractions = trial.y / (trial.y + trial.z)
-        observed = t_obs - tpf_expected(null.value, r_obs)
-        return (lambda rows: _diff_means_rows(fractions, rows, m1)), observed
-    if statistic == "odds_ratio":
-        observed = odds_ratio_log(trial) - math.log(null.value)
-        draws = lambda rows: odds_ratio_permutation_draws(trial.y, trial.z, rows)
-        return draws, observed
-    raise ValueError(f"unknown statistic {statistic!r}")
+    if statistic in ("tpf", "odds_ratio"):
+        if kind != "relative_risk":
+            raise StatisticUndefined(
+                f"the {statistic} statistic tests relative-risk nulls only"
+            )
+        # counts held fixed: only the observed deviation moves with theta
+        if statistic == "tpf":
+            t_obs, r_obs = tpf_statistic(trial)
+            fractions = trial.y / (trial.y + trial.z)
+            return _Statistic(lambda rows: _diff_means_rows(fractions, rows, m1),
+                              lambda theta: t_obs - tpf_expected(math.exp(theta), r_obs))
+        log_or = odds_ratio_log(trial)
+        return _Statistic(lambda rows: odds_ratio_permutation_draws(trial.y, trial.z, rows),
+                          lambda theta: log_or - theta)
+    if statistic not in ("difference_in_means", "log_contrast", "covariate_adjusted"):
+        raise ValueError(f"unknown statistic {statistic!r}")
+    adjusted = statistic == "covariate_adjusted" or (kind, adjustment) == (
+        "dose_response", "covariates"
+    )
+    if adjusted and trial.x.shape[1] == 0:
+        raise StatisticUndefined("the covariate-adjusted statistic requires covariates")
+    arms = trial.arm
+    if kind == "dose_response":
+        stat = stat or _dose_stat(trial, "covariates" if adjusted else "none", correction)
+        lvals, shift = stat.lvals, stat.doses
+    else:
+        lvals, shift = log_contrasts(trial, correction), arms.astype(float)
+    if adjusted:
+        rows = lambda block: _adjusted_diff_rows(trial.x, block, m1, lvals, shift)
+        observe = lambda: [float(v[0]) for v in rows(arms[None, :])]
+    else:
+        rows = lambda block: [_diff_means_rows(v, block, m1) for v in (lvals, shift)]
+        observe = lambda: [float(v[arms].mean() - v[~arms].mean()) for v in (lvals, shift)]
+    # a dose null's pair as its point estimate num / den computes it
+    return _Statistic(rows, (stat.num, stat.den) if stat else tuple(observe()))
 
 
 def permutation_test(
@@ -265,11 +332,14 @@ def permutation_test(
 ) -> PermutationResult:
     """Randomization test of a sharp null.
 
-    The statistic is evaluated, as a deviation from its null-implied
-    center, at the observed assignment and at every enumerated (exact
-    mode) or uniformly sampled (monte_carlo mode) assignment.  The exact
-    two-sided p is ``#{|T*| >= |T_obs|} / total`` with the observed
-    assignment included; Monte Carlo p uses the add-one rule
+    The statistic's deviation from the null is counted at every
+    enumerated (exact mode) or uniformly sampled (monte_carlo mode)
+    assignment against its observed value.  For the log-contrast
+    statistics each assignment contributes ``D - theta0 * A``, with
+    theta0 = log(lam0) or beta0, from the same (D, A) rows that
+    :func:`invert_ci` inverts.  The exact two-sided p is
+    ``#{|T*| >= |T_obs|} / total`` with the observed assignment
+    included; Monte Carlo p uses the add-one rule
     ``(1 + #{|T*| >= |T_obs|}) / (1 + n_draws)`` so p is never 0.
 
     Statistics: ``difference_in_means`` (arm-mean difference of the
@@ -278,25 +348,22 @@ def permutation_test(
     for relative-risk nulls only, the count-based ``tpf`` and
     ``odds_ratio`` statistics with per-cluster counts held fixed.
     """
-    evaluate, observed = _build_statistic(trial, null, statistic, correction)
+    theta = math.log(null.value) if null.kind == "relative_risk" else null.value
     return _permutation_result(
-        evaluate, observed, randomize(trial.scheme, mode, n_draws, (seed, 0xBE)),
+        _statistic(trial, statistic, null.kind, null.adjustment, correction), theta,
+        randomize(trial.scheme, mode, n_draws, (seed, 0xBE)),
         seed=seed, statistic=statistic,
     )
 
 
 def _permutation_result(
-    evaluate: Callable[[np.ndarray], np.ndarray],
-    observed: float,
-    rz: Randomization,
-    *,
-    seed: int,
-    statistic: str,
+    stat: _Statistic, theta: float, rz: Randomization, *, seed: int, statistic: str
 ) -> PermutationResult:
-    """Tail p-values of ``evaluate`` over the rows of ``rz``."""
+    """Tail p-values of ``stat`` at the null theta over the rows of ``rz``."""
+    deviate, observed = stat.at(theta)
     two = left = right = 0
     for rows in rz.blocks():
-        t, l, r = _tail_counts(evaluate(rows), observed)
+        t, l, r = _tail_counts(deviate(stat.rows(rows)), observed)
         two, left, right = two + t, left + l, right + r
     p = rz.p(two)
     drawn = rz.mode == "monte_carlo"
@@ -555,57 +622,13 @@ def _pvalue_function(
     is the whole exact curve, a :class:`_PCurve`.
     """
     if method in ("log_contrast", "covariate_adjusted", "tpf", "odds_ratio"):
-        kind = "relative_risk"
+        kind, statistic = "relative_risk", method
     elif method == "dose_response":
-        kind = "dose_response"
+        kind, statistic = "dose_response", "difference_in_means"
     else:
         raise ValueError(f"unknown method {method!r}")
-
-    m1 = trial.scheme.m1
     rz = randomize(trial.scheme, mode, n_draws, (seed, 0xC1))
-
-    if method in ("tpf", "odds_ratio"):
-        # counts held fixed: the permutation draws do not move with
-        # theta, only the null-implied center of the observed statistic
-        evaluate, at_one = _build_statistic(trial, NullSpec("relative_risk", 1.0), method, correction)
-        if method == "tpf":
-            t_obs, r_obs = tpf_statistic(trial)
-            observed_dev = lambda theta: t_obs - tpf_expected(math.exp(theta), r_obs)
-        else:  # the log odds ratio less log(lam0)
-            observed_dev = lambda theta: at_one - theta
-        draws = np.concatenate([evaluate(rows) for rows in rz.blocks()])
-
-        def pfun(theta: float) -> float:
-            two, _, _ = _tail_counts(draws, observed_dev(theta))
-            return rz.p(two)
-
-        return pfun, kind
-
-    # Under the null theta the imputed control log-contrasts are
-    # lvals - theta * shift, and every statistic here is linear in them,
-    # so each assignment's statistic splits as D - theta * A: one pass
-    # over the assignments gives the whole p-value curve.
-    arms = trial.arm
-    if kind == "dose_response":
-        stat = stat or _dose_stat(trial, adjustment, correction)
-        lvals, shift = stat.lvals, stat.doses
-    else:
-        lvals, shift = log_contrasts(trial, correction), arms.astype(float)
-    if method == "covariate_adjusted" or (kind, adjustment) == ("dose_response", "covariates"):
-        if trial.x.shape[1] == 0:
-            raise StatisticUndefined("the covariate-adjusted statistic requires covariates")
-        evaluate = lambda values, rows: _adjusted_diff_rows(values, trial.x, rows, m1)
-        observe = lambda values: float(evaluate(values, arms[None, :])[0])
-    else:
-        evaluate = lambda values, rows: _diff_means_rows(values, rows, m1)
-        # as the point estimate computes it, so p is 1 there
-        observe = lambda values: float(values[arms].mean() - values[~arms].mean())
-    # the dose statistic as the point estimate D / A computes it
-    d_obs, a_obs = (stat.num, stat.den) if stat else (observe(lvals), observe(shift))
-    parts = [(evaluate(lvals, rows), evaluate(shift, rows)) for rows in rz.blocks()]
-    d_draws, a_draws = (np.concatenate(x) for x in zip(*parts))
-    del parts
-    return _sweep(d_draws, a_draws, d_obs, a_obs, rz), kind
+    return _statistic(trial, statistic, kind, adjustment, correction, stat).pvalues(rz), kind
 
 
 @dataclass(frozen=True)

@@ -38,13 +38,11 @@ from .core import (
     _BLOCK_BYTES,
     Panel,
     ParallelScheme,
-    PeriodPotentialTable,
     SteppedWedgeScheme,
     Trial,
     _log_ratio,
     derive_rng,
     randomize,
-    realize,
     sample_assignment,
 )
 from .errors import DegenerateReplicateLimit, NoAdmissibleRoot
@@ -384,12 +382,14 @@ def simulate_stepped_wedge(
     The panels of :func:`_wedge_draws`; degenerate replicates yield
     ``None``.
     """
+    ids = tuple(f"c{i + 1:02d}" for i in range(scenario.design.m))
     for rep, start, y, z in _wedge_draws(scenario):
         if start is None:
             yield rep, None
             continue
-        observed = PeriodPotentialTable(lam=1.0, y0=y, z0=z, c=np.ones_like(y))
-        yield rep, realize(observed, start)
+        y.setflags(write=False)
+        z.setflags(write=False)
+        yield rep, Panel(ids, tuple(int(a) for a in start), y, z)
 
 
 # --------------------------------------------------------------------- #

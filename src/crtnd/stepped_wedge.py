@@ -44,7 +44,7 @@ from .inference import (
     _diff_means,
     _invert_scan,
     _permutation_result,
-    _tail_counts,
+    _Statistic,
 )
 
 __all__ = [
@@ -149,11 +149,6 @@ def _design(starts: Sequence[int], n_periods: int):
     periods = tuple(t for t in range(1, n_periods) if 1 <= m_t[t] <= m - 1)
     dropped = tuple(t for t in range(1, n_periods) if t not in periods)
     return periods, m_t, dropped
-
-
-def _panel_design(panel: Panel):
-    """(analysis periods, m_t map, dropped periods) from realized starts."""
-    return _design(panel.start_periods, panel.n_periods)
 
 
 def _warn_dropped(dropped: tuple[int, ...]) -> None:
@@ -292,7 +287,7 @@ def sw_covariance_estimate(
     three-case rule; ties break in the order treated-by-t1, switchers,
     untreated-at-t2).
     """
-    periods, m_t, dropped = _panel_design(panel)
+    periods, m_t, dropped = _design(panel.start_periods, panel.n_periods)
     _warn_dropped(dropped)
     _check_arms(panel.m, m_t, periods)
     sigma, s_values = _plugin_sigma(
@@ -351,7 +346,7 @@ def sw_null_covariance(
     Under ``lam = lam0`` every control log-contrast is recoverable as
     ``L - log(lam0)`` on treated cells, so S needs no group selection.
     """
-    periods, m_t, dropped = _panel_design(panel)
+    periods, m_t, dropped = _design(panel.start_periods, panel.n_periods)
     _warn_dropped(dropped)
     lmat = panel.log_contrast_matrix(correction)
     l0 = lmat - math.log(lam0) * _treated_matrix(panel)
@@ -466,7 +461,7 @@ def sw_log_contrast(
     ``covariance`` when supplied, else the plug-in estimate; pass
     ``estimate_covariance=False`` to skip SE computation entirely.
     """
-    periods, m_t, dropped = _panel_design(panel)
+    periods, m_t, dropped = _design(panel.start_periods, panel.n_periods)
     _warn_dropped(dropped)
     lmat = panel.log_contrast_matrix(correction)
     start = np.asarray(panel.start_periods)
@@ -577,6 +572,31 @@ def _null_weights(
     return w
 
 
+def _sw_statistic(panel: Panel, weights, correction: bool, convention: str) -> _Statistic:
+    """The weighted statistic of the null lam = e^theta.
+
+    Under the null the control log-contrasts are ``L - theta * treated``,
+    so each assignment's per-period differences split as ``D - theta *
+    A``: the rows of :func:`_period_diff_rows` for L and for the treated
+    indicator.  Weights are held fixed across re-randomizations;
+    "optimal" weights are computed exactly from the null-imputed
+    covariance at theta.
+    """
+    periods, m_t, _ = _design(panel.start_periods, panel.n_periods)
+    lmat = panel.log_contrast_matrix(correction)
+    treated = _treated_matrix(panel).astype(float)
+    scale = _scale_matrix(panel.m, m_t, periods, convention)
+
+    def rows(start_rows: np.ndarray) -> list[np.ndarray]:
+        return _period_diff_rows(start_rows, periods, m_t, lmat, treated)
+
+    return _Statistic(
+        rows,
+        tuple(r[0] for r in rows(np.asarray(panel.start_periods)[None, :])),
+        lambda theta: _null_weights(lmat - theta * treated, weights, periods, scale),
+    )
+
+
 def sw_permutation_test(
     panel: Panel,
     lam0: float,
@@ -590,29 +610,18 @@ def sw_permutation_test(
 ) -> PermutationResult:
     """Randomization test of lam = lam0 using the weighted SW statistic.
 
-    Control log-contrasts are imputed under the null and the weighted
-    per-period difference statistic is evaluated over re-randomized
+    The weighted per-period difference statistic of the null-imputed
+    control log-contrasts (:func:`_sw_statistic`, which
+    :func:`sw_invert_ci` inverts) is evaluated over re-randomized
     start-period vectors drawn from the realized design's support.
-    Weights are held fixed across re-randomizations; "optimal" weights
-    are computed exactly from the null-imputed covariance.
     """
     if lam0 <= 0:
         raise ValueError(f"lam0 must be > 0, got {lam0}")
-    periods, m_t, dropped = _panel_design(panel)
-    _warn_dropped(dropped)
-    lmat = panel.log_contrast_matrix(correction)
-    start = np.asarray(panel.start_periods)
-    l0 = lmat - math.log(lam0) * _treated_matrix(panel)
-    scale = _scale_matrix(panel.m, m_t, periods, convention)
-    w = _null_weights(l0, weights, periods, scale)
-
-    def evaluate(start_rows: np.ndarray) -> np.ndarray:
-        return _period_diff_rows(start_rows, periods, m_t, l0)[0] @ w
-
-    observed = float(evaluate(start[None, :])[0])
-    rz = randomize(_start_scheme(panel), mode, n_draws, (seed, 0x5E))
+    _warn_dropped(_design(panel.start_periods, panel.n_periods)[2])
     return _permutation_result(
-        evaluate, observed, rz, seed=seed, statistic="sw_log_contrast"
+        _sw_statistic(panel, weights, correction, convention), math.log(lam0),
+        randomize(_start_scheme(panel), mode, n_draws, (seed, 0x5E)),
+        seed=seed, statistic="sw_log_contrast",
     )
 
 
@@ -628,31 +637,12 @@ def _sw_pvalue_function(
 ) -> Callable[[float], float]:
     """theta -> two-sided p of :func:`sw_permutation_test` at lam0 = e^theta.
 
-    Under the null the imputed control log-contrasts are
-    ``L - theta * treated``, so each re-randomized per-period difference
-    splits as ``D - theta * A``.  D and A come from one pass over the
-    support (or one set of draws from the test's own stream); each
-    p(theta) then only applies the weights and counts.
+    D and A come from one pass over the support (or one set of draws
+    from the test's own stream); each p(theta) then only applies the
+    weights and counts.
     """
-    periods, m_t, _ = _panel_design(panel)
-    scale = _scale_matrix(panel.m, m_t, periods, convention)
-    lmat = panel.log_contrast_matrix(correction)
-    treated = _treated_matrix(panel).astype(float)
-    observed = np.asarray(panel.start_periods)[None, :]
-    d_obs, a_obs = (r[0] for r in _period_diff_rows(observed, periods, m_t, lmat, treated))
     rz = randomize(_start_scheme(panel), mode, n_draws, (seed, 0x5E))
-    parts = [_period_diff_rows(rows, periods, m_t, lmat, treated) for rows in rz.blocks()]
-    d_rows = np.concatenate([d for d, _ in parts])
-    a_rows = np.concatenate([a for _, a in parts])
-
-    def pfun(theta: float) -> float:
-        l0 = lmat - math.log(math.exp(theta)) * treated
-        w = _null_weights(l0, weights, periods, scale)
-        observed_stat = float((d_obs - theta * a_obs) @ w)
-        two, _, _ = _tail_counts((d_rows - theta * a_rows) @ w, observed_stat)
-        return rz.p(two)
-
-    return pfun
+    return _sw_statistic(panel, weights, correction, convention).pvalues(rz)
 
 
 def sw_invert_ci(

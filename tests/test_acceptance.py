@@ -37,7 +37,7 @@ from crtnd import (
 )
 from crtnd.estimators import odds_ratio_log
 from crtnd.stepped_wedge import (
-    _panel_design,
+    _design,
     _period_differences,
     optimal_weights,
 )
@@ -236,7 +236,7 @@ def test_c07_stepped_wedge_oracle(sw_null_run):
         for a in enumerate_assignments(scheme):
             panel = realize(table, a)
             lmat = panel.log_contrast_matrix()
-            periods, m_t, _ = _panel_design(panel)
+            periods, m_t, _ = _design(panel.start_periods, panel.n_periods)
             diffs.append(
                 _period_differences(
                     lmat, np.asarray(panel.start_periods), periods, m_t

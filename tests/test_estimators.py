@@ -185,6 +185,24 @@ class TestTpfSolve:
     def test_sign_consistency(self):
         assert tpf_solve(-0.1, 3.0) < 1.0 < tpf_solve(0.1, 3.0)
 
+    @pytest.mark.parametrize("t", [-1e-300, -5e-324, 5e-324, 1e-300, -1e-17, 1e-17])
+    def test_tiny_statistic_gives_one(self, t):
+        # the root rounds to 1 whichever side of 0 T lies
+        assert tpf_solve(t, 1.0) == 1.0
+
+    @pytest.mark.parametrize("r", [0.01, 0.3, 1.0, 3.0, 50.0, 1e4])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_ulp_inside_the_bound(self, r, sign):
+        # rounding may break a < 0 < c just inside the range: then no root
+        bound = 2.0 / (2.0 + r)
+        t = math.nextafter(sign * bound, 0.0)
+        try:
+            lam = tpf_solve(t, r)
+        except NoAdmissibleRoot:
+            return
+        assert math.isfinite(lam) and lam > 0.0
+        assert (lam > 1.0) == (sign > 0)
+
     def test_estimate_flags_unequal_allocation(self):
         recs = Trial.from_records([
             ClusterRecord("a", 1, 30, 70),

@@ -24,7 +24,7 @@ from crtnd import (
 from crtnd.core import ClusterRecord, Trial
 from crtnd.dataio import parse_dataset
 from crtnd.errors import ArmTooSmall, NoNonRejectedPoint, SingularCovariance
-from crtnd.stepped_wedge import SWWeights, _panel_design, _period_differences
+from crtnd.stepped_wedge import SWWeights, _design, _period_differences
 
 
 def random_table(m, T, lam, seed, spread=1.0):
@@ -43,7 +43,7 @@ def enumeration_diffs(table, scheme):
     for a in enumerate_assignments(scheme):
         panel = realize(table, a)
         lmat = panel.log_contrast_matrix()
-        periods, m_t, _ = _panel_design(panel)
+        periods, m_t, _ = _design(panel.start_periods, panel.n_periods)
         out.append(
             _period_differences(lmat, np.asarray(panel.start_periods), periods, m_t)
         )
