@@ -17,19 +17,23 @@ so the log-contrast ``L = log(y) - log(z)`` shifts by exactly
 ``log(lam)`` under treatment, for any ``c``.
 
 The package computes on arrays: a parallel-arm dataset is a
-:class:`Trial` and a stepped-wedge dataset a :class:`Panel`.  The
+:class:`Trial` and a stepped-wedge dataset a :class:`Panel`.  Both
+check their arrays once on construction, hold read-only copies and
+compare by value (``==`` compares the arrays).  ``Trial.scheme`` and
+``Panel.scheme`` are the randomization each assignment was drawn from;
+a panel's analysis periods and treated matrix follow from it.  The
 record types :class:`ClusterRecord` and :class:`ClusterPeriodRecord`
-exist for the I/O boundary only, and ``Trial.from_records`` /
-``Panel.from_records`` convert hand-built records once.  All types here
-are frozen and all operations are pure, so values can be shared freely
-across threads.
+are for hand-built input only; ``Trial.from_records`` /
+``Panel.from_records`` convert them once.  All types here are frozen
+and all operations are pure, so values can be shared across threads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +53,7 @@ AUTO_EXACT_LIMIT = 100_000
 _BLOCK_BYTES = 4 << 20
 # and drawn in pieces of about this many uniforms
 _DRAW_PIECE = 4096
+_NO_ANALYSIS_PERIOD = "no analysis period has both a treated and an untreated cluster"
 
 
 # --------------------------------------------------------------------- #
@@ -116,8 +121,45 @@ class ClusterPeriodRecord:
 
 
 # --------------------------------------------------------------------- #
-# Parallel-arm trial
+# Dataset checks and the parallel-arm trial
 # --------------------------------------------------------------------- #
+
+
+def _ids_and_counts(cluster_ids, y, z, ndim: int):
+    """Both dataset types' checks: one or more unique ids, and finite
+    nonnegative counts of one shape, (m,) or, for ``ndim`` 2, (m, T).
+    Returns the ids as a tuple and the counts as float copies."""
+    ids = tuple(cluster_ids)
+    m = len(ids)
+    if m == 0:
+        raise ValueError("empty dataset")
+    if len(set(ids)) != m:
+        dup = next(c for i, c in enumerate(ids) if c in ids[:i])
+        raise ValueError(f"duplicate cluster_id {dup!r}")
+    y = np.array(y, dtype=float)
+    z = np.array(z, dtype=float)
+    if not (y.shape == z.shape and y.ndim == ndim and y.shape[0] == m and y.size):
+        want = f"({m},)" if ndim == 1 else f"({m}, T) with T >= 1"
+        raise DimensionMismatch(
+            f"y_count and z_count must have shape {want}, got {y.shape} and {z.shape}"
+        )
+    for name, v in (("y_count", y), ("z_count", z)):
+        if not 0 <= v.min() <= v.max() < math.inf:  # NaN fails too
+            i = np.unravel_index(np.argmax(~np.isfinite(v) | (v < 0)), v.shape)
+            where = "".join(f", period {int(t) + 1}" for t in i[1:])
+            raise ValueError(
+                f"cluster {ids[i[0]]!r}{where}: {name} must be a finite "
+                f"nonnegative real, got {float(v[i])!r}"
+            )
+    return ids, y, z
+
+
+def _freeze(obj, fields: dict) -> None:
+    """Store checked values on a frozen dataclass, arrays read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,29 +183,13 @@ class Trial:
     dose: np.ndarray | None = None
 
     def __post_init__(self):
-        ids = tuple(self.cluster_ids)
+        ids, y, z = _ids_and_counts(self.cluster_ids, self.y, self.z, ndim=1)
         m = len(ids)
-        if m == 0:
-            raise ValueError("empty dataset")
-        if len(set(ids)) != m:
-            dup = next(c for i, c in enumerate(ids) if c in ids[:i])
-            raise ValueError(f"duplicate cluster_id {dup!r}")
         arm = np.array(self.arm)
         if arm.shape != (m,) or (
             arm.dtype != bool and not np.all((arm == 0) | (arm == 1))
         ):
             raise ValueError(f"arm must be {m} values in (0, 1)")
-        y = np.array(self.y, dtype=float)
-        z = np.array(self.z, dtype=float)
-        for name, v in (("y_count", y), ("z_count", z)):
-            if v.shape != (m,):
-                raise DimensionMismatch(f"{name} must have {m} entries")
-            if not 0 <= v.min() <= v.max() < math.inf:  # NaN fails too
-                i = int(np.argmax(~np.isfinite(v) | (v < 0)))
-                raise ValueError(
-                    f"cluster {ids[i]!r}: {name} must be a finite "
-                    f"nonnegative real, got {float(v[i])!r}"
-                )
         x = np.empty((m, 0)) if self.x is None else np.array(self.x, dtype=float)
         if x.ndim != 2 or x.shape[0] != m:
             raise DimensionMismatch(f"covariates must be an ({m}, p) matrix")
@@ -180,10 +206,7 @@ class Trial:
                     f"got {float(dose[i])!r}"
                 )
             fields["dose"] = dose
-        for name, value in fields.items():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        _freeze(self, fields)
         m1 = int(np.count_nonzero(self.arm))
         if m1 == 0 or m1 == m:
             raise ArmTooSmall(
@@ -275,18 +298,40 @@ def _log_ratio(y: np.ndarray, z: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Panel:
-    """A complete m-by-T stepped-wedge panel in canonical (sorted) order.
+    """A stepped-wedge dataset as arrays: m clusters over periods 1..T.
 
-    ``y`` and ``z`` have shape (m, T); row i belongs to
-    ``cluster_ids[i]`` with intervention start ``start_periods[i]``.
+    Row i of the (m, T) counts ``y`` and ``z`` belongs to
+    ``cluster_ids[i]``, under intervention from period
+    ``start_periods[i]`` on (a start after T is never treated in the
+    window).  The arrays are read-only copies.  Construction makes
+    :class:`Trial`'s checks: unique ids, finite nonnegative counts, and
+    one integer start period >= 1 per cluster.  The start vector fixes
+    the design: :attr:`scheme`, and the :attr:`analysis_periods` and
+    :attr:`treated` matrix that follow from it.
     """
 
     cluster_ids: tuple[str, ...]
     start_periods: tuple[int, ...]
     y: np.ndarray
     z: np.ndarray
+
+    def __post_init__(self):
+        ids, y, z = _ids_and_counts(self.cluster_ids, self.y, self.z, ndim=2)
+        m, starts = len(ids), np.asarray(self.start_periods)
+        if starts.shape != (m,) or starts.dtype.kind not in "iu" or starts.min() < 1:
+            raise ValueError(f"start_periods must be {m} integers >= 1")
+        _freeze(self, {"cluster_ids": ids, "start_periods": tuple(starts.tolist()),
+                       "y": y, "z": z})
+
+    @staticmethod
+    def from_records(records: Sequence[ClusterPeriodRecord]) -> "Panel":
+        """The panel of hand-built records, clusters in sorted id order."""
+        return _panel_from_cells(
+            (r.cluster_id, r.period, r.start_period, r.y_count, r.z_count)
+            for r in records
+        )
 
     @property
     def m(self) -> int:
@@ -296,53 +341,29 @@ class Panel:
     def n_periods(self) -> int:
         return self.y.shape[1]
 
-    @staticmethod
-    def from_records(records: Sequence[ClusterPeriodRecord]) -> "Panel":
-        if not records:
-            raise IncompletePanel("empty panel")
-        ids = sorted({r.cluster_id for r in records})
-        periods = sorted({r.period for r in records})
-        n_periods = max(periods)
-        if periods != list(range(1, n_periods + 1)):
-            missing = sorted(set(range(1, n_periods + 1)) - set(periods))
-            raise IncompletePanel(f"missing periods {missing}")
-        index = {cid: i for i, cid in enumerate(ids)}
-        m = len(ids)
-        y = np.full((m, n_periods), np.nan)
-        z = np.full((m, n_periods), np.nan)
-        start = {}
-        for r in records:
-            i, t = index[r.cluster_id], r.period - 1
-            if not np.isnan(y[i, t]):
-                raise IncompletePanel(
-                    f"duplicate cell (cluster {r.cluster_id!r}, period {r.period})"
-                )
-            y[i, t] = r.y_count
-            z[i, t] = r.z_count
-            prior = start.setdefault(r.cluster_id, r.start_period)
-            if prior != r.start_period:
-                raise IncompletePanel(
-                    f"cluster {r.cluster_id!r} has inconsistent start_period "
-                    f"({prior} vs {r.start_period})"
-                )
-        holes = np.argwhere(np.isnan(y))
-        if holes.size:
-            i, t = holes[0]
-            raise IncompletePanel(
-                f"missing cell (cluster {ids[int(i)]!r}, period {int(t) + 1})"
-            )
-        y.setflags(write=False)
-        z.setflags(write=False)
-        return Panel(
-            cluster_ids=tuple(ids),
-            start_periods=tuple(start[c] for c in ids),
-            y=y,
-            z=z,
-        )
+    @property
+    def scheme(self) -> "SteppedWedgeScheme":
+        """The randomization the start vector was drawn from: ``q[t-1]``
+        clusters start at period t.  A start beyond the window (never
+        treated in it) is one more exchangeable label, so the scheme can
+        have more periods than the panel."""
+        q = np.bincount(self.start_periods, minlength=self.n_periods + 1)[1:]
+        return SteppedWedgeScheme(m=self.m, q=tuple(q.tolist()))
 
-    def treated_at(self, t: int) -> np.ndarray:
-        """Boolean vector: cluster is under intervention at period t (1-based)."""
-        return np.array([t >= a for a in self.start_periods])
+    @property
+    def analysis_periods(self) -> tuple[int, ...]:
+        """The scheme's analysis periods inside the window (t < T); the
+        scheme's ValueError when there are none."""
+        periods = tuple(t for t in self.scheme.analysis_periods if t < self.n_periods)
+        if not periods:
+            raise ValueError(_NO_ANALYSIS_PERIOD)
+        return periods
+
+    @property
+    def treated(self) -> np.ndarray:
+        """(m, T) boolean matrix: cell (i, t) is under intervention."""
+        tgrid = np.arange(1, self.n_periods + 1)
+        return tgrid[None, :] >= np.asarray(self.start_periods)[:, None]
 
     def log_contrast_matrix(self, correction: bool = False) -> np.ndarray:
         """(m, T) matrix of per-cell log-contrasts."""
@@ -353,6 +374,55 @@ class Panel:
                 i, t = np.argwhere(arr <= 0)[0]
                 raise ZeroCount(f"{self.cluster_ids[int(i)]}@{int(t) + 1}", which)
         return np.log(self.y) - np.log(self.z)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Panel):
+            return NotImplemented
+        return (
+            self.cluster_ids == other.cluster_ids
+            and self.start_periods == other.start_periods
+            and np.array_equal(self.y, other.y)
+            and np.array_equal(self.z, other.z)
+        )
+
+    __hash__ = None
+
+
+def _panel_from_cells(cells: Iterable[tuple[str, int, int, float, float]]) -> Panel:
+    """The panel of ``(cluster_id, period, start_period, y, z)`` cells,
+    clusters in sorted id order.  :class:`IncompletePanel` names the
+    first defect: no cells, a missing period, a duplicate cell (in cell
+    order, as an inconsistent start period), or a missing cell."""
+    cells = list(cells)
+    if not cells:
+        raise IncompletePanel("empty panel")
+    ids = sorted({c[0] for c in cells})
+    n_periods = max(c[1] for c in cells)  # periods are >= 1
+    missing = sorted(set(range(1, n_periods + 1)) - {c[1] for c in cells})
+    if missing:
+        raise IncompletePanel(f"missing periods {missing}")
+    index = {cid: i for i, cid in enumerate(ids)}
+    y, z = np.empty((2, len(ids), n_periods))
+    filled = np.zeros(y.shape, dtype=bool)
+    start: dict[str, int] = {}
+    for cid, period, start_period, y_count, z_count in cells:
+        i, t = index[cid], period - 1
+        if filled[i, t]:
+            raise IncompletePanel(f"duplicate cell (cluster {cid!r}, period {period})")
+        filled[i, t] = True
+        y[i, t], z[i, t] = y_count, z_count
+        prior = start.setdefault(cid, start_period)
+        if prior != start_period:
+            raise IncompletePanel(
+                f"cluster {cid!r} has inconsistent start_period "
+                f"({prior} vs {start_period})"
+            )
+    if not filled.all():
+        i, t = np.argwhere(~filled)[0]
+        raise IncompletePanel(
+            f"missing cell (cluster {ids[int(i)]!r}, period {int(t) + 1})"
+        )
+    return Panel(tuple(ids), tuple(start[c] for c in ids), y, z)
 
 
 # --------------------------------------------------------------------- #
@@ -405,9 +475,7 @@ class SteppedWedgeScheme:
         if len(self.q) < 2:
             raise ValueError("a stepped-wedge design needs at least 2 periods")
         if not self.analysis_periods:
-            raise ValueError(
-                "no analysis period has both a treated and an untreated cluster"
-            )
+            raise ValueError(_NO_ANALYSIS_PERIOD)
 
     @property
     def n_periods(self) -> int:
@@ -419,11 +487,9 @@ class SteppedWedgeScheme:
 
     @property
     def analysis_periods(self) -> tuple[int, ...]:
-        return tuple(
-            t
-            for t in range(1, self.n_periods)
-            if 1 <= self.m_t(t) <= self.m - 1
-        )
+        # m_t(1..T-1) in one pass, linear in the number of start labels
+        m_t = itertools.accumulate(self.q[:-1])
+        return tuple(t for t, n in enumerate(m_t, 1) if 1 <= n <= self.m - 1)
 
     @property
     def total_assignments(self) -> int:
@@ -799,13 +865,9 @@ def realize(
         raise ValueError("start periods must lie in 1..T")
     periods = np.arange(1, table.n_periods + 1)
     treated = periods[None, :] >= a[:, None]
-    y = np.where(treated, table.y1, table.y0)
-    z = np.where(treated, table.z1, table.z0)
-    y.setflags(write=False)
-    z.setflags(write=False)
     return Panel(
         cluster_ids=table.cluster_ids,
-        start_periods=tuple(int(v) for v in a),
-        y=y,
-        z=z,
+        start_periods=a,
+        y=np.where(treated, table.y1, table.y0),
+        z=np.where(treated, table.z1, table.z0),
     )

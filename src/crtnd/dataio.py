@@ -10,8 +10,10 @@ or non-finite cells are rejected with the offending line number.  This
 module is the I/O boundary of the array types: a parallel file becomes
 one :class:`~crtnd.core.Trial` (a missing dose cell is NaN, a file
 without a dose column has dose ``None``), a stepped-wedge file one
-:class:`~crtnd.core.Panel`, both in canonical (sorted cluster_id)
-order, so ``parse(emit(data)) == data``.
+:class:`~crtnd.core.Panel`, its cells assembled by the step of
+``Panel.from_records`` without building records.  Both are in canonical
+(sorted cluster_id) order and check themselves on construction, and
+``==`` compares their arrays, so ``parse(emit(data)) == data``.
 
 Scenario files are JSON mirrors of :class:`SimScenario`; reports are
 JSON with a ``schema_version`` so downstream tools can join on
@@ -27,13 +29,7 @@ import re
 from pathlib import Path
 from typing import Sequence
 
-from .core import (
-    ClusterPeriodRecord,
-    Panel,
-    ParallelScheme,
-    SteppedWedgeScheme,
-    Trial,
-)
+from .core import Panel, ParallelScheme, SteppedWedgeScheme, Trial, _panel_from_cells
 from .errors import ParseError, SchemaError
 from .simulation import MetricsRow, SimScenario
 
@@ -153,7 +149,7 @@ def _parse_parallel(header, rows) -> Trial:
 
 def _parse_sw(header, rows) -> Panel:
     col = {name: header.index(name) for name in header}
-    records = []
+    cells = []
     seen: dict[tuple[str, int], int] = {}
     for row, line in rows:
         if len(row) != len(header):
@@ -173,18 +169,10 @@ def _parse_sw(header, rows) -> Panel:
         seen[key] = line
         y = _float_cell(row[col["y_count"]], line, "y_count", minimum=0.0)
         z = _float_cell(row[col["z_count"]], line, "z_count", minimum=0.0)
-        records.append(
-            ClusterPeriodRecord(
-                cluster_id=cid,
-                period=period,
-                start_period=start,
-                y_count=y,
-                z_count=z,
-            )
-        )
-    if not records:
+        cells.append((cid, period, start, y, z))
+    if not cells:
         raise SchemaError("no data rows")
-    return Panel.from_records(records)
+    return _panel_from_cells(cells)
 
 
 def _format_number(value: float) -> str:

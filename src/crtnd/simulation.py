@@ -65,7 +65,6 @@ from .estimators import (
 from .inference import _diff_means, _two_sided_count, _two_sided_p
 from .stepped_wedge import (
     _check_arms,
-    _design,
     _null_sigma,
     _null_weights,
     _optimal_rows,
@@ -387,9 +386,7 @@ def simulate_stepped_wedge(
         if start is None:
             yield rep, None
             continue
-        y.setflags(write=False)
-        z.setflags(write=False)
-        yield rep, Panel(ids, tuple(int(a) for a in start), y, z)
+        yield rep, Panel(ids, start, y, z)
 
 
 # --------------------------------------------------------------------- #
@@ -658,17 +655,17 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws, stages):
     # analysis periods, m_t, the Sigma scale and equal weights are fixed
     scheme: SteppedWedgeScheme = scenario.design
     tgrid = np.arange(1, scheme.n_periods + 1)
-    periods, m_t, dropped = _design(np.repeat(tgrid, scheme.q), scheme.n_periods)
-    _warn_dropped(dropped)
-    _check_arms(scheme.m, m_t, periods)
-    scale = _scale_matrix(scheme.m, m_t, periods, "canonical")
+    periods = scheme.analysis_periods
+    _warn_dropped(periods, scheme.n_periods)
+    _check_arms(scheme, periods)
+    scale = _scale_matrix(scheme, periods, "canonical")
     w_equal = np.asarray(equal_weights(periods).w)
 
     for reps, start, y, z in _chunks(_wedge_draws(scenario), tallies):
         stages.lap("generation")
         lmat = np.log(y) - np.log(z)
-        diffs = _period_differences(lmat, start, periods, m_t)
-        sigma_hat, _ = _plugin_sigma(lmat, start, periods, m_t, scale)
+        diffs = _period_differences(lmat, start, periods)
+        sigma_hat, _ = _plugin_sigma(lmat, start, periods, scheme, scale)
         stages.lap("plugin_covariance")
         if "sw_equal" in tallies:
             raw["sw_equal"] += [
@@ -698,8 +695,8 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws, stages):
             for b, rep in enumerate(reps):
                 seed = int(derive_rng(scenario.seed, 3, rep).integers(2**31))
                 rz = randomize(scheme, "monte_carlo", perm_draws, (seed, 0x5E))
-                (d_rows,) = _period_diff_rows(rz.rows(), periods, m_t, lmat[b])
-                (d_obs,) = _period_diff_rows(start[b][None, :], periods, m_t, lmat[b])
+                (d_rows,) = _period_diff_rows(rz.rows(), periods, scheme, lmat[b])
+                (d_obs,) = _period_diff_rows(start[b][None, :], periods, scheme, lmat[b])
                 for name in names:
                     draws[name][b] = d_rows @ weights[name][b]
                     observed[name][b] = (d_obs @ weights[name][b])[0]

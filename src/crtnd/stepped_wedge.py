@@ -47,6 +47,9 @@ from .inference import (
     _Statistic,
 )
 
+# optimal weights need a covariance condition number at most this
+_COND_LIMIT = 1e10
+
 __all__ = [
     "SWWeights",
     "SWCovariance",
@@ -107,7 +110,7 @@ class SWCovariance:
 
 
 def _scale_matrix(
-    m: int, m_t: dict[int, int], periods: Sequence[int], convention: str
+    scheme: SteppedWedgeScheme, periods: Sequence[int], convention: str
 ) -> np.ndarray:
     """(k, k) factors that turn S entries into Sigma entries.
 
@@ -121,8 +124,8 @@ def _scale_matrix(
         hi = np.where(lo == hi, hi, hi - 1)
     elif convention != "canonical":
         raise ValueError(f"unknown convention {convention!r}")
-    counts = np.array([m_t.get(s, 0) for s in range(int(t.max()) + 1)])
-    return m / (counts[hi] * (m - counts[lo]))
+    counts = np.array([scheme.m_t(s) for s in range(int(t.max()) + 1)])
+    return scheme.m / (counts[hi] * (scheme.m - counts[lo]))
 
 
 def _cov(x: np.ndarray) -> np.ndarray:
@@ -138,21 +141,8 @@ def _cov(x: np.ndarray) -> np.ndarray:
     return c
 
 
-def _design(starts: Sequence[int], n_periods: int):
-    """(analysis periods, m_t map, dropped periods) of a start vector.
-
-    Every permutation of ``starts`` has the same design, so a caller
-    that re-randomizes a fixed multiset of starts computes it once.
-    """
-    m = len(starts)
-    m_t = {t: sum(1 for a in starts if a <= t) for t in range(1, n_periods + 1)}
-    periods = tuple(t for t in range(1, n_periods) if 1 <= m_t[t] <= m - 1)
-    dropped = tuple(t for t in range(1, n_periods) if t not in periods)
-    return periods, m_t, dropped
-
-
-def _warn_dropped(dropped: tuple[int, ...]) -> None:
-    if dropped:
+def _warn_dropped(periods: tuple[int, ...], n_periods: int) -> None:
+    if len(periods) < n_periods - 1:
         warnings.warn(
             "some periods in 1..T-1 have an empty treated or control group "
             "and are excluded from the analysis",
@@ -160,14 +150,8 @@ def _warn_dropped(dropped: tuple[int, ...]) -> None:
         )
 
 
-def _treated_matrix(panel: Panel) -> np.ndarray:
-    """(m, T) boolean matrix: cell (i, t) is under intervention."""
-    tgrid = np.arange(1, panel.n_periods + 1)
-    return tgrid[None, :] >= np.asarray(panel.start_periods)[:, None]
-
-
 # The plug-in estimates run on stacks: ``lmat`` (B, m, T) and ``start``
-# (B, m) hold B replicates of one design, so m_t and the analysis periods
+# (B, m) hold B replicates of one scheme, so m_t and the analysis periods
 # are shared; one (m, T) panel and its (m,) starts is a stack of one.
 # Reductions run along the contiguous last axis, so every replicate gets
 # the bits its own computation would.
@@ -183,19 +167,19 @@ def _period_groups(lmat: np.ndarray, start: np.ndarray, periods: Sequence[int]):
 
 
 def _period_differences(
-    lmat: np.ndarray, start: np.ndarray, periods: Sequence[int], m_t: dict[int, int]
+    lmat: np.ndarray, start: np.ndarray, periods: Sequence[int]
 ) -> np.ndarray:
     """Treated-minus-control mean log-contrast per analysis period: (k,)
     for one panel, (B, k) for a stack."""
     if lmat.ndim == 2:
-        return _period_differences(lmat[None], start[None], periods, m_t)[0]
+        return _period_differences(lmat[None], start[None], periods)[0]
     out = np.empty((lmat.shape[0], len(periods)))
     for k, (g1, g0) in enumerate(_period_groups(lmat, start, periods)):
         out[:, k] = g1.mean(axis=1) - g0.mean(axis=1)
     return out
 
 
-def _check_arms(m: int, m_t: dict[int, int], periods: Sequence[int]) -> None:
+def _check_arms(scheme: SteppedWedgeScheme, periods: Sequence[int]) -> None:
     """Raise :class:`ArmTooSmall` unless each analysis period has >= 2
     clusters on each side, the precondition of :func:`_plugin_sigma`.
 
@@ -205,7 +189,7 @@ def _check_arms(m: int, m_t: dict[int, int], periods: Sequence[int]) -> None:
     a largest member of at least 2 clusters.
     """
     for t in periods:
-        n1, n0 = m_t[t], m - m_t[t]
+        n1, n0 = scheme.m_t(t), scheme.m - scheme.m_t(t)
         if n1 < 2 or n0 < 2:
             raise ArmTooSmall(
                 f"period {t}: variance estimation needs >= 2 clusters per arm "
@@ -217,7 +201,7 @@ def _plugin_sigma(
     lmat: np.ndarray,
     start: np.ndarray,
     periods: Sequence[int],
-    m_t: dict[int, int],
+    scheme: SteppedWedgeScheme,
     scale: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(Sigma, S entries) of :func:`sw_covariance_estimate` from arrays:
@@ -229,9 +213,10 @@ def _plugin_sigma(
     entries are those of ``np.dot`` on each block.
     """
     if lmat.ndim == 2:
-        sigma, s_values = _plugin_sigma(lmat[None], start[None], periods, m_t, scale)
+        sigma, s_values = _plugin_sigma(lmat[None], start[None], periods, scheme, scale)
         return sigma[0], s_values[0]
     n, m, _ = lmat.shape
+    m_t = {t: scheme.m_t(t) for t in periods}
     k = len(periods)
     sigma = np.zeros((n, k, k))
     s_values = np.full((n, k, k), np.nan)
@@ -287,24 +272,13 @@ def sw_covariance_estimate(
     three-case rule; ties break in the order treated-by-t1, switchers,
     untreated-at-t2).
     """
-    periods, m_t, dropped = _design(panel.start_periods, panel.n_periods)
-    _warn_dropped(dropped)
-    _check_arms(panel.m, m_t, periods)
-    sigma, s_values = _plugin_sigma(
-        panel.log_contrast_matrix(correction),
-        np.asarray(panel.start_periods),
-        periods,
-        m_t,
-        _scale_matrix(panel.m, m_t, periods, convention),
-    )
-    return SWCovariance(
-        sigma=sigma,
-        s_values=s_values,
-        group_sizes=tuple(m_t[t] for t in periods),
-        periods=periods,
-        provenance="estimated",
-        convention=convention,
-    )
+    scheme, periods = panel.scheme, panel.analysis_periods
+    _warn_dropped(periods, panel.n_periods)
+    _check_arms(scheme, periods)
+    lmat, start = panel.log_contrast_matrix(correction), np.asarray(panel.start_periods)
+    scale = _scale_matrix(scheme, periods, convention)
+    sigma_s = _plugin_sigma(lmat, start, periods, scheme, scale)
+    return _covariance(sigma_s, scheme, periods, "estimated", convention)
 
 
 def sw_oracle_covariance(
@@ -320,18 +294,8 @@ def sw_oracle_covariance(
             f"l0 must have shape ({scheme.m}, {scheme.n_periods}), got {l0.shape}"
         )
     periods = scheme.analysis_periods
-    m_t = {t: scheme.m_t(t) for t in range(1, scheme.n_periods + 1)}
-    sigma, s_full = _null_sigma(
-        l0, periods, _scale_matrix(scheme.m, m_t, periods, convention)
-    )
-    return SWCovariance(
-        sigma=sigma,
-        s_values=s_full,
-        group_sizes=tuple(m_t[t] for t in periods),
-        periods=periods,
-        provenance="oracle",
-        convention=convention,
-    )
+    sigma_s = _null_sigma(l0, periods, _scale_matrix(scheme, periods, convention))
+    return _covariance(sigma_s, scheme, periods, "oracle", convention)
 
 
 def sw_null_covariance(
@@ -346,34 +310,32 @@ def sw_null_covariance(
     Under ``lam = lam0`` every control log-contrast is recoverable as
     ``L - log(lam0)`` on treated cells, so S needs no group selection.
     """
-    periods, m_t, dropped = _design(panel.start_periods, panel.n_periods)
-    _warn_dropped(dropped)
-    lmat = panel.log_contrast_matrix(correction)
-    l0 = lmat - math.log(lam0) * _treated_matrix(panel)
-    sigma, s_full = _null_sigma(
-        l0, periods, _scale_matrix(panel.m, m_t, periods, convention)
-    )
-    return SWCovariance(
-        sigma=sigma,
-        s_values=s_full,
-        group_sizes=tuple(m_t[t] for t in periods),
-        periods=periods,
-        provenance="null_exact",
-        convention=convention,
-    )
+    if lam0 <= 0:
+        raise ValueError(f"lam0 must be > 0, got {lam0}")
+    scheme, periods = panel.scheme, panel.analysis_periods
+    _warn_dropped(periods, panel.n_periods)
+    l0 = panel.log_contrast_matrix(correction) - math.log(lam0) * panel.treated
+    sigma_s = _null_sigma(l0, periods, _scale_matrix(scheme, periods, convention))
+    return _covariance(sigma_s, scheme, periods, "null_exact", convention)
+
+
+def _covariance(sigma_s, scheme, periods, provenance, convention) -> SWCovariance:
+    """The :class:`SWCovariance` of a (Sigma, S entries) pair of ``scheme``."""
+    sigma, s_values = sigma_s
+    group_sizes = tuple(scheme.m_t(t) for t in periods)
+    return SWCovariance(sigma, s_values, group_sizes, periods, provenance, convention)
 
 
 def optimal_weights(
     sigma: SWCovariance | np.ndarray,
     *,
-    cond_threshold: float = 1e10,
     periods: tuple[int, ...] | None = None,
     kind: str = "optimal_plugin",
 ) -> SWWeights:
     """Variance-minimizing weights: Sigma^{-1} 1 / (1' Sigma^{-1} 1).
 
     Raises :class:`SingularCovariance` when the matrix condition number
-    exceeds ``cond_threshold``; callers usually fall back to equal
+    exceeds :data:`_COND_LIMIT`; callers usually fall back to equal
     weights with a warning.
     """
     if isinstance(sigma, SWCovariance):
@@ -385,21 +347,21 @@ def optimal_weights(
             periods = tuple(range(1, mat.shape[0] + 1))
     if mat.shape[0] == 0:
         raise ValueError("empty covariance matrix")
-    w, ok, cond = _optimal_rows(mat[None], cond_threshold)
+    w, ok, cond = _optimal_rows(mat[None])
     if not ok[0]:
         raise SingularCovariance(
-            f"covariance condition number {cond[0]:.3g} exceeds {cond_threshold:.3g}"
+            f"covariance condition number {cond[0]:.3g} exceeds {_COND_LIMIT:.3g}"
         )
     return SWWeights(w=tuple(float(v) for v in w[0]), kind=kind, periods=tuple(periods))
 
 
-def _optimal_rows(sigmas: np.ndarray, cond_threshold: float = 1e10):
+def _optimal_rows(sigmas: np.ndarray):
     """:func:`optimal_weights` of each matrix of a (B, k, k) stack: the
     (B, k) weights, which matrices have them (condition number finite
-    and at most ``cond_threshold``; the others' rows are NaN), and the
+    and at most :data:`_COND_LIMIT`; the others' rows are NaN), and the
     condition numbers."""
     cond = np.linalg.cond(sigmas)
-    ok = np.isfinite(cond) & (cond <= cond_threshold)
+    ok = np.isfinite(cond) & (cond <= _COND_LIMIT)
     w = np.full(sigmas.shape[:2], np.nan)
     if ok.any():
         ones = np.ones(sigmas.shape[1])
@@ -461,11 +423,11 @@ def sw_log_contrast(
     ``covariance`` when supplied, else the plug-in estimate; pass
     ``estimate_covariance=False`` to skip SE computation entirely.
     """
-    periods, m_t, dropped = _design(panel.start_periods, panel.n_periods)
-    _warn_dropped(dropped)
-    lmat = panel.log_contrast_matrix(correction)
-    start = np.asarray(panel.start_periods)
-    diffs = _period_differences(lmat, start, periods, m_t)
+    periods = panel.analysis_periods
+    _warn_dropped(periods, panel.n_periods)
+    diffs = _period_differences(
+        panel.log_contrast_matrix(correction), np.asarray(panel.start_periods), periods
+    )
 
     cov = covariance
     if cov is None and (estimate_covariance or weights == "optimal"):
@@ -490,7 +452,7 @@ def sw_log_contrast(
         "weights": list(wts.w),
         "weight_kind": wts.kind,
         "analysis_periods": list(periods),
-        "dropped_periods": list(dropped),
+        "dropped_periods": [t for t in range(1, panel.n_periods) if t not in periods],
         "period_differences": diffs.tolist(),
         "convention": convention,
     }
@@ -513,7 +475,7 @@ def sw_log_contrast(
 def _period_diff_rows(
     start_rows: np.ndarray,
     periods: Sequence[int],
-    m_t: dict[int, int],
+    scheme: SteppedWedgeScheme,
     *values: np.ndarray,
 ) -> list[np.ndarray]:
     """(rows, periods) treated-minus-control means of ``v[:, t-1]``, one
@@ -529,25 +491,11 @@ def _period_diff_rows(
         for s, v in zip(sums, values):
             s[:, k] = mask @ v[:, t - 1]
     cols = [t - 1 for t in periods]
-    n1 = np.array([m_t[t] for t in periods])
+    n1 = np.array([scheme.m_t(t) for t in periods])
     return [
         _diff_means(s, v.T[cols].sum(axis=1), v.shape[0], n1)
         for s, v in zip(sums, values)
     ]
-
-
-def _start_scheme(panel: Panel) -> SteppedWedgeScheme:
-    """The randomization of the panel's start vector.
-
-    Start labels beyond the observed window (never treated in-window)
-    are one more exchangeable category in the randomization.
-    """
-    label_max = max(max(panel.start_periods), panel.n_periods)
-    q = tuple(
-        sum(1 for a in panel.start_periods if a == t)
-        for t in range(1, label_max + 1)
-    )
-    return SteppedWedgeScheme(m=panel.m, q=q)
 
 
 def _null_weights(
@@ -582,13 +530,13 @@ def _sw_statistic(panel: Panel, weights, correction: bool, convention: str) -> _
     "optimal" weights are computed exactly from the null-imputed
     covariance at theta.
     """
-    periods, m_t, _ = _design(panel.start_periods, panel.n_periods)
+    scheme, periods = panel.scheme, panel.analysis_periods
     lmat = panel.log_contrast_matrix(correction)
-    treated = _treated_matrix(panel).astype(float)
-    scale = _scale_matrix(panel.m, m_t, periods, convention)
+    treated = panel.treated.astype(float)
+    scale = _scale_matrix(scheme, periods, convention)
 
     def rows(start_rows: np.ndarray) -> list[np.ndarray]:
-        return _period_diff_rows(start_rows, periods, m_t, lmat, treated)
+        return _period_diff_rows(start_rows, periods, scheme, lmat, treated)
 
     return _Statistic(
         rows,
@@ -617,10 +565,10 @@ def sw_permutation_test(
     """
     if lam0 <= 0:
         raise ValueError(f"lam0 must be > 0, got {lam0}")
-    _warn_dropped(_design(panel.start_periods, panel.n_periods)[2])
+    _warn_dropped(panel.analysis_periods, panel.n_periods)
     return _permutation_result(
         _sw_statistic(panel, weights, correction, convention), math.log(lam0),
-        randomize(_start_scheme(panel), mode, n_draws, (seed, 0x5E)),
+        randomize(panel.scheme, mode, n_draws, (seed, 0x5E)),
         seed=seed, statistic="sw_log_contrast",
     )
 
@@ -641,7 +589,7 @@ def _sw_pvalue_function(
     from the test's own stream); each p(theta) then only applies the
     weights and counts.
     """
-    rz = randomize(_start_scheme(panel), mode, n_draws, (seed, 0x5E))
+    rz = randomize(panel.scheme, mode, n_draws, (seed, 0x5E))
     return _sw_statistic(panel, weights, correction, convention).pvalues(rz)
 
 

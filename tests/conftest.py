@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from crtnd import ClusterRecord, PotentialTable, Trial
 
@@ -12,6 +13,14 @@ from crtnd import ClusterRecord, PotentialTable, Trial
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [_SRC, os.environ.get("PYTHONPATH")])
+)
+
+
+# counts that stress the CSV round trip: subnormal, non-terminating,
+# above 2**53, and zero
+AWKWARD_COUNTS = st.one_of(
+    st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 5e-324, 0.1, 1 / 3, 2.0**53 + 2, 1e15, 1e16 + 2]),
 )
 
 

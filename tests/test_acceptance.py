@@ -36,11 +36,7 @@ from crtnd import (
     tpf_solve,
 )
 from crtnd.estimators import odds_ratio_log
-from crtnd.stepped_wedge import (
-    _design,
-    _period_differences,
-    optimal_weights,
-)
+from crtnd.stepped_wedge import _period_differences, optimal_weights
 
 
 def _report(cid: str, message: str) -> None:
@@ -236,10 +232,9 @@ def test_c07_stepped_wedge_oracle(sw_null_run):
         for a in enumerate_assignments(scheme):
             panel = realize(table, a)
             lmat = panel.log_contrast_matrix()
-            periods, m_t, _ = _design(panel.start_periods, panel.n_periods)
             diffs.append(
                 _period_differences(
-                    lmat, np.asarray(panel.start_periods), periods, m_t
+                    lmat, np.asarray(panel.start_periods), panel.analysis_periods
                 )
             )
         diffs = np.asarray(diffs)

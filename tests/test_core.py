@@ -162,8 +162,6 @@ class TestRandomizationEngine:
         assert [tuple(int(v) for v in r) for r in rows] == permutations_oracle(base)
 
     def test_start_label_beyond_the_observed_window(self):
-        from crtnd.stepped_wedge import _start_scheme
-
         # two clusters start at period 3 of a 2-period panel: never treated
         panel = Panel(
             cluster_ids=("a", "b", "c", "d"),
@@ -171,7 +169,7 @@ class TestRandomizationEngine:
             y=np.ones((4, 2)),
             z=np.ones((4, 2)),
         )
-        rows = randomize(_start_scheme(panel), "exact", 0, (0,)).rows()
+        rows = randomize(panel.scheme, "exact", 0, (0,)).rows()
         assert [tuple(int(v) for v in r) for r in rows] == permutations_oracle(
             (1, 2, 3, 3)
         )
@@ -491,24 +489,33 @@ class TestPanel:
     def test_missing_cell(self):
         with pytest.raises(IncompletePanel) as exc:
             Panel.from_records(self._records()[:-1])
-        assert "b" in str(exc.value)
+        assert str(exc.value) == "missing cell (cluster 'b', period 2)"
 
     def test_duplicate_cell(self):
         recs = self._records()
         recs.append(ClusterPeriodRecord("a", 1, 1, 5.0, 5.0))
-        with pytest.raises(IncompletePanel):
+        with pytest.raises(IncompletePanel) as exc:
             Panel.from_records(recs)
+        assert str(exc.value) == "duplicate cell (cluster 'a', period 1)"
 
     def test_inconsistent_start(self):
         recs = self._records()
         recs[1] = ClusterPeriodRecord("a", 2, 2, 10.0, 20.0)
-        with pytest.raises(IncompletePanel):
+        with pytest.raises(IncompletePanel) as exc:
             Panel.from_records(recs)
+        assert str(exc.value) == "cluster 'a' has inconsistent start_period (1 vs 2)"
 
-    def test_treated_at_inclusive(self):
+    @pytest.mark.parametrize("periods, message", [((), "empty panel"),
+                                                  ((1, 3), "missing periods [2]")])
+    def test_missing_periods(self, periods, message):
+        recs = [ClusterPeriodRecord(c, t, 1, 10.0, 20.0) for c in "ab" for t in periods]
+        with pytest.raises(IncompletePanel) as exc:
+            Panel.from_records(recs)
+        assert str(exc.value) == message
+
+    def test_treated_is_start_inclusive(self):
         panel = Panel.from_records(self._records())
-        assert panel.treated_at(1).tolist() == [True, False]
-        assert panel.treated_at(2).tolist() == [True, True]
+        assert panel.treated.tolist() == [[True, True], [False, True]]
 
 
 class TestEnumerationMeanOracle:

@@ -143,11 +143,7 @@ class TestParseSw:
         out = tmp_path / "rt.csv"
         emit_dataset(panel, out)
         _, again = parse_dataset(out)
-        assert again.cluster_ids == panel.cluster_ids
-        assert again.start_periods == panel.start_periods
-        assert np.array_equal(again.y, panel.y)
-        assert np.array_equal(again.z, panel.z)
-
+        assert again == panel
 
     def test_sw_round_trip_keeps_counts(self, tmp_path):
         y = np.array([[1 / 3, 2.0**53 + 2], [5e-324, 1e16 + 2], [0.1, 7.0]])
@@ -155,8 +151,7 @@ class TestParseSw:
         out = tmp_path / "rt.csv"
         emit_dataset(panel, out)
         _, again = parse_dataset(out)
-        assert again.start_periods == panel.start_periods
-        assert np.array_equal(again.y, panel.y) and np.array_equal(again.z, panel.z)
+        assert again == panel
 
 
 class TestScenarioFiles:
@@ -517,6 +512,16 @@ class TestCli:
         assert err["message"].startswith(
             f"line {line}, column {column!r}: not a finite"
         )
+
+    def test_analyze_sw_without_an_analysis_period_exit_2(self, tmp_path, capsys):
+        # every cluster starts at period 2: no period has both arms
+        rows = [f"c{i},{t},2,{20 + t},{40 + i}" for i in range(4) for t in (1, 2, 3)]
+        data = write(tmp_path, "sw.csv", SW_CSV_HEADER + "\n".join(rows) + "\n")
+        assert main(["analyze-sw", "--input", str(data)]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": "no analysis period has both a treated and an untreated cluster",
+        }
 
     def test_non_finite_wedge_count_is_a_parse_error(self, tmp_path, capsys):
         text = make_sw_csv(tmp_path).read_text().splitlines()

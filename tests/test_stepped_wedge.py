@@ -24,7 +24,7 @@ from crtnd import (
 from crtnd.core import ClusterRecord, Trial
 from crtnd.dataio import parse_dataset
 from crtnd.errors import ArmTooSmall, NoNonRejectedPoint, SingularCovariance
-from crtnd.stepped_wedge import SWWeights, _design, _period_differences
+from crtnd.stepped_wedge import SWWeights, _period_differences
 
 
 def random_table(m, T, lam, seed, spread=1.0):
@@ -43,9 +43,10 @@ def enumeration_diffs(table, scheme):
     for a in enumerate_assignments(scheme):
         panel = realize(table, a)
         lmat = panel.log_contrast_matrix()
-        periods, m_t, _ = _design(panel.start_periods, panel.n_periods)
         out.append(
-            _period_differences(lmat, np.asarray(panel.start_periods), periods, m_t)
+            _period_differences(
+                lmat, np.asarray(panel.start_periods), panel.analysis_periods
+            )
         )
     return np.array(out)
 
@@ -290,6 +291,12 @@ class TestNullCovarianceAndPermutation:
         panel = realize(table, a)
         cov = sw_null_covariance(panel, 0.6)
         np.testing.assert_allclose(cov.sigma, oracle.sigma, atol=1e-10)
+
+    @pytest.mark.parametrize("lam0", [0.0, -0.5])
+    def test_null_covariance_needs_a_positive_lam0(self, lam0):
+        panel = realize(random_table(4, 3, 1.0, seed=16), np.array([1, 2, 2, 3]))
+        with pytest.raises(ValueError, match=f"^lam0 must be > 0, got {lam0}$"):
+            sw_null_covariance(panel, lam0)
 
     def test_exact_test_toy(self):
         # strong separation: p should be small but respects the floor

@@ -22,6 +22,8 @@ from crtnd import (
 from crtnd.dataio import emit_dataset, parse_dataset
 from crtnd.errors import ArmTooSmall, DimensionMismatch, MissingDose, ZeroCount
 
+from conftest import AWKWARD_COUNTS
+
 
 def trial(**overrides):
     fields = dict(
@@ -152,11 +154,6 @@ def test_only_core_and_dataio_name_cluster_record():
 # Properties
 # --------------------------------------------------------------------- #
 
-awkward = st.one_of(
-    st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, 5e-324, 0.1, 1 / 3, 2.0**53 + 2, 1e15, 1e16 + 2]),
-)
-
 
 @st.composite
 def trials(draw):
@@ -168,7 +165,7 @@ def trials(draw):
     )))
     arm = [1, 0] + draw(st.lists(st.integers(0, 1), min_size=m - 2, max_size=m - 2))
     arm = draw(st.permutations(arm))
-    counts = st.lists(awkward, min_size=m, max_size=m)
+    counts = st.lists(AWKWARD_COUNTS, min_size=m, max_size=m)
     p = draw(st.integers(0, 3))
     cov = st.floats(allow_nan=False, allow_infinity=False)
     x = draw(st.lists(st.lists(cov, min_size=p, max_size=p), min_size=m, max_size=m))
