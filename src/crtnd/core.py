@@ -346,8 +346,12 @@ class Panel:
         """The randomization the start vector was drawn from: ``q[t-1]``
         clusters start at period t.  A start beyond the window (never
         treated in it) is one more exchangeable label, so the scheme can
-        have more periods than the panel."""
-        q = np.bincount(self.start_periods, minlength=self.n_periods + 1)[1:]
+        have more periods than the panel; those labels are numbered T+1,
+        T+2, ... by rank, which keeps every multiplicity."""
+        t = self.n_periods
+        late = sorted({s for s in self.start_periods if s > t})
+        rank = {s: t + 1 + k for k, s in enumerate(late)}
+        q = np.bincount([rank.get(s, s) for s in self.start_periods], minlength=t + 1)[1:]
         return SteppedWedgeScheme(m=self.m, q=tuple(q.tolist()))
 
     @property

@@ -20,7 +20,8 @@ runs and execution orders.
 :func:`evaluate` generates replicates one by one from their own streams
 and evaluates them in chunks of :data:`_CHUNK`: each estimator, its SE
 and the permutation column's tail counts run as a few array passes over
-the chunk's (replicates, clusters) and (replicates, draws) stacks.
+the chunk's (replicates, clusters) and (replicates, draws) stacks.  The
+replicates of a chunk share one set of permutation relabelings.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 from typing import Iterator, Sequence
 
@@ -90,8 +91,9 @@ __all__ = [
 PARALLEL_ESTIMATORS = ("odds_ratio", "tpf", "log_contrast", "covariate_adjusted")
 SW_ESTIMATORS = ("sw_equal", "sw_optimal")
 
-# Replicates evaluated together: a (_CHUNK, 999) stack of permutation
-# draws is 1/32 of the block budget, 128 kB.
+# Replicates evaluated together, sharing one set of permutation
+# relabelings (so a new value changes the permutation column): a
+# (_CHUNK, 999) stack of permutation draws is 1/32 of the block budget.
 _CHUNK = _BLOCK_BYTES // (32 * 8 * 1024)
 
 
@@ -131,17 +133,15 @@ class SimScenario:
         if self.draw_policy not in ("once_per_study", "per_replicate"):
             raise ValueError(f"unknown draw_policy {self.draw_policy!r}")
         m = self.design.m
+        by = np.asarray(self.baseline_y, dtype=float)
         if self.is_stepped_wedge:
-            by = np.asarray(self.baseline_y, dtype=float)
             if by.shape != (m, self.design.n_periods):
                 raise ValueError(
                     f"stepped-wedge baseline_y must be (m, T) = "
                     f"({m}, {self.design.n_periods}), got {by.shape}"
                 )
-        else:
-            by = np.asarray(self.baseline_y, dtype=float)
-            if by.shape != (m,):
-                raise ValueError(f"baseline_y must have length m={m}")
+        elif by.shape != (m,):
+            raise ValueError(f"baseline_y must have length m={m}")
         bz = np.asarray(self.baseline_z, dtype=float)
         if bz.shape != (m,):
             raise ValueError(f"baseline_z must have length m={m}")
@@ -195,19 +195,8 @@ class MetricsRow:
     dropped: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "estimator": self.estimator,
-            "lam": self.lam,
-            "n_replicates": self.n_replicates,
-            "n_effective": self.n_effective,
-            "bias": self.bias,
-            "se": self.se,
-            "ase": self.ase,
-            "por_normal": self.por_normal,
-            "por_perm": self.por_perm,
-            "cp": self.cp,
-        }
+        """The row's fields but ``dropped``, in field order."""
+        return {k: v for k, v in asdict(self).items() if k != "dropped"}
 
 
 # --------------------------------------------------------------------- #
@@ -383,10 +372,7 @@ def simulate_stepped_wedge(
     """
     ids = tuple(f"c{i + 1:02d}" for i in range(scenario.design.m))
     for rep, start, y, z in _wedge_draws(scenario):
-        if start is None:
-            yield rep, None
-            continue
-        yield rep, Panel(ids, start, y, z)
+        yield rep, None if start is None else Panel(ids, start, y, z)
 
 
 # --------------------------------------------------------------------- #
@@ -466,6 +452,23 @@ def _chunks(draws: Iterator[tuple], tallies: dict[str, _Tally]) -> Iterator[tupl
             yield [d[0] for d in kept], *(np.stack(a) for a in list(zip(*kept))[1:])
 
 
+def _relabeling_stream(scenario: SimScenario, reps: list[int]) -> tuple[int, ...]:
+    """The stream of a chunk's relabelings: the replicates with one
+    ``g = rep // _CHUNK`` share one set, independent of their data."""
+    stream = (scenario.seed, 3, reps[0] // _CHUNK)
+    if scenario.is_stepped_wedge:  # the stepped-wedge test's own stream
+        stream = (int(derive_rng(*stream).integers(2**31)), 0x5E)
+    return stream
+
+
+def relabeling_plan(scenario: SimScenario, perm_draws: int) -> dict:
+    """How :func:`evaluate` draws the permutation column, for a report."""
+    group = f"(seed, 3, rep // {_CHUNK})"
+    return {"draws": perm_draws, "replicates_per_set": _CHUNK, "stream": (
+        f"(s, 0x5E), s = derive_rng{group}.integers(2**31)"
+        if scenario.is_stepped_wedge else group)}
+
+
 def evaluate(
     scenario: SimScenario,
     estimators: Sequence[str] | None = None,
@@ -482,8 +485,9 @@ def evaluate(
     that estimator's estimates and counted through ``n_effective``; each
     row's ``dropped`` counts them by reason ("degenerate" or the error
     class).  ``permutation_por`` adds a Monte Carlo randomization-test
-    rejection rate of the no-effect null (``perm_draws`` relabelings per
-    replicate, shared across estimators).  What fails on the design
+    rejection rate of the no-effect null: ``perm_draws`` relabelings per
+    chunk of :data:`_CHUNK` replicates, shared by its replicates and
+    estimators (:func:`relabeling_plan`).  What fails on the design
     fails before any replicate is drawn: a stepped wedge that leaves
     fewer than 2 clusters on one side of an analysis period, or arms
     too small for an estimator's variance, raise :class:`ArmTooSmall`.
@@ -502,9 +506,7 @@ def evaluate(
     rows, raw = run(scenario, estimators, permutation_por, perm_draws, stages)
     if timings is not None:
         timings.update(stages.seconds)
-    if keep_estimates:
-        return rows, raw
-    return rows
+    return (rows, raw) if keep_estimates else rows
 
 
 def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages):
@@ -547,19 +549,15 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages
         if "tpf" in names:
             values["tpf"] = y / (y + z)
 
-        # rows @ v for each replicate's relabelings and each vector v,
-        # the products of the 1-D statistics, stacked (replicates, rows)
+        # rows @ v for the chunk's relabelings and each replicate's vector
+        # v, the products of the 1-D statistics, stacked (replicates, rows)
         sums = {}
         if relabeled:
-            n_rows = perm_draws if permutation_por else or_rows.shape[0]
-            sums = {key: np.empty((len(reps), n_rows)) for key in relabeled}
-            for b, rep in enumerate(reps):
-                rows = or_rows
-                if permutation_por:
-                    rz = randomize(scheme, "monte_carlo", perm_draws, (scenario.seed, 3, rep))
-                    rows = rz.rows()
-                for key in relabeled:
-                    sums[key][b] = rows @ values[key][b]
+            rows = or_rows
+            if permutation_por:
+                rz = randomize(scheme, "monte_carlo", perm_draws, _relabeling_stream(scenario, reps))
+                rows = rz.rows()
+            sums = {key: np.stack([rows @ v for v in values[key]]) for key in relabeled}
             stages.lap("permutation" if permutation_por else "odds_ratio")
 
         # the permutation tests of lam0 = 1, whose deviations are the
@@ -685,24 +683,20 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws, stages):
             ]
             stages.lap("sw_optimal")
         if permutation_por:
-            # one set of re-randomized starts per replicate, shared by
-            # both weightings; at lam0 = 1 the imputed L(0) is lmat itself
+            # one set of re-randomized starts per chunk, shared by its
+            # replicates and both weightings; at lam0 = 1 the imputed L(0)
+            # is lmat itself
             weights = {name: np.broadcast_to(w_equal, diffs.shape) for name in names}
             if "sw_optimal" in names:
                 weights["sw_optimal"] = _null_weights(lmat, "optimal", periods, scale)
-            draws = {name: np.empty((len(reps), perm_draws)) for name in names}
-            observed = {name: np.empty(len(reps)) for name in names}
-            for b, rep in enumerate(reps):
-                seed = int(derive_rng(scenario.seed, 3, rep).integers(2**31))
-                rz = randomize(scheme, "monte_carlo", perm_draws, (seed, 0x5E))
-                (d_rows,) = _period_diff_rows(rz.rows(), periods, scheme, lmat[b])
-                (d_obs,) = _period_diff_rows(start[b][None, :], periods, scheme, lmat[b])
-                for name in names:
-                    draws[name][b] = d_rows @ weights[name][b]
-                    observed[name][b] = (d_obs @ weights[name][b])[0]
+            rz = randomize(scheme, "monte_carlo", perm_draws, _relabeling_stream(scenario, reps))
+            d_rows = _period_diff_rows(rz.rows(), periods, scheme, *lmat)
+            d_obs = [_period_diff_rows(s[None, :], periods, scheme, l)[0]
+                     for s, l in zip(start, lmat)]
             for name in names:
-                count = _two_sided_count(draws[name], observed[name])
-                tallies[name].add_perm(rz.p(count), alpha)
+                draws = np.stack([d @ w for d, w in zip(d_rows, weights[name])])
+                observed = np.array([(d @ w)[0] for d, w in zip(d_obs, weights[name])])
+                tallies[name].add_perm(rz.p(_two_sided_count(draws, observed)), alpha)
             stages.lap("permutation")
 
     return [tallies[name].row(scenario, name) for name in names], raw

@@ -1,4 +1,4 @@
-"""Acceptance suite: ten go/no-go checks at pinned tolerances.
+"""Acceptance suite: go/no-go checks C1-C10 (and C8b) at pinned tolerances.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line
 per criterion.  Heavy Monte Carlo runs are shared between criteria via
@@ -277,6 +277,23 @@ def test_c08_sw_null_calibration(sw_null_run):
         "C8",
         f"stepped-wedge CP {eq.cp:.4f} (equal) and {opt.cp:.4f} (optimal) in "
         f"[0.93, 0.96]; 5,000 replicates in {elapsed:.0f}s (<600s)",
+    )
+
+
+def test_c08b_sw_permutation_calibration():
+    # C8 runs without the permutation column: check its size here, with
+    # the relabelings shared by each chunk of replicates
+    scen = default_sw_scenario(lam=1.0, n_replicates=2_000, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rows = {row.estimator: row for row in evaluate(scen, perm_draws=999)}
+    rates = [rows[name].por_perm for name in ("sw_equal", "sw_optimal")]
+    # about 4 binomial standard errors around 0.05 at 2,000 replicates
+    assert all(0.03 <= rate <= 0.07 for rate in rates)
+    _report(
+        "C8b",
+        f"stepped-wedge randomization-test rejection rate {rates[0]:.4f} "
+        f"(equal) and {rates[1]:.4f} (optimal) in [0.03, 0.07], 2,000 replicates",
     )
 
 

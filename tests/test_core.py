@@ -307,16 +307,21 @@ class TestStreams:
             self.check(rz, stream)
 
     def test_simulation_streams(self, made):
+        # the permutation column draws one set of relabelings per group of
+        # _CHUNK replicates: rep's group is rep // _CHUNK
         from crtnd import SimScenario, evaluate
+        from crtnd.simulation import _CHUNK
 
+        n = 2 * _CHUNK + 1
         scenario = SimScenario(
             scenario_id="streams", design=ParallelScheme(24, 12),
             baseline_y=tuple(range(30, 54)), baseline_z=tuple(range(80, 104)),
-            n_replicates=2, seed=9,
+            n_replicates=n, seed=9,
         )
         evaluate(scenario, ("log_contrast",), perm_draws=40)
-        for rep, rz in enumerate(made):
-            self.check(rz, (9, 3, rep))
+        assert len(made) == 3
+        for group, rz in enumerate(made):
+            self.check(rz, (9, 3, group))
 
         made.clear()
         q = (2, 2, 2, 2)
@@ -324,12 +329,12 @@ class TestStreams:
             scenario_id="wedge-streams", design=SteppedWedgeScheme(8, q),
             baseline_y=tuple(tuple(40.0 + i + t for t in range(4)) for i in range(8)),
             baseline_z=tuple(100.0 + i for i in range(8)),
-            n_replicates=2, seed=9,
+            n_replicates=n, seed=9,
         )
         evaluate(wedge, ("sw_equal",), perm_draws=40)
-        assert len(made) == 2
-        for rep, rz in enumerate(made):
-            nested = int(derive_rng(9, 3, rep).integers(2**31))
+        assert len(made) == 3
+        for group, rz in enumerate(made):
+            nested = int(derive_rng(9, 3, group).integers(2**31))
             self.check(rz, (nested, 0x5E))
 
 

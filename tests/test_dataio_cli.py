@@ -606,17 +606,25 @@ class TestSimulationTimings:
         out = tmp_path / "m.csv"
         assert main([command, "--n-replicates", "20", "--perm-draws", "19",
                      "--estimators", estimators, "--out", str(out)]) == 0
-        timings = json.loads(out.with_suffix(".json").read_text())["timings_s"]
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        timings = sidecar["timings_s"]
         expected = ["generation", shared, *estimators.split(","), "permutation"]
         assert sorted(timings) == sorted(expected)
         assert all(v >= 0.0 for v in timings.values())
+        # how the permutation column was drawn: one set per 16 replicates
+        plan = sidecar["permutation_column"]
+        assert plan["draws"] == 19 and plan["replicates_per_set"] == 16
+        group = "(seed, 3, rep // 16)"
+        assert plan["stream"] == (group if command == "simulate" else
+                                  f"(s, 0x5E), s = derive_rng{group}.integers(2**31)")
 
     def test_no_permutation_column_no_permutation_stage(self, tmp_path):
         out = tmp_path / "m.csv"
         assert main(["simulate", "--n-replicates", "20", "--no-permutation-por",
                      "--estimators", "log_contrast", "--out", str(out)]) == 0
-        timings = json.loads(out.with_suffix(".json").read_text())["timings_s"]
-        assert sorted(timings) == ["generation", "log_contrast", "log_contrasts"]
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        assert sorted(sidecar["timings_s"]) == ["generation", "log_contrast", "log_contrasts"]
+        assert sidecar["permutation_column"] is None
 
 
 class TestInversionReports:

@@ -1,8 +1,10 @@
 """The stepped-wedge array type, its design, and the record boundary
 around it."""
 
+import json
 import math
 import string
+import time
 from pathlib import Path
 
 import numpy as np
@@ -94,12 +96,42 @@ class TestConstruction:
 class TestDesign:
     def test_scheme_counts_starts_beyond_the_window(self):
         p = panel(start_periods=(3, 1, 5, 2))
-        assert p.scheme == SteppedWedgeScheme(4, (1, 1, 1, 0, 1))
+        assert p.scheme == SteppedWedgeScheme(4, (1, 1, 1, 1))  # 5 is T+1
         assert p.analysis_periods == (1, 2)
         assert p.treated.tolist() == [
             [False, False, True], [True, True, True],
             [False, False, False], [False, True, True],
         ]
+
+    def test_far_starts_are_numbered_by_rank(self):
+        # labels past the window become T+1, T+2, ... in their order, so
+        # the scheme's size follows m and T, not the largest start
+        p = panel(start_periods=(10**9, 1, 10**6, 10**9))
+        start = time.perf_counter()
+        assert p.scheme == SteppedWedgeScheme(4, (1, 0, 0, 1, 2))
+        assert time.perf_counter() - start < 0.1
+        assert p.analysis_periods == (1, 2)
+
+    @pytest.mark.parametrize("mode", [["--mode", "exact"],
+                                      ["--mode", "monte-carlo", "--n-draws", "200"]])
+    def test_analyze_sw_with_a_far_start(self, tmp_path, mode):
+        # a start of 10**9 and one of T+1 give one scheme, so the same
+        # draws, p-values and test-inversion CI
+        from crtnd.cli import main
+
+        rng = np.random.default_rng(5)
+        counts = rng.integers(20, 90, size=(8, 3, 2))
+        results = []
+        for far in (4, 10**9):
+            data, out = tmp_path / f"p{far}.csv", tmp_path / f"p{far}.json"
+            data.write_text("cluster_id,period,start_period,y_count,z_count\n" + "".join(
+                f"c{i},{t + 1},{s},{counts[i, t, 0]},{counts[i, t, 1]}\n"
+                for i, s in enumerate((1, 1, 2, 2, 2, 3, 3, far)) for t in range(3)))
+            assert main(["analyze-sw", "--input", str(data), *mode,
+                         "--ci-method", "invert-permutation", "--out", str(out)]) == 0
+            results.append(json.loads(out.read_text())["results"])
+        assert results[0] == results[1]
+        assert results[0][0]["ci_method"] == "test_inversion"
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda n_periods: st.tuples(

@@ -356,7 +356,8 @@ class TestSweep:
 
 
 def reference_evaluate(scenario, names, permutation_por, perm_draws):
-    """evaluate() rebuilt from records or panels and the public estimators."""
+    """evaluate() rebuilt from records or panels and the public estimators;
+    the replicates of one group rep // _CHUNK share their relabelings."""
     from crtnd import (
         covariate_adjusted_estimate,
         log_contrast_estimate,
@@ -404,7 +405,7 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
             rows = None
             if permutation_por:
                 rows = sample_assignments(
-                    scheme, perm_draws, derive_rng(scenario.seed, 3, rep)
+                    scheme, perm_draws, derive_rng(scenario.seed, 3, rep // _CHUNK)
                 ).astype(np.int8)
             if "log_contrast" in names:
                 report = log_contrast_estimate(records, alpha=alpha)
@@ -467,7 +468,7 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
                     result = sw_permutation_test(
                         panel, 1.0, "equal" if name == "sw_equal" else "optimal",
                         mode="monte_carlo", n_draws=perm_draws,
-                        seed=int(derive_rng(scenario.seed, 3, rep).integers(2**31)),
+                        seed=int(derive_rng(scenario.seed, 3, rep // _CHUNK).integers(2**31)),
                     )
                     tallies[name].reject_perm += result.p_two_sided <= alpha
                     tallies[name].n_perm += 1
@@ -565,6 +566,12 @@ class TestArrayLoopEquivalence:
         # repr distinguishes every float bit pattern and makes NaN equal
         assert repr(rows) == repr(ref_rows)
         assert repr(raw) == repr(ref_raw)
+
+    def test_chunk_size_is_pinned(self):
+        # the replicates of a chunk share the permutation column's
+        # relabelings, so another chunk size changes por_perm and the
+        # odds ratio's SE metrics: make that a deliberate change
+        assert _CHUNK == 16
 
     def test_thin_wedge_raises_before_the_loop(self, monkeypatch):
         # m_1 = 1 at the first analysis period: the design fails the
