@@ -64,7 +64,8 @@ def _add_common(p: argparse.ArgumentParser, scenario: bool = False) -> None:
         p.add_argument("--n-draws", type=int, default=2000,
                        help="Monte Carlo permutation draws (default 2000)")
         p.add_argument("--continuity-correction", action="store_true",
-                       help="add 0.5 to all counts before taking logs")
+                       help="add 0.5 to every count on loading, before any "
+                       "estimator runs (TPF and the odds ratio included)")
     p.add_argument("--out", type=Path, default=None,
                    help="output path (JSON report or metrics CSV)")
 
@@ -208,10 +209,20 @@ def _write_report(args, reports) -> int:
     return 0
 
 
+def _load(args, kind: str, wrong_kind: str):
+    """The ``kind`` dataset of ``--input`` (DataError ``wrong_kind`` if it
+    is the other kind); under ``--continuity-correction`` every count is
+    0.5 larger, so every estimator analyses the same counts."""
+    found, data = parse_dataset(args.input)
+    if found != kind:
+        raise DataError(wrong_kind)
+    if args.continuity_correction:
+        data = replace(data, y=data.y + 0.5, z=data.z + 0.5)
+    return data
+
+
 def _cmd_analyze(args) -> int:
-    kind, trial = parse_dataset(args.input)
-    if kind != "parallel":
-        raise DataError("analyze expects a parallel-arm dataset; use analyze-sw")
+    trial = _load(args, "parallel", "analyze expects a parallel-arm dataset; use analyze-sw")
     requested = args.estimators is not None
     if not requested:
         args.estimators = ",".join(DEFAULT_ESTIMATORS)  # echo what runs
@@ -225,7 +236,6 @@ def _cmd_analyze(args) -> int:
                 "covariate_adjusted needs covariate columns x1..xp in the input"
             )
         names.remove("covariate_adjusted")
-    correction = args.continuity_correction
     mode = args.mode.replace("-", "_")
     reports = []
     for name in names:
@@ -238,19 +248,14 @@ def _cmd_analyze(args) -> int:
             lo, hi, diag = invert_ci(
                 trial, "tpf", alpha=args.alpha, test="permutation",
                 mode=mode, n_draws=args.n_draws, seed=args.seed,
-                correction=correction,
             )
             rep.ci_low, rep.ci_high, rep.ci_method = lo, hi, "test_inversion"
             rep.diagnostics["ci_inversion"] = diag
         else:
-            rep = normal_test(
-                trial, NullSpec("relative_risk", 1.0), name,
-                alpha=args.alpha, correction=correction,
-            )
+            rep = normal_test(trial, NullSpec("relative_risk", 1.0), name, alpha=args.alpha)
         perm = permutation_test(
             trial, NullSpec("relative_risk", 1.0), _PERM_STATISTIC[name],
             mode=mode, n_draws=args.n_draws, seed=args.seed,
-            correction=correction,
         )
         rep.diagnostics["permutation_p_null1"] = perm.p_two_sided
         rep.diagnostics["permutation"] = _permutation_entry(perm)
@@ -261,7 +266,7 @@ def _cmd_analyze(args) -> int:
         if inverts and args.ci_method == "invert-permutation":
             lo, hi, diag = invert_ci(
                 trial, name, alpha=args.alpha, test="permutation", mode=mode,
-                n_draws=args.n_draws, seed=args.seed, correction=correction,
+                n_draws=args.n_draws, seed=args.seed,
             )
             rep.ci_low, rep.ci_high, rep.ci_method = lo, hi, "test_inversion"
             rep.diagnostics["ci_inversion"] = diag
@@ -274,26 +279,16 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_analyze_sw(args) -> int:
-    kind, panel = parse_dataset(args.input)
-    if kind != "sw":
-        raise DataError("analyze-sw expects a stepped-wedge dataset")
+    panel = _load(args, "sw", "analyze-sw expects a stepped-wedge dataset")
     weights = args.weights
     if weights not in ("equal", "optimal"):
         with open(weights) as fh:
             weights = json.load(fh)
-    rep = sw_log_contrast(
-        panel,
-        weights,
-        convention=args.sigma_convention,
-        alpha=args.alpha,
-        correction=args.continuity_correction,
-    )
+    rep = sw_log_contrast(panel, weights, convention=args.sigma_convention, alpha=args.alpha)
     mode = args.mode.replace("-", "_")
     perm = sw_permutation_test(
         panel, 1.0, weights,
-        mode=mode, n_draws=args.n_draws, seed=args.seed,
-        correction=args.continuity_correction,
-        convention=args.sigma_convention,
+        mode=mode, n_draws=args.n_draws, seed=args.seed, convention=args.sigma_convention,
     )
     rep.diagnostics["permutation_p_null1"] = perm.p_two_sided
     rep.diagnostics["permutation"] = _permutation_entry(perm)
@@ -303,8 +298,7 @@ def _cmd_analyze_sw(args) -> int:
     if args.ci_method == "invert-permutation":
         lo, hi, diag = sw_invert_ci(
             panel, weights, alpha=args.alpha, mode=mode, n_draws=args.n_draws,
-            seed=args.seed, correction=args.continuity_correction,
-            convention=args.sigma_convention,
+            seed=args.seed, convention=args.sigma_convention,
         )
         rep.ci_low, rep.ci_high, rep.ci_method = lo, hi, "test_inversion"
         rep.diagnostics["ci_inversion"] = diag
@@ -315,9 +309,7 @@ def _cmd_analyze_sw(args) -> int:
 
 
 def _cmd_dose_response(args) -> int:
-    kind, trial = parse_dataset(args.input)
-    if kind != "parallel":
-        raise DataError("dose-response expects a parallel-arm dataset")
+    trial = _load(args, "parallel", "dose-response expects a parallel-arm dataset")
     given = [option for option in _DOSE_DRAW_DEFAULTS if getattr(args, option) is not None]
     if args.test == "normal" and given:  # the Normal test draws nothing
         raise DataError(f"--{given[0].replace('_', '-')} applies to --test permutation only")
@@ -328,8 +320,7 @@ def _cmd_dose_response(args) -> int:
         vars(args).update(draws)  # echo what runs
         draws["mode"] = draws["mode"].replace("-", "_")
     rep = dose_response_estimate(
-        trial, adjustment=args.adjustment, alpha=args.alpha, test=args.test,
-        correction=args.continuity_correction, **draws,
+        trial, adjustment=args.adjustment, alpha=args.alpha, test=args.test, **draws,
     )
     return _write_report(args, [rep])
 
@@ -421,8 +412,10 @@ def _cmd_sweep(args) -> int:
         else None
     )
     rows = replicate_ascertainment_sweep(scenario, args.n_configs, estimators)
-    _print_metrics(rows[: 4 * min(args.n_configs, 3)])
-    if len(rows) > 12:
+    per_config = len(rows) // args.n_configs if rows else 0
+    shown = rows[: 3 * per_config]  # the first three configurations
+    _print_metrics(shown)
+    if len(rows) > len(shown):
         print(f"... ({len(rows)} rows total)")
     if args.out:
         write_metrics_csv(rows, args.out)

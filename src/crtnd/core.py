@@ -269,15 +269,14 @@ class Trial:
     __hash__ = None
 
 
-def log_contrasts(trial: Trial, correction: bool = False) -> np.ndarray:
+def log_contrasts(trial: Trial) -> np.ndarray:
     """Per-cluster ``log(y) - log(z)``, each term in :func:`math.log`.
 
-    With ``correction`` enabled, 0.5 is added to both counts; otherwise a
-    zero count raises :class:`ZeroCount` for the first cluster with one.
-    The correction changes the estimand slightly, so it is opt-in.
+    A zero count raises :class:`ZeroCount` for the first cluster with
+    one.  The continuity correction is a change to the counts, made
+    once when the trial is built: ``dataclasses.replace(trial, y=trial.y
+    + 0.5, z=trial.z + 0.5)``.
     """
-    if correction:
-        return _log_ratio(trial.y + 0.5, trial.z + 0.5)
     try:
         return _log_ratio(trial.y, trial.z)
     except ValueError:  # log(0): counts are nonnegative
@@ -369,10 +368,9 @@ class Panel:
         tgrid = np.arange(1, self.n_periods + 1)
         return tgrid[None, :] >= np.asarray(self.start_periods)[:, None]
 
-    def log_contrast_matrix(self, correction: bool = False) -> np.ndarray:
-        """(m, T) matrix of per-cell log-contrasts."""
-        if correction:
-            return np.log(self.y + 0.5) - np.log(self.z + 0.5)
+    def log_contrast_matrix(self) -> np.ndarray:
+        """(m, T) matrix of per-cell log-contrasts; :class:`ZeroCount`
+        names the first cell with a zero count."""
         for arr, which in ((self.y, "test-positive"), (self.z, "test-negative")):
             if np.any(arr <= 0):
                 i, t = np.argwhere(arr <= 0)[0]

@@ -21,7 +21,8 @@ class ZeroCount(CrtndError):
         self.which = which
         super().__init__(
             f"cluster {cluster_id!r} has a zero {which} count; the log-contrast "
-            "is undefined (enable the continuity correction to proceed)"
+            "is undefined (pass --continuity-correction, or add 0.5 to every "
+            "count when building the dataset, to proceed)"
         )
 
 

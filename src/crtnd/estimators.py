@@ -375,12 +375,7 @@ def tpf_estimate(trial: Trial, *, alpha: float = 0.05) -> EstimateReport:
 # --------------------------------------------------------------------- #
 
 
-def log_contrast_estimate(
-    trial: Trial,
-    *,
-    alpha: float = 0.05,
-    correction: bool = False,
-) -> EstimateReport:
+def log_contrast_estimate(trial: Trial, *, alpha: float = 0.05) -> EstimateReport:
     """Arm-mean difference of log-contrasts with its unbiased variance.
 
     The estimate is ``mean(L | treated) - mean(L | control)``; the
@@ -388,7 +383,7 @@ def log_contrast_estimate(
     variances (denominator n_a - 1).  Each arm needs at least two
     clusters.
     """
-    lvals, m1 = log_contrasts(trial, correction), int(np.count_nonzero(trial.arm))
+    lvals, m1 = log_contrasts(trial), int(np.count_nonzero(trial.arm))
     _check_variance_arms(m1, trial.m - m1)
     l1, l0 = _arm_split(lvals[None], trial.arm[None])
     est, se = (float(v[0]) for v in _log_contrast_rows(l1, l0))
@@ -442,7 +437,6 @@ def covariate_adjusted_estimate(
     beta: Sequence[float] | None = None,
     *,
     alpha: float = 0.05,
-    correction: bool = False,
 ) -> tuple[EstimateReport, CovariateFit]:
     """Log-contrast estimate minus a linear covariate-imbalance correction.
 
@@ -458,7 +452,7 @@ def covariate_adjusted_estimate(
     p = x.shape[1]
     if p == 0:
         raise ValueError("covariate adjustment requires at least one covariate")
-    lvals = log_contrasts(trial, correction)
+    lvals = log_contrasts(trial)
     l1, l0 = lvals[arms], lvals[~arms]
     x1, x0 = x[arms], x[~arms]
     m1, m0 = l1.size, l0.size

@@ -56,9 +56,11 @@ __all__ = [
     "dose_response_pvalue",
 ]
 
-# Ties in permutation distributions are counted with a small relative
-# slack so floating-point noise cannot drop a true tie; extra ties only
-# make p-values larger (conservative).
+# Ties in permutation distributions are counted with a small slack,
+# _TIE_RTOL * max(|T_obs|, 1), so floating-point noise cannot drop a true
+# tie; extra ties only make p-values larger (conservative).  Every
+# statistic is a unit-free log or fraction contrast, so the floor of 1
+# keeps the observed assignment's own tie when T_obs is near 0.
 _TIE_RTOL = 1e-12
 
 
@@ -100,19 +102,14 @@ class PermutationResult:
         return asdict(self)
 
 
-def impute_null_outcomes(
-    trial: Trial,
-    null: NullSpec,
-    *,
-    correction: bool = False,
-) -> np.ndarray:
+def impute_null_outcomes(trial: Trial, null: NullSpec) -> np.ndarray:
     """Control log-contrasts implied by a sharp null (assignment-invariant).
 
     relative_risk: ``L - arm * log(lam0)``.  dose_response:
     ``L - beta0 * dose`` (raises :class:`MissingDose` when a cluster
     has no dose).
     """
-    lvals = log_contrasts(trial, correction)
+    lvals = log_contrasts(trial)
     if null.kind == "relative_risk":
         return lvals - trial.arm * math.log(null.value)
     return lvals - null.value * trial.require_dose()
@@ -196,7 +193,7 @@ def _adjusted_diff_rows_loop(values, x, arm_matrix, m1):
 
 
 def _tail_counts(draws: np.ndarray, observed: float) -> tuple[int, int, int]:
-    slack = _TIE_RTOL * abs(observed)
+    slack = _TIE_RTOL * max(abs(observed), 1.0)
     bad = ~np.isfinite(draws)
     two = _two_sided_count(draws, observed)
     left = int(np.sum((draws <= observed + slack) | bad))
@@ -211,9 +208,10 @@ def _two_sided_count(draws: np.ndarray, observed):
     """
     if np.ndim(observed):
         level = np.abs(observed)[:, None]
-        hits = (np.abs(draws) >= level - _TIE_RTOL * level) | ~np.isfinite(draws)
+        slack = _TIE_RTOL * np.maximum(level, 1.0)
+        hits = (np.abs(draws) >= level - slack) | ~np.isfinite(draws)
         return np.count_nonzero(hits, axis=1)
-    slack = _TIE_RTOL * abs(observed)
+    slack = _TIE_RTOL * max(abs(observed), 1.0)
     return int(np.count_nonzero(
         (np.abs(draws) >= abs(observed) - slack) | ~np.isfinite(draws)
     ))
@@ -271,7 +269,7 @@ class _Statistic:
 
 
 def _statistic(trial: Trial, statistic: str, kind: str, adjustment: str,
-               correction: bool, stat: _DoseStat | None = None) -> _Statistic:
+               stat: _DoseStat | None = None) -> _Statistic:
     """The statistic of a ``kind`` null (``adjustment`` applies to dose
     nulls); ``stat`` is the dose working statistic if built.
 
@@ -306,10 +304,10 @@ def _statistic(trial: Trial, statistic: str, kind: str, adjustment: str,
         raise StatisticUndefined("the covariate-adjusted statistic requires covariates")
     arms = trial.arm
     if kind == "dose_response":
-        stat = stat or _dose_stat(trial, "covariates" if adjusted else "none", correction)
+        stat = stat or _dose_stat(trial, "covariates" if adjusted else "none")
         lvals, shift = stat.lvals, stat.doses
     else:
-        lvals, shift = log_contrasts(trial, correction), arms.astype(float)
+        lvals, shift = log_contrasts(trial), arms.astype(float)
     if adjusted:
         rows = lambda block: _adjusted_diff_rows(trial.x, block, m1, lvals, shift)
         observe = lambda: [float(v[0]) for v in rows(arms[None, :])]
@@ -328,7 +326,6 @@ def permutation_test(
     mode: str = "auto",
     n_draws: int = 9999,
     seed: int = 0,
-    correction: bool = False,
 ) -> PermutationResult:
     """Randomization test of a sharp null.
 
@@ -350,7 +347,7 @@ def permutation_test(
     """
     theta = math.log(null.value) if null.kind == "relative_risk" else null.value
     return _permutation_result(
-        _statistic(trial, statistic, null.kind, null.adjustment, correction), theta,
+        _statistic(trial, statistic, null.kind, null.adjustment), theta,
         randomize(trial.scheme, mode, n_draws, (seed, 0xBE)),
         seed=seed, statistic=statistic,
     )
@@ -405,7 +402,6 @@ def normal_test(
     method: str = "log_contrast",
     *,
     alpha: float = 0.05,
-    correction: bool = False,
 ) -> EstimateReport:
     """z-test of a sharp null based on an estimator and its SE.
 
@@ -418,11 +414,9 @@ def normal_test(
     """
     if null.kind == "relative_risk":
         if method == "log_contrast":
-            report = log_contrast_estimate(trial, alpha=alpha, correction=correction)
+            report = log_contrast_estimate(trial, alpha=alpha)
         elif method == "covariate_adjusted":
-            report, _ = covariate_adjusted_estimate(
-                trial, alpha=alpha, correction=correction
-            )
+            report, _ = covariate_adjusted_estimate(trial, alpha=alpha)
         else:
             raise ValueError(
                 f"method {method!r} does not support relative-risk normal tests"
@@ -435,9 +429,7 @@ def normal_test(
         return report
     if method != "dose_response":
         raise ValueError(f"method {method!r} does not support dose-response nulls")
-    return _dose_normal_report(
-        trial, null.value, null.adjustment, alpha=alpha, correction=correction
-    )
+    return _dose_normal_report(trial, null.value, null.adjustment, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -466,7 +458,7 @@ class _DoseStat:
 
 
 def _dose_stat(
-    trial: Trial, adjustment: str, correction: bool, lvals: np.ndarray | None = None
+    trial: Trial, adjustment: str, lvals: np.ndarray | None = None
 ) -> _DoseStat:
     """The working statistic of dose nulls on ``trial``; ``lvals`` are its
     log-contrasts when the caller has them.
@@ -475,7 +467,7 @@ def _dose_stat(
     or as :func:`covariate_adjusted_estimate` does (covariates).
     """
     if lvals is None:
-        lvals = log_contrasts(trial, correction)
+        lvals = log_contrasts(trial)
     doses = trial.require_dose()
     arms = trial.arm
     x = trial.x if adjustment == "covariates" else None
@@ -542,22 +534,14 @@ def _fieller_ci(stat: _DoseStat, alpha: float) -> tuple[float, float]:
     return lo, hi
 
 
-def dose_response_pvalue(
-    trial: Trial,
-    beta0: float,
-    *,
-    adjustment: str = "none",
-    correction: bool = False,
-) -> float:
+def dose_response_pvalue(trial: Trial, beta0: float, *, adjustment: str = "none") -> float:
     """Normal-approximation p-value for the sharp null beta = beta0."""
-    p, _ = _two_sided_p(*_dose_stat(trial, adjustment, correction).at(beta0))
+    p, _ = _two_sided_p(*_dose_stat(trial, adjustment).at(beta0))
     return p
 
 
-def _dose_normal_report(
-    trial, beta0, adjustment, *, alpha, correction
-) -> EstimateReport:
-    stat = _dose_stat(trial, adjustment, correction)
+def _dose_normal_report(trial, beta0, adjustment, *, alpha) -> EstimateReport:
+    stat = _dose_stat(trial, adjustment)
     est, se, scale = stat.at(beta0)
     p, flags = _two_sided_p(est, se, scale)
     diagnostics = {
@@ -610,7 +594,6 @@ def _pvalue_function(
     mode: str,
     n_draws: int,
     seed: int,
-    correction: bool,
     stat: _DoseStat | None = None,
 ) -> tuple[Callable[[float], float], str]:
     """Permutation p(theta0) on the search scale: log(lam0), or beta0
@@ -628,7 +611,7 @@ def _pvalue_function(
     else:
         raise ValueError(f"unknown method {method!r}")
     rz = randomize(trial.scheme, mode, n_draws, (seed, 0xC1))
-    return _statistic(trial, statistic, kind, adjustment, correction, stat).pvalues(rz), kind
+    return _statistic(trial, statistic, kind, adjustment, stat).pvalues(rz), kind
 
 
 @dataclass(frozen=True)
@@ -713,7 +696,6 @@ def invert_ci(
     mode: str = "auto",
     n_draws: int = 2000,
     seed: int = 0,
-    correction: bool = False,
 ) -> tuple[float, float, dict]:
     """Confidence interval as the set of nulls not rejected at level alpha.
 
@@ -733,34 +715,29 @@ def invert_ci(
     """
     return _invert_ci(
         trial, method, None, alpha=alpha, test=test, adjustment=adjustment,
-        mode=mode, n_draws=n_draws, seed=seed, correction=correction,
+        mode=mode, n_draws=n_draws, seed=seed,
     )
 
 
-def _invert_ci(
-    trial, method, stat, *, alpha, test, adjustment, mode, n_draws, seed, correction
-):
+def _invert_ci(trial, method, stat, *, alpha, test, adjustment, mode, n_draws, seed):
     """:func:`invert_ci`, with the dose working statistic ``stat`` if built."""
     if test == "normal":
         diagnostics = {"method": method, "test": test, "alpha": alpha}
         if method == "dose_response":
-            stat = stat or _dose_stat(trial, adjustment, correction)
+            stat = stat or _dose_stat(trial, adjustment)
             return (*_fieller_ci(stat, alpha), diagnostics)
-        report = normal_test(
-            trial, NullSpec("relative_risk", 1.0), method,
-            alpha=alpha, correction=correction,
-        )
+        report = normal_test(trial, NullSpec("relative_risk", 1.0), method, alpha=alpha)
         return report.ci_low, report.ci_high, diagnostics
     if test != "permutation":
         raise ValueError(f"unknown test {test!r}")
     pfun, kind = _pvalue_function(
         trial, method, adjustment=adjustment, mode=mode, n_draws=n_draws,
-        seed=seed, correction=correction, stat=stat,
+        seed=seed, stat=stat,
     )
     if isinstance(pfun, _PCurve):
         theta_lo, theta_hi, scan = pfun.interval(alpha)
     else:  # scan the TPF estimate +- 10 log-contrast SEs
-        base = log_contrast_estimate(trial, correction=correction)
+        base = log_contrast_estimate(trial)
         center = tpf_estimate(trial).log_estimate if method == "tpf" else base.log_estimate
         theta_lo, theta_hi, scan = _invert_scan(
             pfun, center, 10.0 * max(base.se_log, 1e-6), alpha, n_scan=401, tol=1e-6
@@ -846,7 +823,6 @@ def dose_response_estimate(
     mode: str = "auto",
     n_draws: int = 2000,
     seed: int = 0,
-    correction: bool = False,
 ) -> EstimateReport:
     """Dose coefficient: the instrumental-variable ratio D / A.
 
@@ -866,7 +842,7 @@ def dose_response_estimate(
         raise ConstantDose("all clusters share one dose value")
     if adjustment == "auto":
         adjustment = "covariates" if trial.x.shape[1] > 0 else "none"
-    lvals = log_contrasts(trial, correction)
+    lvals = log_contrasts(trial)
 
     # An exact linear relation L = a + b * dose makes the working outcome
     # degenerate at beta0 = b; report it directly.
@@ -893,10 +869,10 @@ def dose_response_estimate(
             },
         )
 
-    stat = _dose_stat(trial, adjustment, correction, lvals)
+    stat = _dose_stat(trial, adjustment, lvals)
     ci_low, ci_high, inv_diag = _invert_ci(
         trial, "dose_response", stat, alpha=alpha, test=test, adjustment=adjustment,
-        mode=mode, n_draws=n_draws, seed=seed, correction=correction,
+        mode=mode, n_draws=n_draws, seed=seed,
     )
     beta_hat = stat.num / stat.den
     return EstimateReport(

@@ -258,12 +258,7 @@ def _null_sigma(
     return scale * s_full, s_full
 
 
-def sw_covariance_estimate(
-    panel: Panel,
-    *,
-    convention: str = "canonical",
-    correction: bool = False,
-) -> SWCovariance:
+def sw_covariance_estimate(panel: Panel, *, convention: str = "canonical") -> SWCovariance:
     """Plug-in covariance of the per-period differences from observed data.
 
     Diagonal entries use the per-period per-arm variance construction
@@ -275,7 +270,7 @@ def sw_covariance_estimate(
     scheme, periods = panel.scheme, panel.analysis_periods
     _warn_dropped(periods, panel.n_periods)
     _check_arms(scheme, periods)
-    lmat, start = panel.log_contrast_matrix(correction), np.asarray(panel.start_periods)
+    lmat, start = panel.log_contrast_matrix(), np.asarray(panel.start_periods)
     scale = _scale_matrix(scheme, periods, convention)
     sigma_s = _plugin_sigma(lmat, start, periods, scheme, scale)
     return _covariance(sigma_s, scheme, periods, "estimated", convention)
@@ -299,11 +294,7 @@ def sw_oracle_covariance(
 
 
 def sw_null_covariance(
-    panel: Panel,
-    lam0: float,
-    *,
-    convention: str = "canonical",
-    correction: bool = False,
+    panel: Panel, lam0: float, *, convention: str = "canonical"
 ) -> SWCovariance:
     """Exact covariance under a sharp null: impute L(0), then use all clusters.
 
@@ -314,7 +305,7 @@ def sw_null_covariance(
         raise ValueError(f"lam0 must be > 0, got {lam0}")
     scheme, periods = panel.scheme, panel.analysis_periods
     _warn_dropped(periods, panel.n_periods)
-    l0 = panel.log_contrast_matrix(correction) - math.log(lam0) * panel.treated
+    l0 = panel.log_contrast_matrix() - math.log(lam0) * panel.treated
     sigma_s = _null_sigma(l0, periods, _scale_matrix(scheme, periods, convention))
     return _covariance(sigma_s, scheme, periods, "null_exact", convention)
 
@@ -412,7 +403,6 @@ def sw_log_contrast(
     estimate_covariance: bool = True,
     convention: str = "canonical",
     alpha: float = 0.05,
-    correction: bool = False,
 ) -> EstimateReport:
     """Weighted per-period log-contrast difference for a stepped wedge.
 
@@ -426,14 +416,12 @@ def sw_log_contrast(
     periods = panel.analysis_periods
     _warn_dropped(periods, panel.n_periods)
     diffs = _period_differences(
-        panel.log_contrast_matrix(correction), np.asarray(panel.start_periods), periods
+        panel.log_contrast_matrix(), np.asarray(panel.start_periods), periods
     )
 
     cov = covariance
     if cov is None and (estimate_covariance or weights == "optimal"):
-        cov = sw_covariance_estimate(
-            panel, convention=convention, correction=correction
-        )
+        cov = sw_covariance_estimate(panel, convention=convention)
     if cov is not None and cov.periods != periods:
         raise ValueError(
             f"covariance is for periods {cov.periods}, panel analysis periods "
@@ -520,7 +508,7 @@ def _null_weights(
     return w
 
 
-def _sw_statistic(panel: Panel, weights, correction: bool, convention: str) -> _Statistic:
+def _sw_statistic(panel: Panel, weights, convention: str) -> _Statistic:
     """The weighted statistic of the null lam = e^theta.
 
     Under the null the control log-contrasts are ``L - theta * treated``,
@@ -531,7 +519,7 @@ def _sw_statistic(panel: Panel, weights, correction: bool, convention: str) -> _
     covariance at theta.
     """
     scheme, periods = panel.scheme, panel.analysis_periods
-    lmat = panel.log_contrast_matrix(correction)
+    lmat = panel.log_contrast_matrix()
     treated = panel.treated.astype(float)
     scale = _scale_matrix(scheme, periods, convention)
 
@@ -553,7 +541,6 @@ def sw_permutation_test(
     mode: str = "auto",
     n_draws: int = 9999,
     seed: int = 0,
-    correction: bool = False,
     convention: str = "canonical",
 ) -> PermutationResult:
     """Randomization test of lam = lam0 using the weighted SW statistic.
@@ -567,7 +554,7 @@ def sw_permutation_test(
         raise ValueError(f"lam0 must be > 0, got {lam0}")
     _warn_dropped(panel.analysis_periods, panel.n_periods)
     return _permutation_result(
-        _sw_statistic(panel, weights, correction, convention), math.log(lam0),
+        _sw_statistic(panel, weights, convention), math.log(lam0),
         randomize(panel.scheme, mode, n_draws, (seed, 0x5E)),
         seed=seed, statistic="sw_log_contrast",
     )
@@ -580,7 +567,6 @@ def _sw_pvalue_function(
     mode: str,
     n_draws: int,
     seed: int,
-    correction: bool,
     convention: str,
 ) -> Callable[[float], float]:
     """theta -> two-sided p of :func:`sw_permutation_test` at lam0 = e^theta.
@@ -590,7 +576,7 @@ def _sw_pvalue_function(
     weights and counts.
     """
     rz = randomize(panel.scheme, mode, n_draws, (seed, 0x5E))
-    return _sw_statistic(panel, weights, correction, convention).pvalues(rz)
+    return _sw_statistic(panel, weights, convention).pvalues(rz)
 
 
 def sw_invert_ci(
@@ -601,7 +587,6 @@ def sw_invert_ci(
     mode: str = "auto",
     n_draws: int = 9999,
     seed: int = 0,
-    correction: bool = False,
     convention: str = "canonical",
 ) -> tuple[float, float, dict]:
     """lam-scale CI from inverting :func:`sw_permutation_test`, and the
@@ -616,13 +601,11 @@ def sw_invert_ci(
     re-randomized statistic is evaluated
     once per assignment for the whole scan, not once per scanned value.
     """
-    base = sw_log_contrast(panel, weights, alpha=alpha, convention=convention,
-                           correction=correction)
+    base = sw_log_contrast(panel, weights, alpha=alpha, convention=convention)
     center = base.log_estimate
     half = 10.0 * max(base.se_log or 0.1, 1e-6)
     pfun = _sw_pvalue_function(
-        panel, weights, mode=mode, n_draws=n_draws, seed=seed,
-        correction=correction, convention=convention,
+        panel, weights, mode=mode, n_draws=n_draws, seed=seed, convention=convention
     )
     lo, hi, scan = _invert_scan(pfun, center, half, alpha, n_scan=81, tol=1e-4)
     diagnostics = {"method": "sw_log_contrast", "test": "permutation", "alpha": alpha}

@@ -26,10 +26,10 @@ from crtnd.core import randomize
 from crtnd.errors import DimensionMismatch, IncompletePanel, SupportTooLarge, ZeroCount
 
 
-def log_contrast(record, correction=False):
+def log_contrast(record):
     """``record``'s log-contrast, from a trial with one other cluster."""
     other = ClusterRecord(record.cluster_id + "-other", 1 - record.arm, 1.0, 1.0)
-    return log_contrasts(Trial.from_records([record, other]), correction)[0]
+    return log_contrasts(Trial.from_records([record, other]))[0]
 
 
 class TestLogContrast:
@@ -44,10 +44,6 @@ class TestLogContrast:
         with pytest.raises(ZeroCount) as exc:
             log_contrast(ClusterRecord("a", 0, 0, 10))
         assert "a" in str(exc.value)
-
-    def test_continuity_correction(self):
-        val = log_contrast(ClusterRecord("a", 0, 0, 10), correction=True)
-        assert val == pytest.approx(math.log(0.5) - math.log(10.5))
 
 
 class TestRecords:
@@ -294,10 +290,10 @@ class TestStreams:
         permutation_test(recs, NullSpec("relative_risk", 1.0), mode="monte_carlo",
                          n_draws=60, seed=7)
         _pvalue_function(recs, "log_contrast", adjustment="none",
-                         mode="monte_carlo", n_draws=60, seed=7, correction=False)
+                         mode="monte_carlo", n_draws=60, seed=7)
         sw_permutation_test(self.panel(), 1.0, mode="monte_carlo", n_draws=60, seed=7)
         _sw_pvalue_function(self.panel(), "equal", mode="monte_carlo", n_draws=60,
-                            seed=7, correction=False, convention="canonical")
+                            seed=7, convention="canonical")
         # C(18, 9) = 48620 relabelings: above the SE's enumeration limit
         report = odds_ratio_estimate(recs, se_draws=60, seed=7)
         assert report.diagnostics["se_source"] == "permutation-mc(60)"

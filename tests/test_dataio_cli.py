@@ -1,4 +1,6 @@
 import csv
+import inspect
+import io
 import json
 import math
 import subprocess
@@ -344,6 +346,19 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("estimators, n_configs, shown", [
+        ("log_contrast", 5, 3), ("log_contrast,tpf", 2, 4), ("log_contrast,tpf", 4, 6),
+    ])
+    def test_sweep_prints_the_first_three_configurations(self, capsys, estimators,
+                                                         n_configs, shown):
+        assert main(["sweep", "--estimators", estimators, "--n-configs", str(n_configs),
+                     "--n-replicates", "20"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = tuple(estimators.split(","))
+        assert sum(line.startswith(names) for line in lines) == shown
+        total = len(names) * n_configs
+        assert (lines[-1] == f"... ({total} rows total)") == (total > shown)
+
     def test_analyze_covariate_adjusted_needs_covariates(self, tmp_path, capsys):
         text = "\n".join(
             ",".join(line.split(",")[:4]) for line in PARALLEL_CSV.splitlines()
@@ -679,3 +694,77 @@ class TestDoseResponseOptions:
                      "--out", str(out)] + extra) == 0
         config = json.loads(out.read_text())["config"]
         assert (config["mode"], config["n_draws"], config["seed"]) == echo
+
+
+def corrected_by_hand(text):
+    """``text``, a dataset CSV, with 0.5 added to every count."""
+    rows = list(csv.reader(io.StringIO(text)))
+    counts = [rows[0].index("y_count"), rows[0].index("z_count")]
+    for row in rows[1:]:
+        for c in counts:
+            row[c] = repr(float(row[c]) + 0.5)
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+class TestContinuityCorrection:
+    """``--continuity-correction`` adds 0.5 to every count as the data are
+    loaded; the library itself takes no correction option."""
+
+    CASES = [
+        ("analyze", ["--ci-method", "invert-permutation", "--mode", "exact"]),
+        ("analyze-sw", ["--ci-method", "invert-permutation", "--mode", "exact"]),
+        ("analyze-sw", ["--weights", "optimal"]),
+        ("dose-response", []),
+        ("dose-response", ["--test", "permutation", "--mode", "exact"]),
+    ]
+
+    @staticmethod
+    def zero_count_csv(tmp_path, command):
+        """A dataset for ``command`` with one zero count."""
+        if command != "analyze-sw":
+            return PARALLEL_CSV.replace("c05,0,45,160", "c05,0,0,160")
+        lines = make_sw_csv(tmp_path).read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[4] = "0"  # a test-negative count
+        lines[3] = ",".join(cells)
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("command, options", CASES)
+    def test_flag_equals_counts_corrected_by_hand(self, tmp_path, command, options):
+        text = self.zero_count_csv(tmp_path, command)
+        runs = {"flag": (text, ["--continuity-correction"]),
+                "by_hand": (corrected_by_hand(text), [])}
+        results = {}
+        for name, (data, flag) in runs.items():
+            out = tmp_path / f"{name}.json"
+            argv = [command, "--input", str(write(tmp_path, f"{name}.csv", data)),
+                    "--alpha", "0.25", "--out", str(out)]
+            assert main(argv + options + flag) == 0
+            results[name] = json.loads(out.read_text())["results"]
+        if command == "analyze":  # the count estimators see the corrected counts too
+            methods = [r["method"] for r in results["flag"]]
+            assert methods == ["odds_ratio", "tpf", "log_contrast", "covariate_adjusted"]
+        assert results["flag"] == results["by_hand"]
+
+    @pytest.mark.parametrize("command", ["analyze", "analyze-sw", "dose-response"])
+    def test_zero_count_without_the_flag_exits_3(self, tmp_path, capsys, command):
+        data = write(tmp_path, "zero.csv", self.zero_count_csv(tmp_path, command))
+        assert main([command, "--input", str(data)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ZeroCount"
+        assert "--continuity-correction" in err["message"]
+
+    def test_no_library_callable_takes_a_correction(self):
+        import crtnd
+
+        callables = []
+        for name in crtnd.__all__:
+            obj = getattr(crtnd, name)
+            if inspect.isclass(obj):
+                callables += [getattr(obj, k) for k in vars(obj) if not k.startswith("_")]
+            callables.append(obj)
+        taking = [
+            f.__qualname__ for f in callables
+            if callable(f) and "correction" in inspect.signature(f).parameters
+        ]
+        assert len(callables) > len(crtnd.__all__) and taking == []

@@ -305,7 +305,7 @@ class TestDoseResponse:
 
         recs = trial_records(5, 16, 8, covariates=covariates)
         adjustment = "covariates" if covariates else "none"
-        stat = _dose_stat(recs, adjustment, False)
+        stat = _dose_stat(recs, adjustment)
         doses = recs.dose
         assert stat.den == pytest.approx(
             adjusted_difference(doses, recs, adjustment), rel=1e-12
@@ -633,7 +633,7 @@ class TestSweptInterval:
         recs = self.DESIGNS[design]()
         p, roots = self.brute_force(recs, method, adjustment)
         pfun, kind = _pvalue_function(recs, method, adjustment=adjustment,
-                                      mode="exact", n_draws=0, seed=0, correction=False)
+                                      mode="exact", n_draws=0, seed=0)
         # the curve is constant between roots: equal to brute force there
         mids = np.concatenate([[roots[0] - 1.0], (roots[:-1] + roots[1:]) / 2,
                                [roots[-1] + 1.0]])
@@ -664,7 +664,7 @@ class TestSweptInterval:
 
         recs = make_records([0.9, 0.8, 0.1, 0.0, 0.85, 0.05], [1, 1, 0, 0, 1, 0])
         pfun, _ = _pvalue_function(recs, "log_contrast", adjustment="none",
-                                   mode="exact", n_draws=0, seed=0, correction=False)
+                                   mode="exact", n_draws=0, seed=0)
         assert pfun(-1e9) > 0.05 and pfun(1e9) > 0.05
         with pytest.raises(NoNonRejectedPoint, match="unbounded"):
             pfun.interval(0.05)
@@ -704,21 +704,12 @@ class TestSplitPValueFunction:
 
     @pytest.mark.parametrize("design", list(TestSweptInterval.DESIGNS))
     @pytest.mark.parametrize("method,adjustment,statistic", CASES)
-    def test_exact_curve_is_the_test(self, method, adjustment, statistic, design, request):
+    def test_exact_curve_is_the_test(self, method, adjustment, statistic, design):
         from crtnd.inference import _pvalue_function
 
-        if (adjustment, design) == ("covariates", "m=10, 3 treated"):
-            # The dose statistic's observed pair (least squares) and its
-            # enumerated twin (batched normal equations) differ by 1.3e-14
-            # here.  Near the estimate the test's slack, relative to
-            # |T_obs|, loses that tie at 16 of 239 midpoints; the sweep's,
-            # relative to max |D| and max |A|, keeps it.
-            request.applymarker(pytest.mark.xfail(
-                strict=True, reason="the observed assignment loses its own tie "
-                "to rounding; see the tie slack of _two_sided_count"))
         recs = TestSweptInterval.DESIGNS[design]()
         pfun, kind = _pvalue_function(recs, method, adjustment=adjustment, mode="exact",
-                                      n_draws=0, seed=0, correction=False)
+                                      n_draws=0, seed=0)
         for theta in self.midpoints(pfun.points):
             value = math.exp(theta) if kind == "relative_risk" else theta
             null = NullSpec(kind, value, adjustment)
@@ -731,9 +722,8 @@ class TestSplitPValueFunction:
         recs = tied_records()
         n_draws, seed = 300, 11
         pfun, kind = _pvalue_function(recs, method, adjustment=adjustment,
-                                      mode="monte_carlo", n_draws=n_draws, seed=seed,
-                                      correction=False)
-        stat = _statistic(recs, statistic, kind, adjustment, False)
+                                      mode="monte_carlo", n_draws=n_draws, seed=seed)
+        stat = _statistic(recs, statistic, kind, adjustment)
         rows = sample_assignments(ParallelScheme(8, 4), n_draws, derive_rng(seed, 0xC1))
         parts = stat.rows(rows.astype(float))
         pvals = []
@@ -752,7 +742,7 @@ class TestSplitPValueFunction:
         recs = tied_records()
         pfun, _ = _pvalue_function(
             recs, "log_contrast", adjustment="none", mode="exact",
-            n_draws=0, seed=0, correction=False,
+            n_draws=0, seed=0,
         )
         assert pfun(log_contrast_estimate(recs).log_estimate) == 1.0
         assert pfun.p.max() == 1.0
@@ -784,14 +774,13 @@ class TestExactPValuesSuperUniform:
     design: at most alpha of all assignments give a two-sided p <= alpha,
     at every attained level alpha up to 1/2.
 
-    Above that a known defect shows: the observed statistic and its
-    enumerated twin are computed by different arithmetic (a one-row
-    product, or the estimator's own sums, against a row of a block
-    product), and where they round differently and |T| is the smallest
-    of the support, that assignment loses its own tie (the slack is
-    relative to |T|) and gets p = (N - 1) / N instead of 1.  About 2 % of
-    small wedges and 1 in 400 small parallel designs (TPF) show it; the
-    examples below pin it.
+    The observed statistic and its enumerated twin are computed by
+    different arithmetic (a one-row product, or the estimator's own
+    sums, against a row of a block product).  Where they round
+    differently and |T| is the smallest of the support, the tie slack's
+    floor (``_TIE_RTOL * max(|T|, 1)``) keeps that assignment's own tie,
+    so p is 1 there and not (N - 1) / N; the examples of
+    :meth:`test_every_level` pin it at every level.
     """
 
     @staticmethod
@@ -857,13 +846,11 @@ class TestExactPValuesSuperUniform:
     def test_equal_weight_wedge(self, q, seed):
         self.check(*self.wedge_pvalues(q, seed))
 
-    @pytest.mark.xfail(strict=True, reason="the smallest |T| loses its own tie "
-                       "to rounding; see the tie slack of _two_sided_count")
     @pytest.mark.parametrize("case", ["wedge", "tpf"])
     def test_every_level(self, case):
-        if case == "wedge":  # smallest |T| 5.1e-7, p 2519/2520 there
+        if case == "wedge":  # smallest |T| 5.1e-7, p 2519/2520 there without the floor
             self.check(*self.wedge_pvalues((2, 2, 2, 2), 1), top=1.0)
-        else:  # smallest |T| 1.0e-4, p 55/56 there
+        else:  # smallest |T| 1.0e-4, p 55/56 there without the floor
             self.check(*self.parallel_pvalues(8, 3, 3968369314, "tpf"), top=1.0)
 
 

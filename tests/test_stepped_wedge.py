@@ -355,8 +355,7 @@ class TestSWInvertCI:
         from crtnd.stepped_wedge import _sw_pvalue_function
 
         panel = tied_panel()
-        options = dict(mode=mode, n_draws=250, seed=9, correction=False,
-                       convention="canonical")
+        options = dict(mode=mode, n_draws=250, seed=9, convention="canonical")
         pfun = _sw_pvalue_function(panel, weights, **options)
         est = sw_log_contrast(panel, weights)
         pvals = []

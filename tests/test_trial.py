@@ -135,10 +135,6 @@ class TestLogContrasts:
             log_contrasts(trial(y=y, z=z))
         assert "'b'" in str(exc.value) and which in str(exc.value)
 
-    def test_correction_admits_zeros(self):
-        out = log_contrasts(trial(y=[0.0, 20.0, 30.0]), correction=True)
-        assert out[0] == math.log(0.5) - math.log(40.5)
-
 
 def test_only_core_and_dataio_name_cluster_record():
     # records are the I/O boundary; the package re-exports the type
