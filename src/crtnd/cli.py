@@ -42,7 +42,7 @@ from .inference import (
     permutation_test,
 )
 from .scenarios import default_parallel_scenario, default_sw_scenario
-from .simulation import evaluate, relabeling_plan, replicate_ascertainment_sweep
+from .simulation import evaluate, generation_plan, relabeling_plan, replicate_ascertainment_sweep
 from .stepped_wedge import sw_invert_ci, sw_log_contrast, sw_permutation_test
 
 DEFAULT_ESTIMATORS = ("odds_ratio", "tpf", "log_contrast", "covariate_adjusted")
@@ -386,6 +386,7 @@ def _cmd_simulate(args, sw: bool) -> int:
                 "results": [row.to_dict() for row in rows],
                 "dropped_replicates": {row.estimator: row.dropped for row in rows},
                 "timings_s": timings,
+                "generation": generation_plan(),
                 "permutation_column": None if args.no_permutation_por
                 else relabeling_plan(scenario, args.perm_draws),
             },

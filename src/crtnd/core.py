@@ -553,9 +553,9 @@ def sample_assignments(
 def derive_rng(seed: int, *stream: int) -> np.random.Generator:
     """Counter-derived generator: one (seed, stream...) pair, one stream.
 
-    Replicate k of a run seeded with s always sees the same stream no
-    matter how many replicates run before it or in what order, so
-    parallel execution cannot change results.
+    A stream depends on its key alone: chunk g of a simulation seeded
+    with s, ``(s, 4, g)``, is the same however many chunks run before it
+    and in whatever order, so parallel execution cannot change results.
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(stream))
     return np.random.default_rng(ss)

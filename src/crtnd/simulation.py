@@ -13,15 +13,17 @@ staggered start-period assignment.
 
 Relative ascertainment is drawn once per study by default (a fixed
 latent characteristic of the clusters); a per-replicate policy is
-available for sensitivity runs.  Every replicate's randomness comes
-from a counter-derived stream, so outputs are byte-identical across
-runs and execution orders.
+available for sensitivity runs.  Replicates come in chunks of
+:data:`_CHUNK`, each drawn whole from one counter-derived stream
+``(seed, 4, rep // _CHUNK)``: a replicate's data do not depend on how
+many replicates run or in what order, so outputs are byte-identical
+across runs.
 
-:func:`evaluate` generates replicates one by one from their own streams
-and evaluates them in chunks of :data:`_CHUNK`: each estimator, its SE
-and the permutation column's tail counts run as a few array passes over
-the chunk's (replicates, clusters) and (replicates, draws) stacks.  The
-replicates of a chunk share one set of permutation relabelings.
+:func:`evaluate` evaluates the chunks as they are drawn: each
+estimator, its SE and the permutation column's tail counts run as a few
+array passes over the chunk's (replicates, clusters) and (replicates,
+draws) stacks.  The replicates of a chunk share one set of permutation
+relabelings.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import math
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
-from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -44,7 +45,7 @@ from .core import (
     _log_ratio,
     derive_rng,
     randomize,
-    sample_assignment,
+    sample_assignments,
 )
 from .errors import DegenerateReplicateLimit, NoAdmissibleRoot
 from .estimators import (
@@ -205,28 +206,35 @@ class MetricsRow:
 
 
 def _draw_counts(
-    rng: np.random.Generator, n: int, probs: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """Multinomial draw; zero cells are re-drawn per cluster up to 100 times."""
-    counts = rng.multinomial(n, probs).astype(float)
-    if counts.all():
-        return counts, False
-    attempts = 0
-    while np.any(counts == 0) and attempts < 100:
-        for idx in np.nonzero(counts == 0)[0]:
-            counts[idx] = rng.binomial(n, probs[idx])
-        attempts += 1
-    return counts, bool(np.any(counts == 0))
+    rng: np.random.Generator, cells: Sequence[tuple[int, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """A chunk's (_CHUNK, m, cells) counts, cell k of each replicate a
+    ``multinomial(n_k, p_k)`` draw, and which replicates are degenerate.
+
+    Zero cells are re-drawn from their binomial margins, all of the
+    chunk's at once, up to 100 times each; a replicate with a cell still
+    at zero is degenerate.
+    """
+    counts = np.stack([rng.multinomial(n, p, size=_CHUNK) for n, p in cells], axis=-1)
+    counts = counts.astype(float)
+    n = np.broadcast_to([n for n, _ in cells], counts.shape)
+    p = np.broadcast_to(np.stack([p for _, p in cells], axis=-1), counts.shape)
+    zero = counts == 0
+    for _ in range(100):
+        if not zero.any():
+            break
+        counts[zero] = rng.binomial(n[zero], p[zero])
+        zero = counts == 0
+    return counts, zero.any(axis=(1, 2))
 
 
-def _ascertainment(scenario: SimScenario, rng: np.random.Generator) -> np.ndarray:
+def _ascertainment(scenario: SimScenario, rng: np.random.Generator, *lead: int) -> np.ndarray:
+    """The relative ascertainments, (*lead, m) or (*lead, m, T)."""
     if scenario.ascertainment_values is not None:
         return np.asarray(scenario.ascertainment_values, dtype=float)
-    shape = (
-        (scenario.design.m, scenario.design.n_periods)
-        if scenario.is_stepped_wedge
-        else scenario.design.m
-    )
+    shape = (*lead, scenario.design.m)
+    if scenario.is_stepped_wedge:
+        shape += (scenario.design.n_periods,)
     c = rng.beta(scenario.ascertainment_a, scenario.ascertainment_b, size=shape)
     return np.clip(c, 1e-12, None)
 
@@ -236,22 +244,43 @@ def study_ascertainment(scenario: SimScenario) -> np.ndarray:
     return _ascertainment(scenario, derive_rng(scenario.seed, 0))
 
 
-def _study_level(scenario: SimScenario) -> np.ndarray | None:
-    if scenario.draw_policy == "once_per_study":
-        return study_ascertainment(scenario)
-    return None
-
-
-def _check_degenerate_limit(scenario: SimScenario, degenerate: int, rep: int) -> None:
-    if degenerate > max(1, scenario.n_replicates // 100):
-        raise DegenerateReplicateLimit(
-            f"{degenerate} degenerate replicates out of {rep + 1}"
-        )
-
-
 def _covariates(scenario: SimScenario) -> np.ndarray | None:
     x = scenario.covariates
     return None if x is None else np.asarray(x, dtype=float).reshape(scenario.design.m, -1)
+
+
+def generation_plan() -> dict:
+    """How :func:`evaluate` draws the replicates, for a report."""
+    return {"replicates_per_stream": _CHUNK, "stream": f"(seed, 4, rep // {_CHUNK})"}
+
+
+def _chunked(scenario: SimScenario, draw) -> Iterator[tuple[np.ndarray, ...]]:
+    """The replicates of ``scenario`` in chunks of :data:`_CHUNK`, as
+    ``(reps, ok, assignments, y, z)``: the chunk's replicate indices, the
+    mask of its nondegenerate ones, and the arrays stacked over it.
+
+    Chunk ``g`` comes whole from the stream ``rng = derive_rng(seed, 4,
+    g)``: its ascertainments (under the per-replicate policy), then
+    ``draw(rng, c) -> (degenerate, assignments, y, z)``.  The last chunk
+    is cut to the replicates asked for, so replicate k's data do not
+    depend on ``n_replicates``.  More than 1 percent of degenerate
+    replicates raise :class:`DegenerateReplicateLimit`, at the replicate
+    that passes the limit.
+    """
+    per_study = scenario.draw_policy == "once_per_study"
+    c = study_ascertainment(scenario) if per_study else None
+    degenerate = 0
+    for first in range(0, scenario.n_replicates, _CHUNK):
+        rng = derive_rng(scenario.seed, 4, first // _CHUNK)
+        bad, *arrays = draw(rng, c if per_study else _ascertainment(scenario, rng, _CHUNK))
+        n = min(_CHUNK, scenario.n_replicates - first)
+        reps = np.arange(first, first + n)
+        for rep in reps[bad[:n]].tolist():
+            degenerate += 1
+            if degenerate > max(1, scenario.n_replicates // 100):
+                raise DegenerateReplicateLimit(
+                    f"{degenerate} degenerate replicates out of {rep + 1}")
+        yield reps, ~bad[:n], *(a[:n] for a in arrays)
 
 
 def simulate_parallel(scenario: SimScenario) -> Iterator[tuple[int, Trial | None]]:
@@ -263,62 +292,48 @@ def simulate_parallel(scenario: SimScenario) -> Iterator[tuple[int, Trial | None
     """
     ids = tuple(f"c{i + 1:02d}" for i in range(scenario.design.m))
     x = _covariates(scenario)
-    for rep, treated, y, z in _parallel_draws(scenario):
-        yield rep, None if treated is None else Trial(ids, treated, y, z, x)
+    for reps, ok, *arrays in _parallel_draws(scenario):
+        for rep, keep, treated, y, z in zip(reps.tolist(), ok, *arrays):
+            yield rep, Trial(ids, treated, y, z, x) if keep else None
 
 
-def _parallel_draws(
-    scenario: SimScenario,
-) -> Iterator[tuple[int, np.ndarray | None, np.ndarray | None, np.ndarray | None]]:
-    """Replicates of a parallel scenario as ``(rep, treated, y, z)`` arrays.
+def _parallel_draws(scenario: SimScenario) -> Iterator[tuple[np.ndarray, ...]]:
+    """Chunks of a parallel scenario (:func:`_chunked`), whose
+    assignments are the treated masks.
 
-    Treated clusters take ``lam * c * y0`` and ``c * z0``, as
-    :class:`PotentialTable` defines them.  A degenerate replicate (a
-    count stuck at zero after redraws) yields ``(rep, None, None,
-    None)``; more than 1 percent of them raise
-    :class:`DegenerateReplicateLimit`.
+    After its ascertainments, a chunk draws its test-positive and
+    test-negative multinomials and then its arm splits.  Treated
+    clusters take ``lam * c * y0`` and ``c * z0``, as
+    :class:`PotentialTable` defines them.
     """
     if scenario.is_stepped_wedge:
         raise ValueError("scenario has a stepped-wedge design")
-    scheme: ParallelScheme = scenario.design
-    by = np.asarray(scenario.baseline_y, dtype=float)
-    bz = np.asarray(scenario.baseline_z, dtype=float)
-    ny, nz = int(round(by.sum())), int(round(bz.sum()))
-    py, pz = by / by.sum(), bz / bz.sum()
+    by, bz = (np.asarray(b, dtype=float) for b in (scenario.baseline_y, scenario.baseline_z))
+    cells = [(int(round(b.sum())), b / b.sum()) for b in (by, bz)]
+    two_x = 1.0
     if scenario.covariate_coupling:
         two_x = 2.0 * np.asarray(scenario.covariates, dtype=float)
-    c_study = _study_level(scenario)
-    degenerate = 0
-    for rep in range(scenario.n_replicates):
-        rng = derive_rng(scenario.seed, 1, rep)
-        c = c_study if c_study is not None else _ascertainment(scenario, rng)
-        y0, bad_y = _draw_counts(rng, ny, py)
-        z0, bad_z = _draw_counts(rng, nz, pz)
-        if bad_y or bad_z:
-            degenerate += 1
-            _check_degenerate_limit(scenario, degenerate, rep)
-            yield rep, None, None, None
-            continue
-        if scenario.covariate_coupling:
-            y0 = y0 * two_x
-            z0 = z0 / two_x
-        treated = sample_assignment(scheme, rng) == 1
+
+    def draw(rng, c):
+        counts, bad = _draw_counts(rng, cells)
+        y0, z0 = counts[..., 0] * two_x, counts[..., 1] / two_x
+        treated = sample_assignments(scenario.design, _CHUNK, rng) == 1
         y = np.where(treated, scenario.lam * c * y0, y0)
-        yield rep, treated, y, np.where(treated, c * z0, z0)
+        return bad, treated, y, np.where(treated, c * z0, z0)
+
+    return _chunked(scenario, draw)
 
 
-def _wedge_draws(
-    scenario: SimScenario,
-) -> Iterator[tuple[int, np.ndarray | None, np.ndarray | None, np.ndarray | None]]:
-    """Replicates of a stepped-wedge scenario as ``(rep, start, y, z)`` arrays.
+def _wedge_draws(scenario: SimScenario) -> Iterator[tuple[np.ndarray, ...]]:
+    """Chunks of a stepped-wedge scenario (:func:`_chunked`), whose
+    assignments are the start periods.
 
     Per period, control counts come from multinomials over the period's
     baseline proportions; test-negative totals are the study total
     scaled by the period's share of test-positives.  Ascertainment is a
     full (m, T) draw, independent across cells.  Cell (i, t) is treated
     from ``start[i]`` on and then takes ``lam * c * y0`` and ``c * z0``,
-    as :class:`PeriodPotentialTable` defines them.  Degenerate
-    replicates yield ``(rep, None, None, None)``.
+    as :class:`PeriodPotentialTable` defines them.
     """
     if not scenario.is_stepped_wedge:
         raise ValueError("scenario has a parallel design")
@@ -328,38 +343,20 @@ def _wedge_draws(
     n_t_y = by.sum(axis=0)
     # test-negative totals follow the period share of test-positives
     n_t_z = np.maximum(1, np.round(bz.sum() * n_t_y / n_t_y[-1])).astype(int)
-    pz = bz / bz.sum()
-    cells = [
-        (int(round(n_t_y[t])), by[:, t] / n_t_y[t], int(n_t_z[t]))
-        for t in range(scheme.n_periods)
-    ]
-    tgrid = np.arange(1, scheme.n_periods + 1)
-    c_study = _study_level(scenario)
-    degenerate = 0
-    for rep in range(scenario.n_replicates):
-        rng = derive_rng(scenario.seed, 1, rep)
-        c = c_study if c_study is not None else _ascertainment(scenario, rng)
-        y0 = np.empty_like(by)
-        z0 = np.empty_like(by)
-        bad = False
-        for t, (ny, py, nz) in enumerate(cells):
-            yt, bad_y = _draw_counts(rng, ny, py)
-            zt, bad_z = _draw_counts(rng, nz, pz)
-            y0[:, t], z0[:, t] = yt, zt
-            bad = bad or bad_y or bad_z
-        if bad:
-            degenerate += 1
-            _check_degenerate_limit(scenario, degenerate, rep)
-            yield rep, None, None, None
-            continue
-        start = sample_assignment(scheme, rng)
-        treated = tgrid[None, :] >= start[:, None]
-        yield (
-            rep,
-            start,
-            np.where(treated, scenario.lam * c * y0, y0),
-            np.where(treated, c * z0, z0),
-        )
+    cells = [(int(round(n)), col / n) for n, col in zip(n_t_y, by.T)]
+    cells += [(int(n), bz / bz.sum()) for n in n_t_z]
+    n_periods = scheme.n_periods
+    tgrid = np.arange(1, n_periods + 1)
+
+    def draw(rng, c):
+        counts, bad = _draw_counts(rng, cells)
+        y0, z0 = counts[..., :n_periods], counts[..., n_periods:]
+        start = sample_assignments(scheme, _CHUNK, rng)
+        treated = tgrid >= start[:, :, None]
+        y = np.where(treated, scenario.lam * c * y0, y0)
+        return bad, start, y, np.where(treated, c * z0, z0)
+
+    return _chunked(scenario, draw)
 
 
 def simulate_stepped_wedge(
@@ -371,8 +368,9 @@ def simulate_stepped_wedge(
     ``None``.
     """
     ids = tuple(f"c{i + 1:02d}" for i in range(scenario.design.m))
-    for rep, start, y, z in _wedge_draws(scenario):
-        yield rep, None if start is None else Panel(ids, start, y, z)
+    for reps, ok, *arrays in _wedge_draws(scenario):
+        for rep, keep, start, y, z in zip(reps.tolist(), ok, *arrays):
+            yield rep, Panel(ids, start, y, z) if keep else None
 
 
 # --------------------------------------------------------------------- #
@@ -438,24 +436,22 @@ class _Stages:
         self._last = now
 
 
-def _chunks(draws: Iterator[tuple], tallies: dict[str, _Tally]) -> Iterator[tuple]:
-    """The draws ``(rep, *arrays)`` in chunks of :data:`_CHUNK`: the
-    replicate indices and each array stacked over the chunk's
-    nondegenerate replicates.  Degenerate ones (arrays None) are counted
-    in every tally."""
-    while chunk := list(islice(draws, _CHUNK)):
-        kept = [d for d in chunk if d[1] is not None]
-        if len(kept) < len(chunk):
+def _nondegenerate(chunks: Iterator[tuple], tallies: dict[str, _Tally]) -> Iterator[tuple]:
+    """The chunks ``(reps, ok, *arrays)`` of :func:`_chunked` as ``(g,
+    *arrays)``, cut to their nondegenerate replicates; degenerate ones
+    are counted in every tally."""
+    for reps, ok, *arrays in chunks:
+        if not ok.all():
             for t in tallies.values():
-                t.dropped["degenerate"] += len(chunk) - len(kept)
-        if kept:
-            yield [d[0] for d in kept], *(np.stack(a) for a in list(zip(*kept))[1:])
+                t.dropped["degenerate"] += int(np.count_nonzero(~ok))
+        if ok.any():
+            yield reps[0] // _CHUNK, *(a[ok] for a in arrays)
 
 
-def _relabeling_stream(scenario: SimScenario, reps: list[int]) -> tuple[int, ...]:
-    """The stream of a chunk's relabelings: the replicates with one
+def _relabeling_stream(scenario: SimScenario, g: int) -> tuple[int, ...]:
+    """The stream of chunk ``g``'s relabelings: the replicates with one
     ``g = rep // _CHUNK`` share one set, independent of their data."""
-    stream = (scenario.seed, 3, reps[0] // _CHUNK)
+    stream = (scenario.seed, 3, g)
     if scenario.is_stepped_wedge:  # the stepped-wedge test's own stream
         stream = (int(derive_rng(*stream).integers(2**31)), 0x5E)
     return stream
@@ -492,10 +488,10 @@ def evaluate(
     fewer than 2 clusters on one side of an analysis period, or arms
     too small for an estimator's variance, raise :class:`ArmTooSmall`.
 
-    Replicates are generated one at a time and evaluated in chunks of
-    :data:`_CHUNK`, on arrays; what the design fixes is computed once
-    per run.  Given a dict, ``timings`` receives the wall seconds of
-    each stage summed over the chunks: "generation", the shared
+    Replicates are generated and evaluated in chunks of :data:`_CHUNK`
+    (:func:`generation_plan`), on arrays; what the design fixes is
+    computed once per run.  Given a dict, ``timings`` receives the wall
+    seconds of each stage summed over the chunks: "generation", the shared
     "log_contrasts" (parallel) or "plugin_covariance" (stepped wedge),
     each estimator, and "permutation" (the permutation column).
     """
@@ -539,7 +535,7 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages
         or_rows = _odds_ratio_relabelings(scheme, perm_draws, scenario.seed).rows()
         stages.lap("odds_ratio")
 
-    for reps, arms, y, z in _chunks(_parallel_draws(scenario), tallies):
+    for g, arms, y, z in _nondegenerate(_parallel_draws(scenario), tallies):
         stages.lap("generation")
         values = {"y": y, "z": z}
         if "log_contrast" in names or "covariate_adjusted" in names:
@@ -555,7 +551,7 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages
         if relabeled:
             rows = or_rows
             if permutation_por:
-                rz = randomize(scheme, "monte_carlo", perm_draws, _relabeling_stream(scenario, reps))
+                rz = randomize(scheme, "monte_carlo", perm_draws, _relabeling_stream(scenario, g))
                 rows = rz.rows()
             sums = {key: np.stack([rows @ v for v in values[key]]) for key in relabeled}
             stages.lap("permutation" if permutation_por else "odds_ratio")
@@ -659,7 +655,7 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws, stages):
     scale = _scale_matrix(scheme, periods, "canonical")
     w_equal = np.asarray(equal_weights(periods).w)
 
-    for reps, start, y, z in _chunks(_wedge_draws(scenario), tallies):
+    for g, start, y, z in _nondegenerate(_wedge_draws(scenario), tallies):
         stages.lap("generation")
         lmat = np.log(y) - np.log(z)
         diffs = _period_differences(lmat, start, periods)
@@ -689,13 +685,12 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws, stages):
             weights = {name: np.broadcast_to(w_equal, diffs.shape) for name in names}
             if "sw_optimal" in names:
                 weights["sw_optimal"] = _null_weights(lmat, "optimal", periods, scale)
-            rz = randomize(scheme, "monte_carlo", perm_draws, _relabeling_stream(scenario, reps))
+            rz = randomize(scheme, "monte_carlo", perm_draws, _relabeling_stream(scenario, g))
             d_rows = _period_diff_rows(rz.rows(), periods, scheme, *lmat)
-            d_obs = [_period_diff_rows(s[None, :], periods, scheme, l)[0]
-                     for s, l in zip(start, lmat)]
             for name in names:
                 draws = np.stack([d @ w for d, w in zip(d_rows, weights[name])])
-                observed = np.array([(d @ w)[0] for d, w in zip(d_obs, weights[name])])
+                # the observed statistic weights the estimates' own diffs
+                observed = _row_dot(diffs, weights[name])
                 tallies[name].add_perm(rz.p(_two_sided_count(draws, observed)), alpha)
             stages.lap("permutation")
 

@@ -514,9 +514,9 @@ def _sw_statistic(panel: Panel, weights, convention: str) -> _Statistic:
     Under the null the control log-contrasts are ``L - theta * treated``,
     so each assignment's per-period differences split as ``D - theta *
     A``: the rows of :func:`_period_diff_rows` for L and for the treated
-    indicator.  Weights are held fixed across re-randomizations;
-    "optimal" weights are computed exactly from the null-imputed
-    covariance at theta.
+    indicator, and the observed :func:`_period_differences` and 1.
+    Weights are held fixed across re-randomizations; "optimal" weights
+    are computed exactly from the null-imputed covariance at theta.
     """
     scheme, periods = panel.scheme, panel.analysis_periods
     lmat = panel.log_contrast_matrix()
@@ -526,9 +526,10 @@ def _sw_statistic(panel: Panel, weights, convention: str) -> _Statistic:
     def rows(start_rows: np.ndarray) -> list[np.ndarray]:
         return _period_diff_rows(start_rows, periods, scheme, lmat, treated)
 
+    observed = _period_differences(lmat, np.asarray(panel.start_periods), periods)
     return _Statistic(
         rows,
-        tuple(r[0] for r in rows(np.asarray(panel.start_periods)[None, :])),
+        (observed, np.ones(len(periods))),
         lambda theta: _null_weights(lmat - theta * treated, weights, periods, scale),
     )
 

@@ -632,6 +632,9 @@ class TestSimulationTimings:
         group = "(seed, 3, rep // 16)"
         assert plan["stream"] == (group if command == "simulate" else
                                   f"(s, 0x5E), s = derive_rng{group}.integers(2**31)")
+        # and the replicates: each chunk of 16 from one stream
+        assert sidecar["generation"] == {"replicates_per_stream": 16,
+                                         "stream": "(seed, 4, rep // 16)"}
 
     def test_no_permutation_column_no_permutation_stage(self, tmp_path):
         out = tmp_path / "m.csv"

@@ -532,13 +532,13 @@ def sparse_sw(n, seed, tiny=0.035):
 
 # evaluate works through replicates in chunks of _CHUNK: runs that end
 # one short of, at and one past a chunk, and two chunks and one, with
-# one degenerate replicate inside a chunk (replicate 10 of the parallel
-# run, 24 of the wedge)
+# one degenerate replicate inside a chunk (replicate 23 of the parallel
+# run, 11 of the wedge)
 EQUIVALENCE_CASES.update({
     "chunk-short": (small_parallel(lam=0.6, n=_CHUNK - 1, seed=48), None),
     "chunk-full": (small_parallel(lam=0.8, n=_CHUNK, seed=49), None),
     "chunk-over": (small_parallel(lam=1.0, n=_CHUNK + 1, seed=50), ("odds_ratio",)),
-    "chunks-degenerate": (sparse_parallel(2 * _CHUNK + 1, 18), None),
+    "chunks-degenerate": (sparse_parallel(2 * _CHUNK + 1, 20), None),
     "sw-chunk-over": (small_sw(n=_CHUNK + 1, seed=51), None),
     "sw-chunks-degenerate": (sparse_sw(2 * _CHUNK + 1, 7), None),
     # two covariates: the stacked per-arm least squares with p > 1
@@ -596,8 +596,8 @@ class TestArrayLoopEquivalence:
             with pytest.raises(ArmTooSmall, match="treated=1"):
                 evaluate(scen, permutation_por=True, perm_draws=19)
 
-    @pytest.mark.parametrize("case, rep", [("chunks-degenerate", 10),
-                                           ("sw-chunks-degenerate", 24)])
+    @pytest.mark.parametrize("case, rep", [("chunks-degenerate", 23),
+                                           ("sw-chunks-degenerate", 11)])
     def test_one_degenerate_replicate_inside_a_chunk(self, case, rep):
         scenario, _ = EQUIVALENCE_CASES[case]
         draws = simulate_stepped_wedge if scenario.is_stepped_wedge else simulate_parallel
@@ -607,14 +607,14 @@ class TestArrayLoopEquivalence:
     @pytest.mark.parametrize("permutation_por", [True, False])
     @pytest.mark.parametrize("make, n, message", [
         (sparse_parallel, 40, "2 degenerate replicates out of 7"),
-        (sparse_parallel, 250, "3 degenerate replicates out of 10"),
-        (sparse_sw, 40, "2 degenerate replicates out of 7"),
-        (sparse_sw, 250, "3 degenerate replicates out of 8"),
+        (sparse_parallel, 250, "3 degenerate replicates out of 11"),
+        (sparse_sw, 40, "2 degenerate replicates out of 4"),
+        (sparse_sw, 250, "3 degenerate replicates out of 5"),
     ])
     def test_degenerate_limit_fires_where_the_draws_do(self, make, n, message,
                                                         permutation_por):
         # the limit is one degenerate replicate per hundred (at least one);
-        # the messages are those of the replicate-by-replicate loop
+        # the message names the replicate that passes it
         scenario = make(n, 3, tiny=0.01)
         draws = simulate_stepped_wedge if scenario.is_stepped_wedge else simulate_parallel
         with pytest.raises(DegenerateReplicateLimit, match=f"^{message}$"):
@@ -634,45 +634,91 @@ class TestArrayLoopEquivalence:
 
 
 class TestDrawsMatchPotentialTables:
-    """Replicate data equal the realization of the replicate's potential table."""
+    """Replicate data equal the realization of the replicate's potential
+    table: chunk g draws its ascertainments (per-replicate policy), its
+    counts and its assignments, in that order, from (seed, 4, g)."""
 
     def test_parallel(self):
-        from crtnd import PotentialTable, derive_rng, realize, sample_assignment
+        from crtnd import PotentialTable, derive_rng, realize, sample_assignments
         from crtnd.simulation import _ascertainment, _draw_counts
 
-        scen = small_parallel(lam=0.6, n=15, seed=46, draw_policy="per_replicate")
-        by, bz = np.asarray(BASELINE_Y, float), np.asarray(BASELINE_Z, float)
-        x = np.asarray(POPULATION, float)
+        scen = small_parallel(lam=0.6, n=_CHUNK + 4, seed=46, draw_policy="per_replicate")
+        two_x = 2.0 * np.asarray(POPULATION, float)
+        cells = [(int(round(b.sum())), b / b.sum())
+                 for b in (np.asarray(BASELINE_Y, float), np.asarray(BASELINE_Z, float))]
         for rep, records in simulate_parallel(scen):
-            rng = derive_rng(scen.seed, 1, rep)
-            c = _ascertainment(scen, rng)
-            y0, _ = _draw_counts(rng, int(round(by.sum())), by / by.sum())
-            z0, _ = _draw_counts(rng, int(round(bz.sum())), bz / bz.sum())
-            table = PotentialTable(lam=0.6, y0=y0 * (2.0 * x), z0=z0 / (2.0 * x),
-                                   c=c, covariates=x)
-            assert records == realize(table, sample_assignment(scen.design, rng))
+            g, i = divmod(rep, _CHUNK)
+            rng = derive_rng(scen.seed, 4, g)
+            c = _ascertainment(scen, rng, _CHUNK)[i]
+            counts = _draw_counts(rng, cells)[0][i]
+            arms = sample_assignments(scen.design, _CHUNK, rng)[i]
+            table = PotentialTable(lam=0.6, y0=counts[:, 0] * two_x, z0=counts[:, 1] / two_x,
+                                   c=c, covariates=two_x / 2.0)
+            assert records == realize(table, arms)
 
     def test_stepped_wedge(self):
-        from crtnd import PeriodPotentialTable, derive_rng, realize, sample_assignment
+        from crtnd import PeriodPotentialTable, derive_rng, realize, sample_assignments
         from crtnd.simulation import _draw_counts
 
-        scen = default_sw_scenario(0.6, n_replicates=6, seed=47)
+        scen = default_sw_scenario(0.6, n_replicates=_CHUNK + 4, seed=47)
         by = np.asarray(scen.baseline_y, float)
         bz = np.asarray(scen.baseline_z, float)
         n_t = by.sum(axis=0)
         n_z = np.maximum(1, np.round(bz.sum() * n_t / n_t[-1])).astype(int)
+        cells = [(int(round(n_t[t])), by[:, t] / n_t[t]) for t in range(by.shape[1])]
+        cells += [(int(n), bz / bz.sum()) for n in n_z]
         c = study_ascertainment(scen)
         for rep, panel in simulate_stepped_wedge(scen):
-            rng = derive_rng(scen.seed, 1, rep)
-            y0, z0 = np.empty_like(by), np.empty_like(by)
-            for t in range(by.shape[1]):
-                y0[:, t], _ = _draw_counts(rng, int(round(n_t[t])), by[:, t] / n_t[t])
-                z0[:, t], _ = _draw_counts(rng, int(n_z[t]), bz / bz.sum())
-            table = PeriodPotentialTable(lam=0.6, y0=y0, z0=z0, c=c)
-            expected = realize(table, sample_assignment(scen.design, rng))
-            assert panel.start_periods == expected.start_periods
-            assert np.array_equal(panel.y, expected.y)
-            assert np.array_equal(panel.z, expected.z)
+            g, i = divmod(rep, _CHUNK)
+            rng = derive_rng(scen.seed, 4, g)
+            counts = _draw_counts(rng, cells)[0][i]
+            table = PeriodPotentialTable(lam=0.6, y0=counts[:, :by.shape[1]],
+                                         z0=counts[:, by.shape[1]:], c=c)
+            assert panel == realize(table, sample_assignments(scen.design, _CHUNK, rng)[i])
+
+
+class TestChunkGeneration:
+    @pytest.mark.parametrize("make", [
+        lambda n: small_parallel(lam=0.6, n=n, seed=53),
+        lambda n: small_sw(n=n, seed=54),
+    ], ids=["parallel", "sw"])
+    def test_a_replicate_does_not_depend_on_the_run_length(self, make):
+        # chunks are drawn whole and the last one cut: replicate 16 opens
+        # the second chunk of a 17-replicate run and of a 32-replicate one
+        short, full = make(_CHUNK + 1), make(2 * _CHUNK)
+        draws = simulate_stepped_wedge if short.is_stepped_wedge else simulate_parallel
+        assert dict(draws(short))[_CHUNK] == dict(draws(full))[_CHUNK]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, raw_short = evaluate(short, perm_draws=19, keep_estimates=True)
+            _, raw_full = evaluate(full, perm_draws=19, keep_estimates=True)
+        assert repr(raw_short) == repr({k: v[:_CHUNK + 1] for k, v in raw_full.items()})
+
+    def test_zero_cells_are_redrawn(self):
+        from crtnd import derive_rng
+        from crtnd.simulation import _draw_counts
+
+        # a 2 % category of 100 draws is zero in about one replicate in 8
+        cells = [(100, np.array([0.98, 0.02])), (60, np.array([0.5, 0.5]))]
+        rng = derive_rng(8, 4, 0)
+        first = np.stack([rng.multinomial(n, p, size=_CHUNK) for n, p in cells], axis=-1)
+        counts, degenerate = _draw_counts(derive_rng(8, 4, 0), cells)
+        assert (first == 0).any()
+        assert counts.min() > 0 and not degenerate.any()
+        assert np.array_equal(counts[first > 0], first[first > 0])
+
+    def test_a_replicate_stuck_at_zero_is_degenerate_and_counted(self):
+        from crtnd import derive_rng
+        from crtnd.simulation import _draw_counts
+
+        cells = [(100, np.array([1 - 1e-12, 1e-12]))]
+        counts, degenerate = _draw_counts(derive_rng(8, 4, 0), cells)
+        assert degenerate.all() and not counts[:, 1].any()
+        # a run drops its degenerate replicate from every estimator
+        scenario, _ = EQUIVALENCE_CASES["chunks-degenerate"]
+        for row in evaluate(scenario, permutation_por=False):
+            assert row.dropped["degenerate"] == 1
+            assert row.n_effective <= scenario.n_replicates - 1
 
 
 class TestBoundedMemory:

@@ -329,6 +329,25 @@ class TestNullCovarianceAndPermutation:
         b = sw_permutation_test(panel, 1.0, mode="monte_carlo", n_draws=300, seed=4)
         assert a.p_two_sided == b.p_two_sided
 
+    def test_observed_statistic_is_the_estimates_own(self):
+        # the simulation reads the observed statistic off the period
+        # differences of its estimates: the test's must be the same bits
+        from crtnd.stepped_wedge import _period_diff_rows, _sw_statistic
+
+        scheme = SteppedWedgeScheme(8, (1, 2, 2, 2, 1))
+        panel = realize(random_table(8, 5, 0.7, seed=24),
+                        sample_assignments(scheme, 1, derive_rng(25))[0])
+        start, periods = np.asarray(panel.start_periods), panel.analysis_periods
+        lmat = panel.log_contrast_matrix()
+        d_obs, a_obs = _sw_statistic(panel, "equal", "canonical").observed
+        assert d_obs.tobytes() == _period_differences(lmat, start, periods).tobytes()
+        assert a_obs.tolist() == [1.0] * len(periods)
+        # and the rows statistic at the observed starts, to rounding
+        d_row, a_row = _period_diff_rows(start[None], periods, scheme, lmat,
+                                         panel.treated.astype(float))
+        np.testing.assert_allclose(d_row[0], d_obs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a_row[0], a_obs, rtol=0, atol=1e-12)
+
 
 def tied_panel():
     """8 clusters over 4 periods; clusters 0 and 3 (different starts)
