@@ -375,22 +375,21 @@ def _cmd_simulate(args, sw: bool) -> int:
     _print_metrics(rows)
     if args.out:
         write_metrics_csv(rows, args.out)
-        sidecar = Path(args.out).with_suffix(".json")
-        write_json_report(
-            sidecar,
-            {
-                "command": "simulate-sw" if sw else "simulate",
-                "version": __version__,
-                "scenario": scenario_to_dict(scenario),
-                "config": _config_echo(args),
-                "results": [row.to_dict() for row in rows],
-                "dropped_replicates": {row.estimator: row.dropped for row in rows},
-                "timings_s": timings,
-                "generation": generation_plan(),
-                "permutation_column": None if args.no_permutation_por
-                else relabeling_plan(scenario, args.perm_draws),
-            },
-        )
+        report = {
+            "command": "simulate-sw" if sw else "simulate",
+            "version": __version__,
+            "scenario": scenario_to_dict(scenario),
+            "config": _config_echo(args),
+            "results": [row.to_dict() for row in rows],
+            "dropped_replicates": {row.estimator: row.dropped for row in rows},
+            "timings_s": timings,
+            "generation": generation_plan(),
+            "permutation_column": None if args.no_permutation_por
+            else relabeling_plan(scenario, args.perm_draws),
+        }
+        if sw:
+            report["weight_fallbacks"] = {row.estimator: row.weight_fallbacks for row in rows}
+        write_json_report(Path(args.out).with_suffix(".json"), report)
     return 0
 
 

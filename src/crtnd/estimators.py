@@ -267,12 +267,13 @@ def _permutation_se(draws: np.ndarray) -> float | None:
     return float(np.std(draws, ddof=1)) if draws.size >= 2 else None
 
 
-def _permutation_ses(draws: np.ndarray) -> list[float | None]:
-    """:func:`_permutation_se` of each row of a (B, n) stack."""
+def _permutation_ses(draws: np.ndarray) -> np.ndarray:
+    """:func:`_permutation_se` of each row of a (B, n) stack, NaN where
+    it is None."""
     finite = np.isfinite(draws).all(axis=1)
     if draws.shape[1] < 2 or not finite.all():
-        return [_permutation_se(row) for row in draws]
-    return np.std(draws, axis=1, ddof=1).tolist()
+        return np.array([_permutation_se(row) for row in draws], dtype=float)
+    return np.std(draws, axis=1, ddof=1)
 
 
 # --------------------------------------------------------------------- #
@@ -422,14 +423,18 @@ def _log_contrast_rows(l1: np.ndarray, l0: np.ndarray):
 
 
 def _ols_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slopes of y on x (with intercept) and the residuals.
+    """Slopes of y on x (with intercept) and the residuals, from one
+    ``np.linalg.lstsq`` solve (the dose-response statistic's fit; a
+    stack of fits goes through :func:`_ols_rows`).
 
     The covariates are centered before solving, which leaves slopes and
     residuals unchanged in exact arithmetic but makes the computation
     invariant to covariate translation at machine precision.
     """
-    slopes, resid = _ols_rows(x[None], y[None])
-    return slopes[0], resid[0]
+    design = _ols_design(x[None])[0]
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    _check_rank(rank, x.shape[1])
+    return coef[1:], y - design @ coef
 
 
 def covariate_adjusted_estimate(
@@ -535,21 +540,44 @@ def _pooled_ols(l1, l0, x1, x0):
     )
 
 
-def _ols_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_ols_fit` of each replicate of stacks x (B, n, p), y (B, n):
-    (B, p) slopes and (B, n) residuals, one least-squares solve each."""
+def _ols_design(x: np.ndarray) -> np.ndarray:
+    """The (B, n, p + 1) designs of (B, n, p) covariates: an intercept
+    column and the covariates centered within each replicate."""
     b, n, p = x.shape
     design = np.empty((b, n, p + 1))
     design[:, :, 0] = 1.0
     design[:, :, 1:] = x - x.mean(axis=1)[:, None, :]
-    coef = np.empty((b, p + 1))
-    for i in range(b):
-        coef[i], _, rank, _ = np.linalg.lstsq(design[i], y[i], rcond=None)
-        if rank < p + 1:
-            raise RankDeficientCovariates(
-                f"covariate design matrix has rank {rank} < {p + 1} within one arm"
-            )
-    return coef[:, 1:], y - np.matmul(design, coef[:, :, None])[:, :, 0]
+    return design
+
+
+def _check_rank(rank: int, p: int) -> None:
+    """Raise unless a design with p covariates and an intercept has full rank."""
+    if rank < p + 1:
+        raise RankDeficientCovariates(
+            f"covariate design matrix has rank {rank} < {p + 1} within one arm"
+        )
+
+
+def _ols_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares of each replicate of stacks x (B, n, p), y (B, n) as
+    :func:`_ols_fit` poses it: (B, p) slopes and (B, n) residuals, from
+    one batched SVD.
+
+    The rank rule is ``np.linalg.lstsq``'s: singular values at most
+    ``eps * max(n, p + 1)`` times the largest count as zero, and a
+    replicate of rank below p + 1 raises.  At full rank the solution
+    ``V diag(1/s) U' y`` is lstsq's minimum-norm one, to rounding.  Each
+    replicate's SVD and products are those of a stack of one, so a
+    replicate gets the same bits in any stack.
+    """
+    n, p = x.shape[1:]
+    design = _ols_design(x)
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    rank = np.count_nonzero(s > np.finfo(float).eps * max(n, p + 1) * s[:, :1], axis=1)
+    _check_rank(int(rank.min()), p)
+    uty = np.matmul(u.transpose(0, 2, 1), y[:, :, None]) / s[:, :, None]
+    coef = np.matmul(vt.transpose(0, 2, 1), uty)
+    return coef[:, 1:, 0], y - np.matmul(design, coef)[:, :, 0]
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

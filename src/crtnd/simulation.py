@@ -64,7 +64,7 @@ from .estimators import (
     _z_quantile,
     tpf_solve,
 )
-from .inference import _diff_means, _two_sided_count, _two_sided_p
+from .inference import _diff_means, _two_sided_count
 from .stepped_wedge import (
     _check_arms,
     _null_sigma,
@@ -180,6 +180,9 @@ class MetricsRow:
     coverage of the nominal Normal confidence interval.  ``dropped``
     counts the replicates missing from ``n_effective`` by reason:
     "degenerate" or the class name of the error that removed them.
+    ``weight_fallbacks`` counts the replicates whose optimal weights
+    fell back to equal weights: those of ``sw_optimal`` whose
+    truth-imputed covariance failed the condition check.
     """
 
     scenario_id: str
@@ -194,10 +197,13 @@ class MetricsRow:
     por_perm: float | None
     cp: float | None
     dropped: dict[str, int] = field(default_factory=dict)
+    weight_fallbacks: int = 0
 
     def to_dict(self) -> dict:
-        """The row's fields but ``dropped``, in field order."""
-        return {k: v for k, v in asdict(self).items() if k != "dropped"}
+        """The row's fields but the counts of ``dropped`` and
+        ``weight_fallbacks``, in field order."""
+        return {k: v for k, v in asdict(self).items()
+                if k not in ("dropped", "weight_fallbacks")}
 
 
 # --------------------------------------------------------------------- #
@@ -379,9 +385,12 @@ def simulate_stepped_wedge(
 
 
 class _Tally:
+    """One estimator's running metrics; its estimates and SEs are kept as
+    one float array per chunk."""
+
     def __init__(self):
-        self.estimates: list[float] = []
-        self.ses: list[float] = []
+        self.estimates: list[np.ndarray] = []
+        self.ses: list[np.ndarray] = []
         self.covered = 0
         self.n_cover = 0
         self.reject_normal = 0
@@ -389,11 +398,34 @@ class _Tally:
         self.reject_perm = 0
         self.n_perm = 0
         self.dropped: Counter[str] = Counter()
+        self.weight_fallbacks = 0
 
-    def add_normal(self, estimates, ses, lam_true: float, alpha: float) -> None:
-        """Tally estimates with their SEs (None where there is none)."""
-        for est, se in zip(estimates, ses):
-            _tally_from_values(self, est, se, lam_true, alpha)
+    def add_normal(self, est: np.ndarray, se: np.ndarray, lam_true: float,
+                   alpha: float) -> None:
+        """Tally estimates with their SEs (arrays; NaN where there is none).
+
+        An estimate with an SE gets the Normal test of lam = 1, decided
+        as :func:`crtnd.inference._two_sided_p` decides it, and the Normal
+        CI's coverage of ``lam_true``.
+        """
+        self.estimates.append(est)
+        has = ~np.isnan(se)
+        est, se = est[has], se[has]
+        self.ses.append(se)
+        level = np.abs(est)
+        tol = 1e-12 * (1.0 + level)
+        # 2 Phi(-|z|) = erfc(|z| / sqrt(2)); a zero SE rejects a nonzero estimate
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = (level / (se * math.sqrt(2.0))).tolist()
+        p = np.array([math.erfc(v) for v in z])
+        reject = np.where(se <= tol, level > tol, p <= alpha)
+        self.reject_normal += int(np.count_nonzero(reject))
+        self.n_normal += est.size
+        zq = _z_quantile(alpha)
+        log_lam = math.log(lam_true)
+        covered = (est - zq * se <= log_lam) & (log_lam <= est + zq * se)
+        self.covered += int(np.count_nonzero(covered))
+        self.n_cover += est.size
 
     def add_perm(self, p, alpha: float) -> None:
         """Tally permutation tests with two-sided p-values ``p`` (an array)."""
@@ -401,7 +433,7 @@ class _Tally:
         self.n_perm += np.size(p)
 
     def row(self, scenario: SimScenario, name: str) -> MetricsRow:
-        est = np.asarray(self.estimates)
+        est, ses = (np.concatenate(v) if v else np.empty(0) for v in (self.estimates, self.ses))
         n_eff = est.size
         log_lam = math.log(scenario.lam)
         return MetricsRow(
@@ -412,13 +444,14 @@ class _Tally:
             n_effective=n_eff,
             bias=float(est.mean() - log_lam) if n_eff else float("nan"),
             se=float(est.std(ddof=1)) if n_eff >= 2 else float("nan"),
-            ase=float(np.mean(self.ses)) if self.ses else None,
+            ase=float(ses.mean()) if ses.size else None,
             por_normal=(
                 self.reject_normal / self.n_normal if self.n_normal else None
             ),
             por_perm=self.reject_perm / self.n_perm if self.n_perm else None,
             cp=self.covered / self.n_cover if self.n_cover else None,
             dropped=dict(sorted(self.dropped.items())),
+            weight_fallbacks=self.weight_fallbacks,
         )
 
 
@@ -502,7 +535,9 @@ def evaluate(
     rows, raw = run(scenario, estimators, permutation_por, perm_draws, stages)
     if timings is not None:
         timings.update(stages.seconds)
-    return (rows, raw) if keep_estimates else rows
+    if not keep_estimates:
+        return rows
+    return rows, {name: np.concatenate(v).tolist() if v else [] for name, v in raw.items()}
 
 
 def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages):
@@ -523,7 +558,7 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages
     alpha = scenario.alpha
     lam_true = scenario.lam
     tallies = {name: _Tally() for name in names}
-    raw: dict[str, list] = {name: [] for name in names}
+    raw: dict[str, list[np.ndarray]] = {name: [] for name in names}  # per chunk
     # the vectors each replicate's relabelings multiply: the permutation
     # statistics' values, and the counts of the odds ratio's SE
     relabeled = [n for n in ("log_contrast", "tpf") if permutation_por and n in names]
@@ -545,23 +580,23 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages
         if "tpf" in names:
             values["tpf"] = y / (y + z)
 
-        # rows @ v for the chunk's relabelings and each replicate's vector
-        # v, the products of the 1-D statistics, stacked (replicates, rows)
+        # the treated sums of each relabeled vector of the chunk under
+        # each of its relabelings: one (replicates, rows) product per key
         sums = {}
         if relabeled:
             rows = or_rows
             if permutation_por:
                 rz = randomize(scheme, "monte_carlo", perm_draws, _relabeling_stream(scenario, g))
                 rows = rz.rows()
-            sums = {key: np.stack([rows @ v for v in values[key]]) for key in relabeled}
+            sums = {key: values[key] @ rows.T for key in relabeled}
             stages.lap("permutation" if permutation_por else "odds_ratio")
 
         # the permutation tests of lam0 = 1, whose deviations are the
         # observed statistics, follow each estimator
         if "log_contrast" in names:
             est, se = _log_contrast_rows(l1, l0)
-            tallies["log_contrast"].add_normal(est.tolist(), se.tolist(), lam_true, alpha)
-            raw["log_contrast"] += est.tolist()
+            tallies["log_contrast"].add_normal(est, se, lam_true, alpha)
+            raw["log_contrast"].append(est)
             stages.lap("log_contrast")
             if permutation_por:
                 draws = _diff_means(sums.pop("log_contrast"),
@@ -575,32 +610,32 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages
             diff_x = x1.mean(axis=1) - x0.mean(axis=1)
             est = l1.mean(axis=1) - l0.mean(axis=1) - _row_dot(beta, diff_x)
             se = np.sqrt(v1 / m1 + v0 / m0)
-            tallies["covariate_adjusted"].add_normal(est.tolist(), se.tolist(), lam_true, alpha)
-            raw["covariate_adjusted"] += est.tolist()
+            tallies["covariate_adjusted"].add_normal(est, se, lam_true, alpha)
+            raw["covariate_adjusted"].append(est)
             stages.lap("covariate_adjusted")
         if "odds_ratio" in names:
             totals = zip(*(v.tolist() for v in _arm_totals(y, z, arms)))
-            log_or = [_log_odds_ratio(*row) for row in totals]
+            log_or = np.array([_log_odds_ratio(*row) for row in totals])
             # the relabelings of the permutation column give the SE too
             draws = _odds_ratio_draws(sums.pop("y"), sums.pop("z"),
                                       y.sum(axis=1)[:, None], z.sum(axis=1)[:, None])
             tallies["odds_ratio"].add_normal(log_or, _permutation_ses(draws), lam_true, alpha)
-            raw["odds_ratio"] += log_or
+            raw["odds_ratio"].append(log_or)
             stages.lap("odds_ratio")
             if permutation_por:
-                count = _two_sided_count(draws, np.array(log_or))
+                count = _two_sided_count(draws, log_or)
                 tallies["odds_ratio"].add_perm(rz.p(count), alpha)
                 stages.lap("permutation")
         if "tpf" in names:
             t = tallies["tpf"]
-            for t_stat, r in zip(*(v.tolist() for v in _tpf_rows(y, z, arms))):
+            est = np.full(len(arms), np.nan)
+            for i, (t_stat, r) in enumerate(zip(*(v.tolist() for v in _tpf_rows(y, z, arms)))):
                 try:
-                    est = math.log(tpf_solve(t_stat, r))
-                    t.estimates.append(est)
-                    raw["tpf"].append(est)
+                    est[i] = math.log(tpf_solve(t_stat, r))
                 except NoAdmissibleRoot as exc:
-                    raw["tpf"].append(float("nan"))
                     t.dropped[type(exc).__name__] += 1
+            t.estimates.append(est[~np.isnan(est)])
+            raw["tpf"].append(est)
             stages.lap("tpf")
             if permutation_por:
                 f1, f0 = _arm_split(values["tpf"], arms)
@@ -612,26 +647,13 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages
     return [tallies[name].row(scenario, name) for name in names], raw
 
 
-def _tally_from_values(t, log_est, se, lam_true, alpha):
-    t.estimates.append(log_est)
-    if se is None:
-        return
-    t.ses.append(se)
-    p, _ = _two_sided_p(log_est, se, abs(log_est))
-    t.reject_normal += p <= alpha
-    t.n_normal += 1
-    zq = _z_quantile(alpha)
-    lo, hi = log_est - zq * se, log_est + zq * se
-    t.covered += lo <= math.log(lam_true) <= hi
-    t.n_cover += 1
-
-
-def _tally_weighted(t, w, diffs, sigma, lam_true, alpha) -> float:
-    """Tally the weighted stepped-wedge estimate ``w . diffs``; return it."""
-    est = float(w @ diffs)
-    se = math.sqrt(max(float(w @ sigma @ w), 0.0))
-    _tally_from_values(t, est, se, lam_true, alpha)
-    return est
+def _weighted_rows(w, diffs, sigma):
+    """(estimates ``w . diffs``, SEs ``sqrt(w' Sigma w)``) of each
+    replicate of (B, k) weights and diffs and (B, k, k) covariances,
+    each product as :func:`~crtnd.stepped_wedge.sw_log_contrast` takes
+    it for one panel."""
+    var = _row_dot(np.matmul(w[:, None, :], sigma)[:, 0], w)
+    return _row_dot(w, diffs), np.sqrt(np.maximum(var, 0.0))
 
 
 def _evaluate_sw(scenario, estimators, permutation_por, perm_draws, stages):
@@ -643,7 +665,7 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws, stages):
     lam_true = scenario.lam
     log_lam = math.log(lam_true)
     tallies = {name: _Tally() for name in names}
-    raw: dict[str, list] = {name: [] for name in names}
+    raw: dict[str, list[np.ndarray]] = {name: [] for name in names}  # per chunk
 
     # every replicate's starts permute the scheme's multiset, so the
     # analysis periods, m_t, the Sigma scale and equal weights are fixed
@@ -661,23 +683,21 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws, stages):
         diffs = _period_differences(lmat, start, periods)
         sigma_hat, _ = _plugin_sigma(lmat, start, periods, scheme, scale)
         stages.lap("plugin_covariance")
-        if "sw_equal" in tallies:
-            raw["sw_equal"] += [
-                _tally_weighted(tallies["sw_equal"], w_equal, d, sigma, lam_true, alpha)
-                for d, sigma in zip(diffs, sigma_hat)
-            ]
-            stages.lap("sw_equal")
-        if "sw_optimal" in tallies:
-            # weights from the exactly computable truth-imputed covariance
+        # the estimators' weights: equal, and optimal from the exactly
+        # computable truth-imputed covariance
+        weights = {name: np.broadcast_to(w_equal, diffs.shape) for name in names}
+        if "sw_optimal" in names:
             l0 = lmat - log_lam * (tgrid[None, None, :] >= start[:, :, None])
-            sigmas = np.stack([_null_sigma(l, periods, scale)[0] for l in l0])
-            w_opt, ok, _ = _optimal_rows(sigmas)
+            w_opt, ok, _ = _optimal_rows(_null_sigma(l0, periods, scale)[0])
             w_opt[~ok] = w_equal
-            raw["sw_optimal"] += [
-                _tally_weighted(tallies["sw_optimal"], w, d, sigma, lam_true, alpha)
-                for w, d, sigma in zip(w_opt, diffs, sigma_hat)
-            ]
+            tallies["sw_optimal"].weight_fallbacks += int(np.count_nonzero(~ok))
+            weights["sw_optimal"] = w_opt
             stages.lap("sw_optimal")
+        for name in names:
+            est, se = _weighted_rows(weights[name], diffs, sigma_hat)
+            tallies[name].add_normal(est, se, lam_true, alpha)
+            raw[name].append(est)
+            stages.lap(name)
         if permutation_por:
             # one set of re-randomized starts per chunk, shared by its
             # replicates and both weightings; at lam0 = 1 the imputed L(0)
@@ -686,9 +706,9 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws, stages):
             if "sw_optimal" in names:
                 weights["sw_optimal"] = _null_weights(lmat, "optimal", periods, scale)
             rz = randomize(scheme, "monte_carlo", perm_draws, _relabeling_stream(scenario, g))
-            d_rows = _period_diff_rows(rz.rows(), periods, scheme, *lmat)
+            d_rows = _period_diff_rows(rz.rows(), periods, scheme, lmat)
             for name in names:
-                draws = np.stack([d @ w for d, w in zip(d_rows, weights[name])])
+                draws = np.matmul(d_rows, weights[name][:, :, None])[:, :, 0]
                 # the observed statistic weights the estimates' own diffs
                 observed = _row_dot(diffs, weights[name])
                 tallies[name].add_perm(rz.p(_two_sided_count(draws, observed)), alpha)

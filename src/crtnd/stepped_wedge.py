@@ -128,19 +128,6 @@ def _scale_matrix(
     return scheme.m / (counts[hi] * (scheme.m - counts[lo]))
 
 
-def _cov(x: np.ndarray) -> np.ndarray:
-    """``np.cov(x, ddof=1)`` for a float (variables, observations) array.
-
-    The same steps as numpy's (centre in place, ``dot`` with the
-    transpose, scale by ``1/(n-1)``), so the same bits, without its
-    argument handling.  ``x`` is overwritten.
-    """
-    x -= x.mean(axis=1)[:, None]
-    c = np.dot(x, x.T.conj())
-    c *= np.true_divide(1, x.shape[1] - 1)
-    return c
-
-
 def _warn_dropped(periods: tuple[int, ...], n_periods: int) -> None:
     if len(periods) < n_periods - 1:
         warnings.warn(
@@ -208,9 +195,10 @@ def _plugin_sigma(
     (k, k) for one panel, (B, k, k) for a stack.
 
     The design must have passed :func:`_check_arms`.  Each S entry is
-    ``_cov`` of its pair of periods within one group: the products of
-    the stack's (2, group) blocks are one batched ``x @ x.T``, whose
-    entries are those of ``np.dot`` on each block.
+    the sample covariance of its pair of periods within one group, in
+    the steps of :func:`_null_sigma`: the products of the stack's (2,
+    group) blocks are one batched ``x @ x.T``, whose entries are those
+    of ``np.dot`` on each block.
     """
     if lmat.ndim == 2:
         sigma, s_values = _plugin_sigma(lmat[None], start[None], periods, scheme, scale)
@@ -238,7 +226,7 @@ def _plugin_sigma(
         if key not in groups:
             members = np.nonzero((start > key[0]) & (start <= key[1]))[1]
             rows = np.take_along_axis(by_period, members.reshape(n, 1, -1), axis=2)
-            rows -= rows.mean(axis=2)[:, :, None]  # _cov's centring, every period
+            rows -= rows.mean(axis=2)[:, :, None]  # centred as in _null_sigma, every period
             groups[key] = rows
         pair = groups[key][:, [t1 - 1, t2 - 1]]
         products = np.matmul(pair, pair.transpose(0, 2, 1))[:, 0, 1]
@@ -252,9 +240,23 @@ def _plugin_sigma(
 def _null_sigma(
     l0: np.ndarray, periods: Sequence[int], scale: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(Sigma, S) from complete control log-contrasts ``l0`` (m x T)."""
-    cols = l0[:, [t - 1 for t in periods]]
-    s_full = _cov(cols.T)
+    """(Sigma, S) from complete control log-contrasts: (k, k) of one
+    (m, T) matrix ``l0``, (B, k, k) of a (B, m, T) stack.
+
+    S is the sample covariance (divisor m - 1) of each matrix's
+    analysis-period columns, on the whole stack at once: the (B, k, m)
+    columns centred along their contiguous last axis, one batched
+    product with their transpose (per matrix, the product ``np.dot``
+    takes), and the scale ``1/(m-1)``.  A matrix gets the same bits in
+    any stack.
+    """
+    if l0.ndim == 2:
+        sigma, s_full = _null_sigma(l0[None], periods, scale)
+        return sigma[0], s_full[0]
+    x = np.ascontiguousarray(l0.transpose(0, 2, 1)[:, [t - 1 for t in periods]])
+    x -= x.mean(axis=2)[:, :, None]
+    s_full = np.matmul(x, x.transpose(0, 2, 1))
+    s_full *= np.true_divide(1, x.shape[2] - 1)
     return scale * s_full, s_full
 
 
@@ -464,26 +466,25 @@ def _period_diff_rows(
     start_rows: np.ndarray,
     periods: Sequence[int],
     scheme: SteppedWedgeScheme,
-    *values: np.ndarray,
-) -> list[np.ndarray]:
-    """(rows, periods) treated-minus-control means of ``v[:, t-1]``, one
-    array for each (m, T) matrix v of ``values``.
+    values: np.ndarray,
+) -> np.ndarray:
+    """(B, rows, periods) treated-minus-control means of ``v[:, t-1]``
+    for each (m, T) matrix v of a (B, m, T) stack ``values``.
 
     Row r treats cluster i at period t when ``start_rows[r, i] <= t``;
-    each period's float 0/1 mask is built once for all the matrices.
+    each period is one product of its float 0/1 mask with the period's
+    (m, B) column of the whole stack.
     """
-    sums = [np.empty((start_rows.shape[0], len(periods))) for _ in values]
+    b, m, _ = values.shape
+    cols = [t - 1 for t in periods]
+    by_period = np.ascontiguousarray(values.transpose(2, 0, 1)[cols])  # (k, B, m)
+    sums = np.empty((b, start_rows.shape[0], len(periods)))
     mask = np.empty(start_rows.shape)
     for k, t in enumerate(periods):
         np.less_equal(start_rows, t, out=mask, casting="unsafe")
-        for s, v in zip(sums, values):
-            s[:, k] = mask @ v[:, t - 1]
-    cols = [t - 1 for t in periods]
+        sums[:, :, k] = by_period[k] @ mask.T
     n1 = np.array([scheme.m_t(t) for t in periods])
-    return [
-        _diff_means(s, v.T[cols].sum(axis=1), v.shape[0], n1)
-        for s, v in zip(sums, values)
-    ]
+    return _diff_means(sums, by_period.sum(axis=2).T[:, None, :], m, n1)
 
 
 def _null_weights(
@@ -501,7 +502,7 @@ def _null_weights(
         return np.asarray(wts.w)
     if l0.ndim == 2:
         return _null_weights(l0[None], weights, periods, scale)[0]
-    w, ok, _ = _optimal_rows(np.stack([_null_sigma(l, periods, scale)[0] for l in l0]))
+    w, ok, _ = _optimal_rows(_null_sigma(l0, periods, scale)[0])
     if not ok.all():
         warnings.warn("null covariance is singular; using equal weights", RuntimeWarning)
         w[~ok] = equal_weights(periods).w
@@ -513,8 +514,9 @@ def _sw_statistic(panel: Panel, weights, convention: str) -> _Statistic:
 
     Under the null the control log-contrasts are ``L - theta * treated``,
     so each assignment's per-period differences split as ``D - theta *
-    A``: the rows of :func:`_period_diff_rows` for L and for the treated
-    indicator, and the observed :func:`_period_differences` and 1.
+    A``: the rows of :func:`_period_diff_rows` for the stack of L and
+    the treated indicator, and the observed :func:`_period_differences`
+    and 1.
     Weights are held fixed across re-randomizations; "optimal" weights
     are computed exactly from the null-imputed covariance at theta.
     """
@@ -522,9 +524,10 @@ def _sw_statistic(panel: Panel, weights, convention: str) -> _Statistic:
     lmat = panel.log_contrast_matrix()
     treated = panel.treated.astype(float)
     scale = _scale_matrix(scheme, periods, convention)
+    stack = np.stack([lmat, treated])
 
-    def rows(start_rows: np.ndarray) -> list[np.ndarray]:
-        return _period_diff_rows(start_rows, periods, scheme, lmat, treated)
+    def rows(start_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(_period_diff_rows(start_rows, periods, scheme, stack))
 
     observed = _period_differences(lmat, np.asarray(panel.start_periods), periods)
     return _Statistic(

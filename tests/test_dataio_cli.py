@@ -636,6 +636,23 @@ class TestSimulationTimings:
         assert sidecar["generation"] == {"replicates_per_stream": 16,
                                          "stream": "(seed, 4, rep // 16)"}
 
+    def test_sw_sidecar_counts_weight_fallbacks(self, tmp_path, monkeypatch):
+        # the default wedge's truth-imputed covariances have condition
+        # numbers of about 6 to 18: at a limit of 11 some replicates'
+        # optimal weights fall back to equal weights, and are counted
+        import crtnd.stepped_wedge as stepped_wedge
+
+        counts = []
+        for limit in (stepped_wedge._COND_LIMIT, 11.0):
+            monkeypatch.setattr(stepped_wedge, "_COND_LIMIT", limit)
+            out = tmp_path / f"m{limit}.csv"
+            assert main(["simulate-sw", "--n-replicates", "20", "--no-permutation-por",
+                         "--out", str(out)]) == 0
+            counts.append(json.loads(out.with_suffix(".json").read_text())["weight_fallbacks"])
+        default, strict = counts
+        assert default == {"sw_equal": 0, "sw_optimal": 0}
+        assert strict["sw_equal"] == 0 and 0 < strict["sw_optimal"] < 20
+
     def test_no_permutation_column_no_permutation_stage(self, tmp_path):
         out = tmp_path / "m.csv"
         assert main(["simulate", "--n-replicates", "20", "--no-permutation-por",

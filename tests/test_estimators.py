@@ -349,3 +349,63 @@ class TestCovariateAdjusted:
         )
         penalty = (6 / (3 * 3)) * float(beta_star @ vx @ beta_star)
         assert una.var(ddof=0) == pytest.approx(adj.var(ddof=0) + penalty, abs=1e-10)
+
+
+class TestBatchedLeastSquares:
+    """``_ols_rows`` solves a stack of per-arm fits in one batched SVD."""
+
+    @staticmethod
+    def lstsq_rows(x, y):
+        """Reference: one ``np.linalg.lstsq`` per replicate on the centred
+        design with an intercept column."""
+        slopes, resid = [], []
+        for xb, yb in zip(x, y):
+            design = np.column_stack([np.ones(len(yb)), xb - xb.mean(axis=0)])
+            coef, _, rank, _ = np.linalg.lstsq(design, yb, rcond=None)
+            assert rank == design.shape[1]
+            slopes.append(coef[1:])
+            resid.append(yb - design @ coef)
+        return np.array(slopes), np.array(resid)
+
+    @staticmethod
+    def stack(p, b=16, n=12, seed=80):
+        rng = np.random.default_rng(seed + p)
+        x = rng.normal(size=(b, n, p)) * np.array([3.0, 0.5])[:p] + 10.0
+        y = x @ np.array([0.7, -1.3])[:p] + rng.normal(scale=0.2, size=(b, n))
+        return x, y
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matches_per_replicate_lstsq(self, p):
+        from crtnd.estimators import _ols_rows
+
+        x, y = self.stack(p)
+        slopes, resid = _ols_rows(x, y)
+        ref_slopes, ref_resid = self.lstsq_rows(x, y)
+        np.testing.assert_allclose(slopes, ref_slopes, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(resid, ref_resid, rtol=1e-12,
+                                   atol=1e-12 * np.abs(y).max())
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_a_replicate_gets_its_bits_in_any_stack(self, p):
+        # the simulation's chunks and the public estimator's stack of one
+        # must agree bit for bit
+        from crtnd.estimators import _ols_rows
+
+        x, y = self.stack(p)
+        slopes, resid = _ols_rows(x, y)
+        for i in (0, 7, 15):
+            one_slopes, one_resid = _ols_rows(x[i:i + 1], y[i:i + 1])
+            assert one_slopes.tobytes() == slopes[i].tobytes()
+            assert one_resid.tobytes() == resid[i].tobytes()
+
+    def test_constant_covariate_in_one_arm_of_one_replicate_raises(self):
+        # replicate 5's treated arm has a constant covariate, collinear
+        # with the intercept; every other fit in the stack is full rank
+        from crtnd.estimators import _pooled_ols
+
+        x, y = self.stack(1, b=8, n=12)
+        x1, x0 = x[:, :6].copy(), x[:, 6:]
+        x1[5, :, 0] = 2.5
+        _pooled_ols(y[:, :6], y[:, 6:], x[:, :6], x0)
+        with pytest.raises(RankDeficientCovariates, match="rank 1 < 2"):
+            _pooled_ols(y[:, :6], y[:, 6:], x1, x0)

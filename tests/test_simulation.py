@@ -263,14 +263,38 @@ class TestEvaluate:
         from crtnd.simulation import _Tally
 
         t = _Tally()
-        for _ in range(10):
-            t.estimates.append(0.0)
-            t.ses.append(0.1)
-            t.covered += 1
-            t.n_cover += 1
+        t.add_normal(np.zeros(10), np.full(10, 0.1), 1.0, 0.05)
         row = t.row(small_parallel(lam=1.0, n=10), "stub")
         assert row.se == 0.0
         assert row.cp == 1.0
+        assert row.por_normal == 0.0
+
+    def test_normal_tallies_decide_as_the_scalar_test(self):
+        # the chunk's Normal tests and CIs, one array pass, against each
+        # replicate's own _two_sided_p and CI; zero SEs take the
+        # degenerate rule and NaN SEs (no SE) tally the estimate only
+        from crtnd.estimators import _z_quantile
+        from crtnd.inference import _two_sided_p
+        from crtnd.simulation import _Tally
+
+        rng = np.random.default_rng(70)
+        est = np.concatenate([rng.normal(0.0, 0.3, 200), [0.0, 0.0, 0.4, 1e-13, 0.2]])
+        se = np.concatenate([rng.uniform(0.05, 0.3, 200), [0.0, 0.1, 0.0, 0.0, np.nan]])
+        lam, alpha = 0.9, 0.05
+        t = _Tally()
+        t.add_normal(est, se, lam, alpha)
+        has = ~np.isnan(se)
+        zq = _z_quantile(alpha)
+        reject = sum(_two_sided_p(e, s, abs(e))[0] <= alpha
+                     for e, s in zip(est[has].tolist(), se[has].tolist()))
+        covered = sum(e - zq * s <= math.log(lam) <= e + zq * s
+                      for e, s in zip(est[has].tolist(), se[has].tolist()))
+        assert (t.reject_normal, t.n_normal) == (reject, 204)
+        assert (t.covered, t.n_cover) == (covered, 204)
+        assert 0 < reject < 204 and 0 < covered < 204
+        row = t.row(small_parallel(lam=lam, n=205), "stub")
+        assert row.n_effective == 205
+        assert row.ase == float(np.mean(se[has]))
 
     def test_covariate_adjustment_reduces_se(self):
         scen = small_parallel(lam=1.0, n=250, seed=25)
@@ -372,10 +396,23 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
     )
     from crtnd.core import derive_rng
     from crtnd.errors import CrtndError, NoAdmissibleRoot, SingularCovariance
-    from crtnd.estimators import odds_ratio_log, odds_ratio_permutation_draws
-    from crtnd.inference import _diff_means_rows, _tail_counts
-    from crtnd.simulation import _Tally, _tally_from_values
+    from crtnd.estimators import _z_quantile, odds_ratio_log, odds_ratio_permutation_draws
+    from crtnd.inference import _diff_means_rows, _tail_counts, _two_sided_p
+    from crtnd.simulation import _Tally
     from crtnd.stepped_wedge import equal_weights
+
+    def _tally_from_values(t, log_est, se, lam_true, alpha):
+        """One replicate's Normal tallies, as its report would decide them."""
+        t.estimates.append(np.array([log_est]))
+        if se is None:
+            return
+        t.ses.append(np.array([se]))
+        p, _ = _two_sided_p(log_est, se, abs(log_est))
+        t.reject_normal += p <= alpha
+        t.n_normal += 1
+        zq = _z_quantile(alpha)
+        t.covered += log_est - zq * se <= math.log(lam_true) <= log_est + zq * se
+        t.n_cover += 1
 
     alpha, lam = scenario.alpha, scenario.lam
     tallies = {name: _Tally() for name in names}
@@ -433,7 +470,7 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
             if "tpf" in names:
                 try:
                     est = tpf_estimate(records, alpha=alpha).log_estimate
-                    tallies["tpf"].estimates.append(est)
+                    tallies["tpf"].estimates.append(np.array([est]))
                     raw["tpf"].append(est)
                 except NoAdmissibleRoot:
                     raw["tpf"].append(float("nan"))
@@ -461,6 +498,7 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
                     wts = optimal_weights(cov_true, kind="optimal_oracle")
                 except SingularCovariance:
                     wts = equal_weights(cov_true.periods)
+                    tallies["sw_optimal"].weight_fallbacks += 1
                 tally("sw_optimal", sw_log_contrast(
                     panel, wts, covariance=cov_hat, alpha=alpha))
             if permutation_por:
@@ -550,6 +588,25 @@ EQUIVALENCE_CASES.update({
 })
 
 
+def assert_rows_match(rows, ref_rows):
+    """Every field bit for bit (repr distinguishes every float bit pattern
+    and makes NaN equal), but the odds ratio's ``ase``, at relative 1e-12.
+
+    The permutation column takes the treated sums of a chunk's relabeled
+    vectors in one (vectors, draws) product, the record path in one
+    matrix-vector product per replicate; the two round differently (by
+    up to about 3e-14 on the odds ratio's draws), which moves the odds
+    ratio's permutation SEs and so their mean.  The tail counts' tie
+    slack absorbs the difference.
+    """
+    assert len(rows) == len(ref_rows)
+    for row, ref in zip(rows, ref_rows):
+        if row.estimator == "odds_ratio" and ref.ase is not None:
+            assert row.ase == pytest.approx(ref.ase, rel=1e-12, abs=0)
+            row = replace(row, ase=ref.ase)
+        assert repr(row) == repr(ref)
+
+
 class TestArrayLoopEquivalence:
     @pytest.mark.parametrize("permutation_por", [True, False])
     @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
@@ -563,9 +620,27 @@ class TestArrayLoopEquivalence:
             ref_rows, ref_raw = reference_evaluate(
                 scenario, names or default, permutation_por, 99
             )
-        # repr distinguishes every float bit pattern and makes NaN equal
-        assert repr(rows) == repr(ref_rows)
+        assert_rows_match(rows, ref_rows)
         assert repr(raw) == repr(ref_raw)
+
+    @pytest.mark.parametrize("permutation_por", [True, False])
+    def test_weight_fallbacks_match_the_record_path(self, monkeypatch, permutation_por):
+        # at a condition limit of 11 some of these wedges' truth-imputed
+        # covariances fail the check: their optimal weights fall back to
+        # equal weights, and the fallbacks are counted
+        import crtnd.stepped_wedge as stepped_wedge
+
+        monkeypatch.setattr(stepped_wedge, "_COND_LIMIT", 11.0)
+        scenario = small_sw(n=_CHUNK + 4, seed=55)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows, raw = evaluate(scenario, ("sw_optimal",), permutation_por=permutation_por,
+                                 perm_draws=99, keep_estimates=True)
+            ref_rows, ref_raw = reference_evaluate(scenario, ("sw_optimal",),
+                                                   permutation_por, 99)
+        assert_rows_match(rows, ref_rows)
+        assert repr(raw) == repr(ref_raw)
+        assert 0 < rows[0].weight_fallbacks < rows[0].n_effective
 
     def test_chunk_size_is_pinned(self):
         # the replicates of a chunk share the permutation column's
@@ -722,9 +797,11 @@ class TestChunkGeneration:
 
 
 class TestBoundedMemory:
-    """A run holds one chunk of replicates at a time, never its relabelings."""
+    """A run holds one chunk of replicates at a time, never its relabelings,
+    nor its (chunk, draws, periods) stacks."""
 
-    # what grows with the replicates is the tallies: a few floats each
+    # what grows with the replicates is the tallies: a few float64 each,
+    # in one array per chunk
     SLACK = 512 * 1024
 
     @staticmethod
@@ -743,7 +820,9 @@ class TestBoundedMemory:
 
     @pytest.mark.parametrize("make, names, n", [
         (default_parallel_scenario, ("log_contrast",), 200),
+        (default_parallel_scenario, PARALLEL_ESTIMATORS, 200),
         (default_sw_scenario, ("sw_equal",), 50),
+        (default_sw_scenario, SW_ESTIMATORS, 50),
     ])
     def test_peak_does_not_grow_with_replicates(self, make, names, n):
         small = self.peak(make(0.6, n_replicates=n, seed=3), names)

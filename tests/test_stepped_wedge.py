@@ -292,6 +292,41 @@ class TestNullCovarianceAndPermutation:
         cov = sw_null_covariance(panel, 0.6)
         np.testing.assert_allclose(cov.sigma, oracle.sigma, atol=1e-10)
 
+    def test_stacked_null_covariances(self):
+        # one batched pass over a (B, m, T) stack: each matrix gets the
+        # bits of its own call, and the sample covariance to rounding
+        from crtnd.stepped_wedge import _null_sigma, _scale_matrix
+
+        scheme = SteppedWedgeScheme(9, (2, 3, 2, 2))
+        periods = scheme.analysis_periods
+        scale = _scale_matrix(scheme, periods, "canonical")
+        rng = np.random.default_rng(26)
+        l0 = rng.normal(1.5, 0.8, size=(5, 9, 4))
+        sigma, s_full = _null_sigma(l0, periods, scale)
+        for b in range(5):
+            one_sigma, one_s = _null_sigma(l0[b], periods, scale)
+            assert one_sigma.tobytes() == sigma[b].tobytes()
+            assert one_s.tobytes() == s_full[b].tobytes()
+            cols = l0[b][:, [t - 1 for t in periods]]
+            np.testing.assert_allclose(s_full[b], np.cov(cols.T, ddof=1), rtol=1e-13, atol=1e-15)
+
+    def test_stacked_period_diff_rows(self):
+        # each period is one product for the whole stack; every matrix's
+        # rows are its treated-minus-control means, to rounding
+        from crtnd.stepped_wedge import _period_diff_rows
+
+        scheme = SteppedWedgeScheme(8, (1, 2, 2, 2, 1))
+        periods = scheme.analysis_periods
+        rng = np.random.default_rng(27)
+        values = rng.normal(0.5, 1.0, size=(3, 8, 5))
+        starts = sample_assignments(scheme, 40, derive_rng(28))
+        rows = _period_diff_rows(starts, periods, scheme, values)
+        assert rows.shape == (3, 40, len(periods))
+        for b in range(3):
+            for r, start in enumerate(starts):
+                want = _period_differences(values[b], start, periods)
+                np.testing.assert_allclose(rows[b, r], want, rtol=0, atol=1e-13)
+
     @pytest.mark.parametrize("lam0", [0.0, -0.5])
     def test_null_covariance_needs_a_positive_lam0(self, lam0):
         panel = realize(random_table(4, 3, 1.0, seed=16), np.array([1, 2, 2, 3]))
@@ -343,8 +378,8 @@ class TestNullCovarianceAndPermutation:
         assert d_obs.tobytes() == _period_differences(lmat, start, periods).tobytes()
         assert a_obs.tolist() == [1.0] * len(periods)
         # and the rows statistic at the observed starts, to rounding
-        d_row, a_row = _period_diff_rows(start[None], periods, scheme, lmat,
-                                         panel.treated.astype(float))
+        d_row, a_row = _period_diff_rows(start[None], periods, scheme,
+                                         np.stack([lmat, panel.treated.astype(float)]))
         np.testing.assert_allclose(d_row[0], d_obs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(a_row[0], a_obs, rtol=0, atol=1e-12)
 
