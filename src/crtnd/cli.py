@@ -192,10 +192,16 @@ _PERM_STATISTIC = {
 }
 
 
-def _permutation_entry(perm) -> dict:
-    """How the report's permutation p-value was obtained."""
+def _permutation_entry(perm, scheme=None) -> dict:
+    """How the report's permutation p-value was obtained, and the null it is
+    exact for; a parallel ``scheme`` adds its arm sizes, noted if unequal."""
     keys = ("mode", "mode_reason", "support_size", "null_draws", "mc_se")
-    return {key: getattr(perm, key) for key in keys}
+    entry = {key: getattr(perm, key) for key in keys} | {"null": "sharp"}
+    if scheme is not None:
+        entry["arm_sizes"] = [scheme.m1, scheme.m - scheme.m1]
+        if 2 * scheme.m1 != scheme.m:
+            entry["note"] = "unequal arms: exact for the sharp null, not an average effect"
+    return entry
 
 
 def _write_report(args, reports) -> int:
@@ -258,7 +264,7 @@ def _cmd_analyze(args) -> int:
             mode=mode, n_draws=args.n_draws, seed=args.seed,
         )
         rep.diagnostics["permutation_p_null1"] = perm.p_two_sided
-        rep.diagnostics["permutation"] = _permutation_entry(perm)
+        rep.diagnostics["permutation"] = _permutation_entry(perm, trial.scheme)
         if rep.p_value is None:
             rep.p_value = perm.p_two_sided
             rep.diagnostics["p_source"] = "permutation"
@@ -399,9 +405,10 @@ def _write_raw_estimates(path, scenario, raw) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scenario_id", "estimator", "replicate", "log_estimate"])
+        reps = raw.pop("replicate")
         for name, values in raw.items():
-            for i, value in enumerate(values):
-                writer.writerow([scenario.scenario_id, name, i, repr(float(value))])
+            for rep, value in zip(reps, values):
+                writer.writerow([scenario.scenario_id, name, rep, repr(float(value))])
 
 
 def _cmd_sweep(args) -> int:

@@ -19,15 +19,16 @@ available for sensitivity runs.  Replicates come in chunks of
 many replicates run or in what order, so outputs are byte-identical
 across runs.
 
-:func:`evaluate` evaluates the chunks as they are drawn: each
-estimator, its SE and the permutation column's tail counts run as a few
-array passes over the chunk's (replicates, clusters) and (replicates,
-draws) stacks.  The replicates of a chunk share one set of permutation
-relabelings.
+:func:`evaluate` evaluates blocks of :data:`_BLOCK_CHUNKS` chunks as
+they are drawn: each estimator and its SE run as a few array passes
+over the block's (replicates, clusters) stacks, and the permutation
+column's (replicates, draws) stacks per chunk.  The replicates of a
+chunk share one set of permutation relabelings.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections import Counter
@@ -92,10 +93,11 @@ __all__ = [
 PARALLEL_ESTIMATORS = ("odds_ratio", "tpf", "log_contrast", "covariate_adjusted")
 SW_ESTIMATORS = ("sw_equal", "sw_optimal")
 
-# Replicates evaluated together, sharing one set of permutation
-# relabelings (so a new value changes the permutation column): a
-# (_CHUNK, 999) stack of permutation draws is 1/32 of the block budget.
+# Replicates drawn from one stream and sharing one set of permutation
+# relabelings (so a new value changes every output): a (_CHUNK, 999)
+# stack of permutation draws is 1/32 of the block budget.
 _CHUNK = _BLOCK_BYTES // (32 * 8 * 1024)
+_BLOCK_CHUNKS = 4  # chunks evaluated together; no output depends on it
 
 
 @dataclass(frozen=True)
@@ -257,7 +259,8 @@ def _covariates(scenario: SimScenario) -> np.ndarray | None:
 
 def generation_plan() -> dict:
     """How :func:`evaluate` draws the replicates, for a report."""
-    return {"replicates_per_stream": _CHUNK, "stream": f"(seed, 4, rep // {_CHUNK})"}
+    return {"replicates_per_stream": _CHUNK, "replicates_per_block": _CHUNK * _BLOCK_CHUNKS,
+            "stream": f"(seed, 4, rep // {_CHUNK})"}
 
 
 def _chunked(scenario: SimScenario, draw) -> Iterator[tuple[np.ndarray, ...]]:
@@ -469,16 +472,23 @@ class _Stages:
         self._last = now
 
 
-def _nondegenerate(chunks: Iterator[tuple], tallies: dict[str, _Tally]) -> Iterator[tuple]:
-    """The chunks ``(reps, ok, *arrays)`` of :func:`_chunked` as ``(g,
-    *arrays)``, cut to their nondegenerate replicates; degenerate ones
-    are counted in every tally."""
-    for reps, ok, *arrays in chunks:
+def _blocks(chunks: Iterator[tuple], tallies: dict[str, _Tally]) -> Iterator[tuple]:
+    """The chunks ``(reps, ok, *arrays)`` of :func:`_chunked`, cut to their
+    nondegenerate replicates and joined :data:`_BLOCK_CHUNKS` at a time as
+    ``(parts, reps, *arrays)``: ``parts`` pairs each chunk ``g`` left with
+    the slice of rows it fills.  Degenerate replicates count in every tally."""
+    chunks = iter(chunks)
+    while group := list(itertools.islice(chunks, _BLOCK_CHUNKS)):
+        reps, ok, *arrays = (np.concatenate(column) for column in zip(*group))
         if not ok.all():
             for t in tallies.values():
                 t.dropped["degenerate"] += int(np.count_nonzero(~ok))
         if ok.any():
-            yield reps[0] // _CHUNK, *(a[ok] for a in arrays)
+            reps = reps[ok]
+            g, first = np.unique(reps // _CHUNK, return_index=True)
+            ends = [*first[1:], reps.size]
+            parts = [(int(c), slice(lo, hi)) for c, lo, hi in zip(g, first, ends)]
+            yield parts, reps, *(a[ok] for a in arrays)
 
 
 def _relabeling_stream(scenario: SimScenario, g: int) -> tuple[int, ...]:
@@ -521,12 +531,15 @@ def evaluate(
     fewer than 2 clusters on one side of an analysis period, or arms
     too small for an estimator's variance, raise :class:`ArmTooSmall`.
 
-    Replicates are generated and evaluated in chunks of :data:`_CHUNK`
-    (:func:`generation_plan`), on arrays; what the design fixes is
-    computed once per run.  Given a dict, ``timings`` receives the wall
-    seconds of each stage summed over the chunks: "generation", the shared
+    Replicates are drawn in chunks of :data:`_CHUNK` and evaluated on
+    arrays, each block of :data:`_BLOCK_CHUNKS` chunks in its own call
+    (:func:`generation_plan`); what the design fixes is computed once per
+    run.  Given a dict, ``timings`` receives the wall seconds of each
+    stage summed over the blocks: "generation", the shared
     "log_contrasts" (parallel) or "plugin_covariance" (stepped wedge),
     each estimator, and "permutation" (the permutation column).
+    ``keep_estimates`` adds the kept replicates' numbers ("replicate")
+    and each estimator's estimates of them.
     """
     if perm_draws < 1:
         raise ValueError(f"perm_draws must be >= 1, got {perm_draws}")
@@ -537,7 +550,7 @@ def evaluate(
         timings.update(stages.seconds)
     if not keep_estimates:
         return rows
-    return rows, {name: np.concatenate(v).tolist() if v else [] for name, v in raw.items()}
+    return rows, {key: np.concatenate(v).tolist() if v else [] for key, v in raw.items()}
 
 
 def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages):
@@ -558,7 +571,7 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages
     alpha = scenario.alpha
     lam_true = scenario.lam
     tallies = {name: _Tally() for name in names}
-    raw: dict[str, list[np.ndarray]] = {name: [] for name in names}  # per chunk
+    raw = {key: [] for key in ("replicate", *names)}  # arrays per block
     # the vectors each replicate's relabelings multiply: the permutation
     # statistics' values, and the counts of the odds ratio's SE
     relabeled = [n for n in ("log_contrast", "tpf") if permutation_por and n in names]
@@ -570,8 +583,9 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages
         or_rows = _odds_ratio_relabelings(scheme, perm_draws, scenario.seed).rows()
         stages.lap("odds_ratio")
 
-    for g, arms, y, z in _nondegenerate(_parallel_draws(scenario), tallies):
+    def block(parts, reps, arms, y, z):
         stages.lap("generation")
+        raw["replicate"].append(reps)
         values = {"y": y, "z": z}
         if "log_contrast" in names or "covariate_adjusted" in names:
             values["log_contrast"] = _log_ratio(y, z)
@@ -580,29 +594,15 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages
         if "tpf" in names:
             values["tpf"] = y / (y + z)
 
-        # the treated sums of each relabeled vector of the chunk under
-        # each of its relabelings: one (replicates, rows) product per key
-        sums = {}
-        if relabeled:
-            rows = or_rows
-            if permutation_por:
-                rz = randomize(scheme, "monte_carlo", perm_draws, _relabeling_stream(scenario, g))
-                rows = rz.rows()
-            sums = {key: values[key] @ rows.T for key in relabeled}
-            stages.lap("permutation" if permutation_por else "odds_ratio")
-
         # the permutation tests of lam0 = 1, whose deviations are the
         # observed statistics, follow each estimator
+        observed = {}
         if "log_contrast" in names:
             est, se = _log_contrast_rows(l1, l0)
             tallies["log_contrast"].add_normal(est, se, lam_true, alpha)
             raw["log_contrast"].append(est)
+            observed["log_contrast"] = est
             stages.lap("log_contrast")
-            if permutation_por:
-                draws = _diff_means(sums.pop("log_contrast"),
-                                    values["log_contrast"].sum(axis=1)[:, None], m, m1)
-                tallies["log_contrast"].add_perm(rz.p(_two_sided_count(draws, est)), alpha)
-                stages.lap("permutation")
         if "covariate_adjusted" in names:
             clusters = np.broadcast_to(np.arange(m), arms.shape)
             x1, x0 = (x[c] for c in _arm_split(clusters, arms))
@@ -614,18 +614,10 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages
             raw["covariate_adjusted"].append(est)
             stages.lap("covariate_adjusted")
         if "odds_ratio" in names:
-            totals = zip(*(v.tolist() for v in _arm_totals(y, z, arms)))
-            log_or = np.array([_log_odds_ratio(*row) for row in totals])
-            # the relabelings of the permutation column give the SE too
-            draws = _odds_ratio_draws(sums.pop("y"), sums.pop("z"),
-                                      y.sum(axis=1)[:, None], z.sum(axis=1)[:, None])
-            tallies["odds_ratio"].add_normal(log_or, _permutation_ses(draws), lam_true, alpha)
-            raw["odds_ratio"].append(log_or)
+            splits = zip(*(v.tolist() for v in _arm_totals(y, z, arms)))
+            observed["odds_ratio"] = np.array([_log_odds_ratio(*row) for row in splits])
+            or_se = np.empty(len(arms))
             stages.lap("odds_ratio")
-            if permutation_por:
-                count = _two_sided_count(draws, log_or)
-                tallies["odds_ratio"].add_perm(rz.p(count), alpha)
-                stages.lap("permutation")
         if "tpf" in names:
             t = tallies["tpf"]
             est = np.full(len(arms), np.nan)
@@ -639,11 +631,38 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages
             stages.lap("tpf")
             if permutation_por:
                 f1, f0 = _arm_split(values["tpf"], arms)
-                draws = _diff_means(sums.pop("tpf"), values["tpf"].sum(axis=1)[:, None], m, m1)
-                count = _two_sided_count(draws, f1.mean(axis=1) - f0.mean(axis=1))
-                t.add_perm(rz.p(count), alpha)
-                stages.lap("permutation")
+                observed["tpf"] = f1.mean(axis=1) - f0.mean(axis=1)
+        totals = {key: values[key].sum(axis=1)[:, None] for key in relabeled}
 
+        # per chunk, the treated sums of each relabeled vector under each
+        # of the chunk's relabelings: one (replicates, rows) product per key
+        for g, sl in parts if relabeled else ():
+            rows = or_rows
+            if permutation_por:
+                rz = randomize(scheme, "monte_carlo", perm_draws, _relabeling_stream(scenario, g))
+                rows = rz.rows()
+            sums = {key: values[key][sl] @ rows.T for key in relabeled}
+            stages.lap("permutation" if permutation_por else "odds_ratio")
+            if "odds_ratio" in names:
+                # the relabelings of the permutation column give the SE too
+                sums["odds_ratio"] = _odds_ratio_draws(sums.pop("y"), sums.pop("z"),
+                                                       totals["y"][sl], totals["z"][sl])
+                or_se[sl] = _permutation_ses(sums["odds_ratio"])
+                stages.lap("odds_ratio")
+            for name in observed if permutation_por else ():
+                # the odds ratio's draws, and the others' mean differences
+                draws = sums[name] if name == "odds_ratio" else _diff_means(
+                    sums[name], totals[name][sl], m, m1)
+                tallies[name].add_perm(rz.p(_two_sided_count(draws, observed[name][sl])), alpha)
+            if permutation_por:
+                stages.lap("permutation")
+        if "odds_ratio" in names:
+            tallies["odds_ratio"].add_normal(observed["odds_ratio"], or_se, lam_true, alpha)
+            raw["odds_ratio"].append(observed["odds_ratio"])
+            stages.lap("odds_ratio")
+
+    for b in _blocks(_parallel_draws(scenario), tallies):
+        block(*b)
     return [tallies[name].row(scenario, name) for name in names], raw
 
 
@@ -665,7 +684,7 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws, stages):
     lam_true = scenario.lam
     log_lam = math.log(lam_true)
     tallies = {name: _Tally() for name in names}
-    raw: dict[str, list[np.ndarray]] = {name: [] for name in names}  # per chunk
+    raw = {key: [] for key in ("replicate", *names)}  # arrays per block
 
     # every replicate's starts permute the scheme's multiset, so the
     # analysis periods, m_t, the Sigma scale and equal weights are fixed
@@ -677,8 +696,9 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws, stages):
     scale = _scale_matrix(scheme, periods, "canonical")
     w_equal = np.asarray(equal_weights(periods).w)
 
-    for g, start, y, z in _nondegenerate(_wedge_draws(scenario), tallies):
+    def block(parts, reps, start, y, z):
         stages.lap("generation")
+        raw["replicate"].append(reps)
         lmat = np.log(y) - np.log(z)
         diffs = _period_differences(lmat, start, periods)
         sigma_hat, _ = _plugin_sigma(lmat, start, periods, scheme, scale)
@@ -698,22 +718,25 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws, stages):
             tallies[name].add_normal(est, se, lam_true, alpha)
             raw[name].append(est)
             stages.lap(name)
-        if permutation_por:
-            # one set of re-randomized starts per chunk, shared by its
-            # replicates and both weightings; at lam0 = 1 the imputed L(0)
-            # is lmat itself
-            weights = {name: np.broadcast_to(w_equal, diffs.shape) for name in names}
-            if "sw_optimal" in names:
-                weights["sw_optimal"] = _null_weights(lmat, "optimal", periods, scale)
+        if not permutation_por:
+            return
+        # one set of re-randomized starts per chunk, shared by its
+        # replicates and both weightings; at lam0 = 1 the imputed L(0)
+        # is lmat itself
+        if "sw_optimal" in names:
+            weights["sw_optimal"] = _null_weights(lmat, "optimal", periods, scale)
+        # the observed statistic weights the estimates' own diffs
+        observed = {name: _row_dot(diffs, weights[name]) for name in names}
+        for g, sl in parts:
             rz = randomize(scheme, "monte_carlo", perm_draws, _relabeling_stream(scenario, g))
-            d_rows = _period_diff_rows(rz.rows(), periods, scheme, lmat)
+            d_rows = _period_diff_rows(rz.rows(), periods, scheme, lmat[sl])
             for name in names:
-                draws = np.matmul(d_rows, weights[name][:, :, None])[:, :, 0]
-                # the observed statistic weights the estimates' own diffs
-                observed = _row_dot(diffs, weights[name])
-                tallies[name].add_perm(rz.p(_two_sided_count(draws, observed)), alpha)
-            stages.lap("permutation")
+                draws = np.matmul(d_rows, weights[name][sl, :, None])[:, :, 0]
+                tallies[name].add_perm(rz.p(_two_sided_count(draws, observed[name][sl])), alpha)
+        stages.lap("permutation")
 
+    for b in _blocks(_wedge_draws(scenario), tallies):
+        block(*b)
     return [tallies[name].row(scenario, name) for name in names], raw
 
 

@@ -472,19 +472,18 @@ def _period_diff_rows(
     for each (m, T) matrix v of a (B, m, T) stack ``values``.
 
     Row r treats cluster i at period t when ``start_rows[r, i] <= t``;
-    each period is one product of its float 0/1 mask with the period's
-    (m, B) column of the whole stack.
+    one batched product takes each period's (B, m) columns of the whole
+    stack times its (m, rows) float 0/1 masks, as a 2-D product would.
     """
-    b, m, _ = values.shape
+    m = values.shape[1]
     cols = [t - 1 for t in periods]
     by_period = np.ascontiguousarray(values.transpose(2, 0, 1)[cols])  # (k, B, m)
-    sums = np.empty((b, start_rows.shape[0], len(periods)))
-    mask = np.empty(start_rows.shape)
-    for k, t in enumerate(periods):
-        np.less_equal(start_rows, t, out=mask, casting="unsafe")
-        sums[:, :, k] = by_period[k] @ mask.T
-    n1 = np.array([scheme.m_t(t) for t in periods])
-    return _diff_means(sums, by_period.sum(axis=2).T[:, None, :], m, n1)
+    masks = np.empty((len(periods), *start_rows.shape))
+    np.less_equal(start_rows, np.array(periods)[:, None, None], out=masks, casting="unsafe")
+    sums = np.matmul(by_period, masks.transpose(0, 2, 1))  # (k, B, rows)
+    n1 = np.array([scheme.m_t(t) for t in periods])[:, None, None]
+    diffs = _diff_means(sums, by_period.sum(axis=2)[:, :, None], m, n1)
+    return np.ascontiguousarray(diffs.transpose(1, 2, 0))
 
 
 def _null_weights(

@@ -203,7 +203,8 @@ class TestCli:
                             diagnostics["permutation"]))
         (p_exact, exact), (p_mc, mc) = entries
         assert exact == {"mode": "exact", "mode_reason": "auto: support 20 <= 100000",
-                         "support_size": 20, "null_draws": 20, "mc_se": 0.0}
+                         "support_size": 20, "null_draws": 20, "mc_se": 0.0,
+                         "null": "sharp", "arm_sizes": [3, 3]}
         assert mc["mode"] == "monte_carlo"
         assert mc["mode_reason"] == "monte_carlo requested"
         assert (mc["support_size"], mc["null_draws"]) == (20, 400)
@@ -212,6 +213,22 @@ class TestCli:
         assert main(["analyze-sw", "--input", str(panel_csv), "--out", str(out)]) == 0
         entry = json.loads(out.read_text())["results"][0]["diagnostics"]["permutation"]
         assert entry["mode_reason"] == "auto: support 90 <= 100000"
+        assert entry["null"] == "sharp" and "arm_sizes" not in entry
+
+    def test_unequal_arms_are_flagged_in_the_permutation_entry(self, tmp_path):
+        # 2 of 6 clusters treated: the p-value is exact for the sharp null
+        # only, which the entry says
+        lines = PARALLEL_CSV.splitlines()
+        lines[3] = lines[3].replace("c03,1,", "c03,0,")
+        data = write(tmp_path, "d.csv", "\n".join(lines) + "\n")
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--input", str(data), "--out", str(out),
+                     "--estimators", "log_contrast,odds_ratio", "--n-draws", "50"]) == 0
+        for result in json.loads(out.read_text())["results"]:
+            entry = result["diagnostics"]["permutation"]
+            assert (entry["null"], entry["arm_sizes"]) == ("sharp", [2, 4])
+            assert entry["note"] == ("unequal arms: exact for the sharp null, "
+                                     "not an average effect")
 
     def test_analyze_symmetric_null_dataset(self, tmp_path, capsys):
         rows = ["cluster_id,arm,y_count,z_count"]
@@ -632,8 +649,10 @@ class TestSimulationTimings:
         group = "(seed, 3, rep // 16)"
         assert plan["stream"] == (group if command == "simulate" else
                                   f"(s, 0x5E), s = derive_rng{group}.integers(2**31)")
-        # and the replicates: each chunk of 16 from one stream
+        # and the replicates: each chunk of 16 from one stream, evaluated
+        # four chunks to a block
         assert sidecar["generation"] == {"replicates_per_stream": 16,
+                                         "replicates_per_block": 64,
                                          "stream": "(seed, 4, rep // 16)"}
 
     def test_sw_sidecar_counts_weight_fallbacks(self, tmp_path, monkeypatch):

@@ -854,6 +854,42 @@ class TestExactPValuesSuperUniform:
             self.check(*self.parallel_pvalues(8, 3, 3968369314, "tpf"), top=1.0)
 
 
+class TestSharpNullScope:
+    """What the permutation p-value is exact for, by double enumeration on
+    10 clusters: every realized assignment of one fixed table of
+    per-cluster effects, and for each its exact p-value over every
+    re-randomization.  The share of realizations with p <= alpha is the
+    test's exact size.
+
+    Under a sharp null (the same effect in every cluster, tested at that
+    effect) the size is at most alpha for any m1.  Under a weak null
+    (effects that differ by cluster and average zero) it is not: with
+    unequal arms it can exceed alpha.  :meth:`sizes` measures both; only
+    the sharp-null bound is asserted.
+    """
+
+    @staticmethod
+    def sizes(l0, effects, m1, lam0=1.0, alphas=(0.01, 0.05, 0.1, 0.2)):
+        """{alpha: exact size} of the test of lam0 when cluster i's
+        log-contrast is ``l0[i]`` in control and ``l0[i] + effects[i]``
+        treated."""
+        null = NullSpec("relative_risk", lam0)
+        p = np.array([
+            permutation_test(make_records(l0 + effects * a, a), null, mode="exact").p_two_sided
+            for a in enumerate_assignments(ParallelScheme(len(l0), m1))
+        ])
+        return {alpha: np.count_nonzero(p <= alpha) / p.size for alpha in alphas}
+
+    @pytest.mark.parametrize("lam", [1.0, 0.6])
+    @pytest.mark.parametrize("m1", [2, 3, 4, 5])
+    def test_sharp_null_size_is_at_most_alpha(self, m1, lam):
+        l0 = np.random.default_rng(m1).normal(0.0, 0.5, 10)
+        sizes = self.sizes(l0, np.full(10, math.log(lam)), m1, lam0=lam)
+        for alpha, size in sizes.items():
+            assert size <= alpha
+        assert sizes[0.2] > 0.1  # the bound is not met by never rejecting
+
+
 class TestDoseStatisticOnce:
     """One dose-response call computes the log-contrasts once."""
 

@@ -25,6 +25,7 @@ from crtnd.scenarios import (
 )
 from crtnd.errors import DegenerateReplicateLimit
 from crtnd.simulation import (
+    _BLOCK_CHUNKS,
     _CHUNK,
     PARALLEL_ESTIMATORS,
     SW_ESTIMATORS,
@@ -416,7 +417,7 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
 
     alpha, lam = scenario.alpha, scenario.lam
     tallies = {name: _Tally() for name in names}
-    raw = {name: [] for name in names}
+    raw = {key: [] for key in ("replicate", *names)}
 
     def tally(name, report):
         _tally_from_values(tallies[name], report.log_estimate, report.se_log,
@@ -438,6 +439,7 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
             if records is None:
                 drop("degenerate")
                 continue
+            raw["replicate"].append(rep)
             y, z, arms = records.y, records.z, records.arm
             rows = None
             if permutation_por:
@@ -489,6 +491,7 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
             except CrtndError as exc:
                 drop(type(exc).__name__)
                 continue
+            raw["replicate"].append(rep)
             if "sw_equal" in names:
                 tally("sw_equal", sw_log_contrast(
                     panel, "equal", covariance=cov_hat, alpha=alpha))
@@ -587,6 +590,25 @@ EQUIVALENCE_CASES.update({
     ),
 })
 
+# evaluate joins _BLOCK_CHUNKS chunks into one block: runs that end one
+# short of, at and one past a block, and two blocks and one, with one
+# degenerate replicate inside a block (replicate 70 of the parallel run,
+# 71 of the wedge) or as a block's first replicate (replicate 128, the
+# third block's only one, and 64, the second block's first of 64)
+BLOCK = _CHUNK * _BLOCK_CHUNKS
+EQUIVALENCE_CASES.update({
+    "block-short": (small_parallel(lam=0.6, n=BLOCK - 1, seed=56), None),
+    "block-full": (small_parallel(lam=0.8, n=BLOCK, seed=57), ("log_contrast", "odds_ratio")),
+    "block-over": (small_parallel(lam=1.0, n=BLOCK + 1, seed=58), None),
+    "blocks-degenerate-inside": (sparse_parallel(2 * BLOCK + 1, 73), None),
+    "blocks-degenerate-first": (sparse_parallel(2 * BLOCK + 1, 622), None),
+    "sw-block-short": (small_sw(n=BLOCK - 1, seed=59), None),
+    "sw-block-full": (small_sw(n=BLOCK, seed=60), ("sw_optimal",)),
+    "sw-block-over": (small_sw(lam=1.0, n=BLOCK + 1, seed=61), None),
+    "sw-blocks-degenerate-inside": (sparse_sw(2 * BLOCK + 1, 49), None),
+    "sw-blocks-degenerate-first": (sparse_sw(2 * BLOCK + 1, 169), None),
+})
+
 
 def assert_rows_match(rows, ref_rows):
     """Every field bit for bit (repr distinguishes every float bit pattern
@@ -672,12 +694,48 @@ class TestArrayLoopEquivalence:
                 evaluate(scen, permutation_por=True, perm_draws=19)
 
     @pytest.mark.parametrize("case, rep", [("chunks-degenerate", 23),
-                                           ("sw-chunks-degenerate", 11)])
+                                           ("sw-chunks-degenerate", 11),
+                                           ("blocks-degenerate-inside", 70),
+                                           ("sw-blocks-degenerate-inside", 71)])
     def test_one_degenerate_replicate_inside_a_chunk(self, case, rep):
         scenario, _ = EQUIVALENCE_CASES[case]
         draws = simulate_stepped_wedge if scenario.is_stepped_wedge else simulate_parallel
         assert [r for r, data in draws(scenario) if data is None] == [rep]
         assert 0 < rep % _CHUNK < _CHUNK - 1
+
+    @pytest.mark.parametrize("case, rep", [("blocks-degenerate-first", 2 * BLOCK),
+                                           ("sw-blocks-degenerate-first", BLOCK)])
+    def test_one_degenerate_replicate_opens_a_block(self, case, rep):
+        scenario, _ = EQUIVALENCE_CASES[case]
+        draws = simulate_stepped_wedge if scenario.is_stepped_wedge else simulate_parallel
+        assert [r for r, data in draws(scenario) if data is None] == [rep]
+        assert rep % BLOCK == 0
+
+    @pytest.mark.parametrize("case, chunks", [
+        ("blocks-degenerate-first", range(8)),  # chunk 8 is replicate 128 alone
+        ("sw-blocks-degenerate-first", range(9)),
+    ])
+    def test_relabelings_are_drawn_once_per_chunk(self, monkeypatch, case, chunks):
+        # blocks change nothing in the permutation column: one randomize
+        # call per chunk with a nondegenerate replicate, from its stream
+        import crtnd.simulation as simulation
+        from crtnd.simulation import _relabeling_stream
+
+        draw, streams = simulation.randomize, []
+
+        def counted(scheme, mode, n_draws, stream):
+            streams.append(stream)
+            return draw(scheme, mode, n_draws, stream)
+
+        monkeypatch.setattr(simulation, "randomize", counted)
+        scenario, _ = EQUIVALENCE_CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            evaluate(scenario, perm_draws=19)
+            assert streams == [_relabeling_stream(scenario, g) for g in chunks]
+            streams.clear()
+            evaluate(scenario, perm_draws=19, permutation_por=False)
+        assert streams == []
 
     @pytest.mark.parametrize("permutation_por", [True, False])
     @pytest.mark.parametrize("make, n, message", [
@@ -797,7 +855,7 @@ class TestChunkGeneration:
 
 
 class TestBoundedMemory:
-    """A run holds one chunk of replicates at a time, never its relabelings,
+    """A run holds one block of replicates at a time, never its relabelings,
     nor its (chunk, draws, periods) stacks."""
 
     # what grows with the replicates is the tallies: a few float64 each,
@@ -828,3 +886,30 @@ class TestBoundedMemory:
         small = self.peak(make(0.6, n_replicates=n, seed=3), names)
         large = self.peak(make(0.6, n_replicates=10 * n, seed=3), names)
         assert large - small < self.SLACK
+
+
+class TestRawEstimatesCsv:
+    def test_rows_name_their_replicates(self, tmp_path):
+        # replicate 23 of this run is degenerate: the CSV has no row for
+        # it, and every other row carries its own replicate's number and
+        # estimate
+        import csv
+
+        from crtnd import log_contrast_estimate
+        from crtnd.cli import main
+        from crtnd.dataio import save_scenario
+
+        scenario = sparse_parallel(40, 48)
+        trials = dict(simulate_parallel(scenario))
+        assert [rep for rep, trial in trials.items() if trial is None] == [23]
+        path, raw = tmp_path / "s.json", tmp_path / "raw.csv"
+        save_scenario(scenario, path)
+        assert main(["simulate", "--scenario", str(path), "--estimators", "log_contrast",
+                     "--no-permutation-por", "--out", str(tmp_path / "m.csv"),
+                     "--raw-estimates", str(raw)]) == 0
+        with raw.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(row["replicate"]) for row in rows] == [*range(23), *range(24, 40)]
+        for row in rows:
+            trial = trials[int(row["replicate"])]
+            assert row["log_estimate"] == repr(log_contrast_estimate(trial).log_estimate)

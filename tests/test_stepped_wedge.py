@@ -327,6 +327,39 @@ class TestNullCovarianceAndPermutation:
                 want = _period_differences(values[b], start, periods)
                 np.testing.assert_allclose(rows[b, r], want, rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("b", [1, 2, 16])
+    @pytest.mark.parametrize("q, analysed", [((1, 2, 2, 2, 1), (1, 2, 3, 4)),
+                                             ((0, 3, 3, 2), (2, 3))],
+                             ids=["all-periods", "period-1-dropped"])
+    def test_batched_period_diff_rows_match_the_period_loop(self, b, q, analysed):
+        # one batched product over the periods gives each period the bits
+        # of its own (B, m) @ (m, rows) product
+        from crtnd.inference import _diff_means
+        from crtnd.stepped_wedge import _period_diff_rows
+
+        def period_loop(start_rows, periods, scheme, values):
+            n, m, _ = values.shape
+            by_period = np.ascontiguousarray(values.transpose(2, 0, 1)[[t - 1 for t in periods]])
+            sums = np.empty((n, start_rows.shape[0], len(periods)))
+            mask = np.empty(start_rows.shape)
+            for k, t in enumerate(periods):
+                np.less_equal(start_rows, t, out=mask, casting="unsafe")
+                sums[:, :, k] = by_period[k] @ mask.T
+            n1 = np.array([scheme.m_t(t) for t in periods])
+            return _diff_means(sums, by_period.sum(axis=2).T[:, None, :], m, n1)
+
+        scheme = SteppedWedgeScheme(sum(q), q)
+        periods = scheme.analysis_periods
+        assert periods == analysed
+        rng = np.random.default_rng(29 + b)
+        values = rng.normal(0.5, 1.0, size=(b, scheme.m, len(q)))
+        starts = sample_assignments(scheme, 999, derive_rng(30, b))
+        rows = _period_diff_rows(starts, periods, scheme, values)
+        want = period_loop(starts, periods, scheme, values)
+        assert rows.shape == want.shape == (b, 999, len(periods))
+        assert rows.flags.c_contiguous
+        assert rows.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("lam0", [0.0, -0.5])
     def test_null_covariance_needs_a_positive_lam0(self, lam0):
         panel = realize(random_table(4, 3, 1.0, seed=16), np.array([1, 2, 2, 3]))
