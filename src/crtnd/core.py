@@ -617,18 +617,17 @@ def randomize(
     mode: str,
     n_draws: int,
     stream: tuple[int, ...],
-    exact_limit: int = AUTO_EXACT_LIMIT,
 ) -> Randomization:
     """How to re-randomize ``scheme``: "exact", "monte_carlo" (``n_draws``
     draws from ``derive_rng(*stream)``) or "auto", exact up to
-    ``exact_limit`` assignments.  Exact mode raises
+    :data:`AUTO_EXACT_LIMIT` assignments.  Exact mode raises
     :class:`SupportTooLarge` above :data:`ENUMERATION_CAP`; Monte Carlo
     mode raises ValueError below one draw."""
     total = scheme.total_assignments
     if mode == "auto":
-        mode = "exact" if total <= exact_limit else "monte_carlo"
+        mode = "exact" if total <= AUTO_EXACT_LIMIT else "monte_carlo"
         sign = "<=" if mode == "exact" else ">"
-        reason = f"auto: support {total} {sign} {exact_limit}"
+        reason = f"auto: support {total} {sign} {AUTO_EXACT_LIMIT}"
     elif mode in ("exact", "monte_carlo"):
         reason = f"{mode} requested"
     else:

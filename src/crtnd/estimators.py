@@ -215,10 +215,6 @@ def _odds_ratio_draws(ty, tz, y_total, z_total) -> np.ndarray:
     return ty
 
 
-# supports up to this size give the odds-ratio SE by full enumeration
-_OR_ENUMERATION_LIMIT = 20000
-
-
 def odds_ratio_estimate(
     trial: Trial,
     *,
@@ -230,8 +226,8 @@ def odds_ratio_estimate(
 
     The SE is the standard deviation of the log odds ratio over arm
     relabelings with per-cluster counts held fixed: full enumeration up
-    to 20,000 relabelings, else ``se_draws`` drawn from stream
-    ``(seed, 0x0D)``.
+    to :data:`~crtnd.core.AUTO_EXACT_LIMIT` relabelings, else
+    ``se_draws`` drawn from stream ``(seed, 0x0D)``.
     """
     log_or = odds_ratio_log(trial)
     rz = _odds_ratio_relabelings(trial.scheme, se_draws, seed)
@@ -258,7 +254,7 @@ def _odds_ratio_relabelings(
     scheme: ParallelScheme, se_draws: int, seed: int
 ) -> Randomization:
     """The SE's arm relabelings: from the design and the seed, not the counts."""
-    return randomize(scheme, "auto", se_draws, (seed, 0x0D), _OR_ENUMERATION_LIMIT)
+    return randomize(scheme, "auto", se_draws, (seed, 0x0D))
 
 
 def _permutation_se(draws: np.ndarray) -> float | None:
@@ -422,21 +418,6 @@ def _log_contrast_rows(l1: np.ndarray, l0: np.ndarray):
 # --------------------------------------------------------------------- #
 
 
-def _ols_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Slopes of y on x (with intercept) and the residuals, from one
-    ``np.linalg.lstsq`` solve (the dose-response statistic's fit; a
-    stack of fits goes through :func:`_ols_rows`).
-
-    The covariates are centered before solving, which leaves slopes and
-    residuals unchanged in exact arithmetic but makes the computation
-    invariant to covariate translation at machine precision.
-    """
-    design = _ols_design(x[None])[0]
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    _check_rank(rank, x.shape[1])
-    return coef[1:], y - design @ coef
-
-
 def covariate_adjusted_estimate(
     trial: Trial,
     beta: Sequence[float] | None = None,
@@ -463,38 +444,24 @@ def covariate_adjusted_estimate(
     m1, m0 = l1.size, l0.size
     diff_x = x1.mean(axis=0) - x0.mean(axis=0)
 
-    if beta is not None:
+    if beta is None:
+        _check_ols_arms(m1, m0, p)
+        est, se, beta_vec, b1, b0, v1, v0 = (
+            v[0] for v in _pooled_ols(l1[None], l0[None], x1[None], x0[None])[:7]
+        )
+        fit = CovariateFit(beta_vec, b1, b0, float(v1), float(v0))
+    else:
         beta_vec = np.asarray(beta, dtype=float)
         if beta_vec.shape != (p,):
             raise ValueError(f"beta must have shape ({p},), got {beta_vec.shape}")
         _check_variance_arms(m1, m0)
-        g1 = l1 - x1 @ beta_vec
-        g0 = l0 - x0 @ beta_vec
-        v1 = float(np.var(g1, ddof=1))
-        v0 = float(np.var(g0, ddof=1))
-        fit = CovariateFit(
-            beta_hat=beta_vec,
-            beta_treated=beta_vec,
-            beta_control=beta_vec,
-            resid_var_treated=v1,
-            resid_var_control=v0,
-        )
-    else:
-        _check_ols_arms(m1, m0, p)
-        beta_vec, b1, b0, v1, v0 = (
-            v[0] for v in _pooled_ols(l1[None], l0[None], x1[None], x0[None])
-        )
-        v1, v0 = float(v1), float(v0)
-        fit = CovariateFit(
-            beta_hat=beta_vec,
-            beta_treated=b1,
-            beta_control=b0,
-            resid_var_treated=v1,
-            resid_var_control=v0,
-        )
+        v1 = float(np.var(l1 - x1 @ beta_vec, ddof=1))
+        v0 = float(np.var(l0 - x0 @ beta_vec, ddof=1))
+        fit = CovariateFit(beta_vec, beta_vec, beta_vec, v1, v0)
+        est = l1.mean() - l0.mean() - beta_vec @ diff_x
+        se = math.sqrt(v1 / m1 + v0 / m0)
 
-    est = float(l1.mean() - l0.mean() - beta_vec @ diff_x)
-    se = math.sqrt(v1 / m1 + v0 / m0)
+    est, se = float(est), float(se)
     ci_low, ci_high = normal_ci(est, se, alpha)
     report = EstimateReport(
         method="covariate_adjusted",
@@ -521,23 +488,34 @@ def _check_ols_arms(m1: int, m0: int, p: int) -> None:
         )
 
 
+# Two least-squares kernels serve every covariate fit of the package:
+# :func:`_ols_rows` fits observed data (the estimator, the simulation's
+# replicates, the dose-response statistic), and
+# :func:`_adjusted_diff_rows` re-fits the arms of re-randomized
+# assignments for the permutation tests and CIs.
+
+
 def _pooled_ols(l1, l0, x1, x0):
-    """Per-arm least squares of L on X, slopes pooled with arm-share
-    weights, for stacks: (B, m_a) log-contrasts and (B, m_a, p)
-    covariates per arm.  Returns the pooled slopes, each arm's slopes
-    and the unbiased per-arm residual variances, one row per replicate.
+    """The covariate-adjusted estimator on stacks: (B, m_a) values and
+    (B, m_a, p) covariates per arm, one row per replicate.
+
+    Per-arm least squares of L on X (:func:`_ols_rows`) give slopes that
+    are pooled with arm-share weights; the estimate is the arm-mean
+    difference of L less the pooled slopes times the covariate mean
+    difference, and its SE uses the unbiased per-arm residual variances.
+    Returns the estimates, the SEs, the pooled slopes, each arm's
+    slopes, each arm's residual variance and each arm's residuals.
     """
     m1, m0, p = l1.shape[1], l0.shape[1], x1.shape[2]
     b1, r1 = _ols_rows(x1, l1)
     b0, r0 = _ols_rows(x0, l0)
     m = m1 + m0
-    return (
-        (m1 / m) * b1 + (m0 / m) * b0,
-        b1,
-        b0,
-        _row_dot(r1, r1) / (m1 - p - 1),
-        _row_dot(r0, r0) / (m0 - p - 1),
-    )
+    beta = (m1 / m) * b1 + (m0 / m) * b0
+    v1 = _row_dot(r1, r1) / (m1 - p - 1)
+    v0 = _row_dot(r0, r0) / (m0 - p - 1)
+    diff_x = x1.mean(axis=1) - x0.mean(axis=1)
+    est = l1.mean(axis=1) - l0.mean(axis=1) - _row_dot(beta, diff_x)
+    return est, np.sqrt(v1 / m1 + v0 / m0), beta, b1, b0, v1, v0, r1, r0
 
 
 def _ols_design(x: np.ndarray) -> np.ndarray:
@@ -550,34 +528,73 @@ def _ols_design(x: np.ndarray) -> np.ndarray:
     return design
 
 
-def _check_rank(rank: int, p: int) -> None:
-    """Raise unless a design with p covariates and an intercept has full rank."""
-    if rank < p + 1:
-        raise RankDeficientCovariates(
-            f"covariate design matrix has rank {rank} < {p + 1} within one arm"
-        )
-
-
 def _ols_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares of each replicate of stacks x (B, n, p), y (B, n) as
-    :func:`_ols_fit` poses it: (B, p) slopes and (B, n) residuals, from
-    one batched SVD.
+    """Least squares of y on x with an intercept for each replicate of
+    stacks x (B, n, p), y (B, n): (B, p) slopes and (B, n) residuals,
+    from one batched SVD.
 
-    The rank rule is ``np.linalg.lstsq``'s: singular values at most
-    ``eps * max(n, p + 1)`` times the largest count as zero, and a
-    replicate of rank below p + 1 raises.  At full rank the solution
-    ``V diag(1/s) U' y`` is lstsq's minimum-norm one, to rounding.  Each
-    replicate's SVD and products are those of a stack of one, so a
-    replicate gets the same bits in any stack.
+    The covariates are centered first, which leaves slopes and residuals
+    unchanged in exact arithmetic but makes the fit invariant to
+    covariate translation at machine precision.  The rank rule is numpy
+    ``lstsq``'s default: singular values at most ``eps * max(n, p + 1)``
+    times the largest count as zero, and a replicate of rank below
+    p + 1 raises :class:`RankDeficientCovariates`.  At full rank the
+    solution ``V diag(1/s) U' y`` is lstsq's minimum-norm one, to
+    rounding.  Each replicate's SVD and products are those of a stack of
+    one, so a replicate gets the same bits in any stack.
     """
     n, p = x.shape[1:]
     design = _ols_design(x)
     u, s, vt = np.linalg.svd(design, full_matrices=False)
-    rank = np.count_nonzero(s > np.finfo(float).eps * max(n, p + 1) * s[:, :1], axis=1)
-    _check_rank(int(rank.min()), p)
+    rank = int(np.count_nonzero(s > np.finfo(float).eps * max(n, p + 1) * s[:, :1],
+                                axis=1).min())
+    if rank < p + 1:
+        raise RankDeficientCovariates(
+            f"covariate design matrix has rank {rank} < {p + 1} within one arm"
+        )
     uty = np.matmul(u.transpose(0, 2, 1), y[:, :, None]) / s[:, :, None]
     coef = np.matmul(vt.transpose(0, 2, 1), uty)
     return coef[:, 1:, 0], y - np.matmul(design, coef)[:, :, 0]
+
+
+def _adjusted_diff_rows(x, arm_matrix, m1, *values):
+    """Covariate-adjusted treated-minus-control difference per 0/1 row of
+    ``arm_matrix``, one array for each vector of ``values``.
+
+    Re-estimates the pooled per-arm least-squares slopes for every
+    assignment, mirroring the full estimation procedure, as batched
+    normal equations: the covariates are centered once over all
+    clusters, and the arm masks and per-arm normal matrices are built
+    once for all of ``values``; each vector gets its own solve.  An arm
+    whose normal matrix is exactly singular raises
+    :class:`RankDeficientCovariates`.
+    """
+    m = x.shape[0]
+    m0 = m - m1
+    x = x - x.mean(axis=0)  # translation-invariant, better conditioned
+    g = np.column_stack([np.ones(m), x])  # per-cluster design row (1, x_i)
+    q = g.shape[1]
+    gg = (g[:, :, None] * g[:, None, :]).reshape(m, q * q)
+    mask1 = arm_matrix.astype(float)
+    mask0 = 1.0 - mask1
+    normals = [(mask, (mask @ gg).reshape(-1, q, q)) for mask in (mask1, mask0)]
+    x_diff = (mask1 @ x) / m1 - (mask0 @ x) / m0
+    out = []
+    for v in values:
+        try:
+            b1, b0 = (
+                np.linalg.solve(normal, ((mask * v) @ g)[:, :, None])[:, :, 0]
+                for mask, normal in normals
+            )
+        except np.linalg.LinAlgError:
+            raise RankDeficientCovariates(
+                "covariate design matrix is singular within one arm of a "
+                "re-randomized assignment"
+            ) from None
+        slopes = (m1 * b1[:, 1:] + m0 * b0[:, 1:]) / m
+        w_diff = (mask1 @ v) / m1 - (mask0 @ v) / m0
+        out.append(w_diff - np.einsum("rp,rp->r", slopes, x_diff))
+    return out
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -31,9 +31,13 @@ from typing import Callable
 import numpy as np
 
 from .core import Randomization, Trial, log_contrasts, randomize
-from .errors import ConstantDose, NoNonRejectedPoint, StatisticUndefined
+from .errors import ConstantDose, NoNonRejectedPoint, RankDeficientCovariates, StatisticUndefined
 from .estimators import (
     EstimateReport,
+    _adjusted_diff_rows,
+    _arm_split,
+    _ols_rows,
+    _pooled_ols,
     covariate_adjusted_estimate,
     log_contrast_estimate,
     odds_ratio_log,
@@ -41,7 +45,6 @@ from .estimators import (
     tpf_estimate,
     tpf_expected,
     tpf_statistic,
-    _ols_fit,
     _z_quantile,
 )
 
@@ -134,62 +137,6 @@ def _diff_means(treated_sums: np.ndarray, total, m, m1) -> np.ndarray:
     treated_sums /= m1
     treated_sums -= rest
     return treated_sums
-
-
-def _adjusted_diff_rows(
-    x: np.ndarray, arm_matrix: np.ndarray, m1: int, *values: np.ndarray
-) -> list[np.ndarray]:
-    """Covariate-adjusted treated-minus-control difference per 0/1 row,
-    one array for each vector of ``values``.
-
-    Re-estimates the pooled per-arm least-squares slopes for every
-    assignment, mirroring the full estimation procedure.  Solved as
-    batched normal equations; falls back to row-by-row least squares if
-    some re-randomized arm design is singular.
-    """
-    try:
-        return _adjusted_diff_rows_batched(x, arm_matrix, m1, *values)
-    except np.linalg.LinAlgError:
-        return [_adjusted_diff_rows_loop(v, x, arm_matrix, m1) for v in values]
-
-
-def _adjusted_diff_rows_batched(x, arm_matrix, m1, *values):
-    """The arm masks and per-arm normal matrices are built once for all
-    of ``values``; each vector gets its own solve."""
-    m = x.shape[0]
-    m0 = m - m1
-    x = x - x.mean(axis=0)  # translation-invariant, better conditioned
-    g = np.column_stack([np.ones(m), x])  # per-cluster design row (1, x_i)
-    q = g.shape[1]
-    gg = (g[:, :, None] * g[:, None, :]).reshape(m, q * q)
-    mask1 = arm_matrix.astype(float)
-    mask0 = 1.0 - mask1
-    normals = [(mask, (mask @ gg).reshape(-1, q, q)) for mask in (mask1, mask0)]
-    x_diff = (mask1 @ x) / m1 - (mask0 @ x) / m0
-    out = []
-    for v in values:
-        b1, b0 = (
-            np.linalg.solve(normal, ((mask * v) @ g)[:, :, None])[:, :, 0]
-            for mask, normal in normals
-        )
-        slopes = (m1 * b1[:, 1:] + m0 * b0[:, 1:]) / m
-        w_diff = (mask1 @ v) / m1 - (mask0 @ v) / m0
-        out.append(w_diff - np.einsum("rp,rp->r", slopes, x_diff))
-    return out
-
-
-def _adjusted_diff_rows_loop(values, x, arm_matrix, m1):
-    out = np.empty(arm_matrix.shape[0])
-    m = values.shape[0]
-    for k in range(arm_matrix.shape[0]):
-        arms = arm_matrix[k].astype(bool)
-        w1, w0 = values[arms], values[~arms]
-        x1, x0 = x[arms], x[~arms]
-        b1, _ = _ols_fit(x1, w1)
-        b0, _ = _ols_fit(x0, w0)
-        beta = (w1.size * b1 + w0.size * b0) / m
-        out[k] = w1.mean() - w0.mean() - beta @ (x1.mean(axis=0) - x0.mean(axis=0))
-    return out
 
 
 def _tail_counts(draws: np.ndarray, observed: float) -> tuple[int, int, int]:
@@ -463,48 +410,40 @@ def _dose_stat(
     """The working statistic of dose nulls on ``trial``; ``lvals`` are its
     log-contrasts when the caller has them.
 
-    Residual products are summed as ``np.var`` sums them (no covariates)
-    or as :func:`covariate_adjusted_estimate` does (covariates).
+    L and the dose are one two-row stack.  Without covariates ``num``
+    and ``den`` are its arm-mean differences and the residuals are
+    deviations from the arm means, their products summed as ``np.var``
+    sums them.  With covariates the stack goes through
+    :func:`~crtnd.estimators._pooled_ols`, as
+    :func:`covariate_adjusted_estimate` fits L.
     """
     if lvals is None:
         lvals = log_contrasts(trial)
     doses = trial.require_dose()
-    arms = trial.arm
-    x = trial.x if adjustment == "covariates" else None
-    num, resid_l, k = _arm_difference(lvals, arms, x)
-    den, resid_d, _ = _arm_difference(doses, arms, x)
-    dot = (lambda u, v: np.sum(u * v)) if x is None else (lambda u, v: u @ v)
+    stack = np.stack([lvals, doses])
+    v1, v0 = _arm_split(stack, np.broadcast_to(trial.arm, stack.shape))
+    if adjustment == "covariates":
+        x1, x0 = (np.broadcast_to(xa, (2, *xa.shape))
+                  for xa in (trial.x[trial.arm], trial.x[~trial.arm]))
+        fit = _pooled_ols(v1, v0, x1, x0)
+        (num, den), resid, k = fit[0], fit[7:], 1 + trial.x.shape[1]
+        dot = lambda u, v: u @ v
+    else:
+        num, den = v1.mean(axis=1) - v0.mean(axis=1)
+        resid, k = [v - v.mean(axis=1)[:, None] for v in (v1, v0)], 1
+        dot = lambda u, v: np.sum(u * v)
     var = [0.0, 0.0, 0.0]
-    for rl, rd in zip(resid_l, resid_d):
+    for rl, rd in resid:
         n = rl.size
         for i, (u, v) in enumerate(((rl, rl), (rl, rd), (rd, rd))):
             var[i] += float(dot(u, v) / (n - k)) / n
     return _DoseStat(
-        num=num,
-        den=den,
+        num=float(num),
+        den=float(den),
         var=tuple(var),
         lvals=lvals,
         doses=doses,
     )
-
-
-def _arm_difference(values: np.ndarray, arms: np.ndarray, x: np.ndarray | None):
-    """(arm difference, per-arm residuals, parameters fitted per arm).
-
-    Without covariates the residuals are deviations from the arm mean;
-    with them, from each arm's least-squares fit, and the difference
-    subtracts the pooled slopes times the covariate mean difference.
-    """
-    groups = (arms, ~arms)
-    if x is None:
-        resid = [values[g] - values[g].mean() for g in groups]
-        return float(values[arms].mean() - values[~arms].mean()), resid, 1
-    (b1, r1), (b0, r0) = (_ols_fit(x[g], values[g]) for g in groups)
-    beta = (r1.size * b1 + r0.size * b0) / values.shape[0]
-    diff = values[arms].mean() - values[~arms].mean() - beta @ (
-        x[arms].mean(axis=0) - x[~arms].mean(axis=0)
-    )
-    return float(diff), [r1, r0], 1 + x.shape[1]
 
 
 def _fieller_ci(stat: _DoseStat, alpha: float) -> tuple[float, float]:
@@ -838,20 +777,19 @@ def dose_response_estimate(
     recorded in the diagnostics.
     """
     doses = trial.require_dose()
-    if float(doses.max() - doses.min()) <= 0.0:
-        raise ConstantDose("all clusters share one dose value")
     if adjustment == "auto":
         adjustment = "covariates" if trial.x.shape[1] > 0 else "none"
     lvals = log_contrasts(trial)
+    try:
+        (slope,), (resid,) = _ols_rows(doses[None, :, None], lvals[None])
+    except RankDeficientCovariates:
+        raise ConstantDose("all clusters share one dose value, to rounding") from None
 
     # An exact linear relation L = a + b * dose makes the working outcome
     # degenerate at beta0 = b; report it directly.
-    design = np.column_stack([np.ones(trial.m), doses])
-    coef, _, _, _ = np.linalg.lstsq(design, lvals, rcond=None)
-    resid = lvals - design @ coef
     scale = float(np.sum((lvals - lvals.mean()) ** 2))
     if float(resid @ resid) <= 1e-20 * max(1.0, scale):
-        beta_hat = float(coef[1])
+        beta_hat = float(slope[0])
         return EstimateReport(
             method="dose_response",
             log_estimate=beta_hat,

@@ -606,10 +606,7 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages
         if "covariate_adjusted" in names:
             clusters = np.broadcast_to(np.arange(m), arms.shape)
             x1, x0 = (x[c] for c in _arm_split(clusters, arms))
-            beta, _, _, v1, v0 = _pooled_ols(l1, l0, x1, x0)
-            diff_x = x1.mean(axis=1) - x0.mean(axis=1)
-            est = l1.mean(axis=1) - l0.mean(axis=1) - _row_dot(beta, diff_x)
-            se = np.sqrt(v1 / m1 + v0 / m0)
+            est, se = _pooled_ols(l1, l0, x1, x0)[:2]
             tallies["covariate_adjusted"].add_normal(est, se, lam_true, alpha)
             raw["covariate_adjusted"].append(est)
             stages.lap("covariate_adjusted")

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Panel, SteppedWedgeScheme, randomize
+from .core import _BLOCK_BYTES, Panel, SteppedWedgeScheme, randomize
 from .errors import ArmTooSmall, SingularCovariance
 from .estimators import EstimateReport, _row_dot, normal_ci
 from .inference import (
@@ -474,16 +474,23 @@ def _period_diff_rows(
     Row r treats cluster i at period t when ``start_rows[r, i] <= t``;
     one batched product takes each period's (B, m) columns of the whole
     stack times its (m, rows) float 0/1 masks, as a 2-D product would.
+    The rows go in pieces whose masks fit in ``_BLOCK_BYTES``.
     """
-    m = values.shape[1]
+    b, m = values.shape[:2]
     cols = [t - 1 for t in periods]
     by_period = np.ascontiguousarray(values.transpose(2, 0, 1)[cols])  # (k, B, m)
-    masks = np.empty((len(periods), *start_rows.shape))
-    np.less_equal(start_rows, np.array(periods)[:, None, None], out=masks, casting="unsafe")
-    sums = np.matmul(by_period, masks.transpose(0, 2, 1))  # (k, B, rows)
+    totals = by_period.sum(axis=2)[:, :, None]
     n1 = np.array([scheme.m_t(t) for t in periods])[:, None, None]
-    diffs = _diff_means(sums, by_period.sum(axis=2)[:, :, None], m, n1)
-    return np.ascontiguousarray(diffs.transpose(1, 2, 0))
+    k, n = len(periods), start_rows.shape[0]
+    out = np.empty((b, n, k))
+    size = max(1, _BLOCK_BYTES // (8 * k * m))
+    for first in range(0, n, size):
+        piece = start_rows[first:first + size]
+        masks = np.empty((k, *piece.shape))
+        np.less_equal(piece, np.array(periods)[:, None, None], out=masks, casting="unsafe")
+        sums = np.matmul(by_period, masks.transpose(0, 2, 1))  # (k, B, piece)
+        out[:, first:first + size] = _diff_means(sums, totals, m, n1).transpose(1, 2, 0)
+    return out
 
 
 def _null_weights(

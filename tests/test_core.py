@@ -202,20 +202,21 @@ class TestRandomizationEngine:
         assert built == []
 
     @pytest.mark.parametrize(
-        "mode, limit, expected_mode, reason",
+        "mode, m, expected_mode, reason",
         [
-            ("auto", 100_000, "exact", "auto: support 12870 <= 100000"),
-            ("auto", 12869, "monte_carlo", "auto: support 12870 > 12869"),
-            ("exact", 100_000, "exact", "exact requested"),
-            ("monte_carlo", 100_000, "monte_carlo", "monte_carlo requested"),
+            ("auto", 16, "exact", "auto: support 12870 <= 100000"),
+            ("auto", 20, "monte_carlo", "auto: support 184756 > 100000"),
+            ("exact", 16, "exact", "exact requested"),
+            ("monte_carlo", 16, "monte_carlo", "monte_carlo requested"),
         ],
     )
-    def test_mode_reason_and_p_arithmetic(self, mode, limit, expected_mode, reason):
-        rz = randomize(ParallelScheme(16, 8), mode, 99, (1,), limit)
-        assert (rz.mode, rz.reason, rz.support_size) == (expected_mode, reason, 12870)
+    def test_mode_reason_and_p_arithmetic(self, mode, m, expected_mode, reason):
+        rz = randomize(ParallelScheme(m, m // 2), mode, 99, (1,))
+        support = math.comb(m, m // 2)
+        assert (rz.mode, rz.reason, rz.support_size) == (expected_mode, reason, support)
         if expected_mode == "exact":
-            assert (rz.n_rows, rz.add_one, rz.denom) == (12870, 0, 12870)
-            assert rz.p(10) == 10 / 12870
+            assert (rz.n_rows, rz.add_one, rz.denom) == (support, 0, support)
+            assert rz.p(10) == 10 / support
         else:
             assert (rz.n_rows, rz.add_one, rz.denom) == (99, 1, 100)
             assert rz.p(10) == 11 / 100
@@ -294,8 +295,8 @@ class TestStreams:
         sw_permutation_test(self.panel(), 1.0, mode="monte_carlo", n_draws=60, seed=7)
         _sw_pvalue_function(self.panel(), "equal", mode="monte_carlo", n_draws=60,
                             seed=7, convention="canonical")
-        # C(18, 9) = 48620 relabelings: above the SE's enumeration limit
-        report = odds_ratio_estimate(recs, se_draws=60, seed=7)
+        # C(20, 10) = 184756 relabelings: above the enumeration limit
+        report = odds_ratio_estimate(self.records(20, 10), se_draws=60, seed=7)
         assert report.diagnostics["se_source"] == "permutation-mc(60)"
         streams = [(7, 0xBE), (7, 0xC1), (7, 0x5E), (7, 0x5E), (7, 0x0D)]
         assert len(made) == len(streams)

@@ -386,6 +386,26 @@ class TestCli:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "DataError"
 
+    def test_singular_relabeled_arm_exit_3(self, tmp_path, capsys):
+        # x1 is 0, 0, 0, 1, 1, 1 in each arm: the observed arms are full
+        # rank, but a relabeling that treats every 1 leaves each arm's
+        # covariate constant
+        from crtnd import covariate_adjusted_estimate
+
+        rows = ["cluster_id,arm,y_count,z_count,x1"]
+        for i in range(12):
+            rows.append(f"c{i:02d},{int(i < 6)},{30 + 7 * i % 40},{90 + 11 * i % 70},"
+                        f"{int(i % 6 >= 3)}")
+        data = write(tmp_path, "binary.csv", "\n".join(rows) + "\n")
+        code = main(["analyze", "--input", str(data), "--estimators",
+                     "covariate_adjusted", "--n-draws", "50"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "RankDeficientCovariates"
+        assert "re-randomized assignment" in err["message"]
+        report, _ = covariate_adjusted_estimate(parse_dataset(data)[1])
+        assert math.isfinite(report.log_estimate) and report.se_log > 0
+
     def test_analyze_default_estimators_skip_covariate_adjusted(self, tmp_path):
         text = "\n".join(
             ",".join(line.split(",")[:4]) for line in PARALLEL_CSV.splitlines()

@@ -76,6 +76,16 @@ class TestOddsRatio:
         assert rep.diagnostics["se_source"] == "permutation-exact"
         assert rep.ci_low < rep.estimate < rep.ci_high
 
+    def test_se_is_exact_up_to_the_auto_limit(self):
+        # C(18, 9) = 48620 relabelings: enumerated, as every auto test is
+        rng = np.random.default_rng(1)
+        recs = Trial.from_records([
+            ClusterRecord(f"c{i:02d}", int(i < 9), rng.uniform(5, 50), rng.uniform(5, 50))
+            for i in range(18)
+        ])
+        rep = odds_ratio_estimate(recs, se_draws=50)
+        assert rep.diagnostics["se_source"] == "permutation-exact"
+
     def test_enumeration_bias_matches_bias_expression(self, oracle_table_m6):
         # with ascertainment coupled to the count ratio, the mean log
         # odds ratio over all assignments reproduces the analytic bias
@@ -397,6 +407,21 @@ class TestBatchedLeastSquares:
             one_slopes, one_resid = _ols_rows(x[i:i + 1], y[i:i + 1])
             assert one_slopes.tobytes() == slopes[i].tobytes()
             assert one_resid.tobytes() == resid[i].tobytes()
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_pooled_fit_of_a_stack_of_one_matches_the_block(self, p):
+        # covariate_adjusted_estimate passes a stack of one, the
+        # simulation a block of up to 64 replicates: every output of a
+        # replicate has the same bits in both
+        from crtnd.estimators import _pooled_ols
+
+        x, y = self.stack(p, b=64, n=12)
+        block = _pooled_ols(y[:, :6], y[:, 6:], x[:, :6], x[:, 6:])
+        for i in (0, 31, 63):
+            one = _pooled_ols(y[i:i + 1, :6], y[i:i + 1, 6:], x[i:i + 1, :6],
+                              x[i:i + 1, 6:])
+            for a, b in zip(one, block):
+                assert a[0].tobytes() == b[i].tobytes()
 
     def test_constant_covariate_in_one_arm_of_one_replicate_raises(self):
         # replicate 5's treated arm has a constant covariate, collinear

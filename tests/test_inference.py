@@ -25,6 +25,7 @@ from crtnd.errors import (
     ConstantDose,
     MissingDose,
     NoNonRejectedPoint,
+    RankDeficientCovariates,
     StatisticUndefined,
     SupportTooLarge,
 )
@@ -152,12 +153,30 @@ class TestPermutationTest:
         assert res.p_two_sided >= 1 / 20
 
 
+def adjusted_diff_rows_loop(values, x, arm_matrix, m1):
+    """Reference for the relabeled kernel: each row's arms fitted by their
+    own ``np.linalg.lstsq`` on centred covariates, slopes pooled by arm
+    share."""
+    out = np.empty(arm_matrix.shape[0])
+    m = values.shape[0]
+    for k in range(arm_matrix.shape[0]):
+        arms = arm_matrix[k].astype(bool)
+        slopes = []
+        for mask in (arms, ~arms):
+            xa = x[mask] - x[mask].mean(axis=0)
+            design = np.column_stack([np.ones(mask.sum()), xa])
+            coef, _, rank, _ = np.linalg.lstsq(design, values[mask], rcond=None)
+            assert rank == x.shape[1] + 1
+            slopes.append(mask.sum() * coef[1:])
+        beta = (slopes[0] + slopes[1]) / m
+        out[k] = (values[arms].mean() - values[~arms].mean()
+                  - beta @ (x[arms].mean(axis=0) - x[~arms].mean(axis=0)))
+    return out
+
+
 class TestAdjustedRows:
     def test_batched_equals_row_by_row(self):
-        from crtnd.inference import (
-            _adjusted_diff_rows_batched,
-            _adjusted_diff_rows_loop,
-        )
+        from crtnd.estimators import _adjusted_diff_rows
 
         rng = np.random.default_rng(77)
         m, m1, p = 16, 8, 2
@@ -168,10 +187,24 @@ class TestAdjustedRows:
             rows[r, rng.choice(m, m1, replace=False)] = 1
         shift = rng.normal(size=m)
         # one set of normal matrices serves both vectors
-        batched = _adjusted_diff_rows_batched(x, rows, m1, values, shift)
+        batched = _adjusted_diff_rows(x, rows, m1, values, shift)
         for v, a in zip((values, shift), batched):
-            b = _adjusted_diff_rows_loop(v, x, rows, m1)
+            b = adjusted_diff_rows_loop(v, x, rows, m1)
             np.testing.assert_allclose(a, b, atol=1e-12)
+
+    def test_singular_relabeled_arm_raises(self):
+        # x is 0 in half the clusters and 1 in the rest: a relabeling that
+        # treats every 1 leaves both arms' covariate constant
+        from crtnd.estimators import _adjusted_diff_rows
+
+        x = np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [1.0]] * 2)
+        values = np.arange(12.0)
+        rows = np.zeros((2, 12))
+        rows[0, [0, 3, 6, 9, 1, 4]] = 1  # both arms mix 0s and 1s
+        assert np.isfinite(_adjusted_diff_rows(x, rows[:1], 6, values)[0]).all()
+        rows[1, [3, 4, 5, 9, 10, 11]] = 1  # every 1 treated
+        with pytest.raises(RankDeficientCovariates, match="re-randomized assignment"):
+            _adjusted_diff_rows(x, rows, 6, values)
 
 
 class TestCovariatePermutationValidity:
@@ -318,6 +351,40 @@ class TestDoseResponse:
         est = dose_response_estimate(recs, adjustment=adjustment)
         assert est.se_log == stat.at(stat.num / stat.den)[1] / abs(stat.den)
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_adjusted_dose_stat_matches_per_arm_lstsq(self, p):
+        # num, den and var against one np.linalg.lstsq per arm and vector
+        from crtnd.inference import _dose_stat
+
+        rng = np.random.default_rng(40 + p)
+        m, m1 = 14, 7
+        arms = np.arange(m) < m1
+        x = rng.uniform(0.0, 2.0, (m, p)) + 5.0
+        doses = rng.uniform(0.0, 0.5, m) + 0.5 * arms
+        lvals = 0.3 + x @ np.array([0.7, -0.4])[:p] - 1.2 * doses + rng.normal(0, 0.3, m)
+        recs = make_records(lvals, arms.astype(int), covariates=x, doses=doses)
+        stat = _dose_stat(recs, "covariates")
+
+        diffs, var = [], np.zeros(3)
+        resid = {}
+        for name, v in (("l", log_contrasts(recs)), ("d", doses)):
+            slopes = 0.0
+            for mask in (arms, ~arms):
+                design = np.column_stack([np.ones(mask.sum()), x[mask]])
+                coef, _, rank, _ = np.linalg.lstsq(design, v[mask], rcond=None)
+                assert rank == p + 1
+                slopes = slopes + mask.sum() / m * coef[1:]
+                resid[name, bool(mask[0])] = v[mask] - design @ coef
+            diffs.append(v[arms].mean() - v[~arms].mean()
+                         - slopes @ (x[arms].mean(axis=0) - x[~arms].mean(axis=0)))
+        for treated in (True, False):
+            rl, rd = resid["l", treated], resid["d", treated]
+            n = rl.size
+            var += np.array([rl @ rl, rl @ rd, rd @ rd]) / (n - p - 1) / n
+        assert stat.num == pytest.approx(diffs[0], rel=1e-12)
+        assert stat.den == pytest.approx(diffs[1], rel=1e-12)
+        np.testing.assert_allclose(stat.var, var, rtol=1e-12, atol=0)
+
     def test_exact_linear_model(self):
         doses = np.linspace(0.1, 0.9, 10)
         lvals = 2.0 - 3.0 * doses
@@ -330,6 +397,14 @@ class TestDoseResponse:
         recs = make_records([0.1, 0.2, 0.3, 0.4], [1, 1, 0, 0],
                             doses=[0.5, 0.5, 0.5, 0.5])
         with pytest.raises(ConstantDose):
+            dose_response_estimate(recs)
+
+    def test_doses_one_ulp_apart_are_constant(self):
+        # the dose column is collinear with the intercept to the
+        # least-squares rank rule
+        recs = make_records([0.1, 0.2, 0.3, 0.4], [1, 1, 0, 0],
+                            doses=[0.5000000000000001] * 2 + [0.5] * 2)
+        with pytest.raises(ConstantDose, match="to rounding"):
             dose_response_estimate(recs)
 
     def test_point_estimate_maximizes_p(self):

@@ -24,6 +24,7 @@ from crtnd import (
 from crtnd.core import ClusterRecord, Trial
 from crtnd.dataio import parse_dataset
 from crtnd.errors import ArmTooSmall, NoNonRejectedPoint, SingularCovariance
+from crtnd.scenarios import SW_Q
 from crtnd.stepped_wedge import SWWeights, _period_differences
 
 
@@ -359,6 +360,44 @@ class TestNullCovarianceAndPermutation:
         assert rows.shape == want.shape == (b, 999, len(periods))
         assert rows.flags.c_contiguous
         assert rows.tobytes() == want.tobytes()
+
+    def test_period_diff_rows_in_pieces(self, monkeypatch):
+        # rows split into pieces of 100 give the bits of one piece
+        from crtnd import stepped_wedge
+        from crtnd.stepped_wedge import _period_diff_rows
+
+        scheme = SteppedWedgeScheme(24, SW_Q)
+        periods = scheme.analysis_periods
+        values = np.random.default_rng(31).normal(0.5, 1.0, size=(2, 24, len(SW_Q)))
+        starts = sample_assignments(scheme, 999, derive_rng(32))
+        whole = _period_diff_rows(starts, periods, scheme, values)
+        monkeypatch.setattr(stepped_wedge, "_BLOCK_BYTES", 8 * len(periods) * 24 * 100)
+        pieces = _period_diff_rows(starts, periods, scheme, values)
+        assert pieces.tobytes() == whole.tobytes()
+
+    def test_monte_carlo_test_memory_is_a_few_blocks(self):
+        # a 99,999-draw test of the bundled 24-cluster, 7-period design
+        # holds one engine block of start rows, its differences and the
+        # masks of one piece of it, each about _BLOCK_BYTES; the period
+        # masks of a whole block would be 7 times that
+        import tracemalloc
+
+        from crtnd.core import _BLOCK_BYTES
+
+        scheme = SteppedWedgeScheme(24, SW_Q)
+        panel = realize(random_table(24, len(SW_Q), 0.6, seed=3),
+                        sample_assignments(scheme, 1, derive_rng(5))[0])
+        assert len(panel.analysis_periods) == 7
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sw_permutation_test(panel, 1.0, mode="monte_carlo", n_draws=50, seed=1)
+            tracemalloc.start()
+            try:
+                sw_permutation_test(panel, 1.0, mode="monte_carlo", n_draws=99_999, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 4 * _BLOCK_BYTES
 
     @pytest.mark.parametrize("lam0", [0.0, -0.5])
     def test_null_covariance_needs_a_positive_lam0(self, lam0):
