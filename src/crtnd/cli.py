@@ -84,11 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="estimate the relative risk from a dataset")
     p.add_argument("--input", type=Path, required=True, help="parallel-arm CSV")
-    p.add_argument(
-        "--ci-method",
-        choices=["normal", "invert-normal", "invert-permutation"],
-        default="normal",
-    )
+    p.add_argument("--ci-method", choices=["normal", "invert-permutation"],
+                   default="normal", help="CI of log_contrast and covariate_adjusted: "
+                   "Normal, or the inverted permutation test (default normal)")
     p.add_argument(
         "--estimators",
         default=None,
@@ -100,14 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze-sw", help="estimate from a stepped-wedge panel")
     p.add_argument("--input", type=Path, required=True, help="stepped-wedge CSV")
     p.add_argument("--weights", default="equal",
-                   help='"equal", "optimal", or a path to a JSON weight vector')
-    p.add_argument("--sigma-convention", choices=["canonical", "printed"],
-                   default="canonical")
-    p.add_argument(
-        "--ci-method",
-        choices=["normal", "invert-normal", "invert-permutation"],
-        default="normal",
-    )
+                   help='"equal", "optimal" (variance-minimizing, from the plug-in '
+                   'Sigma), or a path to a JSON weight vector')
+    p.add_argument("--ci-method", choices=["normal", "invert-permutation"],
+                   default="normal", help="Normal CI from the plug-in covariance, or "
+                   "the inverted permutation test (default normal)")
     _add_common(p)
 
     p = sub.add_parser("dose-response", help="dose-response coefficient under "
@@ -276,10 +271,6 @@ def _cmd_analyze(args) -> int:
             )
             rep.ci_low, rep.ci_high, rep.ci_method = lo, hi, "test_inversion"
             rep.diagnostics["ci_inversion"] = diag
-        elif inverts and args.ci_method == "invert-normal":
-            # the z-test's SE does not depend on lam0: inverting it gives
-            # exactly the Normal CI, which the report keeps
-            rep.diagnostics["ci_note"] = "invert-normal coincides with the Normal CI"
         reports.append(rep)
     return _write_report(args, reports)
 
@@ -290,11 +281,10 @@ def _cmd_analyze_sw(args) -> int:
     if weights not in ("equal", "optimal"):
         with open(weights) as fh:
             weights = json.load(fh)
-    rep = sw_log_contrast(panel, weights, convention=args.sigma_convention, alpha=args.alpha)
+    rep = sw_log_contrast(panel, weights, alpha=args.alpha)
     mode = args.mode.replace("-", "_")
     perm = sw_permutation_test(
-        panel, 1.0, weights,
-        mode=mode, n_draws=args.n_draws, seed=args.seed, convention=args.sigma_convention,
+        panel, 1.0, weights, mode=mode, n_draws=args.n_draws, seed=args.seed
     )
     rep.diagnostics["permutation_p_null1"] = perm.p_two_sided
     rep.diagnostics["permutation"] = _permutation_entry(perm)
@@ -304,13 +294,10 @@ def _cmd_analyze_sw(args) -> int:
     if args.ci_method == "invert-permutation":
         lo, hi, diag = sw_invert_ci(
             panel, weights, alpha=args.alpha, mode=mode, n_draws=args.n_draws,
-            seed=args.seed, convention=args.sigma_convention,
+            seed=args.seed,
         )
         rep.ci_low, rep.ci_high, rep.ci_method = lo, hi, "test_inversion"
         rep.diagnostics["ci_inversion"] = diag
-    elif args.ci_method == "invert-normal":
-        # inverting the z-test reproduces the closed-form Normal CI
-        rep.diagnostics["ci_note"] = "invert-normal coincides with the Normal CI"
     return _write_report(args, [rep])
 
 

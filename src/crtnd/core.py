@@ -507,14 +507,9 @@ AssignmentScheme = ParallelScheme | SteppedWedgeScheme
 def sample_assignment(
     scheme: AssignmentScheme, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw one assignment uniformly from the scheme's support."""
-    if isinstance(scheme, ParallelScheme):
-        a = np.zeros(scheme.m, dtype=np.int64)
-        treated = rng.choice(scheme.m, size=scheme.m1, replace=False)
-        a[treated] = 1
-        return a
-    base = np.repeat(np.arange(1, scheme.n_periods + 1), scheme.q)
-    return rng.permutation(base).astype(np.int64)
+    """Draw one assignment uniformly from the scheme's support: the one
+    row of ``sample_assignments(scheme, 1, rng)``."""
+    return sample_assignments(scheme, 1, rng)[0]
 
 
 def sample_assignments(
@@ -592,7 +587,8 @@ class Randomization:
 
     def blocks(self) -> Iterator[np.ndarray]:
         """The rows in blocks of a few MB: parallel rows float64 0/1, wedge
-        rows int64 start periods.  Exact rows come in the order of
+        rows start periods of the smallest type that holds the last one
+        (``uint8`` up to 255 periods).  Exact rows come in the order of
         :func:`enumerate_assignments`; drawn rows are those of one
         ``sample_assignments(scheme, n_rows, derive_rng(*stream))`` call."""
         scheme, size = self.scheme, _block_rows(self.scheme.m)
@@ -602,7 +598,8 @@ class Randomization:
         # sample_assignments draws (rows, m) uniforms: blocks drawn in turn
         # from one generator are the rows of one call
         rng = derive_rng(*self.stream)
-        dtype = float if isinstance(scheme, ParallelScheme) else np.int64
+        parallel = isinstance(scheme, ParallelScheme)
+        dtype = float if parallel else np.min_scalar_type(scheme.n_periods)
         for first in range(0, self.n_rows, size):
             yield sample_assignments(scheme, min(size, self.n_rows - first), rng, dtype)
 
@@ -670,12 +667,13 @@ def _support_blocks(scheme: AssignmentScheme, size: int) -> Iterator[np.ndarray]
     # split by its next label, in label order, so no block is larger.
     parallel = isinstance(scheme, ParallelScheme)
     q = (scheme.m1, scheme.m - scheme.m1) if parallel else scheme.q
+    starts = None if parallel else np.min_scalar_type(scheme.n_periods)
     todo = [((), np.array(q), scheme.total_assignments)]  # the next is last
     while todo:
         prefix, left, count = todo.pop()
         if count <= size:
             labels = _orderings(prefix, left)
-            yield (labels == 0).astype(float) if parallel else labels + 1
+            yield (labels == 0).astype(float) if parallel else (labels + 1).astype(starts)
             continue
         for label in np.nonzero(left)[0][::-1]:
             rest = left.copy()

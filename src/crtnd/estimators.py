@@ -28,6 +28,7 @@ from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import (
     ParallelScheme,
@@ -565,9 +566,15 @@ def _adjusted_diff_rows(x, arm_matrix, m1, *values):
     assignment, mirroring the full estimation procedure, as batched
     normal equations: the covariates are centered once over all
     clusters, and the arm masks and per-arm normal matrices are built
-    once for all of ``values``; each vector gets its own solve.  An arm
-    whose normal matrix is exactly singular raises
-    :class:`RankDeficientCovariates`.
+    once for all of ``values``; each vector gets its own solve.  A row
+    with an arm whose normal matrix is exactly singular (a zero LU pivot)
+    is NaN, which the tail counts put in the tail.
+
+    The solves call the gufunc behind ``np.linalg.solve``, which raises
+    when any matrix of the stack is singular: alone, the gufunc gives
+    that matrix a NaN solution (flagged as an invalid operation, which
+    is ignored here) and every other matrix the solution
+    ``np.linalg.solve`` would give it, bit for bit.
     """
     m = x.shape[0]
     m0 = m - m1
@@ -581,16 +588,12 @@ def _adjusted_diff_rows(x, arm_matrix, m1, *values):
     x_diff = (mask1 @ x) / m1 - (mask0 @ x) / m0
     out = []
     for v in values:
-        try:
+        with np.errstate(invalid="ignore"):
             b1, b0 = (
-                np.linalg.solve(normal, ((mask * v) @ g)[:, :, None])[:, :, 0]
+                _umath_linalg.solve(normal, ((mask * v) @ g)[:, :, None],
+                                    signature="dd->d")[:, :, 0]
                 for mask, normal in normals
             )
-        except np.linalg.LinAlgError:
-            raise RankDeficientCovariates(
-                "covariate design matrix is singular within one arm of a "
-                "re-randomized assignment"
-            ) from None
         slopes = (m1 * b1[:, 1:] + m0 * b0[:, 1:]) / m
         w_diff = (mask1 @ v) / m1 - (mask0 @ v) / m0
         out.append(w_diff - np.einsum("rp,rp->r", slopes, x_diff))

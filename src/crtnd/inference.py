@@ -73,7 +73,7 @@ class NullSpec:
 
     kind: str  # "relative_risk" | "dose_response"
     value: float
-    adjustment: str = "none"  # "none" | "covariates"
+    adjustment: str = "none"  # "none" | "covariates" (dose-response nulls only)
 
     def __post_init__(self):
         if self.kind not in ("relative_risk", "dose_response"):
@@ -82,6 +82,11 @@ class NullSpec:
             raise ValueError(f"relative-risk null requires lam0 > 0, got {self.value}")
         if self.adjustment not in ("none", "covariates"):
             raise ValueError(f"unknown adjustment {self.adjustment!r}")
+        if self.kind == "relative_risk" and self.adjustment != "none":
+            raise ValueError(
+                "adjustment applies to dose-response nulls; a relative-risk null "
+                "is adjusted by the covariate_adjusted statistic"
+            )
 
 
 @dataclass
@@ -225,7 +230,9 @@ def _statistic(trial: Trial, statistic: str, kind: str, adjustment: str,
     and A are the (covariate-adjusted) arm differences of L and of the
     shift.  The observed pair is computed as the point estimate is, so
     p is 1 there: by arm means, by the row evaluator on the observed
-    arms, or as the dose statistic's ``num`` and ``den``.
+    arms, or as the dose statistic's ``num`` and ``den``.  Relabelings
+    with a singular arm are NaN rows, in the tail; observed arms that
+    are singular raise :class:`RankDeficientCovariates`.
     """
     m1 = trial.scheme.m1
     if statistic in ("tpf", "odds_ratio"):
@@ -262,7 +269,12 @@ def _statistic(trial: Trial, statistic: str, kind: str, adjustment: str,
         rows = lambda block: [_diff_means_rows(v, block, m1) for v in (lvals, shift)]
         observe = lambda: [float(v[arms].mean() - v[~arms].mean()) for v in (lvals, shift)]
     # a dose null's pair as its point estimate num / den computes it
-    return _Statistic(rows, (stat.num, stat.den) if stat else tuple(observe()))
+    observed = (stat.num, stat.den) if stat else tuple(observe())
+    if adjusted and not np.isfinite(observed).all():  # NaN rows: a singular arm
+        raise RankDeficientCovariates(
+            "covariate design matrix is singular within an observed arm"
+        )
+    return _Statistic(rows, observed)
 
 
 def permutation_test(

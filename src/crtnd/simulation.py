@@ -690,7 +690,7 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws, stages):
     periods = scheme.analysis_periods
     _warn_dropped(periods, scheme.n_periods)
     _check_arms(scheme, periods)
-    scale = _scale_matrix(scheme, periods, "canonical")
+    scale = _scale_matrix(scheme, periods)
     w_equal = np.asarray(equal_weights(periods).w)
 
     def block(parts, reps, start, y, z):

@@ -11,10 +11,9 @@ Its randomization covariance has entries
 
 where ``S`` is the finite-population covariance of the control
 log-contrasts across clusters and ``m_t`` counts clusters under
-intervention at t.  This scaling is validated against a full
-enumeration oracle in the test suite.  A second convention that scales
-the upper-triangle entries by ``m / (m_{t2-1} (m - m_{t1}))`` instead is
-available behind ``convention="printed"`` for sensitivity comparisons.
+intervention at t.  This is the one scaling: it matches the covariance
+of the differences over a full enumeration of the start vectors, to
+rounding, which the test suite checks.
 
 ``S`` entries are estimated by the sample covariance of the observed
 log-contrasts within whichever of three groups sharing one treatment
@@ -93,7 +92,6 @@ class SWCovariance:
     group_sizes: tuple[int, ...]
     periods: tuple[int, ...]
     provenance: str  # "oracle" | "estimated" | "null_exact" | "permutation"
-    convention: str = "canonical"
 
     def __post_init__(self):
         sig = np.asarray(self.sigma, dtype=float)
@@ -109,21 +107,12 @@ class SWCovariance:
         object.__setattr__(self, "sigma", sig)
 
 
-def _scale_matrix(
-    scheme: SteppedWedgeScheme, periods: Sequence[int], convention: str
-) -> np.ndarray:
-    """(k, k) factors that turn S entries into Sigma entries.
-
-    Each factor is one exact integer product and one division.  The
-    "printed" denominator ``m_{t2-1}`` cannot vanish: for analysis
-    periods t1 < t2 it is at least ``m_{t1} >= 1``.
-    """
+def _scale_matrix(scheme: SteppedWedgeScheme, periods: Sequence[int]) -> np.ndarray:
+    """(k, k) factors ``m / (m_max(t1,t2) (m - m_min(t1,t2)))`` that turn
+    S entries into Sigma entries, each one exact integer product and one
+    division."""
     t = np.asarray(periods)
     lo, hi = np.minimum.outer(t, t), np.maximum.outer(t, t)
-    if convention == "printed":
-        hi = np.where(lo == hi, hi, hi - 1)
-    elif convention != "canonical":
-        raise ValueError(f"unknown convention {convention!r}")
     counts = np.array([scheme.m_t(s) for s in range(int(t.max()) + 1)])
     return scheme.m / (counts[hi] * (scheme.m - counts[lo]))
 
@@ -260,7 +249,7 @@ def _null_sigma(
     return scale * s_full, s_full
 
 
-def sw_covariance_estimate(panel: Panel, *, convention: str = "canonical") -> SWCovariance:
+def sw_covariance_estimate(panel: Panel) -> SWCovariance:
     """Plug-in covariance of the per-period differences from observed data.
 
     Diagonal entries use the per-period per-arm variance construction
@@ -273,17 +262,11 @@ def sw_covariance_estimate(panel: Panel, *, convention: str = "canonical") -> SW
     _warn_dropped(periods, panel.n_periods)
     _check_arms(scheme, periods)
     lmat, start = panel.log_contrast_matrix(), np.asarray(panel.start_periods)
-    scale = _scale_matrix(scheme, periods, convention)
-    sigma_s = _plugin_sigma(lmat, start, periods, scheme, scale)
-    return _covariance(sigma_s, scheme, periods, "estimated", convention)
+    sigma_s = _plugin_sigma(lmat, start, periods, scheme, _scale_matrix(scheme, periods))
+    return _covariance(sigma_s, scheme, periods, "estimated")
 
 
-def sw_oracle_covariance(
-    l0: np.ndarray,
-    scheme: SteppedWedgeScheme,
-    *,
-    convention: str = "canonical",
-) -> SWCovariance:
+def sw_oracle_covariance(l0: np.ndarray, scheme: SteppedWedgeScheme) -> SWCovariance:
     """Exact covariance from known control log-contrasts (m x T matrix)."""
     l0 = np.asarray(l0, dtype=float)
     if l0.shape != (scheme.m, scheme.n_periods):
@@ -291,13 +274,11 @@ def sw_oracle_covariance(
             f"l0 must have shape ({scheme.m}, {scheme.n_periods}), got {l0.shape}"
         )
     periods = scheme.analysis_periods
-    sigma_s = _null_sigma(l0, periods, _scale_matrix(scheme, periods, convention))
-    return _covariance(sigma_s, scheme, periods, "oracle", convention)
+    sigma_s = _null_sigma(l0, periods, _scale_matrix(scheme, periods))
+    return _covariance(sigma_s, scheme, periods, "oracle")
 
 
-def sw_null_covariance(
-    panel: Panel, lam0: float, *, convention: str = "canonical"
-) -> SWCovariance:
+def sw_null_covariance(panel: Panel, lam0: float) -> SWCovariance:
     """Exact covariance under a sharp null: impute L(0), then use all clusters.
 
     Under ``lam = lam0`` every control log-contrast is recoverable as
@@ -308,15 +289,15 @@ def sw_null_covariance(
     scheme, periods = panel.scheme, panel.analysis_periods
     _warn_dropped(periods, panel.n_periods)
     l0 = panel.log_contrast_matrix() - math.log(lam0) * panel.treated
-    sigma_s = _null_sigma(l0, periods, _scale_matrix(scheme, periods, convention))
-    return _covariance(sigma_s, scheme, periods, "null_exact", convention)
+    sigma_s = _null_sigma(l0, periods, _scale_matrix(scheme, periods))
+    return _covariance(sigma_s, scheme, periods, "null_exact")
 
 
-def _covariance(sigma_s, scheme, periods, provenance, convention) -> SWCovariance:
+def _covariance(sigma_s, scheme, periods, provenance) -> SWCovariance:
     """The :class:`SWCovariance` of a (Sigma, S entries) pair of ``scheme``."""
     sigma, s_values = sigma_s
     group_sizes = tuple(scheme.m_t(t) for t in periods)
-    return SWCovariance(sigma, s_values, group_sizes, periods, provenance, convention)
+    return SWCovariance(sigma, s_values, group_sizes, periods, provenance)
 
 
 def optimal_weights(
@@ -403,7 +384,6 @@ def sw_log_contrast(
     *,
     covariance: SWCovariance | None = None,
     estimate_covariance: bool = True,
-    convention: str = "canonical",
     alpha: float = 0.05,
 ) -> EstimateReport:
     """Weighted per-period log-contrast difference for a stepped wedge.
@@ -423,7 +403,7 @@ def sw_log_contrast(
 
     cov = covariance
     if cov is None and (estimate_covariance or weights == "optimal"):
-        cov = sw_covariance_estimate(panel, convention=convention)
+        cov = sw_covariance_estimate(panel)
     if cov is not None and cov.periods != periods:
         raise ValueError(
             f"covariance is for periods {cov.periods}, panel analysis periods "
@@ -444,7 +424,6 @@ def sw_log_contrast(
         "analysis_periods": list(periods),
         "dropped_periods": [t for t in range(1, panel.n_periods) if t not in periods],
         "period_differences": diffs.tolist(),
-        "convention": convention,
     }
     if cov is not None:
         diagnostics["covariance_provenance"] = cov.provenance
@@ -515,7 +494,7 @@ def _null_weights(
     return w
 
 
-def _sw_statistic(panel: Panel, weights, convention: str) -> _Statistic:
+def _sw_statistic(panel: Panel, weights) -> _Statistic:
     """The weighted statistic of the null lam = e^theta.
 
     Under the null the control log-contrasts are ``L - theta * treated``,
@@ -529,7 +508,7 @@ def _sw_statistic(panel: Panel, weights, convention: str) -> _Statistic:
     scheme, periods = panel.scheme, panel.analysis_periods
     lmat = panel.log_contrast_matrix()
     treated = panel.treated.astype(float)
-    scale = _scale_matrix(scheme, periods, convention)
+    scale = _scale_matrix(scheme, periods)
     stack = np.stack([lmat, treated])
 
     def rows(start_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -551,7 +530,6 @@ def sw_permutation_test(
     mode: str = "auto",
     n_draws: int = 9999,
     seed: int = 0,
-    convention: str = "canonical",
 ) -> PermutationResult:
     """Randomization test of lam = lam0 using the weighted SW statistic.
 
@@ -564,20 +542,14 @@ def sw_permutation_test(
         raise ValueError(f"lam0 must be > 0, got {lam0}")
     _warn_dropped(panel.analysis_periods, panel.n_periods)
     return _permutation_result(
-        _sw_statistic(panel, weights, convention), math.log(lam0),
+        _sw_statistic(panel, weights), math.log(lam0),
         randomize(panel.scheme, mode, n_draws, (seed, 0x5E)),
         seed=seed, statistic="sw_log_contrast",
     )
 
 
 def _sw_pvalue_function(
-    panel: Panel,
-    weights,
-    *,
-    mode: str,
-    n_draws: int,
-    seed: int,
-    convention: str,
+    panel: Panel, weights, *, mode: str, n_draws: int, seed: int
 ) -> Callable[[float], float]:
     """theta -> two-sided p of :func:`sw_permutation_test` at lam0 = e^theta.
 
@@ -586,7 +558,7 @@ def _sw_pvalue_function(
     weights and counts.
     """
     rz = randomize(panel.scheme, mode, n_draws, (seed, 0x5E))
-    return _sw_statistic(panel, weights, convention).pvalues(rz)
+    return _sw_statistic(panel, weights).pvalues(rz)
 
 
 def sw_invert_ci(
@@ -597,7 +569,6 @@ def sw_invert_ci(
     mode: str = "auto",
     n_draws: int = 9999,
     seed: int = 0,
-    convention: str = "canonical",
 ) -> tuple[float, float, dict]:
     """lam-scale CI from inverting :func:`sw_permutation_test`, and the
     scan diagnostics of the TPF CI of :func:`~crtnd.inference.invert_ci`.
@@ -611,12 +582,10 @@ def sw_invert_ci(
     re-randomized statistic is evaluated
     once per assignment for the whole scan, not once per scanned value.
     """
-    base = sw_log_contrast(panel, weights, alpha=alpha, convention=convention)
+    base = sw_log_contrast(panel, weights, alpha=alpha)
     center = base.log_estimate
     half = 10.0 * max(base.se_log or 0.1, 1e-6)
-    pfun = _sw_pvalue_function(
-        panel, weights, mode=mode, n_draws=n_draws, seed=seed, convention=convention
-    )
+    pfun = _sw_pvalue_function(panel, weights, mode=mode, n_draws=n_draws, seed=seed)
     lo, hi, scan = _invert_scan(pfun, center, half, alpha, n_scan=81, tol=1e-4)
     diagnostics = {"method": "sw_log_contrast", "test": "permutation", "alpha": alpha}
     return math.exp(lo), math.exp(hi), {**diagnostics, **scan}

@@ -154,7 +154,7 @@ class TestRandomizationEngine:
         scheme = SteppedWedgeScheme(sum(q), q)
         base = [t + 1 for t, count in enumerate(q) for _ in range(count)]
         rows = randomize(scheme, "exact", 0, (0,)).rows()
-        assert rows.dtype == np.int64
+        assert rows.dtype == np.uint8  # start periods take one byte each
         assert [tuple(int(v) for v in r) for r in rows] == permutations_oracle(base)
 
     def test_start_label_beyond_the_observed_window(self):
@@ -193,6 +193,16 @@ class TestRandomizationEngine:
         expected = sample_assignments(scheme, 1234, derive_rng(5, 0xBE))
         np.testing.assert_array_equal(np.concatenate(blocks), expected)
         np.testing.assert_array_equal(rz.rows(), expected)  # the same again
+
+    def test_monte_carlo_wedge_blocks_hold_one_byte_starts(self, monkeypatch):
+        # rows per block follow 8 bytes per entry, whatever the row type
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * 24 * 100)
+        scheme = SteppedWedgeScheme(24, (3,) * 8)
+        blocks = list(randomize(scheme, "monte_carlo", 250, (5, 0x5E)).blocks())
+        assert [b.shape[0] for b in blocks] == [100, 100, 50]
+        assert all(b.dtype == np.uint8 for b in blocks)
+        expected = sample_assignments(scheme, 250, derive_rng(5, 0x5E))
+        np.testing.assert_array_equal(np.concatenate(blocks), expected)
 
     def test_support_too_large_raises_before_any_block(self, monkeypatch):
         built = []
@@ -293,8 +303,7 @@ class TestStreams:
         _pvalue_function(recs, "log_contrast", adjustment="none",
                          mode="monte_carlo", n_draws=60, seed=7)
         sw_permutation_test(self.panel(), 1.0, mode="monte_carlo", n_draws=60, seed=7)
-        _sw_pvalue_function(self.panel(), "equal", mode="monte_carlo", n_draws=60,
-                            seed=7, convention="canonical")
+        _sw_pvalue_function(self.panel(), "equal", mode="monte_carlo", n_draws=60, seed=7)
         # C(20, 10) = 184756 relabelings: above the enumeration limit
         report = odds_ratio_estimate(self.records(20, 10), se_draws=60, seed=7)
         assert report.diagnostics["se_source"] == "permutation-mc(60)"

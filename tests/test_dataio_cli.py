@@ -15,6 +15,8 @@ from crtnd import (
     SteppedWedgeScheme,
     default_parallel_scenario,
     default_sw_scenario,
+    enumerate_assignments,
+    log_contrasts,
 )
 from crtnd.cli import main
 from crtnd.dataio import (
@@ -261,14 +263,6 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["results"][0]["method"] == "sw_log_contrast"
 
-    def test_analyze_sw_printed_convention_flag(self, tmp_path):
-        panel_csv = make_sw_csv(tmp_path)
-        code = main([
-            "analyze-sw", "--input", str(panel_csv),
-            "--sigma-convention", "printed", "--n-draws", "50",
-        ])
-        assert code == 0
-
     def test_analyze_sw_weights_from_file(self, tmp_path):
         panel_csv = make_sw_csv(tmp_path)
         wfile = tmp_path / "w.json"
@@ -386,25 +380,34 @@ class TestCli:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "DataError"
 
-    def test_singular_relabeled_arm_exit_3(self, tmp_path, capsys):
+    def test_singular_relabeled_arm_counts_in_tail(self, tmp_path):
         # x1 is 0, 0, 0, 1, 1, 1 in each arm: the observed arms are full
-        # rank, but a relabeling that treats every 1 leaves each arm's
-        # covariate constant
-        from crtnd import covariate_adjusted_estimate
+        # rank, but the 2 of C(12, 6) = 924 relabelings that treat every 1
+        # or every 0 leave each arm's covariate constant; their NaN draws
+        # are in the tail
+        from crtnd.estimators import _adjusted_diff_rows
+        from crtnd.inference import _two_sided_count
 
         rows = ["cluster_id,arm,y_count,z_count,x1"]
         for i in range(12):
             rows.append(f"c{i:02d},{int(i < 6)},{30 + 7 * i % 40},{90 + 11 * i % 70},"
                         f"{int(i % 6 >= 3)}")
         data = write(tmp_path, "binary.csv", "\n".join(rows) + "\n")
-        code = main(["analyze", "--input", str(data), "--estimators",
-                     "covariate_adjusted", "--n-draws", "50"])
-        assert code == 3
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "RankDeficientCovariates"
-        assert "re-randomized assignment" in err["message"]
-        report, _ = covariate_adjusted_estimate(parse_dataset(data)[1])
-        assert math.isfinite(report.log_estimate) and report.se_log > 0
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--input", str(data), "--estimators", "covariate_adjusted",
+                     "--ci-method", "invert-permutation", "--out", str(out)]) == 0
+        (report,) = json.loads(out.read_text())["results"]
+        assert report["diagnostics"]["permutation"]["support_size"] == 924
+        assert report["ci_low"] < report["estimate"] < report["ci_high"]
+
+        trial = parse_dataset(data)[1]
+        support = np.array(list(enumerate_assignments(trial.scheme)), dtype=float)
+        lvals, shift = log_contrasts(trial), trial.arm.astype(float)
+        (d, _), ((d_obs,), _) = (_adjusted_diff_rows(trial.x, arms, 6, lvals, shift)
+                                 for arms in (support, shift[None]))
+        count = _two_sided_count(d, d_obs)
+        assert count == _two_sided_count(d[np.isfinite(d)], d_obs) + 2
+        assert report["diagnostics"]["permutation_p_null1"] == count / 924
 
     def test_analyze_default_estimators_skip_covariate_adjusted(self, tmp_path):
         text = "\n".join(
@@ -501,25 +504,18 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "NoNonRejectedPoint"
 
-    def test_analyze_invert_normal_is_the_normal_ci(self, tmp_path):
-        data = write(tmp_path, "d.csv", PARALLEL_CSV)
-        reports = {}
-        for method in ("normal", "invert-normal"):
-            out = tmp_path / f"{method}.json"
-            assert main(["analyze", "--input", str(data), "--ci-method", method,
-                         "--n-draws", "50", "--out", str(out)]) == 0
-            reports[method] = {
-                r["method"]: r for r in json.loads(out.read_text())["results"]
-            }
-        for name in ("log_contrast", "covariate_adjusted"):
-            normal, inverted = reports["normal"][name], reports["invert-normal"][name]
-            assert (inverted["ci_low"], inverted["ci_high"]) == (
-                normal["ci_low"], normal["ci_high"]
-            )
-            assert inverted["ci_method"] == "normal"
-            assert inverted["diagnostics"]["ci_note"] == (
-                "invert-normal coincides with the Normal CI"
-            )
+    @pytest.mark.parametrize("command, flag", [
+        ("analyze-sw", ["--sigma-convention", "printed"]),
+        ("analyze", ["--ci-method", "invert-normal"]),
+        ("analyze-sw", ["--ci-method", "invert-normal"]),
+    ])
+    def test_removed_options_are_usage_errors(self, tmp_path, command, flag):
+        # one Sigma scaling, and no CI method that only repeats the Normal CI
+        data = (write(tmp_path, "d.csv", PARALLEL_CSV) if command == "analyze"
+                else make_sw_csv(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", str(data), "--n-draws", "50"] + flag)
+        assert exc.value.code == 2
 
     def test_simulate_sw_thin_wedge_exit_3(self, tmp_path, capsys):
         # one cluster under intervention at the first analysis period

@@ -65,6 +65,13 @@ class TestImputeNull:
         with pytest.raises(ValueError):
             NullSpec("??", 1.0)
 
+    def test_relative_risk_null_takes_no_adjustment(self):
+        # a relative-risk test is adjusted by the covariate_adjusted
+        # statistic; an adjustment on the null would be ignored
+        with pytest.raises(ValueError, match="applies to dose-response nulls"):
+            NullSpec("relative_risk", 1.0, "covariates")
+        assert NullSpec("dose_response", 0.0, "covariates").adjustment == "covariates"
+
 
 class TestPermutationTest:
     def test_toy_exact_p(self):
@@ -192,7 +199,7 @@ class TestAdjustedRows:
             b = adjusted_diff_rows_loop(v, x, rows, m1)
             np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_singular_relabeled_arm_raises(self):
+    def test_singular_relabeled_arm_is_nan(self):
         # x is 0 in half the clusters and 1 in the rest: a relabeling that
         # treats every 1 leaves both arms' covariate constant
         from crtnd.estimators import _adjusted_diff_rows
@@ -201,10 +208,17 @@ class TestAdjustedRows:
         values = np.arange(12.0)
         rows = np.zeros((2, 12))
         rows[0, [0, 3, 6, 9, 1, 4]] = 1  # both arms mix 0s and 1s
-        assert np.isfinite(_adjusted_diff_rows(x, rows[:1], 6, values)[0]).all()
+        alone = _adjusted_diff_rows(x, rows[:1], 6, values)[0]
         rows[1, [3, 4, 5, 9, 10, 11]] = 1  # every 1 treated
-        with pytest.raises(RankDeficientCovariates, match="re-randomized assignment"):
-            _adjusted_diff_rows(x, rows, 6, values)
+        together = _adjusted_diff_rows(x, rows, 6, values)[0]
+        assert np.isfinite(alone).all() and together[0] == pytest.approx(alone[0], abs=1e-12)
+        assert np.isnan(together[1])
+
+    def test_singular_observed_arm_raises(self):
+        x = np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [1.0]] * 2)
+        recs = make_records(np.arange(12.0) / 10, [0, 0, 0, 1, 1, 1] * 2, covariates=x)
+        with pytest.raises(RankDeficientCovariates, match="singular within an observed arm"):
+            permutation_test(recs, NullSpec("relative_risk", 1.0), "covariate_adjusted")
 
 
 class TestCovariatePermutationValidity:

@@ -121,14 +121,6 @@ class TestOracleCovariance:
         oracle = sw_oracle_covariance(table.l0(), scheme)
         np.testing.assert_allclose(oracle.sigma, enum_cov, atol=1e-10)
 
-    def test_printed_convention_differs_off_diagonal(self):
-        scheme = SteppedWedgeScheme(4, (1, 2, 1))
-        table = random_table(4, 3, 0.6, seed=8)
-        canon = sw_oracle_covariance(table.l0(), scheme, convention="canonical")
-        printed = sw_oracle_covariance(table.l0(), scheme, convention="printed")
-        np.testing.assert_allclose(np.diag(canon.sigma), np.diag(printed.sigma))
-        assert not np.allclose(canon.sigma[0, 1], printed.sigma[0, 1])
-
     def test_weighted_variance_matches_enumeration(self):
         scheme = SteppedWedgeScheme(4, (1, 2, 1))
         table = random_table(4, 3, 1.0, seed=9)
@@ -300,7 +292,7 @@ class TestNullCovarianceAndPermutation:
 
         scheme = SteppedWedgeScheme(9, (2, 3, 2, 2))
         periods = scheme.analysis_periods
-        scale = _scale_matrix(scheme, periods, "canonical")
+        scale = _scale_matrix(scheme, periods)
         rng = np.random.default_rng(26)
         l0 = rng.normal(1.5, 0.8, size=(5, 9, 4))
         sigma, s_full = _null_sigma(l0, periods, scale)
@@ -377,9 +369,9 @@ class TestNullCovarianceAndPermutation:
 
     def test_monte_carlo_test_memory_is_a_few_blocks(self):
         # a 99,999-draw test of the bundled 24-cluster, 7-period design
-        # holds one engine block of start rows, its differences and the
-        # masks of one piece of it, each about _BLOCK_BYTES; the period
-        # masks of a whole block would be 7 times that
+        # holds one engine block of one-byte start rows, its differences
+        # and the masks of one piece of it (11.2 MiB measured); the period
+        # masks of a whole block would be 7 times _BLOCK_BYTES
         import tracemalloc
 
         from crtnd.core import _BLOCK_BYTES
@@ -397,7 +389,7 @@ class TestNullCovarianceAndPermutation:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < 4 * _BLOCK_BYTES
+        assert peak < 3 * _BLOCK_BYTES
 
     @pytest.mark.parametrize("lam0", [0.0, -0.5])
     def test_null_covariance_needs_a_positive_lam0(self, lam0):
@@ -446,7 +438,7 @@ class TestNullCovarianceAndPermutation:
                         sample_assignments(scheme, 1, derive_rng(25))[0])
         start, periods = np.asarray(panel.start_periods), panel.analysis_periods
         lmat = panel.log_contrast_matrix()
-        d_obs, a_obs = _sw_statistic(panel, "equal", "canonical").observed
+        d_obs, a_obs = _sw_statistic(panel, "equal").observed
         assert d_obs.tobytes() == _period_differences(lmat, start, periods).tobytes()
         assert a_obs.tolist() == [1.0] * len(periods)
         # and the rows statistic at the observed starts, to rounding
@@ -481,7 +473,7 @@ class TestSWInvertCI:
         from crtnd.stepped_wedge import _sw_pvalue_function
 
         panel = tied_panel()
-        options = dict(mode=mode, n_draws=250, seed=9, convention="canonical")
+        options = dict(mode=mode, n_draws=250, seed=9)
         pfun = _sw_pvalue_function(panel, weights, **options)
         est = sw_log_contrast(panel, weights)
         pvals = []
