@@ -28,7 +28,6 @@ from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .core import (
     ParallelScheme,
@@ -491,9 +490,10 @@ def _check_ols_arms(m1: int, m0: int, p: int) -> None:
 
 # Two least-squares kernels serve every covariate fit of the package:
 # :func:`_ols_rows` fits observed data (the estimator, the simulation's
-# replicates, the dose-response statistic), and
+# replicates, the dose-response statistic) by SVD, and
 # :func:`_adjusted_diff_rows` re-fits the arms of re-randomized
-# assignments for the permutation tests and CIs.
+# assignments for the permutation tests and CIs from within-arm
+# scatter sums, with no LAPACK call.
 
 
 def _pooled_ols(l1, l0, x1, x0):
@@ -519,16 +519,6 @@ def _pooled_ols(l1, l0, x1, x0):
     return est, np.sqrt(v1 / m1 + v0 / m0), beta, b1, b0, v1, v0, r1, r0
 
 
-def _ols_design(x: np.ndarray) -> np.ndarray:
-    """The (B, n, p + 1) designs of (B, n, p) covariates: an intercept
-    column and the covariates centered within each replicate."""
-    b, n, p = x.shape
-    design = np.empty((b, n, p + 1))
-    design[:, :, 0] = 1.0
-    design[:, :, 1:] = x - x.mean(axis=1)[:, None, :]
-    return design
-
-
 def _ols_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least squares of y on x with an intercept for each replicate of
     stacks x (B, n, p), y (B, n): (B, p) slopes and (B, n) residuals,
@@ -544,8 +534,10 @@ def _ols_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rounding.  Each replicate's SVD and products are those of a stack of
     one, so a replicate gets the same bits in any stack.
     """
-    n, p = x.shape[1:]
-    design = _ols_design(x)
+    b, n, p = x.shape
+    design = np.empty((b, n, p + 1))  # an intercept and the centered covariates
+    design[:, :, 0] = 1.0
+    design[:, :, 1:] = x - x.mean(axis=1)[:, None, :]
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     rank = int(np.count_nonzero(s > np.finfo(float).eps * max(n, p + 1) * s[:, :1],
                                 axis=1).min())
@@ -563,41 +555,40 @@ def _adjusted_diff_rows(x, arm_matrix, m1, *values):
     ``arm_matrix``, one array for each vector of ``values``.
 
     Re-estimates the pooled per-arm least-squares slopes for every
-    assignment, mirroring the full estimation procedure, as batched
-    normal equations: the covariates are centered once over all
-    clusters, and the arm masks and per-arm normal matrices are built
-    once for all of ``values``; each vector gets its own solve.  A row
-    with an arm whose normal matrix is exactly singular (a zero LU pivot)
-    is NaN, which the tail counts put in the tail.
-
-    The solves call the gufunc behind ``np.linalg.solve``, which raises
-    when any matrix of the stack is singular: alone, the gufunc gives
-    that matrix a NaN solution (flagged as an invalid operation, which
-    is ignored here) and every other matrix the solution
-    ``np.linalg.solve`` would give it, bit for bit.
+    assignment in closed form (Frisch-Waugh-Lovell): an arm's slopes
+    solve ``S_xx b = S_xv``, its within-arm scatters of the covariates
+    (centered once over all clusters) and of each vector.  One product
+    per arm with the per-cluster features ``[x, x x', v, x v]`` gives
+    every sum.  A p-step elimination without pivoting, batched over arms
+    and rows, solves the scatters; its pivots are the D of
+    ``S_xx = L D L'``.  A pivot at most ``eps * m`` times the arm's sum
+    of squares of that covariate, the rounding error of the sums it came
+    from, counts as zero: the row is NaN, which the tail counts put in
+    the tail.
     """
-    m = x.shape[0]
-    m0 = m - m1
+    m, p = x.shape
+    k = len(values)
     x = x - x.mean(axis=0)  # translation-invariant, better conditioned
-    g = np.column_stack([np.ones(m), x])  # per-cluster design row (1, x_i)
-    q = g.shape[1]
-    gg = (g[:, :, None] * g[:, None, :]).reshape(m, q * q)
-    mask1 = arm_matrix.astype(float)
-    mask0 = 1.0 - mask1
-    normals = [(mask, (mask @ gg).reshape(-1, q, q)) for mask in (mask1, mask0)]
-    x_diff = (mask1 @ x) / m1 - (mask0 @ x) / m0
-    out = []
-    for v in values:
-        with np.errstate(invalid="ignore"):
-            b1, b0 = (
-                _umath_linalg.solve(normal, ((mask * v) @ g)[:, :, None],
-                                    signature="dd->d")[:, :, 0]
-                for mask, normal in normals
-            )
-        slopes = (m1 * b1[:, 1:] + m0 * b0[:, 1:]) / m
-        w_diff = (mask1 @ v) / m1 - (mask0 @ v) / m0
-        out.append(w_diff - np.einsum("rp,rp->r", slopes, x_diff))
-    return out
+    v = np.column_stack(values)
+    iu, ju = np.nonzero(np.tri(p, dtype=bool).T)  # the upper triangle
+    xv = (x[:, :, None] * v[:, None]).reshape(m, -1)
+    feats = np.column_stack([x, x[:, iu] * x[:, ju], v, xv])
+    # the sums of each (feature, arm, row), rows along the contiguous last axis
+    sums = np.stack([feats.T @ arm_matrix.T, feats.T @ (1.0 - arm_matrix).T], axis=1)
+    t = p + iu.size
+    sx, sxx, sv, sxv = sums[:p], sums[p:t], sums[t : t + k], sums[t + k :]
+    xbar, vbar = sx / [[m1], [m - m1]], sv / [[m1], [m - m1]]
+    aug = np.empty((p, p + k, *sums.shape[1:]))  # [S_xx | S_xv] of each arm and row
+    aug[iu, ju] = aug[ju, iu] = sxx
+    aug[:, p:] = sxv.reshape(aug[:, p:].shape)
+    floor = np.finfo(float).eps * m * aug[range(p), range(p)]
+    aug -= sx[:, None] * np.concatenate([xbar, vbar])
+    for j in range(p):
+        aug[j] /= np.where(aug[j, j] > floor[j], aug[j, j], np.nan)
+        rest = np.arange(p) != j
+        aug[rest] -= aug[rest, j, None] * aug[j]
+    slopes = (m1 * aug[:, p:, 0] + (m - m1) * aug[:, p:, 1]) / m  # (p, k, rows)
+    return list(vbar[:, 0] - vbar[:, 1] - np.einsum("pr,pkr->kr", xbar[:, 0] - xbar[:, 1], slopes))
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

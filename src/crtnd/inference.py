@@ -80,13 +80,16 @@ class NullSpec:
             raise ValueError(f"unknown null kind {self.kind!r}")
         if self.kind == "relative_risk" and self.value <= 0:
             raise ValueError(f"relative-risk null requires lam0 > 0, got {self.value}")
-        if self.adjustment not in ("none", "covariates"):
-            raise ValueError(f"unknown adjustment {self.adjustment!r}")
-        if self.kind == "relative_risk" and self.adjustment != "none":
-            raise ValueError(
-                "adjustment applies to dose-response nulls; a relative-risk null "
-                "is adjusted by the covariate_adjusted statistic"
-            )
+        _check_adjustment(self.adjustment, self.kind == "dose_response")
+
+
+def _check_adjustment(adjustment: str, dose: bool) -> None:
+    """Reject an unknown ``adjustment``, and covariates off dose nulls."""
+    if adjustment not in ("none", "covariates"):
+        raise ValueError(f"unknown adjustment {adjustment!r}")
+    if not dose and adjustment != "none":
+        raise ValueError("adjustment applies to dose-response nulls; a relative-risk null "
+                         "is adjusted by the covariate_adjusted statistic")
 
 
 @dataclass
@@ -429,6 +432,7 @@ def _dose_stat(
     :func:`~crtnd.estimators._pooled_ols`, as
     :func:`covariate_adjusted_estimate` fits L.
     """
+    _check_adjustment(adjustment, True)
     if lvals is None:
         lvals = log_contrasts(trial)
     doses = trial.require_dose()
@@ -663,6 +667,8 @@ def invert_ci(
     ``p_max`` is the curve's maximum and ``non_interval`` flags gaps.
     For ``tpf`` 401 values of log(lam0) over the estimate +- 10 SE are
     scanned and each outer boundary bisected to 1e-6 (:func:`_invert_scan`).
+    ``adjustment`` applies to ``dose_response`` only: another value than
+    ``"none"`` for a relative-risk method raises :class:`ValueError`.
     """
     return _invert_ci(
         trial, method, None, alpha=alpha, test=test, adjustment=adjustment,
@@ -672,6 +678,7 @@ def invert_ci(
 
 def _invert_ci(trial, method, stat, *, alpha, test, adjustment, mode, n_draws, seed):
     """:func:`invert_ci`, with the dose working statistic ``stat`` if built."""
+    _check_adjustment(adjustment, method == "dose_response")
     if test == "normal":
         diagnostics = {"method": method, "test": test, "alpha": alpha}
         if method == "dose_response":
@@ -791,6 +798,7 @@ def dose_response_estimate(
     doses = trial.require_dose()
     if adjustment == "auto":
         adjustment = "covariates" if trial.x.shape[1] > 0 else "none"
+    _check_adjustment(adjustment, True)
     lvals = log_contrasts(trial)
     try:
         (slope,), (resid,) = _ols_rows(doses[None, :, None], lvals[None])

@@ -221,6 +221,88 @@ class TestAdjustedRows:
             permutation_test(recs, NullSpec("relative_risk", 1.0), "covariate_adjusted")
 
 
+# The closed-form kernel's tolerance against ``adjusted_diff_rows_loop``
+# on well-conditioned and on badly scaled covariates (measured: 5.6e-15).
+_ADJUSTED_RTOL = _ADJUSTED_ATOL = 1e-12
+
+
+class TestAdjustedRowsTolerance:
+    """``_adjusted_diff_rows`` against the per-arm lstsq reference for
+    p = 1, 2, 3.  The reference fits ``x_ref``: the same design up to a
+    translation or a column scaling, which leave every difference
+    unchanged in exact arithmetic but not lstsq's rounding."""
+
+    @staticmethod
+    def _data(rng, m, m1, p, n_rows):
+        base = rng.normal(size=(m, p))
+        lvals = rng.normal(-1.0, 0.4, m) + (base - base.mean(axis=0)) @ rng.normal(size=p)
+        shift = sample_assignments(ParallelScheme(m, m1), 1, rng, float)[0]
+        rows = sample_assignments(ParallelScheme(m, m1), n_rows, rng, float)
+        return base, (lvals, shift), rows
+
+    @pytest.mark.parametrize("case", ["plain", "offset", "small", "large", "mixed"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_lstsq(self, p, case):
+        from crtnd.estimators import _adjusted_diff_rows
+
+        m, m1 = 16, 8
+        base, values, rows = self._data(np.random.default_rng([p, 21]), m, m1, p, 300)
+        x, x_ref = {
+            "plain": (base, base),
+            "offset": (1e6 + base, (1e6 + base) - 1e6),  # the subtraction is exact
+            "small": (1e-6 * base, 1e-6 * base),
+            "large": (1e6 * base, 1e6 * base),
+            "mixed": (base * np.array([1e-6, 1e6, 1.0])[:p], base),
+        }[case]
+        for v, got in zip(values, _adjusted_diff_rows(x, rows, m1, *values)):
+            np.testing.assert_allclose(got, adjusted_diff_rows_loop(v, x_ref, rows, m1),
+                                       rtol=_ADJUSTED_RTOL, atol=_ADJUSTED_ATOL)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_near_collinear(self, p):
+        # the last column is the first plus 1e-4 noise; normal equations
+        # square the condition number: measured 2.5e-7, as for the LU
+        # solve of the normal matrices that this kernel replaced
+        from crtnd.estimators import _adjusted_diff_rows
+
+        m, m1 = 16, 8
+        x, values, rows = self._data(np.random.default_rng([p, 22]), m, m1, p, 300)
+        x[:, -1] = x[:, 0] + 1e-4 * x[:, -1]
+        for v, got in zip(values, _adjusted_diff_rows(x, rows, m1, *values)):
+            np.testing.assert_allclose(got, adjusted_diff_rows_loop(v, x, rows, m1),
+                                       rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_constant_covariate_in_a_relabeled_arm_is_nan(self, p):
+        # 0.1 is not dyadic, so the arm's computed scatter is rounding
+        # noise rather than an exact zero; it must not give a huge slope
+        from crtnd.estimators import _adjusted_diff_rows
+
+        m, m1 = 12, 6
+        x, values, rows = self._data(np.random.default_rng([p, 23]), m, m1, p, 200)
+        x[:m1, 0] = 0.1
+        rows[:2] = 0.0
+        rows[0, :m1] = rows[1, m1:] = 1.0  # the 0.1s treated, then in control
+        singular = np.isin(rows[:, :m1].sum(axis=1), (0, m1))
+        for v, got in zip(values, _adjusted_diff_rows(x, rows, m1, *values)):
+            assert np.isnan(got[singular]).all() and np.isfinite(got[~singular]).all()
+            np.testing.assert_allclose(got[~singular],
+                                       adjusted_diff_rows_loop(v, x, rows[~singular], m1),
+                                       rtol=_ADJUSTED_RTOL, atol=_ADJUSTED_ATOL)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_row_alone_matches_its_stack(self, p):
+        from crtnd.estimators import _adjusted_diff_rows
+
+        m, m1 = 24, 12
+        x, values, rows = self._data(np.random.default_rng([p, 24]), m, m1, p, 2000)
+        stack = _adjusted_diff_rows(x, rows, m1, *values)
+        for r in range(0, 2000, 97):
+            alone = _adjusted_diff_rows(x, rows[r : r + 1], m1, *values)
+            for a, b in zip(stack, alone):
+                assert b[0] == pytest.approx(a[r], rel=1e-12, abs=1e-13)
+
+
 class TestCovariatePermutationValidity:
     def test_exact_size_under_true_null(self):
         # double enumeration on a small design: the covariate-adjusted
@@ -300,6 +382,25 @@ class TestInvertCi:
                 kept.append(theta)
         assert math.log(lo) == pytest.approx(min(kept), abs=2e-3)
         assert math.log(hi) == pytest.approx(max(kept), abs=2e-3)
+
+    @pytest.mark.parametrize("test", ["normal", "permutation"])
+    def test_relative_risk_methods_take_no_adjustment(self, test):
+        recs = make_records(np.linspace(-0.5, 0.5, 12), [1, 0] * 6,
+                            covariates=np.arange(12.0)[:, None] ** 1.5)
+        with pytest.raises(ValueError, match="relative-risk null"):
+            invert_ci(recs, "log_contrast", test=test, adjustment="covariates", n_draws=50)
+
+    @pytest.mark.parametrize("method", ["log_contrast", "dose_response"])
+    def test_unknown_adjustment(self, method):
+        recs = make_records(np.linspace(-0.5, 0.5, 12), [1, 0] * 6,
+                            doses=np.linspace(0.0, 1.0, 12))
+        with pytest.raises(ValueError, match="unknown adjustment 'auto'"):
+            invert_ci(recs, method, adjustment="auto")
+        with pytest.raises(ValueError, match="unknown adjustment"):
+            dose_response_pvalue(recs, 0.0, adjustment="covariate")
+        linear = make_records(0.3 - 0.5 * recs.dose, [1, 0] * 6, doses=recs.dose)
+        with pytest.raises(ValueError, match="unknown adjustment"):
+            dose_response_estimate(linear, adjustment="covariate")
 
     def test_no_non_rejected_point(self):
         # 20 arm splits, each with its mirror image: every exact p is at
@@ -1000,3 +1101,58 @@ class TestDoseStatisticOnce:
         calls.clear()
         invert_ci(recs, "dose_response", test=test, adjustment=adjustment, n_draws=200)
         assert len(calls) == 1
+
+
+# Covariate-adjusted outputs on the benchmark's trial-analysis inputs
+# (``perfbench/workloads.py``, seeds 1-3, files 0-3, program seed
+# ``seed * 100000 + file + 1``), recorded before the relabelings were
+# re-fitted by within-arm scatter sums: the tail count of the
+# permutation p at lam = 1, the permutation CI of ``analyze``, and the
+# permutation CI of ``dose-response --adjustment covariates``.  Tail
+# counts stay exact; endpoints moved by 5.1e-15 relative at most.
+_PINNED_ADJUSTED = {
+    (1, 0): (252, 0.6553048732261402, 1.0488005179979343, -0.5384859418072314, 0.06123774738648296),
+    (1, 1): (401, 0.649568887688557, 1.1012834895869652, -0.5292844837275626, 0.12322671212325917),
+    (1, 2): (155, 0.6199749520225036, 1.0260409471866005, -0.642137215373372, 0.034910734178153165),
+    (1, 3): (54, 0.5342658702249748, 0.9385441125162783, -0.7945053554539988, -0.08125629578165508),
+    (2, 0): (7, 0.46979529730318886, 0.8665784468184173, -0.8800100791424316, -0.17301351574656013),
+    (2, 1): (22, 0.5339118798988924, 0.9048522699199768, -0.7379318107275903, -0.11821282760120498),
+    (2, 2): (219, 0.616904421098725, 1.0561716654978053, -0.6121047627631008, 0.0708010889319218),
+    (2, 3): (8, 0.46817678504606003, 0.8750167218318847, -0.9608519415145164, -0.18763449320931075),
+    (3, 0): (3, 0.428246724888699, 0.7809976314369066, -1.133089727355404, -0.33876314289407944),
+    (3, 1): (0, 0.39084226622692253, 0.7048726044345455, -1.1667065539565626, -0.4279596858185828),
+    (3, 2): (16, 0.5141808585752577, 0.9067049473874789, -0.8419009963815932, -0.12499832568982466),
+    (3, 3): (1, 0.45476336515483096, 0.8143650932399342, -0.979385883549766, -0.24948522269705964),
+}
+_PINNED_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_covariate_adjusted_outputs_on_benchmark_inputs(seed, tmp_path):
+    import importlib.util
+    import json
+    from pathlib import Path
+
+    from crtnd.cli import main
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workloads.generate("trial-analysis", seed, tmp_path)
+    out = tmp_path / "report.json"
+    for k in range(4):
+        count, lo, hi, dose_lo, dose_hi = _PINNED_ADJUSTED[seed, k]
+        common = ["--input", str(tmp_path / f"trial_{k}.csv"), "--seed",
+                  str(seed * 100_000 + k + 1), "--out", str(out)]
+        assert main(["analyze", "--estimators", "covariate_adjusted", "--ci-method",
+                     "invert-permutation", *common]) == 0
+        (report,) = json.loads(out.read_text())["results"]
+        perm = report["diagnostics"]["permutation"]
+        assert report["diagnostics"]["permutation_p_null1"] == (count + 1) / (perm["null_draws"] + 1)
+        assert (report["ci_low"], report["ci_high"]) == pytest.approx((lo, hi), rel=_PINNED_RTOL)
+        assert main(["dose-response", "--test", "permutation", "--adjustment", "covariates",
+                     *common]) == 0
+        (report,) = json.loads(out.read_text())["results"]
+        assert (report["ci_low"], report["ci_high"]) == pytest.approx((dose_lo, dose_hi),
+                                                                      rel=_PINNED_RTOL)
