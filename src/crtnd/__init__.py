@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 
 from .core import (
     AssignmentScheme,
-    ClusterPeriodRecord,
-    ClusterRecord,
     Panel,
     ParallelScheme,
     PeriodPotentialTable,
@@ -72,8 +70,6 @@ __all__ = [
     "__version__",
     "dataio",
     "AssignmentScheme",
-    "ClusterPeriodRecord",
-    "ClusterRecord",
     "CovariateFit",
     "EstimateReport",
     "MetricsRow",

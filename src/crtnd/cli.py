@@ -281,6 +281,10 @@ def _cmd_analyze_sw(args) -> int:
     if weights not in ("equal", "optimal"):
         with open(weights) as fh:
             weights = json.load(fh)
+        if not isinstance(weights, list) or any(
+            isinstance(w, bool) or not isinstance(w, (int, float)) for w in weights
+        ):
+            raise DataError(f"{args.weights}: a weight file must hold a JSON list of numbers")
     rep = sw_log_contrast(panel, weights, alpha=args.alpha)
     mode = args.mode.replace("-", "_")
     perm = sw_permutation_test(
@@ -449,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.alpha is not None and not 0 < args.alpha < 0.5:
         _emit_error(DataError(f"alpha must lie in (0, 0.5), got {args.alpha}"))
         return 2
-    for option in ("n_draws", "perm_draws"):
+    for option in ("n_draws", "perm_draws", "n_configs"):
         value = getattr(args, option, None)
         if value is not None and value < 1:
             flag = "--" + option.replace("_", "-")

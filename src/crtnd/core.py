@@ -21,11 +21,9 @@ The package computes on arrays: a parallel-arm dataset is a
 check their arrays once on construction, hold read-only copies and
 compare by value (``==`` compares the arrays).  ``Trial.scheme`` and
 ``Panel.scheme`` are the randomization each assignment was drawn from;
-a panel's analysis periods and treated matrix follow from it.  The
-record types :class:`ClusterRecord` and :class:`ClusterPeriodRecord`
-are for hand-built input only; ``Trial.from_records`` /
-``Panel.from_records`` convert them once.  All types here are frozen
-and all operations are pure, so values can be shared across threads.
+a panel's analysis periods and treated matrix follow from it.  All
+types here are frozen and all operations are pure, so values can be
+shared across threads.
 """
 
 from __future__ import annotations
@@ -33,14 +31,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import (
     ArmTooSmall,
     DimensionMismatch,
-    IncompletePanel,
     MissingDose,
     SupportTooLarge,
     ZeroCount,
@@ -54,70 +51,6 @@ _BLOCK_BYTES = 4 << 20
 # and drawn in pieces of about this many uniforms
 _DRAW_PIECE = 4096
 _NO_ANALYSIS_PERIOD = "no analysis period has both a treated and an untreated cluster"
-
-
-# --------------------------------------------------------------------- #
-# Records
-# --------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class ClusterRecord:
-    """One cluster's aggregated observations in a parallel-arm design.
-
-    Counts are real-valued, not integers: simulated counts are produced
-    by scaling integer draws with continuous factors, and every
-    estimator consumes positive reals.
-    """
-
-    cluster_id: str
-    arm: int
-    y_count: float
-    z_count: float
-    covariates: tuple[float, ...] = ()
-    dose: float | None = None
-
-    def __post_init__(self):
-        if self.arm not in (0, 1):
-            raise ValueError(f"arm must be 0 or 1, got {self.arm!r}")
-        for name, v in (("y_count", self.y_count), ("z_count", self.z_count)):
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(
-                    f"cluster {self.cluster_id!r}: {name} must be a finite "
-                    f"nonnegative real, got {v!r}"
-                )
-        if self.dose is not None and not (0.0 <= self.dose <= 1.0):
-            raise ValueError(
-                f"cluster {self.cluster_id!r}: dose must lie in [0, 1], got {self.dose!r}"
-            )
-
-
-@dataclass(frozen=True)
-class ClusterPeriodRecord:
-    """One (cluster, period) cell of a stepped-wedge panel.
-
-    ``start_period`` is the period at which the cluster begins the
-    intervention; the cluster counts as treated at period ``t`` when
-    ``t >= start_period`` (start period inclusive).
-    """
-
-    cluster_id: str
-    period: int
-    start_period: int
-    y_count: float
-    z_count: float
-
-    def __post_init__(self):
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
-        if self.start_period < 1:
-            raise ValueError(f"start_period must be >= 1, got {self.start_period}")
-        for name, v in (("y_count", self.y_count), ("z_count", self.z_count)):
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(
-                    f"cluster {self.cluster_id!r}, period {self.period}: {name} "
-                    f"must be a finite nonnegative real, got {v!r}"
-                )
 
 
 # --------------------------------------------------------------------- #
@@ -213,28 +146,6 @@ class Trial:
                 f"both arms must be nonempty (treated={m1}, control={m - m1})"
             )
 
-    @staticmethod
-    def from_records(records: Sequence[ClusterRecord]) -> "Trial":
-        """The trial of hand-built records, in record order."""
-        if not records:
-            raise ValueError("empty dataset")
-        p = len(records[0].covariates)
-        for r in records:
-            if len(r.covariates) != p:
-                raise ValueError(
-                    f"cluster {r.cluster_id!r} has {len(r.covariates)} covariates, "
-                    f"expected {p}"
-                )
-        doses = [math.nan if r.dose is None else r.dose for r in records]
-        return Trial(
-            cluster_ids=tuple(r.cluster_id for r in records),
-            arm=[r.arm for r in records],
-            y=[r.y_count for r in records],
-            z=[r.z_count for r in records],
-            x=[r.covariates for r in records],
-            dose=None if all(r.dose is None for r in records) else doses,
-        )
-
     @property
     def m(self) -> int:
         return len(self.cluster_ids)
@@ -324,14 +235,6 @@ class Panel:
         _freeze(self, {"cluster_ids": ids, "start_periods": tuple(starts.tolist()),
                        "y": y, "z": z})
 
-    @staticmethod
-    def from_records(records: Sequence[ClusterPeriodRecord]) -> "Panel":
-        """The panel of hand-built records, clusters in sorted id order."""
-        return _panel_from_cells(
-            (r.cluster_id, r.period, r.start_period, r.y_count, r.z_count)
-            for r in records
-        )
-
     @property
     def m(self) -> int:
         return len(self.cluster_ids)
@@ -388,43 +291,6 @@ class Panel:
         )
 
     __hash__ = None
-
-
-def _panel_from_cells(cells: Iterable[tuple[str, int, int, float, float]]) -> Panel:
-    """The panel of ``(cluster_id, period, start_period, y, z)`` cells,
-    clusters in sorted id order.  :class:`IncompletePanel` names the
-    first defect: no cells, a missing period, a duplicate cell (in cell
-    order, as an inconsistent start period), or a missing cell."""
-    cells = list(cells)
-    if not cells:
-        raise IncompletePanel("empty panel")
-    ids = sorted({c[0] for c in cells})
-    n_periods = max(c[1] for c in cells)  # periods are >= 1
-    missing = sorted(set(range(1, n_periods + 1)) - {c[1] for c in cells})
-    if missing:
-        raise IncompletePanel(f"missing periods {missing}")
-    index = {cid: i for i, cid in enumerate(ids)}
-    y, z = np.empty((2, len(ids), n_periods))
-    filled = np.zeros(y.shape, dtype=bool)
-    start: dict[str, int] = {}
-    for cid, period, start_period, y_count, z_count in cells:
-        i, t = index[cid], period - 1
-        if filled[i, t]:
-            raise IncompletePanel(f"duplicate cell (cluster {cid!r}, period {period})")
-        filled[i, t] = True
-        y[i, t], z[i, t] = y_count, z_count
-        prior = start.setdefault(cid, start_period)
-        if prior != start_period:
-            raise IncompletePanel(
-                f"cluster {cid!r} has inconsistent start_period "
-                f"({prior} vs {start_period})"
-            )
-    if not filled.all():
-        i, t = np.argwhere(~filled)[0]
-        raise IncompletePanel(
-            f"missing cell (cluster {ids[int(i)]!r}, period {int(t) + 1})"
-        )
-    return Panel(tuple(ids), tuple(start[c] for c in ids), y, z)
 
 
 # --------------------------------------------------------------------- #

@@ -10,10 +10,10 @@ or non-finite cells are rejected with the offending line number.  This
 module is the I/O boundary of the array types: a parallel file becomes
 one :class:`~crtnd.core.Trial` (a missing dose cell is NaN, a file
 without a dose column has dose ``None``), a stepped-wedge file one
-:class:`~crtnd.core.Panel`, its cells assembled by the step of
-``Panel.from_records`` without building records.  Both are in canonical
-(sorted cluster_id) order and check themselves on construction, and
-``==`` compares their arrays, so ``parse(emit(data)) == data``.
+:class:`~crtnd.core.Panel`, whose cells must fill every (cluster,
+period) of the window (:class:`~crtnd.errors.IncompletePanel`
+otherwise).  Both are in canonical (sorted cluster_id) order, check
+themselves on construction, and compare by value.
 
 Scenario files are JSON mirrors of :class:`SimScenario`; reports are
 JSON with a ``schema_version`` so downstream tools can join on
@@ -29,8 +29,8 @@ import re
 from pathlib import Path
 from typing import Sequence
 
-from .core import Panel, ParallelScheme, SteppedWedgeScheme, Trial, _panel_from_cells
-from .errors import ParseError, SchemaError
+from .core import Panel, ParallelScheme, SteppedWedgeScheme, Trial
+from .errors import IncompletePanel, ParseError, SchemaError
 from .simulation import MetricsRow, SimScenario
 
 SCHEMA_VERSION = 1
@@ -148,9 +148,12 @@ def _parse_parallel(header, rows) -> Trial:
 
 
 def _parse_sw(header, rows) -> Panel:
+    """The panel of a stepped-wedge file, clusters in sorted id order.
+    :class:`IncompletePanel` names the first defect in the cells: a
+    missing period, a start period that changes within a cluster (in
+    file order), or a missing cell."""
     col = {name: header.index(name) for name in header}
-    cells = []
-    seen: dict[tuple[str, int], int] = {}
+    cells: dict[tuple[str, int], tuple[int, int, float, float]] = {}
     for row, line in rows:
         if len(row) != len(header):
             raise ParseError(line, "-", f"expected {len(header)} cells, got {len(row)}")
@@ -160,57 +163,36 @@ def _parse_sw(header, rows) -> Panel:
         period = _int_cell(row[col["period"]], line, "period", minimum=1)
         start = _int_cell(row[col["start_period"]], line, "start_period", minimum=1)
         key = (cid, period)
-        if key in seen:
+        if key in cells:
             raise ParseError(
                 line,
                 "period",
-                f"duplicate (cluster_id, period) = {key!r} (first at line {seen[key]})",
+                f"duplicate (cluster_id, period) = {key!r} (first at line {cells[key][0]})",
             )
-        seen[key] = line
         y = _float_cell(row[col["y_count"]], line, "y_count", minimum=0.0)
         z = _float_cell(row[col["z_count"]], line, "z_count", minimum=0.0)
-        cells.append((cid, period, start, y, z))
+        cells[key] = (line, start, y, z)
     if not cells:
         raise SchemaError("no data rows")
-    return _panel_from_cells(cells)
-
-
-def _format_number(value: float) -> str:
-    value = float(value)
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
-def emit_dataset(data: Trial | Panel, path: str | Path) -> None:
-    """Write a dataset in canonical order; round-trips through parse_dataset."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        if isinstance(data, Panel):
-            writer.writerow(_SW_REQUIRED)
-            for i, cid in enumerate(data.cluster_ids):
-                for t in range(data.n_periods):
-                    y, z = _format_number(data.y[i, t]), _format_number(data.z[i, t])
-                    writer.writerow([cid, t + 1, data.start_periods[i], y, z])
-            return
-        has_dose = data.dose is not None
-        header = _PARALLEL_REQUIRED + [f"x{i + 1}" for i in range(data.x.shape[1])]
-        if has_dose:
-            header.append("dose")
-        writer.writerow(header)
-        for i in sorted(range(data.m), key=data.cluster_ids.__getitem__):
-            row = [
-                data.cluster_ids[i],
-                int(data.arm[i]),
-                _format_number(data.y[i]),
-                _format_number(data.z[i]),
-            ]
-            row.extend(_format_number(v) for v in data.x[i])
-            if has_dose:
-                dose = data.dose[i]
-                row.append("" if math.isnan(dose) else _format_number(dose))
-            writer.writerow(row)
+    ids = sorted({cid for cid, _ in cells})
+    periods = range(1, max(t for _, t in cells) + 1)
+    missing = sorted(set(periods) - {t for _, t in cells})
+    if missing:
+        raise IncompletePanel(f"missing periods {missing}")
+    starts: dict[str, int] = {}
+    for (cid, _), (_, start, _, _) in cells.items():
+        prior = starts.setdefault(cid, start)
+        if prior != start:
+            raise IncompletePanel(
+                f"cluster {cid!r} has inconsistent start_period ({prior} vs {start})"
+            )
+    for cid in ids:
+        for t in periods:
+            if (cid, t) not in cells:
+                raise IncompletePanel(f"missing cell (cluster {cid!r}, period {t})")
+    y = [[cells[cid, t][2] for t in periods] for cid in ids]
+    z = [[cells[cid, t][3] for t in periods] for cid in ids]
+    return Panel(tuple(ids), tuple(starts[c] for c in ids), y, z)
 
 
 # --------------------------------------------------------------------- #
@@ -296,12 +278,6 @@ def scenario_from_dict(payload: dict) -> SimScenario:
 def load_scenario(path: str | Path) -> SimScenario:
     with Path(path).open() as fh:
         return scenario_from_dict(json.load(fh))
-
-
-def save_scenario(scenario: SimScenario, path: str | Path) -> None:
-    with Path(path).open("w") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # --------------------------------------------------------------------- #

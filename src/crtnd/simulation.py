@@ -127,8 +127,8 @@ class SimScenario:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be a finite positive real, got {self.lam}")
         if not 0 < self.alpha < 0.5:
             raise ValueError(f"alpha must lie in (0, 0.5), got {self.alpha}")
         if self.n_replicates < 1:

@@ -73,7 +73,7 @@ class SWWeights:
     def __post_init__(self):
         if len(self.w) != len(self.periods):
             raise ValueError("one weight per analysis period is required")
-        if abs(sum(self.w) - 1.0) > 1e-9:
+        if not abs(sum(self.w) - 1.0) <= 1e-9:  # NaN and inf fail too
             raise ValueError(f"weights must sum to 1, got {sum(self.w)!r}")
 
 

@@ -14,13 +14,11 @@ import numpy as np
 import pytest
 
 from crtnd import (
-    ClusterRecord,
     NullSpec,
     ParallelScheme,
     PeriodPotentialTable,
     PotentialTable,
     SteppedWedgeScheme,
-    Trial,
     covariate_adjusted_estimate,
     default_parallel_scenario,
     default_sw_scenario,
@@ -37,6 +35,8 @@ from crtnd import (
 )
 from crtnd.estimators import odds_ratio_log
 from crtnd.stepped_wedge import _period_differences, optimal_weights
+
+from conftest import make_records
 
 
 def _report(cid: str, message: str) -> None:
@@ -314,13 +314,7 @@ def test_c09_dose_response_reduction_and_recovery():
     l0 = rng.normal(0.3, 0.4, 12)
     lam = 0.6
     lvals = l0 + arms * math.log(lam)
-    recs = Trial.from_records([
-        ClusterRecord(
-            f"c{i:02d}", int(arms[i]), 100 * math.exp(lvals[i]), 100.0,
-            dose=float(arms[i]),
-        )
-        for i in range(12)
-    ])
+    recs = make_records(lvals, arms, doses=arms)
     dr = dose_response_estimate(recs, adjustment="none")
     lc = log_contrast_estimate(recs)
     reduction_err = abs(dr.log_estimate - lc.log_estimate)
@@ -338,13 +332,7 @@ def test_c09_dose_response_reduction_and_recovery():
             a == 1, rrng.uniform(0.66, 0.75, m), rrng.uniform(0.22, 0.44, m)
         )
         lv = rrng.normal(0.5, 0.35, m) + beta_true * doses
-        data = Trial.from_records([
-            ClusterRecord(
-                f"c{i:02d}", int(a[i]), 1000.0 * math.exp(lv[i]), 1000.0,
-                dose=float(doses[i]),
-            )
-            for i in range(m)
-        ])
+        data = make_records(lv, a, z=1000.0, doses=doses)
         est = dose_response_estimate(data, adjustment="none")
         biases.append(est.log_estimate - beta_true)
         covered += est.ci_low <= beta_true <= est.ci_high

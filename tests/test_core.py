@@ -6,8 +6,6 @@ import pytest
 from scipy.stats import chisquare
 
 from crtnd import (
-    ClusterPeriodRecord,
-    ClusterRecord,
     Panel,
     ParallelScheme,
     PeriodPotentialTable,
@@ -23,45 +21,27 @@ from crtnd import (
 )
 from crtnd import core
 from crtnd.core import randomize
-from crtnd.errors import DimensionMismatch, IncompletePanel, SupportTooLarge, ZeroCount
+from crtnd.errors import DimensionMismatch, SupportTooLarge, ZeroCount
 
 
-def log_contrast(record):
-    """``record``'s log-contrast, from a trial with one other cluster."""
-    other = ClusterRecord(record.cluster_id + "-other", 1 - record.arm, 1.0, 1.0)
-    return log_contrasts(Trial.from_records([record, other]))[0]
+def log_contrast(y, z):
+    """The log-contrast of counts ``y`` and ``z``, from a trial of it and
+    one other cluster."""
+    return log_contrasts(Trial(("a", "b"), [0, 1], [y, 1.0], [z, 1.0]))[0]
 
 
 class TestLogContrast:
     def test_equal_counts(self):
-        assert log_contrast(ClusterRecord("a", 0, 10, 10)) == 0.0
+        assert log_contrast(10, 10) == 0.0
 
     def test_direct_substitution(self):
-        val = log_contrast(ClusterRecord("a", 0, 20, 10))
+        val = log_contrast(20, 10)
         assert val == pytest.approx(math.log(2), abs=1e-12)
 
     def test_zero_count_raises(self):
         with pytest.raises(ZeroCount) as exc:
-            log_contrast(ClusterRecord("a", 0, 0, 10))
+            log_contrast(0, 10)
         assert "a" in str(exc.value)
-
-
-class TestRecords:
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterRecord("a", 0, -1.0, 5.0)
-
-    def test_bad_arm_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterRecord("a", 2, 1.0, 5.0)
-
-    def test_real_valued_counts_accepted(self):
-        rec = ClusterRecord("a", 1, 12.75, 3.2)
-        assert rec.y_count == 12.75
-
-    def test_dose_range(self):
-        with pytest.raises(ValueError):
-            ClusterRecord("a", 0, 1, 1, dose=1.5)
 
 
 class TestSchemes:
@@ -276,11 +256,10 @@ class TestStreams:
     @staticmethod
     def records(m=18, m1=9):
         rng = np.random.default_rng(3)
-        return Trial.from_records([
-            ClusterRecord(f"c{i:02d}", int(i < m1), float(rng.integers(20, 80)),
-                          float(rng.integers(60, 160)))
-            for i in range(m)
-        ])
+        counts = [(float(rng.integers(20, 80)), float(rng.integers(60, 160)))
+                  for _ in range(m)]
+        y, z = zip(*counts)
+        return Trial(tuple(f"c{i:02d}" for i in range(m)), [i < m1 for i in range(m)], y, z)
 
     @staticmethod
     def panel():
@@ -484,48 +463,8 @@ class TestPotentialTables:
 
 
 class TestPanel:
-    def _records(self):
-        recs = []
-        for cid, start in (("a", 1), ("b", 2)):
-            for t in (1, 2):
-                recs.append(ClusterPeriodRecord(cid, t, start, 10.0 + t, 20.0))
-        return recs
-
-    def test_complete_panel(self):
-        panel = Panel.from_records(self._records())
-        assert panel.m == 2
-        assert panel.n_periods == 2
-        assert panel.start_periods == (1, 2)
-
-    def test_missing_cell(self):
-        with pytest.raises(IncompletePanel) as exc:
-            Panel.from_records(self._records()[:-1])
-        assert str(exc.value) == "missing cell (cluster 'b', period 2)"
-
-    def test_duplicate_cell(self):
-        recs = self._records()
-        recs.append(ClusterPeriodRecord("a", 1, 1, 5.0, 5.0))
-        with pytest.raises(IncompletePanel) as exc:
-            Panel.from_records(recs)
-        assert str(exc.value) == "duplicate cell (cluster 'a', period 1)"
-
-    def test_inconsistent_start(self):
-        recs = self._records()
-        recs[1] = ClusterPeriodRecord("a", 2, 2, 10.0, 20.0)
-        with pytest.raises(IncompletePanel) as exc:
-            Panel.from_records(recs)
-        assert str(exc.value) == "cluster 'a' has inconsistent start_period (1 vs 2)"
-
-    @pytest.mark.parametrize("periods, message", [((), "empty panel"),
-                                                  ((1, 3), "missing periods [2]")])
-    def test_missing_periods(self, periods, message):
-        recs = [ClusterPeriodRecord(c, t, 1, 10.0, 20.0) for c in "ab" for t in periods]
-        with pytest.raises(IncompletePanel) as exc:
-            Panel.from_records(recs)
-        assert str(exc.value) == message
-
     def test_treated_is_start_inclusive(self):
-        panel = Panel.from_records(self._records())
+        panel = Panel(("a", "b"), (1, 2), [[11.0, 12.0]] * 2, [[20.0, 20.0]] * 2)
         assert panel.treated.tolist() == [[True, True], [False, True]]
 
 

@@ -20,16 +20,14 @@ from crtnd import (
 )
 from crtnd.cli import main
 from crtnd.dataio import (
-    emit_dataset,
     load_scenario,
     parse_dataset,
-    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
 from crtnd.errors import IncompletePanel, ParseError, SchemaError
 
-from conftest import make_records
+from conftest import emit_dataset, make_records, save_scenario
 
 
 PARALLEL_CSV = """cluster_id,arm,y_count,z_count,x1,dose
@@ -50,11 +48,11 @@ def write(tmp_path, name, text):
     return path
 
 
-def make_sw_csv(tmp_path):
+def make_sw_csv(tmp_path, periods=(1, 2)):
     lines = [SW_CSV_HEADER.strip()]
     rng = np.random.default_rng(0)
     for i, start in enumerate((1, 1, 2, 2, 3, 3)):
-        for t in (1, 2):
+        for t in periods:
             lines.append(
                 f"c{i:02d},{t},{start},{rng.integers(20, 60)},{rng.integers(40, 90)}"
             )
@@ -127,6 +125,7 @@ class TestParseSw:
         assert kind == "sw"
         assert panel.m == 6
         assert panel.n_periods == 2
+        assert panel.start_periods == (1, 1, 2, 2, 3, 3)
 
     def test_missing_cell_names_it(self, tmp_path):
         text = make_sw_csv(tmp_path).read_text().strip().splitlines()
@@ -134,6 +133,19 @@ class TestParseSw:
         with pytest.raises(IncompletePanel) as exc:
             parse_dataset(write(tmp_path, "bad.csv", trimmed))
         assert "c05" in str(exc.value)
+
+    @pytest.mark.parametrize("cells, message", [
+        ("a,1,1\na,3,1\nb,1,1\nb,3,1", "missing periods [2]"),
+        ("a,1,1\na,2,2\nb,1,2\nb,2,2",
+         "cluster 'a' has inconsistent start_period (1 vs 2)"),
+        ("a,1,1\na,2,1\nb,1,2", "missing cell (cluster 'b', period 2)"),
+    ])
+    def test_incomplete_panel_message(self, tmp_path, cells, message):
+        rows = [f"{cell},10,20" for cell in cells.splitlines()]
+        text = SW_CSV_HEADER + "\n".join(rows) + "\n"
+        with pytest.raises(IncompletePanel) as exc:
+            parse_dataset(write(tmp_path, "bad.csv", text))
+        assert str(exc.value) == message
 
     def test_duplicate_cell_line_number(self, tmp_path):
         text = make_sw_csv(tmp_path).read_text()
@@ -272,6 +284,28 @@ class TestCli:
             "--n-draws", "50",
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("payload, error", [
+        ("[NaN, 1]", "ValueError"),  # weights must sum to 1, got nan
+        ("[Infinity, -Infinity]", "ValueError"),
+        ("null", "DataError"),
+        ("[[1], [2]]", "DataError"),
+        ("true", "DataError"),
+        ("[true, false]", "DataError"),
+    ])
+    def test_analyze_sw_rejects_bad_weight_file(self, tmp_path, capsys, payload, error):
+        panel_csv = make_sw_csv(tmp_path, periods=(1, 2, 3))  # two analysis periods
+        wfile = tmp_path / "w.json"
+        wfile.write_text(payload)
+        code = main([
+            "analyze-sw", "--input", str(panel_csv), "--weights", str(wfile),
+            "--n-draws", "50", "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == error
+        assert not (tmp_path / "r.json").exists()
 
     def test_dose_response_reduction(self, tmp_path, capsys):
         # doses equal to arms: the dose coefficient equals log lam-hat
@@ -643,6 +677,29 @@ class TestDrawCounts:
         assert err == {"error": "DataError",
                        "message": f"--perm-draws must be at least 1, got {value}"}
         assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_sweep_n_configs(self, tmp_path, capsys, value):
+        code = main(["sweep", "--n-configs", value, "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "DataError",
+                       "message": f"--n-configs must be at least 1, got {value}"}
+        assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("command, value", [
+    ("simulate", "nan"), ("simulate", "inf"), ("simulate", "0"),
+    ("simulate-sw", "inf"), ("simulate-sw", "nan"), ("simulate-sw", "-1"),
+])
+def test_lam_must_be_finite_positive(tmp_path, capsys, command, value):
+    code = main([command, "--n-replicates", "2", "--lam", value,
+                 "--out", str(tmp_path / "m.csv")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith("lam must be a finite positive real, got ")
+    assert not (tmp_path / "m.csv").exists()
 
 
 class TestSimulationTimings:

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crtnd import (
-    ClusterRecord,
     ParallelScheme,
     PotentialTable,
     Trial,
@@ -33,6 +32,11 @@ from crtnd.estimators import odds_ratio_log
 from conftest import make_records
 
 
+def trial_of(rows):
+    """The trial of ``(cluster_id, arm, y, z)`` rows, in row order."""
+    return Trial(*zip(*rows))
+
+
 def enumeration_estimates(table, m1, estimator):
     scheme = ParallelScheme(table.m, m1)
     out = []
@@ -43,23 +47,23 @@ def enumeration_estimates(table, m1, estimator):
 
 class TestOddsRatio:
     def test_symmetric_arms(self):
-        recs = Trial.from_records([
-            ClusterRecord("a", 1, 10, 20),
-            ClusterRecord("b", 0, 10, 20),
+        recs = trial_of([
+            ("a", 1, 10, 20),
+            ("b", 0, 10, 20),
         ])
         assert odds_ratio_log(recs) == pytest.approx(0.0, abs=1e-15)
 
     def test_direct_substitution(self):
-        recs = Trial.from_records([
-            ClusterRecord("a", 1, 5, 20),
-            ClusterRecord("b", 0, 10, 20),
+        recs = trial_of([
+            ("a", 1, 5, 20),
+            ("b", 0, 10, 20),
         ])
         assert math.exp(odds_ratio_log(recs)) == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_arm_total(self):
-        recs = Trial.from_records([
-            ClusterRecord("a", 1, 0, 20),
-            ClusterRecord("b", 0, 10, 20),
+        recs = trial_of([
+            ("a", 1, 0, 20),
+            ("b", 0, 10, 20),
         ])
         with pytest.raises(ZeroArmTotal) as exc:
             odds_ratio_log(recs)
@@ -67,8 +71,8 @@ class TestOddsRatio:
 
     def test_report_has_permutation_se(self):
         rng = np.random.default_rng(0)
-        recs = Trial.from_records([
-            ClusterRecord(f"c{i}", i % 2, rng.uniform(5, 50), rng.uniform(5, 50))
+        recs = trial_of([
+            (f"c{i}", i % 2, rng.uniform(5, 50), rng.uniform(5, 50))
             for i in range(8)
         ])
         rep = odds_ratio_estimate(recs)
@@ -79,8 +83,8 @@ class TestOddsRatio:
     def test_se_is_exact_up_to_the_auto_limit(self):
         # C(18, 9) = 48620 relabelings: enumerated, as every auto test is
         rng = np.random.default_rng(1)
-        recs = Trial.from_records([
-            ClusterRecord(f"c{i:02d}", int(i < 9), rng.uniform(5, 50), rng.uniform(5, 50))
+        recs = trial_of([
+            (f"c{i:02d}", int(i < 9), rng.uniform(5, 50), rng.uniform(5, 50))
             for i in range(18)
         ])
         rep = odds_ratio_estimate(recs, se_draws=50)
@@ -108,9 +112,9 @@ class TestOddsRatio:
 
 class TestTpfStatistic:
     def test_equal_fractions_give_zero(self):
-        recs = Trial.from_records([
-            ClusterRecord("a", 1, 10, 30),
-            ClusterRecord("b", 0, 20, 60),
+        recs = trial_of([
+            ("a", 1, 10, 30),
+            ("b", 0, 20, 60),
         ])
         t, r = tpf_statistic(recs)
         assert t == pytest.approx(0.0, abs=1e-15)
@@ -118,35 +122,35 @@ class TestTpfStatistic:
 
     def test_arithmetic(self):
         fracs = {"a": 0.5, "b": 0.3, "c": 0.2, "d": 0.4}
-        recs = Trial.from_records([
-            ClusterRecord("a", 1, 50, 50),
-            ClusterRecord("b", 1, 30, 70),
-            ClusterRecord("c", 0, 20, 80),
-            ClusterRecord("d", 0, 40, 60),
+        recs = trial_of([
+            ("a", 1, 50, 50),
+            ("b", 1, 30, 70),
+            ("c", 0, 20, 80),
+            ("d", 0, 40, 60),
         ])
         t, r = tpf_statistic(recs)
         assert t == pytest.approx(0.1, abs=1e-12)
 
     def test_pooled_ratio(self):
-        recs = Trial.from_records([
-            ClusterRecord("a", 1, 60, 180),
-            ClusterRecord("b", 0, 40, 120),
+        recs = trial_of([
+            ("a", 1, 60, 180),
+            ("b", 0, 40, 120),
         ])
         _, r = tpf_statistic(recs)
         assert r == pytest.approx(3.0, abs=1e-12)
 
     def test_empty_cluster(self):
-        recs = Trial.from_records([
-            ClusterRecord("a", 1, 0, 0),
-            ClusterRecord("b", 0, 10, 10),
+        recs = trial_of([
+            ("a", 1, 0, 0),
+            ("b", 0, 10, 10),
         ])
         with pytest.raises(EmptyCluster):
             tpf_statistic(recs)
 
     def test_zero_positive_total(self):
-        recs = Trial.from_records([
-            ClusterRecord("a", 1, 0, 30),
-            ClusterRecord("b", 0, 0, 40),
+        recs = trial_of([
+            ("a", 1, 0, 30),
+            ("b", 0, 0, 40),
         ])
         with pytest.raises(ZeroPositiveTotal):
             tpf_statistic(recs)
@@ -214,10 +218,10 @@ class TestTpfSolve:
         assert (lam > 1.0) == (sign > 0)
 
     def test_estimate_flags_unequal_allocation(self):
-        recs = Trial.from_records([
-            ClusterRecord("a", 1, 30, 70),
-            ClusterRecord("b", 0, 20, 80),
-            ClusterRecord("c", 0, 25, 75),
+        recs = trial_of([
+            ("a", 1, 30, 70),
+            ("b", 0, 20, 80),
+            ("c", 0, 25, 75),
         ])
         rep = tpf_estimate(recs)
         assert "unequal_allocation_warning" in rep.diagnostics

@@ -1,23 +1,21 @@
-"""The stepped-wedge array type, its design, and the record boundary
+"""The stepped-wedge array type, its design, and the CSV boundary
 around it."""
 
 import json
 import math
 import string
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import crtnd
-from crtnd import ClusterPeriodRecord, Panel, SteppedWedgeScheme, sw_log_contrast
-from crtnd.dataio import emit_dataset, parse_dataset
+from crtnd import Panel, SteppedWedgeScheme, sw_log_contrast
+from crtnd.dataio import parse_dataset
 from crtnd.errors import DimensionMismatch
 
-from conftest import AWKWARD_COUNTS
+from conftest import AWKWARD_COUNTS, emit_dataset
 
 
 def panel(**overrides):
@@ -171,29 +169,8 @@ class TestDesign:
 
 
 # --------------------------------------------------------------------- #
-# The record boundary
+# The CSV boundary
 # --------------------------------------------------------------------- #
-
-
-def test_only_core_names_cluster_period_record():
-    # records are for hand-built input; the package re-exports the type
-    package = Path(crtnd.__file__).parent
-    naming = {
-        path.name for path in package.glob("*.py")
-        if "ClusterPeriodRecord" in path.read_text()
-    }
-    assert naming <= {"core.py", "__init__.py"}
-
-
-def test_parsing_a_wedge_builds_no_records(tmp_path, monkeypatch):
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a ClusterPeriodRecord was built")
-
-    monkeypatch.setattr(ClusterPeriodRecord, "__init__", refuse)
-    path = tmp_path / "wedge.csv"
-    emit_dataset(panel(), path)
-    kind, parsed = parse_dataset(path)
-    assert kind == "sw" and parsed == panel()
 
 
 @st.composite

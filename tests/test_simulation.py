@@ -897,7 +897,7 @@ class TestRawEstimatesCsv:
 
         from crtnd import log_contrast_estimate
         from crtnd.cli import main
-        from crtnd.dataio import save_scenario
+        from conftest import save_scenario
 
         scenario = sparse_parallel(40, 48)
         trials = dict(simulate_parallel(scenario))

@@ -21,7 +21,7 @@ from crtnd import (
     sw_oracle_covariance,
     sw_permutation_test,
 )
-from crtnd.core import ClusterRecord, Trial
+from crtnd.core import Trial
 from crtnd.dataio import parse_dataset
 from crtnd.errors import ArmTooSmall, NoNonRejectedPoint, SingularCovariance
 from crtnd.scenarios import SW_Q
@@ -72,10 +72,7 @@ class TestEstimator:
         starts = (1, 1, 1, 2, 2, 2)
         panel = Panel(cluster_ids=tuple("abcdef"), start_periods=starts, y=y, z=z)
         rep = sw_log_contrast(panel, "equal")
-        records = Trial.from_records([
-            ClusterRecord(cid, 1 if s == 1 else 0, y[i, 0], z[i, 0])
-            for i, (cid, s) in enumerate(zip("abcdef", starts))
-        ])
+        records = Trial(tuple("abcdef"), [s == 1 for s in starts], y[:, 0], z[:, 0])
         par = log_contrast_estimate(records)
         assert rep.log_estimate == pytest.approx(par.log_estimate, abs=1e-12)
         assert rep.se_log == pytest.approx(par.se_log, abs=1e-12)
@@ -185,10 +182,7 @@ class TestCovarianceEstimate:
         starts = (1, 1, 1, 2, 2, 2)
         panel = Panel(cluster_ids=tuple("abcdef"), start_periods=starts, y=y, z=z)
         cov = sw_covariance_estimate(panel)
-        records = Trial.from_records([
-            ClusterRecord(cid, 1 if s == 1 else 0, y[i, 0], z[i, 0])
-            for i, (cid, s) in enumerate(zip("abcdef", starts))
-        ])
+        records = Trial(tuple("abcdef"), [s == 1 for s in starts], y[:, 0], z[:, 0])
         par = log_contrast_estimate(records)
         assert cov.sigma.shape == (1, 1)
         assert cov.sigma[0, 0] == pytest.approx(par.se_log**2, abs=1e-12)

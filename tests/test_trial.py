@@ -1,17 +1,14 @@
-"""The parallel-arm array type and the record boundary around it."""
+"""The parallel-arm array type and the CSV boundary around it."""
 
 import math
 import string
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import crtnd
 from crtnd import (
-    ClusterRecord,
     PotentialTable,
     Trial,
     covariate_adjusted_estimate,
@@ -19,10 +16,10 @@ from crtnd import (
     log_contrasts,
     realize,
 )
-from crtnd.dataio import emit_dataset, parse_dataset
+from crtnd.dataio import parse_dataset
 from crtnd.errors import ArmTooSmall, DimensionMismatch, MissingDose, ZeroCount
 
-from conftest import AWKWARD_COUNTS
+from conftest import AWKWARD_COUNTS, emit_dataset
 
 
 def trial(**overrides):
@@ -76,25 +73,6 @@ class TestConstruction:
         with pytest.raises(DimensionMismatch):
             trial(**overrides)
 
-    def test_from_records_keeps_record_order(self):
-        recs = [
-            ClusterRecord("b", 0, 5, 6, covariates=(1.0, 2.0)),
-            ClusterRecord("a", 1, 7, 8, covariates=(3.0, 4.0), dose=0.5),
-        ]
-        t = Trial.from_records(recs)
-        assert t.cluster_ids == ("b", "a")
-        assert t.arm.tolist() == [False, True]
-        assert t.x.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-        assert np.isnan(t.dose[0]) and t.dose[1] == 0.5
-        no_dose = [ClusterRecord("b", 0, 5, 6), ClusterRecord("c", 1, 1, 1)]
-        assert Trial.from_records(no_dose).dose is None
-
-    def test_from_records_needs_one_covariate_dimension(self):
-        recs = [ClusterRecord("a", 0, 5, 6, covariates=(1.0,)),
-                ClusterRecord("b", 1, 7, 8)]
-        with pytest.raises(ValueError, match="covariates"):
-            Trial.from_records(recs)
-
     def test_require_dose_names_the_first_missing_cluster(self):
         assert trial().dose is None
         with pytest.raises(MissingDose, match="'a'"):
@@ -134,16 +112,6 @@ class TestLogContrasts:
         with pytest.raises(ZeroCount) as exc:
             log_contrasts(trial(y=y, z=z))
         assert "'b'" in str(exc.value) and which in str(exc.value)
-
-
-def test_only_core_and_dataio_name_cluster_record():
-    # records are the I/O boundary; the package re-exports the type
-    package = Path(crtnd.__file__).parent
-    naming = sorted(
-        path.name for path in package.glob("*.py")
-        if "ClusterRecord" in path.read_text()
-    )
-    assert set(naming) <= {"core.py", "dataio.py", "__init__.py"}
 
 
 # --------------------------------------------------------------------- #
