@@ -50,6 +50,9 @@ AUTO_EXACT_LIMIT = 100_000
 _BLOCK_BYTES = 4 << 20
 # and drawn in pieces of about this many uniforms
 _DRAW_PIECE = 4096
+# numpy's bundled OpenBLAS may thread an (a, b) @ (b, c) product once a b c
+# reaches this, at more CPU time than it saves: larger ones go in pieces
+_SERIAL_MNK = 1 << 19
 _NO_ANALYSIS_PERIOD = "no analysis period has both a treated and an untreated cluster"
 
 
@@ -597,8 +600,8 @@ class PotentialTable:
     doses: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be a finite positive real, got {self.lam}")
         y0 = _as_positive_array("y0", self.y0)
         z0 = _as_positive_array("z0", self.z0)
         c = _as_positive_array("c", self.c)
@@ -656,8 +659,8 @@ class PeriodPotentialTable:
     cluster_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be a finite positive real, got {self.lam}")
         y0 = np.asarray(self.y0, dtype=float)
         z0 = np.asarray(self.z0, dtype=float)
         c = np.asarray(self.c, dtype=float)

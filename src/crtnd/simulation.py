@@ -71,7 +71,7 @@ from .stepped_wedge import (
     _null_sigma,
     _null_weights,
     _optimal_rows,
-    _period_diff_rows,
+    _period_contrasts,
     _period_differences,
     _plugin_sigma,
     _scale_matrix,
@@ -726,10 +726,11 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws, stages):
         observed = {name: _row_dot(diffs, weights[name]) for name in names}
         for g, sl in parts:
             rz = randomize(scheme, "monte_carlo", perm_draws, _relabeling_stream(scenario, g))
-            d_rows = _period_diff_rows(rz.rows(), periods, scheme, lmat[sl])
-            for name in names:
-                draws = np.matmul(d_rows, weights[name][sl, :, None])[:, :, 0]
-                tallies[name].add_perm(rz.p(_two_sided_count(draws, observed[name][sl])), alpha)
+            # every weighting's draws of the chunk: one masked product
+            w = np.stack([weights[name][sl] for name in names])
+            draws = _period_contrasts(rz.rows(), periods, scheme, lmat[sl], w)
+            for name, d in zip(names, draws):
+                tallies[name].add_perm(rz.p(_two_sided_count(d, observed[name][sl])), alpha)
         stages.lap("permutation")
 
     for b in _blocks(_wedge_draws(scenario), tallies):

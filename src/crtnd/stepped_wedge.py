@@ -35,12 +35,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import _BLOCK_BYTES, Panel, SteppedWedgeScheme, randomize
+from .core import _BLOCK_BYTES, _SERIAL_MNK, Panel, SteppedWedgeScheme, randomize
 from .errors import ArmTooSmall, SingularCovariance
 from .estimators import EstimateReport, _row_dot, normal_ci
 from .inference import (
     PermutationResult,
-    _diff_means,
     _invert_scan,
     _permutation_result,
     _Statistic,
@@ -441,35 +440,46 @@ def sw_log_contrast(
     )
 
 
-def _period_diff_rows(
+def _period_contrasts(
     start_rows: np.ndarray,
     periods: Sequence[int],
     scheme: SteppedWedgeScheme,
     values: np.ndarray,
+    weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(B, rows, periods) treated-minus-control means of ``v[:, t-1]``
-    for each (m, T) matrix v of a (B, m, T) stack ``values``.
+    """(W, B, rows): for each matrix v = ``values[b]`` of a (B, m, T)
+    stack, the treated-minus-control means of ``v[:, t-1]`` over the
+    analysis periods, summed with the weights ``weights[w, b]`` of a (W,
+    B, k) array; with no weights, the per-period means, (k, B, rows).
 
-    Row r treats cluster i at period t when ``start_rows[r, i] <= t``;
-    one batched product takes each period's (B, m) columns of the whole
-    stack times its (m, rows) float 0/1 masks, as a 2-D product would.
-    The rows go in pieces whose masks fit in ``_BLOCK_BYTES``.
+    Row r treats cluster i at period t when ``start_rows[r, i] <= t``.
+    A period's difference is ``c_t S_t - total_t / n0_t``, with S_t the
+    treated sum and ``c_t = 1/n1_t + 1/n0_t``: one (W B, k m) matrix of
+    v, c_t and the weights times the rows' (k m, rows) 0/1 masks, less
+    one constant per (w, b).  Rows go in pieces whose products stay
+    below ``_SERIAL_MNK`` and whose masks fit in ``_BLOCK_BYTES``.
     """
     b, m = values.shape[:2]
-    cols = [t - 1 for t in periods]
-    by_period = np.ascontiguousarray(values.transpose(2, 0, 1)[cols])  # (k, B, m)
-    totals = by_period.sum(axis=2)[:, :, None]
-    n1 = np.array([scheme.m_t(t) for t in periods])[:, None, None]
-    k, n = len(periods), start_rows.shape[0]
-    out = np.empty((b, n, k))
-    size = max(1, _BLOCK_BYTES // (8 * k * m))
+    k = len(periods)
+    if weights is None:
+        weights = np.broadcast_to(np.eye(k)[:, None], (k, b, k))
+    n1 = np.array([scheme.m_t(t) for t in periods])
+    by_period = values[:, :, [t - 1 for t in periods]]  # (B, m, k)
+    scaled = weights * (1 / n1 + 1 / (m - n1))
+    coef = np.einsum("bij,wbj->wbji", by_period, scaled).reshape(-1, k * m)
+    const = (weights * by_period.sum(axis=1) / (m - n1)).sum(axis=2).reshape(-1, 1)
+    n, cols = start_rows.shape[0], coef.shape[0]
+    size = max(1, min(_BLOCK_BYTES // 8, (_SERIAL_MNK - 1) // cols) // (k * m))
+    starts = np.ascontiguousarray(start_rows.T)
+    masks = np.empty(k * m * min(size, n))
+    out = np.empty((cols, n))
     for first in range(0, n, size):
-        piece = start_rows[first:first + size]
-        masks = np.empty((k, *piece.shape))
-        np.less_equal(piece, np.array(periods)[:, None, None], out=masks, casting="unsafe")
-        sums = np.matmul(by_period, masks.transpose(0, 2, 1))  # (k, B, piece)
-        out[:, first:first + size] = _diff_means(sums, totals, m, n1).transpose(1, 2, 0)
-    return out
+        piece = starts[:, first:first + size]
+        mask = masks[:piece.size * k].reshape(k, m, -1)
+        np.less_equal(piece, np.array(periods)[:, None, None], out=mask, casting="unsafe")
+        np.matmul(coef, mask.reshape(k * m, -1), out=out[:, first:first + size])
+    out -= const
+    return out.reshape(*weights.shape[:2], n)
 
 
 def _null_weights(
@@ -499,9 +509,9 @@ def _sw_statistic(panel: Panel, weights) -> _Statistic:
 
     Under the null the control log-contrasts are ``L - theta * treated``,
     so each assignment's per-period differences split as ``D - theta *
-    A``: the rows of :func:`_period_diff_rows` for the stack of L and
-    the treated indicator, and the observed :func:`_period_differences`
-    and 1.
+    A``: the per-period columns of :func:`_period_contrasts` for the
+    stack of L and the treated indicator, and the observed
+    :func:`_period_differences` and 1.
     Weights are held fixed across re-randomizations; "optimal" weights
     are computed exactly from the null-imputed covariance at theta.
     """
@@ -512,7 +522,8 @@ def _sw_statistic(panel: Panel, weights) -> _Statistic:
     stack = np.stack([lmat, treated])
 
     def rows(start_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(_period_diff_rows(start_rows, periods, scheme, stack))
+        contrasts = _period_contrasts(start_rows, periods, scheme, stack)
+        return contrasts[:, 0].T, contrasts[:, 1].T
 
     observed = _period_differences(lmat, np.asarray(panel.start_periods), periods)
     return _Statistic(

@@ -461,6 +461,14 @@ class TestPotentialTables:
         assert panel.y[0].tolist() == [10.0, 5.0, 5.0]
         assert panel.y[1].tolist() == [10.0, 10.0, 5.0]
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("table, shape", [(PotentialTable, (2,)),
+                                              (PeriodPotentialTable, (2, 3))])
+    def test_lam_must_be_finite_positive(self, table, shape, lam):
+        cells = {name: np.full(shape, 10.0) for name in ("y0", "z0", "c")}
+        with pytest.raises(ValueError, match="^lam must be a finite positive real, got "):
+            table(lam=lam, **cells)
+
 
 class TestPanel:
     def test_treated_is_start_inclusive(self):

@@ -21,7 +21,7 @@ from crtnd import (
     sw_oracle_covariance,
     sw_permutation_test,
 )
-from crtnd.core import Trial
+from crtnd.core import Trial, randomize
 from crtnd.dataio import parse_dataset
 from crtnd.errors import ArmTooSmall, NoNonRejectedPoint, SingularCovariance
 from crtnd.scenarios import SW_Q
@@ -297,74 +297,10 @@ class TestNullCovarianceAndPermutation:
             cols = l0[b][:, [t - 1 for t in periods]]
             np.testing.assert_allclose(s_full[b], np.cov(cols.T, ddof=1), rtol=1e-13, atol=1e-15)
 
-    def test_stacked_period_diff_rows(self):
-        # each period is one product for the whole stack; every matrix's
-        # rows are its treated-minus-control means, to rounding
-        from crtnd.stepped_wedge import _period_diff_rows
-
-        scheme = SteppedWedgeScheme(8, (1, 2, 2, 2, 1))
-        periods = scheme.analysis_periods
-        rng = np.random.default_rng(27)
-        values = rng.normal(0.5, 1.0, size=(3, 8, 5))
-        starts = sample_assignments(scheme, 40, derive_rng(28))
-        rows = _period_diff_rows(starts, periods, scheme, values)
-        assert rows.shape == (3, 40, len(periods))
-        for b in range(3):
-            for r, start in enumerate(starts):
-                want = _period_differences(values[b], start, periods)
-                np.testing.assert_allclose(rows[b, r], want, rtol=0, atol=1e-13)
-
-    @pytest.mark.parametrize("b", [1, 2, 16])
-    @pytest.mark.parametrize("q, analysed", [((1, 2, 2, 2, 1), (1, 2, 3, 4)),
-                                             ((0, 3, 3, 2), (2, 3))],
-                             ids=["all-periods", "period-1-dropped"])
-    def test_batched_period_diff_rows_match_the_period_loop(self, b, q, analysed):
-        # one batched product over the periods gives each period the bits
-        # of its own (B, m) @ (m, rows) product
-        from crtnd.inference import _diff_means
-        from crtnd.stepped_wedge import _period_diff_rows
-
-        def period_loop(start_rows, periods, scheme, values):
-            n, m, _ = values.shape
-            by_period = np.ascontiguousarray(values.transpose(2, 0, 1)[[t - 1 for t in periods]])
-            sums = np.empty((n, start_rows.shape[0], len(periods)))
-            mask = np.empty(start_rows.shape)
-            for k, t in enumerate(periods):
-                np.less_equal(start_rows, t, out=mask, casting="unsafe")
-                sums[:, :, k] = by_period[k] @ mask.T
-            n1 = np.array([scheme.m_t(t) for t in periods])
-            return _diff_means(sums, by_period.sum(axis=2).T[:, None, :], m, n1)
-
-        scheme = SteppedWedgeScheme(sum(q), q)
-        periods = scheme.analysis_periods
-        assert periods == analysed
-        rng = np.random.default_rng(29 + b)
-        values = rng.normal(0.5, 1.0, size=(b, scheme.m, len(q)))
-        starts = sample_assignments(scheme, 999, derive_rng(30, b))
-        rows = _period_diff_rows(starts, periods, scheme, values)
-        want = period_loop(starts, periods, scheme, values)
-        assert rows.shape == want.shape == (b, 999, len(periods))
-        assert rows.flags.c_contiguous
-        assert rows.tobytes() == want.tobytes()
-
-    def test_period_diff_rows_in_pieces(self, monkeypatch):
-        # rows split into pieces of 100 give the bits of one piece
-        from crtnd import stepped_wedge
-        from crtnd.stepped_wedge import _period_diff_rows
-
-        scheme = SteppedWedgeScheme(24, SW_Q)
-        periods = scheme.analysis_periods
-        values = np.random.default_rng(31).normal(0.5, 1.0, size=(2, 24, len(SW_Q)))
-        starts = sample_assignments(scheme, 999, derive_rng(32))
-        whole = _period_diff_rows(starts, periods, scheme, values)
-        monkeypatch.setattr(stepped_wedge, "_BLOCK_BYTES", 8 * len(periods) * 24 * 100)
-        pieces = _period_diff_rows(starts, periods, scheme, values)
-        assert pieces.tobytes() == whole.tobytes()
-
     def test_monte_carlo_test_memory_is_a_few_blocks(self):
         # a 99,999-draw test of the bundled 24-cluster, 7-period design
         # holds one engine block of one-byte start rows, its differences
-        # and the masks of one piece of it (11.2 MiB measured); the period
+        # and the masks of one piece of it (5.2 MiB measured); the period
         # masks of a whole block would be 7 times _BLOCK_BYTES
         import tracemalloc
 
@@ -425,7 +361,7 @@ class TestNullCovarianceAndPermutation:
     def test_observed_statistic_is_the_estimates_own(self):
         # the simulation reads the observed statistic off the period
         # differences of its estimates: the test's must be the same bits
-        from crtnd.stepped_wedge import _period_diff_rows, _sw_statistic
+        from crtnd.stepped_wedge import _sw_statistic
 
         scheme = SteppedWedgeScheme(8, (1, 2, 2, 2, 1))
         panel = realize(random_table(8, 5, 0.7, seed=24),
@@ -436,8 +372,7 @@ class TestNullCovarianceAndPermutation:
         assert d_obs.tobytes() == _period_differences(lmat, start, periods).tobytes()
         assert a_obs.tolist() == [1.0] * len(periods)
         # and the rows statistic at the observed starts, to rounding
-        d_row, a_row = _period_diff_rows(start[None], periods, scheme,
-                                         np.stack([lmat, panel.treated.astype(float)]))
+        d_row, a_row = _sw_statistic(panel, "equal").rows(start[None])
         np.testing.assert_allclose(d_row[0], d_obs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(a_row[0], a_obs, rtol=0, atol=1e-12)
 
@@ -458,6 +393,157 @@ def tied_panel():
         y=y,
         z=z,
     )
+
+
+# _period_contrasts against its brute-force oracle: every column within
+# this absolute tolerance of the rows' own _period_differences (values of
+# order 1; the largest difference seen is 6e-15, on weighted columns)
+CONTRAST_ATOL = 1e-13
+
+
+def contrast_case(design):
+    """(scheme, start rows, (B, m, T) values) of one kernel test design:
+    999 drawn rows of a q vector, or every start vector of the tied
+    panel with its log contrasts and treated indicator."""
+    if design == "tied":
+        panel = tied_panel()
+        values = np.stack([panel.log_contrast_matrix(), panel.treated.astype(float)])
+        return panel.scheme, randomize(panel.scheme, "exact", 0, (0,)).rows(), values
+    q = {"bundled": SW_Q, "all-periods": (1, 2, 2, 2, 1),
+         "period-1-dropped": (0, 3, 3, 2)}[design]
+    scheme = SteppedWedgeScheme(sum(q), q)
+    values = np.random.default_rng(len(q)).normal(0.5, 1.0, size=(3, scheme.m, len(q)))
+    starts = sample_assignments(scheme, 999, derive_rng(33, len(q)), np.uint8)
+    return scheme, starts, values
+
+
+def brute_differences(starts, periods, values):
+    """(rows, B, k): each row's :func:`_period_differences` of each matrix."""
+    n, (b, m, t) = len(starts), values.shape
+    stack = np.broadcast_to(values, (n, b, m, t)).reshape(n * b, m, t)
+    rows = np.repeat(starts, b, axis=0)
+    return _period_differences(stack, rows, periods).reshape(n, b, -1)
+
+
+CONTRAST_DESIGNS = ["bundled", "all-periods", "period-1-dropped", "tied"]
+
+
+class TestPeriodContrasts:
+    @pytest.mark.parametrize("design", CONTRAST_DESIGNS)
+    def test_per_period_columns(self, design):
+        from crtnd.stepped_wedge import _period_contrasts
+
+        scheme, starts, values = contrast_case(design)
+        periods = scheme.analysis_periods
+        if design == "period-1-dropped":
+            assert periods == (2, 3)
+        got = _period_contrasts(starts, periods, scheme, values)
+        want = brute_differences(starts, periods, values)
+        assert got.shape == (len(periods), len(values), len(starts))
+        np.testing.assert_allclose(got.transpose(2, 1, 0), want, rtol=0, atol=CONTRAST_ATOL)
+
+    @pytest.mark.parametrize("design", CONTRAST_DESIGNS)
+    def test_weighted_columns(self, design):
+        # two weightings of each matrix, folded in before the product,
+        # against the weighted sums of the oracle's rows
+        from crtnd.stepped_wedge import _period_contrasts
+
+        scheme, starts, values = contrast_case(design)
+        periods = scheme.analysis_periods
+        weights = np.random.default_rng(34).normal(size=(2, len(values), len(periods)))
+        got = _period_contrasts(starts, periods, scheme, values, weights)
+        diffs = brute_differences(starts, periods, values)
+        assert got.shape == (2, len(values), len(starts))
+        for w in range(2):
+            for b in range(len(values)):
+                want = diffs[:, b] @ weights[w, b]
+                np.testing.assert_allclose(got[w, b], want, rtol=0, atol=CONTRAST_ATOL)
+
+    @pytest.mark.parametrize("bound", ["_BLOCK_BYTES", "_SERIAL_MNK"])
+    def test_rows_in_pieces(self, monkeypatch, bound):
+        # either bound splits the rows into pieces (100 rows; 28 for the
+        # 21 per-period columns under _SERIAL_MNK), which match one
+        # product over all of them to rounding
+        from crtnd import stepped_wedge
+        from crtnd.stepped_wedge import _period_contrasts
+
+        scheme, starts, values = contrast_case("bundled")
+        periods = scheme.analysis_periods
+        weights = np.random.default_rng(35).normal(size=(2, len(values), len(periods)))
+        cells = scheme.m * len(periods)
+        monkeypatch.setattr(stepped_wedge, "_BLOCK_BYTES", 1 << 40)
+        monkeypatch.setattr(stepped_wedge, "_SERIAL_MNK", 1 << 40)
+        whole = [_period_contrasts(starts, periods, scheme, values, w) for w in (None, weights)]
+        piece = {"_BLOCK_BYTES": 8 * cells * 100, "_SERIAL_MNK": 6 * cells * 100 + 1}
+        monkeypatch.setattr(stepped_wedge, bound, piece[bound])
+        sizes = {"_BLOCK_BYTES": (100, 100), "_SERIAL_MNK": (28, 100)}[bound]
+        for w, want, size in zip((None, weights), whole, sizes):
+            products = spy_products(monkeypatch)
+            got = _period_contrasts(starts, periods, scheme, values, w)
+            assert [n for _, _, n in products] == [size] * (999 // size) + [999 % size]
+            np.testing.assert_allclose(got, want, rtol=0, atol=CONTRAST_ATOL)
+
+
+def spy_products(monkeypatch):
+    """The (rows, inner, columns) of every ``np.matmul`` call from now
+    on, per matrix of a stack (a vector operand counts as one column)."""
+    products, matmul = [], np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        a_shape, b_shape = np.shape(a), np.shape(b)
+        rows = a_shape[-2] if len(a_shape) > 1 else 1
+        columns = b_shape[-1] if len(b_shape) > 1 else 1
+        products.append((rows, a_shape[-1], columns))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return products
+
+
+class TestSerialProducts:
+    """Every product of the wedge's relabelings stays below the size at
+    which numpy's bundled OpenBLAS may use more than one thread."""
+
+    @staticmethod
+    def simulate_chunk():
+        # one 16-replicate chunk of simulate-sw, permutation column on
+        from crtnd.scenarios import default_sw_scenario
+        from crtnd.simulation import _CHUNK, evaluate
+
+        scenario = default_sw_scenario(0.6, n_replicates=_CHUNK, seed=36)
+        evaluate(scenario, permutation_por=True, perm_draws=999)
+
+    @staticmethod
+    def permutation_test_99999():
+        scheme = SteppedWedgeScheme(24, SW_Q)
+        panel = realize(random_table(24, len(SW_Q), 0.6, seed=3),
+                        sample_assignments(scheme, 1, derive_rng(5))[0])
+        sw_permutation_test(panel, 0.8, "optimal", mode="monte_carlo", n_draws=99_999, seed=2)
+
+    @pytest.mark.parametrize("run", ["simulate_chunk", "permutation_test_99999"])
+    def test_products_stay_serial(self, monkeypatch, run):
+        from crtnd.core import _SERIAL_MNK
+
+        products = spy_products(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            getattr(self, run)()
+        # the relabeling products: 24 clusters times 7 analysis periods inner
+        assert sum(inner == 168 for _, inner, _ in products) >= 10
+        assert max(math.prod(p) for p in products) < _SERIAL_MNK
+
+    def test_a_chunk_in_one_product_fails_the_guard(self, monkeypatch):
+        # the guard above sees a chunk's (32, 168) @ (168, 999) product
+        from crtnd import stepped_wedge
+        from crtnd.core import _SERIAL_MNK
+
+        monkeypatch.setattr(stepped_wedge, "_SERIAL_MNK", 1 << 40)
+        products = spy_products(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            self.simulate_chunk()
+        assert (32, 168, 999) in products
+        assert max(math.prod(p) for p in products) >= _SERIAL_MNK
 
 
 class TestSWInvertCI:
