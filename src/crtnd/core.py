@@ -184,26 +184,33 @@ class Trial:
 
 
 def log_contrasts(trial: Trial) -> np.ndarray:
-    """Per-cluster ``log(y) - log(z)``, each term in :func:`math.log`.
+    """Per-cluster ``log(y) - log(z)``.
 
     A zero count raises :class:`ZeroCount` for the first cluster with
     one.  The continuity correction is a change to the counts, made
     once when the trial is built: ``dataclasses.replace(trial, y=trial.y
     + 0.5, z=trial.z + 0.5)``.
     """
-    try:
-        return _log_ratio(trial.y, trial.z)
-    except ValueError:  # log(0): counts are nonnegative
-        i = int(np.argmax((trial.y == 0) | (trial.z == 0)))
-        which = "test-positive" if trial.y[i] == 0 else "test-negative"
-        raise ZeroCount(trial.cluster_ids[i], which) from None
+    return _log_ratio(trial.y, trial.z, trial.cluster_ids)
 
 
-def _log_ratio(y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``log(y) - log(z)`` elementwise, any shape, each term in
-    :func:`math.log`; ValueError on a zero."""
-    pairs = zip(y.ravel().tolist(), z.ravel().tolist())
-    return np.array([math.log(a) - math.log(b) for a, b in pairs]).reshape(y.shape)
+def _log_ratio(y: np.ndarray, z: np.ndarray, ids: Sequence[str] | None = None) -> np.ndarray:
+    """``np.log(y) - np.log(z)`` of nonnegative counts of any shape.
+
+    With ``ids``, the clusters of the rows of (m,) or (m, T) counts, a
+    zero count raises :class:`ZeroCount`: it names the first cluster
+    with one, or the first such cell as ``id@period``.  The simulation's
+    (replicates, ...) stacks pass none: their counts are positive by
+    construction.
+    """
+    if ids is not None:
+        zero = (y == 0) | (z == 0)
+        if zero.any():
+            cell = np.unravel_index(np.argmax(zero), zero.shape)
+            which = "test-positive" if y[cell] == 0 else "test-negative"
+            where = "".join(f"@{int(t) + 1}" for t in cell[1:])
+            raise ZeroCount(f"{ids[cell[0]]}{where}", which)
+    return np.log(y) - np.log(z)
 
 
 # --------------------------------------------------------------------- #
@@ -277,11 +284,7 @@ class Panel:
     def log_contrast_matrix(self) -> np.ndarray:
         """(m, T) matrix of per-cell log-contrasts; :class:`ZeroCount`
         names the first cell with a zero count."""
-        for arr, which in ((self.y, "test-positive"), (self.z, "test-negative")):
-            if np.any(arr <= 0):
-                i, t = np.argwhere(arr <= 0)[0]
-                raise ZeroCount(f"{self.cluster_ids[int(i)]}@{int(t) + 1}", which)
-        return np.log(self.y) - np.log(self.z)
+        return _log_ratio(self.y, self.z, self.cluster_ids)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Panel):
@@ -572,23 +575,22 @@ def _orderings(prefix: tuple[int, ...], left: np.ndarray) -> np.ndarray:
 
 
 def _as_positive_array(name: str, values: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float)
     if arr.size == 0:
         raise ValueError(f"{name} is empty")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
         raise ValueError(f"{name} entries must be finite and > 0")
-    arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True)
-class PotentialTable:
-    """Counterfactual counts for a parallel-arm design (oracle use).
-
-    Stores control counts, the relative ascertainment ``c`` and the
-    relative risk ``lam``; treated counts are derived as
-    ``y1 = lam * c * y0`` and ``z1 = c * z0`` so the defining ratios
-    hold at machine precision.
+class _CountTable:
+    """What both potential tables hold: control counts ``y0`` and ``z0``,
+    the relative ascertainment ``c`` and the relative risk ``lam``, as
+    read-only arrays of one shape whose rows are ``cluster_ids``
+    (``c01, c02, ...`` by default).  Treated counts are derived as
+    ``y1 = lam * c * y0`` and ``z1 = c * z0`` so the defining ratios hold
+    at machine precision.
     """
 
     lam: float
@@ -596,36 +598,18 @@ class PotentialTable:
     z0: np.ndarray
     c: np.ndarray
     cluster_ids: tuple[str, ...] = ()
-    covariates: np.ndarray | None = None
-    doses: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0 < self.lam < math.inf:
             raise ValueError(f"lam must be a finite positive real, got {self.lam}")
-        y0 = _as_positive_array("y0", self.y0)
-        z0 = _as_positive_array("z0", self.z0)
-        c = _as_positive_array("c", self.c)
-        if not (y0.shape == z0.shape == c.shape):
+        cells = {name: _as_positive_array(name, getattr(self, name)) for name in ("y0", "z0", "c")}
+        if not cells["y0"].shape == cells["z0"].shape == cells["c"].shape:
             raise DimensionMismatch("y0, z0, c must share one shape")
-        object.__setattr__(self, "y0", y0)
-        object.__setattr__(self, "z0", z0)
-        object.__setattr__(self, "c", c)
-        if not self.cluster_ids:
-            object.__setattr__(
-                self,
-                "cluster_ids",
-                tuple(f"c{i + 1:02d}" for i in range(y0.shape[0])),
-            )
-        if len(self.cluster_ids) != y0.shape[0]:
+        m = cells["y0"].shape[0]
+        ids = tuple(self.cluster_ids) or tuple(f"c{i + 1:02d}" for i in range(m))
+        if len(ids) != m:
             raise DimensionMismatch("cluster_ids length mismatch")
-        if self.covariates is not None:
-            x = np.atleast_2d(np.asarray(self.covariates, dtype=float))
-            if x.shape[0] != y0.shape[0]:
-                x = x.T
-            if x.shape[0] != y0.shape[0]:
-                raise DimensionMismatch("covariates row count mismatch")
-            x.setflags(write=False)
-            object.__setattr__(self, "covariates", x)
+        _freeze(self, {**cells, "cluster_ids": ids})
 
     @property
     def m(self) -> int:
@@ -641,67 +625,44 @@ class PotentialTable:
 
     def l0(self) -> np.ndarray:
         """Potential log-contrasts under control."""
-        return np.log(self.y0) - np.log(self.z0)
-
-    def l1(self) -> np.ndarray:
-        """Potential log-contrasts under intervention."""
-        return np.log(self.y1) - np.log(self.z1)
+        return _log_ratio(self.y0, self.z0, self.cluster_ids)
 
 
 @dataclass(frozen=True)
-class PeriodPotentialTable:
-    """Counterfactual counts for a stepped-wedge design, per (cluster, period)."""
+class PotentialTable(_CountTable):
+    """Counterfactual counts for a parallel-arm design (oracle use), one
+    per cluster, with the covariates and doses a realized trial carries."""
 
-    lam: float
-    y0: np.ndarray
-    z0: np.ndarray
-    c: np.ndarray
-    cluster_ids: tuple[str, ...] = ()
+    covariates: np.ndarray | None = None
+    doses: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0 < self.lam < math.inf:
-            raise ValueError(f"lam must be a finite positive real, got {self.lam}")
-        y0 = np.asarray(self.y0, dtype=float)
-        z0 = np.asarray(self.z0, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        if y0.ndim != 2:
-            raise DimensionMismatch("stepped-wedge tables must be (m, T) matrices")
-        if not (y0.shape == z0.shape == c.shape):
-            raise DimensionMismatch("y0, z0, c must share one shape")
-        for name, arr in (("y0", y0), ("z0", z0), ("c", c)):
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-                raise ValueError(f"{name} entries must be finite and > 0")
-            arr.setflags(write=False)
-        object.__setattr__(self, "y0", y0)
-        object.__setattr__(self, "z0", z0)
-        object.__setattr__(self, "c", c)
-        if not self.cluster_ids:
-            object.__setattr__(
-                self,
-                "cluster_ids",
-                tuple(f"c{i + 1:02d}" for i in range(y0.shape[0])),
-            )
-        if len(self.cluster_ids) != y0.shape[0]:
-            raise DimensionMismatch("cluster_ids length mismatch")
+        super().__post_init__()
+        if self.covariates is not None:
+            x = np.atleast_2d(np.asarray(self.covariates, dtype=float))
+            if x.shape[0] != self.m:
+                x = x.T
+            if x.shape[0] != self.m:
+                raise DimensionMismatch("covariates row count mismatch")
+            _freeze(self, {"covariates": x})
 
-    @property
-    def m(self) -> int:
-        return self.y0.shape[0]
+    def l1(self) -> np.ndarray:
+        """Potential log-contrasts under intervention."""
+        return _log_ratio(self.y1, self.z1, self.cluster_ids)
+
+
+@dataclass(frozen=True)
+class PeriodPotentialTable(_CountTable):
+    """Counterfactual counts for a stepped-wedge design, per (cluster, period)."""
+
+    def __post_init__(self):
+        if np.ndim(self.y0) != 2:
+            raise DimensionMismatch("stepped-wedge tables must be (m, T) matrices")
+        super().__post_init__()
 
     @property
     def n_periods(self) -> int:
         return self.y0.shape[1]
-
-    @property
-    def y1(self) -> np.ndarray:
-        return self.lam * self.c * self.y0
-
-    @property
-    def z1(self) -> np.ndarray:
-        return self.c * self.z0
-
-    def l0(self) -> np.ndarray:
-        return np.log(self.y0) - np.log(self.z0)
 
 
 def realize(

@@ -158,61 +158,41 @@ def _arm_split(values: np.ndarray, arms: np.ndarray) -> tuple[np.ndarray, np.nda
     return values[arms].reshape(n, -1), values[~arms].reshape(n, -1)
 
 
-def _seq_sum(values: np.ndarray) -> np.ndarray:
-    """Row sums added left to right, as Python's ``sum`` adds a list."""
-    return np.cumsum(values, axis=1)[:, -1]
-
-
 # --------------------------------------------------------------------- #
 # Odds ratio
 # --------------------------------------------------------------------- #
 
 
 def odds_ratio_log(trial: Trial) -> float:
-    """log of the pooled-count odds ratio; raises ZeroArmTotal on zero sums.
-
-    Arm totals are summed left to right in cluster order.
-    """
-    totals = [float(v[0]) for v in _arm_totals(trial.y[None], trial.z[None],
-                                              trial.arm[None])]
+    """log of the pooled-count odds ratio; raises ZeroArmTotal on zero sums."""
+    totals = _arm_totals(trial.y[None], trial.z[None], trial.arm[None])
     names = ("treated test-positive", "control test-positive",
              "treated test-negative", "control test-negative")
     for name, value in zip(names, totals):
-        if value <= 0:
+        if value[0] <= 0:  # the arm's entries are all 0
             raise ZeroArmTotal(name)
-    return _log_odds_ratio(*totals)
+    return float(_log_odds_ratios(*totals)[0])
 
 
 def _arm_totals(y: np.ndarray, z: np.ndarray, arms: np.ndarray):
     """Per-row arm totals (treated y, control y, treated z, control z)."""
-    return tuple(_seq_sum(part) for v in (y, z) for part in _arm_split(v, arms))
-
-
-def _log_odds_ratio(ty: float, cy: float, tz: float, cz: float) -> float:
-    """The log odds ratio of one row's arm totals, in :func:`math.log`."""
-    return math.log(ty) - math.log(cy) + math.log(cz) - math.log(tz)
+    return tuple(part.sum(axis=1) for v in (y, z) for part in _arm_split(v, arms))
 
 
 def odds_ratio_permutation_draws(
     y: np.ndarray, z: np.ndarray, arm_matrix: np.ndarray
 ) -> np.ndarray:
     """log odds ratio for each 0/1 row of ``arm_matrix``, counts held fixed."""
-    return _odds_ratio_draws(arm_matrix @ y, arm_matrix @ z, y.sum(), z.sum())
+    ty, tz = arm_matrix @ y, arm_matrix @ z
+    return _log_odds_ratios(ty, y.sum() - ty, tz, z.sum() - tz)
 
 
-def _odds_ratio_draws(ty, tz, y_total, z_total) -> np.ndarray:
-    """log odds ratios from treated sums ``ty``, ``tz`` and the totals;
-    non-finite where an arm total vanishes.  ``ty`` and ``tz`` are
-    overwritten: the result is ``ty``."""
+def _log_odds_ratios(ty, cy, tz, cz) -> np.ndarray:
+    """``log(ty) - log(cy) + log(cz) - log(tz)`` of arrays of arm totals
+    (treated and control test-positive, treated and control
+    test-negative); non-finite where a total vanishes."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        # log(ty) - log(cy) + log(cz) - log(tz), left to right, in place
-        control = np.log(y_total - ty)
-        np.log(ty, out=ty)
-        ty -= control
-        control = np.log(z_total - tz)
-        ty += control
-        ty -= np.log(tz, out=tz)
-    return ty
+        return np.log(ty) - np.log(cy) + np.log(cz) - np.log(tz)
 
 
 def odds_ratio_estimate(
@@ -282,7 +262,6 @@ def tpf_statistic(trial: Trial) -> tuple[float, float]:
 
     Returns ``(T, r)`` with ``T`` the treated-minus-control mean of
     ``y / (y + z)`` and ``r`` the pooled negative:positive count ratio.
-    Sums run left to right in cluster order, as Python's ``sum`` does.
     """
     empty = trial.y + trial.z <= 0
     if empty.any():
@@ -296,8 +275,7 @@ def tpf_statistic(trial: Trial) -> tuple[float, float]:
 def _tpf_rows(y: np.ndarray, z: np.ndarray, arms: np.ndarray):
     """(T, r) of :func:`tpf_statistic` for each row of (B, m) stacks."""
     f1, f0 = _arm_split(y / (y + z), arms)
-    t_val = _seq_sum(f1) / f1.shape[1] - _seq_sum(f0) / f0.shape[1]
-    return t_val, _seq_sum(z) / _seq_sum(y)
+    return f1.mean(axis=1) - f0.mean(axis=1), z.sum(axis=1) / y.sum(axis=1)
 
 
 def tpf_expected(lam: float, r: float) -> float:
@@ -317,26 +295,33 @@ def tpf_solve(t_stat: float, r: float) -> float:
         [T r (2+r) - 2 r] lam^2 + T [(2+r)^2 + r^2] lam + [T r (2+r) + 2 r] = 0
 
     and returns its unique positive root.  ``t_stat`` must lie strictly
-    inside the attainable range ``(-2/(2+r), 2/(2+r))``.
+    inside the attainable range ``(-2/(2+r), 2/(2+r))``; outside it
+    :class:`NoAdmissibleRoot` is raised.
     """
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"r must be a positive real, got {r!r}")
-    if t_stat == 0.0:
-        return 1.0
-    bound = 2.0 / (2.0 + r)
-    if abs(t_stat) >= bound:
-        raise NoAdmissibleRoot(t_stat, r, bound)
-    a = r * (t_stat * (2.0 + r) - 2.0)
-    b = t_stat * ((2.0 + r) ** 2 + r * r)
-    c = r * (t_stat * (2.0 + r) + 2.0)
+    lam = float(_tpf_roots(np.array([t_stat]), np.array([r]))[0])
+    if math.isnan(lam):
+        raise NoAdmissibleRoot(t_stat, r, 2.0 / (2.0 + r))
+    return lam
+
+
+def _tpf_roots(t_stat: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """:func:`tpf_solve`'s root for each entry of arrays ``t_stat`` and
+    ``r > 0``: 1 where T = 0, NaN where no root is admissible."""
+    s = 2.0 + r
+    a = r * (t_stat * s - 2.0)
+    b = t_stat * (s * s + r * r)
+    c = r * (t_stat * s + 2.0)
     # Inside the range a < 0 < c, so the roots have opposite signs; b has
     # T's sign and q the other one, so the positive root is q / a for
     # T > 0 and c / q for T < 0 (the stable formula: no cancellation in
     # the small root).  Rounding can break a < 0 < c just inside +-bound.
-    if not a < 0.0 < c:
-        raise NoAdmissibleRoot(t_stat, r, bound)
-    q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
-    return q / a if t_stat > 0.0 else c / q
+    admissible = (np.abs(t_stat) < 2.0 / s) & (a < 0.0) & (0.0 < c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        root = np.where(t_stat > 0.0, q / a, c / q)
+    return np.where(t_stat == 0.0, 1.0, np.where(admissible, root, np.nan))
 
 
 def tpf_estimate(trial: Trial, *, alpha: float = 0.05) -> EstimateReport:
@@ -359,7 +344,7 @@ def tpf_estimate(trial: Trial, *, alpha: float = 0.05) -> EstimateReport:
         )
     return EstimateReport(
         method="tpf",
-        log_estimate=math.log(lam),
+        log_estimate=float(np.log(lam)),
         se_log=None,
         ci_method="none",
         alpha=alpha,
@@ -526,18 +511,24 @@ def _ols_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The covariates are centered first, which leaves slopes and residuals
     unchanged in exact arithmetic but makes the fit invariant to
-    covariate translation at machine precision.  The rank rule is numpy
-    ``lstsq``'s default: singular values at most ``eps * max(n, p + 1)``
-    times the largest count as zero, and a replicate of rank below
-    p + 1 raises :class:`RankDeficientCovariates`.  At full rank the
-    solution ``V diag(1/s) U' y`` is lstsq's minimum-norm one, to
-    rounding.  Each replicate's SVD and products are those of a stack of
-    one, so a replicate gets the same bits in any stack.
+    covariate translation at machine precision.  Each centered column is
+    then divided by that covariate's largest magnitude in the replicate,
+    so the rank rule judges it relative to the covariate's own scale, as
+    :func:`_adjusted_diff_rows` judges its pivots; the slopes are scaled
+    back.  The rank rule is numpy ``lstsq``'s default: singular values
+    at most ``eps * max(n, p + 1)`` times the largest count as zero, and
+    a replicate of rank below p + 1 raises
+    :class:`RankDeficientCovariates`.  At full rank the solution
+    ``V diag(1/s) U' y`` is lstsq's minimum-norm one, to rounding.  Each
+    replicate's SVD and products are those of a stack of one, so a
+    replicate gets the same bits in any stack.
     """
     b, n, p = x.shape
-    design = np.empty((b, n, p + 1))  # an intercept and the centered covariates
+    scale = np.abs(x).max(axis=1)  # (B, p); 0 only for an all-zero column
+    scale[scale == 0.0] = 1.0
+    design = np.empty((b, n, p + 1))  # an intercept and the scaled centered covariates
     design[:, :, 0] = 1.0
-    design[:, :, 1:] = x - x.mean(axis=1)[:, None, :]
+    design[:, :, 1:] = (x - x.mean(axis=1)[:, None, :]) / scale[:, None, :]
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     rank = int(np.count_nonzero(s > np.finfo(float).eps * max(n, p + 1) * s[:, :1],
                                 axis=1).min())
@@ -547,7 +538,7 @@ def _ols_rows(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
     uty = np.matmul(u.transpose(0, 2, 1), y[:, :, None]) / s[:, :, None]
     coef = np.matmul(vt.transpose(0, 2, 1), uty)
-    return coef[:, 1:, 0], y - np.matmul(design, coef)[:, :, 0]
+    return coef[:, 1:, 0] / scale, y - np.matmul(design, coef)[:, :, 0]
 
 
 def _adjusted_diff_rows(x, arm_matrix, m1, *values):

@@ -48,22 +48,21 @@ from .core import (
     randomize,
     sample_assignments,
 )
-from .errors import DegenerateReplicateLimit, NoAdmissibleRoot
+from .errors import DegenerateReplicateLimit
 from .estimators import (
     _arm_split,
     _arm_totals,
     _check_ols_arms,
     _check_variance_arms,
     _log_contrast_rows,
-    _log_odds_ratio,
-    _odds_ratio_draws,
+    _log_odds_ratios,
     _odds_ratio_relabelings,
     _permutation_ses,
     _pooled_ols,
     _row_dot,
+    _tpf_roots,
     _tpf_rows,
     _z_quantile,
-    tpf_solve,
 )
 from .inference import _diff_means, _two_sided_count
 from .stepped_wedge import (
@@ -611,24 +610,20 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages
             raw["covariate_adjusted"].append(est)
             stages.lap("covariate_adjusted")
         if "odds_ratio" in names:
-            splits = zip(*(v.tolist() for v in _arm_totals(y, z, arms)))
-            observed["odds_ratio"] = np.array([_log_odds_ratio(*row) for row in splits])
+            observed["odds_ratio"] = _log_odds_ratios(*_arm_totals(y, z, arms))
             or_se = np.empty(len(arms))
             stages.lap("odds_ratio")
         if "tpf" in names:
-            t = tallies["tpf"]
-            est = np.full(len(arms), np.nan)
-            for i, (t_stat, r) in enumerate(zip(*(v.tolist() for v in _tpf_rows(y, z, arms)))):
-                try:
-                    est[i] = math.log(tpf_solve(t_stat, r))
-                except NoAdmissibleRoot as exc:
-                    t.dropped[type(exc).__name__] += 1
-            t.estimates.append(est[~np.isnan(est)])
+            t_stat, r = _tpf_rows(y, z, arms)
+            # NaN where the fraction statistic has no admissible root
+            est = np.log(_tpf_roots(t_stat, r))
+            admissible = ~np.isnan(est)
+            if not admissible.all():
+                tallies["tpf"].dropped["NoAdmissibleRoot"] += int(np.count_nonzero(~admissible))
+            tallies["tpf"].estimates.append(est[admissible])
             raw["tpf"].append(est)
+            observed["tpf"] = t_stat
             stages.lap("tpf")
-            if permutation_por:
-                f1, f0 = _arm_split(values["tpf"], arms)
-                observed["tpf"] = f1.mean(axis=1) - f0.mean(axis=1)
         totals = {key: values[key].sum(axis=1)[:, None] for key in relabeled}
 
         # per chunk, the treated sums of each relabeled vector under each
@@ -642,8 +637,9 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages
             stages.lap("permutation" if permutation_por else "odds_ratio")
             if "odds_ratio" in names:
                 # the relabelings of the permutation column give the SE too
-                sums["odds_ratio"] = _odds_ratio_draws(sums.pop("y"), sums.pop("z"),
-                                                       totals["y"][sl], totals["z"][sl])
+                ty, tz = sums.pop("y"), sums.pop("z")
+                sums["odds_ratio"] = _log_odds_ratios(ty, totals["y"][sl] - ty,
+                                                      tz, totals["z"][sl] - tz)
                 or_se[sl] = _permutation_ses(sums["odds_ratio"])
                 stages.lap("odds_ratio")
             for name in observed if permutation_por else ():
@@ -696,7 +692,7 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws, stages):
     def block(parts, reps, start, y, z):
         stages.lap("generation")
         raw["replicate"].append(reps)
-        lmat = np.log(y) - np.log(z)
+        lmat = _log_ratio(y, z)
         diffs = _period_differences(lmat, start, periods)
         sigma_hat, _ = _plugin_sigma(lmat, start, periods, scheme, scale)
         stages.lap("plugin_covariance")

@@ -69,6 +69,31 @@ class TestOddsRatio:
             odds_ratio_log(recs)
         assert "treated test-positive" in str(exc.value)
 
+    @pytest.mark.parametrize("arm, count, name", [
+        (1, "y", "treated test-positive"), (0, "y", "control test-positive"),
+        (1, "z", "treated test-negative"), (0, "z", "control test-negative"),
+    ])
+    def test_zero_arm_total_is_decided_from_the_arm(self, arm, count, name):
+        # the arm's own entries are all 0; the total less the other arm's
+        # sum need not round to 0
+        rng = np.random.default_rng(7)
+        arms = np.arange(20) % 2 == 1
+        counts = {"y": rng.uniform(0.1, 1e3, 20), "z": rng.uniform(0.1, 1e3, 20)}
+        counts[count][arms == arm] = 0.0
+        recs = Trial(tuple(f"k{i}" for i in range(20)), arms, counts["y"], counts["z"])
+        with pytest.raises(ZeroArmTotal, match=name):
+            odds_ratio_log(recs)
+
+    def test_observed_log_odds_ratio_is_its_draw(self):
+        from crtnd.estimators import odds_ratio_permutation_draws
+
+        rng = np.random.default_rng(8)
+        arms = np.arange(20) % 3 == 0
+        recs = Trial(tuple(f"k{i}" for i in range(20)), arms,
+                     rng.uniform(0.1, 1e3, 20), rng.uniform(0.1, 1e3, 20))
+        (draw,) = odds_ratio_permutation_draws(recs.y, recs.z, arms[None].astype(float))
+        assert odds_ratio_log(recs) == pytest.approx(draw, rel=1e-13, abs=1e-13)
+
     def test_report_has_permutation_se(self):
         rng = np.random.default_rng(0)
         recs = trial_of([
@@ -217,6 +242,44 @@ class TestTpfSolve:
         assert math.isfinite(lam) and lam > 0.0
         assert (lam > 1.0) == (sign > 0)
 
+    @staticmethod
+    def scalar_root(t_stat, r):
+        """The stable root in scalar arithmetic, None where it is not
+        admissible."""
+        if t_stat == 0.0:
+            return 1.0
+        bound = 2.0 / (2.0 + r)
+        a = r * (t_stat * (2.0 + r) - 2.0)
+        b = t_stat * ((2.0 + r) * (2.0 + r) + r * r)
+        c = r * (t_stat * (2.0 + r) + 2.0)
+        if not (abs(t_stat) < bound and a < 0.0 < c):
+            return None
+        q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+        return q / a if t_stat > 0.0 else c / q
+
+    def test_array_kernel_is_the_scalar_root(self):
+        # every entry of a stack gets the scalar root's bits, NaN where
+        # tpf_solve raises, through the rounding guard just inside +-bound
+        from crtnd.estimators import _tpf_roots
+
+        ts, rs = [], []
+        for r in (0.01, 0.3, 1.0, 3.0, 50.0, 1e4):
+            bound = 2.0 / (2.0 + r)
+            for t in (0.0, -0.0, 5e-324, -1e-17, 0.3 * bound, -0.9 * bound,
+                      math.nextafter(bound, 0.0), math.nextafter(-bound, 0.0),
+                      bound, -bound, 1.0, math.nan):
+                ts.append(t)
+                rs.append(r)
+        roots = _tpf_roots(np.array(ts), np.array(rs))
+        for t, r, root in zip(ts, rs, roots.tolist()):
+            want = self.scalar_root(t, r)
+            if want is None:
+                assert math.isnan(root)
+                with pytest.raises(NoAdmissibleRoot):
+                    tpf_solve(t, r)
+            else:
+                assert root == want and tpf_solve(t, r) == want
+
     def test_estimate_flags_unequal_allocation(self):
         recs = trial_of([
             ("a", 1, 30, 70),
@@ -295,11 +358,35 @@ class TestCovariateAdjusted:
         np.testing.assert_allclose(fit.beta_hat, combo, rtol=0, atol=1e-14)
         assert fit.resid_var_treated >= 0 and fit.resid_var_control >= 0
 
-    def test_rank_deficient(self):
-        x = np.ones((8, 1)) * 2.0  # constant column is collinear with intercept
+    @pytest.mark.parametrize("value", [2.0, 0.1, 3e-20])
+    def test_rank_deficient(self, value):
+        # a constant column is collinear with the intercept, whatever its
+        # scale and however its mean rounds
+        x = np.full((8, 1), value)
         recs = make_records(np.arange(8.0) / 10, [1] * 4 + [0] * 4, covariates=x)
         with pytest.raises(RankDeficientCovariates):
             covariate_adjusted_estimate(recs)
+
+    @pytest.mark.parametrize("value", [2.0, 0.1, 3e-20])
+    def test_covariate_constant_within_one_arm(self, value):
+        # constant to rounding: half the treated arm one ulp above the rest
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(12, 1))
+        x[:6, 0] = [value] * 3 + [np.nextafter(value, np.inf)] * 3
+        recs = make_records(rng.normal(size=12), [1] * 6 + [0] * 6, covariates=x)
+        with pytest.raises(RankDeficientCovariates, match="rank 1 < 2"):
+            covariate_adjusted_estimate(recs)
+
+    @pytest.mark.parametrize("scale", [1e-15, 1e-300, 1e15])
+    def test_rank_rule_does_not_depend_on_the_units(self, scale):
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(12, 1))
+        lvals = 0.8 * x[:, 0] + rng.normal(scale=0.3, size=12)
+        arms = [1] * 6 + [0] * 6
+        est = covariate_adjusted_estimate(make_records(lvals, arms, covariates=x))[0]
+        scaled = covariate_adjusted_estimate(make_records(lvals, arms, covariates=x * scale))[0]
+        assert scaled.log_estimate == pytest.approx(est.log_estimate, rel=1e-12)
+        assert scaled.se_log == pytest.approx(est.se_log, rel=1e-12)
 
     def test_arm_too_small_for_ols(self):
         x = np.arange(6.0).reshape(6, 1)

@@ -508,9 +508,12 @@ class TestDoseResponse:
         assert rep.log_estimate == pytest.approx(-3.0, abs=1e-9)
         assert rep.p_value == 1.0
 
-    def test_constant_dose_raises(self):
-        recs = make_records([0.1, 0.2, 0.3, 0.4], [1, 1, 0, 0],
-                            doses=[0.5, 0.5, 0.5, 0.5])
+    @pytest.mark.parametrize("dose", [0.5, 0.1, 0.7, 1e-300])
+    @pytest.mark.parametrize("m", [4, 24])
+    def test_constant_dose_raises(self, m, dose):
+        # the dose's mean may round off it: the column left after
+        # centering is rounding noise, and counts as zero
+        recs = make_records(np.arange(m) / 10, [1, 0] * (m // 2), doses=[dose] * m)
         with pytest.raises(ConstantDose):
             dose_response_estimate(recs)
 
@@ -1103,32 +1106,194 @@ class TestDoseStatisticOnce:
         assert len(calls) == 1
 
 
-# Covariate-adjusted outputs on the benchmark's trial-analysis inputs
-# (``perfbench/workloads.py``, seeds 1-3, files 0-3, program seed
-# ``seed * 100000 + file + 1``), recorded before the relabelings were
-# re-fitted by within-arm scatter sums: the tail count of the
-# permutation p at lam = 1, the permutation CI of ``analyze``, and the
-# permutation CI of ``dose-response --adjustment covariates``.  Tail
-# counts stay exact; endpoints moved by 5.1e-15 relative at most.
-_PINNED_ADJUSTED = {
-    (1, 0): (252, 0.6553048732261402, 1.0488005179979343, -0.5384859418072314, 0.06123774738648296),
-    (1, 1): (401, 0.649568887688557, 1.1012834895869652, -0.5292844837275626, 0.12322671212325917),
-    (1, 2): (155, 0.6199749520225036, 1.0260409471866005, -0.642137215373372, 0.034910734178153165),
-    (1, 3): (54, 0.5342658702249748, 0.9385441125162783, -0.7945053554539988, -0.08125629578165508),
-    (2, 0): (7, 0.46979529730318886, 0.8665784468184173, -0.8800100791424316, -0.17301351574656013),
-    (2, 1): (22, 0.5339118798988924, 0.9048522699199768, -0.7379318107275903, -0.11821282760120498),
-    (2, 2): (219, 0.616904421098725, 1.0561716654978053, -0.6121047627631008, 0.0708010889319218),
-    (2, 3): (8, 0.46817678504606003, 0.8750167218318847, -0.9608519415145164, -0.18763449320931075),
-    (3, 0): (3, 0.428246724888699, 0.7809976314369066, -1.133089727355404, -0.33876314289407944),
-    (3, 1): (0, 0.39084226622692253, 0.7048726044345455, -1.1667065539565626, -0.4279596858185828),
-    (3, 2): (16, 0.5141808585752577, 0.9067049473874789, -0.8419009963815932, -0.12499832568982466),
-    (3, 3): (1, 0.45476336515483096, 0.8143650932399342, -0.979385883549766, -0.24948522269705964),
+# Outputs on the benchmark's inputs (``perfbench/workloads.py``, seeds
+# 1-3, files 0-3, program seed ``seed * 100000 + file + 1``), for every
+# report of ``analyze --ci-method invert-permutation`` (trial-analysis:
+# Monte Carlo, all four estimators; exact-inference: exact, three
+# estimators), ``analyze-sw --mode exact`` and ``dose-response --test
+# permutation --adjustment covariates``: the tail count of the
+# permutation p at lam = 1, the CI's grid points (None where a report
+# has none) and the CI endpoints.  The covariate-adjusted and
+# dose-response entries were recorded before the relabelings were
+# re-fitted by within-arm scatter sums, the others before the log
+# contrasts, arm sums and TPF roots moved to numpy arithmetic.  Tail
+# counts and grid points stay exact; endpoints moved by 6.1e-15
+# relative at most.
+_PINNED_OUTPUTS = {
+    ("trial-analysis", 1, 0): {
+        "odds_ratio": (482, None, 0.2998225959723656, 1.3242184022277006),
+        "tpf": (445, 401, 0.4229741939177536, 1.2223867759893927),
+        "log_contrast": (435, 4000, 0.38798617624923926, 1.277564801816768),
+        "covariate_adjusted": (252, 4000, 0.6553048732261402, 1.0488005179979343),
+        "dose_response": (None, None, -0.5384859418072314, 0.06123774738648296),
+    },
+    ("trial-analysis", 1, 1): {
+        "odds_ratio": (1990, None, 0.4165870288759138, 2.5743737572791714),
+        "tpf": (1200, 401, 0.5262783367503309, 1.4178381568601106),
+        "log_contrast": (1001, 3998, 0.48664814656087835, 1.4460507421882391),
+        "covariate_adjusted": (401, 3998, 0.649568887688557, 1.1012834895869652),
+        "dose_response": (None, None, -0.5292844837275626, 0.12322671212325917),
+    },
+    ("trial-analysis", 1, 2): {
+        "odds_ratio": (1284, None, 0.24170089650528348, 1.944753370024348),
+        "tpf": (748, 401, 0.51031342145577, 1.268959978991889),
+        "log_contrast": (573, 3996, 0.46084071582443054, 1.2795349665646483),
+        "covariate_adjusted": (155, 3996, 0.6199749520225036, 1.0260409471866005),
+        "dose_response": (None, None, -0.642137215373372, 0.034910734178153165),
+    },
+    ("trial-analysis", 1, 3): {
+        "odds_ratio": (2000, None, 0.37612409106715167, 2.691676431595907),
+        "tpf": (1132, 401, 0.5281855633073792, 1.3642840239444514),
+        "log_contrast": (865, 4000, 0.4820588036941087, 1.3660461783090665),
+        "covariate_adjusted": (54, 4000, 0.5342658702249748, 0.9385441125162783),
+        "dose_response": (None, None, -0.7945053554539988, -0.08125629578165508),
+    },
+    ("trial-analysis", 2, 0): {
+        "odds_ratio": (84, None, 0.45370748287646956, 0.9745586800792432),
+        "tpf": (22, 401, 0.2581068635137243, 0.8574352531711265),
+        "log_contrast": (17, 3996, 0.2748587381400797, 0.814225254501864),
+        "covariate_adjusted": (7, 3996, 0.46979529730318886, 0.8665784468184173),
+        "dose_response": (None, None, -0.8800100791424316, -0.17301351574656013),
+    },
+    ("trial-analysis", 2, 1): {
+        "odds_ratio": (1114, None, 0.33223453393912344, 1.6903319484770494),
+        "tpf": (341, 401, 0.4177624490895119, 1.1811972230251724),
+        "log_contrast": (230, 4000, 0.38213719689934306, 1.1500587547541534),
+        "covariate_adjusted": (22, 4000, 0.5339118798988924, 0.9048522699199768),
+        "dose_response": (None, None, -0.7379318107275903, -0.11821282760120498),
+    },
+    ("trial-analysis", 2, 2): {
+        "odds_ratio": (1196, None, 0.25432555546973074, 1.8616077021078272),
+        "tpf": (370, 401, 0.3880749722526781, 1.1698616169139697),
+        "log_contrast": (214, 3996, 0.35167101813579693, 1.0996055469383246),
+        "covariate_adjusted": (219, 3996, 0.616904421098725, 1.0561716654978053),
+        "dose_response": (None, None, -0.6121047627631008, 0.0708010889319218),
+    },
+    ("trial-analysis", 2, 3): {
+        "odds_ratio": (8, None, 0.2965037053469845, 0.8219097687236258),
+        "tpf": (1, 401, 0.207365951995077, 0.6873580839596752),
+        "log_contrast": (1, 4000, 0.22642328418205188, 0.6446339139147117),
+        "covariate_adjusted": (8, 4000, 0.46817678504606003, 0.8750167218318847),
+        "dose_response": (None, None, -0.9608519415145164, -0.18763449320931075),
+    },
+    ("trial-analysis", 3, 0): {
+        "odds_ratio": (210, None, 0.39182910493759265, 1.1016553194600125),
+        "tpf": (692, 401, 0.39680197435482517, 1.3324879772406484),
+        "log_contrast": (858, 3998, 0.3918466992844988, 1.437734313614964),
+        "covariate_adjusted": (3, 3998, 0.428246724888699, 0.7809976314369066),
+        "dose_response": (None, None, -1.133089727355404, -0.33876314289407944),
+    },
+    ("trial-analysis", 3, 1): {
+        "odds_ratio": (20, None, 0.3538872008744925, 0.8998673350050972),
+        "tpf": (12, 401, 0.28973895063528804, 0.8700626221604769),
+        "log_contrast": (13, 3996, 0.284035501900615, 0.8470904215256034),
+        "covariate_adjusted": (0, 3996, 0.39084226622692253, 0.7048726044345455),
+        "dose_response": (None, None, -1.1667065539565626, -0.4279596858185828),
+    },
+    ("trial-analysis", 3, 2): {
+        "odds_ratio": (33, None, 0.33922759328881585, 0.9151586867209993),
+        "tpf": (10, 401, 0.2663397152840802, 0.7855944927430744),
+        "log_contrast": (6, 3992, 0.2738039396848312, 0.7227193717926185),
+        "covariate_adjusted": (16, 3992, 0.5141808585752577, 0.9067049473874789),
+        "dose_response": (None, None, -0.8419009963815932, -0.12499832568982466),
+    },
+    ("trial-analysis", 3, 3): {
+        "odds_ratio": (34, None, 0.26213267724571704, 0.9394806881428722),
+        "tpf": (196, 401, 0.3510119452516053, 1.0596680231847075),
+        "log_contrast": (190, 3996, 0.30464065762674275, 1.0788335394358206),
+        "covariate_adjusted": (1, 3996, 0.45476336515483096, 0.8143650932399342),
+        "dose_response": (None, None, -0.979385883549766, -0.24948522269705964),
+    },
+    ("exact-inference", 1, 0): {
+        "odds_ratio": (2, None, 0.38298728619067923, 0.7339587033607518),
+        "tpf": (2, 401, 0.35010788258724235, 0.7865124404100488),
+        "log_contrast": (2, 12868, 0.31109722069370294, 0.6653762999211471),
+        "sw_log_contrast": (53, 81, 0.5848364252842866, 0.9458653303626984),
+    },
+    ("exact-inference", 1, 1): {
+        "odds_ratio": (8, None, 0.38993774541376947, 0.7563543903464609),
+        "tpf": (6, 401, 0.3425083904784716, 0.7740364491426504),
+        "log_contrast": (6, 12868, 0.4025455855545007, 0.6434004464714703),
+        "sw_log_contrast": (15, 81, 0.5066831859849188, 0.8680719807587335),
+    },
+    ("exact-inference", 1, 2): {
+        "odds_ratio": (2, None, 0.22493376388467068, 0.7654432846584391),
+        "tpf": (2, 401, 0.2912091841771618, 0.7512342483562782),
+        "log_contrast": (2, 12868, 0.31289709504676005, 0.6347745909601636),
+        "sw_log_contrast": (1, 81, 0.3641079407661459, 0.6433980060362594),
+    },
+    ("exact-inference", 1, 3): {
+        "odds_ratio": (2, None, 0.29834278737865905, 0.7964138004017248),
+        "tpf": (6, 401, 0.35579850237864413, 0.8001142626407539),
+        "log_contrast": (6, 12868, 0.3518691840861379, 0.7087085241886888),
+        "sw_log_contrast": (1, 81, 0.4045837421366831, 0.6995531870276137),
+    },
+    ("exact-inference", 2, 0): {
+        "odds_ratio": (9952, None, 0.40101572119482254, 1.682331215579444),
+        "tpf": (840, 401, 0.454405486289966, 1.0199041561295032),
+        "log_contrast": (1828, 12868, 0.49004389079081573, 1.1233925465939496),
+        "sw_log_contrast": (12, 81, 0.6426596830881482, 0.8907178728560126),
+    },
+    ("exact-inference", 2, 1): {
+        "odds_ratio": (10232, None, 0.3507485111135227, 1.8205798855378519),
+        "tpf": (130, 401, 0.39181908162029433, 0.9011728371504143),
+        "log_contrast": (412, 12868, 0.479232162822657, 0.9571602289099219),
+        "sw_log_contrast": (115, 81, 0.22473512717318206, 0.9832544871970776),
+    },
+    ("exact-inference", 2, 2): {
+        "odds_ratio": (2, None, 0.226674978137222, 0.9103595339540577),
+        "tpf": (10, 401, 0.4336405006631273, 0.8778193725794282),
+        "log_contrast": (10, 12868, 0.3701405639637893, 0.8310016340828746),
+        "sw_log_contrast": (14, 81, 0.4920719409803822, 0.8549337402629702),
+    },
+    ("exact-inference", 2, 3): {
+        "odds_ratio": (2, None, 0.16758352358893883, 0.897234777574553),
+        "tpf": (2, 401, 0.3086757927831545, 0.7761955926295435),
+        "log_contrast": (2, 12868, 0.33678308302217724, 0.6894985921297695),
+        "sw_log_contrast": (24, 81, 0.46183124482588483, 0.9015989909852006),
+    },
+    ("exact-inference", 3, 0): {
+        "odds_ratio": (2, None, 0.21331292521344128, 0.789838697904685),
+        "tpf": (2, 401, 0.34183531829967484, 0.806589319109096),
+        "log_contrast": (2, 12868, 0.3197174572403119, 0.7198075669636422),
+        "sw_log_contrast": (1157, 81, 0.3971460169221629, 1.451889502207359),
+    },
+    ("exact-inference", 3, 1): {
+        "odds_ratio": (2, None, 0.3953623328680904, 0.7152969789433973),
+        "tpf": (2, 401, 0.30630659504534674, 0.7552668043180762),
+        "log_contrast": (2, 12868, 0.3086692411063906, 0.6070794836599486),
+        "sw_log_contrast": (10, 81, 0.5489914801936946, 0.8687060116375431),
+    },
+    ("exact-inference", 3, 2): {
+        "odds_ratio": (10, None, 0.512427122169047, 0.878232022936053),
+        "tpf": (46, 401, 0.5063936765121315, 0.9007797727331581),
+        "log_contrast": (46, 12868, 0.5193049631641565, 0.8494833438889694),
+        "sw_log_contrast": (178, 81, 0.5880096877151261, 1.018197152220445),
+    },
+    ("exact-inference", 3, 3): {
+        "odds_ratio": (2, None, 0.33241618909858245, 0.8078698169204093),
+        "tpf": (2, 401, 0.38930279151434116, 0.8159085357279015),
+        "log_contrast": (2, 12868, 0.34253255409288486, 0.7221663138140321),
+        "sw_log_contrast": (1, 81, 0.4866636518772173, 0.7508125777808213),
+    },
 }
 _PINNED_RTOL = 1e-13
 
 
+def _pinned_commands(workload, workdir, k, seed):
+    if workload == "trial-analysis":
+        data = ["--input", str(workdir / f"trial_{k}.csv"), "--seed", str(seed * 100_000 + k + 1)]
+        return [["analyze", "--ci-method", "invert-permutation", *data],
+                ["dose-response", "--test", "permutation", "--adjustment", "covariates", *data]]
+    exact = ["--mode", "exact", "--ci-method", "invert-permutation"]
+    return [["analyze", "--input", str(workdir / f"exact_{k}.csv"), *exact,
+             "--estimators", "odds_ratio,tpf,log_contrast"],
+            ["analyze-sw", "--input", str(workdir / f"wedge_{k}.csv"), *exact]]
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_covariate_adjusted_outputs_on_benchmark_inputs(seed, tmp_path):
+@pytest.mark.parametrize("workload", ["trial-analysis", "exact-inference"])
+def test_pinned_outputs_on_benchmark_inputs(workload, seed, tmp_path):
     import importlib.util
     import json
     from pathlib import Path
@@ -1139,20 +1304,22 @@ def test_covariate_adjusted_outputs_on_benchmark_inputs(seed, tmp_path):
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    workloads.generate("trial-analysis", seed, tmp_path)
+    workloads.generate(workload, seed, tmp_path)
     out = tmp_path / "report.json"
     for k in range(4):
-        count, lo, hi, dose_lo, dose_hi = _PINNED_ADJUSTED[seed, k]
-        common = ["--input", str(tmp_path / f"trial_{k}.csv"), "--seed",
-                  str(seed * 100_000 + k + 1), "--out", str(out)]
-        assert main(["analyze", "--estimators", "covariate_adjusted", "--ci-method",
-                     "invert-permutation", *common]) == 0
-        (report,) = json.loads(out.read_text())["results"]
-        perm = report["diagnostics"]["permutation"]
-        assert report["diagnostics"]["permutation_p_null1"] == (count + 1) / (perm["null_draws"] + 1)
-        assert (report["ci_low"], report["ci_high"]) == pytest.approx((lo, hi), rel=_PINNED_RTOL)
-        assert main(["dose-response", "--test", "permutation", "--adjustment", "covariates",
-                     *common]) == 0
-        (report,) = json.loads(out.read_text())["results"]
-        assert (report["ci_low"], report["ci_high"]) == pytest.approx((dose_lo, dose_hi),
-                                                                      rel=_PINNED_RTOL)
+        reports = {}
+        for argv in _pinned_commands(workload, tmp_path, k, seed):
+            assert main([*argv, "--out", str(out)]) == 0
+            reports.update((r["method"], r) for r in json.loads(out.read_text())["results"])
+        pinned = _PINNED_OUTPUTS[workload, seed, k]
+        assert sorted(reports) == sorted(pinned)
+        for method, (count, grid, lo, hi) in pinned.items():
+            report, diag = reports[method], reports[method]["diagnostics"]
+            if count is not None:
+                perm = diag["permutation"]
+                add_one = int(perm["mode"] == "monte_carlo")
+                p = (count + add_one) / (perm["null_draws"] + add_one)
+                assert diag["permutation_p_null1"] == p
+            assert diag.get("ci_inversion", {}).get("grid_points") == grid
+            assert (report["ci_low"], report["ci_high"]) == pytest.approx(
+                (lo, hi), rel=_PINNED_RTOL)

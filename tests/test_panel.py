@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from crtnd import Panel, SteppedWedgeScheme, sw_log_contrast
 from crtnd.dataio import parse_dataset
-from crtnd.errors import DimensionMismatch
+from crtnd.errors import DimensionMismatch, ZeroCount
 
 from conftest import AWKWARD_COUNTS, emit_dataset
 
@@ -68,6 +68,18 @@ class TestConstruction:
     def test_bad_count_names_its_cell(self):
         with pytest.raises(ValueError, match=r"^cluster 'c', period 2: y_count must"):
             panel(y=with_cell(-1.0))
+
+    @pytest.mark.parametrize("y_cell, z_cell, name, which", [
+        ((2, 1), (3, 0), "c@2", "test-positive"),
+        ((3, 0), (2, 1), "c@2", "test-negative"),
+        ((1, 2), (1, 2), "b@3", "test-positive"),
+    ])
+    def test_log_contrasts_name_the_first_zero_cell(self, y_cell, z_cell, name, which):
+        y, z = np.array(panel().y), np.array(panel().z)
+        y[y_cell] = z[z_cell] = 0.0
+        with pytest.raises(ZeroCount) as exc:
+            panel(y=y, z=z).log_contrast_matrix()
+        assert (exc.value.cluster_id, exc.value.which) == (name, which)
 
     @pytest.mark.parametrize(
         "overrides",

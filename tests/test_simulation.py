@@ -386,6 +386,7 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
     from crtnd import (
         covariate_adjusted_estimate,
         log_contrast_estimate,
+        log_contrasts,
         odds_ratio_estimate,
         optimal_weights,
         sample_assignments,
@@ -450,8 +451,7 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
                 report = log_contrast_estimate(records, alpha=alpha)
                 tally("log_contrast", report)
                 if rows is not None:
-                    lvals = np.array([math.log(yi) - math.log(zi)
-                                      for yi, zi in zip(y, z)])
+                    lvals = log_contrasts(records)
                     reject("log_contrast",
                            _diff_means_rows(lvals, rows, scheme.m1),
                            report.log_estimate)

@@ -98,10 +98,13 @@ class TestConstruction:
 
 
 class TestLogContrasts:
-    def test_elementwise_math_log(self):
-        t = trial(y=[10.0, 20.0, 0.3], z=[40.0, 7.0, 1e-3])
+    def test_elementwise_numpy_log(self):
+        # np.log and math.log may differ by an ulp: at 1.05 they do (numpy
+        # 2.4 on x86-64)
+        t = trial(y=[10.0, 1.05, 0.3], z=[40.0, 1.0, 1e-3])
+        assert log_contrasts(t).tobytes() == (np.log(t.y) - np.log(t.z)).tobytes()
         expected = [math.log(y) - math.log(z) for y, z in zip(t.y, t.z)]
-        assert log_contrasts(t).tolist() == expected
+        assert log_contrasts(t).tolist() == pytest.approx(expected, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize(
         "y, z, which",
