@@ -342,6 +342,11 @@ def _load_scenario_arg(args, default_factory):
     return scenario
 
 
+def _estimator_names(args) -> list[str] | None:
+    """``--estimators`` of simulate, simulate-sw and sweep; None runs all."""
+    return [s.strip() for s in args.estimators.split(",") if s.strip()] if args.estimators else None
+
+
 def _cmd_simulate(args, sw: bool) -> int:
     scenario = _load_scenario_arg(
         args, default_sw_scenario if sw else default_parallel_scenario
@@ -350,11 +355,7 @@ def _cmd_simulate(args, sw: bool) -> int:
         raise DataError(
             "scenario design does not match the command (simulate vs simulate-sw)"
         )
-    estimators = (
-        [s.strip() for s in args.estimators.split(",") if s.strip()]
-        if args.estimators
-        else None
-    )
+    estimators = _estimator_names(args)
     timings: dict[str, float] = {}
     out = evaluate(
         scenario,
@@ -392,23 +393,23 @@ def _cmd_simulate(args, sw: bool) -> int:
 
 def _write_raw_estimates(path, scenario, raw) -> None:
     import csv
+    import io
 
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario_id", "estimator", "replicate", "log_estimate"])
+        csv.writer(fh).writerow(["scenario_id", "estimator", "replicate", "log_estimate"])
         reps = raw.pop("replicate")
         for name, values in raw.items():
-            for rep, value in zip(reps, values):
-                writer.writerow([scenario.scenario_id, name, rep, repr(float(value))])
+            # a csv.writer's rows in one string: the quoted prefix, then each
+            # replicate and the repr of its estimate (a Python float)
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="").writerow([scenario.scenario_id, name, ""])
+            prefix = buf.getvalue()
+            fh.write("".join(f"{prefix}{rep},{value!r}\r\n" for rep, value in zip(reps, values)))
 
 
 def _cmd_sweep(args) -> int:
     scenario = _load_scenario_arg(args, default_parallel_scenario)
-    estimators = (
-        [s.strip() for s in args.estimators.split(",") if s.strip()]
-        if args.estimators
-        else None
-    )
+    estimators = _estimator_names(args)
     rows = replicate_ascertainment_sweep(scenario, args.n_configs, estimators)
     per_config = len(rows) // args.n_configs if rows else 0
     shown = rows[: 3 * per_config]  # the first three configurations

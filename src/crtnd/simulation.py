@@ -19,11 +19,11 @@ available for sensitivity runs.  Replicates come in chunks of
 many replicates run or in what order, so outputs are byte-identical
 across runs.
 
-:func:`evaluate` evaluates blocks of :data:`_BLOCK_CHUNKS` chunks as
-they are drawn: each estimator and its SE run as a few array passes
-over the block's (replicates, clusters) stacks, and the permutation
-column's (replicates, draws) stacks per chunk.  The replicates of a
-chunk share one set of permutation relabelings.
+:func:`evaluate` evaluates blocks of :data:`_BLOCK` replicates as they
+are drawn: each estimator and its SE run as a few array passes over the
+block's (replicates, clusters) stacks, and the permutation column's
+(replicates, draws) stacks per chunk.  The replicates of a block share
+one set of permutation relabelings.
 """
 
 from __future__ import annotations
@@ -92,11 +92,12 @@ __all__ = [
 PARALLEL_ESTIMATORS = ("odds_ratio", "tpf", "log_contrast", "covariate_adjusted")
 SW_ESTIMATORS = ("sw_equal", "sw_optimal")
 
-# Replicates drawn from one stream and sharing one set of permutation
-# relabelings (so a new value changes every output): a (_CHUNK, 999)
+# Replicates drawn from one stream, and replicates evaluated together
+# sharing one set of permutation relabelings: a new value changes every
+# output, or por_perm and the odds ratio's SE metrics.  A (_CHUNK, 999)
 # stack of permutation draws is 1/32 of the block budget.
 _CHUNK = _BLOCK_BYTES // (32 * 8 * 1024)
-_BLOCK_CHUNKS = 4  # chunks evaluated together; no output depends on it
+_BLOCK = 4 * _CHUNK
 
 
 @dataclass(frozen=True)
@@ -258,7 +259,7 @@ def _covariates(scenario: SimScenario) -> np.ndarray | None:
 
 def generation_plan() -> dict:
     """How :func:`evaluate` draws the replicates, for a report."""
-    return {"replicates_per_stream": _CHUNK, "replicates_per_block": _CHUNK * _BLOCK_CHUNKS,
+    return {"replicates_per_stream": _CHUNK, "replicates_per_block": _BLOCK,
             "stream": f"(seed, 4, rep // {_CHUNK})"}
 
 
@@ -388,7 +389,7 @@ def simulate_stepped_wedge(
 
 class _Tally:
     """One estimator's running metrics; its estimates and SEs are kept as
-    one float array per chunk."""
+    one float array per block."""
 
     def __init__(self):
         self.estimates: list[np.ndarray] = []
@@ -473,27 +474,26 @@ class _Stages:
 
 def _blocks(chunks: Iterator[tuple], tallies: dict[str, _Tally]) -> Iterator[tuple]:
     """The chunks ``(reps, ok, *arrays)`` of :func:`_chunked`, cut to their
-    nondegenerate replicates and joined :data:`_BLOCK_CHUNKS` at a time as
-    ``(parts, reps, *arrays)``: ``parts`` pairs each chunk ``g`` left with
-    the slice of rows it fills.  Degenerate replicates count in every tally."""
+    nondegenerate replicates and joined into blocks ``b = rep // _BLOCK``
+    as ``(b, parts, reps, *arrays)``: ``parts`` are the slices of rows
+    each chunk left fills.  Degenerate replicates count in every tally."""
     chunks = iter(chunks)
-    while group := list(itertools.islice(chunks, _BLOCK_CHUNKS)):
+    while group := list(itertools.islice(chunks, _BLOCK // _CHUNK)):
         reps, ok, *arrays = (np.concatenate(column) for column in zip(*group))
         if not ok.all():
             for t in tallies.values():
                 t.dropped["degenerate"] += int(np.count_nonzero(~ok))
         if ok.any():
             reps = reps[ok]
-            g, first = np.unique(reps // _CHUNK, return_index=True)
-            ends = [*first[1:], reps.size]
-            parts = [(int(c), slice(lo, hi)) for c, lo, hi in zip(g, first, ends)]
-            yield parts, reps, *(a[ok] for a in arrays)
+            _, first = np.unique(reps // _CHUNK, return_index=True)
+            parts = [slice(lo, hi) for lo, hi in zip(first, [*first[1:], reps.size])]
+            yield int(reps[0]) // _BLOCK, parts, reps, *(a[ok] for a in arrays)
 
 
-def _relabeling_stream(scenario: SimScenario, g: int) -> tuple[int, ...]:
-    """The stream of chunk ``g``'s relabelings: the replicates with one
-    ``g = rep // _CHUNK`` share one set, independent of their data."""
-    stream = (scenario.seed, 3, g)
+def _relabeling_stream(scenario: SimScenario, b: int) -> tuple[int, ...]:
+    """The stream of block ``b``'s relabelings: the replicates with one
+    ``b = rep // _BLOCK`` share one set, independent of their data."""
+    stream = (scenario.seed, 3, b)
     if scenario.is_stepped_wedge:  # the stepped-wedge test's own stream
         stream = (int(derive_rng(*stream).integers(2**31)), 0x5E)
     return stream
@@ -501,8 +501,8 @@ def _relabeling_stream(scenario: SimScenario, g: int) -> tuple[int, ...]:
 
 def relabeling_plan(scenario: SimScenario, perm_draws: int) -> dict:
     """How :func:`evaluate` draws the permutation column, for a report."""
-    group = f"(seed, 3, rep // {_CHUNK})"
-    return {"draws": perm_draws, "replicates_per_set": _CHUNK, "stream": (
+    group = f"(seed, 3, rep // {_BLOCK})"
+    return {"draws": perm_draws, "replicates_per_set": _BLOCK, "stream": (
         f"(s, 0x5E), s = derive_rng{group}.integers(2**31)"
         if scenario.is_stepped_wedge else group)}
 
@@ -524,14 +524,14 @@ def evaluate(
     row's ``dropped`` counts them by reason ("degenerate" or the error
     class).  ``permutation_por`` adds a Monte Carlo randomization-test
     rejection rate of the no-effect null: ``perm_draws`` relabelings per
-    chunk of :data:`_CHUNK` replicates, shared by its replicates and
+    block of :data:`_BLOCK` replicates, shared by its replicates and
     estimators (:func:`relabeling_plan`).  What fails on the design
     fails before any replicate is drawn: a stepped wedge that leaves
     fewer than 2 clusters on one side of an analysis period, or arms
     too small for an estimator's variance, raise :class:`ArmTooSmall`.
 
     Replicates are drawn in chunks of :data:`_CHUNK` and evaluated on
-    arrays, each block of :data:`_BLOCK_CHUNKS` chunks in its own call
+    arrays, each block of :data:`_BLOCK` replicates in its own call
     (:func:`generation_plan`); what the design fixes is computed once per
     run.  Given a dict, ``timings`` receives the wall seconds of each
     stage summed over the blocks: "generation", the shared
@@ -542,9 +542,15 @@ def evaluate(
     """
     if perm_draws < 1:
         raise ValueError(f"perm_draws must be >= 1, got {perm_draws}")
+    if scenario.is_stepped_wedge:
+        design, known, run = "stepped-wedge", SW_ESTIMATORS, _evaluate_sw
+    else:
+        design, known, run = "parallel", PARALLEL_ESTIMATORS, _evaluate_parallel
+    names = tuple(estimators) if estimators is not None else known
+    if unknown := set(names) - set(known):
+        raise ValueError(f"unknown {design} estimators: {sorted(unknown)}")
     stages = _Stages()
-    run = _evaluate_sw if scenario.is_stepped_wedge else _evaluate_parallel
-    rows, raw = run(scenario, estimators, permutation_por, perm_draws, stages)
+    rows, raw = run(scenario, names, permutation_por, perm_draws, stages)
     if timings is not None:
         timings.update(stages.seconds)
     if not keep_estimates:
@@ -552,11 +558,7 @@ def evaluate(
     return rows, {key: np.concatenate(v).tolist() if v else [] for key, v in raw.items()}
 
 
-def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages):
-    names = tuple(estimators) if estimators is not None else PARALLEL_ESTIMATORS
-    unknown = set(names) - set(PARALLEL_ESTIMATORS)
-    if unknown:
-        raise ValueError(f"unknown parallel estimators: {sorted(unknown)}")
+def _evaluate_parallel(scenario, names, permutation_por, perm_draws, stages):
     if "covariate_adjusted" in names and scenario.covariates is None:
         raise ValueError("covariate_adjusted requires scenario covariates")
     scheme: ParallelScheme = scenario.design
@@ -582,7 +584,7 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages
         or_rows = _odds_ratio_relabelings(scheme, perm_draws, scenario.seed).rows()
         stages.lap("odds_ratio")
 
-    def block(parts, reps, arms, y, z):
+    def block(b, parts, reps, arms, y, z):
         stages.lap("generation")
         raw["replicate"].append(reps)
         values = {"y": y, "z": z}
@@ -626,13 +628,13 @@ def _evaluate_parallel(scenario, estimators, permutation_por, perm_draws, stages
             stages.lap("tpf")
         totals = {key: values[key].sum(axis=1)[:, None] for key in relabeled}
 
-        # per chunk, the treated sums of each relabeled vector under each
-        # of the chunk's relabelings: one (replicates, rows) product per key
-        for g, sl in parts if relabeled else ():
-            rows = or_rows
-            if permutation_por:
-                rz = randomize(scheme, "monte_carlo", perm_draws, _relabeling_stream(scenario, g))
-                rows = rz.rows()
+        # one set of relabelings per block; per chunk, the treated sums of
+        # each relabeled vector under them: one (replicates, rows) product
+        rows = or_rows
+        if permutation_por and relabeled:
+            rz = randomize(scheme, "monte_carlo", perm_draws, _relabeling_stream(scenario, b))
+            rows = rz.rows()
+        for sl in parts if relabeled else ():
             sums = {key: values[key][sl] @ rows.T for key in relabeled}
             stages.lap("permutation" if permutation_por else "odds_ratio")
             if "odds_ratio" in names:
@@ -668,11 +670,7 @@ def _weighted_rows(w, diffs, sigma):
     return _row_dot(w, diffs), np.sqrt(np.maximum(var, 0.0))
 
 
-def _evaluate_sw(scenario, estimators, permutation_por, perm_draws, stages):
-    names = tuple(estimators) if estimators is not None else SW_ESTIMATORS
-    unknown = set(names) - set(SW_ESTIMATORS)
-    if unknown:
-        raise ValueError(f"unknown stepped-wedge estimators: {sorted(unknown)}")
+def _evaluate_sw(scenario, names, permutation_por, perm_draws, stages):
     alpha = scenario.alpha
     lam_true = scenario.lam
     log_lam = math.log(lam_true)
@@ -689,7 +687,7 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws, stages):
     scale = _scale_matrix(scheme, periods)
     w_equal = np.asarray(equal_weights(periods).w)
 
-    def block(parts, reps, start, y, z):
+    def block(b, parts, reps, start, y, z):
         stages.lap("generation")
         raw["replicate"].append(reps)
         lmat = _log_ratio(y, z)
@@ -713,18 +711,19 @@ def _evaluate_sw(scenario, estimators, permutation_por, perm_draws, stages):
             stages.lap(name)
         if not permutation_por:
             return
-        # one set of re-randomized starts per chunk, shared by its
+        # one set of re-randomized starts per block, shared by its
         # replicates and both weightings; at lam0 = 1 the imputed L(0)
         # is lmat itself
         if "sw_optimal" in names:
             weights["sw_optimal"] = _null_weights(lmat, "optimal", periods, scale)
         # the observed statistic weights the estimates' own diffs
         observed = {name: _row_dot(diffs, weights[name]) for name in names}
-        for g, sl in parts:
-            rz = randomize(scheme, "monte_carlo", perm_draws, _relabeling_stream(scenario, g))
+        rz = randomize(scheme, "monte_carlo", perm_draws, _relabeling_stream(scenario, b))
+        rows = rz.rows()
+        for sl in parts:
             # every weighting's draws of the chunk: one masked product
             w = np.stack([weights[name][sl] for name in names])
-            draws = _period_contrasts(rz.rows(), periods, scheme, lmat[sl], w)
+            draws = _period_contrasts(rows, periods, scheme, lmat[sl], w)
             for name, d in zip(names, draws):
                 tallies[name].add_perm(rz.p(_two_sided_count(d, observed[name][sl])), alpha)
         stages.lap("permutation")

@@ -292,12 +292,12 @@ class TestStreams:
             self.check(rz, stream)
 
     def test_simulation_streams(self, made):
-        # the permutation column draws one set of relabelings per group of
-        # _CHUNK replicates: rep's group is rep // _CHUNK
+        # the permutation column draws one set of relabelings per block of
+        # _BLOCK replicates: rep's block is rep // _BLOCK
         from crtnd import SimScenario, evaluate
-        from crtnd.simulation import _CHUNK
+        from crtnd.simulation import _BLOCK
 
-        n = 2 * _CHUNK + 1
+        n = 2 * _BLOCK + 1
         scenario = SimScenario(
             scenario_id="streams", design=ParallelScheme(24, 12),
             baseline_y=tuple(range(30, 54)), baseline_z=tuple(range(80, 104)),
@@ -305,8 +305,8 @@ class TestStreams:
         )
         evaluate(scenario, ("log_contrast",), perm_draws=40)
         assert len(made) == 3
-        for group, rz in enumerate(made):
-            self.check(rz, (9, 3, group))
+        for block, rz in enumerate(made):
+            self.check(rz, (9, 3, block))
 
         made.clear()
         q = (2, 2, 2, 2)
@@ -318,8 +318,8 @@ class TestStreams:
         )
         evaluate(wedge, ("sw_equal",), perm_draws=40)
         assert len(made) == 3
-        for group, rz in enumerate(made):
-            nested = int(derive_rng(9, 3, group).integers(2**31))
+        for block, rz in enumerate(made):
+            nested = int(derive_rng(9, 3, block).integers(2**31))
             self.check(rz, (nested, 0x5E))
 
 

@@ -716,10 +716,10 @@ class TestSimulationTimings:
         expected = ["generation", shared, *estimators.split(","), "permutation"]
         assert sorted(timings) == sorted(expected)
         assert all(v >= 0.0 for v in timings.values())
-        # how the permutation column was drawn: one set per 16 replicates
+        # how the permutation column was drawn: one set per 64 replicates
         plan = sidecar["permutation_column"]
-        assert plan["draws"] == 19 and plan["replicates_per_set"] == 16
-        group = "(seed, 3, rep // 16)"
+        assert plan["draws"] == 19 and plan["replicates_per_set"] == 64
+        group = "(seed, 3, rep // 64)"
         assert plan["stream"] == (group if command == "simulate" else
                                   f"(s, 0x5E), s = derive_rng{group}.integers(2**31)")
         # and the replicates: each chunk of 16 from one stream, evaluated

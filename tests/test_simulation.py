@@ -25,7 +25,7 @@ from crtnd.scenarios import (
 )
 from crtnd.errors import DegenerateReplicateLimit
 from crtnd.simulation import (
-    _BLOCK_CHUNKS,
+    _BLOCK,
     _CHUNK,
     PARALLEL_ESTIMATORS,
     SW_ESTIMATORS,
@@ -382,7 +382,7 @@ class TestSweep:
 
 def reference_evaluate(scenario, names, permutation_por, perm_draws):
     """evaluate() rebuilt from records or panels and the public estimators;
-    the replicates of one group rep // _CHUNK share their relabelings."""
+    the replicates of one block rep // _BLOCK share their relabelings."""
     from crtnd import (
         covariate_adjusted_estimate,
         log_contrast_estimate,
@@ -445,7 +445,7 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
             rows = None
             if permutation_por:
                 rows = sample_assignments(
-                    scheme, perm_draws, derive_rng(scenario.seed, 3, rep // _CHUNK)
+                    scheme, perm_draws, derive_rng(scenario.seed, 3, rep // _BLOCK)
                 ).astype(np.int8)
             if "log_contrast" in names:
                 report = log_contrast_estimate(records, alpha=alpha)
@@ -509,7 +509,7 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
                     result = sw_permutation_test(
                         panel, 1.0, "equal" if name == "sw_equal" else "optimal",
                         mode="monte_carlo", n_draws=perm_draws,
-                        seed=int(derive_rng(scenario.seed, 3, rep // _CHUNK).integers(2**31)),
+                        seed=int(derive_rng(scenario.seed, 3, rep // _BLOCK).integers(2**31)),
                     )
                     tallies[name].reject_perm += result.p_two_sided <= alpha
                     tallies[name].n_perm += 1
@@ -590,23 +590,23 @@ EQUIVALENCE_CASES.update({
     ),
 })
 
-# evaluate joins _BLOCK_CHUNKS chunks into one block: runs that end one
-# short of, at and one past a block, and two blocks and one, with one
-# degenerate replicate inside a block (replicate 70 of the parallel run,
-# 71 of the wedge) or as a block's first replicate (replicate 128, the
-# third block's only one, and 64, the second block's first of 64)
-BLOCK = _CHUNK * _BLOCK_CHUNKS
+# evaluate joins the chunks of _BLOCK replicates into one block, which
+# shares one set of relabelings: runs that end one short of, at and one
+# past a block, and two blocks and one, with one degenerate replicate
+# inside a block (replicate 70 of the parallel run, 71 of the wedge) or
+# as a block's first replicate (replicate 128, the third block's only
+# one, and 64, the second block's first of 64)
 EQUIVALENCE_CASES.update({
-    "block-short": (small_parallel(lam=0.6, n=BLOCK - 1, seed=56), None),
-    "block-full": (small_parallel(lam=0.8, n=BLOCK, seed=57), ("log_contrast", "odds_ratio")),
-    "block-over": (small_parallel(lam=1.0, n=BLOCK + 1, seed=58), None),
-    "blocks-degenerate-inside": (sparse_parallel(2 * BLOCK + 1, 73), None),
-    "blocks-degenerate-first": (sparse_parallel(2 * BLOCK + 1, 622), None),
-    "sw-block-short": (small_sw(n=BLOCK - 1, seed=59), None),
-    "sw-block-full": (small_sw(n=BLOCK, seed=60), ("sw_optimal",)),
-    "sw-block-over": (small_sw(lam=1.0, n=BLOCK + 1, seed=61), None),
-    "sw-blocks-degenerate-inside": (sparse_sw(2 * BLOCK + 1, 49), None),
-    "sw-blocks-degenerate-first": (sparse_sw(2 * BLOCK + 1, 169), None),
+    "block-short": (small_parallel(lam=0.6, n=_BLOCK - 1, seed=56), None),
+    "block-full": (small_parallel(lam=0.8, n=_BLOCK, seed=57), ("log_contrast", "odds_ratio")),
+    "block-over": (small_parallel(lam=1.0, n=_BLOCK + 1, seed=58), None),
+    "blocks-degenerate-inside": (sparse_parallel(2 * _BLOCK + 1, 73), None),
+    "blocks-degenerate-first": (sparse_parallel(2 * _BLOCK + 1, 622), None),
+    "sw-block-short": (small_sw(n=_BLOCK - 1, seed=59), None),
+    "sw-block-full": (small_sw(n=_BLOCK, seed=60), ("sw_optimal",)),
+    "sw-block-over": (small_sw(lam=1.0, n=_BLOCK + 1, seed=61), None),
+    "sw-blocks-degenerate-inside": (sparse_sw(2 * _BLOCK + 1, 49), None),
+    "sw-blocks-degenerate-first": (sparse_sw(2 * _BLOCK + 1, 169), None),
 })
 
 
@@ -665,10 +665,12 @@ class TestArrayLoopEquivalence:
         assert 0 < rows[0].weight_fallbacks < rows[0].n_effective
 
     def test_chunk_size_is_pinned(self):
-        # the replicates of a chunk share the permutation column's
-        # relabelings, so another chunk size changes por_perm and the
-        # odds ratio's SE metrics: make that a deliberate change
+        # the replicates of a chunk share one stream, and those of a
+        # block the permutation column's relabelings, so another chunk
+        # size changes every output and another block size por_perm and
+        # the odds ratio's SE metrics: make either a deliberate change
         assert _CHUNK == 16
+        assert _BLOCK == 64
 
     def test_thin_wedge_raises_before_the_loop(self, monkeypatch):
         # m_1 = 1 at the first analysis period: the design fails the
@@ -703,21 +705,21 @@ class TestArrayLoopEquivalence:
         assert [r for r, data in draws(scenario) if data is None] == [rep]
         assert 0 < rep % _CHUNK < _CHUNK - 1
 
-    @pytest.mark.parametrize("case, rep", [("blocks-degenerate-first", 2 * BLOCK),
-                                           ("sw-blocks-degenerate-first", BLOCK)])
+    @pytest.mark.parametrize("case, rep", [("blocks-degenerate-first", 2 * _BLOCK),
+                                           ("sw-blocks-degenerate-first", _BLOCK)])
     def test_one_degenerate_replicate_opens_a_block(self, case, rep):
         scenario, _ = EQUIVALENCE_CASES[case]
         draws = simulate_stepped_wedge if scenario.is_stepped_wedge else simulate_parallel
         assert [r for r, data in draws(scenario) if data is None] == [rep]
-        assert rep % BLOCK == 0
+        assert rep % _BLOCK == 0
 
-    @pytest.mark.parametrize("case, chunks", [
-        ("blocks-degenerate-first", range(8)),  # chunk 8 is replicate 128 alone
-        ("sw-blocks-degenerate-first", range(9)),
+    @pytest.mark.parametrize("case, blocks", [
+        ("blocks-degenerate-first", range(2)),  # block 2 is replicate 128 alone
+        ("sw-blocks-degenerate-first", range(3)),  # block 1 opens degenerate
     ])
-    def test_relabelings_are_drawn_once_per_chunk(self, monkeypatch, case, chunks):
-        # blocks change nothing in the permutation column: one randomize
-        # call per chunk with a nondegenerate replicate, from its stream
+    def test_relabelings_are_drawn_once_per_block(self, monkeypatch, case, blocks):
+        # one randomize call per block with a nondegenerate replicate,
+        # from the stream of rep // _BLOCK whichever replicate opens it
         import crtnd.simulation as simulation
         from crtnd.simulation import _relabeling_stream
 
@@ -732,7 +734,7 @@ class TestArrayLoopEquivalence:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             evaluate(scenario, perm_draws=19)
-            assert streams == [_relabeling_stream(scenario, g) for g in chunks]
+            assert streams == [_relabeling_stream(scenario, b) for b in blocks]
             streams.clear()
             evaluate(scenario, perm_draws=19, permutation_por=False)
         assert streams == []
@@ -756,6 +758,43 @@ class TestArrayLoopEquivalence:
             warnings.simplefilter("ignore")
             with pytest.raises(DegenerateReplicateLimit, match=f"^{message}$"):
                 evaluate(scenario, permutation_por=permutation_por, perm_draws=19)
+
+    @pytest.mark.parametrize("case", ["block-over", "sw-block-over"])
+    def test_permutation_stacks_stay_per_chunk(self, monkeypatch, case):
+        # a block shares one set of relabelings, drawn once, but its
+        # (replicates, draws) stacks of tail counts and wedge contrasts
+        # are each chunk's own: never more than _CHUNK rows
+        import crtnd.simulation as simulation
+        from crtnd.simulation import _relabeling_stream
+
+        streams, stacks = [], []
+
+        def spy(name):
+            function = getattr(simulation, name)
+
+            def spied(*args):
+                out = function(*args)
+                stacks.append(args[0].shape if name == "_two_sided_count" else out.shape)
+                return out
+            monkeypatch.setattr(simulation, name, spied)
+
+        def counted(scheme, mode, n_draws, stream):
+            streams.append(stream)
+            return draw(scheme, mode, n_draws, stream)
+
+        draw = simulation.randomize
+        monkeypatch.setattr(simulation, "randomize", counted)
+        spy("_two_sided_count")
+        spy("_period_contrasts")
+        scenario, _ = EQUIVALENCE_CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            evaluate(scenario, perm_draws=19)
+        assert streams == [_relabeling_stream(scenario, b) for b in range(2)]
+        assert stacks and all(shape[-1] == 19 for shape in stacks)
+        assert max(shape[-2] for shape in stacks) == _CHUNK
+        # the second block holds replicate 64 alone
+        assert min(shape[-2] for shape in stacks) == 1
 
     def test_tpf_failures_are_counted_by_reason(self):
         scen, names = EQUIVALENCE_CASES["parallel-split-fractions"]
@@ -913,3 +952,27 @@ class TestRawEstimatesCsv:
         for row in rows:
             trial = trials[int(row["replicate"])]
             assert row["log_estimate"] == repr(log_contrast_estimate(trial).log_estimate)
+
+    def test_rows_are_those_of_a_csv_writer(self, tmp_path):
+        # one string per estimator, byte for byte the rows a csv.writer
+        # writes one at a time: a scenario id that needs quoting, and
+        # estimates that are NaN, infinite, signed zero, subnormal or long
+        import csv
+
+        from crtnd.cli import _write_raw_estimates
+
+        scenario = replace(small_parallel(), scenario_id='a,"b" c')
+        values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, -1.2345678901234567e300, 0.1]
+        raw = {"replicate": [0, 2, 3, 17, 64, 65, 199], "odds_ratio": values,
+               "tpf": values[::-1], "log_contrast": []}
+        expected = tmp_path / "expected.csv"
+        with expected.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["scenario_id", "estimator", "replicate", "log_estimate"])
+            for name in ("odds_ratio", "tpf", "log_contrast"):
+                for rep, value in zip(raw["replicate"], raw[name]):
+                    writer.writerow([scenario.scenario_id, name, rep, repr(float(value))])
+        path = tmp_path / "raw.csv"
+        _write_raw_estimates(path, scenario, raw)
+        assert path.read_bytes() == expected.read_bytes()
+        assert b'\r\n"a,""b"" c",odds_ratio,0,nan\r\n' in path.read_bytes()
