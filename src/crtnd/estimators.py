@@ -188,11 +188,21 @@ def odds_ratio_permutation_draws(
 
 
 def _log_odds_ratios(ty, cy, tz, cz) -> np.ndarray:
-    """``log(ty) - log(cy) + log(cz) - log(tz)`` of arrays of arm totals
-    (treated and control test-positive, treated and control
-    test-negative); non-finite where a total vanishes."""
+    """``log(ty) - log(cy) + log(cz) - log(tz)`` of float arrays of one
+    shape of arm totals (treated and control test-positive, treated and
+    control test-negative); non-finite where a total vanishes.
+
+    The arrays are the caller's scratch: the result is computed in place
+    of ``ty``, in the expression's order, and the other three hold their
+    logs.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(ty) - np.log(cy) + np.log(cz) - np.log(tz)
+        for total in (ty, cy, cz, tz):
+            np.log(total, out=total)
+        ty -= cy
+        ty += cz
+        ty -= tz
+    return ty
 
 
 def odds_ratio_estimate(
@@ -245,11 +255,16 @@ def _permutation_se(draws: np.ndarray) -> float | None:
 
 def _permutation_ses(draws: np.ndarray) -> np.ndarray:
     """:func:`_permutation_se` of each row of a (B, n) stack, NaN where
-    it is None."""
-    finite = np.isfinite(draws).all(axis=1)
-    if draws.shape[1] < 2 or not finite.all():
-        return np.array([_permutation_se(row) for row in draws], dtype=float)
-    return np.std(draws, axis=1, ddof=1)
+    it is None: one ``np.std`` over the rows, and the row's own call
+    where that is not finite (a row with a non-finite draw)."""
+    if draws.shape[1] < 2:
+        return np.full(len(draws), np.nan)
+    with np.errstate(invalid="ignore"):
+        ses = np.std(draws, axis=1, ddof=1)
+    for i in np.flatnonzero(~np.isfinite(ses)):
+        se = _permutation_se(draws[i])
+        ses[i] = np.nan if se is None else se
+    return ses
 
 
 # --------------------------------------------------------------------- #

@@ -136,11 +136,12 @@ def _diff_means_rows(values: np.ndarray, arm_matrix: np.ndarray, m1: int) -> np.
     return _diff_means(arm_matrix @ values, values.sum(), values.shape[0], m1)
 
 
-def _diff_means(treated_sums: np.ndarray, total, m, m1) -> np.ndarray:
+def _diff_means(treated_sums: np.ndarray, total, m, m1, rest=None) -> np.ndarray:
     """Treated-minus-control means from the treated sums and the total:
     ``treated_sums / m1 - (total - treated_sums) / (m - m1)``, computed
-    in place of ``treated_sums``."""
-    rest = total - treated_sums
+    in place of ``treated_sums``; ``rest``, a float array of their shape,
+    takes the control means in place of a fresh one."""
+    rest = np.subtract(total, treated_sums, out=rest)
     rest /= m - m1
     treated_sums /= m1
     treated_sums -= rest
@@ -156,20 +157,30 @@ def _tail_counts(draws: np.ndarray, observed: float) -> tuple[int, int, int]:
     return two, left, right
 
 
-def _two_sided_count(draws: np.ndarray, observed):
+def _two_sided_count(draws: np.ndarray, observed, out=None):
     """#{|T*| >= |T_obs|} with the tie slack; non-finite draws count.
 
-    A (B, n) stack of draws with B observed values gives B counts.
+    One comparison per draw: ``n - #{|T*| < bound}``, ``bound = |T_obs|
+    - slack``, which a NaN or infinite draw fails and so counts.  A
+    non-finite T_obs gives a NaN bound, taken as +inf: only the
+    non-finite draws count.  A (B, n) stack of draws with B observed
+    values gives B counts.  ``out``, a float array of the draws' shape,
+    takes |T*| in place of a fresh one.
     """
+    magnitude = np.abs(draws, out=out)
     if np.ndim(observed):
-        level = np.abs(observed)[:, None]
-        slack = _TIE_RTOL * np.maximum(level, 1.0)
-        hits = (np.abs(draws) >= level - slack) | ~np.isfinite(draws)
-        return np.count_nonzero(hits, axis=1)
-    slack = _TIE_RTOL * max(abs(observed), 1.0)
-    return int(np.count_nonzero(
-        (np.abs(draws) >= abs(observed) - slack) | ~np.isfinite(draws)
-    ))
+        level = np.abs(observed)
+        with np.errstate(invalid="ignore"):
+            bound = level - _TIE_RTOL * np.maximum(level, 1.0)
+        bound[np.isnan(bound)] = np.inf
+        # a uint32 sum of the booleans (a row holds fewer than 2**32
+        # draws) takes half the time of count_nonzero's intp sum
+        return draws.shape[1] - (magnitude < bound[:, None]).sum(axis=1, dtype=np.uint32)
+    level = abs(float(observed))
+    bound = level - _TIE_RTOL * max(level, 1.0)
+    if math.isnan(bound):
+        bound = math.inf
+    return draws.size - int(np.count_nonzero(magnitude < bound))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,9 @@ across runs.
 are drawn: each estimator and its SE run as a few array passes over the
 block's (replicates, clusters) stacks, and the permutation column's
 (replicates, draws) stacks per chunk.  The replicates of a block share
-one set of permutation relabelings.
+one set of permutation relabelings, and the stepped wedge's chunks its
+start masks.  Each chunk's permutation stages write into (_CHUNK,
+draws) work arrays that one run allocates once.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from .estimators import (
 )
 from .inference import _diff_means, _two_sided_count
 from .stepped_wedge import (
+    _block_masks,
     _check_arms,
     _null_sigma,
     _null_weights,
@@ -584,6 +587,15 @@ def _evaluate_parallel(scenario, names, permutation_por, perm_draws, stages):
         or_rows = _odds_ratio_relabelings(scheme, perm_draws, scenario.seed).rows()
         stages.lap("odds_ratio")
 
+    if relabeled:
+        # the permutation column's chunk-sized work arrays, which every
+        # chunk's stages write in place: the treated sums of each relabeled
+        # vector, and the odds ratio's control totals, whose space then
+        # takes the control means and |T*|
+        chunk_draws = (_CHUNK, perm_draws if permutation_por else len(or_rows))
+        work = {key: np.empty(chunk_draws) for key in relabeled}
+        spare, magnitude = np.empty((2, *chunk_draws))
+
     def block(b, parts, reps, arms, y, z):
         stages.lap("generation")
         raw["replicate"].append(reps)
@@ -635,20 +647,24 @@ def _evaluate_parallel(scenario, names, permutation_por, perm_draws, stages):
             rz = randomize(scheme, "monte_carlo", perm_draws, _relabeling_stream(scenario, b))
             rows = rz.rows()
         for sl in parts if relabeled else ():
-            sums = {key: values[key][sl] @ rows.T for key in relabeled}
+            n = sl.stop - sl.start
+            sums = {key: np.matmul(values[key][sl], rows.T, out=work[key][:n])
+                    for key in relabeled}
             stages.lap("permutation" if permutation_por else "odds_ratio")
             if "odds_ratio" in names:
                 # the relabelings of the permutation column give the SE too
                 ty, tz = sums.pop("y"), sums.pop("z")
-                sums["odds_ratio"] = _log_odds_ratios(ty, totals["y"][sl] - ty,
-                                                      tz, totals["z"][sl] - tz)
+                cy = np.subtract(totals["y"][sl], ty, out=spare[:n])
+                cz = np.subtract(totals["z"][sl], tz, out=magnitude[:n])
+                sums["odds_ratio"] = _log_odds_ratios(ty, cy, tz, cz)
                 or_se[sl] = _permutation_ses(sums["odds_ratio"])
                 stages.lap("odds_ratio")
             for name in observed if permutation_por else ():
                 # the odds ratio's draws, and the others' mean differences
                 draws = sums[name] if name == "odds_ratio" else _diff_means(
-                    sums[name], totals[name][sl], m, m1)
-                tallies[name].add_perm(rz.p(_two_sided_count(draws, observed[name][sl])), alpha)
+                    sums[name], totals[name][sl], m, m1, spare[:n])
+                count = _two_sided_count(draws, observed[name][sl], magnitude[:n])
+                tallies[name].add_perm(rz.p(count), alpha)
             if permutation_por:
                 stages.lap("permutation")
         if "odds_ratio" in names:
@@ -687,6 +703,12 @@ def _evaluate_sw(scenario, names, permutation_por, perm_draws, stages):
     scale = _scale_matrix(scheme, periods)
     w_equal = np.asarray(equal_weights(periods).w)
 
+    if permutation_por:
+        # the permutation column's chunk-sized work arrays, which every
+        # chunk writes in place: its draws under each weighting, and |T*|
+        contrasts = np.empty((len(names) * _CHUNK, perm_draws))
+        magnitude = np.empty((_CHUNK, perm_draws))
+
     def block(b, parts, reps, start, y, z):
         stages.lap("generation")
         raw["replicate"].append(reps)
@@ -720,12 +742,16 @@ def _evaluate_sw(scenario, names, permutation_por, perm_draws, stages):
         observed = {name: _row_dot(diffs, weights[name]) for name in names}
         rz = randomize(scheme, "monte_carlo", perm_draws, _relabeling_stream(scenario, b))
         rows = rz.rows()
+        masks = _block_masks(rows, periods)
         for sl in parts:
             # every weighting's draws of the chunk: one masked product
+            n = sl.stop - sl.start
             w = np.stack([weights[name][sl] for name in names])
-            draws = _period_contrasts(rows, periods, scheme, lmat[sl], w)
+            draws = _period_contrasts(rows, periods, scheme, lmat[sl], w, masks,
+                                      contrasts[:len(names) * n])
             for name, d in zip(names, draws):
-                tallies[name].add_perm(rz.p(_two_sided_count(d, observed[name][sl])), alpha)
+                count = _two_sided_count(d, observed[name][sl], magnitude[:n])
+                tallies[name].add_perm(rz.p(count), alpha)
         stages.lap("permutation")
 
     for b in _blocks(_wedge_draws(scenario), tallies):

@@ -191,7 +191,7 @@ def _plugin_sigma(
     if lmat.ndim == 2:
         sigma, s_values = _plugin_sigma(lmat[None], start[None], periods, scheme, scale)
         return sigma[0], s_values[0]
-    n, m, _ = lmat.shape
+    n, m, n_periods = lmat.shape
     m_t = {t: scheme.m_t(t) for t in periods}
     k = len(periods)
     sigma = np.zeros((n, k, k))
@@ -202,7 +202,6 @@ def _plugin_sigma(
         v0 = np.var(g0, axis=1, ddof=1)
         sigma[:, i, i] = v1 / m_t[t] + v0 / (m - m_t[t])
 
-    by_period = lmat.transpose(0, 2, 1)
     groups = {}  # (lo, hi] of start periods -> the group's centered rows
     upper = np.triu_indices(k, 1)
     s_hat = np.empty((n, len(upper[0])))
@@ -212,8 +211,9 @@ def _plugin_sigma(
         sizes = (m_t[t1], m_t[t2] - m_t[t1], m - m_t[t2])
         key = ((0, t1), (t1, t2), (t2, math.inf))[sizes.index(max(sizes))]
         if key not in groups:
-            members = np.nonzero((start > key[0]) & (start <= key[1]))[1]
-            rows = np.take_along_axis(by_period, members.reshape(n, 1, -1), axis=2)
+            # every replicate has the group's size: its members in cluster order
+            inside = (start > key[0]) & (start <= key[1])
+            rows = np.ascontiguousarray(lmat[inside].reshape(n, -1, n_periods).transpose(0, 2, 1))
             rows -= rows.mean(axis=2)[:, :, None]  # centred as in _null_sigma, every period
             groups[key] = rows
         pair = groups[key][:, [t1 - 1, t2 - 1]]
@@ -446,6 +446,8 @@ def _period_contrasts(
     scheme: SteppedWedgeScheme,
     values: np.ndarray,
     weights: np.ndarray | None = None,
+    masks: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """(W, B, rows): for each matrix v = ``values[b]`` of a (B, m, T)
     stack, the treated-minus-control means of ``v[:, t-1]`` over the
@@ -455,9 +457,14 @@ def _period_contrasts(
     Row r treats cluster i at period t when ``start_rows[r, i] <= t``.
     A period's difference is ``c_t S_t - total_t / n0_t``, with S_t the
     treated sum and ``c_t = 1/n1_t + 1/n0_t``: one (W B, k m) matrix of
-    v, c_t and the weights times the rows' (k m, rows) 0/1 masks, less
-    one constant per (w, b).  Rows go in pieces whose products stay
-    below ``_SERIAL_MNK`` and whose masks fit in ``_BLOCK_BYTES``.
+    v, c_t and the weights times the rows' (k m, rows) 0/1 masks
+    (:func:`_start_masks`), less one constant per (w, b).  Rows go in
+    pieces whose products stay below ``_SERIAL_MNK``.  Each piece's
+    masks are built in a buffer that fits in ``_BLOCK_BYTES``, or sliced
+    from ``masks``, those of all of ``start_rows`` from
+    :func:`_block_masks`, for a caller that shares one set of rows
+    between calls.  ``out``, a (W B, rows) float array, takes the result
+    in place of a fresh one.
     """
     b, m = values.shape[:2]
     k = len(periods)
@@ -470,16 +477,40 @@ def _period_contrasts(
     const = (weights * by_period.sum(axis=1) / (m - n1)).sum(axis=2).reshape(-1, 1)
     n, cols = start_rows.shape[0], coef.shape[0]
     size = max(1, min(_BLOCK_BYTES // 8, (_SERIAL_MNK - 1) // cols) // (k * m))
-    starts = np.ascontiguousarray(start_rows.T)
-    masks = np.empty(k * m * min(size, n))
-    out = np.empty((cols, n))
+    if masks is None:
+        starts = np.ascontiguousarray(start_rows.T)
+        buffer = np.empty(k * m * min(size, n))
+    if out is None:
+        out = np.empty((cols, n))
     for first in range(0, n, size):
-        piece = starts[:, first:first + size]
-        mask = masks[:piece.size * k].reshape(k, m, -1)
-        np.less_equal(piece, np.array(periods)[:, None, None], out=mask, casting="unsafe")
-        np.matmul(coef, mask.reshape(k * m, -1), out=out[:, first:first + size])
+        piece = slice(first, first + size)
+        if masks is None:
+            mask = _start_masks(starts[:, piece], periods, buffer)
+        else:
+            mask = masks[:, piece]
+        np.matmul(coef, mask, out=out[:, piece])
     out -= const
     return out.reshape(*weights.shape[:2], n)
+
+
+def _start_masks(starts: np.ndarray, periods: Sequence[int], buffer=None) -> np.ndarray:
+    """The (k m, rows) float 0/1 masks of (m, rows) start periods: row
+    ``j m + i`` is 1 in column r where ``starts[i, r] <= periods[j]``.
+    They fill the front of ``buffer``, a flat float array of at least k m
+    rows elements, in place of a fresh array."""
+    shape = (len(periods), *starts.shape)
+    mask = np.empty(shape) if buffer is None else buffer[:math.prod(shape)].reshape(shape)
+    np.less_equal(starts, np.array(periods)[:, None, None], out=mask, casting="unsafe")
+    return mask.reshape(-1, shape[2])
+
+
+def _block_masks(start_rows: np.ndarray, periods: Sequence[int]) -> np.ndarray | None:
+    """:func:`_start_masks` of all of the (rows, m) ``start_rows`` at once,
+    for a caller that passes them to several :func:`_period_contrasts`
+    calls; None where they would not fit in ``_BLOCK_BYTES``."""
+    if 8 * len(periods) * start_rows.size > _BLOCK_BYTES:
+        return None
+    return _start_masks(start_rows.T, periods)
 
 
 def _null_weights(

@@ -105,6 +105,26 @@ class TestOddsRatio:
         assert rep.diagnostics["se_source"] == "permutation-exact"
         assert rep.ci_low < rep.estimate < rep.ci_high
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 999])
+    def test_stacked_ses_are_each_rows_own(self, n):
+        # rows with a NaN or an infinite draw, with fewer than 2 finite
+        # ones, and finite rows, in one stack: each row's SE is the
+        # single-row one bit for bit, NaN where that is None
+        from crtnd.estimators import _permutation_se, _permutation_ses
+
+        draws = np.random.default_rng(n).normal(size=(6, n))
+        if n:
+            draws[1, 0] = np.nan
+            draws[2, -1] = np.inf
+            draws[3, :] = -np.inf
+            draws[4, : n - 1] = np.nan
+        got = _permutation_ses(draws)
+        for row, se in zip(draws, got):
+            want = _permutation_se(row)
+            assert repr(float(se)) == repr(np.nan if want is None else want)
+        if n == 999:
+            assert np.isfinite(got).tolist() == [True, True, True, False, False, True]
+
     def test_se_is_exact_up_to_the_auto_limit(self):
         # C(18, 9) = 48620 relabelings: enumerated, as every auto test is
         rng = np.random.default_rng(1)

@@ -962,6 +962,60 @@ class TestEnumeratedBlocks:
             core.randomize(ParallelScheme(10, 5), "exact", 0, (0,))
 
 
+TAIL_SPECIALS = (0.0, 1e-300, -1e-300, 1.0, -1.0, math.nan, math.inf, -math.inf)
+
+
+def comparison_count(draws, observed):
+    """#{|T*| >= |T_obs|} with the tie slack, non-finite draws counted,
+    as one comparison plus a finiteness test per draw."""
+    from crtnd.inference import _TIE_RTOL
+
+    level = np.abs(np.asarray(observed, dtype=float))[..., None]
+    slack = _TIE_RTOL * np.maximum(level, 1.0)
+    with np.errstate(invalid="ignore"):
+        hits = (np.abs(draws) >= level - slack) | ~np.isfinite(draws)
+    return np.count_nonzero(hits, axis=-1)
+
+
+@st.composite
+def tail_cases(draw):
+    """(draws, observed): n draws for one observed value, or a (B, n)
+    stack for B of them; draws at, next to and far from ±|T_obs|, and
+    non-finite ones."""
+    value = st.one_of(st.sampled_from(TAIL_SPECIALS), st.floats(-1e3, 1e3))
+    stack = draw(st.booleans())
+    observed = [draw(value) for _ in range(draw(st.integers(1, 4)) if stack else 1)]
+    n = draw(st.integers(0, 12))
+    rows = []
+    for obs in observed:
+        near = [sign * obs * (1 + rel) for sign in (1, -1) for rel in (0, 2e-13, -2e-13, 3e-12)]
+        row = draw(st.lists(st.one_of(value, st.sampled_from(near)), min_size=n, max_size=n))
+        rows.append(row)
+    draws = np.array(rows, dtype=float).reshape(len(observed), n)
+    return (draws, np.array(observed)) if stack else (draws[0], observed[0])
+
+
+class TestTwoSidedCount:
+    @settings(max_examples=300, deadline=None)
+    @given(tail_cases())
+    def test_one_pass_equals_the_comparison_count(self, case):
+        # n - #{|T*| < bound} with a NaN bound taken as +inf counts what
+        # the comparison and the finiteness test count, T_obs non-finite
+        # or of rounding size included; |T*| may go into a work array
+        from crtnd.inference import _two_sided_count
+
+        draws, observed = case
+        want = comparison_count(draws, observed)
+        work = np.full(draws.shape, 7.0)
+        for out in (None, work):
+            got = _two_sided_count(draws, observed, out)
+            if np.ndim(observed):
+                assert got.tolist() == want.tolist()
+            else:
+                assert isinstance(got, int) and got == want
+        np.testing.assert_array_equal(work, np.abs(draws))
+
+
 class TestExactPValuesSuperUniform:
     """Under a sharp null, exact p-values are super-uniform over the
     design: at most alpha of all assignments give a two-sided p <= alpha,

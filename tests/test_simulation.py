@@ -646,6 +646,23 @@ class TestArrayLoopEquivalence:
         assert repr(raw) == repr(ref_raw)
 
     @pytest.mark.parametrize("permutation_por", [True, False])
+    @pytest.mark.parametrize("make, n", [(default_parallel_scenario, 200),
+                                         (default_sw_scenario, 50)])
+    def test_bit_identical_at_the_benchmark_shape(self, make, n, permutation_por):
+        # the command line's 999 draws: the chunk-sized work arrays at
+        # their full width, and a wedge chunk's product in 11 pieces
+        # sliced from its block's start masks
+        scenario = make(0.6, n_replicates=n, seed=11)
+        default = SW_ESTIMATORS if scenario.is_stepped_wedge else PARALLEL_ESTIMATORS
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows, raw = evaluate(scenario, permutation_por=permutation_por,
+                                 perm_draws=999, keep_estimates=True)
+            ref_rows, ref_raw = reference_evaluate(scenario, default, permutation_por, 999)
+        assert_rows_match(rows, ref_rows)
+        assert repr(raw) == repr(ref_raw)
+
+    @pytest.mark.parametrize("permutation_por", [True, False])
     def test_weight_fallbacks_match_the_record_path(self, monkeypatch, permutation_por):
         # at a condition limit of 11 some of these wedges' truth-imputed
         # covariances fail the check: their optimal weights fall back to
@@ -796,6 +813,26 @@ class TestArrayLoopEquivalence:
         # the second block holds replicate 64 alone
         assert min(shape[-2] for shape in stacks) == 1
 
+    @pytest.mark.parametrize("n, blocks", [(50, 1), (130, 3)])
+    def test_start_masks_are_built_once_per_block(self, monkeypatch, n, blocks):
+        # simulate-sw's scenario and draws: a block's chunks share its
+        # relabelings and so their (k m, draws) start masks, built once
+        # per block and never per chunk or per piece
+        import crtnd.stepped_wedge as stepped_wedge
+
+        builds, build = [], stepped_wedge._start_masks
+
+        def counted(starts, periods, *args):
+            builds.append(starts.shape)
+            return build(starts, periods, *args)
+
+        monkeypatch.setattr(stepped_wedge, "_start_masks", counted)
+        scenario = default_sw_scenario(0.6, n_replicates=n, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            evaluate(scenario, perm_draws=999)
+        assert builds == [(scenario.design.m, 999)] * blocks
+
     def test_tpf_failures_are_counted_by_reason(self):
         scen, names = EQUIVALENCE_CASES["parallel-split-fractions"]
         rows = {r.estimator: r for r in evaluate(scen, names, permutation_por=False)}
@@ -925,6 +962,26 @@ class TestBoundedMemory:
         small = self.peak(make(0.6, n_replicates=n, seed=3), names)
         large = self.peak(make(0.6, n_replicates=10 * n, seed=3), names)
         assert large - small < self.SLACK
+
+
+    def test_wide_relabelings_build_their_masks_in_pieces(self):
+        # at 50,000 draws a block's (k m, draws) float64 start masks, 64
+        # MiB for the bundled wedge, do not fit in _BLOCK_BYTES: each
+        # chunk's product builds its pieces' masks in turn instead
+        import tracemalloc
+
+        scenario = default_sw_scenario(0.6, n_replicates=50, seed=3)
+        scheme = scenario.design
+        masks = 8 * scheme.m * len(scheme.analysis_periods) * 50_000
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tracemalloc.start()
+            try:
+                evaluate(scenario, perm_draws=50_000)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < masks
 
 
 class TestRawEstimatesCsv:
