@@ -28,6 +28,7 @@ shared across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,6 +51,9 @@ AUTO_EXACT_LIMIT = 100_000
 _BLOCK_BYTES = 4 << 20
 # and drawn in pieces of about this many uniforms
 _DRAW_PIECE = 4096
+# Monte Carlo draws of at most one block are held, read-only, by
+# (scheme, rows, stream): the last this many, the streams of one command
+_HELD_DRAWS = 3
 # numpy's bundled OpenBLAS may thread an (a, b) @ (b, c) product once a b c
 # reaches this, at more CPU time than it saves: larger ones go in pieces
 _SERIAL_MNK = 1 << 19
@@ -460,25 +464,45 @@ class Randomization:
     def blocks(self) -> Iterator[np.ndarray]:
         """The rows in blocks of a few MB: parallel rows float64 0/1, wedge
         rows start periods of the smallest type that holds the last one
-        (``uint8`` up to 255 periods).  Exact rows come in the order of
-        :func:`enumerate_assignments`; drawn rows are those of one
-        ``sample_assignments(scheme, n_rows, derive_rng(*stream))`` call."""
+        (``uint8`` up to 255 periods).
+
+        Exact rows come in the order of :func:`enumerate_assignments`,
+        enumerated again on every call.  Drawn rows are those of one
+        ``sample_assignments(scheme, n_rows, derive_rng(*stream))`` call.
+        A draw that fits in one block is made once and then held: every
+        test and CI of a command that reads the same stream gets the same
+        read-only array, and the last :data:`_HELD_DRAWS` draws are kept.
+        A larger draw is drawn again, block by block, on every call, so
+        memory stays bounded however many rows are asked for."""
         scheme, size = self.scheme, _block_rows(self.scheme.m)
         if self.mode == "exact":
             yield from _support_blocks(scheme, size)
             return
+        parallel = isinstance(scheme, ParallelScheme)
+        dtype = float if parallel else np.min_scalar_type(scheme.n_periods)
+        if self.n_rows <= size:
+            yield _held_draw(scheme, self.n_rows, self.stream, dtype)
+            return
         # sample_assignments draws (rows, m) uniforms: blocks drawn in turn
         # from one generator are the rows of one call
         rng = derive_rng(*self.stream)
-        parallel = isinstance(scheme, ParallelScheme)
-        dtype = float if parallel else np.min_scalar_type(scheme.n_periods)
         for first in range(0, self.n_rows, size):
             yield sample_assignments(scheme, min(size, self.n_rows - first), rng, dtype)
 
     def rows(self) -> np.ndarray:
-        """All rows in one array, for a caller that reuses them."""
+        """All rows in one array, for a caller that reuses them (read-only
+        where the draw is held)."""
         blocks = list(self.blocks())
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+@functools.lru_cache(maxsize=_HELD_DRAWS)
+def _held_draw(scheme: AssignmentScheme, n_rows: int, stream: tuple[int, ...],
+               dtype) -> np.ndarray:
+    """One ``sample_assignments`` call from ``derive_rng(*stream)``, read-only."""
+    rows = sample_assignments(scheme, n_rows, derive_rng(*stream), dtype)
+    rows.setflags(write=False)
+    return rows
 
 
 def randomize(

@@ -79,6 +79,17 @@ def emit_dataset(data: Trial | Panel, path) -> None:
             writer.writerow(row)
 
 
+def benchmark_inputs(workload: str, seed: int, workdir) -> None:
+    """Write the input files of ``perfbench/workloads.py`` for one seed."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workloads.generate(workload, seed, Path(workdir))
+
+
 def save_scenario(scenario, path) -> None:
     """Write ``scenario`` as a scenario file that ``load_scenario`` reads."""
     with Path(path).open("w") as fh:

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -321,6 +323,141 @@ class TestStreams:
         for block, rz in enumerate(made):
             nested = int(derive_rng(9, 3, block).integers(2**31))
             self.check(rz, (nested, 0x5E))
+
+
+class TestHeldDraws:
+    """A Monte Carlo draw that fits in one block is made once per (scheme,
+    rows, stream): every test and CI of a command on that stream reads the
+    same read-only rows, bit for bit those of a fresh draw."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The row counts of every ``sample_assignments`` call, from an
+        empty memo."""
+        drawn, sample, held = [], core.sample_assignments, core._held_draw
+
+        def spy(scheme, n, rng, *args):
+            drawn.append(n)
+            return sample(scheme, n, rng, *args)
+
+        held.cache_clear()
+        monkeypatch.setattr(core, "sample_assignments", spy)
+        yield drawn
+        held.cache_clear()
+
+    @staticmethod
+    def run(argv, out):
+        """The report of one command, as bytes."""
+        from crtnd.cli import main
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main([*argv, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("command, fresh", [
+        # four permutation tests (0xBE), the TPF, log-contrast and
+        # covariate-adjusted CIs (0xC1) and the odds ratio's SE (0x0D)
+        ("analyze", 8),
+        # the test and the CI, both on 0x5E
+        ("analyze-sw", 2),
+    ])
+    def test_a_command_draws_each_stream_once(self, draws, monkeypatch, tmp_path,
+                                              command, fresh):
+        from conftest import benchmark_inputs
+
+        if command == "analyze":
+            benchmark_inputs("trial-analysis", 1, tmp_path)
+            data = ["--input", str(tmp_path / "trial_0.csv")]
+        else:
+            benchmark_inputs("exact-inference", 1, tmp_path)
+            data = ["--input", str(tmp_path / "wedge_0.csv"), "--mode", "monte-carlo"]
+        argv = [command, *data, "--ci-method", "invert-permutation", "--seed", "100001"]
+        held = self.run(argv, tmp_path / "report.json")
+        if command == "analyze":
+            methods = [r["method"] for r in json.loads(held)["results"]]
+            assert methods == ["odds_ratio", "tpf", "log_contrast", "covariate_adjusted"]
+        assert draws == [2000] * (3 if command == "analyze" else 1)
+        # with every call drawing its rows afresh, the report is the same
+        draws.clear()
+        monkeypatch.setattr(core, "_held_draw", core._held_draw.__wrapped__)
+        assert self.run(argv, tmp_path / "report.json") == held
+        assert draws == [2000] * fresh
+
+    def test_held_rows_are_read_only_and_shared(self, draws):
+        scheme = ParallelScheme(24, 12)
+        rows = randomize(scheme, "monte_carlo", 500, (5, 0xBE)).rows()
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 1.0
+        again = randomize(scheme, "auto", 500, (5, 0xBE))
+        assert next(again.blocks()) is rows
+        np.testing.assert_array_equal(rows, sample_assignments(scheme, 500, derive_rng(5, 0xBE)))
+        assert draws == [500]
+
+    def test_rows_differ_by_scheme_count_and_stream(self, draws):
+        wedge = SteppedWedgeScheme(24, (3,) * 8)
+        keys = [(ParallelScheme(24, 12), 500, (5, 0xBE)), (ParallelScheme(24, 11), 500, (5, 0xBE)),
+                (ParallelScheme(24, 12), 499, (5, 0xBE)), (ParallelScheme(24, 12), 500, (5, 0xC1)),
+                (wedge, 500, (5, 0xBE))]
+        for scheme, n, stream in keys:
+            rows = randomize(scheme, "monte_carlo", n, stream).rows()
+            expected = sample_assignments(scheme, n, derive_rng(*stream))
+            np.testing.assert_array_equal(rows, expected)
+            assert rows.dtype == (np.float64 if scheme is not wedge else np.uint8)
+        assert len(draws) == len(keys)
+
+    def test_the_memo_keeps_the_last_few_draws(self, draws):
+        scheme = ParallelScheme(24, 12)
+        for seed in range(core._HELD_DRAWS + 1):
+            randomize(scheme, "monte_carlo", 100, (seed, 0xBE)).rows()
+        assert core._held_draw.cache_info().currsize == core._HELD_DRAWS
+        randomize(scheme, "monte_carlo", 100, (core._HELD_DRAWS, 0xBE)).rows()
+        assert len(draws) == core._HELD_DRAWS + 1
+        randomize(scheme, "monte_carlo", 100, (0, 0xBE)).rows()  # evicted first
+        assert len(draws) == core._HELD_DRAWS + 2
+
+    def test_a_draw_larger_than_a_block_is_drawn_again(self, draws):
+        # 30,000 rows of 24 clusters are two blocks of at most 21,845
+        import tracemalloc
+
+        from crtnd.inference import NullSpec, permutation_test
+
+        assert core._block_rows(24) == 21_845
+        rng = np.random.default_rng(2)
+        trial = Trial(tuple(f"c{i:02d}" for i in range(24)), [i < 12 for i in range(24)],
+                      rng.integers(20, 80, 24), rng.integers(60, 160, 24))
+        null = NullSpec("relative_risk", 1.0)
+        options = dict(mode="monte_carlo", n_draws=30_000, seed=4)
+        first = permutation_test(trial, null, **options)
+        tracemalloc.start()
+        try:
+            assert permutation_test(trial, null, **options) == first
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert draws == [21_845, 8_155] * 2
+        assert core._held_draw.cache_info().currsize == 0
+        assert held < 8 * 24 * 8_155  # not even the last block is kept
+        blocks = list(randomize(trial.scheme, "monte_carlo", 30_000, (4, 0xBE)).blocks())
+        assert all(b.flags.writeable for b in blocks)
+
+    def test_exact_analyze_enumerates_per_call(self, draws, monkeypatch, tmp_path):
+        from conftest import benchmark_inputs
+
+        support, calls = core._support_blocks, []
+
+        def spy(*args):
+            calls.append(args[0])
+            return support(*args)
+
+        monkeypatch.setattr(core, "_support_blocks", spy)
+        benchmark_inputs("exact-inference", 1, tmp_path)
+        argv = ["analyze", "--input", str(tmp_path / "exact_0.csv"), "--mode", "exact",
+                "--ci-method", "invert-permutation", "--estimators", "odds_ratio,tpf,log_contrast"]
+        self.run(argv, tmp_path / "report.json")
+        # the odds ratio's SE, three tests and two CIs each enumerate anew
+        assert len(calls) == 6 and len(set(calls)) == 1
+        assert draws == []
 
 
 class TestSampling:

@@ -532,6 +532,22 @@ class TestSerialProducts:
         assert sum(inner == 168 for _, inner, _ in products) >= 10
         assert max(math.prod(p) for p in products) < _SERIAL_MNK
 
+    def test_parallel_simulation_products_stay_serial(self, monkeypatch):
+        # one 16-replicate chunk of simulate: each relabeled vector's
+        # treated sums are one (16, 24) @ (24, 999) product into its buffer
+        from crtnd.core import _SERIAL_MNK
+        from crtnd.scenarios import default_parallel_scenario
+        from crtnd.simulation import _CHUNK, evaluate
+
+        scenario = default_parallel_scenario(0.6, n_replicates=_CHUNK, seed=36)
+        products = spy_products(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            evaluate(scenario, permutation_por=True, perm_draws=999)
+        # the log-contrasts, the fractions, and the odds ratio's y and z
+        assert products.count((_CHUNK, 24, 999)) == 4
+        assert max(math.prod(p) for p in products) < _SERIAL_MNK
+
     def test_a_chunk_in_one_product_fails_the_guard(self, monkeypatch):
         # the guard above sees a chunk's (32, 168) @ (168, 999) product
         from crtnd import stepped_wedge
