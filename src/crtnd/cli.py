@@ -42,11 +42,18 @@ from .inference import (
     permutation_test,
 )
 from .scenarios import default_parallel_scenario, default_sw_scenario
-from .simulation import evaluate, generation_plan, relabeling_plan, replicate_ascertainment_sweep
+from .simulation import (
+    PARALLEL_ESTIMATORS,
+    SW_ESTIMATORS,
+    evaluate,
+    generation_plan,
+    relabeling_plan,
+    replicate_ascertainment_sweep,
+)
 from .stepped_wedge import sw_invert_ci, sw_log_contrast, sw_permutation_test
 
-DEFAULT_ESTIMATORS = ("odds_ratio", "tpf", "log_contrast", "covariate_adjusted")
 _DOSE_DRAW_DEFAULTS = {"mode": "auto", "n_draws": 2000, "seed": 0}  # --test permutation
+_PERM_DRAWS_DEFAULT = 999  # simulations, when some estimator relabels
 
 
 def _add_common(p: argparse.ArgumentParser, scenario: bool = False) -> None:
@@ -90,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--estimators",
         default=None,
-        help="comma-separated subset of " + ",".join(DEFAULT_ESTIMATORS)
+        help="comma-separated subset of " + ",".join(PARALLEL_ESTIMATORS)
         + " (default: all; covariate_adjusted only if the file has covariates)",
     )
     _add_common(p)
@@ -126,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated estimator subset")
         p.add_argument("--no-permutation-por", action="store_true",
                        help="skip the permutation-test rejection column")
-        p.add_argument("--perm-draws", type=int, default=999)
+        p.add_argument("--perm-draws", type=int, default=None,
+                       help=f"permutation relabelings per block (default {_PERM_DRAWS_DEFAULT})")
         p.add_argument("--raw-estimates", type=Path, default=None,
                        help="also write per-replicate log estimates to this CSV")
         _add_common(p, scenario=True)
@@ -225,12 +233,8 @@ def _load(args, kind: str, wrong_kind: str):
 def _cmd_analyze(args) -> int:
     trial = _load(args, "parallel", "analyze expects a parallel-arm dataset; use analyze-sw")
     requested = args.estimators is not None
-    if not requested:
-        args.estimators = ",".join(DEFAULT_ESTIMATORS)  # echo what runs
-    names = [s.strip() for s in args.estimators.split(",") if s.strip()]
-    unknown = set(names) - set(DEFAULT_ESTIMATORS)
-    if unknown:
-        raise DataError(f"unknown estimators: {sorted(unknown)}")
+    names = _estimator_names(args, PARALLEL_ESTIMATORS)
+    args.estimators = args.estimators or ",".join(names)  # echo what runs
     if "covariate_adjusted" in names and trial.x.shape[1] == 0:
         if requested:
             raise DataError(
@@ -342,9 +346,17 @@ def _load_scenario_arg(args, default_factory):
     return scenario
 
 
-def _estimator_names(args) -> list[str] | None:
-    """``--estimators`` of simulate, simulate-sw and sweep; None runs all."""
-    return [s.strip() for s in args.estimators.split(",") if s.strip()] if args.estimators else None
+def _estimator_names(args, known) -> list[str]:
+    """The names of ``--estimators``, all of ``known`` if it is not given;
+    DataError if it names none, one twice or one not in ``known``."""
+    if args.estimators is None:
+        return list(known)
+    names = [s.strip() for s in args.estimators.split(",") if s.strip()]
+    if not names or len(set(names)) < len(names):
+        raise DataError(f"--estimators must name distinct estimators, got {args.estimators!r}")
+    if unknown := set(names) - set(known):
+        raise DataError(f"unknown estimators: {sorted(unknown)}")
+    return names
 
 
 def _cmd_simulate(args, sw: bool) -> int:
@@ -355,7 +367,15 @@ def _cmd_simulate(args, sw: bool) -> int:
         raise DataError(
             "scenario design does not match the command (simulate vs simulate-sw)"
         )
-    estimators = _estimator_names(args)
+    estimators = _estimator_names(args, SW_ESTIMATORS if sw else PARALLEL_ESTIMATORS)
+    # the permutation column relabels for every estimator but
+    # covariate_adjusted, and the odds ratio's SE relabels without it
+    relabels = ("odds_ratio" in estimators if args.no_permutation_por
+                else bool(set(estimators) - {"covariate_adjusted"}))
+    if args.perm_draws is None:
+        args.perm_draws = _PERM_DRAWS_DEFAULT  # echo what runs
+    elif not relabels:
+        raise DataError("--perm-draws is given, but this run draws no relabelings")
     timings: dict[str, float] = {}
     out = evaluate(
         scenario,
@@ -409,7 +429,7 @@ def _write_raw_estimates(path, scenario, raw) -> None:
 
 def _cmd_sweep(args) -> int:
     scenario = _load_scenario_arg(args, default_parallel_scenario)
-    estimators = _estimator_names(args)
+    estimators = _estimator_names(args, PARALLEL_ESTIMATORS)
     rows = replicate_ascertainment_sweep(scenario, args.n_configs, estimators)
     per_config = len(rows) // args.n_configs if rows else 0
     shown = rows[: 3 * per_config]  # the first three configurations

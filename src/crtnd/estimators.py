@@ -180,11 +180,20 @@ def _arm_totals(y: np.ndarray, z: np.ndarray, arms: np.ndarray):
 
 
 def odds_ratio_permutation_draws(
-    y: np.ndarray, z: np.ndarray, arm_matrix: np.ndarray
+    y: np.ndarray, z: np.ndarray, arm_matrix: np.ndarray, out=None
 ) -> np.ndarray:
-    """log odds ratio for each 0/1 row of ``arm_matrix``, counts held fixed."""
-    ty, tz = arm_matrix @ y, arm_matrix @ z
-    return _log_odds_ratios(ty, y.sum() - ty, tz, z.sum() - tz)
+    """log odds ratio of each (..., m) pair of count vectors for each
+    float 0/1 row of ``arm_matrix``, counts held fixed, (..., rows), with
+    the treated sums of :func:`crtnd.inference._diff_means_rows`.
+    ``out``, four float arrays of the result's shape, takes the treated
+    and control totals of y and of z in place of fresh ones, the first
+    the result."""
+    ty, cy, tz, cz = (None,) * 4 if out is None else out
+    ty = np.matmul(y, arm_matrix.T, out=ty)
+    tz = np.matmul(z, arm_matrix.T, out=tz)
+    cy = np.subtract(y.sum(axis=-1, keepdims=True), ty, out=cy)
+    cz = np.subtract(z.sum(axis=-1, keepdims=True), tz, out=cz)
+    return _log_odds_ratios(ty, cy, tz, cz)
 
 
 def _log_odds_ratios(ty, cy, tz, cz) -> np.ndarray:
@@ -221,10 +230,10 @@ def odds_ratio_estimate(
     """
     log_or = odds_ratio_log(trial)
     rz = _odds_ratio_relabelings(trial.scheme, se_draws, seed)
-    se = _permutation_se(odds_ratio_permutation_draws(trial.y, trial.z, rz.rows()))
-    ci_low = ci_high = None
-    if se is not None:
-        ci_low, ci_high = normal_ci(log_or, se, alpha)
+    draws = odds_ratio_permutation_draws(trial.y[None], trial.z[None], rz.rows())
+    (se,) = _permutation_ses(draws).tolist()
+    se = None if math.isnan(se) else se
+    ci_low, ci_high = (None, None) if se is None else normal_ci(log_or, se, alpha)
     exact = rz.mode == "exact"
     return EstimateReport(
         method="odds_ratio",
@@ -247,23 +256,18 @@ def _odds_ratio_relabelings(
     return randomize(scheme, "auto", se_draws, (seed, 0x0D))
 
 
-def _permutation_se(draws: np.ndarray) -> float | None:
-    """Standard deviation of the finite re-randomized values (None below 2)."""
-    draws = draws[np.isfinite(draws)]
-    return float(np.std(draws, ddof=1)) if draws.size >= 2 else None
-
-
 def _permutation_ses(draws: np.ndarray) -> np.ndarray:
-    """:func:`_permutation_se` of each row of a (B, n) stack, NaN where
-    it is None: one ``np.std`` over the rows, and the row's own call
-    where that is not finite (a row with a non-finite draw)."""
+    """Standard deviation of the finite re-randomized values of each row
+    of a (B, n) stack, NaN where fewer than 2 are finite: one ``np.std``
+    over the rows, and the row's finite draws alone where that is not
+    finite (a row with a non-finite draw)."""
     if draws.shape[1] < 2:
         return np.full(len(draws), np.nan)
     with np.errstate(invalid="ignore"):
         ses = np.std(draws, axis=1, ddof=1)
     for i in np.flatnonzero(~np.isfinite(ses)):
-        se = _permutation_se(draws[i])
-        ses[i] = np.nan if se is None else se
+        finite = draws[i][np.isfinite(draws[i])]
+        ses[i] = np.std(finite, ddof=1) if finite.size >= 2 else np.nan
     return ses
 
 

@@ -131,21 +131,21 @@ def impute_null_outcomes(trial: Trial, null: NullSpec) -> np.ndarray:
 # --------------------------------------------------------------------- #
 
 
-def _diff_means_rows(values: np.ndarray, arm_matrix: np.ndarray, m1: int) -> np.ndarray:
-    """Treated-minus-control mean of ``values`` for each 0/1 row."""
-    return _diff_means(arm_matrix @ values, values.sum(), values.shape[0], m1)
-
-
-def _diff_means(treated_sums: np.ndarray, total, m, m1, rest=None) -> np.ndarray:
-    """Treated-minus-control means from the treated sums and the total:
-    ``treated_sums / m1 - (total - treated_sums) / (m - m1)``, computed
-    in place of ``treated_sums``; ``rest``, a float array of their shape,
-    takes the control means in place of a fresh one."""
-    rest = np.subtract(total, treated_sums, out=rest)
+def _diff_means_rows(values: np.ndarray, arm_matrix: np.ndarray, m1: int,
+                     out=None, rest=None) -> np.ndarray:
+    """Treated-minus-control mean of each (..., m) vector of ``values``
+    for each float 0/1 row of ``arm_matrix``, (..., rows), from the
+    treated sums ``values @ arm_matrix.T``: a vector gets the bits of
+    ``arm_matrix @ values``, a stack's product rounds differently.
+    ``out`` and ``rest``, float arrays of the result's shape, take the
+    result and the control means in place of fresh ones."""
+    m = values.shape[-1]
+    treated = np.matmul(values, arm_matrix.T, out=out)
+    rest = np.subtract(values.sum(axis=-1, keepdims=True), treated, out=rest)
     rest /= m - m1
-    treated_sums /= m1
-    treated_sums -= rest
-    return treated_sums
+    treated /= m1
+    treated -= rest
+    return treated
 
 
 def _tail_counts(draws: np.ndarray, observed: float) -> tuple[int, int, int]:
@@ -676,8 +676,10 @@ def invert_ci(
     endpoints are the outermost breakpoints of the p-value curve with
     p > alpha (:func:`_sweep`), ``grid_points`` counts the breakpoints,
     ``p_max`` is the curve's maximum and ``non_interval`` flags gaps.
-    For ``tpf`` 401 values of log(lam0) over the estimate +- 10 SE are
-    scanned and each outer boundary bisected to 1e-6 (:func:`_invert_scan`).
+    ``tpf`` and ``odds_ratio`` scan 401 values of log(lam0) over 10
+    log-contrast SEs either side of a center, the TPF estimate for
+    ``tpf`` and the log-contrast estimate for ``odds_ratio``, and bisect
+    each outer boundary to 1e-6 (:func:`_invert_scan`).
     ``adjustment`` applies to ``dose_response`` only: another value than
     ``"none"`` for a relative-risk method raises :class:`ValueError`.
     """
@@ -705,7 +707,7 @@ def _invert_ci(trial, method, stat, *, alpha, test, adjustment, mode, n_draws, s
     )
     if isinstance(pfun, _PCurve):
         theta_lo, theta_hi, scan = pfun.interval(alpha)
-    else:  # scan the TPF estimate +- 10 log-contrast SEs
+    else:  # scan the TPF (or log-contrast) estimate +- 10 log-contrast SEs
         base = log_contrast_estimate(trial)
         center = tpf_estimate(trial).log_estimate if method == "tpf" else base.log_estimate
         theta_lo, theta_hi, scan = _invert_scan(

@@ -24,8 +24,11 @@ are drawn: each estimator and its SE run as a few array passes over the
 block's (replicates, clusters) stacks, and the permutation column's
 (replicates, draws) stacks per chunk.  The replicates of a block share
 one set of permutation relabelings, and the stepped wedge's chunks its
-start masks.  Each chunk's permutation stages write into (_CHUNK,
-draws) work arrays that one run allocates once.
+start masks.  A chunk's relabeled statistics come from the kernels a
+single dataset's test calls (``_diff_means_rows``,
+``odds_ratio_permutation_draws``, ``_period_contrasts``), given the
+chunk's stack for a vector, and are written into (_CHUNK, draws) work
+arrays that one run allocates once.
 """
 
 from __future__ import annotations
@@ -65,8 +68,9 @@ from .estimators import (
     _tpf_roots,
     _tpf_rows,
     _z_quantile,
+    odds_ratio_permutation_draws,
 )
-from .inference import _diff_means, _two_sided_count
+from .inference import _diff_means_rows, _two_sided_count
 from .stepped_wedge import (
     _block_masks,
     _check_arms,
@@ -576,30 +580,24 @@ def _evaluate_parallel(scenario, names, permutation_por, perm_draws, stages):
     lam_true = scenario.lam
     tallies = {name: _Tally() for name in names}
     raw = {key: [] for key in ("replicate", *names)}  # arrays per block
-    # the vectors each replicate's relabelings multiply: the permutation
-    # statistics' values, and the counts of the odds ratio's SE
-    relabeled = [n for n in ("log_contrast", "tpf") if permutation_por and n in names]
-    if "odds_ratio" in names:
-        relabeled += ["y", "z"]
+    # the permutation column's statistics, the odds ratio first: the mean
+    # differences then take its draws' work array
+    tested = [n for n in ("odds_ratio", "log_contrast", "tpf") if permutation_por and n in names]
     or_rows = None
     if "odds_ratio" in names and not permutation_por:
         # the SE's relabelings come from a fixed-seed stream: draw them once
         or_rows = _odds_ratio_relabelings(scheme, perm_draws, scenario.seed).rows()
         stages.lap("odds_ratio")
 
-    if relabeled:
-        # the permutation column's chunk-sized work arrays, which every
-        # chunk's stages write in place: the treated sums of each relabeled
-        # vector, and the odds ratio's control totals, whose space then
-        # takes the control means and |T*|
-        chunk_draws = (_CHUNK, perm_draws if permutation_por else len(or_rows))
-        work = {key: np.empty(chunk_draws) for key in relabeled}
-        spare, magnitude = np.empty((2, *chunk_draws))
+    # the kernels' chunk-sized work arrays, which every chunk writes in
+    # place: the odds ratio's four arm totals or a mean difference and its
+    # control means, then |T*| in the second
+    work = np.empty((4, _CHUNK, perm_draws if or_rows is None else len(or_rows)))
 
     def block(b, parts, reps, arms, y, z):
         stages.lap("generation")
         raw["replicate"].append(reps)
-        values = {"y": y, "z": z}
+        values = {}
         if "log_contrast" in names or "covariate_adjusted" in names:
             values["log_contrast"] = _log_ratio(y, z)
             l1, l0 = _arm_split(values["log_contrast"], arms)
@@ -638,34 +636,25 @@ def _evaluate_parallel(scenario, names, permutation_por, perm_draws, stages):
             raw["tpf"].append(est)
             observed["tpf"] = t_stat
             stages.lap("tpf")
-        totals = {key: values[key].sum(axis=1)[:, None] for key in relabeled}
-
-        # one set of relabelings per block; per chunk, the treated sums of
-        # each relabeled vector under them: one (replicates, rows) product
+        # one set of relabelings per block; per chunk, each statistic's
+        # draws from its kernel, one (replicates, rows) product per vector
         rows = or_rows
-        if permutation_por and relabeled:
+        if tested:
             rz = randomize(scheme, "monte_carlo", perm_draws, _relabeling_stream(scenario, b))
             rows = rz.rows()
-        for sl in parts if relabeled else ():
+        for sl in parts if rows is not None else ():
             n = sl.stop - sl.start
-            sums = {key: np.matmul(values[key][sl], rows.T, out=work[key][:n])
-                    for key in relabeled}
-            stages.lap("permutation" if permutation_por else "odds_ratio")
             if "odds_ratio" in names:
                 # the relabelings of the permutation column give the SE too
-                ty, tz = sums.pop("y"), sums.pop("z")
-                cy = np.subtract(totals["y"][sl], ty, out=spare[:n])
-                cz = np.subtract(totals["z"][sl], tz, out=magnitude[:n])
-                sums["odds_ratio"] = _log_odds_ratios(ty, cy, tz, cz)
-                or_se[sl] = _permutation_ses(sums["odds_ratio"])
+                or_draws = odds_ratio_permutation_draws(y[sl], z[sl], rows, work[:, :n])
+                or_se[sl] = _permutation_ses(or_draws)
                 stages.lap("odds_ratio")
-            for name in observed if permutation_por else ():
-                # the odds ratio's draws, and the others' mean differences
-                draws = sums[name] if name == "odds_ratio" else _diff_means(
-                    sums[name], totals[name][sl], m, m1, spare[:n])
-                count = _two_sided_count(draws, observed[name][sl], magnitude[:n])
+            for name in tested:
+                draws = or_draws if name == "odds_ratio" else _diff_means_rows(
+                    values[name][sl], rows, m1, *work[:2, :n])
+                count = _two_sided_count(draws, observed[name][sl], work[1, :n])
                 tallies[name].add_perm(rz.p(count), alpha)
-            if permutation_por:
+            if tested:
                 stages.lap("permutation")
         if "odds_ratio" in names:
             tallies["odds_ratio"].add_normal(observed["odds_ratio"], or_se, lam_true, alpha)

@@ -808,6 +808,85 @@ class TestDoseResponseOptions:
         assert (config["mode"], config["n_draws"], config["seed"]) == echo
 
 
+class TestEstimatorLists:
+    """Every command parses ``--estimators`` one way: a list that names
+    no estimator, one twice or one the command does not know is a usage
+    error before any work."""
+
+    @staticmethod
+    def argv(command, tmp_path):
+        if command == "analyze":
+            return [command, "--input", str(write(tmp_path, "d.csv", PARALLEL_CSV))]
+        return [command, "--n-replicates", "2"] + (
+            ["--n-configs", "1"] if command == "sweep" else [])
+
+    @pytest.mark.parametrize("value, message", [
+        (",", "--estimators must name distinct estimators, got ','"),
+        ("", "--estimators must name distinct estimators, got ''"),
+        (" , ,", "--estimators must name distinct estimators, got ' , ,'"),
+        ("tpf,tpf", "--estimators must name distinct estimators, got 'tpf,tpf'"),
+        ("odds_ratio, tpf,odds_ratio",
+         "--estimators must name distinct estimators, got 'odds_ratio, tpf,odds_ratio'"),
+        ("tpf,sw_equal", "unknown estimators: ['sw_equal']"),
+    ])
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "sweep"])
+    def test_parallel_commands(self, tmp_path, capsys, command, value, message):
+        out = tmp_path / "m.csv"
+        argv = self.argv(command, tmp_path) + ["--estimators", value, "--out", str(out)]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "DataError", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, message", [
+        (",", "--estimators must name distinct estimators, got ','"),
+        ("sw_equal,sw_equal", "--estimators must name distinct estimators, got "
+         "'sw_equal,sw_equal'"),
+        ("tpf", "unknown estimators: ['tpf']"),
+    ])
+    def test_stepped_wedge(self, tmp_path, capsys, value, message):
+        out = tmp_path / "m.csv"
+        argv = self.argv("simulate-sw", tmp_path) + ["--estimators", value, "--out", str(out)]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "DataError", "message": message}
+        assert not out.exists()
+
+
+class TestPermDrawsOption:
+    """``--perm-draws`` sets the permutation column's relabelings and the
+    odds ratio's SE draws; a run that reads neither rejects it, and
+    every run echoes the count, 999 unless given."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate-sw", "--no-permutation-por"],
+        ["simulate", "--no-permutation-por", "--estimators", "tpf,log_contrast"],
+        ["simulate", "--estimators", "covariate_adjusted"],
+    ])
+    def test_unread_count_is_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "m.csv"
+        assert main(argv + ["--n-replicates", "2", "--perm-draws", "5",
+                            "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "DataError",
+                       "message": "--perm-draws is given, but this run draws no relabelings"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, echo", [
+        (["simulate-sw", "--no-permutation-por"], 999),
+        (["simulate", "--no-permutation-por", "--estimators", "tpf"], 999),
+        (["simulate", "--no-permutation-por", "--perm-draws", "5"], 5),
+        (["simulate", "--estimators", "tpf", "--perm-draws", "5"], 5),
+        (["simulate-sw", "--perm-draws", "5"], 5),
+        (["simulate-sw"], 999),
+    ])
+    def test_config_echoes_the_count(self, tmp_path, argv, echo):
+        out = tmp_path / "m.csv"
+        assert main(argv + ["--n-replicates", "2", "--out", str(out)]) == 0
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        assert sidecar["config"]["perm_draws"] == echo
+        plan = sidecar["permutation_column"]
+        assert plan is None if "--no-permutation-por" in argv else plan["draws"] == echo
+
+
 def corrected_by_hand(text):
     """``text``, a dataset CSV, with 0.5 added to every count."""
     rows = list(csv.reader(io.StringIO(text)))

@@ -109,8 +109,8 @@ class TestOddsRatio:
     def test_stacked_ses_are_each_rows_own(self, n):
         # rows with a NaN or an infinite draw, with fewer than 2 finite
         # ones, and finite rows, in one stack: each row's SE is the
-        # single-row one bit for bit, NaN where that is None
-        from crtnd.estimators import _permutation_se, _permutation_ses
+        # standard deviation of its finite draws bit for bit, NaN below 2
+        from crtnd.estimators import _permutation_ses
 
         draws = np.random.default_rng(n).normal(size=(6, n))
         if n:
@@ -120,8 +120,9 @@ class TestOddsRatio:
             draws[4, : n - 1] = np.nan
         got = _permutation_ses(draws)
         for row, se in zip(draws, got):
-            want = _permutation_se(row)
-            assert repr(float(se)) == repr(np.nan if want is None else want)
+            finite = row[np.isfinite(row)]
+            want = float(np.std(finite, ddof=1)) if finite.size >= 2 else np.nan
+            assert repr(float(se)) == repr(want)
         if n == 999:
             assert np.isfinite(got).tolist() == [True, True, True, False, False, True]
 

@@ -962,6 +962,75 @@ class TestEnumeratedBlocks:
             core.randomize(ParallelScheme(10, 5), "exact", 0, (0,))
 
 
+def kernel_blocks():
+    """(m, m1, rows): a Monte Carlo draw and an exact support's first
+    block at m = 12, 16 and 24, as the engine hands them out."""
+    from crtnd.core import randomize
+
+    for m in (12, 16, 24):
+        scheme = ParallelScheme(m, m // 2)
+        yield m, m // 2, randomize(scheme, "monte_carlo", 999, (m, 0xBE)).rows()
+        yield m, m // 2, next(randomize(scheme, "exact", 0, (0,)).blocks())
+
+
+class TestRelabelingKernels:
+    """The relabeling kernels take the product ``values @ rows.T`` for a
+    vector and for a stack alike: a vector, or a stack of one, gets the
+    bits of the matrix-vector product ``rows @ v`` that a single
+    dataset's analysis took before, and each row of a stack the bits of
+    the same row of the stack's product.  The rows are float 0/1, as the
+    engine hands them out: numpy would cast an integer matrix's
+    transpose into a C-ordered copy, whose product rounds differently."""
+
+    @staticmethod
+    def mean_differences(v, sums, m1):
+        return sums / m1 - (v.sum(axis=-1, keepdims=True) - sums) / (v.shape[-1] - m1)
+
+    @staticmethod
+    def log_odds(y, z, ty, tz):
+        with np.errstate(divide="ignore"):
+            return (np.log(ty) - np.log(y.sum(axis=-1, keepdims=True) - ty)
+                    + np.log(z.sum(axis=-1, keepdims=True) - tz) - np.log(tz))
+
+    def test_a_vector_gets_the_matrix_vector_bits(self):
+        from crtnd.estimators import odds_ratio_permutation_draws
+        from crtnd.inference import _diff_means_rows
+
+        for m, m1, rows in kernel_blocks():
+            assert rows.dtype == np.float64
+            rng = np.random.default_rng(m)
+            v = rng.normal(size=m)
+            y, z = rng.uniform(0.5, 500.0, size=(2, m))
+            y[0] = 0.0  # relabelings with a vanishing treated total
+            for lead in ((), (1,)):  # a vector, and a stack of one
+                vs, ys, zs = (a.reshape(*lead, m) for a in (v, y, z))
+                want = self.mean_differences(v, rows @ v, m1)
+                got = _diff_means_rows(vs, rows, m1)
+                assert got.shape == (*lead, len(rows))
+                assert got.reshape(-1).tobytes() == want.tobytes()
+                want = self.log_odds(y, z, rows @ y, rows @ z)
+                got = odds_ratio_permutation_draws(ys, zs, rows)
+                assert got.reshape(-1).tobytes() == want.tobytes()
+
+    def test_each_row_of_a_stack_is_its_row_of_the_product(self):
+        from crtnd.estimators import odds_ratio_permutation_draws
+        from crtnd.inference import _diff_means_rows
+
+        for m, m1, rows in kernel_blocks():
+            rng = np.random.default_rng(m + 1)
+            v = rng.normal(size=(16, m))
+            y, z = rng.uniform(0.5, 500.0, size=(2, 16, m))
+            work = np.full((4, 16, len(rows)), 7.0)
+            want = self.mean_differences(v, v @ rows.T, m1)
+            assert _diff_means_rows(v, rows, m1).tobytes() == want.tobytes()
+            got = _diff_means_rows(v, rows, m1, *work[:2])
+            assert np.shares_memory(got, work[0]) and got.tobytes() == want.tobytes()
+            want = self.log_odds(y, z, y @ rows.T, z @ rows.T)
+            assert odds_ratio_permutation_draws(y, z, rows).tobytes() == want.tobytes()
+            got = odds_ratio_permutation_draws(y, z, rows, work)
+            assert np.shares_memory(got, work[0]) and got.tobytes() == want.tobytes()
+
+
 TAIL_SPECIALS = (0.0, 1e-300, -1e-300, 1.0, -1.0, math.nan, math.inf, -math.inf)
 
 

@@ -398,8 +398,8 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
     )
     from crtnd.core import derive_rng
     from crtnd.errors import CrtndError, NoAdmissibleRoot, SingularCovariance
-    from crtnd.estimators import _z_quantile, odds_ratio_log, odds_ratio_permutation_draws
-    from crtnd.inference import _diff_means_rows, _tail_counts, _two_sided_p
+    from crtnd.estimators import _z_quantile, odds_ratio_log
+    from crtnd.inference import _tail_counts, _two_sided_p
     from crtnd.simulation import _Tally
     from crtnd.stepped_wedge import equal_weights
 
@@ -434,6 +434,19 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
         for t in tallies.values():
             t.dropped[reason] += 1
 
+    # one replicate's relabeled statistics, from its own matrix-vector
+    # products with the relabelings: the arm means' difference of a
+    # vector, and the log odds ratio of the arm totals
+    def mean_differences(v, rows):
+        m1 = scenario.design.m1
+        treated = rows @ v
+        return treated / m1 - (v.sum() - treated) / (v.size - m1)
+
+    def log_odds_ratios(y, z, rows):
+        ty, tz = rows @ y, rows @ z
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(ty) - np.log(y.sum() - ty) + np.log(z.sum() - tz) - np.log(tz)
+
     if not scenario.is_stepped_wedge:
         scheme = scenario.design
         for rep, records in simulate_parallel(scenario):
@@ -452,8 +465,7 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
                 tally("log_contrast", report)
                 if rows is not None:
                     lvals = log_contrasts(records)
-                    reject("log_contrast",
-                           _diff_means_rows(lvals, rows, scheme.m1),
+                    reject("log_contrast", mean_differences(lvals, rows),
                            report.log_estimate)
             if "covariate_adjusted" in names:
                 tally("covariate_adjusted",
@@ -461,7 +473,7 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
             if "odds_ratio" in names:
                 if rows is not None:
                     log_or = odds_ratio_log(records)
-                    draws = odds_ratio_permutation_draws(y, z, rows)
+                    draws = log_odds_ratios(y, z, rows)
                     se = float(np.std(draws[np.isfinite(draws)], ddof=1))
                     _tally_from_values(tallies["odds_ratio"], log_or, se, lam, alpha)
                     raw["odds_ratio"].append(log_or)
@@ -479,7 +491,7 @@ def reference_evaluate(scenario, names, permutation_por, perm_draws):
                     tallies["tpf"].dropped["NoAdmissibleRoot"] += 1
                 if rows is not None:
                     fr = np.array([yi / (yi + zi) for yi, zi in zip(y, z)])
-                    reject("tpf", _diff_means_rows(fr, rows, scheme.m1),
+                    reject("tpf", mean_differences(fr, rows),
                            float(fr[arms].mean() - fr[~arms].mean()))
     else:
         for rep, panel in simulate_stepped_wedge(scenario):
@@ -840,6 +852,64 @@ class TestArrayLoopEquivalence:
         assert tpf.dropped.get("NoAdmissibleRoot", 0) > 0
         assert sum(tpf.dropped.values()) == tpf.n_replicates - tpf.n_effective
         assert rows["log_contrast"].dropped == {}
+
+
+# Every metric of the benchmark's simulations at seed 11 (lam 0.6, 999
+# relabelings): simulate with 200 replicates and simulate-sw with 50,
+# the permutation column on and off.  Per estimator: n_effective, bias,
+# se, ase, por_normal, por_perm, cp, dropped and weight_fallbacks.  A
+# change that moves one of them re-records this table and names what
+# moved in CHANGES.md.
+_PINNED_METRICS = {
+    ("parallel", True): {
+        "odds_ratio": (200, 0.17752308584180165, 0.328726055383282, 0.36291748614092567,
+                       0.35, 0.35, 0.995, {}, 0),
+        "tpf": (200, 0.011500164622787135, 0.297428716340719, None, None, 0.415, None, {}, 0),
+        "log_contrast": (200, 0.0038821339465685556, 0.265891014436439, 0.26654129607071714,
+                         0.455, 0.44, 0.96, {}, 0),
+        "covariate_adjusted": (200, -0.008273238909225378, 0.1432137473712156,
+                               0.14189335672063044, 0.955, None, 0.96, {}, 0),
+    },
+    ("parallel", False): {
+        "odds_ratio": (200, 0.17752308584180165, 0.328726055383282, 0.3641798358777366,
+                       0.34, None, 0.995, {}, 0),
+        "tpf": (200, 0.011500164622787135, 0.297428716340719, None, None, None, None, {}, 0),
+        "log_contrast": (200, 0.0038821339465685556, 0.265891014436439, 0.26654129607071714,
+                         0.455, None, 0.96, {}, 0),
+        "covariate_adjusted": (200, -0.008273238909225378, 0.1432137473712156,
+                               0.14189335672063044, 0.955, None, 0.96, {}, 0),
+    },
+    ("sw", True): {
+        "sw_equal": (50, -0.017736756257616504, 0.15148874477995145, 0.13891288870127871,
+                     0.96, 0.96, 0.92, {}, 0),
+        "sw_optimal": (50, -0.01530638155903874, 0.12960037277547354, 0.12672963214849214,
+                       0.98, 0.94, 0.96, {}, 0),
+    },
+    ("sw", False): {
+        "sw_equal": (50, -0.017736756257616504, 0.15148874477995145, 0.13891288870127871,
+                     0.96, None, 0.92, {}, 0),
+        "sw_optimal": (50, -0.01530638155903874, 0.12960037277547354, 0.12672963214849214,
+                       0.98, None, 0.96, {}, 0),
+    },
+}
+
+
+@pytest.mark.parametrize("permutation_por", [True, False])
+@pytest.mark.parametrize("design", ["parallel", "sw"])
+def test_pinned_metrics_at_the_benchmark_shape(design, permutation_por):
+    from crtnd.simulation import MetricsRow
+
+    make, n = {"parallel": (default_parallel_scenario, 200),
+               "sw": (default_sw_scenario, 50)}[design]
+    scenario = make(0.6, n_replicates=n, seed=11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = evaluate(scenario, permutation_por=permutation_por, perm_draws=999)
+    pinned = _PINNED_METRICS[design, permutation_por]
+    assert [row.estimator for row in rows] == list(pinned)
+    for row in rows:
+        want = MetricsRow(scenario.scenario_id, row.estimator, 0.6, n, *pinned[row.estimator])
+        assert repr(row) == repr(want)
 
 
 class TestDrawsMatchPotentialTables:
