@@ -370,8 +370,8 @@ def _cmd_simulate(args, sw: bool) -> int:
     estimators = _estimator_names(args, SW_ESTIMATORS if sw else PARALLEL_ESTIMATORS)
     # the permutation column relabels for every estimator but
     # covariate_adjusted, and the odds ratio's SE relabels without it
-    relabels = ("odds_ratio" in estimators if args.no_permutation_por
-                else bool(set(estimators) - {"covariate_adjusted"}))
+    permuted = not args.no_permutation_por and bool(set(estimators) - {"covariate_adjusted"})
+    relabels = permuted or "odds_ratio" in estimators
     if args.perm_draws is None:
         args.perm_draws = _PERM_DRAWS_DEFAULT  # echo what runs
     elif not relabels:
@@ -402,8 +402,8 @@ def _cmd_simulate(args, sw: bool) -> int:
             "dropped_replicates": {row.estimator: row.dropped for row in rows},
             "timings_s": timings,
             "generation": generation_plan(),
-            "permutation_column": None if args.no_permutation_por
-            else relabeling_plan(scenario, args.perm_draws),
+            "permutation_column": relabeling_plan(scenario, args.perm_draws)
+            if permuted else None,
         }
         if sw:
             report["weight_fallbacks"] = {row.estimator: row.weight_fallbacks for row in rows}

@@ -478,16 +478,14 @@ class Randomization:
         if self.mode == "exact":
             yield from _support_blocks(scheme, size)
             return
-        parallel = isinstance(scheme, ParallelScheme)
-        dtype = float if parallel else np.min_scalar_type(scheme.n_periods)
         if self.n_rows <= size:
-            yield _held_draw(scheme, self.n_rows, self.stream, dtype)
+            yield _held_draw(scheme, self.n_rows, self.stream)
             return
         # sample_assignments draws (rows, m) uniforms: blocks drawn in turn
         # from one generator are the rows of one call
         rng = derive_rng(*self.stream)
         for first in range(0, self.n_rows, size):
-            yield sample_assignments(scheme, min(size, self.n_rows - first), rng, dtype)
+            yield _draw(scheme, min(size, self.n_rows - first), rng)
 
     def rows(self) -> np.ndarray:
         """All rows in one array, for a caller that reuses them (read-only
@@ -496,11 +494,18 @@ class Randomization:
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
+def _draw(scheme: AssignmentScheme, n_rows: int, rng: np.random.Generator) -> np.ndarray:
+    """``sample_assignments`` rows of the type :meth:`Randomization.blocks`
+    yields, for every drawn row set; a caller that reads its rows once
+    (the simulation's per-block relabelings) calls it unheld."""
+    dtype = float if isinstance(scheme, ParallelScheme) else np.min_scalar_type(scheme.n_periods)
+    return sample_assignments(scheme, n_rows, rng, dtype)
+
+
 @functools.lru_cache(maxsize=_HELD_DRAWS)
-def _held_draw(scheme: AssignmentScheme, n_rows: int, stream: tuple[int, ...],
-               dtype) -> np.ndarray:
-    """One ``sample_assignments`` call from ``derive_rng(*stream)``, read-only."""
-    rows = sample_assignments(scheme, n_rows, derive_rng(*stream), dtype)
+def _held_draw(scheme: AssignmentScheme, n_rows: int, stream: tuple[int, ...]) -> np.ndarray:
+    """One :func:`_draw` from ``derive_rng(*stream)``, read-only."""
+    rows = _draw(scheme, n_rows, derive_rng(*stream))
     rows.setflags(write=False)
     return rows
 

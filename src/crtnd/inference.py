@@ -603,8 +603,9 @@ class _PCurve:
         if idx.size == 0:
             raise NoNonRejectedPoint(f"no parameter value has p > {alpha}")
         lo, hi = idx[0], idx[-1]
-        diagnostics = {"grid_points": self.points.size, "p_max": float(self.p.max()),
-                       "non_interval": not accepted[lo : hi + 1].all()}
+        gaps = not accepted[lo : hi + 1].all()
+        diagnostics = {"path": "sweep", "grid_points": self.points.size,
+                       "p_max": float(self.p.max()), "non_interval": gaps}
         return float(self.points[lo // 2]), float(self.points[hi // 2]), diagnostics
 
 
@@ -674,12 +675,13 @@ def invert_ci(
     unbounded).  Inverting the permutation test is exact for
     ``log_contrast``, ``covariate_adjusted`` and ``dose_response``: the
     endpoints are the outermost breakpoints of the p-value curve with
-    p > alpha (:func:`_sweep`), ``grid_points`` counts the breakpoints,
-    ``p_max`` is the curve's maximum and ``non_interval`` flags gaps.
-    ``tpf`` and ``odds_ratio`` scan 401 values of log(lam0) over 10
-    log-contrast SEs either side of a center, the TPF estimate for
-    ``tpf`` and the log-contrast estimate for ``odds_ratio``, and bisect
-    each outer boundary to 1e-6 (:func:`_invert_scan`).
+    p > alpha (:func:`_sweep`, ``path: "sweep"``), ``grid_points``
+    counts the breakpoints, ``p_max`` is the curve's maximum and
+    ``non_interval`` flags gaps.  ``tpf`` and ``odds_ratio`` scan 401
+    values of log(lam0) over 10 log-contrast SEs either side of a
+    center, the TPF estimate for ``tpf`` and the log-contrast estimate
+    for ``odds_ratio``, and bisect each outer boundary to 1e-6
+    (:func:`_invert_scan`, ``path: "scan"``).
     ``adjustment`` applies to ``dose_response`` only: another value than
     ``"none"`` for a relative-risk method raises :class:`ValueError`.
     """
@@ -755,7 +757,7 @@ def _invert_scan(
         )
     idx = np.nonzero(accepted)[0]
     left, right = int(idx[0]), int(idx[-1])
-    diagnostics = {"grid_points": n_scan, "p_max": float(pvals.max())}
+    diagnostics = {"path": "scan", "grid_points": n_scan, "p_max": float(pvals.max())}
     if not accepted[left : right + 1].all():
         warnings.warn(
             "p-value curve is not unimodal on the scan grid; reporting the "

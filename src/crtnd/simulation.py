@@ -48,6 +48,7 @@ from .core import (
     ParallelScheme,
     SteppedWedgeScheme,
     Trial,
+    _draw,
     _log_ratio,
     derive_rng,
     randomize,
@@ -641,7 +642,7 @@ def _evaluate_parallel(scenario, names, permutation_por, perm_draws, stages):
         rows = or_rows
         if tested:
             rz = randomize(scheme, "monte_carlo", perm_draws, _relabeling_stream(scenario, b))
-            rows = rz.rows()
+            rows = _draw(scheme, rz.n_rows, derive_rng(*rz.stream))
         for sl in parts if rows is not None else ():
             n = sl.stop - sl.start
             if "odds_ratio" in names:
@@ -726,11 +727,11 @@ def _evaluate_sw(scenario, names, permutation_por, perm_draws, stages):
         # replicates and both weightings; at lam0 = 1 the imputed L(0)
         # is lmat itself
         if "sw_optimal" in names:
-            weights["sw_optimal"] = _null_weights(lmat, "optimal", periods, scale)
+            weights["sw_optimal"] = _null_weights(lmat, periods, scale)
         # the observed statistic weights the estimates' own diffs
         observed = {name: _row_dot(diffs, weights[name]) for name in names}
         rz = randomize(scheme, "monte_carlo", perm_draws, _relabeling_stream(scenario, b))
-        rows = rz.rows()
+        rows = _draw(scheme, rz.n_rows, derive_rng(*rz.stream))
         masks = _block_masks(rows, periods)
         for sl in parts:
             # every weighting's draws of the chunk: one masked product

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .estimators import EstimateReport, _row_dot, normal_ci
 from .inference import (
     PermutationResult,
     _invert_scan,
+    _PCurve,
     _permutation_result,
     _Statistic,
 )
@@ -348,13 +349,17 @@ def equal_weights(periods: Sequence[int]) -> SWWeights:
     return SWWeights(w=(1.0 / k,) * k, kind="equal", periods=tuple(periods))
 
 
+def _named(weights, name: str) -> bool:  # a vector of weights is never compared
+    return isinstance(weights, str) and weights == name
+
+
 def _resolve_weights(
     weights, periods: tuple[int, ...], covariance: SWCovariance | None
 ) -> tuple[SWWeights, list[str]]:
     notes: list[str] = []
-    if weights is None or weights == "equal":
+    if weights is None or _named(weights, "equal"):
         return equal_weights(periods), notes
-    if weights == "optimal":
+    if _named(weights, "optimal"):
         if covariance is None:
             raise ValueError("optimal weights need a covariance; none was supplied")
         try:
@@ -401,7 +406,7 @@ def sw_log_contrast(
     )
 
     cov = covariance
-    if cov is None and (estimate_covariance or weights == "optimal"):
+    if cov is None and (estimate_covariance or _named(weights, "optimal")):
         cov = sw_covariance_estimate(panel)
     if cov is not None and cov.periods != periods:
         raise ValueError(
@@ -513,21 +518,13 @@ def _block_masks(start_rows: np.ndarray, periods: Sequence[int]) -> np.ndarray |
     return _start_masks(start_rows.T, periods)
 
 
-def _null_weights(
-    l0: np.ndarray, weights, periods: tuple[int, ...], scale: np.ndarray
-) -> np.ndarray:
-    """Weights held fixed over the re-randomizations of a test of lam0.
-
-    ``l0`` holds the control log-contrasts imputed under the null, of
-    one (m, T) panel or of each panel of a (B, m, T) stack.  "optimal"
-    weights are computed exactly from their covariance, falling back to
-    equal weights when it is singular; a stack gets one row each.
-    """
-    if weights != "optimal":
-        wts, _ = _resolve_weights(weights, periods, None)
-        return np.asarray(wts.w)
+def _null_weights(l0: np.ndarray, periods: tuple[int, ...], scale: np.ndarray) -> np.ndarray:
+    """Optimal weights held fixed over the re-randomizations of a test of
+    lam0, exactly from the covariance of ``l0``, the null-imputed control
+    log-contrasts of one (m, T) panel or of each of a (B, m, T) stack;
+    equal weights where that covariance is singular."""
     if l0.ndim == 2:
-        return _null_weights(l0[None], weights, periods, scale)[0]
+        return _null_weights(l0[None], periods, scale)[0]
     w, ok, _ = _optimal_rows(_null_sigma(l0, periods, scale)[0])
     if not ok.all():
         warnings.warn("null covariance is singular; using equal weights", RuntimeWarning)
@@ -540,27 +537,33 @@ def _sw_statistic(panel: Panel, weights) -> _Statistic:
 
     Under the null the control log-contrasts are ``L - theta * treated``,
     so each assignment's per-period differences split as ``D - theta *
-    A``: the per-period columns of :func:`_period_contrasts` for the
-    stack of L and the treated indicator, and the observed
-    :func:`_period_differences` and 1.
-    Weights are held fixed across re-randomizations; "optimal" weights
-    are computed exactly from the null-imputed covariance at theta.
+    A``, the :func:`_period_contrasts` of the stack of L and the treated
+    indicator (observed: :func:`_period_differences` and 1).  Weights
+    that do not move with theta (all but "optimal") fold into the
+    contrasts, as in the simulation: one ``D - theta * A`` per
+    assignment, with the exact p-value curve of
+    :func:`~crtnd.inference._sweep`.  "optimal" weights are computed
+    from the null-imputed covariance at each theta, so the parts stay
+    per period.
     """
     scheme, periods = panel.scheme, panel.analysis_periods
+    _warn_dropped(periods, panel.n_periods)
     lmat = panel.log_contrast_matrix()
     treated = panel.treated.astype(float)
-    scale = _scale_matrix(scheme, periods)
     stack = np.stack([lmat, treated])
-
-    def rows(start_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        contrasts = _period_contrasts(start_rows, periods, scheme, stack)
-        return contrasts[:, 0].T, contrasts[:, 1].T
-
     observed = _period_differences(lmat, np.asarray(panel.start_periods), periods)
-    return _Statistic(
-        rows,
+    if not _named(weights, "optimal"):
+        w = np.asarray(_resolve_weights(weights, periods, None)[0].w)
+        folded = np.broadcast_to(w, (1, 2, len(w)))
+        return _Statistic(
+            lambda rows: tuple(_period_contrasts(rows, periods, scheme, stack, folded)[0]),
+            (float(observed @ w), float(w.sum())),
+        )
+    scale = _scale_matrix(scheme, periods)
+    return _Statistic(  # (rows, k) parts of D and A
+        lambda rows: tuple(_period_contrasts(rows, periods, scheme, stack).transpose(1, 2, 0)),
         (observed, np.ones(len(periods))),
-        lambda theta: _null_weights(lmat - theta * treated, weights, periods, scale),
+        lambda theta: _null_weights(lmat - theta * treated, periods, scale),
     )
 
 
@@ -582,25 +585,11 @@ def sw_permutation_test(
     """
     if lam0 <= 0:
         raise ValueError(f"lam0 must be > 0, got {lam0}")
-    _warn_dropped(panel.analysis_periods, panel.n_periods)
     return _permutation_result(
         _sw_statistic(panel, weights), math.log(lam0),
         randomize(panel.scheme, mode, n_draws, (seed, 0x5E)),
         seed=seed, statistic="sw_log_contrast",
     )
-
-
-def _sw_pvalue_function(
-    panel: Panel, weights, *, mode: str, n_draws: int, seed: int
-) -> Callable[[float], float]:
-    """theta -> two-sided p of :func:`sw_permutation_test` at lam0 = e^theta.
-
-    D and A come from one pass over the support (or one set of draws
-    from the test's own stream); each p(theta) then only applies the
-    weights and counts.
-    """
-    rz = randomize(panel.scheme, mode, n_draws, (seed, 0x5E))
-    return _sw_statistic(panel, weights).pvalues(rz)
 
 
 def sw_invert_ci(
@@ -612,22 +601,25 @@ def sw_invert_ci(
     n_draws: int = 9999,
     seed: int = 0,
 ) -> tuple[float, float, dict]:
-    """lam-scale CI from inverting :func:`sw_permutation_test`, and the
-    scan diagnostics of the TPF CI of :func:`~crtnd.inference.invert_ci`.
+    """lam-scale CI from inverting :func:`sw_permutation_test` (its
+    p-values, the statistic evaluated once per assignment), with the
+    diagnostics of :func:`~crtnd.inference.invert_ci`.
 
-    Scans 81 values of log(lam0) over the estimate +- 10 SE, widening up
-    to 50 SE while an edge is not rejected, and bisects each outer
-    boundary of {p > alpha} to 1e-4, with the routine of the TPF CI
-    (:class:`NoNonRejectedPoint` when an edge is still not rejected at
-    50 SE).  The p-values are those of
-    :func:`sw_permutation_test` with the same options, but the
-    re-randomized statistic is evaluated
-    once per assignment for the whole scan, not once per scanned value.
+    Weights fixed over the nulls (all but "optimal") give the exact curve
+    (``path: "sweep"``): the outermost breakpoints with p > alpha, and
+    :class:`NoNonRejectedPoint` only when that set is unbounded.
+    "optimal" weights scan 81 values of log(lam0) over the estimate +- 10
+    SE, widening up to 50 SE while an edge is not rejected (else
+    :class:`NoNonRejectedPoint`), and bisect each outer boundary to 1e-4
+    (``path: "scan"``).
     """
-    base = sw_log_contrast(panel, weights, alpha=alpha)
-    center = base.log_estimate
-    half = 10.0 * max(base.se_log or 0.1, 1e-6)
-    pfun = _sw_pvalue_function(panel, weights, mode=mode, n_draws=n_draws, seed=seed)
-    lo, hi, scan = _invert_scan(pfun, center, half, alpha, n_scan=81, tol=1e-4)
+    rz = randomize(panel.scheme, mode, n_draws, (seed, 0x5E))
+    pfun = _sw_statistic(panel, weights).pvalues(rz)
+    if isinstance(pfun, _PCurve):
+        lo, hi, scan = pfun.interval(alpha)
+    else:
+        base = sw_log_contrast(panel, weights, alpha=alpha)
+        half = 10.0 * max(base.se_log or 0.1, 1e-6)
+        lo, hi, scan = _invert_scan(pfun, base.log_estimate, half, alpha, n_scan=81, tol=1e-4)
     diagnostics = {"method": "sw_log_contrast", "test": "permutation", "alpha": alpha}
     return math.exp(lo), math.exp(hi), {**diagnostics, **scan}

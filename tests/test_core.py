@@ -276,7 +276,7 @@ class TestStreams:
     def test_analysis_streams(self, made):
         from crtnd import odds_ratio_estimate, permutation_test, sw_permutation_test
         from crtnd.inference import NullSpec, _pvalue_function
-        from crtnd.stepped_wedge import _sw_pvalue_function
+        from crtnd.stepped_wedge import sw_invert_ci
 
         recs = self.records()
         permutation_test(recs, NullSpec("relative_risk", 1.0), mode="monte_carlo",
@@ -284,7 +284,7 @@ class TestStreams:
         _pvalue_function(recs, "log_contrast", adjustment="none",
                          mode="monte_carlo", n_draws=60, seed=7)
         sw_permutation_test(self.panel(), 1.0, mode="monte_carlo", n_draws=60, seed=7)
-        _sw_pvalue_function(self.panel(), "equal", mode="monte_carlo", n_draws=60, seed=7)
+        sw_invert_ci(self.panel(), "equal", mode="monte_carlo", n_draws=60, seed=7)
         # C(20, 10) = 184756 relabelings: above the enumeration limit
         report = odds_ratio_estimate(self.records(20, 10), se_draws=60, seed=7)
         assert report.diagnostics["se_source"] == "permutation-mc(60)"

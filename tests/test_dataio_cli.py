@@ -615,18 +615,21 @@ class TestCli:
         assert err["error"] == "ParseError"
         assert err["message"].startswith("line 4, column 'y_count': not a finite")
 
-    def test_analyze_sw_reports_the_inversion_scan(self, tmp_path):
+    @pytest.mark.parametrize("weights, path, grid", [
+        ("equal", "sweep", 5038), ("optimal", "scan", 81),
+    ])
+    def test_analyze_sw_reports_the_inversion_scan(self, tmp_path, weights, path, grid):
         from test_stepped_wedge import BENCHMARK_WEDGE_CSV
 
         out = tmp_path / "sw.json"
         data = write(tmp_path, "wedge.csv", BENCHMARK_WEDGE_CSV)
-        assert main(["analyze-sw", "--input", str(data), "--mode", "exact",
-                     "--ci-method", "invert-permutation", "--out", str(out)]) == 0
+        assert main(["analyze-sw", "--input", str(data), "--mode", "exact", "--weights",
+                     weights, "--ci-method", "invert-permutation", "--out", str(out)]) == 0
         result = json.loads(out.read_text())["results"][0]
         scan = result["diagnostics"]["ci_inversion"]
         assert result["ci_method"] == "test_inversion"
         assert scan["method"] == "sw_log_contrast" and scan["test"] == "permutation"
-        assert scan["alpha"] == 0.05 and scan["grid_points"] == 81
+        assert scan["alpha"] == 0.05 and scan["path"] == path and scan["grid_points"] == grid
         assert 0.05 < scan["p_max"] <= 1.0
 
     def test_sweep_sidecar_counts_dropped_replicates(self, tmp_path):
@@ -753,6 +756,18 @@ class TestSimulationTimings:
         assert sorted(sidecar["timings_s"]) == ["generation", "log_contrast", "log_contrasts"]
         assert sidecar["permutation_column"] is None
 
+    def test_no_permuted_estimator_no_permutation_column(self, tmp_path):
+        # the column is on, but covariate_adjusted has no permutation test:
+        # nothing is relabeled, and the sidecar describes no relabelings
+        out = tmp_path / "ca.csv"
+        assert main(["simulate", "--n-replicates", "20", "--estimators",
+                     "covariate_adjusted", "--out", str(out)]) == 0
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        assert sorted(sidecar["timings_s"]) == ["covariate_adjusted", "generation",
+                                                "log_contrasts"]
+        assert sidecar["permutation_column"] is None
+        assert sidecar["results"][0]["por_perm"] is None
+
 
 class TestInversionReports:
     def test_analyze_writes_every_inversion(self, tmp_path):
@@ -764,13 +779,15 @@ class TestInversionReports:
                      "--out", str(out)]) == 0
         results = {r["method"]: r for r in json.loads(out.read_text())["results"]}
         assert "ci_inversion" not in results["odds_ratio"]["diagnostics"]
-        for name, keys in (("tpf", {"non_unimodal"}), ("log_contrast", {"non_interval"}),
-                           ("covariate_adjusted", {"non_interval"})):
+        for name, path, keys in (("tpf", "scan", {"non_unimodal"}),
+                                 ("log_contrast", "sweep", {"non_interval"}),
+                                 ("covariate_adjusted", "sweep", {"non_interval"})):
             res = results[name]
             inv = res["diagnostics"]["ci_inversion"]
             assert res["ci_method"] == "test_inversion"
-            assert {"method": name, "test": "permutation", "alpha": 0.25}.items() <= inv.items()
-            assert set(inv) - {"method", "test", "alpha", "grid_points", "p_max"} <= keys
+            assert {"method": name, "test": "permutation", "alpha": 0.25,
+                    "path": path}.items() <= inv.items()
+            assert set(inv) - {"method", "test", "alpha", "path", "grid_points", "p_max"} <= keys
             assert 0.25 < inv["p_max"] <= 1.0
         assert results["tpf"]["diagnostics"]["ci_inversion"]["grid_points"] == 401
         for name in ("log_contrast", "covariate_adjusted"):

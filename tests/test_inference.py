@@ -1233,15 +1233,18 @@ class TestDoseStatisticOnce:
 # 1-3, files 0-3, program seed ``seed * 100000 + file + 1``), for every
 # report of ``analyze --ci-method invert-permutation`` (trial-analysis:
 # Monte Carlo, all four estimators; exact-inference: exact, three
-# estimators), ``analyze-sw --mode exact`` and ``dose-response --test
-# permutation --adjustment covariates``: the tail count of the
-# permutation p at lam = 1, the CI's grid points (None where a report
-# has none) and the CI endpoints.  The covariate-adjusted and
-# dose-response entries were recorded before the relabelings were
-# re-fitted by within-arm scatter sums, the others before the log
-# contrasts, arm sums and TPF roots moved to numpy arithmetic.  Tail
-# counts and grid points stay exact; endpoints moved by 6.1e-15
-# relative at most.
+# estimators), ``analyze-sw --mode exact`` with equal and (keyed
+# ``[optimal]``) optimal weights and ``dose-response --test permutation
+# --adjustment covariates``: the tail count of the permutation p at lam
+# = 1, the CI's grid points (None where a report has none) and the CI
+# endpoints.  The covariate-adjusted and dose-response entries were
+# recorded before the relabelings were re-fitted by within-arm scatter
+# sums, the others before the log contrasts, arm sums and TPF roots
+# moved to numpy arithmetic.  Tail counts and grid points stay exact;
+# endpoints moved by 6.1e-15 relative at most.  The optimal-weight
+# wedge entries were recorded before the equal-weight wedge CI moved
+# from the scan to the exact breakpoint sweep, with which the
+# equal-weight entries were re-recorded: their counts did not move.
 _PINNED_OUTPUTS = {
     ("trial-analysis", 1, 0): {
         "odds_ratio": (482, None, 0.2998225959723656, 1.3242184022277006),
@@ -1331,73 +1334,85 @@ _PINNED_OUTPUTS = {
         "odds_ratio": (2, None, 0.38298728619067923, 0.7339587033607518),
         "tpf": (2, 401, 0.35010788258724235, 0.7865124404100488),
         "log_contrast": (2, 12868, 0.31109722069370294, 0.6653762999211471),
-        "sw_log_contrast": (53, 81, 0.5848364252842866, 0.9458653303626984),
+        "sw_log_contrast": (53, 5038, 0.5848208980015253, 0.9458997751719862),
+        "sw_log_contrast[optimal]": (96, 81, 0.5366826449990914, 0.9745843657585368),
     },
     ("exact-inference", 1, 1): {
         "odds_ratio": (8, None, 0.38993774541376947, 0.7563543903464609),
         "tpf": (6, 401, 0.3425083904784716, 0.7740364491426504),
         "log_contrast": (6, 12868, 0.4025455855545007, 0.6434004464714703),
-        "sw_log_contrast": (15, 81, 0.5066831859849188, 0.8680719807587335),
+        "sw_log_contrast": (15, 5038, 0.5066547074058918, 0.8681088520967565),
+        "sw_log_contrast[optimal]": (41, 81, 0.4891389424625909, 0.9158413687075035),
     },
     ("exact-inference", 1, 2): {
         "odds_ratio": (2, None, 0.22493376388467068, 0.7654432846584391),
         "tpf": (2, 401, 0.2912091841771618, 0.7512342483562782),
         "log_contrast": (2, 12868, 0.31289709504676005, 0.6347745909601636),
-        "sw_log_contrast": (1, 81, 0.3641079407661459, 0.6433980060362594),
+        "sw_log_contrast": (1, 5038, 0.3640958554776796, 0.6434098653295194),
+        "sw_log_contrast[optimal]": (1, 81, 0.3715080484946794, 0.6376493581303521),
     },
     ("exact-inference", 1, 3): {
         "odds_ratio": (2, None, 0.29834278737865905, 0.7964138004017248),
         "tpf": (6, 401, 0.35579850237864413, 0.8001142626407539),
         "log_contrast": (6, 12868, 0.3518691840861379, 0.7087085241886888),
-        "sw_log_contrast": (1, 81, 0.4045837421366831, 0.6995531870276137),
+        "sw_log_contrast": (1, 5038, 0.4045704507433529, 0.6995553795371657),
+        "sw_log_contrast[optimal]": (1, 81, 0.3973251222595142, 0.7134860475719598),
     },
     ("exact-inference", 2, 0): {
         "odds_ratio": (9952, None, 0.40101572119482254, 1.682331215579444),
         "tpf": (840, 401, 0.454405486289966, 1.0199041561295032),
         "log_contrast": (1828, 12868, 0.49004389079081573, 1.1233925465939496),
-        "sw_log_contrast": (12, 81, 0.6426596830881482, 0.8907178728560126),
+        "sw_log_contrast": (12, 5038, 0.6426518773095955, 0.8907328608046914),
+        "sw_log_contrast[optimal]": (8, 81, 0.5796681253252213, 0.8774804665002307),
     },
     ("exact-inference", 2, 1): {
         "odds_ratio": (10232, None, 0.3507485111135227, 1.8205798855378519),
         "tpf": (130, 401, 0.39181908162029433, 0.9011728371504143),
         "log_contrast": (412, 12868, 0.479232162822657, 0.9571602289099219),
-        "sw_log_contrast": (115, 81, 0.22473512717318206, 0.9832544871970776),
+        "sw_log_contrast": (115, 5038, 0.2247232244985274, 0.9832725821703183),
+        "sw_log_contrast[optimal]": (174, 81, 0.21783929654298956, 1.0631983140851418),
     },
     ("exact-inference", 2, 2): {
         "odds_ratio": (2, None, 0.226674978137222, 0.9103595339540577),
         "tpf": (10, 401, 0.4336405006631273, 0.8778193725794282),
         "log_contrast": (10, 12868, 0.3701405639637893, 0.8310016340828746),
-        "sw_log_contrast": (14, 81, 0.4920719409803822, 0.8549337402629702),
+        "sw_log_contrast": (14, 5038, 0.4920427385413251, 0.8549717677528463),
+        "sw_log_contrast[optimal]": (2, 81, 0.5462018179804315, 0.7770491926907762),
     },
     ("exact-inference", 2, 3): {
         "odds_ratio": (2, None, 0.16758352358893883, 0.897234777574553),
         "tpf": (2, 401, 0.3086757927831545, 0.7761955926295435),
         "log_contrast": (2, 12868, 0.33678308302217724, 0.6894985921297695),
-        "sw_log_contrast": (24, 81, 0.46183124482588483, 0.9015989909852006),
+        "sw_log_contrast": (24, 5038, 0.46181180207953365, 0.9016710088581865),
+        "sw_log_contrast[optimal]": (43, 81, 0.4571545768781415, 0.9197510739867415),
     },
     ("exact-inference", 3, 0): {
         "odds_ratio": (2, None, 0.21331292521344128, 0.789838697904685),
         "tpf": (2, 401, 0.34183531829967484, 0.806589319109096),
         "log_contrast": (2, 12868, 0.3197174572403119, 0.7198075669636422),
-        "sw_log_contrast": (1157, 81, 0.3971460169221629, 1.451889502207359),
+        "sw_log_contrast": (1157, 5038, 0.39712136544640186, 1.4519764353013993),
+        "sw_log_contrast[optimal]": (2459, 81, 0.27200291516857017, 1.9036894194324454),
     },
     ("exact-inference", 3, 1): {
         "odds_ratio": (2, None, 0.3953623328680904, 0.7152969789433973),
         "tpf": (2, 401, 0.30630659504534674, 0.7552668043180762),
         "log_contrast": (2, 12868, 0.3086692411063906, 0.6070794836599486),
-        "sw_log_contrast": (10, 81, 0.5489914801936946, 0.8687060116375431),
+        "sw_log_contrast": (10, 5038, 0.5489698754772601, 0.8687441311112256),
+        "sw_log_contrast[optimal]": (5, 81, 0.5525905170237925, 0.8554590996620719),
     },
     ("exact-inference", 3, 2): {
         "odds_ratio": (10, None, 0.512427122169047, 0.878232022936053),
         "tpf": (46, 401, 0.5063936765121315, 0.9007797727331581),
         "log_contrast": (46, 12868, 0.5193049631641565, 0.8494833438889694),
-        "sw_log_contrast": (178, 81, 0.5880096877151261, 1.018197152220445),
+        "sw_log_contrast": (178, 5038, 0.5880002758313889, 1.018245275102703),
+        "sw_log_contrast[optimal]": (110, 81, 0.5744442283267999, 0.9907379410967583),
     },
     ("exact-inference", 3, 3): {
         "odds_ratio": (2, None, 0.33241618909858245, 0.8078698169204093),
         "tpf": (2, 401, 0.38930279151434116, 0.8159085357279015),
         "log_contrast": (2, 12868, 0.34253255409288486, 0.7221663138140321),
-        "sw_log_contrast": (1, 81, 0.4866636518772173, 0.7508125777808213),
+        "sw_log_contrast": (1, 5038, 0.48665085583702306, 0.7508209946503761),
+        "sw_log_contrast[optimal]": (1, 81, 0.5225397622916933, 0.7744337923009571),
     },
 }
 _PINNED_RTOL = 1e-13
@@ -1409,9 +1424,10 @@ def _pinned_commands(workload, workdir, k, seed):
         return [["analyze", "--ci-method", "invert-permutation", *data],
                 ["dose-response", "--test", "permutation", "--adjustment", "covariates", *data]]
     exact = ["--mode", "exact", "--ci-method", "invert-permutation"]
+    wedge = ["analyze-sw", "--input", str(workdir / f"wedge_{k}.csv"), *exact]
     return [["analyze", "--input", str(workdir / f"exact_{k}.csv"), *exact,
              "--estimators", "odds_ratio,tpf,log_contrast"],
-            ["analyze-sw", "--input", str(workdir / f"wedge_{k}.csv"), *exact]]
+            wedge, [*wedge, "--weights", "optimal"]]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -1433,7 +1449,10 @@ def test_pinned_outputs_on_benchmark_inputs(workload, seed, tmp_path):
         reports = {}
         for argv in _pinned_commands(workload, tmp_path, k, seed):
             assert main([*argv, "--out", str(out)]) == 0
-            reports.update((r["method"], r) for r in json.loads(out.read_text())["results"])
+            # an optimal-weight wedge report is keyed apart from the equal one
+            label = "[optimal]" if argv[-2:] == ["--weights", "optimal"] else ""
+            reports.update((r["method"] + label, r)
+                           for r in json.loads(out.read_text())["results"])
         pinned = _PINNED_OUTPUTS[workload, seed, k]
         assert sorted(reports) == sorted(pinned)
         for method, (count, grid, lo, hi) in pinned.items():

@@ -358,21 +358,30 @@ class TestNullCovarianceAndPermutation:
         b = sw_permutation_test(panel, 1.0, mode="monte_carlo", n_draws=300, seed=4)
         assert a.p_two_sided == b.p_two_sided
 
-    def test_observed_statistic_is_the_estimates_own(self):
+    @pytest.mark.parametrize("weights", ["equal", "optimal"])
+    def test_observed_statistic_is_the_estimates_own(self, weights):
         # the simulation reads the observed statistic off the period
-        # differences of its estimates: the test's must be the same bits
+        # differences of its estimates: the test's must be the same bits,
+        # weighted as the simulation weights them where the weights are fixed
+        from crtnd.estimators import _row_dot
         from crtnd.stepped_wedge import _sw_statistic
 
         scheme = SteppedWedgeScheme(8, (1, 2, 2, 2, 1))
         panel = realize(random_table(8, 5, 0.7, seed=24),
                         sample_assignments(scheme, 1, derive_rng(25))[0])
         start, periods = np.asarray(panel.start_periods), panel.analysis_periods
-        lmat = panel.log_contrast_matrix()
-        d_obs, a_obs = _sw_statistic(panel, "equal").observed
-        assert d_obs.tobytes() == _period_differences(lmat, start, periods).tobytes()
-        assert a_obs.tolist() == [1.0] * len(periods)
+        diffs = _period_differences(panel.log_contrast_matrix(), start, periods)
+        stat = _sw_statistic(panel, weights)
+        d_obs, a_obs = stat.observed
+        if weights == "equal":
+            w = np.full(len(periods), 1 / len(periods))
+            assert stat.weights is None
+            assert d_obs == _row_dot(diffs[None], w[None])[0] and a_obs == w.sum()
+        else:
+            assert d_obs.tobytes() == diffs.tobytes()
+            assert a_obs.tolist() == [1.0] * len(periods)
         # and the rows statistic at the observed starts, to rounding
-        d_row, a_row = _sw_statistic(panel, "equal").rows(start[None])
+        d_row, a_row = stat.rows(start[None])
         np.testing.assert_allclose(d_row[0], d_obs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(a_row[0], a_obs, rtol=0, atol=1e-12)
 
@@ -566,11 +575,11 @@ class TestSWInvertCI:
     @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
     @pytest.mark.parametrize("weights", ["equal", "optimal"])
     def test_split_pvalues_match_sw_permutation_test(self, weights, mode):
-        from crtnd.stepped_wedge import _sw_pvalue_function
+        from crtnd.stepped_wedge import _sw_statistic
 
         panel = tied_panel()
         options = dict(mode=mode, n_draws=250, seed=9)
-        pfun = _sw_pvalue_function(panel, weights, **options)
+        pfun = _sw_statistic(panel, weights).pvalues(randomize(panel.scheme, mode, 250, (9, 0x5E)))
         est = sw_log_contrast(panel, weights)
         pvals = []
         for theta in np.linspace(est.log_estimate - 1.5, est.log_estimate + 1.5, 50) + 1e-3:
@@ -579,19 +588,25 @@ class TestSWInvertCI:
             pvals.append(direct.p_two_sided)
         assert min(pvals) < 0.2 < max(pvals)  # the curve is actually traversed
 
-    def test_ci_endpoints_at_the_alpha_boundary(self):
+    @pytest.mark.parametrize("weights, path, outward", [
+        ("equal", "sweep", 1e-9), ("optimal", "scan", 2e-4),
+    ])
+    def test_ci_endpoints_at_the_alpha_boundary(self, weights, path, outward):
+        # the sweep's endpoints are breakpoints of the curve; the scan's
+        # are bisected to 1e-4
         panel = tied_panel()
-        lo, hi, diag = sw_invert_ci(panel, "equal", alpha=0.1, mode="exact")
-        assert lo < math.exp(sw_log_contrast(panel).log_estimate) < hi
-        assert diag["grid_points"] == 81 and diag["p_max"] > 0.1
-        for lam, inside in ((lo, True), (hi, True),
-                            (lo * math.exp(-2e-4), False), (hi * math.exp(2e-4), False)):
-            p = sw_permutation_test(panel, lam, "equal", mode="exact").p_two_sided
+        lo, hi, diag = sw_invert_ci(panel, weights, alpha=0.1, mode="exact")
+        assert lo < math.exp(sw_log_contrast(panel, weights).log_estimate) < hi
+        assert diag["path"] == path and diag["p_max"] > 0.1
+        for lam, inside in ((lo, True), (hi, True), (lo * math.exp(-outward), False),
+                            (hi * math.exp(outward), False)):
+            p = sw_permutation_test(panel, lam, weights, mode="exact").p_two_sided
             assert (p > 0.1) == inside
 
     def test_unrejected_scan_edge_raises(self):
         # six clusters starting (1,1,2,2,3,3) in a 2-period window: 90
-        # start vectors, so every exact p is at least 1/90 > 0.01
+        # start vectors, so every exact p is at least 1/90 > 0.01 and the
+        # accepted set is unbounded
         rng = np.random.default_rng(0)
         panel = Panel(
             cluster_ids=tuple(f"c{i}" for i in range(6)),
@@ -599,31 +614,176 @@ class TestSWInvertCI:
             y=rng.integers(20, 60, size=(6, 2)).astype(float),
             z=rng.integers(40, 90, size=(6, 2)).astype(float),
         )
-        with pytest.raises(NoNonRejectedPoint):
+        with pytest.raises(NoNonRejectedPoint, match="unbounded"):
             sw_invert_ci(panel, "equal", alpha=0.01, mode="exact")
+        with pytest.raises(NoNonRejectedPoint, match="not bracketed within 50 SE"):
+            sw_invert_ci(panel, "optimal", alpha=0.01, mode="exact")
 
     @pytest.mark.parametrize(
-        "weights, expected",
+        "weights, expected, diagnostics",
         [
-            ("equal", (0.5848311029772111, 0.9458567455214856)),
-            ("optimal", (0.5366705409286581, 0.9745220625917914)),
+            # the exact curve: all 2,520 start vectors' 5,038 breakpoints
+            ("equal", (0.5848184700043225, 0.9458794269634251),
+             {"path": "sweep", "grid_points": 5038, "p_max": 1.0, "non_interval": False}),
+            ("optimal", (0.5366705409286581, 0.9745220625917914),
+             {"path": "scan", "grid_points": 81, "p_max": 0.9932539682539683}),
         ],
     )
-    def test_endpoints_on_a_benchmark_wedge(self, tmp_path, weights, expected):
+    def test_endpoints_on_a_benchmark_wedge(self, tmp_path, weights, expected, diagnostics):
         # a benchmark exact-inference wedge (8 clusters, starts a shuffle
-        # of 2,2,3,3,4,4,5,5; counts rounded to 4 decimals): its 10-SE
-        # scan edges are rejected, so no widening happens and the
+        # of 2,2,3,3,4,4,5,5; counts rounded to 4 decimals); for the scan,
+        # its 10-SE edges are rejected, so no widening happens and the
         # endpoints are those of the unwidened scan
         path = tmp_path / "wedge.csv"
         path.write_text(BENCHMARK_WEDGE_CSV)
         _, panel = parse_dataset(path)
         lo, hi, diag = sw_invert_ci(panel, weights, alpha=0.05, mode="exact")
         assert (lo, hi) == expected
-        assert {k: diag[k] for k in ("method", "test", "alpha", "grid_points")} == {
-            "method": "sw_log_contrast", "test": "permutation", "alpha": 0.05,
-            "grid_points": 81,
-        }
-        assert 0.05 < diag["p_max"] <= 1.0 and "non_unimodal" not in diag
+        assert diag == {"method": "sw_log_contrast", "test": "permutation", "alpha": 0.05,
+                        **diagnostics}
+
+
+    def test_a_bounded_interval_past_50_se_is_returned(self):
+        # per-period effects -1, 0, 1 and period effects shared by all
+        # clusters: the plug-in SE is 0 to rounding, so a scan of 50 SE
+        # cannot bracket the accepted set, which is bounded
+        starts = np.array((1, 1, 2, 2, 3, 3, 4, 4))
+        treated = np.arange(1, 5)[None, :] >= starts[:, None]
+        lmat = 0.1 * np.arange(4)[None, :] + np.array([-1.0, 0.0, 1.0, 0.0]) * treated
+        panel = Panel(tuple(f"c{i}" for i in range(8)), tuple(starts),
+                      50.0 * np.exp(lmat), np.full((8, 4), 50.0))
+        assert sw_log_contrast(panel).se_log < 1e-15
+        lo, hi, diag = sw_invert_ci(panel, "equal", alpha=0.05, mode="exact")
+        assert (math.log(lo), math.log(hi)) == pytest.approx((-4 / 15, 4 / 15), abs=1e-12)
+        assert diag["path"] == "sweep" and diag["non_interval"] is False
+        for lam, inside in ((lo, True), (hi, True), (lo * math.exp(-1e-9), False),
+                            (hi * math.exp(1e-9), False)):
+            p = sw_permutation_test(panel, lam, mode="exact").p_two_sided
+            assert (p > 0.05) == inside
+
+
+class TestWeightVectors:
+    def test_a_list_and_an_array_are_custom_weights(self):
+        # neither is compared elementwise with "equal" or "optimal"
+        panel = tied_panel()
+        w = [0.2, 0.3, 0.5]
+        results = []
+        for weights in (w, np.array(w), SWWeights(tuple(w), "custom", panel.analysis_periods)):
+            rep = sw_log_contrast(panel, weights)
+            assert rep.diagnostics["weights"] == w
+            assert rep.diagnostics["weight_kind"] == "custom"
+            test = sw_permutation_test(panel, 1.0, weights, mode="exact")
+            lo, hi, diag = sw_invert_ci(panel, weights, alpha=0.2, mode="exact")
+            assert diag["path"] == "sweep"
+            results.append((rep.log_estimate, rep.se_log, test.p_two_sided, lo, hi))
+        assert results[0] == results[1] == results[2]
+        assert results[0][0] == pytest.approx(
+            np.array(w) @ sw_log_contrast(panel).diagnostics["period_differences"], abs=1e-15)
+
+
+def dropped_period_panel():
+    """8 clusters over 4 periods, none starting at 1 and one after the
+    window: period 1 has no treated cluster and is dropped, so the
+    analysis periods are 2 and 3 (1,680 start vectors)."""
+    rng = np.random.default_rng(31)
+    return Panel(
+        cluster_ids=tuple(f"c{i}" for i in range(8)),
+        start_periods=(2, 2, 3, 3, 3, 4, 4, 5),
+        y=np.round(rng.uniform(10.0, 60.0, size=(8, 4)), 1),
+        z=np.round(rng.uniform(30.0, 90.0, size=(8, 4)), 1),
+    )
+
+
+class TestSweptWedgeInterval:
+    """Fixed-weight wedge CIs against brute force: every distinct ordering
+    of the observed starts, each analysis period's treated-minus-control
+    means of L and of the observed treated indicator taken cell by cell
+    and weighted, and p(theta) counted directly at every root of every
+    start vector and between them."""
+
+    CASES = {
+        "tied, equal": (tied_panel, "equal"),
+        "tied, custom": (tied_panel, [0.6, -0.1, 0.5]),
+        "dropped period, equal": (dropped_period_panel, "equal"),
+        "dropped period, custom": (dropped_period_panel, np.array([0.7, 0.3])),
+    }
+
+    @staticmethod
+    def brute_force(panel, weights):
+        """theta -> exact p, and every root of every start vector."""
+        import itertools
+
+        starts = np.array(panel.start_periods)
+        m, n_periods = panel.y.shape
+        lmat = np.log(panel.y) - np.log(panel.z)
+        shift = (np.arange(1, n_periods + 1)[None, :] >= starts[:, None]).astype(float)
+        periods = [t for t in range(1, n_periods) if 0 < np.sum(starts <= t) < m]
+        w = [1 / len(periods)] * len(periods) if isinstance(weights, str) else list(weights)
+
+        def weighted(values, s):
+            return sum(wt * (values[s <= t, t - 1].mean() - values[s > t, t - 1].mean())
+                       for wt, t in zip(w, periods))
+
+        rows = [np.array(s) for s in sorted(set(itertools.permutations(starts.tolist())))]
+        d = np.array([weighted(lmat, r) for r in rows])
+        a = np.array([weighted(shift, r) for r in rows])
+        d_obs, a_obs = weighted(lmat, starts), weighted(shift, starts)
+
+        def p(theta):
+            # the documented tie rule: roots 2e-9 apart, as some are here,
+            # are told apart between them
+            level = abs(d_obs - theta * a_obs)
+            return np.mean(np.abs(d - theta * a) >= level - 1e-12 * max(level, 1.0))
+
+        roots = []
+        for num, den in ((d - d_obs, a - a_obs), (d + d_obs, a + a_obs)):
+            keep = np.abs(den) > 1e-9
+            roots.append(num[keep] / den[keep])
+        roots = np.unique(np.concatenate(roots))
+        # roots that tie in exact arithmetic differ by rounding: keep one
+        return p, roots[np.r_[True, np.diff(roots) > 1e-9 * (1.0 + np.abs(roots[1:]))]]
+
+    @pytest.mark.filterwarnings("ignore:some periods in 1..T-1")
+    @pytest.mark.parametrize("alpha", [0.05, 0.2])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_endpoints_and_curve(self, case, alpha):
+        from crtnd.stepped_wedge import _sw_statistic
+
+        make, weights = self.CASES[case]
+        panel = make()
+        p, roots = self.brute_force(panel, weights)
+        rz = randomize(panel.scheme, "exact", 0, (0, 0x5E))
+        pfun = _sw_statistic(panel, weights).pvalues(rz)
+        # the curve is constant between roots: equal to brute force there
+        mids = np.concatenate([[roots[0] - 1.0], (roots[:-1] + roots[1:]) / 2,
+                               [roots[-1] + 1.0]])
+        assert [pfun(t) for t in mids] == [p(t) for t in mids]
+        if max(p(mids[0]), p(mids[-1])) > alpha:
+            with pytest.raises(NoNonRejectedPoint, match="unbounded"):
+                sw_invert_ci(panel, weights, alpha=alpha, mode="exact")
+            return
+        # the accepted set: outermost roots with p > alpha
+        kept = roots[[p(t) > alpha for t in roots]]
+        lo, hi, diag = sw_invert_ci(panel, weights, alpha=alpha, mode="exact")
+        lo, hi = math.log(lo), math.log(hi)
+        assert lo == pytest.approx(kept[0], abs=1e-9)
+        assert hi == pytest.approx(kept[-1], abs=1e-9)
+        assert diag["path"] == "sweep" and diag["p_max"] == 1.0
+        inside = np.sort(np.concatenate([roots, mids]))
+        inside = inside[(inside >= kept[0]) & (inside <= kept[-1])]
+        assert diag["non_interval"] == (min(p(t) for t in inside) <= alpha)
+        # the test itself, away from the breakpoints: its accepted nulls
+        # are the CI's, all of it where the set has no gap
+        grid = np.linspace(2 * lo - hi, 2 * hi - lo, 41)
+        grid = grid[np.min(np.abs(grid[:, None] - roots[None, :]), axis=1) > 1e-6]
+        accepted = np.array([
+            sw_permutation_test(panel, math.exp(t), weights, mode="exact").p_two_sided > alpha
+            for t in grid
+        ])
+        within = (grid >= lo) & (grid <= hi)
+        assert not (accepted & ~within).any()
+        if not diag["non_interval"]:
+            np.testing.assert_array_equal(accepted, within)
 
 
 BENCHMARK_WEDGE_CSV = """cluster_id,period,start_period,y_count,z_count
